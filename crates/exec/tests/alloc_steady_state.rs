@@ -68,9 +68,27 @@ fn steady_state_submit_collect_does_not_allocate() {
             sum
         };
 
-        // Warm-up: grows the batch's task/result vectors and the shared
-        // job queue to steady-state capacity, and exercises each worker's
-        // first park/unpark.
+        // Warm every pool thread explicitly: `workers + 1` tasks that
+        // meet on one barrier can only all finish once each worker and
+        // the helping submitter has run one of them, so no thread runs
+        // its first task (and any lazy per-thread setup) inside the
+        // counted window. The inline single-worker engine runs tasks
+        // serially on the submitter, which a barrier would deadlock.
+        if workers > 1 {
+            let meet = std::sync::Barrier::new(workers + 1);
+            let tasks: Vec<_> = (0..=workers)
+                .map(|_| {
+                    let meet = &meet;
+                    move || {
+                        meet.wait();
+                        Ok(())
+                    }
+                })
+                .collect();
+            handle.run_vec(tasks).expect("warm-up batch");
+        }
+        // Then grow the batch's task/result vectors and the shared job
+        // queue to steady-state capacity.
         for salt in 0..4 {
             checksum = checksum.wrapping_add(run_round(&mut batch, salt));
         }

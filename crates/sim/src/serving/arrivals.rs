@@ -222,14 +222,6 @@ impl QueryShape {
             .collect()
     }
 
-    /// The pooling factor of table `t` (see
-    /// [`table_poolings`](Self::table_poolings), which amortizes the
-    /// weight normalization over all tables).
-    pub fn pooling_for_table(&self, t: usize) -> usize {
-        debug_assert!(t < self.tables);
-        self.table_poolings()[t]
-    }
-
     /// The Zipf-like traffic weight of every table under the configured
     /// skew and rotation (uniformly 1 when unskewed).
     pub fn table_weights(&self) -> Vec<f64> {
@@ -360,6 +352,24 @@ impl QueryStream {
     }
 }
 
+/// The offered load of one seeded run: each query's arrival cycle and
+/// its trace. Single-node and fleet serving draw both from the seed the
+/// same way, so a 1-node fleet replays the bare cluster's workload.
+pub(super) fn offered_load(
+    process: ArrivalProcess,
+    qps: f64,
+    queries: usize,
+    shape: QueryShape,
+    seed: u64,
+) -> (Vec<Cycle>, Vec<SlsTrace>) {
+    let mut rng = DetRng::seed(seed ^ 0xa5a5_5a5a_0f0f_f0f0);
+    let arrivals = process.arrival_times(qps, queries, &mut rng);
+    (
+        arrivals,
+        QueryStream::new(shape, seed).take_queries(queries),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,11 +408,11 @@ mod tests {
     #[test]
     fn table_skew_concentrates_traffic_and_conserves_budget() {
         let flat = QueryShape::new(8, 2, 10);
-        assert_eq!(flat.pooling_for_table(0), 10);
+        assert_eq!(flat.table_poolings()[0], 10);
         assert_eq!(flat.lookups_per_query(), 8 * 2 * 10);
 
         let skewed = flat.with_table_skew(1.5);
-        let poolings: Vec<usize> = (0..8).map(|t| skewed.pooling_for_table(t)).collect();
+        let poolings = skewed.table_poolings();
         // Monotone non-increasing, table 0 dominates, every table kept.
         assert!(poolings.windows(2).all(|w| w[0] >= w[1]));
         assert!(poolings[0] > 4 * poolings[7]);
@@ -423,7 +433,7 @@ mod tests {
                 .batch
                 .poolings
                 .iter()
-                .all(|p| p.indices.len() == skewed.pooling_for_table(t)));
+                .all(|p| p.indices.len() == poolings[t]));
         }
     }
 

@@ -1,0 +1,774 @@
+//! The scatter/gather serving core behind single-node sharded and tiered
+//! serving (a one-node fleet) and fleet serving.
+//!
+//! Each job routes its batches to nodes, then to the least-backlogged
+//! replica channel of each batch's table. Every touched node simulates
+//! its shards as one pool task, each shard queues on its channel, and
+//! the job completes at its slowest node (slowest shard plus the
+//! per-node [`GatherCost`]) plus the [`NetworkCost`] of a multi-node
+//! fleet plus the host-cache charge. Optional per-job stages do nothing
+//! when their `Option` is `None`: tier promotion epochs, the
+//! `max_queue_depth` guard, idle-gap prefetch, the host cache, and the
+//! [`ResilienceConfig`] layer (failover, SLO guard, retry, hedging —
+//! inert under [`ResilienceConfig::zero`]). `Queued` whole-job dispatch
+//! is the one serving mode outside this core.
+
+use std::collections::{BTreeSet, VecDeque};
+
+use recnmp_backend::{
+    FleetPlacementPlan, PlacementPlan, RunReport, SlsBackend, SlsTrace, TableUsage,
+    TieredPlacementPlan,
+};
+use recnmp_types::{ConfigError, Cycle, SimError, TableId};
+
+use super::faults::{HealthTracker, NodeHealth, QueryOutcome, ResilienceConfig};
+use super::fleet::{NetworkCost, RouterPolicy};
+use super::host_cache::{HostCache, HotVectorTracker};
+use super::policy::{Coalescing, EpochPromotion, GatherCost};
+use super::scheduler::percentile;
+
+/// One dispatched unit of work: the queries it carries and the cycle the
+/// scheduler released it.
+pub(super) struct Job {
+    pub dispatch: Cycle,
+    pub members: Vec<usize>,
+}
+
+/// Groups queries into dispatch jobs. Without coalescing every query is
+/// its own job released at its arrival; with coalescing a group closes
+/// when full or when its oldest member has waited `max_wait` cycles.
+pub(super) fn coalesce(arrivals: &[Cycle], coalescing: Option<Coalescing>) -> Vec<Job> {
+    let Some(c) = coalescing else {
+        return arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| Job {
+                dispatch: t,
+                members: vec![i],
+            })
+            .collect();
+    };
+    let mut jobs = Vec::new();
+    let mut i = 0;
+    while i < arrivals.len() {
+        let deadline = arrivals[i] + c.max_wait;
+        let mut members = vec![i];
+        i += 1;
+        while i < arrivals.len() && members.len() < c.max_queries && arrivals[i] <= deadline {
+            members.push(i);
+            i += 1;
+        }
+        // A full group releases with its filling query; a deadline group
+        // waits out the window (the coalescer cannot know no further
+        // query will arrive).
+        let dispatch = if members.len() == c.max_queries {
+            arrivals[*members.last().unwrap()]
+        } else {
+            deadline
+        };
+        jobs.push(Job { dispatch, members });
+    }
+    jobs
+}
+
+/// Concatenates the member queries of one job into a single trace.
+pub(super) fn merge_queries(queries: &[SlsTrace], members: &[usize]) -> SlsTrace {
+    let mut merged = SlsTrace::default();
+    for &q in members {
+        merged.batches.extend_from_slice(&queries[q].batches);
+    }
+    merged
+}
+
+/// The admission guard behind `max_queue_depth`: the bound and the
+/// completion cycles of admitted jobs; `None` admits everything.
+pub(super) struct DepthGuard(Option<(usize, Vec<Cycle>)>);
+
+impl DepthGuard {
+    pub fn new(bound: Option<usize>) -> Self {
+        Self(bound.map(|b| (b, Vec::new())))
+    }
+
+    /// May a job dispatching at `dispatch` enter? Dispatch times are
+    /// non-decreasing, so drained work is dropped before the count.
+    pub fn admits(&mut self, dispatch: Cycle) -> bool {
+        let Some((bound, outstanding)) = &mut self.0 else {
+            return true;
+        };
+        outstanding.retain(|&done| done > dispatch);
+        outstanding.len() < *bound
+    }
+
+    /// Records an admitted job's completion.
+    pub fn admit(&mut self, complete: Cycle) {
+        if let Some((_, outstanding)) = &mut self.0 {
+            outstanding.push(complete);
+        }
+    }
+}
+
+/// Where the core finds each table: a two-level fleet plan, or one
+/// node's channel plan (sharded, or a tiered plan's flat view).
+pub(super) enum Plan {
+    Fleet(FleetPlacementPlan),
+    Node(PlacementPlan),
+    Tiered(TieredPlacementPlan),
+}
+
+impl Plan {
+    /// The nodes holding `table`; empty when no node places it.
+    fn node_replicas(&self, table: TableId) -> &[usize] {
+        match self {
+            Plan::Fleet(p) => p.node_replicas(table),
+            _ if self.node(0).replicas(table).is_empty() => &[],
+            _ => &[0],
+        }
+    }
+
+    /// Node `n`'s channel plan.
+    fn node(&self, n: usize) -> &PlacementPlan {
+        match self {
+            Plan::Fleet(p) => p.per_node(n),
+            Plan::Node(p) => p,
+            Plan::Tiered(p) => p.flat(),
+        }
+    }
+}
+
+fn missing_table(table: TableId) -> SimError {
+    SimError::Config(ConfigError::new(
+        "placement",
+        format!("table {table} is missing from the placement plan"),
+    ))
+}
+
+/// The least-backlogged of `channels` (earliest free, ties to the lowest
+/// index) — the one channel pick behind the level-2 scatter, retries,
+/// hedge targets and the placement-aware router.
+fn least_backlogged(channels: &[usize], free_at: &[Cycle]) -> Option<usize> {
+    channels.iter().copied().min_by_key(|&c| (free_at[c], c))
+}
+
+/// Epoch-based tier promotion: accumulates the per-table lookups of
+/// admitted jobs into `observed` (the stream's table profile, sorted by
+/// table, counts zeroed at each epoch) and at every epoch boundary calls
+/// [`TieredPlacementPlan::epoch_rebalance`]; the units on either end of
+/// a migration stall by the modeled migration cost.
+pub(super) struct Promotion {
+    pub epochs: EpochPromotion,
+    pub observed: Vec<TableUsage>,
+}
+
+impl Promotion {
+    /// Rebalances a tiered `plan` at the epoch boundary before job `j`.
+    /// The epoch clock ticks on offered jobs, rejected or not.
+    fn at_job(
+        &mut self,
+        j: usize,
+        dispatch: Cycle,
+        plan: &mut Plan,
+        free_at: &mut [Cycle],
+    ) -> Result<(), SimError> {
+        let epoch = self.epochs.epoch_queries;
+        let Plan::Tiered(current) = plan else {
+            return Ok(());
+        };
+        if j == 0 || epoch == 0 || !j.is_multiple_of(epoch) {
+            return Ok(());
+        }
+        let (next, mig) = current
+            .epoch_rebalance(&self.observed, self.epochs.policy)
+            .map_err(SimError::Config)?;
+        // Both ends of each migration are busy copying: a moved table's
+        // old replicas stream it out, its new replicas stream it in.
+        // Unaffected units keep serving.
+        if mig.stall_cycles > 0 {
+            let stalled: BTreeSet<usize> = mig
+                .promoted
+                .iter()
+                .chain(&mig.demoted)
+                .flat_map(|&t| [current.flat().replicas(t), next.flat().replicas(t)])
+                .flatten()
+                .copied()
+                .collect();
+            for u in stalled {
+                free_at[u] = free_at[u].max(dispatch) + mig.stall_cycles;
+            }
+        }
+        *current = next;
+        for u in &mut self.observed {
+            u.accesses = 0;
+        }
+        Ok(())
+    }
+
+    /// Accumulates an admitted job's offered per-table lookups.
+    fn observe(&mut self, job: &Job, queries: &[SlsTrace]) {
+        for tb in job.members.iter().flat_map(|&q| &queries[q].batches) {
+            if let Ok(i) = self.observed.binary_search_by_key(&tb.table(), |u| u.table) {
+                self.observed[i].accesses += tb.lookups();
+            }
+        }
+    }
+}
+
+/// The optional per-job stages of the core.
+#[derive(Default)]
+pub(super) struct Stages {
+    pub host_cache: Option<HostCache>,
+    pub prefetch: Option<HotVectorTracker>,
+    pub promotion: Option<Promotion>,
+    pub max_queue_depth: Option<usize>,
+}
+
+/// The per-query record of one serving run, shared by the core and the
+/// `Queued` loop; `report` merges every shard run's counters.
+pub(super) struct Served {
+    pub completions: Vec<Cycle>,
+    pub outcomes: Vec<QueryOutcome>,
+    pub failures: Vec<SimError>,
+    pub node_queries: Vec<u64>,
+    pub report: RunReport,
+}
+
+impl Served {
+    pub fn new(system: &str, queries: usize, nodes: usize) -> Self {
+        Self {
+            completions: vec![0; queries],
+            outcomes: vec![QueryOutcome::Completed; queries],
+            failures: Vec::new(),
+            node_queries: vec![0; nodes],
+            report: RunReport::for_system(system.to_string()),
+        }
+    }
+
+    /// Settles every member of `job` at cycle `at` with `outcome`,
+    /// bumping the outcome's counter. Queries that are not served settle
+    /// at their job's dispatch cycle.
+    pub fn settle(&mut self, job: &Job, outcome: QueryOutcome, at: Cycle) {
+        for &q in &job.members {
+            self.completions[q] = at;
+            self.outcomes[q] = outcome;
+        }
+        let n = job.members.len() as u64;
+        match outcome {
+            QueryOutcome::Completed => {}
+            QueryOutcome::Rejected => self.report.queries_rejected += n,
+            QueryOutcome::Shed => self.report.queries_shed += n,
+            QueryOutcome::Failed => self.report.queries_failed += n,
+        }
+    }
+
+    /// Fails every member of `job`, recording `error(query)` for each.
+    fn fail(&mut self, job: &Job, error: impl Fn(usize) -> SimError) {
+        self.settle(job, QueryOutcome::Failed, job.dispatch);
+        self.failures.extend(job.members.iter().map(|&q| error(q)));
+    }
+
+    /// Closes the run: the merged counters cover serial jobs, so their
+    /// wall-clock is the makespan (not the per-job max `absorb_parallel`
+    /// keeps). Returns each query's completion − arrival latency.
+    pub fn finish(&mut self, arrivals: &[Cycle]) -> Vec<Cycle> {
+        self.report.total_cycles = self.completions.iter().copied().max().unwrap_or(0);
+        self.report.query_completions = self.completions.clone();
+        self.completions
+            .iter()
+            .zip(arrivals)
+            .map(|(&done, &arr)| done - arr)
+            .collect()
+    }
+}
+
+/// One node's scattered work: per-channel shards sorted by channel.
+type Shards = Vec<(usize, SlsTrace)>;
+
+/// The scatter/gather core: a plan, the routing and gather model, and
+/// the optional stages.
+pub(super) struct Core {
+    pub plan: Plan,
+    pub router: RouterPolicy,
+    pub gather: GatherCost,
+    pub network: NetworkCost,
+    pub stages: Stages,
+}
+
+impl Core {
+    /// Serves `jobs` over `queries` on `nodes` (all exposing the same
+    /// server count) under the resilience semantics of
+    /// [`serve_fleet_resilient`](super::fleet::serve_fleet_resilient).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Stalled`] if a node's cycle-level run stalls,
+    /// or [`SimError::Config`] when a table is missing from the plan;
+    /// per-query failures land in [`Served::failures`].
+    pub fn run(
+        mut self,
+        nodes: &mut [&mut dyn SlsBackend],
+        res: &ResilienceConfig,
+        jobs: &[Job],
+        queries: &[SlsTrace],
+        system: &str,
+    ) -> Result<Served, SimError> {
+        let node_count = nodes.len();
+        let channels = nodes.first().map_or(0, |n| n.server_count());
+        // Earliest cycle each (node, channel) is free.
+        let mut free_at: Vec<Vec<Cycle>> = vec![vec![0; channels]; node_count];
+        // For LeastOutstanding: (completion, lookups) of work in flight
+        // per node.
+        let mut in_flight: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); node_count];
+        let mut served = Served::new(system, queries.len(), node_count);
+        let mut health = HealthTracker::new(node_count, res.ewma_alpha, res.degraded_after);
+        // Recently observed node-job latencies the hedge delay anchors
+        // at, kept only when hedging is on.
+        let mut hedge_window: VecDeque<Cycle> = VecDeque::new();
+        let mut guard = DepthGuard::new(self.stages.max_queue_depth);
+
+        'jobs: for (j, job) in jobs.iter().enumerate() {
+            let dispatch_at = job.dispatch;
+            if let Some(p) = self.stages.promotion.as_mut() {
+                p.at_job(j, dispatch_at, &mut self.plan, &mut free_at[0])?;
+            }
+            // A rejected job never dispatches: it must not warm the host
+            // cache, feed the prefetch tracker, or touch a channel.
+            if !guard.admits(dispatch_at) {
+                served.settle(job, QueryOutcome::Rejected, dispatch_at);
+                continue;
+            }
+            if let Some(p) = self.stages.promotion.as_mut() {
+                p.observe(job, queries);
+            }
+            if let Some(tracker) = &self.stages.prefetch {
+                for (n, node) in nodes.iter_mut().enumerate() {
+                    served.report.prefetch_fills +=
+                        tracker.prefetch(&mut **node, self.plan.node(n), dispatch_at, &free_at[n]);
+                }
+            }
+            let mut trace = merge_queries(queries, &job.members);
+            let mut host_cycles: Cycle = 0;
+            if let Some(hc) = self.stages.host_cache.as_mut() {
+                let (residual, hits) = hc.filter(trace);
+                trace = residual;
+                host_cycles = hits * hc.hit_cycles();
+            }
+            if let Some(tr) = self.stages.prefetch.as_mut() {
+                tr.observe(&trace);
+            }
+            let lookups = trace.total_lookups();
+            // Cycles this job pays for discovering a fresh crash (at most
+            // one detection per job).
+            let mut penalty: Cycle = 0;
+
+            // Level 1: route each batch to a *live* node replica, the
+            // router arithmetic first and the failover path only when the
+            // preferred replica is crashed or degraded.
+            let mut per_node: Vec<SlsTrace> = vec![SlsTrace::default(); node_count];
+            for batch in trace.batches {
+                let table = batch.table();
+                let reps = self.plan.node_replicas(table);
+                if reps.is_empty() {
+                    return Err(missing_table(table));
+                }
+                let preferred = self.pick(reps, j, table, &mut in_flight, &free_at, dispatch_at);
+                let preferred_down = res.faults.crashed(preferred, dispatch_at);
+                let node = if !preferred_down && health.health(preferred) != NodeHealth::Degraded {
+                    preferred
+                } else {
+                    if preferred_down && !health.known_crashed(preferred) {
+                        health.mark_crashed(preferred);
+                        penalty = res.redispatch_penalty;
+                    }
+                    let alive: Vec<usize> = reps
+                        .iter()
+                        .copied()
+                        .filter(|&n| !res.faults.crashed(n, dispatch_at))
+                        .collect();
+                    if alive.is_empty() {
+                        served.fail(job, |query| SimError::QueryFailed { query, table });
+                        continue 'jobs;
+                    }
+                    let pool = prefer_healthy(alive, &health);
+                    if !preferred_down && pool.contains(&preferred) {
+                        preferred
+                    } else {
+                        served.report.failovers += 1;
+                        self.pick(&pool, j, table, &mut in_flight, &free_at, dispatch_at)
+                    }
+                };
+                per_node[node].batches.push(batch);
+            }
+            let dispatch_eff = dispatch_at + penalty;
+
+            // SLO admission: the optimistic estimate — every batch served
+            // by the earliest-free channel of any live replica. If even
+            // that already blows the deadline, reject without running
+            // anything.
+            if let Some(slo) = res.slo {
+                let mut est_start = dispatch_eff;
+                for batch in per_node.iter().flat_map(|t| &t.batches) {
+                    let table = batch.table();
+                    let best = (self.plan.node_replicas(table).iter())
+                        .filter(|&&n| !res.faults.crashed(n, dispatch_at))
+                        .filter_map(|&n| {
+                            let c =
+                                least_backlogged(self.plan.node(n).replicas(table), &free_at[n]);
+                            c.map(|c| free_at[n][c])
+                        })
+                        .min()
+                        .unwrap_or(0);
+                    est_start = est_start.max(best.max(dispatch_eff));
+                }
+                if est_start.saturating_sub(dispatch_at) > slo.deadline {
+                    served.settle(job, QueryOutcome::Rejected, dispatch_at);
+                    continue 'jobs;
+                }
+            }
+
+            // Level 2: within each touched node, assign batches to the
+            // least-backlogged owning channel.
+            let mut node_jobs: Vec<(usize, Shards, u64)> = Vec::new();
+            for (n, node_trace) in per_node.into_iter().enumerate() {
+                if node_trace.batches.is_empty() {
+                    continue;
+                }
+                let plan = self.plan.node(n);
+                let mut by_channel: Vec<SlsTrace> = vec![SlsTrace::default(); channels];
+                let mut result_bytes = 0u64;
+                for batch in node_trace.batches {
+                    let table = batch.table();
+                    let channel = least_backlogged(plan.replicas(table), &free_at[n])
+                        .ok_or_else(|| missing_table(table))?;
+                    result_bytes += batch.batch.output_bytes();
+                    by_channel[channel].batches.push(batch);
+                }
+                let shards: Shards = by_channel
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, s)| !s.batches.is_empty())
+                    .collect();
+                node_jobs.push((n, shards, result_bytes));
+            }
+
+            // SLO shedding: the *actual* routed service start. A job
+            // whose slowest shard would begin past the deadline is dropped
+            // at dispatch — it cannot complete in time and would only add
+            // load.
+            if let Some(slo) = res.slo {
+                let actual_start = node_jobs
+                    .iter()
+                    .flat_map(|(n, shards, _)| {
+                        shards
+                            .iter()
+                            .map(|(c, _)| dispatch_eff.max(free_at[*n][*c]))
+                    })
+                    .max()
+                    .unwrap_or(dispatch_eff);
+                if actual_start.saturating_sub(dispatch_at) > slo.deadline {
+                    served.settle(job, QueryOutcome::Shed, dispatch_at);
+                    continue 'jobs;
+                }
+            }
+
+            for (n, _, _) in &node_jobs {
+                served.node_queries[*n] += 1;
+            }
+            let reports = run_nodes(nodes, &node_jobs)?;
+
+            // Queueing arithmetic, serially in (node, channel) order: each
+            // shard queues on its channel (retrying on faults), each node
+            // completes at its slowest shard plus the per-node gather, and
+            // the job completes at its slowest node plus the network
+            // gather.
+            let mut slowest_node = dispatch_eff;
+            let mut total_result_bytes = 0u64;
+            let mut scattered = 0u64;
+            let mut exhausted: Option<u32> = None;
+            for ((n, shards, result_bytes), node_reports) in node_jobs.iter().zip(reports) {
+                let n = *n;
+                let mut node_slowest = dispatch_eff;
+                let mut node_service: Cycle = 0;
+                let mut node_lookups = 0u64;
+                for ((channel, shard), report) in shards.iter().zip(node_reports) {
+                    node_lookups += shard.total_lookups();
+                    let base = report.total_cycles;
+                    served.report.absorb_parallel(report);
+                    match run_shard_attempts(
+                        (n, *channel),
+                        shard,
+                        base,
+                        dispatch_eff,
+                        &mut free_at[n],
+                        self.plan.node(n),
+                        res,
+                        &mut served.report.retries,
+                    ) {
+                        Ok((complete, service)) => {
+                            node_slowest = node_slowest.max(complete);
+                            node_service = node_service.max(service);
+                        }
+                        Err(attempts) => exhausted = Some(attempts),
+                    }
+                }
+                scattered += node_lookups;
+
+                // Hedge a straggler node job onto a surviving replica
+                // holding all its tables; first completion wins, both pay
+                // their channel occupancy.
+                if let (Some(hedge), None) = (res.hedge, exhausted) {
+                    if hedge_window.len() >= hedge.min_samples {
+                        let mut sorted: Vec<Cycle> = hedge_window.iter().copied().collect();
+                        sorted.sort_unstable();
+                        let delay = percentile(&sorted, hedge.quantile);
+                        if node_slowest.saturating_sub(dispatch_eff) > delay && node_service > 0 {
+                            let target = hedge_target(
+                                n,
+                                shards,
+                                &self.plan,
+                                res,
+                                dispatch_at,
+                                &free_at,
+                                &health,
+                            );
+                            if let Some((alt, alt_channels)) = target {
+                                served.report.hedges += 1;
+                                let hstart = alt_channels
+                                    .iter()
+                                    .map(|&c| free_at[alt][c])
+                                    .fold(dispatch_eff + delay, Cycle::max);
+                                let hcomplete = hstart + node_service;
+                                for &c in &alt_channels {
+                                    free_at[alt][c] = hcomplete;
+                                }
+                                node_slowest = node_slowest.min(hcomplete).max(dispatch_eff);
+                            }
+                        }
+                    }
+                }
+
+                if node_service > 0 {
+                    health.observe(n, node_service, node_lookups);
+                    if let Some(hedge) = res.hedge {
+                        hedge_window.push_back(node_slowest.saturating_sub(dispatch_eff));
+                        if hedge_window.len() > hedge.window {
+                            hedge_window.pop_front();
+                        }
+                    }
+                }
+
+                let node_complete =
+                    node_slowest + self.gather.base + self.gather.per_shard * shards.len() as Cycle;
+                if self.router == RouterPolicy::LeastOutstanding {
+                    in_flight[n].push((node_complete, node_lookups));
+                }
+                slowest_node = slowest_node.max(node_complete);
+                total_result_bytes += result_bytes;
+            }
+            debug_assert_eq!(scattered, lookups, "scatter must conserve lookups");
+            if node_jobs.is_empty() {
+                // A job the host cache absorbed whole touches no channel
+                // but still pays the host merge.
+                slowest_node = dispatch_eff + self.gather.base;
+            }
+
+            if let Some(attempts) = exhausted {
+                served.fail(job, |query| SimError::DeadlineExceeded {
+                    query,
+                    deadline: res.retry.timeout,
+                    attempts,
+                });
+                continue 'jobs;
+            }
+            // The network gather is waived when the router is co-located
+            // with a single node.
+            let network = if node_count > 1 {
+                self.network.cost_of(total_result_bytes)
+            } else {
+                0
+            };
+            let complete = slowest_node + network + host_cycles;
+            served.settle(job, QueryOutcome::Completed, complete);
+            guard.admit(complete);
+        }
+
+        if let Some(hc) = &self.stages.host_cache {
+            let (hits, misses, absorbed_bytes) = hc.stats();
+            served.report.host_hits += hits;
+            served.report.host_misses += misses;
+            served.report.host_absorbed_bytes += absorbed_bytes;
+        }
+        Ok(served)
+    }
+
+    /// One node pick under the router for a batch of `table`, restricted
+    /// to the candidate `pool` (non-empty).
+    fn pick(
+        &self,
+        pool: &[usize],
+        salt: usize,
+        table: TableId,
+        in_flight: &mut [Vec<(Cycle, u64)>],
+        free_at: &[Vec<Cycle>],
+        dispatch_at: Cycle,
+    ) -> usize {
+        let by_key = |key: &mut dyn FnMut(usize) -> u64| {
+            *pool
+                .iter()
+                .min_by_key(|&&n| (key(n), n))
+                .expect("non-empty pool")
+        };
+        match self.router {
+            RouterPolicy::HashAffinity => pool[salt % pool.len()],
+            // Dispatch times are non-decreasing, so drained work can
+            // never count again.
+            RouterPolicy::LeastOutstanding => by_key(&mut |n| {
+                in_flight[n].retain(|(done, _)| *done > dispatch_at);
+                in_flight[n].iter().map(|(_, l)| l).sum()
+            }),
+            RouterPolicy::PlacementScatter => by_key(&mut |n| {
+                least_backlogged(self.plan.node(n).replicas(table), &free_at[n])
+                    .map_or(Cycle::MAX, |c| free_at[n][c])
+            }),
+        }
+    }
+}
+
+/// Simulates every touched node as one pool task; each node fans its
+/// shards out as nested tasks ([`SlsBackend::try_run_shards`]), and the
+/// reports come back in node order regardless of completion order.
+fn run_nodes(
+    nodes: &mut [&mut dyn SlsBackend],
+    node_jobs: &[(usize, Shards, u64)],
+) -> Result<Vec<Vec<RunReport>>, SimError> {
+    let mut pending = node_jobs.iter().peekable();
+    let mut tasks = Vec::with_capacity(node_jobs.len());
+    for (n, node) in nodes.iter_mut().enumerate() {
+        if let Some((_, shards, _)) = pending.next_if(|(jn, _, _)| *jn == n) {
+            let node: &mut dyn SlsBackend = &mut **node;
+            tasks.push(move || node.try_run_shards(shards));
+        }
+    }
+    recnmp_exec::current().run_vec(tasks)
+}
+
+/// Runs one shard's attempt loop on `(node, channel)`: queue, apply the
+/// fault plan's degradation multiplier, abort on an injected timeout
+/// window or a blown per-attempt budget, then back off exponentially and
+/// re-dispatch (counted in `retries`). Returns the winning attempt's
+/// `(completion, service)`, or `Err(attempts)` after retry exhaustion.
+#[allow(clippy::too_many_arguments)]
+fn run_shard_attempts(
+    (node, first_channel): (usize, usize),
+    shard: &SlsTrace,
+    base_service: Cycle,
+    dispatch: Cycle,
+    free_at: &mut [Cycle],
+    plan: &PlacementPlan,
+    res: &ResilienceConfig,
+    retries: &mut u64,
+) -> Result<(Cycle, Cycle), u32> {
+    let retry = res.retry;
+    let budget = retry.timeout;
+    let attempts = retry.max_attempts.max(1);
+    let mut t = dispatch;
+    let mut channel = first_channel;
+    for attempt in 0..attempts {
+        let start = t.max(free_at[channel]);
+        let mult = res.faults.degrade_multiplier(node, channel, start);
+        let service = base_service.saturating_mul(mult);
+        let complete = start + service;
+        let fault_timeout = res.faults.times_out(node, channel, start);
+        let over_budget = budget > 0 && complete.saturating_sub(t) > budget;
+        if !fault_timeout && !over_budget {
+            free_at[channel] = complete;
+            return Ok((complete, service));
+        }
+        // The attempt aborts when the client's budget expires or the
+        // faulty run surfaces its error, whichever is sooner; the channel
+        // stays busy for whatever service it wasted (nothing, if the
+        // attempt was still queued).
+        let fail_at = if budget > 0 {
+            complete.min(t + budget)
+        } else {
+            complete
+        };
+        if fail_at > start {
+            free_at[channel] = fail_at;
+        }
+        if attempt + 1 == attempts {
+            break;
+        }
+        *retries += 1;
+        t = fail_at + retry.backoff_before(attempt);
+        // Re-dispatch onto the least-backlogged channel owning every
+        // table of this shard (often the same channel — transient windows
+        // pass; degraded channels lose to healthier replicas).
+        if let Some(next) = retry_channel(shard, plan, free_at) {
+            channel = next;
+        }
+    }
+    Err(attempts)
+}
+
+/// The least-backlogged channel of `plan` owning every table of
+/// `shard`; `None` when no single channel holds them all.
+fn retry_channel(shard: &SlsTrace, plan: &PlacementPlan, free_at: &[Cycle]) -> Option<usize> {
+    let owners = common(shard.batches.iter().map(|b| plan.replicas(b.table())))?;
+    least_backlogged(&owners, free_at)
+}
+
+/// The entries common to every list in `lists`; `None` for no lists.
+fn common<'a>(mut lists: impl Iterator<Item = &'a [usize]>) -> Option<Vec<usize>> {
+    let first = lists.next()?.to_vec();
+    Some(lists.fold(first, |acc, l| {
+        acc.into_iter().filter(|x| l.contains(x)).collect()
+    }))
+}
+
+/// The healthy members of `nodes`, or all of them when none is healthy.
+fn prefer_healthy(nodes: Vec<usize>, health: &HealthTracker) -> Vec<usize> {
+    let healthy: Vec<usize> = nodes
+        .iter()
+        .copied()
+        .filter(|&n| health.health(n) == NodeHealth::Healthy)
+        .collect();
+    if healthy.is_empty() {
+        nodes
+    } else {
+        healthy
+    }
+}
+
+/// A hedge target for a node job of `shards` on `primary`: a live node
+/// other than `primary` that replicates *every* table of the job,
+/// preferring healthy nodes, then the one whose involved channels free
+/// earliest. Returns the node and the channels the duplicate occupies
+/// there.
+fn hedge_target(
+    primary: usize,
+    shards: &Shards,
+    plan: &Plan,
+    res: &ResilienceConfig,
+    dispatch_at: Cycle,
+    free_at: &[Vec<Cycle>],
+    health: &HealthTracker,
+) -> Option<(usize, Vec<usize>)> {
+    let job_tables: Vec<TableId> = (shards.iter().flat_map(|(_, s)| &s.batches))
+        .map(|b| b.table())
+        .collect();
+    let candidates = common(job_tables.iter().map(|&t| plan.node_replicas(t)))?
+        .into_iter()
+        .filter(|&n| n != primary && !res.faults.crashed(n, dispatch_at))
+        .collect();
+    prefer_healthy(candidates, health)
+        .into_iter()
+        .filter_map(|n| {
+            let chans = job_tables
+                .iter()
+                .map(|&t| least_backlogged(plan.node(n).replicas(t), &free_at[n]))
+                .collect::<Option<BTreeSet<usize>>>()?;
+            let ready = chans.iter().map(|&c| free_at[n][c]).max().unwrap_or(0);
+            Some((ready, n, chans.into_iter().collect::<Vec<usize>>()))
+        })
+        .min_by_key(|(ready, n, _)| (*ready, *n))
+        .map(|(_, n, chans)| (n, chans))
+}

@@ -20,15 +20,16 @@
 //! * [`SloPolicy`] — admission control (reject when the estimated queue
 //!   delay already exceeds the deadline) and deadline shedding (drop a
 //!   query whose actual service start would land past the deadline);
-//! * [`ResilienceConfig`] — the bundle the resilient fleet scheduler
-//!   ([`serve_fleet_resilient`](super::fleet::serve_fleet_resilient))
-//!   consumes, including the failover re-dispatch penalty and the EWMA
+//! * [`ResilienceConfig`] — the bundle the scatter/gather core's
+//!   resilience stage consumes
+//!   ([`serve_fleet_resilient`](super::fleet::serve_fleet_resilient)),
+//!   including the failover re-dispatch penalty and the EWMA
 //!   health-tracking knobs.
 //!
 //! An all-zero plan ([`FaultPlan::none`]) with the default policies is a
-//! strict no-op: the resilient scheduler then reproduces the plain
-//! [`serve_fleet`](super::fleet::serve_fleet) completion schedule
-//! byte-for-byte (pinned by `resilience_determinism`).
+//! strict no-op: [`ResilienceConfig::zero`] is how
+//! [`serve_fleet`](super::fleet::serve_fleet) and single-node sharded
+//! and tiered serving run the same core.
 //!
 //! # Examples
 //!
@@ -157,15 +158,6 @@ impl FaultPlan {
     /// Is `node` down at `cycle`?
     pub fn crashed(&self, node: usize, cycle: Cycle) -> bool {
         self.crashes.iter().any(|c| c.node == node && cycle >= c.at)
-    }
-
-    /// The earliest crash cycle of `node`, if it ever crashes.
-    pub fn crash_cycle(&self, node: usize) -> Option<Cycle> {
-        self.crashes
-            .iter()
-            .filter(|c| c.node == node)
-            .map(|c| c.at)
-            .min()
     }
 
     /// Service-time multiplier for a shard starting at `cycle` on
@@ -539,7 +531,6 @@ mod tests {
         assert!(!p.crashed(0, u64::MAX));
         assert_eq!(p.degrade_multiplier(0, 0, 0), 1);
         assert!(!p.times_out(0, 0, 0));
-        assert_eq!(p.crash_cycle(0), None);
     }
 
     #[test]
@@ -549,7 +540,6 @@ mod tests {
             .with_degrade(0, 1, 100, 200, 8)
             .with_timeout(1, 3, 50, 60);
         assert!(!p.crashed(2, 999) && p.crashed(2, 1_000));
-        assert_eq!(p.crash_cycle(2), Some(1_000));
         assert_eq!(p.degrade_multiplier(0, 1, 99), 1);
         assert_eq!(p.degrade_multiplier(0, 1, 100), 8);
         assert_eq!(p.degrade_multiplier(0, 1, 199), 8);

@@ -24,12 +24,13 @@
 //!   the bare cluster under sharded serving — the invariant the
 //!   `serve_sweep --fleet` smoke and `fleet_determinism` tests pin.
 //!
-//! Execution nests the two parallelism levels on the shared
-//! deterministic worker pool: each query spawns one task per involved
-//! node, and each node task fans its per-channel shards out as nested
-//! tasks ([`SlsBackend::try_run_shards`]); the pool's own-batch helping
-//! keeps the thread budget fixed, and results merge in (node, channel)
-//! order, so fleet runs are byte-identical at any worker count.
+//! Fleets run on the same scatter/gather core as single-node sharded and
+//! tiered serving: [`serve_fleet`] with the inert
+//! [`ResilienceConfig::zero`], [`serve_fleet_resilient`] under a fault
+//! plan. Each query runs one pool task per involved node, each node fans
+//! its shards out as nested tasks ([`SlsBackend::try_run_shards`]), and
+//! results merge in (node, channel) order, so fleet runs are
+//! byte-identical at any worker count.
 //!
 //! # Examples
 //!
@@ -53,17 +54,20 @@
 use recnmp_backend::{
     FleetPlacementPlan, PlacementPolicy, RunReport, SlsBackend, SlsTrace, TableUsage,
 };
-use recnmp_types::units::{completions_to_qps, qps_to_interarrival_cycles};
+use recnmp_types::units::qps_to_interarrival_cycles;
 use recnmp_types::{ByteSize, ConfigError, Cycle, SimError};
 use serde::{Deserialize, Serialize};
 
-use super::arrivals::{ArrivalProcess, QueryShape, QueryStream};
+use super::arrivals::{offered_load, ArrivalProcess, QueryShape};
+use super::core::{coalesce, Core, Plan, Stages};
 use super::faults::{
-    FaultPlan, HealthTracker, HedgePolicy, NodeHealth, QueryOutcome, ResilienceConfig, RetryPolicy,
-    SloPolicy,
+    FaultPlan, HedgePolicy, QueryOutcome, ResilienceConfig, RetryPolicy, SloPolicy,
 };
 use super::policy::GatherCost;
-use super::sweep::{reference_cluster4, SweepPoint, SweepSpec};
+use super::scheduler::window_qps;
+use super::sweep::{
+    reference_cluster4, run_each, saturation_load, sweep_points, SweepPoint, SweepSpec,
+};
 
 /// A factory producing fresh (cold) fleets, so every sweep point starts
 /// from identical hardware state.
@@ -339,17 +343,9 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Cycle at which the last query completed.
-    pub fn makespan(&self) -> Cycle {
-        self.completions.iter().copied().max().unwrap_or(0)
-    }
-
     /// Queries served to completion.
     pub fn completed(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|&&o| o == QueryOutcome::Completed)
-            .count()
+        self.completed_only(&self.completions).len()
     }
 
     /// Fraction of offered queries served to completion (1.0 for an
@@ -362,15 +358,20 @@ impl FleetReport {
         }
     }
 
-    /// Latencies of the completed queries only — what the distribution
-    /// summary and throughput window are computed over.
-    pub fn completed_latencies(&self) -> Vec<Cycle> {
-        self.latencies
+    /// Per-query `values` of the completed queries only.
+    fn completed_only(&self, values: &[Cycle]) -> Vec<Cycle> {
+        values
             .iter()
             .zip(&self.outcomes)
             .filter(|(_, &o)| o == QueryOutcome::Completed)
-            .map(|(&l, _)| l)
+            .map(|(&v, _)| v)
             .collect()
+    }
+
+    /// Latencies of the completed queries only — what the distribution
+    /// summary and throughput window are computed over.
+    pub fn completed_latencies(&self) -> Vec<Cycle> {
+        self.completed_only(&self.latencies)
     }
 
     /// Completion throughput (queries per simulated second) over the
@@ -378,36 +379,12 @@ impl FleetReport {
     /// like
     /// [`ServingReport::achieved_qps`](super::scheduler::ServingReport::achieved_qps).
     pub fn achieved_qps(&self) -> f64 {
-        let done: Vec<Cycle> = self
-            .completions
-            .iter()
-            .zip(&self.outcomes)
-            .filter(|(_, &o)| o == QueryOutcome::Completed)
-            .map(|(&c, _)| c)
-            .collect();
-        let n = done.len() as u64;
-        let first = done.iter().copied().min().unwrap_or(0);
-        let last = done.iter().copied().max().unwrap_or(0);
-        if n >= 2 && last > first {
-            completions_to_qps(n - 1, last - first)
-        } else {
-            completions_to_qps(n, last)
-        }
+        window_qps(&self.completed_only(&self.completions))
     }
 
     /// The latency distribution over completed queries.
     pub fn summary(&self) -> super::scheduler::LatencySummary {
         super::scheduler::LatencySummary::from_latencies(&self.completed_latencies())
-    }
-
-    /// Queries that completed within `deadline` cycles of their arrival
-    /// — the goodput numerator under an SLO.
-    pub fn goodput_count(&self, deadline: Cycle) -> u64 {
-        self.latencies
-            .iter()
-            .zip(&self.outcomes)
-            .filter(|(&l, &o)| o == QueryOutcome::Completed && l <= deadline)
-            .count() as u64
     }
 
     /// `(good, offered)` over the queries arriving in `[from, until)`:
@@ -436,7 +413,8 @@ impl FleetReport {
 }
 
 /// Serves `cfg.queries` open-loop queries on `fleet` and accounts
-/// per-query latency in simulated time.
+/// per-query latency in simulated time: [`serve_fleet_resilient`] under
+/// [`ResilienceConfig::zero`] (no faults, inert policies).
 ///
 /// Arrival schedule and query streams derive from `cfg.seed` exactly as
 /// in single-node [`serve`](super::scheduler::serve), so a 1-node fleet
@@ -448,204 +426,7 @@ impl FleetReport {
 /// or [`SimError::Config`] when placement cannot fit the workload's
 /// tables at either level.
 pub fn serve_fleet(fleet: &mut Fleet, cfg: &FleetConfig) -> Result<FleetReport, SimError> {
-    let mut arrival_rng = recnmp_types::rng::DetRng::seed(cfg.seed ^ 0xa5a5_5a5a_0f0f_f0f0);
-    let arrivals = cfg
-        .process
-        .arrival_times(cfg.qps, cfg.queries, &mut arrival_rng);
-    let queries = QueryStream::new(cfg.shape, cfg.seed).take_queries(cfg.queries);
-    serve_fleet_arrivals(fleet, cfg, &arrivals, &queries)
-}
-
-/// One node's scattered work: per-channel shards sorted by channel.
-type Shards = Vec<(usize, SlsTrace)>;
-
-/// The fleet scheduler core, shared by [`serve_fleet`] and the
-/// saturation probe: routes each query's batches to nodes, scatters
-/// within each node, simulates the touched nodes in parallel, and
-/// accounts completion times.
-pub(super) fn serve_fleet_arrivals(
-    fleet: &mut Fleet,
-    cfg: &FleetConfig,
-    arrivals: &[Cycle],
-    queries: &[SlsTrace],
-) -> Result<FleetReport, SimError> {
-    assert_eq!(arrivals.len(), queries.len(), "one arrival per query");
-    let nodes = fleet.nodes.len();
-    let channels = fleet.channels_per_node;
-    let dispatch = cfg.dispatch;
-
-    // Both placement levels are built once per run from the query
-    // stream's table profile; every query then consults them.
-    let usage = TableUsage::from_traces(queries);
-    let plan = FleetPlacementPlan::build(
-        nodes,
-        channels,
-        dispatch.channel_capacity.map(ByteSize::get),
-        &usage,
-        dispatch.node_policy,
-        dispatch.within_policy,
-    )
-    .map_err(SimError::Config)?;
-
-    // Earliest cycle each (node, channel) is free.
-    let mut free_at: Vec<Vec<Cycle>> = vec![vec![0; channels]; nodes];
-    // For LeastOutstanding: (completion, lookups) of work in flight per
-    // node — the same size-aware bookkeeping the single-node scheduler
-    // keeps per channel, lifted to node granularity.
-    let mut in_flight: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); nodes];
-    let mut completions = vec![0 as Cycle; queries.len()];
-    let mut node_queries = vec![0u64; nodes];
-    let mut merged = RunReport::for_system(fleet.name.clone());
-
-    for (q_idx, query) in queries.iter().enumerate() {
-        let dispatch_at = arrivals[q_idx];
-
-        // Level 1: route each batch to one node replica of its table.
-        let mut per_node_batches: Vec<SlsTrace> = vec![SlsTrace::default(); nodes];
-        for batch in query.batches.iter().cloned() {
-            let table = batch.table();
-            let reps = plan.node_replicas(table);
-            let node = match dispatch.router {
-                RouterPolicy::HashAffinity => *reps
-                    .get(q_idx % reps.len().max(1))
-                    .unwrap_or_else(|| panic!("table {table} missing from fleet plan")),
-                RouterPolicy::LeastOutstanding => *reps
-                    .iter()
-                    .min_by_key(|&&n| {
-                        // Dispatch times are non-decreasing, so drained
-                        // work can never count again.
-                        in_flight[n].retain(|(done, _)| *done > dispatch_at);
-                        let backlog: u64 = in_flight[n].iter().map(|(_, l)| l).sum();
-                        (backlog, n)
-                    })
-                    .unwrap_or_else(|| panic!("table {table} missing from fleet plan")),
-                RouterPolicy::PlacementScatter => *reps
-                    .iter()
-                    .min_by_key(|&&n| {
-                        let earliest = plan
-                            .per_node(n)
-                            .replicas(table)
-                            .iter()
-                            .map(|&c| free_at[n][c])
-                            .min()
-                            .unwrap_or(Cycle::MAX);
-                        (earliest, n)
-                    })
-                    .unwrap_or_else(|| panic!("table {table} missing from fleet plan")),
-            };
-            per_node_batches[node].batches.push(batch);
-        }
-
-        // Level 2: within each touched node, assign batches to the
-        // least-backlogged owning channel — byte-for-byte the
-        // single-node sharded scatter.
-        let lookups = query.total_lookups();
-        let mut scattered = 0u64;
-        // (node, per-channel shards sorted by channel, result bytes).
-        let mut node_jobs: Vec<(usize, Shards, u64)> = Vec::new();
-        for (n, node_trace) in per_node_batches.into_iter().enumerate() {
-            if node_trace.batches.is_empty() {
-                continue;
-            }
-            node_queries[n] += 1;
-            let mut by_channel: Vec<SlsTrace> = vec![SlsTrace::default(); channels];
-            let mut result_bytes = 0u64;
-            for batch in node_trace.batches {
-                let table = batch.table();
-                let replicas = plan.per_node(n).replicas(table);
-                let &channel = replicas
-                    .iter()
-                    .min_by_key(|&&c| (free_at[n][c], c))
-                    .unwrap_or_else(|| panic!("table {table} missing from node {n} plan"));
-                result_bytes += batch.batch.output_bytes();
-                by_channel[channel].batches.push(batch);
-            }
-            let shards: Shards = by_channel
-                .into_iter()
-                .enumerate()
-                .filter(|(_, s)| !s.batches.is_empty())
-                .collect();
-            node_jobs.push((n, shards, result_bytes));
-        }
-
-        // Simulate every touched node as one pool task; each node fans
-        // its shards out as nested tasks (try_run_shards), and reports
-        // come back in submission order regardless of completion order.
-        let reports: Vec<Vec<RunReport>> = {
-            let mut pending = node_jobs.iter().peekable();
-            let mut paired: Vec<(&mut dyn SlsBackend, &Shards)> = Vec::new();
-            for (n, node) in fleet.nodes.iter_mut().enumerate() {
-                if pending.peek().is_some_and(|(jn, _, _)| *jn == n) {
-                    let (_, shards, _) = pending.next().unwrap();
-                    paired.push((node.as_mut(), shards));
-                }
-            }
-            let tasks: Vec<_> = paired
-                .into_iter()
-                .map(|(node, shards)| move || node.try_run_shards(shards))
-                .collect();
-            recnmp_exec::current().run_vec(tasks)?
-        };
-
-        // Queueing arithmetic, serially in (node, channel) order: each
-        // shard queues on its channel, each node completes at its
-        // slowest shard plus the per-node gather, and the query
-        // completes at its slowest node plus the network gather (waived
-        // when the router is co-located with a single node).
-        let mut slowest_node = dispatch_at;
-        let mut total_result_bytes = 0u64;
-        for ((n, shards, result_bytes), node_reports) in node_jobs.iter().zip(reports) {
-            let mut node_slowest = dispatch_at;
-            let mut fanout: Cycle = 0;
-            let mut node_lookups = 0u64;
-            for ((channel, shard), report) in shards.iter().zip(node_reports) {
-                scattered += shard.total_lookups();
-                node_lookups += shard.total_lookups();
-                let start = dispatch_at.max(free_at[*n][*channel]);
-                let complete = start + report.total_cycles;
-                free_at[*n][*channel] = complete;
-                node_slowest = node_slowest.max(complete);
-                fanout += 1;
-                merged.absorb_parallel(report);
-            }
-            let node_complete =
-                node_slowest + dispatch.gather.base + dispatch.gather.per_shard * fanout;
-            if dispatch.router == RouterPolicy::LeastOutstanding {
-                in_flight[*n].push((node_complete, node_lookups));
-            }
-            slowest_node = slowest_node.max(node_complete);
-            total_result_bytes += result_bytes;
-        }
-        debug_assert_eq!(scattered, lookups, "fleet scatter must conserve lookups");
-
-        completions[q_idx] = if nodes > 1 {
-            slowest_node + dispatch.network.cost_of(total_result_bytes)
-        } else {
-            slowest_node
-        };
-    }
-
-    let latencies: Vec<Cycle> = completions
-        .iter()
-        .zip(arrivals)
-        .map(|(&done, &arr)| done - arr)
-        .collect();
-    merged.total_cycles = completions.iter().copied().max().unwrap_or(0);
-    merged.query_completions = completions.clone();
-
-    Ok(FleetReport {
-        system: fleet.name.clone(),
-        router: dispatch.router,
-        offered_qps: cfg.qps,
-        arrivals: arrivals.to_vec(),
-        completions,
-        latencies,
-        node_queries,
-        replicated_tables: plan.replicated_tables(),
-        outcomes: vec![QueryOutcome::Completed; queries.len()],
-        failures: Vec::new(),
-        report: merged,
-    })
+    serve_fleet_resilient(fleet, cfg, &ResilienceConfig::zero())
 }
 
 /// Serves `cfg.queries` open-loop queries on `fleet` under a fault
@@ -653,40 +434,20 @@ pub(super) fn serve_fleet_arrivals(
 /// into the report instead of aborting the run.
 ///
 /// Arrival schedule and query streams derive from `cfg.seed` exactly as
-/// in [`serve_fleet`]; with [`ResilienceConfig::zero`] the completion
-/// schedule is byte-identical to the plain scheduler (pinned by
-/// `resilience_determinism`). The resilience semantics on top:
-///
-/// * **Health-aware failover** — the router consults a
-///   [`HealthTracker`]: a batch whose preferred replica is crashed (or
-///   flagged degraded while a healthier replica exists) re-routes to a
-///   surviving replica under the same router arithmetic restricted to
-///   the live set, counted as a failover. The *first* query to discover
-///   a fresh crash pays [`redispatch_penalty`](ResilienceConfig::redispatch_penalty)
-///   on its dispatch; later queries route around the node for free. A
-///   table with no surviving replica fails its query
-///   ([`SimError::QueryFailed`]) — counted, not panicked.
-/// * **Retry** — each shard attempt gets
-///   [`RetryPolicy::timeout`](super::faults::RetryPolicy::timeout)
-///   cycles from its dispatch; an attempt that
-///   blows the budget (queue wait included) or starts inside an
-///   injected timeout window aborts at `min(completion, dispatch +
-///   timeout)`, occupies its channel for whatever service it wasted,
-///   and re-dispatches after exponential backoff onto the
-///   least-backlogged replica channel still owning the shard's tables.
-///   Retry exhaustion fails the query ([`SimError::DeadlineExceeded`]).
-/// * **Hedging** — when a node job would complete later than the
-///   configured quantile of recently observed node-job latencies, the
-///   job is duplicated onto a surviving replica node holding all its
-///   tables; the duplicate dispatches at `dispatch + delay`, both
-///   copies pay their channel occupancy, and the earlier completion
-///   wins.
-/// * **SLO guard** — with an [`SloPolicy`](super::faults::SloPolicy), a
-///   query whose *optimistic* estimated queue delay (earliest free
-///   replica channel per batch) already exceeds the deadline is
-///   rejected at admission; one whose *actual* routed service start
-///   would land past the deadline is shed at dispatch. Neither runs any
-///   cycle-level work.
+/// in [`serve_fleet`], which is this function under
+/// [`ResilienceConfig::zero`]. On top of the plain scatter/gather the
+/// core applies the [`faults`](super::faults) semantics: health-aware
+/// failover (the *first* query to discover a fresh crash pays
+/// [`redispatch_penalty`](ResilienceConfig::redispatch_penalty); a table
+/// with no surviving replica fails its query with
+/// [`SimError::QueryFailed`]), per-shard retry with exponential backoff
+/// onto the least-backlogged replica channel owning the shard's tables
+/// ([`SimError::DeadlineExceeded`] on exhaustion), hedging of straggler
+/// node jobs onto a replica node holding all their tables (both copies
+/// occupy their channels, the earlier completion wins), and the SLO
+/// guard (admission rejection on the optimistic queue estimate, shedding
+/// on the actual routed start). Rejected and shed queries run no
+/// cycle-level work.
 ///
 /// # Errors
 ///
@@ -699,148 +460,15 @@ pub fn serve_fleet_resilient(
     cfg: &FleetConfig,
     res: &ResilienceConfig,
 ) -> Result<FleetReport, SimError> {
-    let mut arrival_rng = recnmp_types::rng::DetRng::seed(cfg.seed ^ 0xa5a5_5a5a_0f0f_f0f0);
-    let arrivals = cfg
-        .process
-        .arrival_times(cfg.qps, cfg.queries, &mut arrival_rng);
-    let queries = QueryStream::new(cfg.shape, cfg.seed).take_queries(cfg.queries);
+    let (arrivals, queries) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed);
     serve_fleet_resilient_arrivals(fleet, cfg, res, &arrivals, &queries)
 }
 
-/// One replica pick under `router`, restricted to the candidate `pool`
-/// (non-empty): the same arithmetic the plain scheduler applies to the
-/// full replica set.
-#[allow(clippy::too_many_arguments)]
-fn pick_replica(
-    router: RouterPolicy,
-    pool: &[usize],
-    q_idx: usize,
-    table: recnmp_types::TableId,
-    plan: &FleetPlacementPlan,
-    in_flight: &mut [Vec<(Cycle, u64)>],
-    free_at: &[Vec<Cycle>],
-    dispatch_at: Cycle,
-) -> usize {
-    match router {
-        RouterPolicy::HashAffinity => pool[q_idx % pool.len()],
-        RouterPolicy::LeastOutstanding => *pool
-            .iter()
-            .min_by_key(|&&n| {
-                in_flight[n].retain(|(done, _)| *done > dispatch_at);
-                let backlog: u64 = in_flight[n].iter().map(|(_, l)| l).sum();
-                (backlog, n)
-            })
-            .unwrap(),
-        RouterPolicy::PlacementScatter => *pool
-            .iter()
-            .min_by_key(|&&n| {
-                let earliest = plan
-                    .per_node(n)
-                    .replicas(table)
-                    .iter()
-                    .map(|&c| free_at[n][c])
-                    .min()
-                    .unwrap_or(Cycle::MAX);
-                (earliest, n)
-            })
-            .unwrap(),
-    }
-}
-
-/// Runs one shard's attempt loop: queue on the channel, apply the fault
-/// plan's degradation multiplier, abort on an injected timeout window or
-/// a blown per-attempt budget, back off exponentially and re-dispatch on
-/// the least-backlogged replica channel still owning the shard's tables.
-///
-/// Returns `Ok((completion, service))` of the winning attempt, or
-/// `Err(attempts)` after retry exhaustion. `retries` counts aborted
-/// attempts that were re-dispatched.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_attempts(
-    node: usize,
-    first_channel: usize,
-    shard_tables: &[recnmp_types::TableId],
-    base_service: Cycle,
-    dispatch: Cycle,
-    free_at: &mut [Vec<Cycle>],
-    plan: &FleetPlacementPlan,
-    res: &ResilienceConfig,
-    retries: &mut u64,
-) -> Result<(Cycle, Cycle), u32> {
-    let retry = res.retry;
-    let budget = retry.timeout;
-    let mut t = dispatch;
-    let mut channel = first_channel;
-    for attempt in 0..retry.max_attempts.max(1) {
-        let start = t.max(free_at[node][channel]);
-        let mult = res.faults.degrade_multiplier(node, channel, start);
-        let service = base_service.saturating_mul(mult);
-        let complete = start + service;
-        let fault_timeout = res.faults.times_out(node, channel, start);
-        let over_budget = budget > 0 && complete.saturating_sub(t) > budget;
-        if !fault_timeout && !over_budget {
-            free_at[node][channel] = complete;
-            return Ok((complete, service));
-        }
-        // The attempt aborts when the client's budget expires or the
-        // faulty run surfaces its error, whichever is sooner; the
-        // channel stays busy for whatever service it wasted (nothing,
-        // if the attempt was still queued).
-        let fail_at = if budget > 0 {
-            complete.min(t + budget)
-        } else {
-            complete
-        };
-        if fail_at > start {
-            free_at[node][channel] = fail_at;
-        }
-        if attempt + 1 == retry.max_attempts.max(1) {
-            return Err(attempt + 1);
-        }
-        *retries += 1;
-        t = fail_at + retry.backoff_before(attempt);
-        // Re-dispatch onto the least-backlogged channel owning every
-        // table of this shard (often the same channel — transient
-        // windows pass; degraded channels lose to healthier replicas).
-        if let Some(next) = retry_channel(node, shard_tables, plan, free_at) {
-            channel = next;
-        }
-    }
-    unreachable!("attempt loop returns before exhausting its range");
-}
-
-/// The least-backlogged channel of `node` owning every table in
-/// `tables`; `None` when no single channel holds them all.
-fn retry_channel(
-    node: usize,
-    tables: &[recnmp_types::TableId],
-    plan: &FleetPlacementPlan,
-    free_at: &[Vec<Cycle>],
-) -> Option<usize> {
-    let mut common: Option<Vec<usize>> = None;
-    for &t in tables {
-        let reps = plan.per_node(node).replicas(t);
-        common = Some(match common {
-            None => reps.to_vec(),
-            Some(prev) => prev.into_iter().filter(|c| reps.contains(c)).collect(),
-        });
-    }
-    common?.into_iter().min_by_key(|&c| (free_at[node][c], c))
-}
-
-/// Nearest-rank quantile of an unsorted latency window.
-fn window_quantile(window: &[Cycle], q: f64) -> Cycle {
-    let mut sorted = window.to_vec();
-    sorted.sort_unstable();
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// The resilient fleet scheduler core: the plain queueing arithmetic of
-/// [`serve_fleet_arrivals`] plus fault injection, health-aware failover,
-/// retry/hedging and the SLO guard. See [`serve_fleet_resilient`] for
-/// the semantics.
-pub(super) fn serve_fleet_resilient_arrivals(
+/// The fleet front of the scatter/gather core, shared by
+/// [`serve_fleet_resilient`] and the saturation probe: builds both
+/// placement levels from the query stream's table profile and serves
+/// every query as its own job on the fleet's nodes.
+fn serve_fleet_resilient_arrivals(
     fleet: &mut Fleet,
     cfg: &FleetConfig,
     res: &ResilienceConfig,
@@ -848,398 +476,45 @@ pub(super) fn serve_fleet_resilient_arrivals(
     queries: &[SlsTrace],
 ) -> Result<FleetReport, SimError> {
     assert_eq!(arrivals.len(), queries.len(), "one arrival per query");
-    let nodes = fleet.nodes.len();
-    let channels = fleet.channels_per_node;
     let dispatch = cfg.dispatch;
-
-    let usage = TableUsage::from_traces(queries);
     let plan = FleetPlacementPlan::build(
-        nodes,
-        channels,
+        fleet.nodes.len(),
+        fleet.channels_per_node,
         dispatch.channel_capacity.map(ByteSize::get),
-        &usage,
+        &TableUsage::from_traces(queries),
         dispatch.node_policy,
         dispatch.within_policy,
     )
     .map_err(SimError::Config)?;
-
-    let mut free_at: Vec<Vec<Cycle>> = vec![vec![0; channels]; nodes];
-    let mut in_flight: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); nodes];
-    let mut completions = vec![0 as Cycle; queries.len()];
-    let mut node_queries = vec![0u64; nodes];
-    let mut merged = RunReport::for_system(fleet.name.clone());
-    let mut outcomes = vec![QueryOutcome::Completed; queries.len()];
-    let mut failures: Vec<SimError> = Vec::new();
-    let mut health = HealthTracker::new(nodes, res.ewma_alpha, res.degraded_after);
-    // Recently observed node-job latencies the hedge delay anchors at.
-    let mut hedge_window: Vec<Cycle> = Vec::new();
-
-    'queries: for (q_idx, query) in queries.iter().enumerate() {
-        let arrival = arrivals[q_idx];
-        let dispatch_at = arrival;
-        // Cycles this query pays for discovering a fresh crash (at most
-        // one detection per query).
-        let mut penalty: Cycle = 0;
-
-        // Level 1: route each batch to a *live* node replica, the plain
-        // router arithmetic first and the failover path only when the
-        // preferred replica is crashed or degraded.
-        let mut per_node_batches: Vec<SlsTrace> = vec![SlsTrace::default(); nodes];
-        for batch in query.batches.iter().cloned() {
-            let table = batch.table();
-            let reps = plan.node_replicas(table);
-            assert!(!reps.is_empty(), "table {table} missing from fleet plan");
-            let preferred = pick_replica(
-                dispatch.router,
-                reps,
-                q_idx,
-                table,
-                &plan,
-                &mut in_flight,
-                &free_at,
-                dispatch_at,
-            );
-            let preferred_down = res.faults.crashed(preferred, dispatch_at);
-            let node = if !preferred_down && health.health(preferred) != NodeHealth::Degraded {
-                preferred
-            } else {
-                if preferred_down && !health.known_crashed(preferred) {
-                    health.mark_crashed(preferred);
-                    penalty = res.redispatch_penalty;
-                }
-                let alive: Vec<usize> = reps
-                    .iter()
-                    .copied()
-                    .filter(|&n| !res.faults.crashed(n, dispatch_at))
-                    .collect();
-                if alive.is_empty() {
-                    outcomes[q_idx] = QueryOutcome::Failed;
-                    failures.push(SimError::QueryFailed {
-                        query: q_idx,
-                        table,
-                    });
-                    merged.queries_failed += 1;
-                    completions[q_idx] = arrival;
-                    continue 'queries;
-                }
-                let healthy: Vec<usize> = alive
-                    .iter()
-                    .copied()
-                    .filter(|&n| health.health(n) == NodeHealth::Healthy)
-                    .collect();
-                let pool = if healthy.is_empty() { &alive } else { &healthy };
-                if !preferred_down && pool.contains(&preferred) {
-                    preferred
-                } else {
-                    merged.failovers += 1;
-                    pick_replica(
-                        dispatch.router,
-                        pool,
-                        q_idx,
-                        table,
-                        &plan,
-                        &mut in_flight,
-                        &free_at,
-                        dispatch_at,
-                    )
-                }
-            };
-            per_node_batches[node].batches.push(batch);
-        }
-        let dispatch_eff = dispatch_at + penalty;
-
-        // SLO admission: the optimistic estimate — every batch served by
-        // the earliest-free channel of any live replica. If even that
-        // already blows the deadline, reject without running anything.
-        if let Some(slo) = res.slo {
-            let mut est_start = dispatch_eff;
-            for batch in &query.batches {
-                let table = batch.table();
-                let best = plan
-                    .node_replicas(table)
-                    .iter()
-                    .filter(|&&n| !res.faults.crashed(n, dispatch_at))
-                    .flat_map(|&n| {
-                        plan.per_node(n)
-                            .replicas(table)
-                            .iter()
-                            .map(move |&c| (n, c))
-                    })
-                    .map(|(n, c)| free_at[n][c])
-                    .min()
-                    .unwrap_or(0);
-                est_start = est_start.max(best.max(dispatch_eff));
-            }
-            if est_start.saturating_sub(arrival) > slo.deadline {
-                outcomes[q_idx] = QueryOutcome::Rejected;
-                merged.queries_rejected += 1;
-                completions[q_idx] = arrival;
-                continue 'queries;
-            }
-        }
-
-        // Level 2: within each touched node, assign batches to the
-        // least-backlogged owning channel (the plain scatter).
-        let lookups = query.total_lookups();
-        let mut scattered = 0u64;
-        let mut node_jobs: Vec<(usize, Shards, u64)> = Vec::new();
-        for (n, node_trace) in per_node_batches.into_iter().enumerate() {
-            if node_trace.batches.is_empty() {
-                continue;
-            }
-            let mut by_channel: Vec<SlsTrace> = vec![SlsTrace::default(); channels];
-            let mut result_bytes = 0u64;
-            for batch in node_trace.batches {
-                let table = batch.table();
-                let replicas = plan.per_node(n).replicas(table);
-                let &channel = replicas
-                    .iter()
-                    .min_by_key(|&&c| (free_at[n][c], c))
-                    .unwrap_or_else(|| panic!("table {table} missing from node {n} plan"));
-                result_bytes += batch.batch.output_bytes();
-                by_channel[channel].batches.push(batch);
-            }
-            let shards: Shards = by_channel
-                .into_iter()
-                .enumerate()
-                .filter(|(_, s)| !s.batches.is_empty())
-                .collect();
-            node_jobs.push((n, shards, result_bytes));
-        }
-
-        // SLO shedding: the *actual* routed service start. A query whose
-        // slowest shard would begin past the deadline is dropped at
-        // dispatch — it cannot complete in time and would only add load.
-        if let Some(slo) = res.slo {
-            let actual_start = node_jobs
-                .iter()
-                .flat_map(|(n, shards, _)| {
-                    shards
-                        .iter()
-                        .map(|(c, _)| dispatch_eff.max(free_at[*n][*c]))
-                })
-                .max()
-                .unwrap_or(dispatch_eff);
-            if actual_start.saturating_sub(arrival) > slo.deadline {
-                outcomes[q_idx] = QueryOutcome::Shed;
-                merged.queries_shed += 1;
-                completions[q_idx] = arrival;
-                continue 'queries;
-            }
-        }
-
-        for (n, _, _) in &node_jobs {
-            node_queries[*n] += 1;
-        }
-
-        // Simulate every touched node as one pool task, exactly like the
-        // plain scheduler (reports return in submission order).
-        let reports: Vec<Vec<RunReport>> = {
-            let mut pending = node_jobs.iter().peekable();
-            let mut paired: Vec<(&mut dyn SlsBackend, &Shards)> = Vec::new();
-            for (n, node) in fleet.nodes.iter_mut().enumerate() {
-                if pending.peek().is_some_and(|(jn, _, _)| *jn == n) {
-                    let (_, shards, _) = pending.next().unwrap();
-                    paired.push((node.as_mut(), shards));
-                }
-            }
-            let tasks: Vec<_> = paired
-                .into_iter()
-                .map(|(node, shards)| move || node.try_run_shards(shards))
-                .collect();
-            recnmp_exec::current().run_vec(tasks)?
-        };
-
-        // Queueing arithmetic with the resilience layer folded in.
-        let mut slowest_node = dispatch_eff;
-        let mut total_result_bytes = 0u64;
-        let mut q_failed: Option<SimError> = None;
-        for ((n, shards, result_bytes), node_reports) in node_jobs.iter().zip(reports) {
-            let mut node_slowest = dispatch_eff;
-            let mut node_service: Cycle = 0;
-            let mut fanout: Cycle = 0;
-            let mut node_lookups = 0u64;
-            for ((channel, shard), report) in shards.iter().zip(node_reports) {
-                scattered += shard.total_lookups();
-                node_lookups += shard.total_lookups();
-                let base = report.total_cycles;
-                merged.absorb_parallel(report);
-                let shard_tables: Vec<recnmp_types::TableId> =
-                    shard.batches.iter().map(|b| b.table()).collect();
-                match run_shard_attempts(
-                    *n,
-                    *channel,
-                    &shard_tables,
-                    base,
-                    dispatch_eff,
-                    &mut free_at,
-                    &plan,
-                    res,
-                    &mut merged.retries,
-                ) {
-                    Ok((complete, service)) => {
-                        node_slowest = node_slowest.max(complete);
-                        node_service = node_service.max(service);
-                    }
-                    Err(attempts) => {
-                        q_failed = Some(SimError::DeadlineExceeded {
-                            query: q_idx,
-                            deadline: res.retry.timeout,
-                            attempts,
-                        });
-                    }
-                }
-                fanout += 1;
-            }
-
-            // Hedge a straggler node job onto a surviving replica
-            // holding all its tables; first completion wins, both pay
-            // their channel occupancy.
-            if let (Some(hedge), None) = (res.hedge, &q_failed) {
-                if hedge_window.len() >= hedge.min_samples {
-                    let delay = window_quantile(&hedge_window, hedge.quantile);
-                    if node_slowest.saturating_sub(dispatch_eff) > delay && node_service > 0 {
-                        let job_tables: Vec<recnmp_types::TableId> = shards
-                            .iter()
-                            .flat_map(|(_, s)| s.batches.iter().map(|b| b.table()))
-                            .collect();
-                        if let Some((alt, alt_channels)) = hedge_target(
-                            *n,
-                            &job_tables,
-                            &plan,
-                            res,
-                            dispatch_at,
-                            &free_at,
-                            &health,
-                        ) {
-                            merged.hedges += 1;
-                            let mut hstart = dispatch_eff + delay;
-                            for &c in &alt_channels {
-                                hstart = hstart.max(free_at[alt][c]);
-                            }
-                            let hcomplete = hstart + node_service;
-                            for &c in &alt_channels {
-                                free_at[alt][c] = hcomplete;
-                            }
-                            node_slowest = node_slowest.min(hcomplete).max(dispatch_eff);
-                        }
-                    }
-                }
-            }
-
-            if node_service > 0 {
-                health.observe(*n, node_service, node_lookups);
-                hedge_window.push(node_slowest.saturating_sub(dispatch_eff));
-                if let Some(hedge) = res.hedge {
-                    if hedge_window.len() > hedge.window {
-                        hedge_window.remove(0);
-                    }
-                } else if hedge_window.len() > 64 {
-                    hedge_window.remove(0);
-                }
-            }
-
-            let node_complete =
-                node_slowest + dispatch.gather.base + dispatch.gather.per_shard * fanout;
-            if dispatch.router == RouterPolicy::LeastOutstanding {
-                in_flight[*n].push((node_complete, node_lookups));
-            }
-            slowest_node = slowest_node.max(node_complete);
-            total_result_bytes += result_bytes;
-        }
-        debug_assert_eq!(scattered, lookups, "fleet scatter must conserve lookups");
-
-        if let Some(err) = q_failed {
-            outcomes[q_idx] = QueryOutcome::Failed;
-            failures.push(err);
-            merged.queries_failed += 1;
-            completions[q_idx] = arrival;
-            continue 'queries;
-        }
-
-        completions[q_idx] = if nodes > 1 {
-            slowest_node + dispatch.network.cost_of(total_result_bytes)
-        } else {
-            slowest_node
-        };
-    }
-
-    let latencies: Vec<Cycle> = completions
-        .iter()
-        .zip(arrivals)
-        .map(|(&done, &arr)| done - arr)
+    let replicated_tables = plan.replicated_tables();
+    let core = Core {
+        plan: Plan::Fleet(plan),
+        router: dispatch.router,
+        gather: dispatch.gather,
+        network: dispatch.network,
+        stages: Stages::default(),
+    };
+    let mut nodes: Vec<&mut dyn SlsBackend> = fleet
+        .nodes
+        .iter_mut()
+        .map(|n| n.as_mut() as &mut dyn SlsBackend)
         .collect();
-    merged.total_cycles = completions.iter().copied().max().unwrap_or(0);
-    merged.query_completions = completions.clone();
-
+    let jobs = coalesce(arrivals, None);
+    let mut served = core.run(&mut nodes, res, &jobs, queries, &fleet.name)?;
+    let latencies = served.finish(arrivals);
     Ok(FleetReport {
         system: fleet.name.clone(),
         router: dispatch.router,
         offered_qps: cfg.qps,
         arrivals: arrivals.to_vec(),
-        completions,
+        completions: served.completions,
         latencies,
-        node_queries,
-        replicated_tables: plan.replicated_tables(),
-        outcomes,
-        failures,
-        report: merged,
+        node_queries: served.node_queries,
+        replicated_tables,
+        outcomes: served.outcomes,
+        failures: served.failures,
+        report: served.report,
     })
-}
-
-/// A hedge target for a node job: a live node other than `primary` that
-/// replicates *every* table of the job, preferring healthy nodes, then
-/// the one whose involved channels free earliest. Returns the node and
-/// the channels the duplicate occupies there.
-fn hedge_target(
-    primary: usize,
-    job_tables: &[recnmp_types::TableId],
-    plan: &FleetPlacementPlan,
-    res: &ResilienceConfig,
-    dispatch_at: Cycle,
-    free_at: &[Vec<Cycle>],
-    health: &HealthTracker,
-) -> Option<(usize, Vec<usize>)> {
-    let mut common: Option<Vec<usize>> = None;
-    for &t in job_tables {
-        let reps = plan.node_replicas(t);
-        common = Some(match common {
-            None => reps.to_vec(),
-            Some(prev) => prev.into_iter().filter(|n| reps.contains(n)).collect(),
-        });
-    }
-    let candidates: Vec<usize> = common?
-        .into_iter()
-        .filter(|&n| n != primary && !res.faults.crashed(n, dispatch_at))
-        .collect();
-    let healthy: Vec<usize> = candidates
-        .iter()
-        .copied()
-        .filter(|&n| health.health(n) == NodeHealth::Healthy)
-        .collect();
-    let pool = if healthy.is_empty() {
-        candidates
-    } else {
-        healthy
-    };
-    pool.into_iter()
-        .map(|n| {
-            let chans: std::collections::BTreeSet<usize> = job_tables
-                .iter()
-                .map(|&t| {
-                    *plan
-                        .per_node(n)
-                        .replicas(t)
-                        .iter()
-                        .min_by_key(|&&c| (free_at[n][c], c))
-                        .expect("replicated table owns a channel")
-                })
-                .collect();
-            let ready = chans.iter().map(|&c| free_at[n][c]).max().unwrap_or(0);
-            (ready, n, chans.into_iter().collect::<Vec<usize>>())
-        })
-        .min_by_key(|(ready, n, _)| (*ready, *n))
-        .map(|(_, n, chans)| (n, chans))
 }
 
 /// One fleet throughput–latency curve.
@@ -1288,26 +563,22 @@ pub fn fleet_saturation(
     let mut fleet = make_fleet();
     let cfg = FleetConfig {
         process: ArrivalProcess::Uniform,
-        qps: 1.0, // unused: arrivals are pinned to cycle 0 below
+        qps: 1.0, // unused: the probe pins arrivals to cycle 0
         queries,
         shape,
         dispatch,
         seed,
     };
-    let arrivals = vec![0; queries];
-    let trace_queries = QueryStream::new(shape, seed).take_queries(queries);
-    let report = serve_fleet_arrivals(&mut fleet, &cfg, &arrivals, &trace_queries)?;
+    let (arrivals, trace_queries) = saturation_load(shape, queries, seed);
+    let zero = ResilienceConfig::zero();
+    let report =
+        serve_fleet_resilient_arrivals(&mut fleet, &cfg, &zero, &arrivals, &trace_queries)?;
     Ok(report.achieved_qps())
 }
 
 /// Measures one fleet throughput–latency curve at explicit offered
-/// loads, anchored to a caller-provided `saturation` rate.
-///
-/// Load points are independent simulations over fresh fleets, each one
-/// task on the deterministic worker pool; a point's fleet then nests
-/// its own node and channel tasks into the same pool, so the whole
-/// sweep runs under one fixed thread budget and the curve is
-/// byte-identical to a serial sweep at any worker count.
+/// loads, anchored to a caller-provided `saturation` rate; every point
+/// runs on a fresh fleet.
 ///
 /// # Errors
 ///
@@ -1324,10 +595,18 @@ pub fn fleet_sweep_at(
     queries: usize,
     seed: u64,
 ) -> Result<FleetCurve, SimError> {
-    let mut jobs: Vec<(Fleet, FleetConfig)> = offered
-        .iter()
-        .map(|&qps| {
-            assert!(qps > 0.0, "offered loads must be positive");
+    let mut system = String::new();
+    let mut nodes = 0;
+    let points = sweep_points(
+        offered,
+        saturation,
+        || {
+            let fleet = make_fleet();
+            system = fleet.name.clone();
+            nodes = fleet.nodes();
+            fleet
+        },
+        |fleet, qps| {
             let cfg = FleetConfig {
                 process,
                 qps,
@@ -1336,27 +615,10 @@ pub fn fleet_sweep_at(
                 dispatch,
                 seed,
             };
-            (make_fleet(), cfg)
-        })
-        .collect();
-    let tasks: Vec<_> = jobs
-        .iter_mut()
-        .map(|(fleet, cfg)| move || serve_fleet(fleet, cfg))
-        .collect();
-    let reports = recnmp_exec::current().run_vec(tasks)?;
-    let mut points = Vec::with_capacity(offered.len());
-    let mut system = String::new();
-    let mut nodes = 0;
-    for (&qps, report) in offered.iter().zip(reports) {
-        system = report.system.clone();
-        nodes = report.node_queries.len();
-        points.push(SweepPoint {
-            offered_qps: qps,
-            utilization: qps / saturation,
-            achieved_qps: report.achieved_qps(),
-            summary: report.summary(),
-        });
-    }
+            let report = serve_fleet(fleet, &cfg)?;
+            Ok((report.achieved_qps(), report.summary()))
+        },
+    )?;
     Ok(FleetCurve {
         system,
         nodes,
@@ -1527,10 +789,8 @@ impl ResilienceSweep {
 /// SLO (deadline = `deadline_p99_multiple` x the fault-free replicated
 /// p99) with bounded retries, admission control and deadline shedding.
 ///
-/// Arms are independent simulations over fresh fleets, parallelized as
-/// tasks on the deterministic worker pool (each arm's fleet nests its
-/// node and channel tasks into the same pool), so the sweep is
-/// byte-identical to a serial sweep at any worker count.
+/// Arms are independent simulations over fresh fleets, run as one pool
+/// task each, so the sweep is byte-identical at any worker count.
 ///
 /// # Errors
 ///
@@ -1540,8 +800,7 @@ pub fn resilience_sweep(
     make_fleet: &mut FleetFactory<'_>,
     spec: &ResilienceSpec,
 ) -> Result<ResilienceSweep, SimError> {
-    let dispatch_replicated = FleetDispatch::replicated(spec.shape.tables);
-    let dispatch_sharded = FleetDispatch::sharded();
+    let replicated = FleetDispatch::replicated(spec.shape.tables);
     let cfg = |dispatch: FleetDispatch| FleetConfig {
         process: spec.process,
         qps: spec.qps,
@@ -1555,71 +814,55 @@ pub fn resilience_sweep(
     let crash_at = ((spec.queries as f64 / 2.0) * qps_to_interarrival_cycles(spec.qps)) as Cycle;
     let mut baseline_fleet = make_fleet();
     let crashed_node = baseline_fleet.nodes() - 1;
-    let baseline = serve_fleet(&mut baseline_fleet, &cfg(dispatch_replicated))?;
-    let baseline_p99 = baseline.summary().p99;
+    let baseline_p99 = serve_fleet(&mut baseline_fleet, &cfg(replicated))?
+        .summary()
+        .p99;
     let deadline = spec.deadline_p99_multiple * baseline_p99;
 
-    let levels: [(&'static str, FaultPlan); 3] = [
+    let crash = FaultPlan::none().with_crash(crashed_node, crash_at);
+    let slow = (crash.clone()).with_degrade(0, 0, crash_at, u64::MAX, spec.degrade_multiplier);
+    let levels = [
         ("none", FaultPlan::none()),
-        (
-            "crash",
-            FaultPlan::none().with_crash(crashed_node, crash_at),
-        ),
-        (
-            "crash+slow",
-            FaultPlan::none()
-                .with_crash(crashed_node, crash_at)
-                .with_degrade(0, 0, crash_at, u64::MAX, spec.degrade_multiplier),
-        ),
+        ("crash", crash),
+        ("crash+slow", slow),
     ];
-    let placements: [(&'static str, FleetDispatch, bool); 4] = [
-        ("fleet-replicated", dispatch_replicated, false),
-        ("fleet-replicated", dispatch_replicated, true),
-        ("fleet-sharded", dispatch_sharded, false),
-        ("fleet-sharded", dispatch_sharded, true),
+    let placements = [
+        ("fleet-replicated", replicated),
+        ("fleet-sharded", FleetDispatch::sharded()),
     ];
-
-    let mut jobs: Vec<(
-        Fleet,
-        FleetConfig,
-        ResilienceConfig,
-        &'static str,
-        &'static str,
-        bool,
-    )> = Vec::with_capacity(levels.len() * placements.len());
-    for (label, plan) in &levels {
-        for &(placement, dispatch, hedged) in &placements {
-            let mut res = ResilienceConfig::new(plan.clone())
-                .with_retry(RetryPolicy::serving_default(deadline))
-                .with_slo(SloPolicy::new(deadline));
-            if hedged {
-                res = res.with_hedge(HedgePolicy::p95());
+    let mut runs = Vec::with_capacity(levels.len() * placements.len() * 2);
+    for (faults, plan) in &levels {
+        for &(placement, dispatch) in &placements {
+            for hedged in [false, true] {
+                let mut res = ResilienceConfig::new(plan.clone())
+                    .with_retry(RetryPolicy::serving_default(deadline))
+                    .with_slo(SloPolicy::new(deadline));
+                if hedged {
+                    res = res.with_hedge(HedgePolicy::p95());
+                }
+                let arm = (*faults, placement, hedged);
+                runs.push((arm, make_fleet(), cfg(dispatch), res));
             }
-            jobs.push((make_fleet(), cfg(dispatch), res, label, placement, hedged));
         }
     }
-    let tasks: Vec<_> = jobs
-        .iter_mut()
-        .map(|(fleet, cfg, res, ..)| move || serve_fleet_resilient(fleet, cfg, res))
-        .collect();
-    let reports = recnmp_exec::current().run_vec(tasks)?;
+    let reports = run_each(&mut runs, |(_, fleet, cfg, res)| {
+        serve_fleet_resilient(fleet, cfg, res)
+    })?;
 
-    let frac = |good: u64, offered: u64| {
+    let goodput = |report: &FleetReport, from: Cycle, until: Cycle| {
+        let (good, offered) = report.goodput_in_window(deadline, from, until);
         if offered == 0 {
             1.0
         } else {
             good as f64 / offered as f64
         }
     };
-    let arms = jobs
+    let arms = runs
         .iter()
         .zip(reports)
-        .map(|(&(_, _, _, faults, placement, hedged), report)| {
-            let (good_pre, offered_pre) = report.goodput_in_window(deadline, 0, crash_at);
-            let (good_post, offered_post) =
-                report.goodput_in_window(deadline, crash_at, Cycle::MAX);
-            let pre_goodput = frac(good_pre, offered_pre);
-            let post_goodput = frac(good_post, offered_post);
+        .map(|(&((faults, placement, hedged), ..), report)| {
+            let pre_goodput = goodput(&report, 0, crash_at);
+            let post_goodput = goodput(&report, crash_at, Cycle::MAX);
             ResilienceArm {
                 faults,
                 placement,
@@ -1645,6 +888,7 @@ pub fn resilience_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::arrivals::QueryStream;
     use crate::serving::policy::{ServingMode, ShardedDispatch};
     use crate::serving::scheduler::serve;
     use crate::serving::ServingConfig;
@@ -1803,24 +1047,6 @@ mod tests {
         assert_eq!(report.report.queries_shed, count(QueryOutcome::Shed));
         assert_eq!(report.report.queries_failed, count(QueryOutcome::Failed));
         assert_eq!(report.failures.len() as u64, count(QueryOutcome::Failed));
-    }
-
-    #[test]
-    fn zero_resilience_matches_plain_fleet() {
-        // The keystone: an all-zero fault plan with inert policies must
-        // reproduce the plain scheduler byte for byte, for every router.
-        for router in RouterPolicy::ALL {
-            for dispatch in [FleetDispatch::replicated(1), FleetDispatch::sharded()] {
-                let dispatch = FleetDispatch { router, ..dispatch };
-                let cfg = quick_cfg(2.0, 10, dispatch);
-                let mut a = Fleet::reference(2);
-                let mut b = Fleet::reference(2);
-                let plain = serve_fleet(&mut a, &cfg).unwrap();
-                let res = serve_fleet_resilient(&mut b, &cfg, &ResilienceConfig::zero()).unwrap();
-                assert_eq!(plain, res, "router {}", router.name());
-                assert_eq!(res.availability(), 1.0);
-            }
-        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use recnmp_backend::{SlsTrace, TableUsage};
+use recnmp_backend::{PlacementPlan, SlsBackend, SlsTrace, TableUsage};
 use recnmp_cache::{CacheConfig, SetAssocCache};
-use recnmp_types::{ConfigError, Cycle, TableId};
+use recnmp_types::{ConfigError, Cycle, PhysAddr, TableId};
 
 use super::policy::HostCacheSpec;
 
@@ -204,12 +204,42 @@ impl HotVectorTracker {
         all.truncate(self.candidates);
         all.into_iter().map(|(a, _, t, vb)| (a, t, vb)).collect()
     }
+
+    /// Spends each of `node`'s channels idle before `dispatch` staging the
+    /// hottest tracked vectors into its RankCaches, and returns the fills.
+    /// Candidates route to every channel of `plan` holding a replica of
+    /// their table (the scatter picks replicas by backlog at dispatch
+    /// time, so any replica may serve them).
+    pub fn prefetch(
+        &self,
+        node: &mut dyn SlsBackend,
+        plan: &PlacementPlan,
+        dispatch: Cycle,
+        free_at: &[Cycle],
+    ) -> u64 {
+        let mut per_channel: Vec<Vec<PhysAddr>> = vec![Vec::new(); free_at.len()];
+        let mut vbytes = vec![0u32; free_at.len()];
+        for (addr, table, vb) in self.hottest() {
+            for &c in plan.replicas(table) {
+                per_channel[c].push(PhysAddr::new(addr));
+                vbytes[c] = vbytes[c].max(vb);
+            }
+        }
+        let mut fills = 0;
+        for (c, addrs) in per_channel.iter().enumerate() {
+            let gap = dispatch.saturating_sub(free_at[c]);
+            if !addrs.is_empty() && gap > 0 {
+                fills += node.prefetch_on(c, addrs, vbytes[c], gap);
+            }
+        }
+        fills
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recnmp_types::{ByteSize, PhysAddr};
+    use recnmp_types::ByteSize;
 
     fn trace(tables: u32, batch: usize, pool: usize) -> SlsTrace {
         let batches: Vec<recnmp_trace::SlsBatch> = (0..tables)

@@ -26,29 +26,33 @@
 //!   ([`EpochPromotion`]); plus optional batch [`Coalescing`] with a
 //!   max-wait deadline;
 //! * [`scheduler`] — [`serve`]: dispatches queries onto the backend's
-//!   servers (cluster channels via `SlsBackend::try_run_on`) and tracks
-//!   per-query enqueue→completion latency in simulated cycles
+//!   servers and tracks per-query enqueue→completion latency
 //!   ([`ServingReport`], [`LatencySummary`] with p50/p95/p99/mean/max).
-//!   In sharded mode a query completes at the max of its shard
-//!   completions plus the gather cost;
+//!   Queued mode runs each job whole on one server; sharded and tiered
+//!   mode serve the backend as a one-node fleet on the core;
+//! * `core` — the one scatter/gather core behind sharded, tiered and
+//!   fleet serving: each job routes to nodes, then to the
+//!   least-backlogged replica channel of each table, and completes at its
+//!   slowest shard plus the gather costs. Its optional per-job stages
+//!   (host cache, prefetch, promotion epochs, queue-depth guard,
+//!   resilience) do nothing when unset, so every stage composes with
+//!   every topology;
 //! * [`fleet`] — rack-scale serving: a [`Fleet`] of N node backends
-//!   behind a front-end router ([`RouterPolicy`]), a two-level
+//!   behind a router ([`RouterPolicy`]), a two-level
 //!   [`FleetPlacementPlan`](recnmp_backend::FleetPlacementPlan) with
-//!   cross-node hot-table replication, per-node scatter/gather and an
-//!   inter-node [`NetworkCost`] on the result bytes shipped back to the
-//!   router ([`serve_fleet`], [`fleet_sweep`]);
-//! * [`sweep`] — throughput–latency curves over a QPS sweep
-//!   ([`qps_sweep`]), anchored at a probed saturation rate
-//!   ([`saturation_qps`]) with the knee identified
-//!   ([`SweepCurve::knee`]); shared drivers [`sweep_matrix`],
-//!   [`placement_sweep`] and [`tiered_sweep`] feed both the
-//!   `serve_sweep` binary and the experiment harness.
+//!   cross-node hot-table replication, and an inter-node
+//!   [`NetworkCost`] ([`serve_fleet`], [`serve_fleet_resilient`]);
+//!   [`faults`] holds the fault plans and resilience policies;
+//! * [`sweep`] — throughput–latency curves over a QPS sweep, anchored at
+//!   a probed saturation rate by one probe and one pool-parallel
+//!   point-sweep driver shared by backends ([`qps_sweep`]) and fleets
+//!   ([`fleet_sweep`]), with the knee identified ([`SweepCurve::knee`]).
 //!
-//! The model: each dispatched job occupies one server for exactly the
-//! cycles its cycle-level run reports; jobs queue when their server is
-//! busy. Hardware state persists across jobs per server (sustained
-//! traffic keeps row buffers and caches warm); idle gaps are not
-//! separately simulated. Everything downstream of a seed is
+//! The model: each dispatched job (or shard) occupies one server for
+//! exactly the cycles its cycle-level run reports; work queues when its
+//! server is busy. Hardware state persists across jobs per server
+//! (sustained traffic keeps row buffers and caches warm); idle gaps are
+//! not separately simulated. Everything downstream of a seed is
 //! deterministic — same seed and config give byte-identical latency
 //! vectors.
 //!
@@ -67,6 +71,7 @@
 //! ```
 
 pub mod arrivals;
+mod core;
 pub mod faults;
 pub mod fleet;
 mod host_cache;

@@ -1,8 +1,13 @@
-//! Throughput–latency curves: sweep offered QPS against a backend and
-//! locate the saturation knee.
+//! Throughput–latency curves: sweep offered QPS against a backend or a
+//! fleet and locate the saturation knee.
 //!
-//! Two shared drivers sit on top of the point sweep so the `serve_sweep`
-//! bench binary and the experiment harness consume one code path:
+//! One saturation probe and one pool-parallel point-sweep driver serve
+//! both sweep families — single backends ([`saturation_qps`],
+//! [`qps_sweep_at`]) and fleets
+//! ([`fleet_saturation`](super::fleet::fleet_saturation),
+//! [`fleet_sweep_at`](super::fleet::fleet_sweep_at)). Shared multi-curve
+//! drivers sit on top so the `serve_sweep` bench binary and the
+//! experiment harness consume one code path:
 //!
 //! * [`sweep_matrix`] — every (backend factory × serving mode) pair, each
 //!   swept at fractions of its *own* probed saturation rate;
@@ -10,8 +15,8 @@
 //!   swept at fractions of the *sharded-hash baseline's* saturation rate,
 //!   so knee QPS and p99-at-fixed-load compare policies like for like.
 
-use recnmp_backend::{PlacementPolicy, SlsBackend, TierSpec, TieredPolicy};
-use recnmp_types::{ByteSize, SimError};
+use recnmp_backend::{PlacementPolicy, SlsBackend, SlsTrace, TierSpec, TieredPolicy};
+use recnmp_types::{ByteSize, Cycle, SimError};
 
 use super::arrivals::{ArrivalProcess, QueryShape, QueryStream};
 use super::policy::{DispatchPolicy, GatherCost, ServingMode, ShardedDispatch, TieredDispatch};
@@ -86,7 +91,7 @@ pub fn saturation_qps(
     backend.reset_caches();
     let cfg = ServingConfig {
         process: ArrivalProcess::Uniform,
-        qps: 1.0, // unused: arrivals are pinned to cycle 0 below
+        qps: 1.0, // unused: the probe pins arrivals to cycle 0
         queries,
         shape,
         mode,
@@ -94,10 +99,68 @@ pub fn saturation_qps(
         max_queue_depth: None,
         seed,
     };
-    let arrivals = vec![0; queries];
+    let (arrivals, trace_queries) = saturation_load(shape, queries, seed);
+    Ok(serve_arrivals(backend.as_mut(), &cfg, &arrivals, &trace_queries)?.achieved_qps())
+}
+
+/// The saturation probe's load, shared by backends and fleets: `queries`
+/// queries of `shape` all arriving at cycle 0, so the completion
+/// throughput of the resulting busy period is the saturation rate.
+pub(super) fn saturation_load(
+    shape: QueryShape,
+    queries: usize,
+    seed: u64,
+) -> (Vec<Cycle>, Vec<SlsTrace>) {
     let trace_queries = QueryStream::new(shape, seed).take_queries(queries);
-    let report = serve_arrivals(backend.as_mut(), &cfg, &arrivals, &trace_queries)?;
-    Ok(report.achieved_qps())
+    (vec![0; queries], trace_queries)
+}
+
+/// The point-sweep driver of backends and fleets: one load point per
+/// `offered` rate, each served by `serve` on a fresh system from `make`
+/// (created on the calling thread, in point order) and measured as
+/// `(achieved_qps, summary)`; the points run in parallel via
+/// [`run_each`].
+///
+/// # Panics
+///
+/// Panics when an offered rate is not positive.
+pub(super) fn sweep_points<S: Send>(
+    offered: &[f64],
+    saturation: f64,
+    mut make: impl FnMut() -> S,
+    serve: impl Fn(&mut S, f64) -> Result<(f64, LatencySummary), SimError> + Sync,
+) -> Result<Vec<SweepPoint>, SimError> {
+    let mut systems: Vec<(S, f64)> = offered
+        .iter()
+        .map(|&qps| {
+            assert!(qps > 0.0, "offered loads must be positive");
+            (make(), qps)
+        })
+        .collect();
+    let measured = run_each(&mut systems, |(system, qps)| serve(system, *qps))?;
+    Ok(offered
+        .iter()
+        .zip(measured)
+        .map(|(&qps, (achieved_qps, summary))| SweepPoint {
+            offered_qps: qps,
+            utilization: qps / saturation,
+            achieved_qps,
+            summary,
+        })
+        .collect())
+}
+
+/// Runs `serve` on each of `systems` as one task on the deterministic
+/// worker pool (`recnmp-exec`), nesting the systems' own node and
+/// channel tasks into the same pool; results come back in input order,
+/// byte-identical to a serial run at any worker count.
+pub(super) fn run_each<S: Send, T: Send>(
+    systems: &mut [S],
+    serve: impl Fn(&mut S) -> Result<T, SimError> + Sync,
+) -> Result<Vec<T>, SimError> {
+    let serve = &serve;
+    let tasks: Vec<_> = systems.iter_mut().map(|s| move || serve(s)).collect();
+    recnmp_exec::current().run_vec(tasks)
 }
 
 /// The serving mode a saturation probe should use for a sweep under
@@ -114,19 +177,8 @@ fn probe_mode(mode: ServingMode) -> ServingMode {
 
 /// Measures one throughput–latency curve at explicit offered loads,
 /// anchored to a caller-provided `saturation` rate (each point's
-/// `utilization` is `offered / saturation`).
-///
-/// The load points are independent simulations over fresh backends, so
-/// each runs as one task on the deterministic worker pool
-/// (`recnmp-exec`) and the curve is assembled in point order — results
-/// are byte-identical to a serial sweep at any worker count, only
-/// wall-clock changes. Backends are created on the calling thread, in
-/// point order, so stateful factories observe the same creation
-/// sequence as before; a point whose backend is itself a cluster fans
-/// its per-channel tasks into the *same* pool (the engine lets waiting
-/// tasks help), so a sweep over a many-channel cluster never
-/// oversubscribes the machine the way nested `thread::scope` spawns
-/// did.
+/// `utilization` is `offered / saturation`). Every point starts from a
+/// fresh backend with cold caches.
 ///
 /// # Errors
 ///
@@ -143,10 +195,17 @@ pub fn qps_sweep_at(
     queries: usize,
     seed: u64,
 ) -> Result<SweepCurve, SimError> {
-    let mut jobs: Vec<(Box<dyn SlsBackend>, ServingConfig)> = offered
-        .iter()
-        .map(|&qps| {
-            assert!(qps > 0.0, "offered loads must be positive");
+    let mut system = String::new();
+    let points = sweep_points(
+        offered,
+        saturation,
+        || {
+            let mut backend = make_backend();
+            backend.reset_caches();
+            system = backend.name().to_string();
+            backend
+        },
+        |backend, qps| {
             let cfg = ServingConfig {
                 process,
                 qps,
@@ -157,30 +216,10 @@ pub fn qps_sweep_at(
                 max_queue_depth: None,
                 seed,
             };
-            // Every load point starts from cold caches even if the
-            // factory hands out warm (reused) backends — points must be
-            // independent, byte-identical at any worker count.
-            let mut backend = make_backend();
-            backend.reset_caches();
-            (backend, cfg)
-        })
-        .collect();
-    let tasks: Vec<_> = jobs
-        .iter_mut()
-        .map(|(backend, cfg)| move || serve(backend.as_mut(), cfg))
-        .collect();
-    let reports = recnmp_exec::current().run_vec(tasks)?;
-    let mut points = Vec::with_capacity(offered.len());
-    let mut system = String::new();
-    for (&qps, report) in offered.iter().zip(reports) {
-        system = report.system.clone();
-        points.push(SweepPoint {
-            offered_qps: qps,
-            utilization: qps / saturation,
-            achieved_qps: report.achieved_qps(),
-            summary: report.summary(),
-        });
-    }
+            let report = serve(backend.as_mut(), &cfg)?;
+            Ok((report.achieved_qps(), report.summary()))
+        },
+    )?;
     Ok(SweepCurve {
         system,
         mode,
@@ -260,12 +299,13 @@ pub struct LabeledCurve {
 pub type NamedFactories<'a> = Vec<(&'a str, Box<BackendFactory<'a>>)>;
 
 /// The geometry of the reference serving cluster: 4 channels of 1 DIMM
-/// × 2 ranks.
-fn reference_cluster_config() -> recnmp::RecNmpClusterConfig {
+/// × 2 ranks, with or without RankCaches and hot-entry profiling.
+fn reference_cluster_config(optimized: bool) -> recnmp::RecNmpClusterConfig {
     recnmp::RecNmpClusterConfig::builder()
         .channels(4)
         .dimms(1)
         .ranks_per_dimm(2)
+        .optimized(optimized)
         .build()
         .expect("reference cluster config")
 }
@@ -274,7 +314,8 @@ fn reference_cluster_config() -> recnmp::RecNmpClusterConfig {
 /// definition, so the `serve_sweep` binary and the experiment harness
 /// can never desynchronize their geometry from the committed goldens.
 pub fn reference_cluster4() -> Box<dyn SlsBackend> {
-    Box::new(recnmp::RecNmpCluster::new(reference_cluster_config()).expect("reference cluster"))
+    let config = reference_cluster_config(false);
+    Box::new(recnmp::RecNmpCluster::new(config).expect("reference cluster"))
 }
 
 /// The RecNMP-opt variant of [`reference_cluster4`]: same geometry, but
@@ -282,13 +323,7 @@ pub fn reference_cluster4() -> Box<dyn SlsBackend> {
 /// backend the cache-aware serving sweeps measure, since inter-query
 /// prefetch needs memory-side caches to stage into.
 pub fn reference_cluster4_optimized() -> Box<dyn SlsBackend> {
-    let config = recnmp::RecNmpClusterConfig::builder()
-        .channels(4)
-        .dimms(1)
-        .ranks_per_dimm(2)
-        .optimized(true)
-        .build()
-        .expect("reference optimized cluster config");
+    let config = reference_cluster_config(true);
     Box::new(recnmp::RecNmpCluster::new(config).expect("reference optimized cluster"))
 }
 
@@ -297,7 +332,7 @@ pub fn reference_cluster4_optimized() -> Box<dyn SlsBackend> {
 /// [`reference_cluster4`], so the bound tracks the geometry.
 pub fn reference_channel_capacity() -> ByteSize {
     ByteSize::bytes(
-        reference_cluster_config()
+        reference_cluster_config(false)
             .channel
             .geometry()
             .capacity_bytes(),
@@ -373,30 +408,8 @@ pub fn placement_sweep(
             prefetch: None,
         })
     };
-    let baseline = sharded(PlacementPolicy::Hash);
-    let saturation = saturation_qps(
-        make_backend,
-        baseline,
-        spec.shape,
-        spec.probe_queries,
-        spec.seed,
-    )?;
-    let offered: Vec<f64> = spec.utilizations.iter().map(|&u| u * saturation).collect();
-    policies
-        .iter()
-        .map(|&policy| {
-            qps_sweep_at(
-                make_backend,
-                sharded(policy),
-                spec.process,
-                spec.shape,
-                saturation,
-                &offered,
-                spec.queries,
-                spec.seed,
-            )
-        })
-        .collect()
+    let modes: Vec<ServingMode> = policies.iter().map(|&p| sharded(p)).collect();
+    caching_sweep(make_backend, sharded(PlacementPolicy::Hash), &modes, spec)
 }
 
 /// Sweeps one tiered backend under every tiering `policy`, all at the
@@ -426,29 +439,8 @@ pub fn tiered_sweep(
         })
     };
     let anchor = tiered(TieredPolicy::FrequencyTiered { replicate_hot: 0 });
-    let saturation = saturation_qps(
-        make_backend,
-        anchor,
-        spec.shape,
-        spec.probe_queries,
-        spec.seed,
-    )?;
-    let offered: Vec<f64> = spec.utilizations.iter().map(|&u| u * saturation).collect();
-    policies
-        .iter()
-        .map(|&policy| {
-            qps_sweep_at(
-                make_backend,
-                tiered(policy),
-                spec.process,
-                spec.shape,
-                saturation,
-                &offered,
-                spec.queries,
-                spec.seed,
-            )
-        })
-        .collect()
+    let modes: Vec<ServingMode> = policies.iter().map(|&p| tiered(p)).collect();
+    caching_sweep(make_backend, anchor, &modes, spec)
 }
 
 /// The cache-aware serving arms every caching artifact measures, as
@@ -503,13 +495,14 @@ pub fn reference_caching_arms() -> Vec<(String, ServingMode)> {
     ]
 }
 
-/// Sweeps one backend under every cache-aware serving `mode`, all at
-/// the same absolute offered loads: fractions of the **anchor** mode's
-/// saturation rate (the cache-less sharded-frequency baseline in the
-/// shipped experiment). Fixing the load axis to the bare baseline makes
-/// the co-design verdict direct: a host cache and cache-aware placement
-/// earn their keep exactly when their curves knee later or tail lower
-/// than the anchor's at the same offered QPS.
+/// Sweeps one backend under every serving `mode`, all at the same
+/// absolute offered loads: fractions of the **anchor** mode's
+/// saturation rate — the driver behind [`placement_sweep`] and
+/// [`tiered_sweep`] too. In the caching experiment the anchor is the
+/// cache-less sharded-frequency baseline, which makes the co-design
+/// verdict direct: a host cache and cache-aware placement earn their
+/// keep exactly when their curves knee later or tail lower than the
+/// anchor's at the same offered QPS.
 ///
 /// # Errors
 ///

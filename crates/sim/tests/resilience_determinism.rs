@@ -6,8 +6,6 @@
 //!   every recovery mechanism engaged (retry, hedging, SLO guard);
 //! * outcomes conserve the offered load: every query is exactly one of
 //!   completed / rejected / shed / failed, and the counters agree;
-//! * a zero-fault, zero-policy resilience run reproduces the plain
-//!   fleet path byte for byte;
 //! * (property) failover never routes a query to a crashed node, for
 //!   every router, seed and crash site.
 
@@ -17,8 +15,7 @@ use recnmp_sim::serving::faults::{
     FaultPlan, HedgePolicy, QueryOutcome, ResilienceConfig, RetryPolicy, SloPolicy,
 };
 use recnmp_sim::serving::fleet::{
-    serve_fleet, serve_fleet_resilient, Fleet, FleetConfig, FleetDispatch, FleetReport,
-    RouterPolicy,
+    serve_fleet_resilient, Fleet, FleetConfig, FleetDispatch, FleetReport, RouterPolicy,
 };
 use recnmp_sim::serving::{ArrivalProcess, QueryShape};
 
@@ -109,38 +106,6 @@ fn outcomes_conserve_the_offered_load() {
             report.report.queries_failed,
             "every failed query records its error"
         );
-    }
-}
-
-#[test]
-fn zero_fault_resilience_reproduces_the_plain_fleet_path() {
-    for router in RouterPolicy::ALL {
-        for dispatch in [
-            FleetDispatch {
-                router,
-                ..FleetDispatch::replicated(2)
-            },
-            FleetDispatch {
-                router,
-                ..FleetDispatch::sharded()
-            },
-        ] {
-            let c = cfg(3, 24, dispatch);
-            let mut plain_fleet = Fleet::reference(3);
-            let plain = serve_fleet(&mut plain_fleet, &c).expect("plain fleet run");
-            let mut res_fleet = Fleet::reference(3);
-            let resilient = serve_fleet_resilient(&mut res_fleet, &c, &ResilienceConfig::zero())
-                .expect("zero-fault resilient run");
-            assert_eq!(
-                plain.latencies,
-                resilient.latencies,
-                "router {} diverged with a zero fault plan",
-                router.name()
-            );
-            assert_eq!(plain.completions, resilient.completions);
-            assert_eq!(plain.node_queries, resilient.node_queries);
-            assert_eq!(plain.report, resilient.report);
-        }
     }
 }
 

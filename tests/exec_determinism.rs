@@ -59,7 +59,7 @@ fn cluster(channels: usize) -> RecNmpCluster {
 /// count, and asserts every invocation produces the same value with
 /// the same `Debug` bytes as the first.
 fn assert_invariant_across_pools<T: PartialEq + std::fmt::Debug>(mut f: impl FnMut() -> T) {
-    let _serial = THREAD_COUNT_LOCK.lock().unwrap();
+    let _serial = serialize();
     let mut reference: Option<(T, String)> = None;
     for workers in WORKER_COUNTS {
         let pool = ExecPool::new(workers).unwrap();
@@ -125,35 +125,65 @@ fn sweep_curves_are_byte_identical_across_worker_counts() {
 }
 
 /// Serializes the thread-budget test against the other tests in this
-/// binary: their short-lived pools would otherwise churn the process
+/// binary: their short-lived pools would otherwise churn the pool
 /// thread count while we sample it.
 static THREAD_COUNT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Counts this process's OS threads via /proc (Linux is the only
-/// supported CI target; elsewhere the check degrades to a no-op).
-fn os_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+/// Takes [`THREAD_COUNT_LOCK`], tolerating poisoning: one failed test
+/// must not fail every other test behind it.
+fn serialize() -> std::sync::MutexGuard<'static, ()> {
+    THREAD_COUNT_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Counts this process's execution-pool worker threads (named
+/// `recnmp-exec-*`) via `/proc/self/task/*/comm`, so the test harness's
+/// own threads never enter the count. Linux is the only supported CI
+/// target; elsewhere the check degrades to a no-op.
+fn pool_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("recnmp-exec-"))
+            .count(),
+    )
+}
+
+/// Runs one task on every thread of `pool` (its workers plus the helping
+/// submitter) at once, so each worker has started — and named itself —
+/// before its threads are counted.
+fn warm(pool: &ExecPool) {
+    let meet = std::sync::Barrier::new(pool.workers() + 1);
+    let tasks: Vec<_> = (0..=pool.workers())
+        .map(|_| {
+            let meet = &meet;
+            move || {
+                meet.wait();
+                Ok(())
+            }
+        })
+        .collect();
+    pool.handle().run_vec(tasks).unwrap();
 }
 
 #[test]
 fn many_channel_cluster_runs_within_the_pool_thread_budget() {
     // 256 channels, 2 workers: before the execution engine this run
     // spawned 256 scoped threads; now channel tasks queue onto the
-    // fixed pool and the process-wide thread count stays flat.
+    // fixed pool and the pool thread count stays flat.
     let trace = workload(256, 1, 8, 3);
-    let _serial = THREAD_COUNT_LOCK.lock().unwrap();
+    let _serial = serialize();
     let pool = ExecPool::new(2).unwrap();
     assert_eq!(pool.spawned_threads(), 2);
-    let before = os_threads();
+    warm(&pool);
+    let before = pool_threads();
     let report = recnmp_exec::with_pool(&pool, || {
         let mut c = cluster(256);
         c.run(&trace)
     });
-    let after = os_threads();
+    let after = pool_threads();
     assert_eq!(report.insts, trace.total_lookups());
     assert_eq!(report.system, "recnmp-cluster[256]");
     assert_eq!(
@@ -164,7 +194,7 @@ fn many_channel_cluster_runs_within_the_pool_thread_budget() {
 
 #[test]
 fn panicking_task_is_reported_not_hung() {
-    let _serial = THREAD_COUNT_LOCK.lock().unwrap();
+    let _serial = serialize();
     for workers in [1usize, 8] {
         let pool = ExecPool::new(workers).unwrap();
         let err = recnmp_exec::with_pool(&pool, || {

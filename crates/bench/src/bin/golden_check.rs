@@ -1,8 +1,6 @@
-//! Golden-output regression gate for the experiment harness.
-//!
-//! Runs every experiment in quick mode, serializes each
-//! [`ExperimentResult`] to JSON, and diffs it against the committed
-//! golden under `goldens/` — so a change that shifts an experiment's
+//! Golden-output regression gate for the experiment harness: runs every
+//! experiment in quick mode and diffs its JSON against the committed
+//! golden under `goldens/`, so a change that shifts an experiment's
 //! numbers fails CI instead of silently drifting.
 //!
 //! ```text
@@ -11,267 +9,43 @@
 //! cargo run -p recnmp-bench --release --bin golden_check -- fig15_opt # one id
 //! ```
 //!
-//! * `--update`     rewrite the goldens from the current build.
-//! * `--dir PATH`   golden directory (default `goldens`).
-//! * `--tol X`      relative numeric tolerance (default 0.01).
-//!
-//! The diff is structural, not textual: both JSON documents are lexed
-//! into token streams, and every number — a bare JSON number, a numeric
-//! table cell like `"3.21x"`, or a figure embedded in a prose note like
-//! `"knee at 3208829 qps"` — is compared with a relative tolerance while
-//! the surrounding text must match exactly. The tolerance absorbs
-//! cross-platform libm jitter in the last formatted digit; real
-//! regressions move numbers far beyond it.
+//! `--dir PATH` picks the golden directory (default `goldens`) and
+//! `--tol X` the relative numeric tolerance (default 0.01) of
+//! [`recnmp_bench::json::diff_json`]: every number — bare, a cell like
+//! `"3.21x"`, or a figure in a note like `"knee at 3208829 qps"` —
+//! compares within it, while text, keys and shape must match exactly.
 
-use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+use recnmp_bench::json::{diff_json, Json, DEFAULT_TOL};
 use recnmp_sim::experiments::{run, Scale, IDS};
-use recnmp_sim::{ExperimentResult, TextTable};
+use recnmp_sim::ExperimentResult;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn string_array(items: &[String], indent: &str) -> String {
-    let cells: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
-    format!("[{}{}]", indent, cells.join(", "))
-}
-
-fn table_json(t: &TextTable) -> String {
-    let rows: Vec<String> = t.rows.iter().map(|r| string_array(r, "")).collect();
-    format!(
-        "{{\n      \"title\": \"{}\",\n      \"headers\": {},\n      \"rows\": [\n        {}\n      ]\n    }}",
-        json_escape(&t.title),
-        string_array(&t.headers, ""),
-        rows.join(",\n        ")
-    )
-}
-
-/// Serializes one experiment result as pretty-printed JSON.
-fn result_json(r: &ExperimentResult) -> String {
-    let tables: Vec<String> = r.tables.iter().map(table_json).collect();
-    let notes: Vec<String> = r
-        .notes
-        .iter()
-        .map(|n| format!("\"{}\"", json_escape(n)))
-        .collect();
-    format!
-        (
-        "{{\n  \"id\": \"{}\",\n  \"title\": \"{}\",\n  \"tables\": [\n    {}\n  ],\n  \"notes\": [\n    {}\n  ]\n}}\n",
-        json_escape(&r.id),
-        json_escape(&r.title),
-        tables.join(",\n    "),
-        notes.join(",\n    ")
-    )
-}
-
-/// One lexed JSON token.
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Punct(char),
-    Str(String),
-    Num(f64),
-    Word(String),
-}
-
-/// Lexes a JSON document into tokens. Structure-preserving but
-/// whitespace-insensitive, so the diff survives reformatting.
-fn lex_json(src: &str) -> Result<Vec<Token>, String> {
-    let mut tokens = Vec::new();
-    let bytes: Vec<char> = src.chars().collect();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '{' | '}' | '[' | ']' | ':' | ',' => {
-                tokens.push(Token::Punct(c));
-                i += 1;
-            }
-            '"' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    let Some(&c) = bytes.get(i) else {
-                        return Err("unterminated string".into());
-                    };
-                    i += 1;
-                    match c {
-                        '"' => break,
-                        '\\' => {
-                            let Some(&esc) = bytes.get(i) else {
-                                return Err("dangling escape".into());
-                            };
-                            i += 1;
-                            match esc {
-                                'n' => s.push('\n'),
-                                't' => s.push('\t'),
-                                'r' => s.push('\r'),
-                                'u' => {
-                                    let hex: String =
-                                        bytes.get(i..i + 4).unwrap_or(&[]).iter().collect();
-                                    i += 4;
-                                    let code = u32::from_str_radix(&hex, 16)
-                                        .map_err(|_| format!("bad \\u escape {hex}"))?;
-                                    s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                }
-                                other => s.push(other),
-                            }
-                        }
-                        c => s.push(c),
-                    }
-                }
-                tokens.push(Token::Str(s));
-            }
-            c if c == '-' || c.is_ascii_digit() => {
-                let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_digit()
-                        || matches!(bytes[i], '-' | '+' | '.' | 'e' | 'E'))
-                {
-                    i += 1;
-                }
-                let text: String = bytes[start..i].iter().collect();
-                let n: f64 = text.parse().map_err(|_| format!("bad number `{text}`"))?;
-                tokens.push(Token::Num(n));
-            }
-            c if c.is_ascii_alphabetic() => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_alphabetic() {
-                    i += 1;
-                }
-                tokens.push(Token::Word(bytes[start..i].iter().collect()));
-            }
-            other => return Err(format!("unexpected character `{other}`")),
-        }
-    }
-    Ok(tokens)
-}
-
-/// One segment of a string: literal text or an embedded number.
-#[derive(Debug, PartialEq)]
-enum Seg {
-    Text(String),
-    Num(f64),
-}
-
-/// Splits a string into alternating text and number segments, so numbers
-/// embedded anywhere — a bare cell like `"3.21"`, a suffixed one like
-/// `"45.7%"`, or a prose note like `"knee at 3208829 qps (util 0.9)"` —
-/// can be compared with tolerance while the surrounding text stays exact.
-fn segments(s: &str) -> Vec<Seg> {
-    let chars: Vec<char> = s.chars().collect();
-    let mut out = Vec::new();
-    let mut text = String::new();
-    let mut i = 0;
-    while i < chars.len() {
-        let negative = chars[i] == '-' && chars.get(i + 1).is_some_and(char::is_ascii_digit);
-        if chars[i].is_ascii_digit() || negative {
-            let start = i;
-            if negative {
-                i += 1;
-            }
-            while i < chars.len()
-                && (chars[i].is_ascii_digit()
-                    || (chars[i] == '.' && chars.get(i + 1).is_some_and(char::is_ascii_digit)))
-            {
-                i += 1;
-            }
-            let num: String = chars[start..i].iter().collect();
-            if !text.is_empty() {
-                out.push(Seg::Text(std::mem::take(&mut text)));
-            }
-            out.push(Seg::Num(num.parse().expect("scanned a valid number")));
-        } else {
-            text.push(chars[i]);
-            i += 1;
-        }
-    }
-    if !text.is_empty() {
-        out.push(Seg::Text(text));
-    }
-    out
-}
-
-/// Whether two strings are equivalent under the numeric tolerance:
-/// identical text with every embedded number within `tol`.
-fn strings_close(a: &str, b: &str, tol: f64) -> bool {
-    if a == b {
-        return true;
-    }
-    let (sa, sb) = (segments(a), segments(b));
-    sa.len() == sb.len()
-        && sa.iter().zip(&sb).all(|(x, y)| match (x, y) {
-            (Seg::Num(m), Seg::Num(n)) => numbers_close(*m, *n, tol),
-            (x, y) => x == y,
-        })
-}
-
-/// Relative comparison with an absolute floor: values at or above 1.0
-/// compare within `tol` relative; below 1.0 the allowance bottoms out at
-/// an absolute `tol`, matching the two-decimal formatting granularity of
-/// experiment cells (a cell printed "0.31" only carries ±0.005 of real
-/// information, so a pure relative check would flag formatting jitter).
-fn numbers_close(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
-}
-
-/// Compares two JSON documents token-by-token with numeric tolerance.
-/// Returns the first few mismatches, empty when equivalent.
-fn diff_json(golden: &str, current: &str, tol: f64) -> Result<Vec<String>, String> {
-    let (g, c) = (lex_json(golden)?, lex_json(current)?);
-    let mut mismatches = Vec::new();
-    for (i, (gt, ct)) in g.iter().zip(&c).enumerate() {
-        let ok = match (gt, ct) {
-            (Token::Num(a), Token::Num(b)) => numbers_close(*a, *b, tol),
-            (Token::Str(a), Token::Str(b)) => strings_close(a, b, tol),
-            (a, b) => a == b,
-        };
-        if !ok {
-            mismatches.push(format!("  token {i}: golden {gt:?} vs current {ct:?}"));
-            if mismatches.len() >= 8 {
-                mismatches.push("  ... further mismatches suppressed".into());
-                return Ok(mismatches);
-            }
-        }
-    }
-    if g.len() != c.len() {
-        mismatches.push(format!(
-            "  token count changed: golden {} vs current {}",
-            g.len(),
-            c.len()
-        ));
-    }
-    Ok(mismatches)
-}
-
-fn golden_path(dir: &Path, id: &str) -> PathBuf {
-    dir.join(format!("{id}.json"))
+/// One experiment result as a JSON value.
+fn result_value(r: &ExperimentResult) -> Json {
+    let tables = r.tables.iter().map(|t| {
+        Json::obj([
+            ("title", t.title.as_str().into()),
+            ("headers", Json::strings(&t.headers)),
+            (
+                "rows",
+                Json::Arr(t.rows.iter().map(|r| Json::strings(r)).collect()),
+            ),
+        ])
+    });
+    Json::obj([
+        ("id", r.id.as_str().into()),
+        ("title", r.title.as_str().into()),
+        ("tables", Json::Arr(tables.collect())),
+        ("notes", Json::strings(&r.notes)),
+    ])
 }
 
 fn main() -> ExitCode {
     let mut update = false;
     let mut dir = PathBuf::from("goldens");
-    let mut tol = 0.01f64;
+    let mut tol = DEFAULT_TOL;
     let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -304,11 +78,12 @@ fn main() -> ExitCode {
             failures += 1;
             continue;
         };
-        let current = result_json(&result);
-        let path = golden_path(&dir, id);
+        let current = result_value(&result);
+        let path = dir.join(format!("{id}.json"));
         if update {
             std::fs::create_dir_all(&dir).expect("creating golden dir");
-            std::fs::write(&path, &current).unwrap_or_else(|e| panic!("writing {path:?}: {e}"));
+            std::fs::write(&path, current.write())
+                .unwrap_or_else(|e| panic!("writing {path:?}: {e}"));
             println!("updated {}", path.display());
             continue;
         }
@@ -323,7 +98,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        match diff_json(&golden, &current, tol) {
+        match Json::parse(&golden).map(|g| diff_json(&g, &current, tol)) {
             Ok(mismatches) if mismatches.is_empty() => println!("ok   {id}"),
             Ok(mismatches) => {
                 eprintln!("FAIL {id}: output drifted from {}", path.display());

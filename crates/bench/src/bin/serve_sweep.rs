@@ -1,73 +1,48 @@
-//! Query-serving benchmark: throughput–latency curves for every backend
-//! and dispatch policy under open-loop Poisson load. Emits
-//! `BENCH_serving.json` so tail-latency behaviour has a trajectory across
-//! PRs, next to `BENCH_throughput.json`'s simulator-speed trajectory.
+//! Query-serving benchmark: throughput–latency curves under open-loop
+//! Poisson load, one mode per committed report.
 //!
 //! ```text
 //! cargo run -p recnmp-bench --release --bin serve_sweep -- \
-//!     [--smoke] [--placement] [--tiering] [--fleet] [--resilience] \
-//!     [--workers N] [--out PATH] [--baseline PATH | --baseline-from-git]
+//!     [--placement | --tiering | --fleet | --caching | --resilience] \
+//!     [--smoke] [--workers N] [--out PATH] [--baseline PATH | --baseline-from-git]
 //! ```
 //!
-//! * `--smoke` shrinks queries/points for CI (seconds instead of minutes).
-//! * `--workers N` pins the execution-engine pool size (default: the
-//!   `RECNMP_WORKERS` environment variable, else `available_parallelism`);
-//!   sweep load points parallelize across the pool with byte-identical
-//!   curves at any count.
-//! * `--placement` run the placement comparison instead: sharded
-//!   scatter/gather serving on the 4-channel cluster under hash /
-//!   capacity-greedy / frequency-balanced placement with skewed
-//!   per-table traffic, all at the same absolute offered loads (default
-//!   out `BENCH_placement.json`).
-//! * `--tiering` run the capacity-tiered comparison instead: tiered
-//!   scatter/gather serving over 4 DRAM channels + 2 SSD-class units
-//!   under hash vs frequency-tiered placement, with the footprint/DRAM
-//!   ratio swept 0.5x–8x (default out `BENCH_tiering.json`).
-//! * `--fleet` run the fleet-scaling sweep instead: 1→N reference
-//!   4-channel nodes behind the front-end router, pure sharding vs
-//!   hot-table replication at each node count (default out
-//!   `BENCH_fleet.json`). The run always re-derives the 1-node fleet and
-//!   the equivalent bare-cluster sharded curve and diffs them for exact
-//!   equality (`"node1_equals_cluster"`), failing the run on any
-//!   divergence — the router layer must cost nothing at one node.
-//! * `--caching` run the cache-aware serving comparison instead: sharded
-//!   scatter/gather on the RecNMP-opt 4-channel cluster with a host-side
-//!   hot-embedding cache swept over capacity × placement policy, plus
-//!   inter-query RankCache prefetch on the cache-less baseline (default
-//!   out `BENCH_caching.json`). The run always re-derives the co-design
-//!   verdict — the 1 MiB cache over residual-load frequency placement
-//!   must knee later or tail lower than the cache-less frequency
-//!   baseline at the same offered loads — and fails on a loss.
-//! * `--resilience` run the fault-injection sweep instead: the 4-node
-//!   reference fleet through {none, node-crash, crash+stuck-at-slow
-//!   channel} fault levels crossed with replicated vs sharded placement
-//!   and p95 hedging on/off, every arm under the derived SLO with
-//!   bounded retries, admission control and shedding (default out
-//!   `BENCH_resilience.json`). The run always re-derives the resilience
-//!   verdict — replicated+hedged must keep >= 90% of its pre-crash
-//!   goodput through the crash while unreplicated placement collapses —
-//!   and fails when either half breaks.
-//! * `--out` output path.
-//! * `--baseline PATH` (fleet, caching and resilience) compares each
-//!   fresh curve's knee QPS (resilience: each arm's post-fault goodput)
-//!   against the committed report at PATH and exits non-zero on a >30%
-//!   regression.
-//! * `--baseline-from-git` (fleet, caching and resilience) like
-//!   `--baseline`, but reads the committed file from `git show
-//!   HEAD:<out>` — local runs and CI share one code path, no
-//!   stash-a-copy step.
+//! At most one mode flag; without one the bin runs the serving sweep.
+//! Mode `--NAME` writes `BENCH_NAME.json` (the default, `BENCH_serving.json`):
 //!
-//! All paths drive the shared sweep library
-//! (`recnmp_sim::serving::{sweep_matrix, placement_sweep, tiered_sweep,
-//! fleet_sweep}`), the same entry points the experiment harness uses —
-//! the binary only renders JSON.
+//! * serving: host, TensorDIMM and the 4-channel RecNMP cluster under
+//!   every dispatch policy.
+//! * `--placement`: the 4-channel cluster under hash / capacity-greedy /
+//!   frequency-balanced placement with skewed per-table traffic.
+//! * `--tiering`: 4 DRAM channels + 2 SSD-class units, hash vs frequency
+//!   tiering, footprint/DRAM ratio 0.5x–8x.
+//! * `--fleet`: 1→N reference nodes, sharding vs hot-table replication.
+//!   Verdict: the 1-node fleet's sharded curve equals the bare cluster's.
+//! * `--caching`: a host hot-embedding cache over capacity × placement,
+//!   plus RankCache prefetch. Verdict: the 1 MiB cache over residual-load
+//!   frequency placement knees later or tails lower than the cache-less
+//!   frequency baseline.
+//! * `--resilience`: the 4-node fleet through node-crash and slow-channel
+//!   faults × replicated/sharded × p95 hedging. Verdict: replicated+hedged
+//!   keeps >= 90% of its pre-crash goodput while sharded collapses.
+//!
+//! A broken verdict exits 1 after the report is written. `--smoke`
+//! shrinks the workload; `--workers N` pins the pool size (curves are
+//! byte-identical at any count). `--baseline PATH` diffs the fresh report
+//! against the committed one with [`recnmp_bench::json::diff_json`] and
+//! exits 1 naming every differing field: the simulation is
+//! deterministic, so the only slack is the golden gate's 1% for float
+//! jitter, and keys, labels and verdict bools compare exactly.
+//! `--baseline-from-git` reads the committed file from `git show
+//! HEAD:./<out>` instead.
 
 use recnmp_backend::PlacementPolicy;
 use recnmp_baselines::{HostBaseline, TensorDimm};
+use recnmp_bench::json::{diff_json, Json, DEFAULT_TOL};
+use recnmp_bench::BenchArgs;
 use recnmp_model::RecModelKind;
 use recnmp_sim::serving::fleet::{
     fleet_sweep, resilience_sweep, Fleet, FleetCurve, FleetDispatch, ResilienceSpec,
-    ResilienceSweep,
 };
 use recnmp_sim::serving::{
     caching_sweep, placement_sweep, qps_sweep_at, reference_caching_arms,
@@ -76,109 +51,279 @@ use recnmp_sim::serving::{
     QueryShape, ServingMode, ShardedDispatch, SweepCurve, SweepPoint, SweepSpec, TierSpec,
     TieredPolicy,
 };
-use recnmp_types::{ByteSize, Cycle};
+use recnmp_types::units::{cycles_to_us, DDR4_2400_CYCLE_SECS};
+use recnmp_types::ByteSize;
 
 const SEED: u64 = 0x5e12_2026;
 
-fn points_json(points: &[SweepPoint]) -> String {
-    let rendered: Vec<String> = points
-        .iter()
-        .map(|p| {
-            let (p50, p95, p99) = p.summary.percentiles_us();
-            format!(
-                "{{\"offered_qps\": {:.1}, \"utilization\": {:.2}, \"achieved_qps\": {:.1}, \
-                 \"p50_us\": {:.3}, \"p95_us\": {:.3}, \"p99_us\": {:.3}, \
-                 \"mean_us\": {:.3}, \"max_us\": {:.3}, \"sustained\": {}}}",
-                p.offered_qps,
-                p.utilization,
-                p.achieved_qps,
-                p50,
-                p95,
-                p99,
-                p.summary.mean * recnmp_types::units::DDR4_2400_CYCLE_SECS * 1e6,
-                recnmp_types::units::cycles_to_us(p.summary.max),
-                p.sustained()
-            )
-        })
-        .collect();
-    rendered.join(",\n        ")
+const USAGE: &str = "usage: serve_sweep [--placement | --tiering | --fleet | --caching | \
+                     --resilience] [--smoke] [--workers N] [--out PATH] \
+                     [--baseline PATH | --baseline-from-git]";
+
+/// One committed report and the sweep that writes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    Serving,
+    Placement,
+    Tiering,
+    Fleet,
+    Caching,
+    Resilience,
 }
 
-fn knee_json(knee: Option<&SweepPoint>) -> String {
-    match knee {
-        Some(p) => format!("{:.1}", p.offered_qps),
-        None => "null".to_string(),
+impl Mode {
+    const ALL: [Mode; 6] = [
+        Mode::Serving,
+        Mode::Placement,
+        Mode::Tiering,
+        Mode::Fleet,
+        Mode::Caching,
+        Mode::Resilience,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Serving => "serving",
+            Mode::Placement => "placement",
+            Mode::Tiering => "tiering",
+            Mode::Fleet => "fleet",
+            Mode::Caching => "caching",
+            Mode::Resilience => "resilience",
+        }
+    }
+
+    /// The flag selecting the mode; the serving sweep is the default.
+    fn flag(self) -> Option<String> {
+        (self != Mode::Serving).then(|| format!("--{}", self.name()))
+    }
+
+    fn default_out(self) -> String {
+        format!("BENCH_{}.json", self.name())
+    }
+
+    fn run(self, smoke: bool) -> Report {
+        match self {
+            Mode::Serving => run_serving(smoke),
+            Mode::Placement => run_placement(smoke),
+            Mode::Tiering => run_tiering(smoke),
+            Mode::Fleet => run_fleet(smoke),
+            Mode::Caching => run_caching(smoke),
+            Mode::Resilience => run_resilience(smoke),
+        }
     }
 }
 
-fn curve_json(system: &str, curve: &SweepCurve) -> String {
-    format!(
-        "{{\"system\": \"{}\", \"policy\": \"{}\", \"saturation_qps\": {:.1}, \
-         \"knee_qps\": {},\n      \"points\": [\n        {}\n      ]}}",
-        system,
-        curve.mode.name(),
-        curve.saturation_qps,
-        knee_json(curve.knee()),
-        points_json(&curve.points)
-    )
+/// A rendered report and the run's own verdict: `Err` explains which
+/// always-checked invariant broke.
+type Report = (Json, Result<(), String>);
+
+/// Parses the command line into a mode and the shared options; at most
+/// one mode flag.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(Mode, BenchArgs), String> {
+    let mut mode = None;
+    let common = BenchArgs::parse(args, |flag| {
+        let Some(m) = Mode::ALL
+            .into_iter()
+            .find(|m| m.flag().as_deref() == Some(flag))
+        else {
+            return Err(format!("unknown argument: {flag}"));
+        };
+        match mode.replace(m) {
+            Some(first) => Err(format!(
+                "{flag} conflicts with {}: pass at most one mode flag",
+                first.flag().unwrap_or_default()
+            )),
+            None => Ok(()),
+        }
+    })?;
+    Ok((mode.unwrap_or(Mode::Serving), common))
 }
 
-fn fleet_curve_json(curve: &FleetCurve) -> String {
-    format!(
-        "{{\"system\": \"{}\", \"nodes\": {}, \"placement\": \"{}\", \"router\": \"{}\", \
-         \"saturation_qps\": {:.1}, \"knee_qps\": {},\n      \
-         \"points\": [\n        {}\n      ]}}",
-        curve.system,
-        curve.nodes,
-        curve.placement,
-        curve.router,
-        curve.saturation_qps,
-        knee_json(curve.knee()),
-        points_json(&curve.points)
-    )
+/// One measured load point.
+fn point(p: &SweepPoint) -> Json {
+    let (p50, p95, p99) = p.summary.percentiles_us();
+    let mean_us = p.summary.mean * DDR4_2400_CYCLE_SECS * 1e6;
+    Json::obj([
+        ("offered_qps", Json::fixed(p.offered_qps, 1)),
+        ("utilization", Json::fixed(p.utilization, 2)),
+        ("achieved_qps", Json::fixed(p.achieved_qps, 1)),
+        ("p50_us", Json::fixed(p50, 3)),
+        ("p95_us", Json::fixed(p95, 3)),
+        ("p99_us", Json::fixed(p99, 3)),
+        ("mean_us", Json::fixed(mean_us, 3)),
+        ("max_us", Json::fixed(cycles_to_us(p.summary.max), 3)),
+        ("sustained", p.sustained().into()),
+    ])
 }
 
-fn print_curve(label: &str, curve: &SweepCurve) {
-    let knee = curve
-        .knee()
-        .map_or("none".to_string(), |p| format!("{:.0} qps", p.offered_qps));
-    println!(
-        "  {:<18} {:<18} saturation {:>12.0} qps  knee {}",
-        label,
-        curve.mode.name(),
-        curve.saturation_qps,
-        knee
+/// One curve: its identifying `labels`, then its saturation anchor, knee
+/// (`null` when nothing was sustained) and points.
+fn curve<'a>(
+    labels: impl IntoIterator<Item = (&'a str, Json)>,
+    saturation_qps: f64,
+    points: &[SweepPoint],
+) -> Json {
+    let knee = points.iter().rev().find(|p| p.sustained());
+    let knee = knee.map(|p| Json::fixed(p.offered_qps, 1));
+    Json::obj(labels.into_iter().chain([
+        ("saturation_qps", Json::fixed(saturation_qps, 1)),
+        ("knee_qps", knee.into()),
+        ("points", Json::Arr(points.iter().map(point).collect())),
+    ]))
+}
+
+/// The curves of a single-node sweep, labeled by system and policy.
+fn labeled_curves(curves: &[(String, SweepCurve)]) -> Json {
+    let curves = curves.iter().map(|(system, c)| {
+        let labels = [
+            ("system", system.as_str().into()),
+            ("policy", c.mode.name().into()),
+        ];
+        curve(labels, c.saturation_qps, &c.points)
+    });
+    Json::Arr(curves.collect())
+}
+
+/// A report: the common header — schema, mode, arrival process, seed and
+/// the workload shape with the mode's `extra` knobs between `table_skew`
+/// and `lookups_per_query` — then the mode's `body` fields.
+fn report<'a>(
+    schema: &str,
+    smoke: bool,
+    (process, seed, s): (ArrivalProcess, u64, QueryShape),
+    extra: impl IntoIterator<Item = (&'a str, Json)>,
+    body: impl IntoIterator<Item = (&'a str, Json)>,
+) -> Json {
+    let shape = Json::obj(
+        [
+            ("tables", s.tables.into()),
+            ("batch", s.batch.into()),
+            ("pooling", s.pooling.into()),
+            ("table_skew", Json::fixed(s.table_skew, 2)),
+        ]
+        .into_iter()
+        .chain(extra)
+        .chain([("lookups_per_query", s.lookups_per_query().into())]),
     );
+    let header = [
+        ("schema", schema.into()),
+        ("mode", (if smoke { "smoke" } else { "full" }).into()),
+        ("arrival_process", process.name().into()),
+        ("seed", seed.into()),
+        ("shape", shape),
+    ];
+    Json::obj(header.into_iter().chain(body))
 }
 
-fn report_json(
+/// The single-node sweep reports (serving, placement): queries per point
+/// and the labeled curves.
+fn sweep_report(
     schema: &str,
     smoke: bool,
     spec: &SweepSpec,
     curves: &[(String, SweepCurve)],
-) -> String {
-    let shape = spec.shape;
-    let rendered: Vec<String> = curves
+) -> Json {
+    let body = [
+        ("queries_per_point", spec.queries.into()),
+        ("curves", labeled_curves(curves)),
+    ];
+    let run = (spec.process, spec.seed, spec.shape);
+    report(schema, smoke, run, [], body)
+}
+
+/// The load grid shared by the single-node sweeps.
+fn sweep_spec(smoke: bool, shape: QueryShape) -> SweepSpec {
+    let (queries, probe_queries) = if smoke { (24, 8) } else { (48, 12) };
+    let utilizations = if smoke {
+        vec![0.3, 0.6, 0.9, 1.2]
+    } else {
+        vec![0.2, 0.4, 0.6, 0.8, 1.0, 1.2]
+    };
+    SweepSpec {
+        process: ArrivalProcess::Poisson,
+        shape,
+        utilizations,
+        queries,
+        probe_queries,
+        seed: SEED,
+    }
+}
+
+/// Prints a report without its per-point detail: each top-level field on
+/// a line, then each curve or arm as its scalar fields.
+fn summarize(report: &Json) {
+    let Json::Obj(fields) = report else { return };
+    for (key, value) in fields {
+        let Some(items) = value.as_array() else {
+            println!("{key}: {}", value.write().trim_end());
+            continue;
+        };
+        for item in items {
+            let Json::Obj(item) = item else { continue };
+            let scalars: Vec<String> = item
+                .iter()
+                .filter(|(_, v)| !v.is_container())
+                .map(|(k, v)| format!("{k} {}", v.write().trim_end()))
+                .collect();
+            println!("  {}", scalars.join("  "));
+        }
+    }
+}
+
+fn run_serving(smoke: bool) -> Report {
+    let shape = if smoke {
+        QueryShape::new(2, 2, 8)
+    } else {
+        QueryShape::for_model(RecModelKind::Rm1Small, 4)
+    };
+    let spec = sweep_spec(smoke, shape);
+    let mut backends: NamedFactories<'_> = vec![
+        (
+            "host",
+            Box::new(|| Box::new(HostBaseline::new(4, 2).expect("host config"))),
+        ),
+        (
+            "tensordimm",
+            Box::new(|| Box::new(TensorDimm::new(4, 2).expect("tensordimm config"))),
+        ),
+        ("recnmp-cluster[4]", Box::new(reference_cluster4)),
+    ];
+    let modes: Vec<ServingMode> = DispatchPolicy::ALL
         .iter()
-        .map(|(system, c)| curve_json(system, c))
+        .map(|&p| ServingMode::Queued(p))
         .collect();
-    format!(
-        "{{\n  \"schema\": \"{schema}\",\n  \"mode\": \"{}\",\n  \
-         \"arrival_process\": \"{}\",\n  \"seed\": {},\n  \
-         \"shape\": {{\"tables\": {}, \"batch\": {}, \"pooling\": {}, \
-         \"table_skew\": {:.2}, \"lookups_per_query\": {}}},\n  \
-         \"queries_per_point\": {},\n  \"curves\": [\n    {}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        spec.process.name(),
-        spec.seed,
-        shape.tables,
-        shape.batch,
-        shape.pooling,
-        shape.table_skew,
-        shape.lookups_per_query(),
-        spec.queries,
-        rendered.join(",\n    ")
+    let curves = sweep_matrix(&mut backends, &modes, &spec)
+        .unwrap_or_else(|e| panic!("serving sweep failed: {e}"));
+    let labeled: Vec<(String, SweepCurve)> = curves
+        .into_iter()
+        .map(|lc| (lc.backend, lc.curve))
+        .collect();
+    // Schema /2: the shape object gained `table_skew`.
+    let report = sweep_report("recnmp-serving/2", smoke, &spec, &labeled);
+    (report, Ok(()))
+}
+
+fn run_placement(smoke: bool) -> Report {
+    let shape = if smoke {
+        QueryShape::reference_skewed()
+    } else {
+        QueryShape::for_model(RecModelKind::Rm1Small, 4).with_table_skew(1.5)
+    };
+    let spec = sweep_spec(smoke, shape);
+    let curves = placement_sweep(
+        &mut reference_cluster4,
+        &PlacementPolicy::COMPARED,
+        GatherCost::host_default(),
+        Some(reference_channel_capacity()),
+        &spec,
     )
+    .unwrap_or_else(|e| panic!("placement sweep failed: {e}"));
+    let labeled: Vec<(String, SweepCurve)> = curves
+        .into_iter()
+        .map(|c| ("recnmp-cluster[4]".to_string(), c))
+        .collect();
+    let report = sweep_report("recnmp-placement/1", smoke, &spec, &labeled);
+    (report, Ok(()))
 }
 
 /// Geometry of the tiering sweep: 16 tables of one million 128-byte rows
@@ -204,1094 +349,401 @@ fn tiers_at(num: u64, den: u64) -> TierSpec {
     }
 }
 
-/// The tiering report: like [`report_json`] but the shape object also
-/// records the sampling/rotation parameters that define the capacity
-/// workload, and each curve is labeled with its footprint ratio.
-fn tiering_report_json(smoke: bool, spec: &SweepSpec, curves: &[(String, SweepCurve)]) -> String {
-    let shape = spec.shape;
-    let rendered: Vec<String> = curves
-        .iter()
-        .map(|(system, c)| curve_json(system, c))
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"recnmp-tiering/1\",\n  \"mode\": \"{}\",\n  \
-         \"arrival_process\": \"{}\",\n  \"seed\": {},\n  \
-         \"shape\": {{\"tables\": {}, \"batch\": {}, \"pooling\": {}, \
-         \"table_skew\": {:.2}, \"skew_rotate\": {}, \"sample_tables\": {}, \
-         \"lookups_per_query\": {}}},\n  \
-         \"footprint_bytes\": {},\n  \"queries_per_point\": {},\n  \"curves\": [\n    {}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        spec.process.name(),
-        spec.seed,
-        shape.tables,
-        shape.batch,
-        shape.pooling,
-        shape.table_skew,
-        shape.skew_rotate,
-        shape.sample_tables,
-        shape.lookups_per_query(),
-        TIER_TABLES as u64 * TIER_TABLE_BYTES,
-        spec.queries,
-        rendered.join(",\n    ")
-    )
-}
-
-/// The fleet report: curves labeled by (nodes, placement, router), plus
-/// the always-run node-1-vs-bare-cluster equality verdict.
-fn fleet_report_json(
-    smoke: bool,
-    shape: QueryShape,
-    queries_per_node: usize,
-    node1_equals_cluster: bool,
-    curves: &[FleetCurve],
-) -> String {
-    let rendered: Vec<String> = curves.iter().map(fleet_curve_json).collect();
-    format!(
-        "{{\n  \"schema\": \"recnmp-fleet/1\",\n  \"mode\": \"{}\",\n  \
-         \"arrival_process\": \"poisson\",\n  \"seed\": {SEED},\n  \
-         \"shape\": {{\"tables\": {}, \"batch\": {}, \"pooling\": {}, \
-         \"table_skew\": {:.2}, \"sample_tables\": {}, \"lookups_per_query\": {}}},\n  \
-         \"queries_per_node\": {queries_per_node},\n  \
-         \"node1_equals_cluster\": {node1_equals_cluster},\n  \"curves\": [\n    {}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        shape.tables,
-        shape.batch,
-        shape.pooling,
-        shape.table_skew,
-        shape.sample_tables,
-        shape.lookups_per_query(),
-        rendered.join(",\n    ")
-    )
-}
-
-/// One (nodes, placement) knee of a committed `BENCH_fleet.json`.
-struct FleetBaselineEntry {
-    nodes: usize,
-    placement: String,
-    knee_qps: f64,
-}
-
-/// Scans one string field inside the current JSON object (bounded at the
-/// first `}`, which in a fleet curve closes the first *point*, well past
-/// the scalar header fields).
-fn scan_string(object: &str, field: &str) -> Option<String> {
-    let key = format!("\"{field}\": \"");
-    let at = object.find(&key)?;
-    let tail = &object[at + key.len()..];
-    tail.find('"').map(|end| tail[..end].to_string())
-}
-
-/// Scans one numeric field inside the current JSON object.
-fn scan_number(object: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\": ");
-    let at = object.find(&key)?;
-    let tail = &object[at + key.len()..];
-    let num: String = tail
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
-
-/// Extracts the mode and per-curve knees from a committed
-/// `BENCH_fleet.json` without a JSON dependency: scans for the fields
-/// [`fleet_report_json`] emits. Curves whose committed knee is `null`
-/// (nothing sustained) are skipped — there is no rate to regress from.
-fn parse_fleet_baseline(json: &str) -> (String, Vec<FleetBaselineEntry>) {
-    let mode = scan_string(json, "mode").unwrap_or_default();
-    let mut entries = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find("\"nodes\": ") {
-        rest = &rest[at..];
-        let object = &rest[..rest.find('}').unwrap_or(rest.len())];
-        if let (Some(nodes), Some(placement), Some(knee)) = (
-            scan_number(object, "nodes"),
-            scan_string(object, "placement"),
-            scan_number(object, "knee_qps"),
-        ) {
-            entries.push(FleetBaselineEntry {
-                nodes: nodes as usize,
-                placement,
-                knee_qps: knee,
-            });
-        }
-        rest = &rest[9..];
+fn run_tiering(smoke: bool) -> Report {
+    // The capacity workload of `fig_capacity`: each query samples 4 of
+    // 16 tables under Zipf-1.5 weights with the hot ranks strided across
+    // the id space (stride 5, coprime to 16).
+    let shape = if smoke {
+        QueryShape::new(TIER_TABLES, 2, 4)
+    } else {
+        QueryShape::new(TIER_TABLES, 4, 8)
     }
-    (mode, entries)
-}
-
-/// Compares fresh fleet knees against the committed baseline; returns
-/// failure messages. Every committed (nodes, placement) knee must still
-/// be measured, and none may regress more than 30%.
-fn check_fleet_baseline(baseline: &[FleetBaselineEntry], fresh: &[FleetCurve]) -> Vec<String> {
-    const MAX_REGRESSION: f64 = 0.30;
-    let mut failures = Vec::new();
-    for b in baseline {
-        let Some(curve) = fresh
-            .iter()
-            .find(|c| c.nodes == b.nodes && c.placement == b.placement)
-        else {
-            failures.push(format!(
-                "{} @ {} node(s): in the committed baseline but no longer swept \
-                 (regenerate the baseline deliberately)",
-                b.placement, b.nodes
-            ));
-            continue;
-        };
-        let now = curve.knee().map_or(0.0, |p| p.offered_qps);
-        if now < b.knee_qps * (1.0 - MAX_REGRESSION) {
-            failures.push(format!(
-                "{} @ {} node(s): knee {:.0} qps vs committed {:.0} ({:+.1}%)",
-                b.placement,
-                b.nodes,
-                now,
-                b.knee_qps,
-                (now / b.knee_qps - 1.0) * 100.0
-            ));
-        }
+    .with_table_skew(1.5)
+    .with_skew_rotation(5)
+    .with_table_sampling(4);
+    let mut spec = sweep_spec(smoke, shape);
+    if smoke {
+        (spec.queries, spec.probe_queries) = (14, 6);
     }
-    failures
-}
-
-/// One cache-aware serving curve in JSON: like [`curve_json`] but keyed
-/// by the arm label as well — two `cached-frequency` capacities share a
-/// mode name, so the label is the stable identity baselines check
-/// against.
-fn caching_curve_json(arm: &str, curve: &SweepCurve) -> String {
-    format!(
-        "{{\"system\": \"recnmp-opt-cluster[4]\", \"arm\": \"{}\", \"policy\": \"{}\", \
-         \"saturation_qps\": {:.1}, \"knee_qps\": {},\n      \"points\": [\n        {}\n      ]}}",
-        arm,
-        curve.mode.name(),
-        curve.saturation_qps,
-        knee_json(curve.knee()),
-        points_json(&curve.points)
-    )
-}
-
-/// The co-design verdict of a caching run: the largest co-designed arm
-/// against the cache-less frequency baseline at the shared loads.
-struct CachingVerdict {
-    arm_knee: f64,
-    baseline_knee: f64,
-    arm_top_p99: Cycle,
-    baseline_top_p99: Cycle,
-}
-
-impl CachingVerdict {
-    const ARM: &'static str = "cached-frequency@1MiB";
-    const BASELINE: &'static str = "sharded-frequency";
-
-    fn from_curves(curves: &[(String, SweepCurve)]) -> Self {
-        let find = |label: &str| {
-            &curves
-                .iter()
-                .find(|(l, _)| l == label)
-                .unwrap_or_else(|| panic!("caching arms missing {label}"))
-                .1
-        };
-        let knee = |c: &SweepCurve| c.knee().map_or(0.0, |p| p.offered_qps);
-        let top_p99 = |c: &SweepCurve| c.points.last().expect("swept points").summary.p99;
-        let (arm, baseline) = (find(Self::ARM), find(Self::BASELINE));
-        Self {
-            arm_knee: knee(arm),
-            baseline_knee: knee(baseline),
-            arm_top_p99: top_p99(arm),
-            baseline_top_p99: top_p99(baseline),
-        }
-    }
-
-    /// The cache earns its capacity by moving the knee or the tail.
-    fn wins(&self) -> bool {
-        self.arm_knee > self.baseline_knee || self.arm_top_p99 < self.baseline_top_p99
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"arm\": \"{}\", \"baseline\": \"{}\", \"arm_knee_qps\": {:.1}, \
-             \"baseline_knee_qps\": {:.1}, \"arm_top_p99_cycles\": {}, \
-             \"baseline_top_p99_cycles\": {}, \"wins\": {}}}",
-            Self::ARM,
-            Self::BASELINE,
-            self.arm_knee,
-            self.baseline_knee,
-            self.arm_top_p99,
-            self.baseline_top_p99,
-            self.wins()
+    let mut labeled: Vec<(String, SweepCurve)> = Vec::new();
+    for (num, den, ratio) in TIER_RATIOS {
+        let tiers = tiers_at(num, den);
+        let mut factory = || reference_tiered(tiers);
+        let curves = tiered_sweep(
+            &mut factory,
+            &TieredPolicy::COMPARED,
+            GatherCost::host_default(),
+            tiers,
+            &spec,
         )
+        .unwrap_or_else(|e| panic!("tiered sweep at {ratio} failed: {e}"));
+        labeled.extend(
+            curves
+                .into_iter()
+                .map(|c| (format!("tiered[4+2]@{ratio}"), c)),
+        );
     }
+    let extra = [
+        ("skew_rotate", shape.skew_rotate.into()),
+        ("sample_tables", shape.sample_tables.into()),
+    ];
+    let body = [
+        (
+            "footprint_bytes",
+            (TIER_TABLES as u64 * TIER_TABLE_BYTES).into(),
+        ),
+        ("queries_per_point", spec.queries.into()),
+        ("curves", labeled_curves(&labeled)),
+    ];
+    let run = (spec.process, spec.seed, shape);
+    (report("recnmp-tiering/1", smoke, run, extra, body), Ok(()))
 }
 
-/// The caching report: curves keyed by arm label plus the always-run
-/// co-design verdict.
-fn caching_report_json(
-    smoke: bool,
-    spec: &SweepSpec,
-    verdict: &CachingVerdict,
-    curves: &[(String, SweepCurve)],
-) -> String {
-    let shape = spec.shape;
-    let rendered: Vec<String> = curves
-        .iter()
-        .map(|(arm, c)| caching_curve_json(arm, c))
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"recnmp-caching/1\",\n  \"mode\": \"{}\",\n  \
-         \"arrival_process\": \"{}\",\n  \"seed\": {},\n  \
-         \"shape\": {{\"tables\": {}, \"batch\": {}, \"pooling\": {}, \
-         \"table_skew\": {:.2}, \"row_skew\": {:.2}, \"lookups_per_query\": {}}},\n  \
-         \"queries_per_point\": {},\n  \"co_design\": {},\n  \"curves\": [\n    {}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        spec.process.name(),
-        spec.seed,
-        shape.tables,
-        shape.batch,
-        shape.pooling,
-        shape.table_skew,
-        shape.row_skew,
-        shape.lookups_per_query(),
-        spec.queries,
-        verdict.json(),
-        rendered.join(",\n    ")
+fn run_fleet(smoke: bool) -> Report {
+    // The full-scale shape must carry enough distinct tables to keep all
+    // 64 channels of the 16-node fleet busy (128 single-copy tables over
+    // 64 channels), and must replicate enough of the Zipf head that no
+    // single-copy table's channel caps the fleet.
+    let (tables, batch, sample, hot_tables) = if smoke { (12, 2, 3, 2) } else { (128, 4, 4, 8) };
+    let shape = QueryShape::new(tables, batch, if smoke { 6 } else { 8 })
+        .with_table_skew(1.2)
+        .with_table_sampling(sample);
+    let node_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8, 16] };
+    let (queries_per_node, probe_per_node) = if smoke { (24, 10) } else { (48, 16) };
+    let utilizations: Vec<f64> = if smoke {
+        vec![0.4, 0.8, 1.2]
+    } else {
+        vec![0.3, 0.5, 0.7, 0.9, 1.1, 1.3]
+    };
+    let dispatches = [
+        FleetDispatch::replicated(hot_tables),
+        FleetDispatch::sharded(),
+    ];
+    let mut curves: Vec<FleetCurve> = Vec::new();
+    let mut node1_equal = false;
+    for &nodes in node_counts {
+        let spec = SweepSpec {
+            utilizations: utilizations.clone(),
+            queries: queries_per_node * nodes,
+            probe_queries: probe_per_node * nodes,
+            ..sweep_spec(smoke, shape)
+        };
+        let mut make = move || Fleet::reference(nodes);
+        let swept = fleet_sweep(&mut make, &dispatches, &spec)
+            .unwrap_or_else(|e| panic!("fleet sweep at {nodes} node(s) failed: {e}"));
+        if nodes == 1 {
+            // The router-costs-nothing invariant: the 1-node fleet's
+            // sharded curve must exactly equal the bare cluster under the
+            // same sharded dispatch, anchor and loads.
+            let sharded = &swept[1];
+            let offered: Vec<f64> = sharded.points.iter().map(|p| p.offered_qps).collect();
+            let mode = ServingMode::Sharded(ShardedDispatch {
+                placement: dispatches[1].within_policy,
+                gather: dispatches[1].gather,
+                channel_capacity: dispatches[1].channel_capacity,
+                host_cache: None,
+                prefetch: None,
+            });
+            let cluster_curve = qps_sweep_at(
+                &mut reference_cluster4,
+                mode,
+                spec.process,
+                spec.shape,
+                sharded.saturation_qps,
+                &offered,
+                spec.queries,
+                spec.seed,
+            )
+            .unwrap_or_else(|e| panic!("bare-cluster equality sweep failed: {e}"));
+            node1_equal = sharded.points == cluster_curve.points;
+        }
+        curves.extend(swept);
+    }
+    let curves = curves.iter().map(|c| {
+        let labels = [
+            ("system", c.system.as_str().into()),
+            ("nodes", c.nodes.into()),
+            ("placement", c.placement.as_str().into()),
+            ("router", c.router.into()),
+        ];
+        curve(labels, c.saturation_qps, &c.points)
+    });
+    let body = [
+        ("queries_per_node", queries_per_node.into()),
+        ("node1_equals_cluster", node1_equal.into()),
+        ("curves", Json::Arr(curves.collect())),
+    ];
+    let extra = [("sample_tables", shape.sample_tables.into())];
+    let run = (ArrivalProcess::Poisson, SEED, shape);
+    (
+        report("recnmp-fleet/1", smoke, run, extra, body),
+        node1_equal.then_some(()).ok_or_else(|| {
+            "node-1 fleet diverged from the bare cluster: the router layer must be free at \
+             one node"
+                .to_string()
+        }),
     )
 }
 
-/// One arm's knee of a committed `BENCH_caching.json`.
-struct CachingBaselineEntry {
-    arm: String,
-    knee_qps: f64,
+fn run_caching(smoke: bool) -> Report {
+    // The co-design verdict compares the largest co-designed arm against
+    // the cache-less frequency baseline at the shared loads.
+    const ARM: &str = "cached-frequency@1MiB";
+    const BASELINE: &str = "sharded-frequency";
+    // The row streams are hotter than the reference workload (Zipf 1.2)
+    // so a bounded host cache sees real repeat traffic — the same shapes
+    // as the `fig_cache_serving` experiment at the matching scale.
+    let shape = if smoke {
+        QueryShape::reference_skewed().with_row_skew(1.2)
+    } else {
+        QueryShape::for_model(RecModelKind::Rm1Small, 4)
+            .with_table_skew(1.5)
+            .with_row_skew(1.2)
+    };
+    let spec = sweep_spec(smoke, shape);
+    let arms = reference_caching_arms();
+    let modes: Vec<ServingMode> = arms.iter().map(|(_, m)| *m).collect();
+    let curves = caching_sweep(&mut reference_cluster4_optimized, modes[0], &modes, &spec)
+        .unwrap_or_else(|e| panic!("caching sweep failed: {e}"));
+    let labeled: Vec<(String, SweepCurve)> = arms
+        .into_iter()
+        .map(|(label, _)| label)
+        .zip(curves)
+        .collect();
+    let find = |label: &str| {
+        &labeled
+            .iter()
+            .find(|(l, _)| l == label)
+            .unwrap_or_else(|| panic!("caching arms missing {label}"))
+            .1
+    };
+    let knee = |c: &SweepCurve| c.knee().map_or(0.0, |p| p.offered_qps);
+    let top_p99 = |c: &SweepCurve| c.points.last().expect("swept points").summary.p99;
+    let (arm, baseline) = (find(ARM), find(BASELINE));
+    // The cache earns its capacity by moving the knee or the tail.
+    let wins = knee(arm) > knee(baseline) || top_p99(arm) < top_p99(baseline);
+    let co_design = Json::obj([
+        ("arm", ARM.into()),
+        ("baseline", BASELINE.into()),
+        ("arm_knee_qps", Json::fixed(knee(arm), 1)),
+        ("baseline_knee_qps", Json::fixed(knee(baseline), 1)),
+        ("arm_top_p99_cycles", top_p99(arm).into()),
+        ("baseline_top_p99_cycles", top_p99(baseline).into()),
+        ("wins", wins.into()),
+    ]);
+    // Curves carry the arm label as well as the policy: two
+    // `cached-frequency` capacities share a policy name.
+    let curves = labeled.iter().map(|(label, c)| {
+        let labels = [
+            ("system", "recnmp-opt-cluster[4]".into()),
+            ("arm", label.as_str().into()),
+            ("policy", c.mode.name().into()),
+        ];
+        curve(labels, c.saturation_qps, &c.points)
+    });
+    let body = [
+        ("queries_per_point", spec.queries.into()),
+        ("co_design", co_design),
+        ("curves", Json::Arr(curves.collect())),
+    ];
+    let extra = [("row_skew", Json::fixed(shape.row_skew, 2))];
+    let run = (spec.process, spec.seed, shape);
+    (
+        report("recnmp-caching/1", smoke, run, extra, body),
+        wins.then_some(()).ok_or_else(|| {
+            format!(
+                "cache/placement co-design lost to the bare frequency baseline: {ARM} must \
+                 lift the knee or cut the top-load p99 vs {BASELINE}"
+            )
+        }),
+    )
 }
 
-/// Extracts the mode and per-arm knees from a committed
-/// `BENCH_caching.json`, scanning the fields [`caching_report_json`]
-/// emits (same no-dependency scheme as [`parse_fleet_baseline`]; the
-/// `co_design` object carries no `"arm": ` key-with-following-object, so
-/// only curve objects match). Arms whose committed knee is `null` are
-/// skipped.
-fn parse_caching_baseline(json: &str) -> (String, Vec<CachingBaselineEntry>) {
-    let mode = scan_string(json, "mode").unwrap_or_default();
-    let mut entries = Vec::new();
-    // Skip past the verdict object: curves follow the `"curves"` key.
-    let mut rest = json.split("\"curves\"").nth(1).unwrap_or("");
-    while let Some(at) = rest.find("\"arm\": ") {
-        rest = &rest[at..];
-        let object = &rest[..rest.find('}').unwrap_or(rest.len())];
-        if let (Some(arm), Some(knee)) =
-            (scan_string(object, "arm"), scan_number(object, "knee_qps"))
-        {
-            entries.push(CachingBaselineEntry {
-                arm,
-                knee_qps: knee,
-            });
-        }
-        rest = &rest[7..];
-    }
-    (mode, entries)
-}
-
-/// Compares fresh caching knees against the committed baseline; returns
-/// failure messages. Every committed arm must still be measured, and
-/// none may regress more than 30%.
-fn check_caching_baseline(
-    baseline: &[CachingBaselineEntry],
-    fresh: &[(String, SweepCurve)],
-) -> Vec<String> {
-    const MAX_REGRESSION: f64 = 0.30;
-    let mut failures = Vec::new();
-    for b in baseline {
-        let Some((_, curve)) = fresh.iter().find(|(arm, _)| *arm == b.arm) else {
-            failures.push(format!(
-                "{}: in the committed baseline but no longer swept \
-                 (regenerate the baseline deliberately)",
-                b.arm
-            ));
-            continue;
-        };
-        let now = curve.knee().map_or(0.0, |p| p.offered_qps);
-        if now < b.knee_qps * (1.0 - MAX_REGRESSION) {
-            failures.push(format!(
-                "{}: knee {:.0} qps vs committed {:.0} ({:+.1}%)",
-                b.arm,
-                now,
-                b.knee_qps,
-                (now / b.knee_qps - 1.0) * 100.0
-            ));
-        }
-    }
-    failures
-}
-
-/// The resilience sweep's seed — the same anchor as the
-/// `fig_resilience` experiment, so the bench artifact and the committed
-/// golden tell one story.
+/// The resilience sweep's seed — the same anchor as the `fig_resilience`
+/// experiment, so the bench artifact and the committed golden tell one
+/// story.
 const RESILIENCE_SEED: u64 = 0x5e51_11e0;
 
-/// Hedge column label of one resilience arm.
-fn hedge_label(hedged: bool) -> &'static str {
-    if hedged {
-        "p95"
+fn run_resilience(smoke: bool) -> Report {
+    // The fault-injection sweep on the 4-node reference fleet: the same
+    // shapes, load and anchors as the `fig_resilience` experiment at the
+    // matching scale.
+    let nodes = 4;
+    let (tables, batch, pooling, sample, queries) = if smoke {
+        (12, 2, 6, 3, 64)
     } else {
-        "off"
-    }
-}
-
-/// The resilience report: the derived SLO anchors, the crash verdict,
-/// and one entry per (fault level x placement x hedging) arm.
-fn resilience_report_json(smoke: bool, spec: &ResilienceSpec, sweep: &ResilienceSweep) -> String {
-    let shape = spec.shape;
-    let arms: Vec<String> = sweep
-        .arms
-        .iter()
-        .map(|a| {
+        (24, 4, 8, 4, 256)
+    };
+    let shape = QueryShape::new(tables, batch, pooling)
+        .with_table_skew(1.2)
+        .with_table_sampling(sample);
+    let spec = ResilienceSpec {
+        process: ArrivalProcess::Poisson,
+        qps: 40_000.0 * nodes as f64,
+        queries,
+        shape,
+        seed: RESILIENCE_SEED,
+        deadline_p99_multiple: 3,
+        sustain_fraction: 0.90,
+        degrade_multiplier: 16,
+    };
+    let mut make = move || Fleet::reference(nodes);
+    let sweep = resilience_sweep(&mut make, &spec)
+        .unwrap_or_else(|e| panic!("resilience sweep failed: {e}"));
+    let arms = sweep.arms.iter().map(|a| {
+        let r = &a.report.report;
+        Json::obj([
+            ("faults", a.faults.into()),
+            ("placement", a.placement.into()),
+            ("hedge", (if a.hedged { "p95" } else { "off" }).into()),
+            ("availability", Json::fixed(a.availability, 3)),
+            ("pre_goodput", Json::fixed(a.pre_goodput, 3)),
+            ("post_goodput", Json::fixed(a.post_goodput, 3)),
+            ("sustained", a.sustained.into()),
+            ("failovers", r.failovers.into()),
+            ("retries", r.retries.into()),
+            ("hedges", r.hedges.into()),
+            ("rejected", r.queries_rejected.into()),
+            ("shed", r.queries_shed.into()),
+            ("failed", r.queries_failed.into()),
+        ])
+    });
+    let (arm, baseline) = (sweep.verdict_arm(), sweep.verdict_baseline());
+    let verdict = Json::obj([
+        ("arm", "fleet-replicated+p95".into()),
+        ("baseline", "fleet-sharded+off".into()),
+        ("arm_goodput_ratio", Json::fixed(arm.goodput_ratio(), 3)),
+        (
+            "baseline_goodput_ratio",
+            Json::fixed(baseline.goodput_ratio(), 3),
+        ),
+        ("sustain_fraction", Json::fixed(sweep.sustain_fraction, 2)),
+        ("sustained_through_crash", arm.sustained.into()),
+        ("baseline_collapsed", (!baseline.sustained).into()),
+    ]);
+    let body = [
+        ("queries", spec.queries.into()),
+        ("qps", Json::fixed(spec.qps, 1)),
+        ("crashed_node", sweep.crashed_node.into()),
+        ("crash_at_cycle", sweep.crash_at.into()),
+        ("deadline_cycles", sweep.deadline.into()),
+        ("verdict", verdict),
+        ("arms", Json::Arr(arms.collect())),
+    ];
+    let extra = [("sample_tables", shape.sample_tables.into())];
+    let run = (spec.process, spec.seed, shape);
+    (
+        report("recnmp-resilience/1", smoke, run, extra, body),
+        sweep.verdict_holds().then_some(()).ok_or_else(|| {
             format!(
-                "{{\"faults\": \"{}\", \"placement\": \"{}\", \"hedge\": \"{}\", \
-                 \"availability\": {:.3}, \"pre_goodput\": {:.3}, \"post_goodput\": {:.3}, \
-                 \"sustained\": {}, \"failovers\": {}, \"retries\": {}, \"hedges\": {}, \
-                 \"rejected\": {}, \"shed\": {}, \"failed\": {}}}",
-                a.faults,
-                a.placement,
-                hedge_label(a.hedged),
-                a.availability,
-                a.pre_goodput,
-                a.post_goodput,
-                a.sustained,
-                a.report.report.failovers,
-                a.report.report.retries,
-                a.report.report.hedges,
-                a.report.report.queries_rejected,
-                a.report.report.queries_shed,
-                a.report.report.queries_failed
+                "resilience verdict broken: replicated+p95 must keep >= {:.0}% of its \
+                 pre-crash goodput through the node crash while sharded placement collapses",
+                100.0 * sweep.sustain_fraction
             )
-        })
-        .collect();
-    let verdict = format!(
-        "{{\"arm\": \"fleet-replicated+p95\", \"baseline\": \"fleet-sharded+off\", \
-         \"arm_goodput_ratio\": {:.3}, \"baseline_goodput_ratio\": {:.3}, \
-         \"sustain_fraction\": {:.2}, \"sustained_through_crash\": {}, \
-         \"baseline_collapsed\": {}}}",
-        sweep.verdict_arm().goodput_ratio(),
-        sweep.verdict_baseline().goodput_ratio(),
-        sweep.sustain_fraction,
-        sweep.verdict_arm().sustained,
-        !sweep.verdict_baseline().sustained
-    );
-    format!(
-        "{{\n  \"schema\": \"recnmp-resilience/1\",\n  \"mode\": \"{}\",\n  \
-         \"arrival_process\": \"{}\",\n  \"seed\": {},\n  \
-         \"shape\": {{\"tables\": {}, \"batch\": {}, \"pooling\": {}, \
-         \"table_skew\": {:.2}, \"sample_tables\": {}, \"lookups_per_query\": {}}},\n  \
-         \"queries\": {},\n  \"qps\": {:.1},\n  \"crashed_node\": {},\n  \
-         \"crash_at_cycle\": {},\n  \"deadline_cycles\": {},\n  \
-         \"verdict\": {},\n  \"arms\": [\n    {}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        spec.process.name(),
-        spec.seed,
-        shape.tables,
-        shape.batch,
-        shape.pooling,
-        shape.table_skew,
-        shape.sample_tables,
-        shape.lookups_per_query(),
-        spec.queries,
-        spec.qps,
-        sweep.crashed_node,
-        sweep.crash_at,
-        sweep.deadline,
-        verdict,
-        arms.join(",\n    ")
+        }),
     )
-}
-
-/// One arm's post-fault goodput of a committed `BENCH_resilience.json`.
-struct ResilienceBaselineEntry {
-    faults: String,
-    placement: String,
-    hedge: String,
-    post_goodput: f64,
-}
-
-/// Extracts the mode and per-arm post-fault goodputs from a committed
-/// `BENCH_resilience.json`, scanning the fields
-/// [`resilience_report_json`] emits (same no-dependency scheme as
-/// [`parse_fleet_baseline`]; the verdict object carries no `"faults"`
-/// key, so only arm objects match).
-fn parse_resilience_baseline(json: &str) -> (String, Vec<ResilienceBaselineEntry>) {
-    let mode = scan_string(json, "mode").unwrap_or_default();
-    let mut entries = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find("\"faults\": ") {
-        rest = &rest[at..];
-        let object = &rest[..rest.find('}').unwrap_or(rest.len())];
-        if let (Some(faults), Some(placement), Some(hedge), Some(post)) = (
-            scan_string(object, "faults"),
-            scan_string(object, "placement"),
-            scan_string(object, "hedge"),
-            scan_number(object, "post_goodput"),
-        ) {
-            entries.push(ResilienceBaselineEntry {
-                faults,
-                placement,
-                hedge,
-                post_goodput: post,
-            });
-        }
-        rest = &rest[10..];
-    }
-    (mode, entries)
-}
-
-/// Compares fresh post-fault goodputs against the committed baseline;
-/// returns failure messages. Every committed arm must still be measured,
-/// and none may lose more than 30% of its goodput.
-fn check_resilience_baseline(
-    baseline: &[ResilienceBaselineEntry],
-    fresh: &ResilienceSweep,
-) -> Vec<String> {
-    const MAX_REGRESSION: f64 = 0.30;
-    let mut failures = Vec::new();
-    for b in baseline {
-        let Some(arm) = fresh.arms.iter().find(|a| {
-            a.faults == b.faults && a.placement == b.placement && hedge_label(a.hedged) == b.hedge
-        }) else {
-            failures.push(format!(
-                "{}/{}/{}: in the committed baseline but no longer swept \
-                 (regenerate the baseline deliberately)",
-                b.faults, b.placement, b.hedge
-            ));
-            continue;
-        };
-        if arm.post_goodput < b.post_goodput * (1.0 - MAX_REGRESSION) {
-            failures.push(format!(
-                "{}/{}/{}: post-fault goodput {:.1}% vs committed {:.1}% ({:+.1}%)",
-                b.faults,
-                b.placement,
-                b.hedge,
-                100.0 * arm.post_goodput,
-                100.0 * b.post_goodput,
-                (arm.post_goodput / b.post_goodput - 1.0) * 100.0
-            ));
-        }
-    }
-    failures
-}
-
-/// Reads the committed copy of `path` from `git show HEAD:./path` — the
-/// shared baseline source for local runs and CI.
-fn git_show_head(path: &str) -> String {
-    let output = std::process::Command::new("git")
-        .args(["show", &format!("HEAD:./{path}")])
-        .output()
-        .unwrap_or_else(|e| panic!("running git show for {path}: {e}"));
-    assert!(
-        output.status.success(),
-        "git show HEAD:./{path} failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    String::from_utf8(output.stdout).unwrap_or_else(|e| panic!("HEAD:./{path} is not UTF-8: {e}"))
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut placement = false;
-    let mut tiering = false;
-    let mut fleet = false;
-    let mut caching = false;
-    let mut resilience = false;
-    let mut out: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut baseline_from_git = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--placement" => placement = true,
-            "--tiering" => tiering = true,
-            "--fleet" => fleet = true,
-            "--caching" => caching = true,
-            "--resilience" => resilience = true,
-            "--workers" => {
-                let n = args
-                    .next()
-                    .expect("--workers requires a count")
-                    .parse()
-                    .expect("--workers requires a positive integer");
-                recnmp_exec::set_global_workers(n)
-                    .unwrap_or_else(|e| panic!("pinning pool size: {e}"));
-            }
-            "--out" => out = Some(args.next().expect("--out requires a path")),
-            "--baseline" => {
-                baseline_path = Some(args.next().expect("--baseline requires a path"));
-            }
-            "--baseline-from-git" => baseline_from_git = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: serve_sweep [--smoke] [--placement] [--tiering] [--fleet] \
-                     [--caching] [--resilience] [--workers N] [--out PATH] \
-                     [--baseline PATH | --baseline-from-git]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if (baseline_path.is_some() || baseline_from_git) && !(fleet || caching || resilience) {
-        eprintln!(
-            "--baseline/--baseline-from-git gate the fleet, caching and resilience \
-             sweeps: add --fleet, --caching or --resilience"
-        );
+    let (mode, args) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
         std::process::exit(2);
-    }
+    });
+    args.pin_workers();
+    let out = args.out.unwrap_or_else(|| mode.default_out());
+    // Read the committed report before this run overwrites `out`.
+    let committed = args.baseline.map(|b| b.read(&out));
     println!(
-        "execution engine: {} pool worker(s)",
+        "serve_sweep {}: {} pool worker(s)",
+        mode.name(),
         recnmp_exec::current().workers()
     );
-    let base_shape = if smoke {
-        QueryShape::new(2, 2, 8)
-    } else {
-        QueryShape::for_model(RecModelKind::Rm1Small, 4)
-    };
-    let (queries, probe) = if smoke { (24, 8) } else { (48, 12) };
-    let utilizations: Vec<f64> = if smoke {
-        vec![0.3, 0.6, 0.9, 1.2]
-    } else {
-        vec![0.2, 0.4, 0.6, 0.8, 1.0, 1.2]
-    };
+    let (report, verdict) = mode.run(args.smoke);
+    summarize(&report);
+    std::fs::write(&out, report.write()).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    println!("wrote {out}");
 
-    // The fleet and caching paths keep their curves for the post-write
-    // verdict and baseline gates.
-    let mut fleet_outcome: Option<(Vec<FleetCurve>, bool)> = None;
-    let mut caching_outcome: Option<(Vec<(String, SweepCurve)>, bool)> = None;
-    let mut resilience_outcome: Option<ResilienceSweep> = None;
-    let (json, out_path) = if resilience {
-        // The fault-injection sweep on the 4-node reference fleet: the
-        // same shapes, load and anchors as the `fig_resilience`
-        // experiment at the matching scale, so the bench artifact and
-        // the committed golden agree.
-        let nodes = 4;
-        let (shape, queries) = if smoke {
-            (
-                QueryShape::new(12, 2, 6)
-                    .with_table_skew(1.2)
-                    .with_table_sampling(3),
-                64,
-            )
-        } else {
-            (
-                QueryShape::new(24, 4, 8)
-                    .with_table_skew(1.2)
-                    .with_table_sampling(4),
-                256,
-            )
-        };
-        let spec = ResilienceSpec {
-            process: ArrivalProcess::Poisson,
-            qps: 40_000.0 * nodes as f64,
-            queries,
-            shape,
-            seed: RESILIENCE_SEED,
-            deadline_p99_multiple: 3,
-            sustain_fraction: 0.90,
-            degrade_multiplier: 16,
-        };
-        println!(
-            "serve_sweep resilience ({}): {nodes} reference nodes, {} tables \
-             (skew {:.1}, sample {}) x batch {} = {} lookups/query, \
-             {} queries at {:.0} qps",
-            if smoke { "smoke" } else { "full" },
-            shape.tables,
-            shape.table_skew,
-            shape.sample_tables,
-            shape.batch,
-            shape.lookups_per_query(),
-            spec.queries,
-            spec.qps
-        );
-        let mut make = move || Fleet::reference(nodes);
-        let sweep = resilience_sweep(&mut make, &spec)
-            .unwrap_or_else(|e| panic!("resilience sweep failed: {e}"));
-        println!(
-            "  SLO deadline {} cycles (3x fault-free p99 {}), node {} crashes at cycle {}",
-            sweep.deadline, sweep.baseline_p99, sweep.crashed_node, sweep.crash_at
-        );
-        for a in &sweep.arms {
-            println!(
-                "  {:<10} {:<18} hedge {}  avail {:.2}  goodput {:>5.1}% -> {:>5.1}%  {}",
-                a.faults,
-                a.placement,
-                hedge_label(a.hedged),
-                a.availability,
-                100.0 * a.pre_goodput,
-                100.0 * a.post_goodput,
-                if a.sustained {
-                    "sustained"
-                } else {
-                    "collapsed"
-                }
-            );
-        }
-        println!(
-            "  verdict: through the crash, replicated+p95 keeps {:.1}% of pre-fault \
-             goodput, sharded keeps {:.1}% — {}",
-            100.0 * sweep.verdict_arm().goodput_ratio(),
-            100.0 * sweep.verdict_baseline().goodput_ratio(),
-            if sweep.verdict_holds() {
-                "holds"
-            } else {
-                "BROKEN"
-            }
-        );
-        let json = resilience_report_json(smoke, &spec, &sweep);
-        resilience_outcome = Some(sweep);
-        (
-            json,
-            out.unwrap_or_else(|| "BENCH_resilience.json".to_string()),
-        )
-    } else if caching {
-        // The cache-aware arms on the RecNMP-opt cluster: the row streams
-        // are hotter than the reference workload (Zipf 1.2) so a bounded
-        // host cache sees real repeat traffic — the same shapes as the
-        // `fig_cache_serving` experiment at the matching scale.
-        let shape = if smoke {
-            QueryShape::reference_skewed().with_row_skew(1.2)
-        } else {
-            QueryShape::for_model(RecModelKind::Rm1Small, 4)
-                .with_table_skew(1.5)
-                .with_row_skew(1.2)
-        };
-        let spec = SweepSpec {
-            process: ArrivalProcess::Poisson,
-            shape,
-            utilizations,
-            queries,
-            probe_queries: probe,
-            seed: SEED,
-        };
-        let arms = reference_caching_arms();
-        println!(
-            "serve_sweep caching ({}): {} tables (skew {:.1}, row skew {:.1}) x batch {} = \
-             {} lookups/query, {} queries/point, {} arms x {} load points",
-            if smoke { "smoke" } else { "full" },
-            shape.tables,
-            shape.table_skew,
-            shape.row_skew,
-            shape.batch,
-            shape.lookups_per_query(),
-            spec.queries,
-            arms.len(),
-            spec.utilizations.len()
-        );
-        let modes: Vec<ServingMode> = arms.iter().map(|(_, m)| *m).collect();
-        let curves = caching_sweep(&mut reference_cluster4_optimized, modes[0], &modes, &spec)
-            .unwrap_or_else(|e| panic!("caching sweep failed: {e}"));
-        let labeled: Vec<(String, SweepCurve)> = arms
-            .into_iter()
-            .map(|(label, _)| label)
-            .zip(curves)
-            .collect();
-        for (label, c) in &labeled {
-            print_curve(label, c);
-        }
-        let verdict = CachingVerdict::from_curves(&labeled);
-        println!(
-            "  co-design: {} knee {:.0} vs {} knee {:.0} qps, top p99 {} vs {} cycles — {}",
-            CachingVerdict::ARM,
-            verdict.arm_knee,
-            CachingVerdict::BASELINE,
-            verdict.baseline_knee,
-            verdict.arm_top_p99,
-            verdict.baseline_top_p99,
-            if verdict.wins() { "wins" } else { "LOSES" }
-        );
-        let json = caching_report_json(smoke, &spec, &verdict, &labeled);
-        let wins = verdict.wins();
-        caching_outcome = Some((labeled, wins));
-        (
-            json,
-            out.unwrap_or_else(|| "BENCH_caching.json".to_string()),
-        )
-    } else if fleet {
-        // The full-scale shape must carry enough distinct tables to keep
-        // all 64 channels of the 16-node fleet busy (128 single-copy
-        // tables over 64 channels), and must replicate enough of the
-        // Zipf head that no single-copy table's channel caps the fleet.
-        let (shape, hot_tables) = if smoke {
-            (
-                QueryShape::new(12, 2, 6)
-                    .with_table_skew(1.2)
-                    .with_table_sampling(3),
-                2,
-            )
-        } else {
-            (
-                QueryShape::new(128, 4, 8)
-                    .with_table_skew(1.2)
-                    .with_table_sampling(4),
-                8,
-            )
-        };
-        let node_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8, 16] };
-        let (queries_per_node, probe_per_node) = if smoke { (24, 10) } else { (48, 16) };
-        let fleet_utilizations: Vec<f64> = if smoke {
-            vec![0.4, 0.8, 1.2]
-        } else {
-            vec![0.3, 0.5, 0.7, 0.9, 1.1, 1.3]
-        };
-        let dispatches = [
-            FleetDispatch::replicated(hot_tables),
-            FleetDispatch::sharded(),
-        ];
-        println!(
-            "serve_sweep fleet ({}): {} tables (skew {:.1}, sample {}) x batch {} = \
-             {} lookups/query, {queries_per_node}x nodes queries/point, \
-             {} node counts x {} load points",
-            if smoke { "smoke" } else { "full" },
-            shape.tables,
-            shape.table_skew,
-            shape.sample_tables,
-            shape.batch,
-            shape.lookups_per_query(),
-            node_counts.len(),
-            fleet_utilizations.len()
-        );
-        let mut curves: Vec<FleetCurve> = Vec::new();
-        let mut node1_equal = false;
-        for &nodes in node_counts {
-            let spec = SweepSpec {
-                process: ArrivalProcess::Poisson,
-                shape,
-                utilizations: fleet_utilizations.clone(),
-                queries: queries_per_node * nodes,
-                probe_queries: probe_per_node * nodes,
-                seed: SEED,
-            };
-            let mut make = move || Fleet::reference(nodes);
-            let swept = fleet_sweep(&mut make, &dispatches, &spec)
-                .unwrap_or_else(|e| panic!("fleet sweep at {nodes} node(s) failed: {e}"));
-            if nodes == 1 {
-                // The router-costs-nothing invariant: the 1-node fleet's
-                // sharded curve must exactly equal the bare cluster
-                // under the same sharded dispatch, anchor and loads.
-                let sharded = &swept[1];
-                let offered: Vec<f64> = sharded.points.iter().map(|p| p.offered_qps).collect();
-                let mode = ServingMode::Sharded(ShardedDispatch {
-                    placement: dispatches[1].within_policy,
-                    gather: dispatches[1].gather,
-                    channel_capacity: dispatches[1].channel_capacity,
-                    host_cache: None,
-                    prefetch: None,
-                });
-                let cluster_curve = qps_sweep_at(
-                    &mut reference_cluster4,
-                    mode,
-                    spec.process,
-                    spec.shape,
-                    sharded.saturation_qps,
-                    &offered,
-                    spec.queries,
-                    spec.seed,
-                )
-                .unwrap_or_else(|e| panic!("bare-cluster equality sweep failed: {e}"));
-                node1_equal = sharded.points == cluster_curve.points;
-                println!(
-                    "  node-1 fleet vs bare cluster: {}",
-                    if node1_equal { "identical" } else { "DIVERGED" }
-                );
-            }
-            for c in &swept {
-                let knee = c
-                    .knee()
-                    .map_or("none".to_string(), |p| format!("{:.0} qps", p.offered_qps));
-                println!(
-                    "  {:<28} {:<22} saturation {:>12.0} qps  knee {}",
-                    c.system, c.placement, c.saturation_qps, knee
-                );
-            }
-            curves.extend(swept);
-        }
-        let json = fleet_report_json(smoke, shape, queries_per_node, node1_equal, &curves);
-        fleet_outcome = Some((curves, node1_equal));
-        (json, out.unwrap_or_else(|| "BENCH_fleet.json".to_string()))
-    } else if tiering {
-        // The capacity workload of `fig_capacity`: each query samples 4
-        // of 16 tables under Zipf-1.5 weights with the hot ranks strided
-        // across the id space (stride 5, coprime to 16).
-        let shape = if smoke {
-            QueryShape::new(TIER_TABLES, 2, 4)
-        } else {
-            QueryShape::new(TIER_TABLES, 4, 8)
-        }
-        .with_table_skew(1.5)
-        .with_skew_rotation(5)
-        .with_table_sampling(4);
-        let spec = SweepSpec {
-            process: ArrivalProcess::Poisson,
-            shape,
-            utilizations,
-            queries: if smoke { 14 } else { queries },
-            probe_queries: if smoke { 6 } else { probe },
-            seed: SEED,
-        };
-        println!(
-            "serve_sweep tiering ({}): {} tables (skew {:.1}, sample {}) x batch {} = \
-             {} lookups/query, {} queries/point, {} ratios x {} load points",
-            if smoke { "smoke" } else { "full" },
-            shape.tables,
-            shape.table_skew,
-            shape.sample_tables,
-            shape.batch,
-            shape.lookups_per_query(),
-            spec.queries,
-            TIER_RATIOS.len(),
-            spec.utilizations.len()
-        );
-        let mut labeled: Vec<(String, SweepCurve)> = Vec::new();
-        for (num, den, ratio) in TIER_RATIOS {
-            let tiers = tiers_at(num, den);
-            let mut factory = || reference_tiered(tiers);
-            let curves = tiered_sweep(
-                &mut factory,
-                &TieredPolicy::COMPARED,
-                GatherCost::host_default(),
-                tiers,
-                &spec,
-            )
-            .unwrap_or_else(|e| panic!("tiered sweep at {ratio} failed: {e}"));
-            for c in curves {
-                labeled.push((format!("tiered[4+2]@{ratio}"), c));
-            }
-        }
-        for (label, c) in &labeled {
-            print_curve(label, c);
-        }
-        (
-            tiering_report_json(smoke, &spec, &labeled),
-            out.unwrap_or_else(|| "BENCH_tiering.json".to_string()),
-        )
-    } else if placement {
-        let shape = if smoke {
-            QueryShape::reference_skewed()
-        } else {
-            base_shape.with_table_skew(1.5)
-        };
-        let spec = SweepSpec {
-            process: ArrivalProcess::Poisson,
-            shape,
-            utilizations,
-            queries,
-            probe_queries: probe,
-            seed: SEED,
-        };
-        println!(
-            "serve_sweep placement ({}): {} tables (skew {:.1}) x batch {} = {} lookups/query, \
-             {} queries/point, {} load points",
-            if smoke { "smoke" } else { "full" },
-            shape.tables,
-            shape.table_skew,
-            shape.batch,
-            shape.lookups_per_query(),
-            spec.queries,
-            spec.utilizations.len()
-        );
-        let curves = placement_sweep(
-            &mut reference_cluster4,
-            &PlacementPolicy::COMPARED,
-            GatherCost::host_default(),
-            Some(reference_channel_capacity()),
-            &spec,
-        )
-        .unwrap_or_else(|e| panic!("placement sweep failed: {e}"));
-        let labeled: Vec<(String, SweepCurve)> = curves
-            .into_iter()
-            .map(|c| ("recnmp-cluster[4]".to_string(), c))
-            .collect();
-        for (label, c) in &labeled {
-            print_curve(label, c);
-        }
-        (
-            report_json("recnmp-placement/1", smoke, &spec, &labeled),
-            out.unwrap_or_else(|| "BENCH_placement.json".to_string()),
-        )
-    } else {
-        let spec = SweepSpec {
-            process: ArrivalProcess::Poisson,
-            shape: base_shape,
-            utilizations,
-            queries,
-            probe_queries: probe,
-            seed: SEED,
-        };
-        println!(
-            "serve_sweep ({}): {} tables x batch {} x pooling {} = {} lookups/query, \
-             {} queries/point, {} load points",
-            if smoke { "smoke" } else { "full" },
-            base_shape.tables,
-            base_shape.batch,
-            base_shape.pooling,
-            base_shape.lookups_per_query(),
-            spec.queries,
-            spec.utilizations.len()
-        );
-        let mut backends: NamedFactories<'_> = vec![
-            (
-                "host",
-                Box::new(|| Box::new(HostBaseline::new(4, 2).expect("host config"))),
-            ),
-            (
-                "tensordimm",
-                Box::new(|| Box::new(TensorDimm::new(4, 2).expect("tensordimm config"))),
-            ),
-            ("recnmp-cluster[4]", Box::new(reference_cluster4)),
-        ];
-        let modes: Vec<ServingMode> = DispatchPolicy::ALL
-            .iter()
-            .map(|&p| ServingMode::Queued(p))
-            .collect();
-        let curves = sweep_matrix(&mut backends, &modes, &spec)
-            .unwrap_or_else(|e| panic!("serving sweep failed: {e}"));
-        let labeled: Vec<(String, SweepCurve)> = curves
-            .into_iter()
-            .map(|lc| (lc.backend, lc.curve))
-            .collect();
-        for (label, c) in &labeled {
-            print_curve(label, c);
-        }
-        (
-            // Schema /2: the shape object gained `table_skew`.
-            report_json("recnmp-serving/2", smoke, &spec, &labeled),
-            out.unwrap_or_else(|| "BENCH_serving.json".to_string()),
-        )
-    };
-
-    std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    println!("wrote {out_path}");
-
-    if let Some(sweep) = resilience_outcome {
-        if !sweep.verdict_holds() {
-            eprintln!(
-                "resilience verdict broken: replicated+p95 must keep >= {:.0}% of its \
-                 pre-crash goodput through the node crash while sharded placement \
-                 collapses (see {out_path} for every arm's outcome)",
-                100.0 * sweep.sustain_fraction
-            );
-            std::process::exit(1);
-        }
-        let committed = match (baseline_path, baseline_from_git) {
-            (Some(path), _) => Some((
-                std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}")),
-                path,
-            )),
-            (None, true) => Some((git_show_head(&out_path), format!("HEAD:./{out_path}"))),
-            (None, false) => None,
-        };
-        if let Some((json, source)) = committed {
-            let (mode, entries) = parse_resilience_baseline(&json);
-            assert!(!entries.is_empty(), "no resilience arms found in {source}");
-            let fresh_mode = if smoke { "smoke" } else { "full" };
-            if mode != fresh_mode {
-                eprintln!(
-                    "baseline {source} was measured in {mode:?} mode but this run is \
-                     {fresh_mode:?}; goodputs differ across workload sizes, so the \
-                     comparison would be meaningless"
-                );
-                std::process::exit(1);
-            }
-            let failures = check_resilience_baseline(&entries, &sweep);
-            if failures.is_empty() {
-                println!("baseline check vs {source}: ok (>30% goodput regression gate)");
-            } else {
-                eprintln!("post-fault goodput regressed >30% vs {source}:");
-                for f in &failures {
-                    eprintln!("  {f}");
-                }
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if let Some((caching_curves, wins)) = caching_outcome {
-        if !wins {
-            eprintln!(
-                "cache/placement co-design lost to the bare frequency baseline: \
-                 {} must lift the knee or cut the top-load p99 vs {} (see {out_path})",
-                CachingVerdict::ARM,
-                CachingVerdict::BASELINE
-            );
-            std::process::exit(1);
-        }
-        let committed = match (baseline_path, baseline_from_git) {
-            (Some(path), _) => Some((
-                std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}")),
-                path,
-            )),
-            (None, true) => Some((git_show_head(&out_path), format!("HEAD:./{out_path}"))),
-            (None, false) => None,
-        };
-        if let Some((json, source)) = committed {
-            let (mode, entries) = parse_caching_baseline(&json);
-            assert!(!entries.is_empty(), "no caching knees found in {source}");
-            let fresh_mode = if smoke { "smoke" } else { "full" };
-            if mode != fresh_mode {
-                eprintln!(
-                    "baseline {source} was measured in {mode:?} mode but this run is \
-                     {fresh_mode:?}; knees differ across workload sizes, so the \
-                     comparison would be meaningless"
-                );
-                std::process::exit(1);
-            }
-            let failures = check_caching_baseline(&entries, &caching_curves);
-            if failures.is_empty() {
-                println!("baseline check vs {source}: ok (>30% knee regression gate)");
-            } else {
-                eprintln!("caching knee QPS regressed >30% vs {source}:");
-                for f in &failures {
-                    eprintln!("  {f}");
-                }
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let Some((fleet_curves, node1_equal)) = fleet_outcome else {
-        return;
-    };
-    if !node1_equal {
-        eprintln!(
-            "node-1 fleet diverged from the bare cluster: the router layer must be \
-             free at one node (see {out_path} for both curves' operating points)"
-        );
+    if let Err(broken) = verdict {
+        eprintln!("{broken} (see {out})");
         std::process::exit(1);
     }
-    let committed = match (baseline_path, baseline_from_git) {
-        (Some(path), _) => Some((
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}")),
-            path,
-        )),
-        (None, true) => Some((git_show_head(&out_path), format!("HEAD:./{out_path}"))),
-        (None, false) => None,
+    let Some((committed, source)) = committed else {
+        return;
     };
-    if let Some((json, source)) = committed {
-        let (mode, entries) = parse_fleet_baseline(&json);
-        assert!(!entries.is_empty(), "no fleet knees found in {source}");
-        let fresh_mode = if smoke { "smoke" } else { "full" };
-        if mode != fresh_mode {
-            eprintln!(
-                "baseline {source} was measured in {mode:?} mode but this run is \
-                 {fresh_mode:?}; knees differ across workload sizes, so the \
-                 comparison would be meaningless"
-            );
-            std::process::exit(1);
+    let committed = Json::parse(&committed).unwrap_or_else(|e| panic!("parsing {source}: {e}"));
+    let mismatches = diff_json(&committed, &report, DEFAULT_TOL);
+    if !mismatches.is_empty() {
+        eprintln!("{out} differs from {source}:");
+        for m in &mismatches {
+            eprintln!("{m}");
         }
-        let failures = check_fleet_baseline(&entries, &fleet_curves);
-        if failures.is_empty() {
-            println!("baseline check vs {source}: ok (>30% knee regression gate)");
-        } else {
-            eprintln!("fleet knee QPS regressed >30% vs {source}:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
+        eprintln!("if the change is intended, commit the regenerated {out}");
+        std::process::exit(1);
+    }
+    println!("baseline check vs {source}: ok (structural diff, tol {DEFAULT_TOL})");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use recnmp_bench::Baseline;
+
+    fn parse(args: &[&str]) -> Result<(Mode, BenchArgs), String> {
+        parse_args(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn no_mode_flag_runs_the_serving_sweep() {
+        let (mode, args) = parse(&["--smoke", "--workers", "2"]).unwrap();
+        assert_eq!(mode, Mode::Serving);
+        assert_eq!(mode.default_out(), "BENCH_serving.json");
+        let expected = BenchArgs {
+            smoke: true,
+            workers: Some(2),
+            ..BenchArgs::default()
+        };
+        assert_eq!(args, expected);
+    }
+
+    #[test]
+    fn each_flag_selects_its_mode_and_out_path() {
+        let flags = [
+            ("--placement", "BENCH_placement.json"),
+            ("--tiering", "BENCH_tiering.json"),
+            ("--fleet", "BENCH_fleet.json"),
+            ("--caching", "BENCH_caching.json"),
+            ("--resilience", "BENCH_resilience.json"),
+        ];
+        for (flag, out) in flags {
+            let (mode, args) = parse(&[flag, "--baseline-from-git"]).unwrap();
+            assert_eq!(mode.flag().as_deref(), Some(flag));
+            assert_eq!(mode.default_out(), out);
+            assert_eq!(args.baseline, Some(Baseline::Git));
         }
+        let (mode, args) =
+            parse(&["--out", "x.json", "--baseline", "y.json", "--caching"]).unwrap();
+        assert_eq!(mode, Mode::Caching);
+        assert_eq!(args.out.as_deref(), Some("x.json"));
+        assert_eq!(args.baseline, Some(Baseline::File("y.json".into())));
+    }
+
+    #[test]
+    fn two_mode_flags_are_a_usage_error() {
+        let err = parse(&["--fleet", "--placement"]).unwrap_err();
+        assert_eq!(
+            err,
+            "--placement conflicts with --fleet: pass at most one mode flag"
+        );
+        assert!(parse(&["--caching", "--smoke", "--caching"]).is_err());
+    }
+
+    #[test]
+    fn malformed_arguments_are_usage_errors() {
+        assert_eq!(
+            parse(&["--bogus"]).unwrap_err(),
+            "unknown argument: --bogus"
+        );
+        assert_eq!(parse(&["--out"]).unwrap_err(), "--out requires a path");
+        assert!(parse(&["--workers", "many"]).is_err());
     }
 }

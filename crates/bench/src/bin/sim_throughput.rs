@@ -9,18 +9,14 @@
 //!     [--smoke] [--workers N] [--out PATH] [--baseline PATH | --baseline-from-git]
 //! ```
 //!
-//! * `--smoke`    shrinks the workload for CI (seconds instead of minutes).
-//! * `--workers`  pins the execution-engine pool size (default: the
-//!   `RECNMP_WORKERS` environment variable, else `available_parallelism`),
-//!   so CI and local runs measure a known parallelism.
-//! * `--out`      output path (default `BENCH_throughput.json`).
-//! * `--baseline` compares the fresh `lookups_per_second` of every
-//!   backend against the committed JSON at PATH and exits non-zero on a
-//!   regression beyond 30% — the CI gate that keeps the
-//!   simulator-performance trajectory from silently sliding back.
-//! * `--baseline-from-git` like `--baseline`, but reads the committed
-//!   file from `git show HEAD:<out>` before this run overwrites it —
-//!   local runs and CI share one code path, no stash-a-copy step.
+//! `--smoke` shrinks the workload; `--workers N` pins the pool size so
+//! runs measure a known parallelism. `--baseline PATH` (or
+//! `--baseline-from-git`, which reads `git show HEAD:./<out>`) parses
+//! the committed report with [`recnmp_bench::json`] and exits 1 when the
+//! workload mode differs, a backend is missing on either side, any
+//! `sim_cycles` differs at all (the simulation is deterministic), or a
+//! backend's `lookups_per_second` fell more than 30% (wall clock varies
+//! across runners, so this gate is coarse).
 //!
 //! Measured systems: the host DRAM baseline, TensorDIMM, single-channel
 //! RecNMP, and a 4-channel `RecNmpCluster` (per-channel tasks on the
@@ -40,6 +36,8 @@ use std::time::Instant;
 use recnmp::{RecNmpCluster, RecNmpClusterConfig, RecNmpConfig, RecNmpSystem};
 use recnmp_backend::{ShardingPolicy, SlsBackend, SlsTrace};
 use recnmp_baselines::{HostBaseline, TensorDimm};
+use recnmp_bench::json::Json;
+use recnmp_bench::BenchArgs;
 use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, SlsBatch, TraceGenerator};
 use recnmp_types::{PhysAddr, TableId};
 
@@ -59,16 +57,19 @@ impl Measurement {
         }
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"name\": \"{}\", \"lookups\": {}, \"sim_cycles\": {}, \
-             \"wall_seconds\": {:.6}, \"lookups_per_second\": {:.1}}}",
-            self.name,
-            self.lookups,
-            self.sim_cycles,
-            self.wall_seconds,
-            self.lookups_per_second()
-        )
+    /// The measurement as a report entry whose first field is `id`
+    /// (`name` for a backend, `channels` for a sweep step).
+    fn to_json(&self, id: (&str, Json)) -> Json {
+        Json::obj([
+            id,
+            ("lookups", self.lookups.into()),
+            ("sim_cycles", self.sim_cycles.into()),
+            ("wall_seconds", Json::fixed(self.wall_seconds, 6)),
+            (
+                "lookups_per_second",
+                Json::fixed(self.lookups_per_second(), 1),
+            ),
+        ])
     }
 }
 
@@ -106,114 +107,78 @@ fn measure(name: &str, backend: &mut dyn SlsBackend, trace: &SlsTrace) -> Measur
     }
 }
 
-/// One backend row of a committed `BENCH_throughput.json`.
-struct BaselineEntry {
-    name: String,
-    sim_cycles: u64,
-    lookups_per_second: f64,
-}
-
-/// Parsed committed baseline: the measurement mode plus per-backend rows.
-struct Baseline {
-    mode: String,
-    backends: Vec<BaselineEntry>,
-}
-
-/// Scans one `"field": ` occurrence inside the current JSON object
-/// (bounded at the closing `}`, so a missing field errors instead of
-/// stealing the next object's value) and parses its numeric value.
-fn scan_number(rest: &str, field: &str) -> Option<f64> {
-    let object = &rest[..rest.find('}').unwrap_or(rest.len())];
-    let key = format!("\"{field}\": ");
-    let at = object.find(&key)?;
-    let tail = &object[at + key.len()..];
-    let num: String = tail
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
-
-/// Extracts the mode and per-backend measurements from a committed
-/// `BENCH_throughput.json` without a JSON dependency: scans for the
-/// fields the writer below emits.
-fn parse_baseline(json: &str) -> Baseline {
-    let mode = json
-        .find("\"mode\": \"")
-        .and_then(|at| {
-            let rest = &json[at + 9..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        })
-        .unwrap_or_default();
-    let mut backends = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find("\"name\": \"") {
-        rest = &rest[at + 9..];
-        let Some(end) = rest.find('"') else { break };
-        let name = rest[..end].to_string();
-        let (Some(cycles), Some(lps)) = (
-            scan_number(rest, "sim_cycles"),
-            scan_number(rest, "lookups_per_second"),
-        ) else {
-            break;
-        };
-        backends.push(BaselineEntry {
-            name,
-            sim_cycles: cycles as u64,
-            lookups_per_second: lps,
-        });
-    }
-    Baseline { mode, backends }
-}
-
-/// Compares fresh measurements against the committed baseline; returns
-/// failure messages. Three gates:
+/// Compares fresh measurements against the committed report; returns
+/// failure messages. Four gates:
 ///
-/// * every fresh backend must exist in the baseline (a rename or
-///   addition without regenerating the committed file must not silently
-///   fall out of the gate);
+/// * both runs must use the same workload (`mode`): per-lookup costs
+///   differ across workload sizes;
+/// * coverage is two-way: every fresh backend must exist in the
+///   committed report and every committed backend must still be
+///   measured, so a rename, addition or deletion cannot silently fall out
+///   of the gate;
 /// * `sim_cycles` must match **exactly** — the simulation is
 ///   deterministic, so any difference is a semantic change that needs a
 ///   deliberate baseline regeneration (this gate is hardware-independent);
 /// * `lookups_per_second` must not regress more than 30% (the coarse
 ///   wall-clock gate; the slack absorbs runner-to-runner variance).
-fn check_baseline(baseline: &[BaselineEntry], fresh: &[&Measurement]) -> Vec<String> {
+fn check_baseline(committed: &Json, mode: &str, fresh: &[&Measurement]) -> Vec<String> {
     const MAX_REGRESSION: f64 = 0.30;
+    let committed_mode = committed.get("mode").and_then(Json::as_str);
+    if committed_mode != Some(mode) {
+        return vec![format!(
+            "measured in {:?} mode but this run is {mode:?}; per-lookup costs differ \
+             across workload sizes, so the comparison would be meaningless",
+            committed_mode.unwrap_or_default()
+        )];
+    }
+    let backends = committed.get("backends").and_then(Json::as_array);
+    let Some(backends) = backends.filter(|b| !b.is_empty()) else {
+        return vec!["no backend measurements found".into()];
+    };
+    let backends: Vec<(&str, &Json)> = backends
+        .iter()
+        .map(|b| (b.get("name").and_then(Json::as_str).unwrap_or_default(), b))
+        .collect();
     let mut failures = Vec::new();
-    // Coverage is bidirectional: a backend deleted or renamed in the
-    // harness must not silently drop out of the gate either.
-    for b in baseline {
-        if !fresh.iter().any(|m| m.name == b.name) {
+    for (name, _) in &backends {
+        if !fresh.iter().any(|m| m.name == *name) {
             failures.push(format!(
-                "{}: in the committed baseline but no longer measured \
-                 (regenerate the baseline deliberately)",
-                b.name
+                "{name}: in the committed baseline but no longer measured \
+                 (regenerate the baseline deliberately)"
             ));
         }
     }
     for m in fresh {
-        let Some(committed) = baseline.iter().find(|b| b.name == m.name) else {
+        let Some((_, committed)) = backends.iter().find(|(name, _)| *name == m.name) else {
             failures.push(format!(
                 "{}: not present in the committed baseline (regenerate it)",
                 m.name
             ));
             continue;
         };
-        if m.sim_cycles != committed.sim_cycles {
+        let field = |key: &str| committed.get(key).and_then(Json::as_f64);
+        let (Some(cycles), Some(lps)) = (field("sim_cycles"), field("lookups_per_second")) else {
+            failures.push(format!(
+                "{}: committed entry lacks sim_cycles or lookups_per_second",
+                m.name
+            ));
+            continue;
+        };
+        if m.sim_cycles as f64 != cycles {
             failures.push(format!(
                 "{}: simulated {} cycles vs committed {} — simulation \
                  semantics changed; regenerate the baseline deliberately",
-                m.name, m.sim_cycles, committed.sim_cycles
+                m.name, m.sim_cycles, cycles
             ));
         }
         let now = m.lookups_per_second();
-        if now < committed.lookups_per_second * (1.0 - MAX_REGRESSION) {
+        if now < lps * (1.0 - MAX_REGRESSION) {
             failures.push(format!(
                 "{}: {:.0} lookups/s vs committed {:.0} ({:+.1}%)",
                 m.name,
                 now,
-                committed.lookups_per_second,
-                (now / committed.lookups_per_second - 1.0) * 100.0
+                lps,
+                (now / lps - 1.0) * 100.0
             ));
         }
     }
@@ -236,65 +201,25 @@ fn cluster(channels: usize) -> RecNmpCluster {
 /// the same fixed thread budget.
 const CHANNEL_SWEEP: [usize; 3] = [4, 64, 256];
 
-/// Reads the committed copy of `path` from `git show HEAD:./path` — the
-/// shared baseline source for local runs and CI, read *before* this run
-/// overwrites the file.
-fn git_show_head(path: &str) -> String {
-    let output = std::process::Command::new("git")
-        .args(["show", &format!("HEAD:./{path}")])
-        .output()
-        .unwrap_or_else(|e| panic!("running git show for {path}: {e}"));
-    assert!(
-        output.status.success(),
-        "git show HEAD:./{path} failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    String::from_utf8(output.stdout).unwrap_or_else(|e| panic!("HEAD:./{path} is not UTF-8: {e}"))
-}
-
 fn main() {
-    let mut smoke = false;
-    let mut out = String::from("BENCH_throughput.json");
-    let mut baseline_path: Option<String> = None;
-    let mut baseline_from_git = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--workers" => {
-                let n = args
-                    .next()
-                    .expect("--workers requires a count")
-                    .parse()
-                    .expect("--workers requires a positive integer");
-                recnmp_exec::set_global_workers(n)
-                    .unwrap_or_else(|e| panic!("pinning pool size: {e}"));
-            }
-            "--out" => out = args.next().expect("--out requires a path"),
-            "--baseline" => {
-                baseline_path = Some(args.next().expect("--baseline requires a path"));
-            }
-            "--baseline-from-git" => baseline_from_git = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: sim_throughput [--smoke] [--workers N] [--out PATH] \
-                     [--baseline PATH | --baseline-from-git]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = BenchArgs::parse(std::env::args().skip(1), |arg| {
+        Err(format!("unknown argument: {arg}"))
+    })
+    .unwrap_or_else(|e| {
+        eprintln!(
+            "{e}\nusage: sim_throughput [--smoke] [--workers N] [--out PATH] \
+             [--baseline PATH | --baseline-from-git]"
+        );
+        std::process::exit(2);
+    });
+    args.pin_workers();
+    let (smoke, out) = (
+        args.smoke,
+        args.out.as_deref().unwrap_or("BENCH_throughput.json"),
+    );
     // The committed baseline must be captured before the fresh run
     // overwrites `out`.
-    let committed_baseline: Option<(String, String)> = match (&baseline_path, baseline_from_git) {
-        (Some(path), _) => Some((
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}")),
-            path.clone(),
-        )),
-        (None, true) => Some((git_show_head(&out), format!("HEAD:./{out}"))),
-        (None, false) => None,
-    };
+    let committed = args.baseline.map(|b| b.read(out));
     let (tables, batch, pooling) = if smoke { (4, 4, 32) } else { (16, 16, 80) };
     let trace = workload(tables, batch, pooling, 7);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -383,83 +308,129 @@ fn main() {
         sweep.push((channels, m));
     }
 
-    let backend_json: Vec<String> = results
+    let mode = if smoke { "smoke" } else { "full" };
+    let fresh: Vec<&Measurement> = results.iter().chain([&single, &quad]).collect();
+    let workload = Json::obj([
+        ("tables", tables.into()),
+        ("batch", batch.into()),
+        ("pooling", pooling.into()),
+        ("lookups", trace.total_lookups().into()),
+    ]);
+    let backends = fresh
         .iter()
-        .chain([&single, &quad])
-        .map(Measurement::to_json)
-        .collect();
+        .map(|m| m.to_json(("name", m.name.as_str().into())));
     // `throughput_speedup_vs_single` is null only when the pool has a
     // single worker (the default on single-core machines): the ratio
     // would measure scheduler overhead, not the parallelism win, and a
     // ~1x reading would read as a regression.
-    let speedup_json = speedup.map_or("null".to_string(), |s| format!("{s:.3}"));
-    // The sweep entries deliberately use a `channels` key, not `name`,
-    // so the baseline parser's backend scan never mistakes them for
-    // backend rows.
-    let sweep_json: Vec<String> = sweep
+    let scaling = Json::obj([
+        ("channels", 4u64.into()),
+        ("per_channel_lookups", trace.total_lookups().into()),
+        ("measured", speedup.is_some().into()),
+        (
+            "throughput_speedup_vs_single",
+            speedup.map(|s| Json::fixed(s, 3)).into(),
+        ),
+    ]);
+    let channel_sweep = sweep
         .iter()
-        .map(|(channels, m)| {
-            format!(
-                "{{\"channels\": {}, \"lookups\": {}, \"sim_cycles\": {}, \
-                 \"wall_seconds\": {:.6}, \"lookups_per_second\": {:.1}}}",
-                channels,
-                m.lookups,
-                m.sim_cycles,
-                m.wall_seconds,
-                m.lookups_per_second()
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"schema\": \"recnmp-sim-throughput/3\",\n  \"mode\": \"{}\",\n  \
-         \"engine\": \"event-driven\",\n  \"workers\": {},\n  \"threads_available\": {},\n  \
-         \"workload\": {{\"tables\": {}, \"batch\": {}, \"pooling\": {}, \"lookups\": {}}},\n  \
-         \"backends\": [\n    {}\n  ],\n  \
-         \"cluster_scaling\": {{\"channels\": 4, \"per_channel_lookups\": {}, \
-         \"measured\": {}, \"throughput_speedup_vs_single\": {}}},\n  \
-         \"channel_sweep\": [\n    {}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        workers,
-        threads,
-        tables,
-        batch,
-        pooling,
-        trace.total_lookups(),
-        backend_json.join(",\n    "),
-        trace.total_lookups(),
-        speedup.is_some(),
-        speedup_json,
-        sweep_json.join(",\n    ")
-    );
-    std::fs::write(&out, json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+        .map(|(c, m)| m.to_json(("channels", (*c).into())));
+    let report = Json::obj([
+        ("schema", "recnmp-sim-throughput/3".into()),
+        ("mode", mode.into()),
+        ("engine", "event-driven".into()),
+        ("workers", workers.into()),
+        ("threads_available", threads.into()),
+        ("workload", workload),
+        ("backends", Json::Arr(backends.collect())),
+        ("cluster_scaling", scaling),
+        ("channel_sweep", Json::Arr(channel_sweep.collect())),
+    ]);
+    std::fs::write(out, report.write()).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("wrote {out}");
 
-    if let Some((committed, source)) = committed_baseline {
-        let baseline = parse_baseline(&committed);
-        assert!(
-            !baseline.backends.is_empty(),
-            "no backend measurements found in {source}"
-        );
-        let mode = if smoke { "smoke" } else { "full" };
-        if baseline.mode != mode {
-            eprintln!(
-                "baseline {source} was measured in {:?} mode but this run is {mode:?}; \
-                 per-lookup costs differ across workload sizes, so the comparison \
-                 would be meaningless",
-                baseline.mode
-            );
-            std::process::exit(1);
-        }
-        let fresh: Vec<&Measurement> = results.iter().chain([&single, &quad]).collect();
-        let failures = check_baseline(&baseline.backends, &fresh);
+    if let Some((committed, source)) = committed {
+        let committed = Json::parse(&committed).unwrap_or_else(|e| panic!("parsing {source}: {e}"));
+        let failures = check_baseline(&committed, mode, &fresh);
         if failures.is_empty() {
             println!("baseline check vs {source}: ok (>30% regression gate)");
         } else {
-            eprintln!("simulator throughput regressed >30% vs {source}:");
+            eprintln!("baseline check vs {source} failed:");
             for f in &failures {
                 eprintln!("  {f}");
             }
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn measured(name: &str, sim_cycles: u64, wall_seconds: f64) -> Measurement {
+        Measurement {
+            name: name.into(),
+            lookups: 1000,
+            sim_cycles,
+            wall_seconds,
+        }
+    }
+
+    /// A committed report with `host` at 100k and `recnmp` at 200k
+    /// lookups/s.
+    fn committed() -> Json {
+        Json::parse(
+            r#"{"mode": "full", "backends": [
+                {"name": "host", "lookups": 1000, "sim_cycles": 500, "wall_seconds": 0.010000, "lookups_per_second": 100000.0},
+                {"name": "recnmp", "lookups": 1000, "sim_cycles": 90, "wall_seconds": 0.005000, "lookups_per_second": 200000.0}
+            ]}"#,
+        )
+        .unwrap()
+    }
+
+    fn check(fresh: &[Measurement]) -> Vec<String> {
+        check_baseline(&committed(), "full", &fresh.iter().collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn matching_run_passes_within_the_wall_clock_slack() {
+        // 25% slower than committed: inside the 30% allowance.
+        let fresh = [measured("host", 500, 0.0125), measured("recnmp", 90, 0.005)];
+        assert_eq!(check(&fresh), Vec::<String>::new());
+    }
+
+    #[test]
+    fn missing_and_extra_backends_fail() {
+        let fresh = [measured("host", 500, 0.01), measured("chameleon", 70, 0.01)];
+        let failures = check(&fresh);
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].starts_with("recnmp: in the committed baseline but no longer"));
+        assert!(failures[1].starts_with("chameleon: not present in the committed baseline"));
+    }
+
+    #[test]
+    fn any_sim_cycles_change_fails() {
+        let fresh = [measured("host", 501, 0.01), measured("recnmp", 90, 0.005)];
+        let failures = check(&fresh);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("host: simulated 501 cycles vs committed 500"));
+    }
+
+    #[test]
+    fn throughput_drop_beyond_thirty_percent_fails() {
+        // recnmp at 1000 / 0.0075 s = 133k lookups/s, 33% below 200k.
+        let fresh = [measured("host", 500, 0.01), measured("recnmp", 90, 0.0075)];
+        let failures = check(&fresh);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("recnmp: 133333 lookups/s vs committed 200000"));
+    }
+
+    #[test]
+    fn mode_mismatch_fails_before_any_comparison() {
+        let fresh = [measured("host", 1, 1.0)];
+        let failures = check_baseline(&committed(), "smoke", &fresh.iter().collect::<Vec<_>>());
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("meaningless"), "{failures:?}");
     }
 }

@@ -1,14 +1,95 @@
-//! Benchmark and reproduction harness for the RecNMP workspace.
-//!
-//! * `cargo run -p recnmp-bench --release --bin repro -- all` regenerates
-//!   every table and figure of the paper (see `EXPERIMENTS.md`).
-//! * `cargo bench -p recnmp-bench` runs the Criterion benchmarks — one
-//!   target per paper artifact, each timing the simulation kernel that
-//!   regenerates it.
-//! * `cargo run -p recnmp-bench --release --bin sim_throughput` measures
-//!   simulator throughput (simulated lookups per wall-clock second) for
-//!   every backend plus the threaded 4-channel cluster, and emits
-//!   `BENCH_throughput.json` — the perf trajectory successive PRs defend
-//!   (`--smoke` for the CI-sized workload).
+//! Benchmark and reproduction harness for the RecNMP workspace: `repro`
+//! regenerates the paper's tables and figures, `golden_check` diffs them
+//! against `goldens/`, `serve_sweep` and `sim_throughput` write and check
+//! the `BENCH_*.json` reports, and `cargo bench -p recnmp-bench` times
+//! the kernel behind each artifact. Every bin does JSON through [`json`].
+
+pub mod json;
 
 pub use recnmp_sim::experiments::{run, run_all, ExperimentResult, Scale, IDS};
+
+/// The options shared by the report-writing bins: `--smoke`,
+/// `--workers N`, `--out PATH` and `--baseline PATH | --baseline-from-git`.
+#[derive(Debug, Default, PartialEq)]
+pub struct BenchArgs {
+    pub smoke: bool,
+    pub workers: Option<usize>,
+    pub out: Option<String>,
+    pub baseline: Option<Baseline>,
+}
+
+impl BenchArgs {
+    /// Parses `args`, handing each argument that is not a shared option
+    /// to `other`. Errors are usage errors.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        mut other: impl FnMut(&str) -> Result<(), String>,
+    ) -> Result<Self, String> {
+        let mut parsed = Self::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let mut value =
+                |what: &str| args.next().ok_or_else(|| format!("{arg} requires {what}"));
+            match arg.as_str() {
+                "--smoke" => parsed.smoke = true,
+                "--workers" => {
+                    let n = value("a count")?;
+                    let n = n
+                        .parse()
+                        .map_err(|_| format!("--workers requires a count, got {n}"))?;
+                    parsed.workers = Some(n);
+                }
+                "--out" => parsed.out = Some(value("a path")?),
+                "--baseline" => parsed.baseline = Some(Baseline::File(value("a path")?)),
+                "--baseline-from-git" => parsed.baseline = Some(Baseline::Git),
+                arg => other(arg)?,
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// Pins the execution-engine pool size when `--workers` was given.
+    pub fn pin_workers(&self) {
+        if let Some(n) = self.workers {
+            recnmp_exec::set_global_workers(n).unwrap_or_else(|e| panic!("pinning pool size: {e}"));
+        }
+    }
+}
+
+/// Where `--baseline PATH | --baseline-from-git` reads a committed report.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Baseline {
+    /// A file on disk.
+    File(String),
+    /// The bin's own output path at git `HEAD`.
+    Git,
+}
+
+impl Baseline {
+    /// The committed text for output path `out`, with a label naming
+    /// where it came from.
+    pub fn read(&self, out: &str) -> (String, String) {
+        match self {
+            Baseline::File(path) => (
+                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}")),
+                path.clone(),
+            ),
+            Baseline::Git => (git_show_head(out), format!("HEAD:./{out}")),
+        }
+    }
+}
+
+/// Reads the committed copy of `path` from `git show HEAD:./path`, so
+/// local runs and CI share one baseline source.
+pub fn git_show_head(path: &str) -> String {
+    let output = std::process::Command::new("git")
+        .args(["show", &format!("HEAD:./{path}")])
+        .output()
+        .unwrap_or_else(|e| panic!("running git show for {path}: {e}"));
+    assert!(
+        output.status.success(),
+        "git show HEAD:./{path} failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    String::from_utf8(output.stdout).unwrap_or_else(|e| panic!("HEAD:./{path} is not UTF-8: {e}"))
+}

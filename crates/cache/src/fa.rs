@@ -6,8 +6,9 @@
 //! [`SetAssocCache`](crate::SetAssocCache) handles; this implementation
 //! uses a hash map plus an ordered recency index instead.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
+use recnmp_types::hash::{U64Map, U64Set};
 use recnmp_types::ConfigError;
 
 use crate::stats::CacheStats;
@@ -35,11 +36,11 @@ pub struct FullyAssocLru {
     line_bytes: u64,
     capacity_lines: usize,
     /// tag -> recency stamp
-    lines: HashMap<u64, u64>,
+    lines: U64Map<u64>,
     /// recency stamp -> tag (oldest first)
     recency: BTreeMap<u64, u64>,
     clock: u64,
-    seen: HashSet<u64>,
+    seen: U64Set,
     stats: CacheStats,
 }
 
@@ -64,10 +65,10 @@ impl FullyAssocLru {
         Ok(Self {
             line_bytes,
             capacity_lines,
-            lines: HashMap::new(),
+            lines: U64Map::default(),
             recency: BTreeMap::new(),
             clock: 0,
-            seen: HashSet::new(),
+            seen: U64Set::default(),
             stats: CacheStats::new(),
         })
     }

@@ -1,7 +1,6 @@
 //! Set-associative cache model.
 
-use std::collections::HashSet;
-
+use recnmp_types::hash::U64Set;
 use recnmp_types::ConfigError;
 
 use crate::config::{CacheConfig, ReplacementPolicy};
@@ -65,7 +64,8 @@ pub struct SetAssocCache {
     lines: Vec<Line>,
     num_sets: usize,
     clock: u64,
-    seen: HashSet<u64>,
+    /// Every line id ever referenced, for compulsory-miss accounting.
+    seen: U64Set,
     stats: CacheStats,
 }
 
@@ -92,7 +92,7 @@ impl SetAssocCache {
             lines,
             num_sets,
             clock: 0,
-            seen: HashSet::new(),
+            seen: U64Set::default(),
             stats: CacheStats::new(),
         })
     }

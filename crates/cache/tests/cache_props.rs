@@ -6,6 +6,7 @@
 //! hits on a superset of accesses) must hold.
 
 use proptest::prelude::*;
+use recnmp_cache::fa::FullyAssocLru;
 use recnmp_cache::{CacheConfig, SetAssocCache};
 
 /// Naive LRU over a Vec: move-to-front on hit, pop-back on overflow.
@@ -88,12 +89,15 @@ proptest! {
         addrs in prop::collection::vec(0u64..100_000, 1..300),
     ) {
         let mut c = SetAssocCache::new(CacheConfig::new(16 * 64, 64, 4)).unwrap();
+        let mut fa = FullyAssocLru::new(16 * 64, 64).unwrap();
         for &a in &addrs {
             c.access(a);
+            fa.access(a);
         }
         let distinct: std::collections::HashSet<u64> =
             addrs.iter().map(|a| a / 64).collect();
         prop_assert_eq!(c.stats().compulsory_misses, distinct.len() as u64);
+        prop_assert_eq!(fa.stats().compulsory_misses, distinct.len() as u64);
     }
 
     #[test]

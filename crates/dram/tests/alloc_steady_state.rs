@@ -7,19 +7,32 @@
 //! warm-up round, further rounds of the same traffic leave the
 //! allocation counter untouched.
 //!
-//! This file holds exactly one test so no concurrent test thread can
-//! pollute the counter.
+//! The engine is single-threaded, so only allocations made on the
+//! measuring thread count: the test harness's own threads allocate on
+//! their own schedule and must not decide the verdict.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread whose allocations are counted.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -58,6 +71,7 @@ fn round(mem: &mut MemorySystem, salt: u64) -> u64 {
 
 #[test]
 fn steady_state_issue_loop_does_not_allocate() {
+    COUNTED.with(|c| c.set(true));
     let mut mem = MemorySystem::new(DramConfig::single_rank()).expect("config");
 
     // Warm-up: grows the staged queue, slab, per-bank queues and the

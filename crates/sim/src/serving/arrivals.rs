@@ -274,15 +274,22 @@ pub struct QueryStream {
 
 impl QueryStream {
     /// A stream of `shape`-sized queries over production-like skewed
-    /// (Zipf [`QueryShape::row_skew`], default 0.9) index streams.
+    /// (Zipf [`QueryShape::row_skew`], default 0.9) index streams. A row
+    /// skew of 0 is the uniform stream, the Zipf distribution's `s → 0`
+    /// limit.
     pub fn new(shape: QueryShape, seed: u64) -> Self {
         let spec = EmbeddingTableSpec::dlrm_default();
+        let dist = if shape.row_skew == 0.0 {
+            IndexDistribution::Uniform
+        } else {
+            IndexDistribution::Zipf { s: shape.row_skew }
+        };
         let gens = (0..shape.tables)
             .map(|t| {
                 TraceGenerator::new(
                     TableId::new(t as u32),
                     spec,
-                    IndexDistribution::Zipf { s: shape.row_skew },
+                    dist,
                     seed.wrapping_add(131 * t as u64),
                 )
             })
@@ -488,6 +495,27 @@ mod tests {
             seen.len()
         };
         assert!(distinct(base.with_row_skew(1.2)) < distinct(base));
+    }
+
+    #[test]
+    fn zero_row_skew_is_a_uniform_stream() {
+        // Zero passes `with_row_skew`'s validation; the stream must draw
+        // uniform rows instead of panicking on the first Zipf sample.
+        let shape = QueryShape::new(2, 2, 8).with_row_skew(0.0);
+        let queries = QueryStream::new(shape, 5).take_queries(3);
+        assert!(queries
+            .iter()
+            .all(|q| q.total_lookups() == shape.lookups_per_query()));
+        let mut uniform = TraceGenerator::new(
+            TableId::new(0),
+            EmbeddingTableSpec::dlrm_default(),
+            IndexDistribution::Uniform,
+            5,
+        );
+        assert_eq!(
+            queries[0].batches[0].batch.poolings[0].indices,
+            uniform.flat(8)
+        );
     }
 
     #[test]

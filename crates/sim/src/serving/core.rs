@@ -71,11 +71,14 @@ pub(super) fn coalesce(arrivals: &[Cycle], coalescing: Option<Coalescing>) -> Ve
     jobs
 }
 
-/// Concatenates the member queries of one job into a single trace.
-pub(super) fn merge_queries(queries: &[SlsTrace], members: &[usize]) -> SlsTrace {
-    let mut merged = SlsTrace::default();
-    for &q in members {
-        merged.batches.extend_from_slice(&queries[q].batches);
+/// Concatenates the member queries of one job into a single trace,
+/// moving their batches out: [`coalesce`] puts every query in exactly one
+/// job, so each query is merged once and left empty.
+pub(super) fn merge_queries(queries: &mut [SlsTrace], members: &[usize]) -> SlsTrace {
+    let mut taken = members.iter().map(|&q| std::mem::take(&mut queries[q]));
+    let mut merged = taken.next().unwrap_or_default();
+    for mut query in taken {
+        merged.batches.append(&mut query.batches);
     }
     merged
 }
@@ -296,6 +299,7 @@ impl Core {
     /// Serves `jobs` over `queries` on `nodes` (all exposing the same
     /// server count) under the resilience semantics of
     /// [`serve_fleet_resilient`](super::fleet::serve_fleet_resilient).
+    /// Each job's batches are moved out of `queries` as it dispatches.
     ///
     /// # Errors
     ///
@@ -307,7 +311,7 @@ impl Core {
         nodes: &mut [&mut dyn SlsBackend],
         res: &ResilienceConfig,
         jobs: &[Job],
-        queries: &[SlsTrace],
+        queries: &mut [SlsTrace],
         system: &str,
     ) -> Result<Served, SimError> {
         let node_count = nodes.len();

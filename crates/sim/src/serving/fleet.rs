@@ -461,19 +461,20 @@ pub fn serve_fleet_resilient(
     res: &ResilienceConfig,
 ) -> Result<FleetReport, SimError> {
     let (arrivals, queries) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed);
-    serve_fleet_resilient_arrivals(fleet, cfg, res, &arrivals, &queries)
+    serve_fleet_resilient_arrivals(fleet, cfg, res, &arrivals, queries)
 }
 
 /// The fleet front of the scatter/gather core, shared by
 /// [`serve_fleet_resilient`] and the saturation probe: builds both
 /// placement levels from the query stream's table profile and serves
-/// every query as its own job on the fleet's nodes.
+/// every query as its own job on the fleet's nodes, consuming the
+/// queries.
 fn serve_fleet_resilient_arrivals(
     fleet: &mut Fleet,
     cfg: &FleetConfig,
     res: &ResilienceConfig,
     arrivals: &[Cycle],
-    queries: &[SlsTrace],
+    mut queries: Vec<SlsTrace>,
 ) -> Result<FleetReport, SimError> {
     assert_eq!(arrivals.len(), queries.len(), "one arrival per query");
     let dispatch = cfg.dispatch;
@@ -481,7 +482,7 @@ fn serve_fleet_resilient_arrivals(
         fleet.nodes.len(),
         fleet.channels_per_node,
         dispatch.channel_capacity.map(ByteSize::get),
-        &TableUsage::from_traces(queries),
+        &TableUsage::from_traces(&queries),
         dispatch.node_policy,
         dispatch.within_policy,
     )
@@ -500,7 +501,7 @@ fn serve_fleet_resilient_arrivals(
         .map(|n| n.as_mut() as &mut dyn SlsBackend)
         .collect();
     let jobs = coalesce(arrivals, None);
-    let mut served = core.run(&mut nodes, res, &jobs, queries, &fleet.name)?;
+    let mut served = core.run(&mut nodes, res, &jobs, &mut queries, &fleet.name)?;
     let latencies = served.finish(arrivals);
     Ok(FleetReport {
         system: fleet.name.clone(),
@@ -571,8 +572,7 @@ pub fn fleet_saturation(
     };
     let (arrivals, trace_queries) = saturation_load(shape, queries, seed);
     let zero = ResilienceConfig::zero();
-    let report =
-        serve_fleet_resilient_arrivals(&mut fleet, &cfg, &zero, &arrivals, &trace_queries)?;
+    let report = serve_fleet_resilient_arrivals(&mut fleet, &cfg, &zero, &arrivals, trace_queries)?;
     Ok(report.achieved_qps())
 }
 

@@ -103,13 +103,9 @@ impl HostCache {
                 let mut weights = Vec::with_capacity(pooling.weights.len());
                 let mut kept = Vec::with_capacity(addrs.len());
                 for (slot, addr) in addrs.iter().enumerate() {
-                    if self.cache.access(addr.get()).is_hit() {
-                        self.hits += 1;
+                    if self.probe(table, vbytes, addr.get()) {
                         job_hits += 1;
-                        self.absorbed_bytes += vbytes;
-                        *self.per_table_hits.entry(table).or_insert(0) += 1;
                     } else {
-                        self.misses += 1;
                         indices.push(pooling.indices[slot]);
                         if weighted {
                             weights.push(pooling.weights[slot]);
@@ -131,6 +127,39 @@ impl HostCache {
             }
         }
         (residual, job_hits)
+    }
+
+    /// [`filter`](Self::filter) without the residual trace: probes the
+    /// cache with every lookup of `trace` in the same order and updates
+    /// the same counters, but builds nothing. The placement dry run uses
+    /// it to learn each table's absorption.
+    pub fn count(&mut self, trace: &SlsTrace) {
+        for batch in &trace.batches {
+            let table = batch.batch.table;
+            if !self.admitted.contains(&table) {
+                self.misses += batch.lookups();
+                continue;
+            }
+            let vbytes = batch.batch.spec.vector_bytes;
+            for addr in batch.addrs.iter().flatten() {
+                self.probe(table, vbytes, addr.get());
+            }
+        }
+    }
+
+    /// One lookup of admitted `table` probes the cache: a hit is absorbed
+    /// (`vbytes` the channels no longer move), a miss allocates. Returns
+    /// whether it hit.
+    fn probe(&mut self, table: TableId, vbytes: u64, addr: u64) -> bool {
+        let hit = self.cache.access(addr).is_hit();
+        if hit {
+            self.hits += 1;
+            self.absorbed_bytes += vbytes;
+            *self.per_table_hits.entry(table).or_insert(0) += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
     }
 
     /// `(hits, misses, absorbed_bytes)` accumulated so far.
@@ -317,6 +346,21 @@ mod tests {
         let (again, again_hits) = hc.filter(t);
         assert_eq!(again_hits, cold_hits);
         assert_eq!(again, cold);
+    }
+
+    #[test]
+    fn counting_dry_run_matches_filter() {
+        let jobs = [trace(4, 4, 20), trace(4, 2, 30), trace(3, 4, 20)];
+        let usage = TableUsage::from_traces(&jobs);
+        let mut filtered = HostCache::build(spec(), &usage, 128).unwrap();
+        let mut counted = filtered.clone();
+        for job in &jobs {
+            let _ = filtered.filter(job.clone());
+            counted.count(job);
+        }
+        assert!(counted.stats().0 > 0, "the jobs must hit");
+        assert_eq!(counted.stats(), filtered.stats());
+        assert_eq!(counted.absorbed_profile(), filtered.absorbed_profile());
     }
 
     #[test]

@@ -213,19 +213,20 @@ impl ServingReport {
 /// placement cannot fit the workload's tables.
 pub fn serve(backend: &mut dyn SlsBackend, cfg: &ServingConfig) -> Result<ServingReport, SimError> {
     let (arrivals, queries) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed);
-    serve_arrivals(backend, cfg, &arrivals, &queries)
+    serve_arrivals(backend, cfg, &arrivals, queries)
 }
 
 /// The single-node scheduler, shared by [`serve`] and the saturation
 /// probe: coalesces `queries` (arrival `arrivals[i]` each) into jobs and
 /// serves them under `cfg.mode` — `Queued` on its own whole-job loop,
 /// `Sharded` and `Tiered` on the scatter/gather core as a one-node
-/// fleet.
+/// fleet. The queries are consumed: each job's batches move into its
+/// dispatched trace.
 pub(super) fn serve_arrivals(
     backend: &mut dyn SlsBackend,
     cfg: &ServingConfig,
     arrivals: &[Cycle],
-    queries: &[SlsTrace],
+    mut queries: Vec<SlsTrace>,
 ) -> Result<ServingReport, SimError> {
     assert_eq!(arrivals.len(), queries.len(), "one arrival per query");
     let servers = backend.server_count();
@@ -239,12 +240,12 @@ pub(super) fn serve_arrivals(
     let jobs = coalesce(arrivals, cfg.coalescing);
     let mut served = match cfg.mode {
         ServingMode::Queued(policy) => {
-            serve_queued(backend, policy, &jobs, queries, cfg.max_queue_depth)?
+            serve_queued(backend, policy, &jobs, &mut queries, cfg.max_queue_depth)?
         }
         ServingMode::Sharded(_) | ServingMode::Tiered(_) => {
-            let core = node_core(cfg, servers, &jobs, queries)?;
+            let core = node_core(cfg, servers, &jobs, &queries)?;
             let zero = ResilienceConfig::zero();
-            core.run(&mut [backend], &zero, &jobs, queries, &system)?
+            core.run(&mut [backend], &zero, &jobs, &mut queries, &system)?
         }
     };
     let latencies = served.finish(arrivals);
@@ -266,9 +267,9 @@ pub(super) fn serve_arrivals(
 /// plan built once per run from the query stream's table profile.
 ///
 /// Behind a host cache the sharded plan balances the *residual* profile:
-/// a dry run replays the jobs through the cache to learn each table's
-/// absorption, and the cache returns to cold before the measured pass
-/// (cache/placement co-design). With promotion epochs the tiered plan
+/// a counting dry run replays the jobs through the cache to learn each
+/// table's absorption, and the cache returns to cold before the measured
+/// pass (cache/placement co-design). With promotion epochs the tiered plan
 /// starts *cold* — every table weighted equally, since the profile is
 /// unknown at t=0 — and the core's promotion stage learns the split.
 fn node_core(
@@ -289,8 +290,8 @@ fn node_core(
             if let Some(spec) = sharded.host_cache {
                 let mut hc = HostCache::build(spec, &usage, max_vector_bytes(queries))
                     .map_err(SimError::Config)?;
-                for job in jobs {
-                    let _ = hc.filter(merge_queries(queries, &job.members));
+                for &q in jobs.iter().flat_map(|job| &job.members) {
+                    hc.count(&queries[q]);
                 }
                 absorbed = hc.absorbed_profile();
                 hc.reset();
@@ -351,7 +352,7 @@ fn serve_queued(
     backend: &mut dyn SlsBackend,
     policy: DispatchPolicy,
     jobs: &[Job],
-    queries: &[SlsTrace],
+    queries: &mut [SlsTrace],
     max_queue_depth: Option<usize>,
 ) -> Result<Served, SimError> {
     let servers = backend.server_count();

@@ -100,7 +100,7 @@ pub fn saturation_qps(
         seed,
     };
     let (arrivals, trace_queries) = saturation_load(shape, queries, seed);
-    Ok(serve_arrivals(backend.as_mut(), &cfg, &arrivals, &trace_queries)?.achieved_qps())
+    Ok(serve_arrivals(backend.as_mut(), &cfg, &arrivals, trace_queries)?.achieved_qps())
 }
 
 /// The saturation probe's load, shared by backends and fleets: `queries`

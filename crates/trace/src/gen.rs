@@ -45,6 +45,9 @@ pub struct TraceGenerator {
     table: TableId,
     spec: EmbeddingTableSpec,
     dist: IndexDistribution,
+    /// The Zipf sampler of `dist`, built once: its constants depend only
+    /// on the row count and the skew.
+    zipf: Option<Zipf>,
     rng: DetRng,
     /// Multiplier of the rank→row permutation (odd, coprime with `rows`).
     perm_mult: u64,
@@ -62,16 +65,29 @@ const PERM_PRIME: u64 = 982_451_653;
 
 impl TraceGenerator {
     /// Creates a generator with an explicit seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dist` is [`IndexDistribution::Zipf`] with parameters
+    /// the sampler rejects: a skew `s` that is not positive and finite,
+    /// or a spec with zero rows.
     pub fn new(
         table: TableId,
         spec: EmbeddingTableSpec,
         dist: IndexDistribution,
         seed: u64,
     ) -> Self {
+        let zipf = match dist {
+            IndexDistribution::Uniform => None,
+            IndexDistribution::Zipf { s } => {
+                Some(Zipf::new(spec.rows, s).expect("valid Zipf parameters"))
+            }
+        };
         Self {
             table,
             spec,
             dist,
+            zipf,
             rng: DetRng::seed(seed ^ (u32::from(table) as u64) << 32),
             perm_mult: PERM_PRIME,
             reuse_p: 0.0,
@@ -123,10 +139,9 @@ impl TraceGenerator {
             let i = self.rng.below(self.history.len() as u64) as usize;
             return self.history[i];
         }
-        let rank = match self.dist {
-            IndexDistribution::Uniform => self.rng.below(self.spec.rows),
-            IndexDistribution::Zipf { s } => {
-                let z = Zipf::new(self.spec.rows, s).expect("valid Zipf parameters");
+        let rank = match &self.zipf {
+            None => self.rng.below(self.spec.rows),
+            Some(z) => {
                 let sample = z.sample(&mut self.rng) as u64;
                 sample.clamp(1, self.spec.rows) - 1
             }
@@ -187,6 +202,46 @@ mod tests {
             7,
         );
         assert_eq!(a.flat(100), b.flat(100));
+    }
+
+    #[test]
+    fn zipf_prefixes_are_pinned() {
+        // The first draws of two skews, fixed so that a change to how the
+        // sampler is built or drawn from cannot silently move every trace.
+        let prefix = |s| {
+            TraceGenerator::new(
+                TableId::new(3),
+                EmbeddingTableSpec::dlrm_default(),
+                IndexDistribution::Zipf { s },
+                42,
+            )
+            .flat(16)
+        };
+        assert_eq!(
+            prefix(0.9),
+            [
+                137713, 739850, 718897, 711161, 419836, 966762, 258265, 210534, 843432, 344710,
+                915108, 536418, 811584, 640151, 278172, 323142
+            ]
+        );
+        assert_eq!(
+            prefix(1.2),
+            [
+                354959, 394735, 373604, 0, 0, 230177, 0, 818560, 235149, 135969, 356202, 903306,
+                451653, 488442, 613224, 0
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "valid Zipf parameters")]
+    fn invalid_zipf_skew_panics_at_construction() {
+        TraceGenerator::new(
+            TableId::new(0),
+            spec(),
+            IndexDistribution::Zipf { s: 0.0 },
+            1,
+        );
     }
 
     #[test]

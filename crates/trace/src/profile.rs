@@ -36,8 +36,9 @@
 //! hits, so they can never beat a lower one: `T` is clamped to
 //! `min(max_threshold, largest count) + 1`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
+use recnmp_types::hash::U64Map;
 use serde::{Deserialize, Serialize};
 
 /// Result of profiling one batch of indices.
@@ -113,7 +114,7 @@ struct RowCounts {
 
 impl RowCounts {
     fn of(indices: &[u64]) -> Self {
-        let mut dense: HashMap<u64, usize> = HashMap::new();
+        let mut dense = U64Map::with_capacity_and_hasher(indices.len(), Default::default());
         let mut rows = Vec::new();
         let mut counts = Vec::new();
         let mut ids = Vec::with_capacity(indices.len());
@@ -242,6 +243,7 @@ mod tests {
     use crate::{EmbeddingTableSpec, IndexDistribution, TraceGenerator};
     use proptest::prelude::*;
     use recnmp_types::TableId;
+    use std::collections::HashMap;
 
     /// Simulates a small fully-associative LRU cache in which only hinted
     /// rows allocate; returns the hit rate over all accesses. The reference

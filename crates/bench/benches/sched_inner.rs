@@ -1,10 +1,12 @@
 //! Criterion micro-benchmark for the FR-FCFS scheduler inner loop.
 //!
 //! Times `MemorySystem::run_to_idle` — the `issue_request_command` /
-//! event-skip loop — on the two traffic shapes that dominate simulator
+//! event-skip loop — on the traffic shapes that dominate simulator
 //! wall-clock: the rank-NMP device pattern (single rank, staggered
-//! 2-per-cycle arrivals, Zipf-ish bank spread) and a conflict-heavy
-//! stream that maximizes PRE/ACT churn. This is the kernel the
+//! 2-per-cycle arrivals, Zipf-ish bank spread), a conflict-heavy stream
+//! that maximizes PRE/ACT churn, and the host-baseline channel (4 ranks,
+//! a whole batch arriving at once), where the scan's per-rank column and
+//! ACT gates do most of the work. This is the kernel the
 //! `sim_throughput` trajectory rides on; regressions here show up
 //! directly in `BENCH_throughput.json`.
 
@@ -12,12 +14,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use recnmp_dram::{DramConfig, MemorySystem};
 use recnmp_types::PhysAddr;
 
-fn run_pattern(mem: &mut MemorySystem, salt: u64, reqs: u64, stride: u64) -> u64 {
+/// Enqueues `reqs` strided reads, `per_cycle` arriving each cycle, and
+/// runs them to idle; returns the last finish cycle.
+fn run_pattern(mem: &mut MemorySystem, salt: u64, reqs: u64, stride: u64, per_cycle: u64) -> u64 {
     let base = mem.cycle();
     for i in 0..reqs {
         mem.enqueue_read(
             PhysAddr::new(((i * stride + salt * 7919) * 128) & ((1 << 30) - 1)),
-            base + i / 2,
+            base + i / per_cycle,
         );
     }
     mem.run_to_idle().expect("drain");
@@ -37,7 +41,7 @@ fn bench(c: &mut Criterion) {
         let mut salt = 0u64;
         b.iter(|| {
             salt += 1;
-            criterion::black_box(run_pattern(&mut mem, salt, 512, 131))
+            criterion::black_box(run_pattern(&mut mem, salt, 512, 131, 2))
         })
     });
 
@@ -50,7 +54,19 @@ fn bench(c: &mut Criterion) {
             salt += 1;
             // Stride chosen to pound few banks with alternating rows:
             // every read needs PRE + ACT + RD.
-            criterion::black_box(run_pattern(&mut mem, salt, 512, 2048 + 16))
+            criterion::black_box(run_pattern(&mut mem, salt, 512, 2048 + 16, 2))
+        })
+    });
+
+    group.bench_function("host_channel_burst", |b| {
+        // The host-baseline channel shape: 2 DIMMs x 2 ranks with the
+        // whole batch arriving in one cycle, so the read queue stays full
+        // and every scan weighs candidates across four ranks.
+        let mut mem = MemorySystem::new(DramConfig::with_ranks(2, 2)).expect("config");
+        let mut salt = 0u64;
+        b.iter(|| {
+            salt += 1;
+            criterion::black_box(run_pattern(&mut mem, salt, 512, 131, 512))
         })
     });
 

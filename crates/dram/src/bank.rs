@@ -171,17 +171,29 @@ impl RankTimer {
         }
     }
 
-    /// Earliest cycle an ACT to `bank_group` satisfies tRRD and tFAW.
+    /// Earliest cycle an ACT to `bank_group` satisfies tRRD and tFAW:
+    /// the rank-wide part ([`act_rank_ready`](Self::act_rank_ready)) and
+    /// the bank-group part ([`act_group_ready`](Self::act_group_ready)).
     pub fn act_ready(&self, bank_group: u8) -> Cycle {
-        let mut ready = self
-            .next_act_any
-            .max(self.next_act_same_bg[bank_group as usize])
-            .max(self.busy_until);
+        self.act_rank_ready().max(self.act_group_ready(bank_group))
+    }
+
+    /// The part of ACT readiness shared by every bank of the rank: tRRD_S,
+    /// tFAW and refresh. No ACT to this rank is legal before it, so a
+    /// scheduler can rule out every ACT candidate of the rank at once.
+    pub fn act_rank_ready(&self) -> Cycle {
+        let ready = self.next_act_any.max(self.busy_until);
         if self.act_count == 4 {
             // tFAW counts from the oldest of the last four ACTs.
-            ready = ready.max(self.act_history[0] + self.faw_window());
+            ready.max(self.act_history[0] + self.faw_window())
+        } else {
+            ready
         }
-        ready
+    }
+
+    /// The bank-group part of ACT readiness (tRRD_L).
+    pub fn act_group_ready(&self, bank_group: u8) -> Cycle {
+        self.next_act_same_bg[bank_group as usize]
     }
 
     fn faw_window(&self) -> Cycle {
@@ -190,29 +202,40 @@ impl RankTimer {
 
     /// Earliest cycle a RD to `bank_group` satisfies tCCD and turnaround.
     pub fn rd_ready(&self, bank_group: u8) -> Cycle {
-        self.next_rd_any
-            .max(self.next_rd_same_bg[bank_group as usize])
-            .max(self.busy_until)
+        self.col_ready(true, bank_group)
     }
 
     /// Earliest cycle a WR to `bank_group` satisfies tCCD.
     pub fn wr_ready(&self, bank_group: u8) -> Cycle {
-        // Writes share the CCD structure with reads; we track the rank-wide
-        // constraint only (writes are rare in inference workloads).
-        self.next_wr_any
-            .max(self.next_rd_same_bg[bank_group as usize])
-            .max(self.busy_until)
+        self.col_ready(false, bank_group)
     }
 
     /// Earliest cycle the column command of the given direction satisfies
     /// the rank-level constraints — the rank-side counterpart of
     /// [`Bank::col_ready`] used by the event-driven engine.
     pub fn col_ready(&self, is_read: bool, bank_group: u8) -> Cycle {
-        if is_read {
-            self.rd_ready(bank_group)
+        self.col_rank_ready(is_read)
+            .max(self.col_group_ready(bank_group))
+    }
+
+    /// The part of column readiness shared by every bank of the rank:
+    /// tCCD_S (plus write-to-read turnaround for reads) and refresh.
+    pub fn col_rank_ready(&self, is_read: bool) -> Cycle {
+        let any = if is_read {
+            self.next_rd_any
         } else {
-            self.wr_ready(bank_group)
-        }
+            // Writes share the CCD structure with reads; we track the
+            // rank-wide constraint only (writes are rare in inference
+            // workloads).
+            self.next_wr_any
+        };
+        any.max(self.busy_until)
+    }
+
+    /// The bank-group part of column readiness (tCCD_L), shared by reads
+    /// and writes.
+    pub fn col_group_ready(&self, bank_group: u8) -> Cycle {
+        self.next_rd_same_bg[bank_group as usize]
     }
 
     /// Records an ACT issued at `now` to `bank_group`.

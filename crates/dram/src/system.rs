@@ -110,8 +110,8 @@ enum TickOutcome {
 }
 
 /// Cached scheduling candidates of one (bank, direction), packed into a
-/// single 64-byte cache line — the scan over active banks touches exactly
-/// one unique line per bank.
+/// single 64-byte cache line — the scan touches exactly one unique line
+/// per candidate it evaluates.
 ///
 /// A bank has at most two candidate classes at a time: when its row
 /// buffer is open, the earliest row-hit entry (column command) and the
@@ -120,18 +120,16 @@ enum TickOutcome {
 /// `alt_is_act` recording which command the `alt` slot needs. A
 /// `u64::MAX` sequence number marks an absent candidate.
 ///
-/// Valid while the owning bank's stamp is unchanged — i.e. until the
-/// bank's timing state, row state or queue contents change. Rank-level
-/// timers and the shared data bus change on almost every issue, so those
-/// parts are deliberately **not** cached: they are read live (cheap
-/// inline loads) and combined at query time. Mere passage of time never
-/// invalidates the cache — legality is a comparison of the cached cycle
-/// against `now`.
+/// Valid until the owning bank's timing state, row state or queue
+/// contents change, which puts the bank on its direction's dirty list.
+/// Rank-level timers and the shared data bus change on almost every
+/// issue, so those parts are deliberately **not** cached: they are read
+/// live (as per-rank gates) and combined at query time. Mere passage of
+/// time never invalidates the cache — legality is a comparison of the
+/// cached cycle against `now`.
 #[derive(Debug, Clone, Copy)]
 #[repr(align(64))]
 struct CandCache {
-    /// The bank's stamp value this cache was computed at (0 = never).
-    epoch: u64,
     /// Sequence of the earliest row-hit entry (`u64::MAX` = none).
     col_seq: u64,
     /// Sequence of the earliest PRE/ACT entry (`u64::MAX` = none).
@@ -150,7 +148,6 @@ struct CandCache {
 impl Default for CandCache {
     fn default() -> Self {
         Self {
-            epoch: 0,
             col_seq: u64::MAX,
             alt_seq: u64::MAX,
             col_ready: 0,
@@ -158,6 +155,154 @@ impl Default for CandCache {
             col_slot: 0,
             alt_slot: 0,
             alt_is_act: false,
+        }
+    }
+}
+
+impl CandCache {
+    /// Recomputes the candidates of one (bank, direction) from the bank's
+    /// queue and state.
+    fn compute(queue: &[BankEntry], bank: &Bank, is_read: bool) -> Self {
+        let mut c = Self::default();
+        match bank.state {
+            BankState::Closed => {
+                if let Some(e) = queue.first() {
+                    c.alt_seq = e.seq;
+                    c.alt_slot = e.slot;
+                    c.alt_ready = bank.act_ready();
+                    c.alt_is_act = true;
+                }
+            }
+            BankState::Open(row) => {
+                for e in queue {
+                    if e.row == row {
+                        if c.col_seq == u64::MAX {
+                            c.col_seq = e.seq;
+                            c.col_slot = e.slot;
+                        }
+                    } else if c.alt_seq == u64::MAX {
+                        c.alt_seq = e.seq;
+                        c.alt_slot = e.slot;
+                    }
+                    if c.col_seq != u64::MAX && c.alt_seq != u64::MAX {
+                        break;
+                    }
+                }
+                if c.col_seq != u64::MAX {
+                    c.col_ready = bank.col_ready(is_read);
+                }
+                if c.alt_seq != u64::MAX {
+                    c.alt_ready = bank.pre_ready();
+                }
+            }
+        }
+        c
+    }
+
+    /// Earliest-legal cycle of the column candidate: the cached bank part,
+    /// the rank timer's bank-group part, and the rank's column `gate`
+    /// (see [`MemorySystem::col_gate`]). The one spelling of the formula,
+    /// shared by the scan and the event queries.
+    #[inline]
+    fn col_at(&self, timer: &RankTimer, bg: u8, gate: Cycle) -> Cycle {
+        self.col_ready.max(timer.col_group_ready(bg)).max(gate)
+    }
+
+    /// Earliest-legal cycle of an ACT candidate: the cached bank part, the
+    /// rank timer's bank-group part, and the rank's ACT `gate`
+    /// ([`RankTimer::act_rank_ready`]).
+    #[inline]
+    fn act_at(&self, timer: &RankTimer, bg: u8, gate: Cycle) -> Cycle {
+        self.alt_ready.max(timer.act_group_ready(bg)).max(gate)
+    }
+}
+
+/// Which banks of one rank hold a candidate of each command class, one
+/// bit per bank of the rank (bit `i` = flat bank `i`). The scan walks
+/// these instead of every active bank, and skips a whole class when its
+/// rank-level gate is closed.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClassMasks {
+    col: u64,
+    act: u64,
+    pre: u64,
+}
+
+/// The controller state of one direction (reads or writes): its queues,
+/// its candidate caches and the index the scan walks over them.
+#[derive(Debug)]
+struct Direction {
+    /// Admitted requests as slab indices in arrival (`seq`) order — the
+    /// FR-FCFS consideration order. Removal preserves order.
+    order: VecDeque<u32>,
+    /// Per-(rank,bank) FR-FCFS queues in `seq` order, one per global flat
+    /// bank. Small (queue caps bound them), capacity reused.
+    queues: Vec<Vec<BankEntry>>,
+    /// Per-bank candidate caches, one 64-byte line each. The two
+    /// directions live in separate arrays, so read-only traffic never
+    /// touches the write caches.
+    cand: Vec<CandCache>,
+    /// Per-rank class bitmasks over `cand`.
+    masks: Vec<ClassMasks>,
+    /// Banks whose cache is stale, each listed once (`is_dirty` dedupes),
+    /// so the list never outgrows its bank-count capacity and pushing
+    /// never allocates.
+    dirty: Vec<u32>,
+    is_dirty: Vec<bool>,
+}
+
+impl Direction {
+    fn new(total_banks: usize, ranks: usize) -> Self {
+        Self {
+            order: VecDeque::new(),
+            queues: vec![Vec::new(); total_banks],
+            cand: vec![CandCache::default(); total_banks],
+            masks: vec![ClassMasks::default(); ranks],
+            dirty: Vec::with_capacity(total_banks),
+            is_dirty: vec![false; total_banks],
+        }
+    }
+
+    /// Marks `gbank`'s candidates stale.
+    fn mark(&mut self, gbank: usize) {
+        if !self.is_dirty[gbank] {
+            self.is_dirty[gbank] = true;
+            self.dirty.push(gbank as u32);
+        }
+    }
+
+    /// Recomputes the candidates (and class bits) of every dirty bank.
+    fn refresh(&mut self, banks: &[Bank], bpr: usize, is_read: bool) {
+        for g in self.dirty.drain(..) {
+            let g = g as usize;
+            let c = CandCache::compute(&self.queues[g], &banks[g], is_read);
+            let bit = 1u64 << (g % bpr);
+            let m = &mut self.masks[g / bpr];
+            m.col &= !bit;
+            m.act &= !bit;
+            m.pre &= !bit;
+            if c.col_seq != u64::MAX {
+                m.col |= bit;
+            }
+            if c.alt_seq != u64::MAX {
+                if c.alt_is_act {
+                    m.act |= bit;
+                } else {
+                    m.pre |= bit;
+                }
+            }
+            self.cand[g] = c;
+            self.is_dirty[g] = false;
+        }
+    }
+
+    /// `gbank`'s candidates, recomputed on the fly when stale (for the
+    /// `&self` event query).
+    fn candidate(&self, gbank: usize, bank: &Bank, is_read: bool) -> CandCache {
+        if self.is_dirty[gbank] {
+            CandCache::compute(&self.queues[gbank], bank, is_read)
+        } else {
+            self.cand[gbank]
         }
     }
 }
@@ -208,30 +353,12 @@ pub struct MemorySystem {
     /// so the steady-state issue loop never allocates.
     slab: Vec<Queued>,
     free_slots: Vec<u32>,
-    /// Admitted reads/writes as slab indices in arrival (`seq`) order —
-    /// the FR-FCFS consideration order. Removal preserves order.
-    read_order: VecDeque<u32>,
-    write_order: VecDeque<u32>,
-    /// Per-(rank,bank) FR-FCFS queues in `seq` order, one pair per global
-    /// flat bank. Small (queue caps bound them), capacity reused.
-    bank_reads: Vec<Vec<BankEntry>>,
-    bank_writes: Vec<Vec<BankEntry>>,
-    /// Banks with at least one admitted request — the only banks the
-    /// scheduling passes and `next_event_cycle` have to look at.
-    active_banks: Vec<u32>,
-    bank_active: Vec<bool>,
+    reads: Direction,
+    writes: Direction,
     /// Per-bank rank and bank-group lookup tables (indexed by global flat
     /// bank), so the hot loops never divide.
     bank_rank: Vec<u8>,
     bank_bg: Vec<u8>,
-    /// Per-bank cache-invalidation stamps (dense, a few cache lines for
-    /// the whole channel) and the per-(bank, direction) candidate caches
-    /// (one 64-byte line each). Write caches live in their own array so
-    /// read-only traffic never touches them.
-    bank_stamp: Vec<u64>,
-    cand_rd: Vec<CandCache>,
-    cand_wr: Vec<CandCache>,
-    epoch_ctr: u64,
     completed: Vec<CompletedRequest>,
     next_seq: u64,
     next_auto_id: u64,
@@ -255,6 +382,13 @@ impl MemorySystem {
             .map(|_| RankTimer::new(geo.bank_groups, &timing))
             .collect();
         let bpr = geo.banks_per_rank();
+        if bpr > u64::BITS as usize {
+            // The scheduler's class bitmasks hold one bit per bank of a rank.
+            return Err(recnmp_types::ConfigError::new(
+                "banks_per_rank",
+                "must be at most 64",
+            ));
+        }
         let total_banks = geo.ranks as usize * bpr;
         Ok(Self {
             refresh_pending: vec![false; geo.ranks as usize],
@@ -270,20 +404,12 @@ impl MemorySystem {
             staged: VecDeque::new(),
             slab: Vec::new(),
             free_slots: Vec::new(),
-            read_order: VecDeque::new(),
-            write_order: VecDeque::new(),
-            bank_reads: vec![Vec::new(); total_banks],
-            bank_writes: vec![Vec::new(); total_banks],
-            active_banks: Vec::new(),
-            bank_active: vec![false; total_banks],
+            reads: Direction::new(total_banks, geo.ranks as usize),
+            writes: Direction::new(total_banks, geo.ranks as usize),
             bank_rank: (0..total_banks).map(|g| (g / bpr) as u8).collect(),
             bank_bg: (0..total_banks)
                 .map(|g| ((g % bpr) / geo.banks_per_group as usize) as u8)
                 .collect(),
-            bank_stamp: vec![1; total_banks],
-            cand_rd: vec![CandCache::default(); total_banks],
-            cand_wr: vec![CandCache::default(); total_banks],
-            epoch_ctr: 1,
             completed: Vec::new(),
             next_seq: 0,
             next_auto_id: 0,
@@ -326,7 +452,7 @@ impl MemorySystem {
 
     /// Requests known to the controller but not yet completed.
     pub fn pending(&self) -> usize {
-        self.staged.len() + self.read_order.len() + self.write_order.len()
+        self.staged.len() + self.reads.order.len() + self.writes.order.len()
     }
 
     /// Enqueues a request built by the caller.
@@ -387,17 +513,25 @@ impl MemorySystem {
     /// when it was not, the earliest future bank-candidate readiness.
     fn tick_inner(&mut self) -> TickOutcome {
         self.loop_iters += 1;
-        self.admit_arrivals();
-        if self.config.refresh {
-            self.update_refresh_state();
-            if self.try_issue_refresh() {
-                self.cycle += 1;
-                return TickOutcome::Issued(None);
-            }
-        }
-        let outcome = self.issue_request_command();
+        let outcome = if self.admit_and_refresh() {
+            TickOutcome::Issued(None)
+        } else {
+            self.issue_request_command()
+        };
         self.cycle += 1;
         outcome
+    }
+
+    /// The part of a controller cycle before the FR-FCFS decision: admit
+    /// arrivals and progress refresh. Returns whether a refresh command
+    /// took the cycle's command slot.
+    fn admit_and_refresh(&mut self) -> bool {
+        self.admit_arrivals();
+        if !self.config.refresh {
+            return false;
+        }
+        self.update_refresh_state();
+        self.try_issue_refresh()
     }
 
     /// Main-loop iterations executed so far (ticks, across both engines).
@@ -607,9 +741,9 @@ impl MemorySystem {
     pub fn next_event_cycle(&self) -> Option<Cycle> {
         // Queued requests: the cycle their next command (column, PRE or
         // ACT) becomes legal. Command legality is a property of the bank,
-        // not the request, so each *active bank* contributes at most two
-        // candidate cycles per direction (column for open-row matches,
-        // PRE for mismatches; ACT when closed) — served from the per-bank
+        // not the request, so each bank contributes at most two candidate
+        // cycles per direction (column for open-row matches, PRE for
+        // mismatches; ACT when closed) — served from the per-bank
         // candidate caches, no per-request rescan. Writes only
         // participate when the controller would drain them — drain mode
         // flips only on admissions or issues, which are events themselves.
@@ -618,10 +752,8 @@ impl MemorySystem {
             cand = Some(cand.map_or(at, |n| n.min(at)));
         };
         let drain = self.drain_writes();
-        for &gb in &self.active_banks {
-            let gbank = gb as usize;
-            let rank = self.bank_rank[gbank] as usize;
-            if self.refresh_pending[rank] {
+        for gbank in 0..self.banks.len() {
+            if self.refresh_pending[self.bank_rank[gbank] as usize] {
                 // The refresh-step event (in `light_event_cycle`) covers
                 // the unblock.
                 continue;
@@ -642,19 +774,10 @@ impl MemorySystem {
     /// candidates into `consider`, reading through the candidate cache
     /// (recomputing on the fly when stale — this is a `&self` query).
     fn consider_bank_events(&self, is_read: bool, gbank: usize, consider: &mut impl FnMut(Cycle)) {
-        let cached = if is_read {
-            &self.cand_rd[gbank]
-        } else {
-            &self.cand_wr[gbank]
-        };
-        let fresh;
-        let c = if cached.epoch == self.bank_stamp[gbank] {
-            cached
-        } else {
-            fresh = self.compute_cand(is_read, gbank);
-            &fresh
-        };
-        let (col, alt) = self.cand_effective_ready(c, is_read, gbank);
+        let c = self
+            .dir(is_read)
+            .candidate(gbank, &self.banks[gbank], is_read);
+        let (col, alt) = self.cand_effective_ready(&c, is_read, gbank);
         if col != Cycle::MAX {
             consider(col);
         }
@@ -665,28 +788,35 @@ impl MemorySystem {
 
     /// The effective earliest-legal cycles of a cache's candidates: the
     /// cached bank-local parts combined with the **live** rank timers and
-    /// data-bus reservation — the one place (besides the inlined hot loop
-    /// in `scan_direction`, kept in sync by the equivalence suites) that
-    /// spells out the candidate-readiness formula. `Cycle::MAX` marks an
-    /// absent candidate.
+    /// data-bus reservation, through the same gates and
+    /// [`CandCache::col_at`]/[`CandCache::act_at`] the scan uses.
+    /// `Cycle::MAX` marks an absent candidate.
     fn cand_effective_ready(&self, c: &CandCache, is_read: bool, gbank: usize) -> (Cycle, Cycle) {
         let rank = self.bank_rank[gbank] as usize;
+        let timer = &self.ranks[rank];
         let bg = self.bank_bg[gbank];
         let col = if c.col_seq != u64::MAX {
-            c.col_ready
-                .max(self.ranks[rank].col_ready(is_read, bg))
-                .max(self.bus_part(is_read, rank as u8))
+            c.col_at(timer, bg, self.col_gate(is_read, rank))
         } else {
             Cycle::MAX
         };
         let alt = if c.alt_seq == u64::MAX {
             Cycle::MAX
         } else if c.alt_is_act {
-            c.alt_ready.max(self.ranks[rank].act_ready(bg))
+            c.act_at(timer, bg, timer.act_rank_ready())
         } else {
             c.alt_ready
         };
         (col, alt)
+    }
+
+    /// The column gate of `rank`: the part of column readiness shared by
+    /// all its banks — the rank timer's rank-wide part and the data bus.
+    /// A lower bound on every column candidate of the rank.
+    fn col_gate(&self, is_read: bool, rank: usize) -> Cycle {
+        self.ranks[rank]
+            .col_rank_ready(is_read)
+            .max(self.bus_part(is_read, rank as u8))
     }
 
     /// The data-bus contribution to column legality for `rank`: the cycle
@@ -706,71 +836,47 @@ impl MemorySystem {
         bus_free.saturating_sub(data_offset)
     }
 
-    /// Recomputes the candidate cache of one (bank, direction) from its
-    /// queue and bank state.
-    fn compute_cand(&self, is_read: bool, gbank: usize) -> CandCache {
-        let bank_q = if is_read {
-            &self.bank_reads[gbank]
-        } else {
-            &self.bank_writes[gbank]
-        };
-        let bank = &self.banks[gbank];
-        let mut c = CandCache {
-            epoch: self.bank_stamp[gbank],
-            ..CandCache::default()
-        };
-        match bank.state {
-            BankState::Closed => {
-                if let Some(e) = bank_q.first() {
-                    c.alt_seq = e.seq;
-                    c.alt_slot = e.slot;
-                    c.alt_ready = bank.act_ready();
-                    c.alt_is_act = true;
-                }
-            }
-            BankState::Open(row) => {
-                for e in bank_q {
-                    if e.row == row {
-                        if c.col_seq == u64::MAX {
-                            c.col_seq = e.seq;
-                            c.col_slot = e.slot;
-                        }
-                    } else if c.alt_seq == u64::MAX {
-                        c.alt_seq = e.seq;
-                        c.alt_slot = e.slot;
-                    }
-                    if c.col_seq != u64::MAX && c.alt_seq != u64::MAX {
-                        break;
-                    }
-                }
-                if c.col_seq != u64::MAX {
-                    c.col_ready = bank.col_ready(is_read);
-                }
-                if c.alt_seq != u64::MAX {
-                    c.alt_ready = bank.pre_ready();
-                }
-            }
-        }
-        c
+    /// Marks `gbank`'s candidates stale in both directions (its timing or
+    /// row state changed).
+    fn touch_bank(&mut self, gbank: usize) {
+        self.reads.mark(gbank);
+        self.writes.mark(gbank);
     }
 
-    /// Marks `gbank`'s candidate caches stale (timing state, row state or
-    /// queue contents changed).
-    fn touch_bank(&mut self, gbank: usize) {
-        self.epoch_ctr += 1;
-        self.bank_stamp[gbank] = self.epoch_ctr;
+    /// The state of the read or the write direction.
+    fn dir(&self, is_read: bool) -> &Direction {
+        if is_read {
+            &self.reads
+        } else {
+            &self.writes
+        }
+    }
+
+    /// Mutable [`dir`](Self::dir).
+    fn dir_mut(&mut self, is_read: bool) -> &mut Direction {
+        if is_read {
+            &mut self.reads
+        } else {
+            &mut self.writes
+        }
+    }
+
+    /// Brings one direction's candidate caches and class bits up to date.
+    fn refresh_candidates(&mut self, is_read: bool) {
+        let dir = if is_read {
+            &mut self.reads
+        } else {
+            &mut self.writes
+        };
+        dir.refresh(&self.banks, self.bpr, is_read);
     }
 
     /// Arrival cycle of the staged-queue front, if its target queue has
     /// room to admit it.
     fn next_admissible_arrival(&self) -> Option<Cycle> {
         let front = self.staged.front()?;
-        let (len, cap) = if front.kind == RequestKind::Read {
-            (self.read_order.len(), self.config.read_queue)
-        } else {
-            (self.write_order.len(), self.config.write_queue)
-        };
-        (len < cap).then_some(front.arrival)
+        let is_read = front.kind == RequestKind::Read;
+        (!self.queue_full(is_read)).then_some(front.arrival)
     }
 
     /// Earliest cycle rank `r`'s next refresh step (PRE of the first open
@@ -797,11 +903,21 @@ impl MemorySystem {
         &self.banks[r * self.bpr..(r + 1) * self.bpr]
     }
 
+    /// Whether the admitted-request queue of one direction is at capacity.
+    fn queue_full(&self, is_read: bool) -> bool {
+        let cap = if is_read {
+            self.config.read_queue
+        } else {
+            self.config.write_queue
+        };
+        self.dir(is_read).order.len() >= cap
+    }
+
     /// Whether the controller is in write-drain mode (the same predicate
     /// `issue_request_command` applies).
     fn drain_writes(&self) -> bool {
-        self.write_order.len() * 4 >= self.config.write_queue * 3
-            || (self.read_order.is_empty() && !self.write_order.is_empty())
+        self.writes.order.len() * 4 >= self.config.write_queue * 3
+            || (self.reads.order.is_empty() && !self.writes.order.is_empty())
     }
 
     /// Removes and returns all completions whose data has fully transferred
@@ -829,12 +945,7 @@ impl MemorySystem {
                 break;
             }
             let is_read = front.kind == RequestKind::Read;
-            let (len, cap) = if is_read {
-                (self.read_order.len(), self.config.read_queue)
-            } else {
-                (self.write_order.len(), self.config.write_queue)
-            };
-            if len >= cap {
+            if self.queue_full(is_read) {
                 break;
             }
             let q = self.staged.pop_front().expect("front checked");
@@ -851,23 +962,14 @@ impl MemorySystem {
                     (self.slab.len() - 1) as u32
                 }
             };
-            let entry = BankEntry {
+            let dir = self.dir_mut(is_read);
+            dir.order.push_back(slot);
+            dir.queues[gbank].push(BankEntry {
                 slot,
                 row: entry_row,
                 seq: entry_seq,
-            };
-            if is_read {
-                self.read_order.push_back(slot);
-                self.bank_reads[gbank].push(entry);
-            } else {
-                self.write_order.push_back(slot);
-                self.bank_writes[gbank].push(entry);
-            }
-            self.touch_bank(gbank);
-            if !self.bank_active[gbank] {
-                self.bank_active[gbank] = true;
-                self.active_banks.push(gbank as u32);
-            }
+            });
+            dir.mark(gbank);
         }
     }
 
@@ -949,25 +1051,26 @@ impl MemorySystem {
     /// now, pass 2 the oldest request whose next command (column, PRE or
     /// ACT) is legal, reads always ahead of writes, writes only in drain
     /// mode — but both passes run over the per-bank candidate caches: each
-    /// active bank contributes its earliest eligible request per command
-    /// class (requests needing the same command on the same bank share one
+    /// bank contributes its earliest eligible request per command class
+    /// (requests needing the same command on the same bank share one
     /// legality verdict), and the oldest legal candidate across banks
     /// wins. No allocation, no sort, no per-request timing re-checks. When
-    /// nothing is legal, the same traversal has already produced the
-    /// earliest future readiness, which the event-driven engine jumps to.
+    /// nothing is legal, the same scan has already produced a lower bound
+    /// on the earliest future readiness, which the event-driven engine
+    /// jumps to.
     fn issue_request_command(&mut self) -> TickOutcome {
         let drain_writes = self.drain_writes();
-        let has_reads = !self.read_order.is_empty();
-        if !has_reads && (!drain_writes || self.write_order.is_empty()) {
+        let has_reads = !self.reads.order.is_empty();
+        if !has_reads && (!drain_writes || self.writes.order.is_empty()) {
             return TickOutcome::Idle(None);
         }
 
         // Starvation guard: when the oldest request has waited too long,
         // skip the row-hit pass so it makes progress.
         let oldest = if has_reads {
-            self.read_order[0]
+            self.reads.order[0]
         } else {
-            self.write_order[0]
+            self.writes.order[0]
         };
         let oldest_age = self
             .cycle
@@ -1032,9 +1135,9 @@ impl MemorySystem {
     /// this cycle. Then every surviving candidate was not-yet-legal, and
     /// `min_ready` bounds their readiness from below (an issue only ever
     /// pushes timing constraints later). The issued bank's candidate
-    /// structure did change, so its candidates are recomputed fresh. A
-    /// lower-bound jump can cost at most a no-op tick; it can never skip
-    /// a decision cycle. Drain-mode flips change which candidates
+    /// structure did change, so its candidates (the only dirty ones) are
+    /// recomputed fresh. A lower-bound jump can cost at most a no-op tick;
+    /// it can never skip a decision cycle. Drain-mode flips change which candidates
     /// participate at all, so any flip bails out.
     fn post_issue_hint(
         &mut self,
@@ -1046,9 +1149,8 @@ impl MemorySystem {
             return None;
         }
         let mut m = scan.min_ready;
-        let fresh = self.compute_cand(true, gbank);
-        self.cand_rd[gbank] = fresh;
-        let (col, alt) = self.cand_effective_ready(&fresh, true, gbank);
+        self.refresh_candidates(true);
+        let (col, alt) = self.cand_effective_ready(&self.reads.cand[gbank], true, gbank);
         if col != Cycle::MAX {
             m = min_cycle(m, Some(col));
         }
@@ -1058,7 +1160,19 @@ impl MemorySystem {
         m
     }
 
+    /// One direction's FR-FCFS candidate scan.
+    ///
+    /// Recomputes the candidates of the banks that changed since the last
+    /// scan, then walks each rank's class bitmasks. Before touching a
+    /// class it checks the rank's gate for it: the column gate (tCCD_S,
+    /// turnaround, refresh and the data bus) or the ACT gate (tRRD_S,
+    /// tFAW and refresh). A gate is a lower bound on the readiness of every
+    /// candidate in the class, so a gate past `now` rules the whole class
+    /// out at once and stands in for its candidates in `min_ready` — a
+    /// jump to it is never late and costs at most one no-op tick. PRE
+    /// candidates are gated by their bank alone.
     fn scan_direction(&mut self, is_read: bool, fr: bool) -> ScanResult {
+        self.refresh_candidates(is_read);
         let now = self.cycle;
         let mut best_col_seq = u64::MAX;
         let mut best_col = 0u32;
@@ -1066,83 +1180,75 @@ impl MemorySystem {
         let mut best_other = (0u32, NextCmd::Pre);
         let mut min_ready = Cycle::MAX;
         let mut legal = 0u32;
-        // Data-bus reservation, hoisted: one value for the rank that last
-        // owned the bus, one (with the switch penalty) for every other.
-        let data_offset = if is_read {
-            self.timing.t_cl
-        } else {
-            self.timing.t_cwl
-        };
-        let bus_same = self.data_bus_free.saturating_sub(data_offset);
-        let bus_other = (self.data_bus_free + self.timing.rank_switch).saturating_sub(data_offset);
-        let last_rank = self.last_data_rank;
-        for i in 0..self.active_banks.len() {
-            let gbank = self.active_banks[i] as usize;
-            let rank = self.bank_rank[gbank] as usize;
+        let dir = self.dir(is_read);
+        for (rank, (masks, timer)) in dir.masks.iter().zip(&self.ranks).enumerate() {
             if self.refresh_pending[rank] {
                 continue;
             }
-            let cands = if is_read {
-                &self.cand_rd[gbank]
-            } else {
-                &self.cand_wr[gbank]
-            };
-            if cands.epoch != self.bank_stamp[gbank] {
-                let fresh = self.compute_cand(is_read, gbank);
-                if is_read {
-                    self.cand_rd[gbank] = fresh;
+            let base = rank * self.bpr;
+            if masks.col != 0 {
+                let gate = self.col_gate(is_read, rank);
+                if gate > now {
+                    min_ready = min_ready.min(gate);
                 } else {
-                    self.cand_wr[gbank] = fresh;
-                }
-            }
-            let c = if is_read {
-                &self.cand_rd[gbank]
-            } else {
-                &self.cand_wr[gbank]
-            };
-            let bg = self.bank_bg[gbank];
-            if c.col_seq != u64::MAX {
-                let bus = if last_rank.is_some() && last_rank != Some(rank as u8) {
-                    bus_other
-                } else {
-                    bus_same
-                };
-                let ready = c
-                    .col_ready
-                    .max(self.ranks[rank].col_ready(is_read, bg))
-                    .max(bus);
-                if ready <= now {
-                    legal += 1;
-                    if fr {
-                        if c.col_seq < best_col_seq {
-                            best_col_seq = c.col_seq;
-                            best_col = c.col_slot;
+                    let mut bits = masks.col;
+                    while bits != 0 {
+                        let gbank = base + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let c = &dir.cand[gbank];
+                        let ready = c.col_at(timer, self.bank_bg[gbank], gate);
+                        if ready > now {
+                            min_ready = min_ready.min(ready);
+                            continue;
                         }
-                    } else if c.col_seq < best_other_seq {
-                        best_other_seq = c.col_seq;
-                        best_other = (c.col_slot, NextCmd::Column);
+                        legal += 1;
+                        if fr {
+                            if c.col_seq < best_col_seq {
+                                best_col_seq = c.col_seq;
+                                best_col = c.col_slot;
+                            }
+                        } else if c.col_seq < best_other_seq {
+                            best_other_seq = c.col_seq;
+                            best_other = (c.col_slot, NextCmd::Column);
+                        }
                     }
-                } else {
-                    min_ready = min_ready.min(ready);
                 }
             }
-            if c.alt_seq != u64::MAX {
-                let (ready, cmd) = if c.alt_is_act {
-                    (
-                        c.alt_ready.max(self.ranks[rank].act_ready(bg)),
-                        NextCmd::Act,
-                    )
+            if masks.act != 0 {
+                let gate = timer.act_rank_ready();
+                if gate > now {
+                    min_ready = min_ready.min(gate);
                 } else {
-                    (c.alt_ready, NextCmd::Pre)
-                };
-                if ready <= now {
-                    legal += 1;
-                    if c.alt_seq < best_other_seq {
-                        best_other_seq = c.alt_seq;
-                        best_other = (c.alt_slot, cmd);
+                    let mut bits = masks.act;
+                    while bits != 0 {
+                        let gbank = base + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let c = &dir.cand[gbank];
+                        let ready = c.act_at(timer, self.bank_bg[gbank], gate);
+                        if ready > now {
+                            min_ready = min_ready.min(ready);
+                            continue;
+                        }
+                        legal += 1;
+                        if c.alt_seq < best_other_seq {
+                            best_other_seq = c.alt_seq;
+                            best_other = (c.alt_slot, NextCmd::Act);
+                        }
                     }
-                } else {
-                    min_ready = min_ready.min(ready);
+                }
+            }
+            let mut bits = masks.pre;
+            while bits != 0 {
+                let c = &dir.cand[base + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                if c.alt_ready > now {
+                    min_ready = min_ready.min(c.alt_ready);
+                    continue;
+                }
+                legal += 1;
+                if c.alt_seq < best_other_seq {
+                    best_other_seq = c.alt_seq;
+                    best_other = (c.alt_slot, NextCmd::Pre);
                 }
             }
         }
@@ -1226,43 +1332,24 @@ impl MemorySystem {
         }
     }
 
-    /// Unlinks `slot` from its order queue and its bank queue, recycles
-    /// the slab slot, and retires the bank from the active list when it
-    /// has no queued requests left. Returns the request.
+    /// Unlinks `slot` from its order queue and its bank queue and recycles
+    /// the slab slot. Returns the request. The caller touches the bank.
     fn remove_queued(&mut self, is_read: bool, slot: u32) -> Queued {
-        let order = if is_read {
-            &mut self.read_order
-        } else {
-            &mut self.write_order
-        };
-        let pos = order
+        let q = self.slab[slot as usize].clone();
+        let dir = self.dir_mut(is_read);
+        let pos = dir
+            .order
             .iter()
             .position(|&s| s == slot)
             .expect("slot is in its order queue");
-        order.remove(pos);
-        let q = self.slab[slot as usize].clone();
-        let gbank = q.gbank as usize;
-        let bank_q = if is_read {
-            &mut self.bank_reads[gbank]
-        } else {
-            &mut self.bank_writes[gbank]
-        };
+        dir.order.remove(pos);
+        let bank_q = &mut dir.queues[q.gbank as usize];
         let bpos = bank_q
             .iter()
             .position(|e| e.slot == slot)
             .expect("slot is in its bank queue");
         bank_q.remove(bpos);
-        self.touch_bank(gbank);
         self.free_slots.push(slot);
-        if self.bank_reads[gbank].is_empty() && self.bank_writes[gbank].is_empty() {
-            self.bank_active[gbank] = false;
-            let apos = self
-                .active_banks
-                .iter()
-                .position(|&g| g as usize == gbank)
-                .expect("queued bank is active");
-            self.active_banks.swap_remove(apos);
-        }
         q
     }
 
@@ -1277,7 +1364,205 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use recnmp_types::units::CACHELINE_BYTES;
+
+    /// A command the controller issued: (is read, slab slot, command).
+    type Decision = (bool, u32, NextCmd);
+
+    /// The FR-FCFS decision recomputed from first principles, with no
+    /// candidate cache, class mask or rank gate: every queued request's
+    /// next command and the cycle it becomes legal, read straight off the
+    /// slab, bank, rank and data-bus state. The rules: row hits first
+    /// (unless the oldest request has starved), reads before writes,
+    /// writes only while draining, oldest first within each pass.
+    ///
+    /// Returns the command the controller must issue this cycle, and the
+    /// exact earliest future readiness over every schedulable request.
+    fn oracle(mem: &MemorySystem) -> (Option<Decision>, Option<Cycle>) {
+        let now = mem.cycle;
+        let t = &mem.timing;
+        let (reads, writes) = (&mem.reads.order, &mem.writes.order);
+        let drain = writes.len() * 4 >= mem.config.write_queue * 3
+            || (reads.is_empty() && !writes.is_empty());
+        let mut next = Vec::new();
+        for (is_read, order) in [(true, reads), (false, writes)] {
+            if !is_read && !drain {
+                continue;
+            }
+            for &slot in order {
+                let q = &mem.slab[slot as usize];
+                let (a, bank, rank) = (
+                    q.addr,
+                    &mem.banks[q.gbank as usize],
+                    &mem.ranks[q.addr.rank as usize],
+                );
+                if mem.refresh_pending[a.rank as usize] {
+                    continue;
+                }
+                let (cmd, ready) = match bank.state {
+                    BankState::Open(row) if row == a.row => {
+                        let (bank_ready, rank_ready, offset) = if is_read {
+                            (bank.rd_ready(), rank.rd_ready(a.bank_group), t.t_cl)
+                        } else {
+                            (bank.wr_ready(), rank.wr_ready(a.bank_group), t.t_cwl)
+                        };
+                        let switch = match mem.last_data_rank {
+                            Some(r) if r != a.rank => t.rank_switch,
+                            _ => 0,
+                        };
+                        let bus = (mem.data_bus_free + switch).saturating_sub(offset);
+                        (NextCmd::Column, bank_ready.max(rank_ready).max(bus))
+                    }
+                    BankState::Open(_) => (NextCmd::Pre, bank.pre_ready()),
+                    BankState::Closed => (
+                        NextCmd::Act,
+                        bank.act_ready().max(rank.act_ready(a.bank_group)),
+                    ),
+                };
+                next.push((is_read, slot, cmd, ready));
+            }
+        }
+        let exact_min = next.iter().map(|n| n.3).filter(|&r| r > now).min();
+        // Orders are in age order, reads listed before writes, so the
+        // first legal match of a pass is its winner.
+        let pass = |is_read: bool, hits_only: bool| {
+            next.iter()
+                .find(|n| n.0 == is_read && n.3 <= now && (!hits_only || n.2 == NextCmd::Column))
+                .map(|n| (n.0, n.1, n.2))
+        };
+        let Some(&oldest) = reads.front().or(writes.front()) else {
+            return (None, exact_min);
+        };
+        let allow_fr =
+            now.saturating_sub(mem.slab[oldest as usize].arrival) < mem.config.starvation_cycles;
+        let first_ready = if allow_fr {
+            pass(true, true).or_else(|| pass(false, true))
+        } else {
+            None
+        };
+        let decision = first_ready
+            .or_else(|| pass(true, false))
+            .or_else(|| pass(false, false));
+        (decision, exact_min)
+    }
+
+    /// The state an FR-FCFS issue changes, captured before the decision
+    /// so the issued command can be read off the difference.
+    struct Snapshot {
+        completed: usize,
+        queued: Vec<u32>,
+        counts: Vec<(u8, u8)>,
+    }
+
+    impl Snapshot {
+        fn take(mem: &MemorySystem) -> Self {
+            Self {
+                completed: mem.completed.len(),
+                queued: mem
+                    .reads
+                    .order
+                    .iter()
+                    .chain(&mem.writes.order)
+                    .copied()
+                    .collect(),
+                counts: mem.slab.iter().map(|q| (q.acts, q.pres)).collect(),
+            }
+        }
+
+        /// The command issued since the snapshot, if any.
+        fn issued(&self, mem: &MemorySystem) -> Option<Decision> {
+            let is_read = |slot: usize| mem.slab[slot].kind == RequestKind::Read;
+            if mem.completed.len() > self.completed {
+                let slot = *self
+                    .queued
+                    .iter()
+                    .find(|s| !mem.reads.order.contains(s) && !mem.writes.order.contains(s))
+                    .expect("a column command retires its request");
+                return Some((is_read(slot as usize), slot, NextCmd::Column));
+            }
+            self.counts
+                .iter()
+                .zip(&mem.slab)
+                .position(|(&before, q)| before != (q.acts, q.pres))
+                .map(|slot| {
+                    let cmd = if mem.slab[slot].acts != self.counts[slot].0 {
+                        NextCmd::Act
+                    } else {
+                        NextCmd::Pre
+                    };
+                    (is_read(slot), slot as u32, cmd)
+                })
+        }
+    }
+
+    /// One per-cycle controller tick (as `tick_inner` runs it) with the
+    /// scan's decision checked against the oracle, and an idle tick's
+    /// jump bound checked to be no later than the exact next readiness.
+    fn oracle_checked_tick(mem: &mut MemorySystem) {
+        if !mem.admit_and_refresh() {
+            let (expected, exact_min) = oracle(mem);
+            let before = Snapshot::take(mem);
+            let outcome = mem.issue_request_command();
+            assert_eq!(
+                before.issued(mem),
+                expected,
+                "decision at cycle {}",
+                mem.cycle
+            );
+            if let (TickOutcome::Idle(bound), Some(exact)) = (outcome, exact_min) {
+                assert!(
+                    bound.is_some_and(|b| b <= exact),
+                    "cycle {}: idle bound {bound:?} is later than the next readiness {exact}",
+                    mem.cycle
+                );
+            }
+        }
+        mem.cycle += 1;
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Every decision of the rank-gated scan equals the oracle's, on
+        // 1/2/4/8-rank channels, refresh on and off, read-only and mixed
+        // traffic, short queues (frequent write drains) and a tight
+        // starvation bound.
+        #[test]
+        fn scan_matches_decision_oracle(
+            raw in prop::collection::vec((0u64..u64::MAX, 0u64..6, any::<bool>()), 1..160),
+            ranks in prop_oneof![Just((1u8, 1u8)), Just((1, 2)), Just((2, 2)), Just((4, 2))],
+            refresh in any::<bool>(),
+            writes in any::<bool>(),
+            span_bits in prop_oneof![Just(20u32), Just(26), Just(33)],
+            gap in prop_oneof![Just(0u64), Just(2), Just(40)],
+            starvation in prop_oneof![Just(48u64), Just(2048)],
+            write_queue in prop_oneof![Just(4usize), Just(32)],
+        ) {
+            let mut cfg = DramConfig::with_ranks(ranks.0, ranks.1);
+            cfg.refresh = refresh;
+            cfg.starvation_cycles = starvation;
+            cfg.write_queue = write_queue;
+            let mut mem = MemorySystem::new(cfg).expect("valid config");
+            mem.attach_monitor();
+            for (i, &(addr, jitter, write)) in raw.iter().enumerate() {
+                let addr = PhysAddr::new(addr & ((1 << span_bits) - 1) & !63);
+                let (id, arrival) = (RequestId::new(i as u64), i as u64 * gap + jitter);
+                mem.enqueue(if writes && write {
+                    Request::write(id, addr, arrival)
+                } else {
+                    Request::read(id, addr, arrival)
+                });
+            }
+            let mut ticks = 0u64;
+            while mem.pending() > 0 {
+                oracle_checked_tick(&mut mem);
+                ticks += 1;
+                prop_assert!(ticks < 5_000_000, "trace did not drain");
+            }
+            prop_assert!(mem.monitor_violations().is_empty(), "{:?}", mem.monitor_violations());
+        }
+    }
 
     fn single_rank() -> MemorySystem {
         MemorySystem::new(DramConfig::single_rank()).expect("valid config")

@@ -7,27 +7,34 @@
 //! warm-up round, further rounds of the same traffic leave the
 //! allocation counter untouched.
 //!
-//! The engine is single-threaded, so only allocations made on the
-//! measuring thread count: the test harness's own threads allocate on
-//! their own schedule and must not decide the verdict.
+//! The guard runs on the rank-NMP device (one rank) and on a 4-rank host
+//! channel, where the scheduler keeps per-rank state of its own.
+//!
+//! The engine is single-threaded, so only allocations made on a
+//! measuring thread count, and each measuring thread keeps its own
+//! count: the test harness's other threads (including the other test)
+//! allocate on their own schedule and must not decide the verdict.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Set on the thread whose allocations are counted.
+    /// Set on a thread whose allocations are counted.
     static COUNTED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made while counted.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count() {
     if COUNTED.with(Cell::get) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
     }
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -69,10 +76,11 @@ fn round(mem: &mut MemorySystem, salt: u64) -> u64 {
     last
 }
 
-#[test]
-fn steady_state_issue_loop_does_not_allocate() {
+/// Warms `cfg`'s engine up, then asserts that further rounds of the same
+/// traffic do not allocate.
+fn assert_steady_state_does_not_allocate(cfg: DramConfig) {
     COUNTED.with(|c| c.set(true));
-    let mut mem = MemorySystem::new(DramConfig::single_rank()).expect("config");
+    let mut mem = MemorySystem::new(cfg).expect("config");
 
     // Warm-up: grows the staged queue, slab, per-bank queues and the
     // completion buffer to their steady-state capacities.
@@ -80,12 +88,12 @@ fn steady_state_issue_loop_does_not_allocate() {
         round(&mut mem, salt);
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut checksum = 0u64;
     for salt in 4..12 {
         checksum = checksum.wrapping_add(round(&mut mem, salt));
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert!(checksum > 0);
     assert_eq!(
@@ -94,4 +102,14 @@ fn steady_state_issue_loop_does_not_allocate() {
         "steady-state issue loop allocated {} time(s)",
         after - before
     );
+}
+
+#[test]
+fn steady_state_issue_loop_does_not_allocate() {
+    assert_steady_state_does_not_allocate(DramConfig::single_rank());
+}
+
+#[test]
+fn multi_rank_steady_state_does_not_allocate() {
+    assert_steady_state_does_not_allocate(DramConfig::with_ranks(2, 2));
 }

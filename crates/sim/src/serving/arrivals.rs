@@ -12,7 +12,7 @@ use recnmp_model::{ModelConfig, RecModelKind};
 use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, SlsBatch, TraceGenerator};
 use recnmp_types::rng::DetRng;
 use recnmp_types::units::qps_to_interarrival_cycles;
-use recnmp_types::{Cycle, PhysAddr, TableId};
+use recnmp_types::{ConfigError, Cycle, PhysAddr, SimError, TableId};
 use serde::{Deserialize, Serialize};
 
 /// The inter-arrival distribution of the open-loop generator.
@@ -362,19 +362,27 @@ impl QueryStream {
 /// The offered load of one seeded run: each query's arrival cycle and
 /// its trace. Single-node and fleet serving draw both from the seed the
 /// same way, so a 1-node fleet replays the bare cluster's workload.
+///
+/// # Errors
+///
+/// Returns [`SimError::Config`] when `qps` is not positive and finite.
 pub(super) fn offered_load(
     process: ArrivalProcess,
     qps: f64,
     queries: usize,
     shape: QueryShape,
     seed: u64,
-) -> (Vec<Cycle>, Vec<SlsTrace>) {
+) -> Result<(Vec<Cycle>, Vec<SlsTrace>), SimError> {
+    if !(qps > 0.0 && qps.is_finite()) {
+        let msg = format!("offered rate must be positive and finite, got {qps}");
+        return Err(SimError::Config(ConfigError::new("qps", msg)));
+    }
     let mut rng = DetRng::seed(seed ^ 0xa5a5_5a5a_0f0f_f0f0);
     let arrivals = process.arrival_times(qps, queries, &mut rng);
-    (
+    Ok((
         arrivals,
         QueryStream::new(shape, seed).take_queries(queries),
-    )
+    ))
 }
 
 #[cfg(test)]

@@ -1,17 +1,20 @@
-//! The scatter/gather serving core behind single-node sharded and tiered
-//! serving (a one-node fleet) and fleet serving.
+//! The scatter/gather core behind every serving mode: single-node
+//! queued, sharded and tiered serving (a one-node fleet) and fleet
+//! serving.
 //!
-//! Each job routes its batches to nodes, then to the least-backlogged
-//! replica channel of each batch's table. Every touched node simulates
-//! its shards as one pool task, each shard queues on its channel, and
-//! the job completes at its slowest node (slowest shard plus the
-//! per-node [`GatherCost`]) plus the [`NetworkCost`] of a multi-node
-//! fleet plus the host-cache charge. Optional per-job stages do nothing
-//! when their `Option` is `None`: tier promotion epochs, the
+//! Each job routes its batches to nodes under the [`RouterPolicy`], then
+//! to a replica channel of each batch's table under the scatter rule;
+//! both levels share one rule set (`pick`). Queued serving scatters by
+//! its dispatch policy over a plan with every table on every channel,
+//! every other mode to the least-backlogged channel. Every touched node
+//! simulates its shards as one pool task, each shard queues on its
+//! channel, and the job completes at its slowest node (slowest shard
+//! plus the per-node [`GatherCost`]) plus the [`NetworkCost`] of a
+//! multi-node fleet plus the host-cache charge. Optional per-job stages
+//! do nothing when their `Option` is `None`: tier promotion epochs, the
 //! `max_queue_depth` guard, idle-gap prefetch, the host cache, and the
 //! [`ResilienceConfig`] layer (failover, SLO guard, retry, hedging —
-//! inert under [`ResilienceConfig::zero`]). `Queued` whole-job dispatch
-//! is the one serving mode outside this core.
+//! inert under [`ResilienceConfig::zero`]).
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -74,7 +77,7 @@ pub(super) fn coalesce(arrivals: &[Cycle], coalescing: Option<Coalescing>) -> Ve
 /// Concatenates the member queries of one job into a single trace,
 /// moving their batches out: [`coalesce`] puts every query in exactly one
 /// job, so each query is merged once and left empty.
-pub(super) fn merge_queries(queries: &mut [SlsTrace], members: &[usize]) -> SlsTrace {
+fn merge_queries(queries: &mut [SlsTrace], members: &[usize]) -> SlsTrace {
     let mut taken = members.iter().map(|&q| std::mem::take(&mut queries[q]));
     let mut merged = taken.next().unwrap_or_default();
     for mut query in taken {
@@ -85,16 +88,16 @@ pub(super) fn merge_queries(queries: &mut [SlsTrace], members: &[usize]) -> SlsT
 
 /// The admission guard behind `max_queue_depth`: the bound and the
 /// completion cycles of admitted jobs; `None` admits everything.
-pub(super) struct DepthGuard(Option<(usize, Vec<Cycle>)>);
+struct DepthGuard(Option<(usize, Vec<Cycle>)>);
 
 impl DepthGuard {
-    pub fn new(bound: Option<usize>) -> Self {
+    fn new(bound: Option<usize>) -> Self {
         Self(bound.map(|b| (b, Vec::new())))
     }
 
     /// May a job dispatching at `dispatch` enter? Dispatch times are
     /// non-decreasing, so drained work is dropped before the count.
-    pub fn admits(&mut self, dispatch: Cycle) -> bool {
+    fn admits(&mut self, dispatch: Cycle) -> bool {
         let Some((bound, outstanding)) = &mut self.0 else {
             return true;
         };
@@ -103,7 +106,7 @@ impl DepthGuard {
     }
 
     /// Records an admitted job's completion.
-    pub fn admit(&mut self, complete: Cycle) {
+    fn admit(&mut self, complete: Cycle) {
         if let Some((_, outstanding)) = &mut self.0 {
             outstanding.push(complete);
         }
@@ -146,10 +149,37 @@ fn missing_table(table: TableId) -> SimError {
 }
 
 /// The least-backlogged of `channels` (earliest free, ties to the lowest
-/// index) — the one channel pick behind the level-2 scatter, retries,
-/// hedge targets and the placement-aware router.
+/// index) — the channel behind the router's ready cycle, the SLO
+/// estimate, retries and hedge targets.
 fn least_backlogged(channels: &[usize], free_at: &[Cycle]) -> Option<usize> {
     channels.iter().copied().min_by_key(|&c| (free_at[c], c))
+}
+
+/// The pick rule set of the router (over node replicas) and the scatter
+/// (over replica channels), ties to the lowest index: rotate by job
+/// index, fewest lookups still in flight at `now` (`in_flight` holds each
+/// candidate's (completion, lookups)), or earliest `ready`. `None` for an
+/// empty `pool`.
+fn pick(
+    rule: RouterPolicy,
+    pool: &[usize],
+    job: usize,
+    in_flight: &mut [Vec<(Cycle, u64)>],
+    now: Cycle,
+    ready: impl Fn(usize) -> Cycle,
+) -> Option<usize> {
+    let by_key =
+        |key: &mut dyn FnMut(usize) -> u64| pool.iter().copied().min_by_key(|&i| (key(i), i));
+    match rule {
+        RouterPolicy::HashAffinity => (!pool.is_empty()).then(|| pool[job % pool.len()]),
+        // Dispatch times are non-decreasing, so drained work can never
+        // count again.
+        RouterPolicy::LeastOutstanding => by_key(&mut |i| {
+            in_flight[i].retain(|(done, _)| *done > now);
+            in_flight[i].iter().map(|(_, l)| l).sum()
+        }),
+        RouterPolicy::PlacementScatter => by_key(&mut |i| ready(i)),
+    }
 }
 
 /// Epoch-based tier promotion: accumulates the per-table lookups of
@@ -224,8 +254,8 @@ pub(super) struct Stages {
     pub max_queue_depth: Option<usize>,
 }
 
-/// The per-query record of one serving run, shared by the core and the
-/// `Queued` loop; `report` merges every shard run's counters.
+/// The per-query record of one serving run; `report` merges every shard
+/// run's counters.
 pub(super) struct Served {
     pub completions: Vec<Cycle>,
     pub outcomes: Vec<QueryOutcome>,
@@ -235,7 +265,7 @@ pub(super) struct Served {
 }
 
 impl Served {
-    pub fn new(system: &str, queries: usize, nodes: usize) -> Self {
+    fn new(system: &str, queries: usize, nodes: usize) -> Self {
         Self {
             completions: vec![0; queries],
             outcomes: vec![QueryOutcome::Completed; queries],
@@ -248,7 +278,7 @@ impl Served {
     /// Settles every member of `job` at cycle `at` with `outcome`,
     /// bumping the outcome's counter. Queries that are not served settle
     /// at their job's dispatch cycle.
-    pub fn settle(&mut self, job: &Job, outcome: QueryOutcome, at: Cycle) {
+    fn settle(&mut self, job: &Job, outcome: QueryOutcome, at: Cycle) {
         for &q in &job.members {
             self.completions[q] = at;
             self.outcomes[q] = outcome;
@@ -285,11 +315,12 @@ impl Served {
 /// One node's scattered work: per-channel shards sorted by channel.
 type Shards = Vec<(usize, SlsTrace)>;
 
-/// The scatter/gather core: a plan, the routing and gather model, and
-/// the optional stages.
+/// The scatter/gather core: a plan, the node and channel pick rules, the
+/// gather model, and the optional stages.
 pub(super) struct Core {
     pub plan: Plan,
     pub router: RouterPolicy,
+    pub scatter: RouterPolicy,
     pub gather: GatherCost,
     pub network: NetworkCost,
     pub stages: Stages,
@@ -319,8 +350,9 @@ impl Core {
         // Earliest cycle each (node, channel) is free.
         let mut free_at: Vec<Vec<Cycle>> = vec![vec![0; channels]; node_count];
         // For LeastOutstanding: (completion, lookups) of work in flight
-        // per node.
+        // per node and per (node, channel).
         let mut in_flight: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); node_count];
+        let mut channel_in_flight = vec![vec![Vec::new(); channels]; node_count];
         let mut served = Served::new(system, queries.len(), node_count);
         let mut health = HealthTracker::new(node_count, res.ewma_alpha, res.degraded_after);
         // Recently observed node-job latencies the hedge delay anchors
@@ -370,10 +402,16 @@ impl Core {
             for batch in trace.batches {
                 let table = batch.table();
                 let reps = self.plan.node_replicas(table);
-                if reps.is_empty() {
-                    return Err(missing_table(table));
-                }
-                let preferred = self.pick(reps, j, table, &mut in_flight, &free_at, dispatch_at);
+                // A node is ready when its earliest-free channel owning
+                // `table` frees.
+                let plan = &self.plan;
+                let mut route = |pool: &[usize]| {
+                    pick(self.router, pool, j, &mut in_flight, dispatch_at, |n| {
+                        least_backlogged(plan.node(n).replicas(table), &free_at[n])
+                            .map_or(Cycle::MAX, |c| free_at[n][c])
+                    })
+                };
+                let preferred = route(reps).ok_or_else(|| missing_table(table))?;
                 let preferred_down = res.faults.crashed(preferred, dispatch_at);
                 let node = if !preferred_down && health.health(preferred) != NodeHealth::Degraded {
                     preferred
@@ -396,7 +434,7 @@ impl Core {
                         preferred
                     } else {
                         served.report.failovers += 1;
-                        self.pick(&pool, j, table, &mut in_flight, &free_at, dispatch_at)
+                        route(&pool).expect("the failover pool is non-empty")
                     }
                 };
                 per_node[node].batches.push(batch);
@@ -428,8 +466,8 @@ impl Core {
                 }
             }
 
-            // Level 2: within each touched node, assign batches to the
-            // least-backlogged owning channel.
+            // Level 2: within each touched node, assign batches to an
+            // owning channel under the scatter rule (no clock moves yet).
             let mut node_jobs: Vec<(usize, Shards, u64)> = Vec::new();
             for (n, node_trace) in per_node.into_iter().enumerate() {
                 if node_trace.batches.is_empty() {
@@ -440,7 +478,9 @@ impl Core {
                 let mut result_bytes = 0u64;
                 for batch in node_trace.batches {
                     let table = batch.table();
-                    let channel = least_backlogged(plan.replicas(table), &free_at[n])
+                    let (reps, free) = (plan.replicas(table), &free_at[n]);
+                    let load = &mut channel_in_flight[n];
+                    let channel = pick(self.scatter, reps, j, load, dispatch_at, |c| free[c])
                         .ok_or_else(|| missing_table(table))?;
                     result_bytes += batch.batch.output_bytes();
                     by_channel[channel].batches.push(batch);
@@ -493,7 +533,8 @@ impl Core {
                 let mut node_service: Cycle = 0;
                 let mut node_lookups = 0u64;
                 for ((channel, shard), report) in shards.iter().zip(node_reports) {
-                    node_lookups += shard.total_lookups();
+                    let shard_lookups = shard.total_lookups();
+                    node_lookups += shard_lookups;
                     let base = report.total_cycles;
                     served.report.absorb_parallel(report);
                     match run_shard_attempts(
@@ -507,6 +548,9 @@ impl Core {
                         &mut served.report.retries,
                     ) {
                         Ok((complete, service)) => {
+                            if self.scatter == RouterPolicy::LeastOutstanding {
+                                channel_in_flight[n][*channel].push((complete, shard_lookups));
+                            }
                             node_slowest = node_slowest.max(complete);
                             node_service = node_service.max(service);
                         }
@@ -517,9 +561,10 @@ impl Core {
 
                 // Hedge a straggler node job onto a surviving replica
                 // holding all its tables; first completion wins, both pay
-                // their channel occupancy.
+                // their channel occupancy. The delay needs at least one
+                // observed latency.
                 if let (Some(hedge), None) = (res.hedge, exhausted) {
-                    if hedge_window.len() >= hedge.min_samples {
+                    if !hedge_window.is_empty() && hedge_window.len() >= hedge.min_samples {
                         let mut sorted: Vec<Cycle> = hedge_window.iter().copied().collect();
                         sorted.sort_unstable();
                         let delay = percentile(&sorted, hedge.quantile);
@@ -602,38 +647,6 @@ impl Core {
         }
         Ok(served)
     }
-
-    /// One node pick under the router for a batch of `table`, restricted
-    /// to the candidate `pool` (non-empty).
-    fn pick(
-        &self,
-        pool: &[usize],
-        salt: usize,
-        table: TableId,
-        in_flight: &mut [Vec<(Cycle, u64)>],
-        free_at: &[Vec<Cycle>],
-        dispatch_at: Cycle,
-    ) -> usize {
-        let by_key = |key: &mut dyn FnMut(usize) -> u64| {
-            *pool
-                .iter()
-                .min_by_key(|&&n| (key(n), n))
-                .expect("non-empty pool")
-        };
-        match self.router {
-            RouterPolicy::HashAffinity => pool[salt % pool.len()],
-            // Dispatch times are non-decreasing, so drained work can
-            // never count again.
-            RouterPolicy::LeastOutstanding => by_key(&mut |n| {
-                in_flight[n].retain(|(done, _)| *done > dispatch_at);
-                in_flight[n].iter().map(|(_, l)| l).sum()
-            }),
-            RouterPolicy::PlacementScatter => by_key(&mut |n| {
-                least_backlogged(self.plan.node(n).replicas(table), &free_at[n])
-                    .map_or(Cycle::MAX, |c| free_at[n][c])
-            }),
-        }
-    }
 }
 
 /// Simulates every touched node as one pool task; each node fans its
@@ -691,7 +704,7 @@ fn run_shard_attempts(
         // stays busy for whatever service it wasted (nothing, if the
         // attempt was still queued).
         let fail_at = if budget > 0 {
-            complete.min(t + budget)
+            complete.min(t.saturating_add(budget))
         } else {
             complete
         };
@@ -701,8 +714,12 @@ fn run_shard_attempts(
         if attempt + 1 == attempts {
             break;
         }
+        // A retry due past the end of the clock never runs.
+        let Some(retry_at) = fail_at.checked_add(retry.backoff_before(attempt)) else {
+            return Err(attempt + 1);
+        };
         *retries += 1;
-        t = fail_at + retry.backoff_before(attempt);
+        t = retry_at;
         // Re-dispatch onto the least-backlogged channel owning every
         // table of this shard (often the same channel — transient windows
         // pass; degraded channels lose to healthier replicas).

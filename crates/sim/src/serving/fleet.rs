@@ -423,8 +423,8 @@ impl FleetReport {
 /// # Errors
 ///
 /// Returns [`SimError::Stalled`] if any node's cycle-level run stalls,
-/// or [`SimError::Config`] when placement cannot fit the workload's
-/// tables at either level.
+/// or [`SimError::Config`] when the offered rate is not positive and
+/// finite or placement cannot fit the workload's tables at either level.
 pub fn serve_fleet(fleet: &mut Fleet, cfg: &FleetConfig) -> Result<FleetReport, SimError> {
     serve_fleet_resilient(fleet, cfg, &ResilienceConfig::zero())
 }
@@ -452,15 +452,21 @@ pub fn serve_fleet(fleet: &mut Fleet, cfg: &FleetConfig) -> Result<FleetReport, 
 /// # Errors
 ///
 /// Returns [`SimError::Stalled`] if a node's cycle-level run stalls, or
-/// [`SimError::Config`] when placement cannot fit the workload —
-/// run-level problems only; per-query failures land in
-/// [`FleetReport::failures`].
+/// [`SimError::Config`] when the offered rate is not positive and
+/// finite, the hedge policy has an empty window or a quantile outside
+/// (0, 1], or placement cannot fit the workload — run-level problems
+/// only; per-query failures land in [`FleetReport::failures`].
 pub fn serve_fleet_resilient(
     fleet: &mut Fleet,
     cfg: &FleetConfig,
     res: &ResilienceConfig,
 ) -> Result<FleetReport, SimError> {
-    let (arrivals, queries) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed);
+    let valid = |h: &HedgePolicy| h.window > 0 && h.quantile > 0.0 && h.quantile <= 1.0;
+    if let Some(h) = res.hedge.filter(|h| !valid(h)) {
+        let msg = format!("{h:?} needs a window > 0 and a quantile in (0, 1]");
+        return Err(SimError::Config(ConfigError::new("hedge", msg)));
+    }
+    let (arrivals, queries) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed)?;
     serve_fleet_resilient_arrivals(fleet, cfg, res, &arrivals, queries)
 }
 
@@ -491,6 +497,7 @@ fn serve_fleet_resilient_arrivals(
     let core = Core {
         plan: Plan::Fleet(plan),
         router: dispatch.router,
+        scatter: RouterPolicy::PlacementScatter,
         gather: dispatch.gather,
         network: dispatch.network,
         stages: Stages::default(),
@@ -795,7 +802,8 @@ impl ResilienceSweep {
 /// # Errors
 ///
 /// Returns [`SimError::Stalled`] if a cycle-level run stalls, or
-/// [`SimError::Config`] when placement fails.
+/// [`SimError::Config`] when the offered rate is not positive and finite
+/// or placement fails.
 pub fn resilience_sweep(
     make_fleet: &mut FleetFactory<'_>,
     spec: &ResilienceSpec,
@@ -810,14 +818,15 @@ pub fn resilience_sweep(
         seed: spec.seed,
     };
     // Both anchors are pure arithmetic from the spec plus one fault-free
-    // run, so the sweep is deterministic end to end.
-    let crash_at = ((spec.queries as f64 / 2.0) * qps_to_interarrival_cycles(spec.qps)) as Cycle;
+    // run, so the sweep is deterministic end to end. That run rejects a
+    // bad offered rate before the crash cycle divides by it.
     let mut baseline_fleet = make_fleet();
     let crashed_node = baseline_fleet.nodes() - 1;
     let baseline_p99 = serve_fleet(&mut baseline_fleet, &cfg(replicated))?
         .summary()
         .p99;
     let deadline = spec.deadline_p99_multiple * baseline_p99;
+    let crash_at = ((spec.queries as f64 / 2.0) * qps_to_interarrival_cycles(spec.qps)) as Cycle;
 
     let crash = FaultPlan::none().with_crash(crashed_node, crash_at);
     let slow = (crash.clone()).with_degrade(0, 0, crash_at, u64::MAX, spec.degrade_multiplier);

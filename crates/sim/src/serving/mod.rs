@@ -27,13 +27,13 @@
 //!   max-wait deadline;
 //! * [`scheduler`] — [`serve`]: dispatches queries onto the backend's
 //!   servers and tracks per-query enqueue→completion latency
-//!   ([`ServingReport`], [`LatencySummary`] with p50/p95/p99/mean/max).
-//!   Queued mode runs each job whole on one server; sharded and tiered
-//!   mode serve the backend as a one-node fleet on the core;
-//! * `core` — the one scatter/gather core behind sharded, tiered and
-//!   fleet serving: each job routes to nodes, then to the
-//!   least-backlogged replica channel of each table, and completes at its
-//!   slowest shard plus the gather costs. Its optional per-job stages
+//!   ([`ServingReport`], [`LatencySummary`] with p50/p95/p99/mean/max),
+//!   serving every mode as a one-node fleet on the core — queued mode as
+//!   the plan with every table on every server;
+//! * `core` — the one scatter/gather core behind every serving mode:
+//!   each job routes to nodes, then to a replica channel of each table
+//!   under one shared pick rule set, and completes at its slowest shard
+//!   plus the gather costs. Its optional per-job stages
 //!   (host cache, prefetch, promotion epochs, queue-depth guard,
 //!   resilience) do nothing when unset, so every stage composes with
 //!   every topology;

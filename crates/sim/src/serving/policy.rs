@@ -234,7 +234,7 @@ impl TieredDispatch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ServingMode {
     /// Each job runs unsharded on a single server picked by the policy —
-    /// the pre-placement serving model, kept as a first-class mode.
+    /// the plan with every table on every server and a free gather.
     Queued(DispatchPolicy),
     /// Each job scatters across the channels its tables live on and
     /// gathers on the host.

@@ -2,33 +2,31 @@
 //! queueing system and accounts per-query enqueue→completion latency in
 //! simulated time.
 //!
-//! [`ServingMode`] picks how jobs become backend work:
-//!
-//! * **Queued** — each job runs whole on one server picked by a
-//!   [`DispatchPolicy`], on this module's own loop;
-//! * **Sharded** and **Tiered** — the backend is served as a one-node
-//!   fleet by the scatter/gather core (`serving::core`): a
-//!   [`PlacementPlan`] (sharded, optionally behind a host cache and with
-//!   idle-gap prefetch) or a [`TieredPlacementPlan`] (optionally with
-//!   promotion epochs) places each job's batches on channels, the shards
-//!   queue independently, and the query completes at the slowest shard
-//!   plus a host [`GatherCost`](super::policy::GatherCost) merge.
+//! Every [`ServingMode`] serves the backend as a one-node fleet on the
+//! scatter/gather core (`serving::core`): each job's batches go to
+//! channels, the shards queue independently, and the query completes at
+//! its slowest shard plus a host [`GatherCost`] merge. The mode picks
+//! the plan: **queued** puts every table on every server with a free
+//! gather and lets the [`DispatchPolicy`] pick the channel, so each job
+//! runs whole on one server; **sharded** builds a [`PlacementPlan`]
+//! (optionally behind a host cache and with idle-gap prefetch);
+//! **tiered** a [`TieredPlacementPlan`] (optionally with promotion
+//! epochs).
 
 use recnmp_backend::{
-    PlacementPlan, RunReport, SlsBackend, SlsTrace, TableUsage, TieredPlacementPlan,
+    PlacementPlan, PlacementPolicy, RunReport, SlsBackend, SlsTrace, TableUsage,
+    TieredPlacementPlan,
 };
 use recnmp_types::units::{completions_to_qps, cycles_to_us};
 use recnmp_types::{ByteSize, ConfigError, Cycle, SimError};
 use serde::{Deserialize, Serialize};
 
 use super::arrivals::{offered_load, ArrivalProcess, QueryShape};
-use super::core::{
-    coalesce, merge_queries, Core, DepthGuard, Job, Plan, Promotion, Served, Stages,
-};
+use super::core::{coalesce, Core, Job, Plan, Promotion, Stages};
 use super::faults::{QueryOutcome, ResilienceConfig};
 use super::fleet::{NetworkCost, RouterPolicy};
 use super::host_cache::{HostCache, HotVectorTracker};
-use super::policy::{Coalescing, DispatchPolicy, ServingMode};
+use super::policy::{Coalescing, DispatchPolicy, GatherCost, ServingMode};
 
 /// One serving run: an offered load, a query shape, and a scheduling
 /// discipline.
@@ -47,8 +45,8 @@ pub struct ServingConfig {
     pub mode: ServingMode,
     /// Optional batch coalescing ahead of dispatch.
     pub coalescing: Option<Coalescing>,
-    /// Optional bound on queries in flight (dispatched, not yet
-    /// complete). A job arriving while the bound is met is *rejected* —
+    /// Optional bound on jobs in flight (dispatched, not yet complete;
+    /// one query each without coalescing). A job arriving while the bound is met is *rejected* —
     /// counted in [`ServingReport::rejected`] and
     /// `RunReport::queries_rejected` — instead of growing the queue
     /// without limit through a long overload sweep. `None` keeps the
@@ -209,19 +207,19 @@ impl ServingReport {
 /// # Errors
 ///
 /// Returns [`SimError::Stalled`] if any job's cycle-level run stalls, or
-/// [`SimError::Config`] when the backend exposes no servers or the
-/// placement cannot fit the workload's tables.
+/// [`SimError::Config`] when the offered rate is not positive and finite,
+/// the backend exposes no servers, or the placement cannot fit the
+/// workload's tables.
 pub fn serve(backend: &mut dyn SlsBackend, cfg: &ServingConfig) -> Result<ServingReport, SimError> {
-    let (arrivals, queries) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed);
+    let (arrivals, queries) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed)?;
     serve_arrivals(backend, cfg, &arrivals, queries)
 }
 
 /// The single-node scheduler, shared by [`serve`] and the saturation
 /// probe: coalesces `queries` (arrival `arrivals[i]` each) into jobs and
-/// serves them under `cfg.mode` — `Queued` on its own whole-job loop,
-/// `Sharded` and `Tiered` on the scatter/gather core as a one-node
-/// fleet. The queries are consumed: each job's batches move into its
-/// dispatched trace.
+/// serves them on the scatter/gather core as a one-node fleet. The
+/// queries are consumed: each job's batches move into its dispatched
+/// trace.
 pub(super) fn serve_arrivals(
     backend: &mut dyn SlsBackend,
     cfg: &ServingConfig,
@@ -238,16 +236,9 @@ pub(super) fn serve_arrivals(
     }
     let system = backend.name().to_string();
     let jobs = coalesce(arrivals, cfg.coalescing);
-    let mut served = match cfg.mode {
-        ServingMode::Queued(policy) => {
-            serve_queued(backend, policy, &jobs, &mut queries, cfg.max_queue_depth)?
-        }
-        ServingMode::Sharded(_) | ServingMode::Tiered(_) => {
-            let core = node_core(cfg, servers, &jobs, &queries)?;
-            let zero = ResilienceConfig::zero();
-            core.run(&mut [backend], &zero, &jobs, &mut queries, &system)?
-        }
-    };
+    let core = node_core(cfg, servers, &jobs, &queries)?;
+    let zero = ResilienceConfig::zero();
+    let mut served = core.run(&mut [backend], &zero, &jobs, &mut queries, &system)?;
     let latencies = served.finish(arrivals);
     let rejected = (0..queries.len()).filter(|&q| served.outcomes[q] == QueryOutcome::Rejected);
     Ok(ServingReport {
@@ -263,8 +254,12 @@ pub(super) fn serve_arrivals(
     })
 }
 
-/// The one-node scatter/gather core of sharded or tiered mode, with the
-/// plan built once per run from the query stream's table profile.
+/// The one-node scatter/gather core of `cfg.mode`, with the plan built
+/// once per run from the query stream's table profile.
+///
+/// Queued mode is the replicate-everywhere plan with a free gather; its
+/// scatter rule sees no channel clock move mid-job, so each job runs
+/// whole on one server.
 ///
 /// Behind a host cache the sharded plan balances the *residual* profile:
 /// a counting dry run replays the jobs through the cache to learn each
@@ -283,7 +278,23 @@ fn node_core(
         max_queue_depth: cfg.max_queue_depth,
         ..Stages::default()
     };
+    let mut scatter = RouterPolicy::PlacementScatter;
     let (plan, gather) = match cfg.mode {
+        ServingMode::Queued(policy) => {
+            scatter = match policy {
+                DispatchPolicy::FifoSingleQueue => RouterPolicy::PlacementScatter,
+                DispatchPolicy::RoundRobin => RouterPolicy::HashAffinity,
+                DispatchPolicy::LeastOutstanding => RouterPolicy::LeastOutstanding,
+            };
+            let everywhere = PlacementPolicy::FrequencyBalanced {
+                replicate: usize::MAX,
+            };
+            let plan = PlacementPlan::build(servers, None, &usage, everywhere);
+            (
+                Plan::Node(plan.map_err(SimError::Config)?),
+                GatherCost::new(0, 0),
+            )
+        }
         ServingMode::Sharded(sharded) => {
             stages.prefetch = (sharded.prefetch).map(|p| HotVectorTracker::new(p.candidates));
             let mut absorbed = Vec::new();
@@ -335,71 +346,16 @@ fn node_core(
             let plan = TieredPlacementPlan::build(tiered.tiers, &profile, tiered.policy);
             (Plan::Tiered(plan.map_err(SimError::Config)?), tiered.gather)
         }
-        ServingMode::Queued(_) => unreachable!("queued mode dispatches whole jobs"),
     };
     // One node needs no router and pays no network gather.
     Ok(Core {
         plan,
         router: RouterPolicy::HashAffinity,
+        scatter,
         gather,
         network: NetworkCost::new(0, 0),
         stages,
     })
-}
-
-/// `Queued` mode: each job runs whole on one server picked by `policy`.
-fn serve_queued(
-    backend: &mut dyn SlsBackend,
-    policy: DispatchPolicy,
-    jobs: &[Job],
-    queries: &mut [SlsTrace],
-    max_queue_depth: Option<usize>,
-) -> Result<Served, SimError> {
-    let servers = backend.server_count();
-    // Earliest cycle each server is free.
-    let mut free_at = vec![0 as Cycle; servers];
-    // For LeastOutstanding: the completion/lookup pairs of work still in
-    // flight per server.
-    let mut in_flight: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); servers];
-    let mut served = Served::new(backend.name(), queries.len(), 1);
-    let mut guard = DepthGuard::new(max_queue_depth);
-    for (job_idx, job) in jobs.iter().enumerate() {
-        if !guard.admits(job.dispatch) {
-            served.settle(job, QueryOutcome::Rejected, job.dispatch);
-            continue;
-        }
-        let server = match policy {
-            // Central queue: the job runs on whichever server frees first
-            // (ties to the lowest index).
-            DispatchPolicy::FifoSingleQueue => {
-                (0..servers).min_by_key(|&s| (free_at[s], s)).unwrap()
-            }
-            DispatchPolicy::RoundRobin => job_idx % servers,
-            // Size-aware join-shortest-queue: least outstanding lookups at
-            // dispatch time. Dispatch times are non-decreasing, so work
-            // completed by now can never count again and is dropped before
-            // the scan.
-            DispatchPolicy::LeastOutstanding => (0..servers)
-                .min_by_key(|&s| {
-                    in_flight[s].retain(|(done, _)| *done > job.dispatch);
-                    let backlog: u64 = in_flight[s].iter().map(|(_, lookups)| lookups).sum();
-                    (backlog, s)
-                })
-                .unwrap(),
-        };
-
-        let trace = merge_queries(queries, &job.members);
-        let report = backend.try_run_on(server, &trace)?;
-        let complete = job.dispatch.max(free_at[server]) + report.total_cycles;
-        free_at[server] = complete;
-        if policy == DispatchPolicy::LeastOutstanding {
-            in_flight[server].push((complete, trace.total_lookups()));
-        }
-        served.settle(job, QueryOutcome::Completed, complete);
-        guard.admit(complete);
-        served.report.absorb_parallel(report);
-    }
-    Ok(served)
 }
 
 /// The largest vector size across the stream — the host cache's line

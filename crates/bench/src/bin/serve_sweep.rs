@@ -36,20 +36,17 @@
 //! `--baseline-from-git` reads the committed file from `git show
 //! HEAD:./<out>` instead.
 
-use recnmp_backend::PlacementPolicy;
+use recnmp_backend::{PlacementPolicy, SlsBackend};
 use recnmp_baselines::{HostBaseline, TensorDimm};
 use recnmp_bench::json::{diff_json, Json, DEFAULT_TOL};
 use recnmp_bench::BenchArgs;
 use recnmp_model::RecModelKind;
-use recnmp_sim::serving::fleet::{
-    fleet_sweep, resilience_sweep, Fleet, FleetCurve, FleetDispatch, ResilienceSpec,
-};
+use recnmp_sim::serving::fleet::{resilience_sweep, Fleet, FleetDispatch, ResilienceSpec};
 use recnmp_sim::serving::{
-    caching_sweep, placement_sweep, qps_sweep_at, reference_caching_arms,
-    reference_channel_capacity, reference_cluster4, reference_cluster4_optimized, reference_tiered,
-    sweep_matrix, tiered_sweep, ArrivalProcess, DispatchPolicy, GatherCost, NamedFactories,
-    QueryShape, ServingMode, ShardedDispatch, SweepCurve, SweepPoint, SweepSpec, TierSpec,
-    TieredPolicy,
+    anchored_sweep, qps_sweep_at, reference_caching_arms, reference_channel_capacity,
+    reference_cluster4, reference_cluster4_optimized, reference_tiered, ArrivalProcess,
+    DispatchPolicy, QueryShape, ServingMode, ShardedDispatch, SweepCurve, SweepPoint, SweepSpec,
+    TierSpec, TieredPolicy,
 };
 use recnmp_types::units::{cycles_to_us, DDR4_2400_CYCLE_SECS};
 use recnmp_types::ByteSize;
@@ -158,17 +155,12 @@ fn point(p: &SweepPoint) -> Json {
 
 /// One curve: its identifying `labels`, then its saturation anchor, knee
 /// (`null` when nothing was sustained) and points.
-fn curve<'a>(
-    labels: impl IntoIterator<Item = (&'a str, Json)>,
-    saturation_qps: f64,
-    points: &[SweepPoint],
-) -> Json {
-    let knee = points.iter().rev().find(|p| p.sustained());
-    let knee = knee.map(|p| Json::fixed(p.offered_qps, 1));
+fn curve<'a, A>(labels: impl IntoIterator<Item = (&'a str, Json)>, c: &SweepCurve<A>) -> Json {
+    let knee = c.knee().map(|p| Json::fixed(p.offered_qps, 1));
     Json::obj(labels.into_iter().chain([
-        ("saturation_qps", Json::fixed(saturation_qps, 1)),
+        ("saturation_qps", Json::fixed(c.saturation_qps, 1)),
         ("knee_qps", knee.into()),
-        ("points", Json::Arr(points.iter().map(point).collect())),
+        ("points", Json::Arr(c.points.iter().map(point).collect())),
     ]))
 }
 
@@ -177,9 +169,9 @@ fn labeled_curves(curves: &[(String, SweepCurve)]) -> Json {
     let curves = curves.iter().map(|(system, c)| {
         let labels = [
             ("system", system.as_str().into()),
-            ("policy", c.mode.name().into()),
+            ("policy", c.arm.name().into()),
         ];
-        curve(labels, c.saturation_qps, &c.points)
+        curve(labels, c)
     });
     Json::Arr(curves.collect())
 }
@@ -277,27 +269,24 @@ fn run_serving(smoke: bool) -> Report {
         QueryShape::for_model(RecModelKind::Rm1Small, 4)
     };
     let spec = sweep_spec(smoke, shape);
-    let mut backends: NamedFactories<'_> = vec![
-        (
-            "host",
-            Box::new(|| Box::new(HostBaseline::new(4, 2).expect("host config"))),
-        ),
-        (
-            "tensordimm",
-            Box::new(|| Box::new(TensorDimm::new(4, 2).expect("tensordimm config"))),
-        ),
-        ("recnmp-cluster[4]", Box::new(reference_cluster4)),
+    let host: fn() -> Box<dyn SlsBackend> =
+        || Box::new(HostBaseline::new(4, 2).expect("host config"));
+    let tensordimm: fn() -> Box<dyn SlsBackend> =
+        || Box::new(TensorDimm::new(4, 2).expect("tensordimm config"));
+    let backends = [
+        ("host", host),
+        ("tensordimm", tensordimm),
+        ("recnmp-cluster[4]", reference_cluster4),
     ];
-    let modes: Vec<ServingMode> = DispatchPolicy::ALL
-        .iter()
-        .map(|&p| ServingMode::Queued(p))
-        .collect();
-    let curves = sweep_matrix(&mut backends, &modes, &spec)
-        .unwrap_or_else(|e| panic!("serving sweep failed: {e}"));
-    let labeled: Vec<(String, SweepCurve)> = curves
-        .into_iter()
-        .map(|lc| (lc.backend, lc.curve))
-        .collect();
+    // Every dispatch policy sweeps at fractions of the backend's FIFO
+    // saturation.
+    let modes = DispatchPolicy::ALL.map(ServingMode::Queued);
+    let mut labeled: Vec<(String, SweepCurve)> = Vec::new();
+    for (label, mut factory) in backends {
+        let curves = anchored_sweep(&mut factory, modes[0], &modes, &spec)
+            .unwrap_or_else(|e| panic!("serving sweep failed: {e}"));
+        labeled.extend(curves.into_iter().map(|c| (label.to_string(), c)));
+    }
     // Schema /2: the shape object gained `table_skew`.
     let report = sweep_report("recnmp-serving/2", smoke, &spec, &labeled);
     (report, Ok(()))
@@ -310,14 +299,14 @@ fn run_placement(smoke: bool) -> Report {
         QueryShape::for_model(RecModelKind::Rm1Small, 4).with_table_skew(1.5)
     };
     let spec = sweep_spec(smoke, shape);
-    let curves = placement_sweep(
-        &mut reference_cluster4,
-        &PlacementPolicy::COMPARED,
-        GatherCost::host_default(),
-        Some(reference_channel_capacity()),
-        &spec,
-    )
-    .unwrap_or_else(|e| panic!("placement sweep failed: {e}"));
+    let arms = PlacementPolicy::COMPARED.map(|placement| {
+        ServingMode::Sharded(ShardedDispatch {
+            channel_capacity: Some(reference_channel_capacity()),
+            ..ShardedDispatch::new(placement)
+        })
+    });
+    let curves = anchored_sweep(&mut reference_cluster4, arms[0], &arms, &spec)
+        .unwrap_or_else(|e| panic!("placement sweep failed: {e}"));
     let labeled: Vec<(String, SweepCurve)> = curves
         .into_iter()
         .map(|c| ("recnmp-cluster[4]".to_string(), c))
@@ -369,14 +358,10 @@ fn run_tiering(smoke: bool) -> Report {
     for (num, den, ratio) in TIER_RATIOS {
         let tiers = tiers_at(num, den);
         let mut factory = || reference_tiered(tiers);
-        let curves = tiered_sweep(
-            &mut factory,
-            &TieredPolicy::COMPARED,
-            GatherCost::host_default(),
-            tiers,
-            &spec,
-        )
-        .unwrap_or_else(|e| panic!("tiered sweep at {ratio} failed: {e}"));
+        let anchor = ServingMode::tiered(TieredPolicy::FrequencyTiered { replicate_hot: 0 }, tiers);
+        let arms = TieredPolicy::COMPARED.map(|policy| ServingMode::tiered(policy, tiers));
+        let curves = anchored_sweep(&mut factory, anchor, &arms, &spec)
+            .unwrap_or_else(|e| panic!("tiered sweep at {ratio} failed: {e}"));
         labeled.extend(
             curves
                 .into_iter()
@@ -419,7 +404,7 @@ fn run_fleet(smoke: bool) -> Report {
         FleetDispatch::replicated(hot_tables),
         FleetDispatch::sharded(),
     ];
-    let mut curves: Vec<FleetCurve> = Vec::new();
+    let mut curves: Vec<(usize, SweepCurve<FleetDispatch>)> = Vec::new();
     let mut node1_equal = false;
     for &nodes in node_counts {
         let spec = SweepSpec {
@@ -429,7 +414,7 @@ fn run_fleet(smoke: bool) -> Report {
             ..sweep_spec(smoke, shape)
         };
         let mut make = move || Fleet::reference(nodes);
-        let swept = fleet_sweep(&mut make, &dispatches, &spec)
+        let swept = anchored_sweep(&mut make, dispatches[0], &dispatches, &spec)
             .unwrap_or_else(|e| panic!("fleet sweep at {nodes} node(s) failed: {e}"));
         if nodes == 1 {
             // The router-costs-nothing invariant: the 1-node fleet's
@@ -444,29 +429,22 @@ fn run_fleet(smoke: bool) -> Report {
                 host_cache: None,
                 prefetch: None,
             });
-            let cluster_curve = qps_sweep_at(
-                &mut reference_cluster4,
-                mode,
-                spec.process,
-                spec.shape,
-                sharded.saturation_qps,
-                &offered,
-                spec.queries,
-                spec.seed,
-            )
-            .unwrap_or_else(|e| panic!("bare-cluster equality sweep failed: {e}"));
+            let saturation = sharded.saturation_qps;
+            let cluster_curve =
+                qps_sweep_at(&mut reference_cluster4, mode, &spec, saturation, &offered)
+                    .unwrap_or_else(|e| panic!("bare-cluster equality sweep failed: {e}"));
             node1_equal = sharded.points == cluster_curve.points;
         }
-        curves.extend(swept);
+        curves.extend(swept.into_iter().map(|c| (nodes, c)));
     }
-    let curves = curves.iter().map(|c| {
+    let curves = curves.iter().map(|(nodes, c)| {
         let labels = [
             ("system", c.system.as_str().into()),
-            ("nodes", c.nodes.into()),
-            ("placement", c.placement.as_str().into()),
-            ("router", c.router.into()),
+            ("nodes", (*nodes).into()),
+            ("placement", c.arm.label().as_str().into()),
+            ("router", c.arm.router.name().into()),
         ];
-        curve(labels, c.saturation_qps, &c.points)
+        curve(labels, c)
     });
     let body = [
         ("queries_per_node", queries_per_node.into()),
@@ -503,7 +481,7 @@ fn run_caching(smoke: bool) -> Report {
     let spec = sweep_spec(smoke, shape);
     let arms = reference_caching_arms();
     let modes: Vec<ServingMode> = arms.iter().map(|(_, m)| *m).collect();
-    let curves = caching_sweep(&mut reference_cluster4_optimized, modes[0], &modes, &spec)
+    let curves = anchored_sweep(&mut reference_cluster4_optimized, modes[0], &modes, &spec)
         .unwrap_or_else(|e| panic!("caching sweep failed: {e}"));
     let labeled: Vec<(String, SweepCurve)> = arms
         .into_iter()
@@ -517,18 +495,16 @@ fn run_caching(smoke: bool) -> Report {
             .unwrap_or_else(|| panic!("caching arms missing {label}"))
             .1
     };
-    let knee = |c: &SweepCurve| c.knee().map_or(0.0, |p| p.offered_qps);
-    let top_p99 = |c: &SweepCurve| c.points.last().expect("swept points").summary.p99;
     let (arm, baseline) = (find(ARM), find(BASELINE));
     // The cache earns its capacity by moving the knee or the tail.
-    let wins = knee(arm) > knee(baseline) || top_p99(arm) < top_p99(baseline);
+    let wins = arm.knee_qps() > baseline.knee_qps() || arm.top_p99() < baseline.top_p99();
     let co_design = Json::obj([
         ("arm", ARM.into()),
         ("baseline", BASELINE.into()),
-        ("arm_knee_qps", Json::fixed(knee(arm), 1)),
-        ("baseline_knee_qps", Json::fixed(knee(baseline), 1)),
-        ("arm_top_p99_cycles", top_p99(arm).into()),
-        ("baseline_top_p99_cycles", top_p99(baseline).into()),
+        ("arm_knee_qps", Json::fixed(arm.knee_qps(), 1)),
+        ("baseline_knee_qps", Json::fixed(baseline.knee_qps(), 1)),
+        ("arm_top_p99_cycles", arm.top_p99().into()),
+        ("baseline_top_p99_cycles", baseline.top_p99().into()),
         ("wins", wins.into()),
     ]);
     // Curves carry the arm label as well as the policy: two
@@ -537,9 +513,9 @@ fn run_caching(smoke: bool) -> Report {
         let labels = [
             ("system", "recnmp-opt-cluster[4]".into()),
             ("arm", label.as_str().into()),
-            ("policy", c.mode.name().into()),
+            ("policy", c.arm.name().into()),
         ];
-        curve(labels, c.saturation_qps, &c.points)
+        curve(labels, c)
     });
     let body = [
         ("queries_per_point", spec.queries.into()),

@@ -1,10 +1,11 @@
 //! The fleet-scaling experiment: knee QPS vs node count, pure sharding
 //! vs cross-node hot-table replication.
 
+use super::serving::knee_note;
 use super::{ExperimentResult, Scale};
 use crate::render::{f2, TextTable};
-use crate::serving::fleet::{fleet_sweep, Fleet, FleetCurve, FleetDispatch};
-use crate::serving::{ArrivalProcess, QueryShape, SweepSpec};
+use crate::serving::fleet::{Fleet, FleetDispatch};
+use crate::serving::{anchored_sweep, ArrivalProcess, QueryShape, SweepCurve, SweepSpec};
 
 const SEED: u64 = 0xf1ee7;
 
@@ -81,7 +82,7 @@ pub fn fig_fleet(scale: Scale) -> ExperimentResult {
     // (nodes, replicated-knee qps) series for the scaling note, and the
     // largest fleet's curves for the replication-vs-sharding note.
     let mut replicated_knees: Vec<(usize, f64)> = Vec::new();
-    let mut top_curves: Vec<FleetCurve> = Vec::new();
+    let mut top_curves: Vec<SweepCurve<FleetDispatch>> = Vec::new();
     for &nodes in node_counts {
         let spec = SweepSpec {
             process: ArrivalProcess::Poisson,
@@ -92,13 +93,14 @@ pub fn fig_fleet(scale: Scale) -> ExperimentResult {
             seed: SEED,
         };
         let mut make = move || Fleet::reference(nodes);
-        let curves = fleet_sweep(&mut make, &dispatches, &spec).expect("fleet sweep");
+        let curves =
+            anchored_sweep(&mut make, dispatches[0], &dispatches, &spec).expect("fleet sweep");
         for curve in &curves {
             for p in &curve.points {
                 let (p50, p95, p99) = p.summary.percentiles_us();
                 table.push_row(vec![
                     nodes.to_string(),
-                    curve.placement.clone(),
+                    curve.arm.label(),
                     f2(p.utilization),
                     format!("{:.0}", p.offered_qps),
                     format!("{:.0}", p.achieved_qps),
@@ -108,9 +110,12 @@ pub fn fig_fleet(scale: Scale) -> ExperimentResult {
                     if p.sustained() { "yes" } else { "no" }.to_string(),
                 ]);
             }
-            result.notes.push(knee_note(curve));
+            let label = format!("{} [{nodes} node(s)]", curve.system);
+            result
+                .notes
+                .push(knee_note(&label, &curve.arm.label(), curve));
         }
-        replicated_knees.push((nodes, knee_qps(&curves[0])));
+        replicated_knees.push((nodes, curves[0].knee_qps()));
         if nodes == *node_counts.last().unwrap() {
             top_curves = curves;
         }
@@ -131,15 +136,14 @@ pub fn fig_fleet(scale: Scale) -> ExperimentResult {
             0.0
         },
     ));
-    let top_p99 = |c: &FleetCurve| c.points.last().expect("points").summary.p99;
     result.notes.push(format!(
         "replication vs sharding at {last_n} node(s), fixed loads: knee {:.0} vs {:.0} qps, \
          p99 at the top load {} vs {} cycles — replicating the {hot} hottest tables \
          gives top-load traffic a home on every node, while pure sharding pins it to one",
-        knee_qps(&top_curves[0]),
-        knee_qps(&top_curves[1]),
-        top_p99(&top_curves[0]),
-        top_p99(&top_curves[1]),
+        top_curves[0].knee_qps(),
+        top_curves[1].knee_qps(),
+        top_curves[0].top_p99(),
+        top_curves[1].top_p99(),
     ));
     result.notes.push(
         "Open-loop Poisson arrivals over a two-level placement (tables -> nodes -> \
@@ -150,28 +154,6 @@ pub fn fig_fleet(scale: Scale) -> ExperimentResult {
             .into(),
     );
     result
-}
-
-fn knee_qps(curve: &FleetCurve) -> f64 {
-    curve.knee().map_or(0.0, |p| p.offered_qps)
-}
-
-fn knee_note(curve: &FleetCurve) -> String {
-    match curve.knee() {
-        Some(p) => format!(
-            "{} [{} node(s)]/{}: saturation {:.0} qps, knee at {:.0} qps (util {:.1})",
-            curve.system,
-            curve.nodes,
-            curve.placement,
-            curve.saturation_qps,
-            p.offered_qps,
-            p.utilization
-        ),
-        None => format!(
-            "{} [{} node(s)]/{}: saturation {:.0} qps, no sustained point in sweep",
-            curve.system, curve.nodes, curve.placement, curve.saturation_qps
-        ),
-    }
 }
 
 #[cfg(test)]

@@ -2,17 +2,16 @@
 //! latency claim recast as throughput–latency curves) and the placement
 //! comparison behind sharded scatter/gather serving.
 
-use recnmp_backend::PlacementPolicy;
+use recnmp_backend::{PlacementPolicy, SlsBackend};
 use recnmp_baselines::HostBaseline;
 use recnmp_model::RecModelKind;
 
 use super::{ExperimentResult, Scale};
 use crate::render::{f2, TextTable};
 use crate::serving::{
-    caching_sweep, placement_sweep, reference_caching_arms, reference_channel_capacity,
-    reference_cluster4, reference_cluster4_optimized, serve, sweep_matrix, ArrivalProcess,
-    DispatchPolicy, GatherCost, NamedFactories, QueryShape, ServingConfig, ServingMode, SweepCurve,
-    SweepSpec,
+    anchored_sweep, reference_caching_arms, reference_channel_capacity, reference_cluster4,
+    reference_cluster4_optimized, serve, ArrivalProcess, DispatchPolicy, QueryShape, ServingConfig,
+    ServingMode, ShardedDispatch, SweepCurve, SweepSpec,
 };
 
 const SEED: u64 = 0x5e12;
@@ -38,22 +37,15 @@ pub fn fig18_tail_latency(scale: Scale) -> ExperimentResult {
         seed: SEED,
     };
 
-    let mut backends: NamedFactories<'_> = vec![
-        (
-            "host",
-            Box::new(|| Box::new(HostBaseline::new(4, 2).expect("host config"))),
-        ),
-        ("recnmp-cluster[4]", Box::new(reference_cluster4)),
-    ];
-    let modes: Vec<ServingMode> = DispatchPolicy::ALL
-        .iter()
-        .map(|&p| ServingMode::Queued(p))
-        .collect();
-    let curves = sweep_matrix(&mut backends, &modes, &spec).expect("serving sweep");
-
+    let host: fn() -> Box<dyn SlsBackend> =
+        || Box::new(HostBaseline::new(4, 2).expect("host config"));
+    let backends = [("host", host), ("recnmp-cluster[4]", reference_cluster4)];
+    // Every dispatch policy of one backend sweeps at fractions of the
+    // work-conserving FIFO reference's saturation.
+    let modes = DispatchPolicy::ALL.map(ServingMode::Queued);
     let mut knees = Vec::new();
-    for per_backend in curves.chunks(modes.len()) {
-        let label = per_backend[0].backend.as_str();
+    for (label, mut factory) in backends {
+        let curves = anchored_sweep(&mut factory, modes[0], &modes, &spec).expect("serving sweep");
         let mut table = TextTable::new(
             format!("{label}: Poisson open-loop, {} queries/point", spec.queries),
             &[
@@ -67,9 +59,9 @@ pub fn fig18_tail_latency(scale: Scale) -> ExperimentResult {
                 "sustained",
             ],
         );
-        for labeled in per_backend {
-            push_curve_rows(&mut table, &labeled.curve);
-            knees.push(knee_note(label, &labeled.curve));
+        for curve in &curves {
+            push_curve_rows(&mut table, curve);
+            knees.push(knee_note(label, curve.arm.name(), curve));
         }
         result.tables.push(table);
     }
@@ -106,14 +98,14 @@ pub fn fig19_placement(scale: Scale) -> ExperimentResult {
         probe_queries: scale.scaled(8, 12),
         seed: SEED,
     };
-    let curves = placement_sweep(
-        &mut reference_cluster4,
-        &PlacementPolicy::COMPARED,
-        GatherCost::host_default(),
-        Some(reference_channel_capacity()),
-        &spec,
-    )
-    .expect("placement sweep");
+    let arms = PlacementPolicy::COMPARED.map(|placement| {
+        ServingMode::Sharded(ShardedDispatch {
+            channel_capacity: Some(reference_channel_capacity()),
+            ..ShardedDispatch::new(placement)
+        })
+    });
+    let curves =
+        anchored_sweep(&mut reference_cluster4, arms[0], &arms, &spec).expect("placement sweep");
 
     let mut table = TextTable::new(
         format!(
@@ -133,25 +125,24 @@ pub fn fig19_placement(scale: Scale) -> ExperimentResult {
     );
     for curve in &curves {
         push_curve_rows(&mut table, curve);
-        result.notes.push(knee_note("recnmp-cluster[4]", curve));
+        let note = knee_note("recnmp-cluster[4]", curve.arm.name(), curve);
+        result.notes.push(note);
     }
     result.tables.push(table);
 
-    let knee_qps = |c: &SweepCurve| c.knee().map_or(0.0, |p| p.offered_qps);
-    let top_p99 = |c: &SweepCurve| c.points.last().expect("points").summary.p99;
     let hash = &curves[0];
     let freq = curves
         .iter()
-        .find(|c| c.mode.name() == "sharded-frequency")
+        .find(|c| c.arm.name() == "sharded-frequency")
         .expect("frequency curve");
     result.notes.push(format!(
         "frequency-balanced vs hash at fixed loads: knee {:.0} vs {:.0} qps, \
          p99 at the top load {} vs {} cycles — balancing hot traffic (and \
          replicating the hottest table) moves the saturation knee",
-        knee_qps(freq),
-        knee_qps(hash),
-        top_p99(freq),
-        top_p99(hash),
+        freq.knee_qps(),
+        hash.knee_qps(),
+        freq.top_p99(),
+        hash.top_p99(),
     ));
     result.notes.push(
         "Sharded scatter/gather: each query fans out to the channels owning its tables \
@@ -190,7 +181,7 @@ pub fn fig_cache_serving(scale: Scale) -> ExperimentResult {
     };
     let arms = reference_caching_arms();
     let modes: Vec<ServingMode> = arms.iter().map(|(_, m)| *m).collect();
-    let curves = caching_sweep(&mut reference_cluster4_optimized, modes[0], &modes, &spec)
+    let curves = anchored_sweep(&mut reference_cluster4_optimized, modes[0], &modes, &spec)
         .expect("caching sweep");
 
     let mut table = TextTable::new(
@@ -212,7 +203,7 @@ pub fn fig_cache_serving(scale: Scale) -> ExperimentResult {
     );
     for ((label, _), curve) in arms.iter().zip(&curves) {
         push_labeled_rows(&mut table, label, curve);
-        result.notes.push(knee_note(label, curve));
+        result.notes.push(knee_note(label, curve.arm.name(), curve));
     }
     result.tables.push(table);
 
@@ -265,18 +256,16 @@ pub fn fig_cache_serving(scale: Scale) -> ExperimentResult {
     }
     result.tables.push(stats);
 
-    let knee_qps = |c: &SweepCurve| c.knee().map_or(0.0, |p| p.offered_qps);
-    let top_p99 = |c: &SweepCurve| c.points.last().expect("points").summary.p99;
     let (bare, co_designed) = (&curves[0], &curves[3]);
     result.notes.push(format!(
         "co-design verdict: cached-frequency@1MiB vs the cache-less frequency baseline \
          at fixed loads: knee {:.0} vs {:.0} qps, p99 at the top load {} vs {} cycles — \
          absorbing hot rows at the host *and* placing tables by the residual traffic \
          must move the knee or the tail, or the cache is not earning its capacity",
-        knee_qps(co_designed),
-        knee_qps(bare),
-        top_p99(co_designed),
-        top_p99(bare),
+        co_designed.knee_qps(),
+        bare.knee_qps(),
+        co_designed.top_p99(),
+        bare.top_p99(),
     ));
     result.notes.push(
         "Host cache: capacity-bounded LRU over whole vectors of the 4 hottest tables; \
@@ -291,7 +280,7 @@ pub fn fig_cache_serving(scale: Scale) -> ExperimentResult {
 }
 
 pub(super) fn push_curve_rows(table: &mut TextTable, curve: &SweepCurve) {
-    push_labeled_rows(table, curve.mode.name(), curve);
+    push_labeled_rows(table, curve.arm.name(), curve);
 }
 
 /// Like [`push_curve_rows`] but with an explicit first-column label —
@@ -313,20 +302,18 @@ pub(super) fn push_labeled_rows(table: &mut TextTable, label: &str, curve: &Swee
     }
 }
 
-pub(super) fn knee_note(label: &str, curve: &SweepCurve) -> String {
+/// The knee note of one curve, `"{label}/{arm}: saturation …"` — one
+/// format for every sweep experiment.
+pub(super) fn knee_note<A>(label: &str, arm: &str, curve: &SweepCurve<A>) -> String {
+    let saturation = curve.saturation_qps;
     match curve.knee() {
         Some(p) => format!(
-            "{label}/{}: saturation {:.0} qps, knee at {:.0} qps (util {:.1})",
-            curve.mode.name(),
-            curve.saturation_qps,
-            p.offered_qps,
-            p.utilization
+            "{label}/{arm}: saturation {saturation:.0} qps, knee at {:.0} qps (util {:.1})",
+            p.offered_qps, p.utilization
         ),
-        None => format!(
-            "{label}/{}: saturation {:.0} qps, no sustained point in sweep",
-            curve.mode.name(),
-            curve.saturation_qps
-        ),
+        None => {
+            format!("{label}/{arm}: saturation {saturation:.0} qps, no sustained point in sweep")
+        }
     }
 }
 

@@ -18,8 +18,8 @@ use super::serving::{knee_note, push_curve_rows};
 use super::{ExperimentResult, Scale};
 use crate::render::{f2, TextTable};
 use crate::serving::{
-    reference_tiered, serve, tiered_sweep, ArrivalProcess, EpochPromotion, GatherCost, QueryShape,
-    QueryStream, ServingConfig, ServingMode, SweepSpec, TieredDispatch,
+    anchored_sweep, reference_tiered, saturation_qps, serve, ArrivalProcess, EpochPromotion,
+    QueryShape, QueryStream, ServingConfig, ServingMode, SweepCurve, SweepSpec, TieredDispatch,
 };
 
 const SEED: u64 = 0x57a8;
@@ -138,16 +138,13 @@ pub fn fig_capacity(scale: Scale) -> ExperimentResult {
     for (num, den, label) in RATIOS {
         let tiers = tiers_at(num, den);
         let mut factory = || reference_tiered(tiers);
-        let curves = tiered_sweep(
-            &mut factory,
-            &TieredPolicy::COMPARED,
-            GatherCost::host_default(),
-            tiers,
-            &spec,
-        )
-        .expect("tiered sweep");
+        // Frequency-tiered anchors: it is the policy with a meaningful
+        // knee once the footprint exceeds DRAM.
+        let anchor = ServingMode::tiered(TieredPolicy::FrequencyTiered { replicate_hot: 0 }, tiers);
+        let arms = TieredPolicy::COMPARED.map(|policy| ServingMode::tiered(policy, tiers));
+        let curves = anchored_sweep(&mut factory, anchor, &arms, &spec).expect("tiered sweep");
         for curve in &curves {
-            let policy = match curve.mode {
+            let policy = match curve.arm {
                 ServingMode::Tiered(t) => t.policy,
                 _ => unreachable!("tiered sweeps return tiered modes"),
             };
@@ -155,7 +152,7 @@ pub fn fig_capacity(scale: Scale) -> ExperimentResult {
             let top = curve.points.last().expect("sweep points");
             knees.push_row(vec![
                 label.to_string(),
-                curve.mode.name().to_string(),
+                curve.arm.name().to_string(),
                 format!("{:.0}", curve.saturation_qps),
                 curve
                     .knee()
@@ -165,7 +162,7 @@ pub fn fig_capacity(scale: Scale) -> ExperimentResult {
                 format!("{:.0}%", 100.0 * plan.load_share(StorageTier::Dram)),
             ]);
             push_points_with_ratio(&mut points, label, curve);
-            result.notes.push(knee_note(label, curve));
+            result.notes.push(knee_note(label, curve.arm.name(), curve));
         }
     }
     result.tables.push(knees);
@@ -185,7 +182,7 @@ pub fn fig_capacity(scale: Scale) -> ExperimentResult {
 }
 
 /// Rows of one ratio's curve, prefixed with the ratio label.
-fn push_points_with_ratio(table: &mut TextTable, label: &str, curve: &crate::serving::SweepCurve) {
+fn push_points_with_ratio(table: &mut TextTable, label: &str, curve: &SweepCurve) {
     let mut scratch = TextTable::new(
         "",
         &table.headers[1..]
@@ -214,7 +211,7 @@ fn promotion_demo(scale: Scale, shape: QueryShape) -> TextTable {
     // where learning the split at runtime pays.
     let sat_of = |policy| {
         let mut probe = || reference_tiered(tiers);
-        crate::serving::saturation_qps(
+        saturation_qps(
             &mut probe,
             ServingMode::tiered(policy, tiers),
             shape,

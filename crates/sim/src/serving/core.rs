@@ -385,7 +385,7 @@ impl Core {
             if let Some(hc) = self.stages.host_cache.as_mut() {
                 let (residual, hits) = hc.filter(trace);
                 trace = residual;
-                host_cycles = hits * hc.hit_cycles();
+                host_cycles = hits.saturating_mul(hc.hit_cycles());
             }
             if let Some(tr) = self.stages.prefetch.as_mut() {
                 tr.observe(&trace);
@@ -439,7 +439,7 @@ impl Core {
                 };
                 per_node[node].batches.push(batch);
             }
-            let dispatch_eff = dispatch_at + penalty;
+            let dispatch_eff = dispatch_at.saturating_add(penalty);
 
             // SLO admission: the optimistic estimate — every batch served
             // by the earliest-free channel of any live replica. If even
@@ -579,16 +579,19 @@ impl Core {
                                 &health,
                             );
                             if let Some((alt, alt_channels)) = target {
-                                served.report.hedges += 1;
                                 let hstart = alt_channels
                                     .iter()
                                     .map(|&c| free_at[alt][c])
-                                    .fold(dispatch_eff + delay, Cycle::max);
-                                let hcomplete = hstart + node_service;
-                                for &c in &alt_channels {
-                                    free_at[alt][c] = hcomplete;
+                                    .fold(dispatch_eff.saturating_add(delay), Cycle::max);
+                                let hcomplete = hstart.saturating_add(node_service);
+                                // A hedge that could never complete is not sent.
+                                if hcomplete < Cycle::MAX {
+                                    served.report.hedges += 1;
+                                    for &c in &alt_channels {
+                                        free_at[alt][c] = hcomplete;
+                                    }
+                                    node_slowest = node_slowest.min(hcomplete).max(dispatch_eff);
                                 }
-                                node_slowest = node_slowest.min(hcomplete).max(dispatch_eff);
                             }
                         }
                     }
@@ -604,8 +607,9 @@ impl Core {
                     }
                 }
 
-                let node_complete =
-                    node_slowest + self.gather.base + self.gather.per_shard * shards.len() as Cycle;
+                let merge = (self.gather.per_shard.saturating_mul(shards.len() as Cycle))
+                    .saturating_add(self.gather.base);
+                let node_complete = node_slowest.saturating_add(merge);
                 if self.router == RouterPolicy::LeastOutstanding {
                     in_flight[n].push((node_complete, node_lookups));
                 }
@@ -616,17 +620,9 @@ impl Core {
             if node_jobs.is_empty() {
                 // A job the host cache absorbed whole touches no channel
                 // but still pays the host merge.
-                slowest_node = dispatch_eff + self.gather.base;
+                slowest_node = dispatch_eff.saturating_add(self.gather.base);
             }
 
-            if let Some(attempts) = exhausted {
-                served.fail(job, |query| SimError::DeadlineExceeded {
-                    query,
-                    deadline: res.retry.timeout,
-                    attempts,
-                });
-                continue 'jobs;
-            }
             // The network gather is waived when the router is co-located
             // with a single node.
             let network = if node_count > 1 {
@@ -634,7 +630,19 @@ impl Core {
             } else {
                 0
             };
-            let complete = slowest_node + network + host_cycles;
+            let complete = slowest_node
+                .saturating_add(network)
+                .saturating_add(host_cycles);
+            // A job that would complete only at the end of the clock never
+            // completes: it fails like a shard out of attempts.
+            if let Some(attempts) = exhausted.or((complete == Cycle::MAX).then_some(1)) {
+                served.fail(job, |query| SimError::DeadlineExceeded {
+                    query,
+                    deadline: res.retry.timeout,
+                    attempts,
+                });
+                continue 'jobs;
+            }
             served.settle(job, QueryOutcome::Completed, complete);
             guard.admit(complete);
         }
@@ -669,9 +677,11 @@ fn run_nodes(
 
 /// Runs one shard's attempt loop on `(node, channel)`: queue, apply the
 /// fault plan's degradation multiplier, abort on an injected timeout
-/// window or a blown per-attempt budget, then back off exponentially and
-/// re-dispatch (counted in `retries`). Returns the winning attempt's
-/// `(completion, service)`, or `Err(attempts)` after retry exhaustion.
+/// window, a blown per-attempt budget or a completion that saturates at
+/// the end of the clock (it would never happen), then back off
+/// exponentially and re-dispatch (counted in `retries`). Returns the
+/// winning attempt's `(completion, service)`, or `Err(attempts)` after
+/// retry exhaustion.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_attempts(
     (node, first_channel): (usize, usize),
@@ -692,10 +702,10 @@ fn run_shard_attempts(
         let start = t.max(free_at[channel]);
         let mult = res.faults.degrade_multiplier(node, channel, start);
         let service = base_service.saturating_mul(mult);
-        let complete = start + service;
+        let complete = start.saturating_add(service);
         let fault_timeout = res.faults.times_out(node, channel, start);
         let over_budget = budget > 0 && complete.saturating_sub(t) > budget;
-        if !fault_timeout && !over_budget {
+        if !fault_timeout && !over_budget && complete < Cycle::MAX {
             free_at[channel] = complete;
             return Ok((complete, service));
         }

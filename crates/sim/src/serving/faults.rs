@@ -212,7 +212,7 @@ impl FaultPlan {
         }
         for &(n, c) in rest.iter().take(spec.timeout_channels) {
             let from = draw_at(&mut rng);
-            plan = plan.with_timeout(n, c, from, from + spec.timeout_cycles);
+            plan = plan.with_timeout(n, c, from, from.saturating_add(spec.timeout_cycles));
         }
         plan
     }
@@ -584,6 +584,24 @@ mod tests {
         let slow: Vec<(usize, usize)> = a.degrades.iter().map(|d| (d.node, d.channel)).collect();
         for t in &a.timeouts {
             assert!(!slow.contains(&(t.node, t.channel)));
+        }
+    }
+
+    #[test]
+    fn seeded_timeout_windows_saturate_at_the_end_of_the_clock() {
+        let spec = FaultSpec {
+            crashes: 0,
+            window: (10, 30),
+            degraded_channels: 0,
+            degrade_multiplier: 1,
+            timeout_channels: 3,
+            timeout_cycles: u64::MAX,
+        };
+        let plan = FaultPlan::seeded(5, &spec, 2, 2);
+        assert_eq!(plan.timeouts.len(), 3);
+        for t in &plan.timeouts {
+            assert_eq!(t.until, u64::MAX);
+            assert!(plan.times_out(t.node, t.channel, t.from));
         }
     }
 

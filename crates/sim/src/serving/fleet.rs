@@ -32,6 +32,10 @@
 //! results merge in (node, channel) order, so fleet runs are
 //! byte-identical at any worker count.
 //!
+//! A fleet is [`Sweepable`] under a [`FleetDispatch`]: the one sweep
+//! driver ([`anchored_sweep`](super::sweep::anchored_sweep)) measures
+//! fleet throughput–latency curves exactly as it does a backend's.
+//!
 //! # Examples
 //!
 //! ```no_run
@@ -64,14 +68,8 @@ use super::faults::{
     FaultPlan, HedgePolicy, QueryOutcome, ResilienceConfig, RetryPolicy, SloPolicy,
 };
 use super::policy::GatherCost;
-use super::scheduler::window_qps;
-use super::sweep::{
-    reference_cluster4, run_each, saturation_load, sweep_points, SweepPoint, SweepSpec,
-};
-
-/// A factory producing fresh (cold) fleets, so every sweep point starts
-/// from identical hardware state.
-pub type FleetFactory<'a> = dyn FnMut() -> Fleet + 'a;
+use super::scheduler::{window_qps, LatencySummary};
+use super::sweep::{reference_cluster4, run_each, Sweepable};
 
 /// N node backends behind one router: the serving fleet.
 ///
@@ -222,9 +220,11 @@ impl NetworkCost {
         Self::new(1_200, 1)
     }
 
-    /// Total network cycles for one query shipping `result_bytes` back.
+    /// Total network cycles for one query shipping `result_bytes` back,
+    /// saturating at the end of the clock.
     pub fn cost_of(self, result_bytes: u64) -> Cycle {
-        self.base + self.per_byte * result_bytes
+        self.base
+            .saturating_add(self.per_byte.saturating_mul(result_bytes))
     }
 }
 
@@ -383,8 +383,8 @@ impl FleetReport {
     }
 
     /// The latency distribution over completed queries.
-    pub fn summary(&self) -> super::scheduler::LatencySummary {
-        super::scheduler::LatencySummary::from_latencies(&self.completed_latencies())
+    pub fn summary(&self) -> LatencySummary {
+        LatencySummary::from_latencies(&self.completed_latencies())
     }
 
     /// `(good, offered)` over the queries arriving in `[from, until)`:
@@ -525,157 +525,36 @@ fn serve_fleet_resilient_arrivals(
     })
 }
 
-/// One fleet throughput–latency curve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetCurve {
-    /// Fleet label.
-    pub system: String,
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Dispatch label (`"fleet-sharded"`, `"fleet-replicated(2)"`, ...).
-    pub placement: String,
-    /// Router label.
-    pub router: &'static str,
-    /// Reference saturation throughput the utilization fractions anchor
-    /// to.
-    pub saturation_qps: f64,
-    /// Measured points, in ascending offered-QPS order.
-    pub points: Vec<SweepPoint>,
-}
+/// A fleet sweeps under each [`FleetDispatch`], on the inert
+/// [`ResilienceConfig::zero`] — the same runs as [`serve_fleet`].
+impl Sweepable for Fleet {
+    type Arm = FleetDispatch;
 
-impl FleetCurve {
-    /// The saturation knee: the highest offered load the fleet still
-    /// sustained (achieved ≥ 90% of offered). `None` when even the
-    /// lightest point was unsustainable.
-    pub fn knee(&self) -> Option<&SweepPoint> {
-        self.points.iter().rev().find(|p| p.sustained())
+    fn label(&self) -> String {
+        self.name.clone()
     }
-}
 
-/// Probes the back-to-back service capacity of a fresh fleet under
-/// `dispatch`: all `queries` queries arrive at cycle 0 and the
-/// completion throughput of the resulting busy period is the saturation
-/// rate.
-///
-/// # Errors
-///
-/// Returns [`SimError::Stalled`] if a cycle-level run stalls, or
-/// [`SimError::Config`] when placement fails.
-pub fn fleet_saturation(
-    make_fleet: &mut FleetFactory<'_>,
-    dispatch: FleetDispatch,
-    shape: QueryShape,
-    queries: usize,
-    seed: u64,
-) -> Result<f64, SimError> {
-    let mut fleet = make_fleet();
-    let cfg = FleetConfig {
-        process: ArrivalProcess::Uniform,
-        qps: 1.0, // unused: the probe pins arrivals to cycle 0
-        queries,
-        shape,
-        dispatch,
-        seed,
-    };
-    let (arrivals, trace_queries) = saturation_load(shape, queries, seed);
-    let zero = ResilienceConfig::zero();
-    let report = serve_fleet_resilient_arrivals(&mut fleet, &cfg, &zero, &arrivals, trace_queries)?;
-    Ok(report.achieved_qps())
-}
-
-/// Measures one fleet throughput–latency curve at explicit offered
-/// loads, anchored to a caller-provided `saturation` rate; every point
-/// runs on a fresh fleet.
-///
-/// # Errors
-///
-/// Returns [`SimError::Stalled`] if any cycle-level run stalls, or
-/// [`SimError::Config`] when placement fails.
-#[allow(clippy::too_many_arguments)]
-pub fn fleet_sweep_at(
-    make_fleet: &mut FleetFactory<'_>,
-    dispatch: FleetDispatch,
-    process: ArrivalProcess,
-    shape: QueryShape,
-    saturation: f64,
-    offered: &[f64],
-    queries: usize,
-    seed: u64,
-) -> Result<FleetCurve, SimError> {
-    let mut system = String::new();
-    let mut nodes = 0;
-    let points = sweep_points(
-        offered,
-        saturation,
-        || {
-            let fleet = make_fleet();
-            system = fleet.name.clone();
-            nodes = fleet.nodes();
-            fleet
-        },
-        |fleet, qps| {
-            let cfg = FleetConfig {
-                process,
-                qps,
-                queries,
-                shape,
-                dispatch,
-                seed,
-            };
-            let report = serve_fleet(fleet, &cfg)?;
-            Ok((report.achieved_qps(), report.summary()))
-        },
-    )?;
-    Ok(FleetCurve {
-        system,
-        nodes,
-        placement: dispatch.label(),
-        router: dispatch.router.name(),
-        saturation_qps: saturation,
-        points,
-    })
-}
-
-/// Sweeps one fleet under every dispatch in `dispatches`, all at the
-/// same absolute offered loads: fractions of the **first** dispatch's
-/// saturation rate. Callers put the informed configuration (hot-table
-/// replication) first so its knee lands inside the sweep by
-/// construction and every alternative is measured at the same operating
-/// points — the same anchoring convention as
-/// [`tiered_sweep`](super::sweep::tiered_sweep).
-///
-/// # Errors
-///
-/// Returns the first failing sweep's error.
-pub fn fleet_sweep(
-    make_fleet: &mut FleetFactory<'_>,
-    dispatches: &[FleetDispatch],
-    spec: &SweepSpec,
-) -> Result<Vec<FleetCurve>, SimError> {
-    let anchor = dispatches.first().expect("at least one dispatch");
-    let saturation = fleet_saturation(
-        make_fleet,
-        *anchor,
-        spec.shape,
-        spec.probe_queries,
-        spec.seed,
-    )?;
-    let offered: Vec<f64> = spec.utilizations.iter().map(|&u| u * saturation).collect();
-    dispatches
-        .iter()
-        .map(|&dispatch| {
-            fleet_sweep_at(
-                make_fleet,
-                dispatch,
-                spec.process,
-                spec.shape,
-                saturation,
-                &offered,
-                spec.queries,
-                spec.seed,
-            )
-        })
-        .collect()
+    fn serve_load(
+        &mut self,
+        dispatch: FleetDispatch,
+        shape: QueryShape,
+        arrivals: &[Cycle],
+        queries: Vec<SlsTrace>,
+    ) -> Result<(f64, LatencySummary), SimError> {
+        // The rate, process and seed only label the report: the load is
+        // given.
+        let cfg = FleetConfig {
+            process: ArrivalProcess::Uniform,
+            qps: 1.0,
+            queries: queries.len(),
+            shape,
+            dispatch,
+            seed: 0,
+        };
+        let zero = ResilienceConfig::zero();
+        let report = serve_fleet_resilient_arrivals(self, &cfg, &zero, arrivals, queries)?;
+        Ok((report.achieved_qps(), report.summary()))
+    }
 }
 
 /// Everything that parameterizes one resilience sweep: the workload, the
@@ -805,7 +684,7 @@ impl ResilienceSweep {
 /// [`SimError::Config`] when the offered rate is not positive and finite
 /// or placement fails.
 pub fn resilience_sweep(
-    make_fleet: &mut FleetFactory<'_>,
+    make_fleet: &mut dyn FnMut() -> Fleet,
     spec: &ResilienceSpec,
 ) -> Result<ResilienceSweep, SimError> {
     let replicated = FleetDispatch::replicated(spec.shape.tables);
@@ -1168,7 +1047,8 @@ mod tests {
     }
 
     #[test]
-    fn fleet_sweep_anchors_every_dispatch_to_the_first() {
+    fn fleet_sweeps_anchor_every_dispatch_to_the_first() {
+        use crate::serving::sweep::{anchored_sweep, SweepSpec};
         let spec = SweepSpec {
             process: ArrivalProcess::Uniform,
             shape: quick_shape(),
@@ -1178,19 +1058,18 @@ mod tests {
             seed: 23,
         };
         let mut make = || Fleet::reference(2);
-        let curves = fleet_sweep(
-            &mut make,
-            &[FleetDispatch::replicated(1), FleetDispatch::sharded()],
-            &spec,
-        )
-        .unwrap();
+        let dispatches = [FleetDispatch::replicated(1), FleetDispatch::sharded()];
+        let curves = anchored_sweep(&mut make, dispatches[0], &dispatches, &spec).unwrap();
         assert_eq!(curves.len(), 2);
-        assert_eq!(curves[0].placement, "fleet-replicated(1)");
-        assert_eq!(curves[1].placement, "fleet-sharded");
+        assert_eq!(curves[0].arm.label(), "fleet-replicated(1)");
+        assert_eq!(curves[1].arm.label(), "fleet-sharded");
         assert_eq!(curves[0].saturation_qps, curves[1].saturation_qps);
         for (a, b) in curves[0].points.iter().zip(&curves[1].points) {
             assert_eq!(a.offered_qps, b.offered_qps);
         }
-        assert_eq!(curves[0].nodes, 2);
+        assert_eq!(curves[0].system, "fleet[2 x recnmp-cluster[4]]");
+        // A fleet sweep of no dispatch is a configuration error.
+        let none = anchored_sweep(&mut make, dispatches[0], &[], &spec);
+        assert!(matches!(none, Err(SimError::Config(_))));
     }
 }

@@ -43,10 +43,13 @@
 //!   cross-node hot-table replication, and an inter-node
 //!   [`NetworkCost`] ([`serve_fleet`], [`serve_fleet_resilient`]);
 //!   [`faults`] holds the fault plans and resilience policies;
-//! * [`sweep`] — throughput–latency curves over a QPS sweep, anchored at
-//!   a probed saturation rate by one probe and one pool-parallel
-//!   point-sweep driver shared by backends ([`qps_sweep`]) and fleets
-//!   ([`fleet_sweep`]), with the knee identified ([`SweepCurve::knee`]).
+//! * [`sweep`] — throughput–latency curves over a QPS sweep: one driver
+//!   serves a backend under a [`ServingMode`] and a [`Fleet`] under a
+//!   [`FleetDispatch`] alike ([`Sweepable`]) through one saturation probe
+//!   ([`saturation_qps`]), one sweep at explicit loads ([`qps_sweep_at`])
+//!   and one sweep anchored at a reference arm's probed saturation
+//!   ([`anchored_sweep`]), each giving a [`SweepCurve`] with its knee
+//!   ([`SweepCurve::knee`]).
 //!
 //! The model: each dispatched job (or shard) occupies one server for
 //! exactly the cycles its cycle-level run reports; work queues when its
@@ -85,8 +88,7 @@ pub use faults::{
     ResilienceConfig, RetryPolicy, ShardTimeout, SloPolicy,
 };
 pub use fleet::{
-    fleet_saturation, fleet_sweep, fleet_sweep_at, resilience_sweep, serve_fleet,
-    serve_fleet_resilient, Fleet, FleetConfig, FleetCurve, FleetDispatch, FleetFactory,
+    resilience_sweep, serve_fleet, serve_fleet_resilient, Fleet, FleetConfig, FleetDispatch,
     FleetReport, NetworkCost, ResilienceArm, ResilienceSpec, ResilienceSweep, RouterPolicy,
 };
 pub use policy::{
@@ -96,8 +98,7 @@ pub use policy::{
 pub use recnmp_backend::{PlacementPolicy, TierSpec, TieredPolicy};
 pub use scheduler::{serve, LatencySummary, ServingConfig, ServingReport};
 pub use sweep::{
-    caching_sweep, placement_sweep, qps_sweep, qps_sweep_at, reference_caching_arms,
-    reference_channel_capacity, reference_cluster4, reference_cluster4_optimized, reference_tiered,
-    saturation_qps, sweep_matrix, tiered_sweep, BackendFactory, LabeledCurve, NamedFactories,
-    SweepCurve, SweepPoint, SweepSpec,
+    anchored_sweep, qps_sweep_at, reference_caching_arms, reference_channel_capacity,
+    reference_cluster4, reference_cluster4_optimized, reference_tiered, saturation_qps, SweepCurve,
+    SweepPoint, SweepSpec, Sweepable,
 };

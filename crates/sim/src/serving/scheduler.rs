@@ -101,7 +101,9 @@ impl LatencySummary {
             p50: percentile(&sorted, 0.50),
             p95: percentile(&sorted, 0.95),
             p99: percentile(&sorted, 0.99),
-            mean: sorted.iter().sum::<Cycle>() as f64 / sorted.len() as f64,
+            // Summed wide: latencies near the end of the clock must not
+            // overflow the mean.
+            mean: sorted.iter().map(|&l| u128::from(l)).sum::<u128>() as f64 / sorted.len() as f64,
             max: *sorted.last().unwrap(),
         }
     }

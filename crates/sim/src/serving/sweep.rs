@@ -1,30 +1,79 @@
 //! Throughput–latency curves: sweep offered QPS against a backend or a
 //! fleet and locate the saturation knee.
 //!
-//! One saturation probe and one pool-parallel point-sweep driver serve
-//! both sweep families — single backends ([`saturation_qps`],
-//! [`qps_sweep_at`]) and fleets
-//! ([`fleet_saturation`](super::fleet::fleet_saturation),
-//! [`fleet_sweep_at`](super::fleet::fleet_sweep_at)). Shared multi-curve
-//! drivers sit on top so the `serve_sweep` bench binary and the
-//! experiment harness consume one code path:
+//! One driver serves every kind of system ([`Sweepable`]): a backend
+//! under a [`ServingMode`], or a [`Fleet`](super::fleet::Fleet) under a
+//! [`FleetDispatch`](super::fleet::FleetDispatch). Three entry points
+//! share it, and the `serve_sweep` bench binary and the experiment
+//! harness consume them alike:
 //!
-//! * [`sweep_matrix`] — every (backend factory × serving mode) pair, each
-//!   swept at fractions of its *own* probed saturation rate;
-//! * [`placement_sweep`] — one backend under every placement policy,
-//!   swept at fractions of the *sharded-hash baseline's* saturation rate,
-//!   so knee QPS and p99-at-fixed-load compare policies like for like.
+//! * [`saturation_qps`] — the probe: every query arrives at cycle 0 and
+//!   the completion throughput of the busy period is the saturation rate;
+//! * [`qps_sweep_at`] — one curve at explicit offered loads, each point
+//!   on a fresh system, all points in parallel on the worker pool;
+//! * [`anchored_sweep`] — probe the *anchor* arm, then sweep every arm
+//!   at the same absolute loads (fractions of the anchor's saturation),
+//!   so knee QPS and p99 at a fixed load compare arms like for like.
 
-use recnmp_backend::{PlacementPolicy, SlsBackend, SlsTrace, TierSpec, TieredPolicy};
-use recnmp_types::{ByteSize, Cycle, SimError};
+use recnmp_backend::{PlacementPolicy, SlsBackend, SlsTrace, TierSpec};
+use recnmp_types::{ByteSize, ConfigError, Cycle, SimError};
 
-use super::arrivals::{ArrivalProcess, QueryShape, QueryStream};
-use super::policy::{DispatchPolicy, GatherCost, ServingMode, ShardedDispatch, TieredDispatch};
-use super::scheduler::{serve, serve_arrivals, LatencySummary, ServingConfig};
+use super::arrivals::{offered_load, ArrivalProcess, QueryShape, QueryStream};
+use super::policy::{GatherCost, ServingMode, ShardedDispatch};
+use super::scheduler::{serve_arrivals, LatencySummary, ServingConfig};
 
-/// A factory producing fresh (cold) backends, so every sweep point starts
-/// from identical hardware state.
-pub type BackendFactory<'a> = dyn FnMut() -> Box<dyn SlsBackend> + 'a;
+/// A system the sweep driver serves: a backend under a [`ServingMode`],
+/// or a [`Fleet`](super::fleet::Fleet) under a
+/// [`FleetDispatch`](super::fleet::FleetDispatch).
+pub trait Sweepable: Send {
+    /// What one curve of the system holds fixed.
+    type Arm: Copy + Send + Sync;
+
+    /// The system label a curve records.
+    fn label(&self) -> String;
+
+    /// Serves `queries` of `shape` (query `i` arriving at `arrivals[i]`)
+    /// under `arm` and measures `(completion throughput, latency
+    /// distribution)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the serving run's error.
+    fn serve_load(
+        &mut self,
+        arm: Self::Arm,
+        shape: QueryShape,
+        arrivals: &[Cycle],
+        queries: Vec<SlsTrace>,
+    ) -> Result<(f64, LatencySummary), SimError>;
+}
+
+impl Sweepable for Box<dyn SlsBackend> {
+    type Arm = ServingMode;
+
+    fn label(&self) -> String {
+        self.name().to_string()
+    }
+
+    /// Serves on cold caches, so every sweep point starts from identical
+    /// hardware state.
+    fn serve_load(
+        &mut self,
+        mode: ServingMode,
+        shape: QueryShape,
+        arrivals: &[Cycle],
+        queries: Vec<SlsTrace>,
+    ) -> Result<(f64, LatencySummary), SimError> {
+        self.reset_caches();
+        // The rate and seed only label the report: the load is given.
+        let cfg = ServingConfig {
+            mode,
+            ..ServingConfig::poisson(1.0, queries.len(), shape, 0)
+        };
+        let report = serve_arrivals(self.as_mut(), &cfg, arrivals, queries)?;
+        Ok((report.achieved_qps(), report.summary()))
+    }
+}
 
 /// One measured point of a throughput–latency curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,13 +98,15 @@ impl SweepPoint {
     }
 }
 
-/// One backend×mode throughput–latency curve.
+/// One throughput–latency curve: a system under one arm — a backend's
+/// [`ServingMode`] or a fleet's
+/// [`FleetDispatch`](super::fleet::FleetDispatch).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SweepCurve {
-    /// Backend label.
+pub struct SweepCurve<A = ServingMode> {
+    /// System label.
     pub system: String,
-    /// Serving mode the curve was measured under.
-    pub mode: ServingMode,
+    /// The arm the curve was measured under.
+    pub arm: A,
     /// Reference saturation throughput (queries per simulated second)
     /// the utilization fractions are anchored to.
     pub saturation_qps: f64,
@@ -63,213 +114,27 @@ pub struct SweepCurve {
     pub points: Vec<SweepPoint>,
 }
 
-impl SweepCurve {
+impl<A> SweepCurve<A> {
     /// The saturation knee: the highest offered load the system still
     /// sustained (achieved ≥ 90% of offered). `None` when even the
     /// lightest point was unsustainable.
     pub fn knee(&self) -> Option<&SweepPoint> {
         self.points.iter().rev().find(|p| p.sustained())
     }
-}
 
-/// Probes the back-to-back service capacity of a fresh backend under
-/// `mode`: all `queries` queries arrive at cycle 0 and the completion
-/// throughput of the resulting busy period is the saturation rate.
-///
-/// # Errors
-///
-/// Returns [`SimError::Stalled`] if a cycle-level run stalls, or
-/// [`SimError::Config`] when sharded placement fails.
-pub fn saturation_qps(
-    make_backend: &mut BackendFactory<'_>,
-    mode: ServingMode,
-    shape: QueryShape,
-    queries: usize,
-    seed: u64,
-) -> Result<f64, SimError> {
-    let mut backend = make_backend();
-    backend.reset_caches();
-    let cfg = ServingConfig {
-        process: ArrivalProcess::Uniform,
-        qps: 1.0, // unused: the probe pins arrivals to cycle 0
-        queries,
-        shape,
-        mode,
-        coalescing: None,
-        max_queue_depth: None,
-        seed,
-    };
-    let (arrivals, trace_queries) = saturation_load(shape, queries, seed);
-    Ok(serve_arrivals(backend.as_mut(), &cfg, &arrivals, trace_queries)?.achieved_qps())
-}
+    /// The knee's offered load; 0 when nothing was sustained.
+    pub fn knee_qps(&self) -> f64 {
+        self.knee().map_or(0.0, |p| p.offered_qps)
+    }
 
-/// The saturation probe's load, shared by backends and fleets: `queries`
-/// queries of `shape` all arriving at cycle 0, so the completion
-/// throughput of the resulting busy period is the saturation rate.
-pub(super) fn saturation_load(
-    shape: QueryShape,
-    queries: usize,
-    seed: u64,
-) -> (Vec<Cycle>, Vec<SlsTrace>) {
-    let trace_queries = QueryStream::new(shape, seed).take_queries(queries);
-    (vec![0; queries], trace_queries)
-}
-
-/// The point-sweep driver of backends and fleets: one load point per
-/// `offered` rate, each served by `serve` on a fresh system from `make`
-/// (created on the calling thread, in point order) and measured as
-/// `(achieved_qps, summary)`; the points run in parallel via
-/// [`run_each`].
-///
-/// # Panics
-///
-/// Panics when an offered rate is not positive.
-pub(super) fn sweep_points<S: Send>(
-    offered: &[f64],
-    saturation: f64,
-    mut make: impl FnMut() -> S,
-    serve: impl Fn(&mut S, f64) -> Result<(f64, LatencySummary), SimError> + Sync,
-) -> Result<Vec<SweepPoint>, SimError> {
-    let mut systems: Vec<(S, f64)> = offered
-        .iter()
-        .map(|&qps| {
-            assert!(qps > 0.0, "offered loads must be positive");
-            (make(), qps)
-        })
-        .collect();
-    let measured = run_each(&mut systems, |(system, qps)| serve(system, *qps))?;
-    Ok(offered
-        .iter()
-        .zip(measured)
-        .map(|(&qps, (achieved_qps, summary))| SweepPoint {
-            offered_qps: qps,
-            utilization: qps / saturation,
-            achieved_qps,
-            summary,
-        })
-        .collect())
-}
-
-/// Runs `serve` on each of `systems` as one task on the deterministic
-/// worker pool (`recnmp-exec`), nesting the systems' own node and
-/// channel tasks into the same pool; results come back in input order,
-/// byte-identical to a serial run at any worker count.
-pub(super) fn run_each<S: Send, T: Send>(
-    systems: &mut [S],
-    serve: impl Fn(&mut S) -> Result<T, SimError> + Sync,
-) -> Result<Vec<T>, SimError> {
-    let serve = &serve;
-    let tasks: Vec<_> = systems.iter_mut().map(|s| move || serve(s)).collect();
-    recnmp_exec::current().run_vec(tasks)
-}
-
-/// The serving mode a saturation probe should use for a sweep under
-/// `mode`: queued sweeps probe with the work-conserving FIFO reference
-/// (so all dispatch policies of one backend share an anchor), while
-/// sharded and tiered sweeps probe with their own placement (capacity
-/// depends on it).
-fn probe_mode(mode: ServingMode) -> ServingMode {
-    match mode {
-        ServingMode::Queued(_) => ServingMode::Queued(DispatchPolicy::FifoSingleQueue),
-        placed @ (ServingMode::Sharded(_) | ServingMode::Tiered(_)) => placed,
+    /// The p99 latency at the heaviest swept load; 0 for an empty curve.
+    pub fn top_p99(&self) -> Cycle {
+        self.points.last().map_or(0, |p| p.summary.p99)
     }
 }
 
-/// Measures one throughput–latency curve at explicit offered loads,
-/// anchored to a caller-provided `saturation` rate (each point's
-/// `utilization` is `offered / saturation`). Every point starts from a
-/// fresh backend with cold caches.
-///
-/// # Errors
-///
-/// Returns [`SimError::Stalled`] if any cycle-level run stalls, or
-/// [`SimError::Config`] when sharded placement fails.
-#[allow(clippy::too_many_arguments)]
-pub fn qps_sweep_at(
-    make_backend: &mut BackendFactory<'_>,
-    mode: ServingMode,
-    process: ArrivalProcess,
-    shape: QueryShape,
-    saturation: f64,
-    offered: &[f64],
-    queries: usize,
-    seed: u64,
-) -> Result<SweepCurve, SimError> {
-    let mut system = String::new();
-    let points = sweep_points(
-        offered,
-        saturation,
-        || {
-            let mut backend = make_backend();
-            backend.reset_caches();
-            system = backend.name().to_string();
-            backend
-        },
-        |backend, qps| {
-            let cfg = ServingConfig {
-                process,
-                qps,
-                queries,
-                shape,
-                mode,
-                coalescing: None,
-                max_queue_depth: None,
-                seed,
-            };
-            let report = serve(backend.as_mut(), &cfg)?;
-            Ok((report.achieved_qps(), report.summary()))
-        },
-    )?;
-    Ok(SweepCurve {
-        system,
-        mode,
-        saturation_qps: saturation,
-        points,
-    })
-}
-
-/// Measures one backend×mode throughput–latency curve.
-///
-/// The offered loads are `utilizations` fractions of the probed
-/// saturation rate, so curves from systems of very different capacity
-/// (a host channel vs a 4-channel NMP cluster) sample comparable
-/// operating regions — the knee lands inside the sweep by construction.
-///
-/// # Errors
-///
-/// Returns [`SimError::Stalled`] if any cycle-level run stalls, or
-/// [`SimError::Config`] when sharded placement fails.
-#[allow(clippy::too_many_arguments)]
-pub fn qps_sweep(
-    make_backend: &mut BackendFactory<'_>,
-    mode: ServingMode,
-    process: ArrivalProcess,
-    shape: QueryShape,
-    utilizations: &[f64],
-    queries: usize,
-    probe_queries: usize,
-    seed: u64,
-) -> Result<SweepCurve, SimError> {
-    let saturation = saturation_qps(make_backend, probe_mode(mode), shape, probe_queries, seed)?;
-    let offered: Vec<f64> = utilizations
-        .iter()
-        .inspect(|&&u| assert!(u > 0.0, "utilization fractions must be positive"))
-        .map(|&u| u * saturation)
-        .collect();
-    qps_sweep_at(
-        make_backend,
-        mode,
-        process,
-        shape,
-        saturation,
-        &offered,
-        queries,
-        seed,
-    )
-}
-
-/// The common knobs of a multi-curve sweep, shared by the `serve_sweep`
-/// binary and the experiment harness.
+/// The common knobs of a sweep, shared by the `serve_sweep` binary and
+/// the experiment harness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Arrival process of every measured point.
@@ -286,17 +151,127 @@ pub struct SweepSpec {
     pub seed: u64,
 }
 
-/// One backend's curve, labeled with the factory's name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LabeledCurve {
-    /// Factory label (`"host"`, `"recnmp-cluster[4]"`, ...).
-    pub backend: String,
-    /// The measured curve.
-    pub curve: SweepCurve,
+/// `value` when it is positive and finite, else a [`SimError::Config`]
+/// naming `field`.
+fn positive(field: &str, value: f64) -> Result<f64, SimError> {
+    if value > 0.0 && value.is_finite() {
+        Ok(value)
+    } else {
+        let msg = format!("must be positive and finite, got {value}");
+        Err(SimError::Config(ConfigError::new(field, msg)))
+    }
 }
 
-/// Labeled backend factories a sweep iterates over.
-pub type NamedFactories<'a> = Vec<(&'a str, Box<BackendFactory<'a>>)>;
+/// Probes the back-to-back service capacity of a fresh system from
+/// `make` under `arm`: all `queries` queries of `shape` arrive at cycle
+/// 0 and the completion throughput of the resulting busy period is the
+/// saturation rate.
+///
+/// # Errors
+///
+/// Returns the serving run's error ([`SimError::Stalled`], or
+/// [`SimError::Config`] when placement fails), or
+/// [`SimError::Config`] when the probe completes no query.
+pub fn saturation_qps<S: Sweepable>(
+    make: &mut dyn FnMut() -> S,
+    arm: S::Arm,
+    shape: QueryShape,
+    queries: usize,
+    seed: u64,
+) -> Result<f64, SimError> {
+    let trace_queries = QueryStream::new(shape, seed).take_queries(queries);
+    let (qps, _) = make().serve_load(arm, shape, &vec![0; queries], trace_queries)?;
+    positive("saturation probe", qps)
+}
+
+/// Measures one curve under `arm` at explicit `offered` loads (queries
+/// per second), anchored to a caller-provided `saturation` rate: each
+/// point's `utilization` is `offered / saturation`. Points take their
+/// arrival process, shape, query count and seed from `spec`; each runs
+/// on a fresh system from `make` (created on the calling thread, in
+/// point order), all in parallel on the worker pool.
+///
+/// # Errors
+///
+/// Returns [`SimError::Config`] when `saturation` or an offered load is
+/// not positive and finite, or the first failing point's error.
+pub fn qps_sweep_at<S: Sweepable>(
+    make: &mut dyn FnMut() -> S,
+    arm: S::Arm,
+    spec: &SweepSpec,
+    saturation: f64,
+    offered: &[f64],
+) -> Result<SweepCurve<S::Arm>, SimError> {
+    positive("saturation", saturation)?;
+    let mut systems: Vec<(S, f64)> = offered.iter().map(|&qps| (make(), qps)).collect();
+    let system = systems.first().map(|(s, _)| s.label()).unwrap_or_default();
+    let measured = run_each(&mut systems, |(system, qps)| {
+        let (arrivals, queries) =
+            offered_load(spec.process, *qps, spec.queries, spec.shape, spec.seed)?;
+        system.serve_load(arm, spec.shape, &arrivals, queries)
+    })?;
+    let points = offered
+        .iter()
+        .zip(measured)
+        .map(|(&qps, (achieved_qps, summary))| SweepPoint {
+            offered_qps: qps,
+            utilization: qps / saturation,
+            achieved_qps,
+            summary,
+        })
+        .collect();
+    Ok(SweepCurve {
+        system,
+        arm,
+        saturation_qps: saturation,
+        points,
+    })
+}
+
+/// Sweeps every arm in `arms` at the same absolute offered loads: the
+/// `spec.utilizations` fractions of the **anchor** arm's probed
+/// saturation rate. Fixing the load axis makes the comparison direct —
+/// a better arm shows up as a higher knee and a lower p99 at the same
+/// offered QPS. The anchor need not be one of `arms`. Curves come back
+/// in `arms` order.
+///
+/// # Errors
+///
+/// Returns [`SimError::Config`] for an empty `arms` list, a utilization
+/// that is not positive and finite, or a probe that completes nothing;
+/// otherwise the first failing run's error.
+pub fn anchored_sweep<S: Sweepable>(
+    make: &mut dyn FnMut() -> S,
+    anchor: S::Arm,
+    arms: &[S::Arm],
+    spec: &SweepSpec,
+) -> Result<Vec<SweepCurve<S::Arm>>, SimError> {
+    if arms.is_empty() {
+        let msg = "an anchored sweep needs at least one arm";
+        return Err(SimError::Config(ConfigError::new("arms", msg)));
+    }
+    for &u in &spec.utilizations {
+        positive("utilization", u)?;
+    }
+    let saturation = saturation_qps(make, anchor, spec.shape, spec.probe_queries, spec.seed)?;
+    let offered: Vec<f64> = spec.utilizations.iter().map(|&u| u * saturation).collect();
+    arms.iter()
+        .map(|&arm| qps_sweep_at(make, arm, spec, saturation, &offered))
+        .collect()
+}
+
+/// Runs `serve` on each of `systems` as one task on the deterministic
+/// worker pool (`recnmp-exec`), nesting the systems' own node and
+/// channel tasks into the same pool; results come back in input order,
+/// byte-identical to a serial run at any worker count.
+pub(super) fn run_each<S: Send, T: Send>(
+    systems: &mut [S],
+    serve: impl Fn(&mut S) -> Result<T, SimError> + Sync,
+) -> Result<Vec<T>, SimError> {
+    let serve = &serve;
+    let tasks: Vec<_> = systems.iter_mut().map(|s| move || serve(s)).collect();
+    recnmp_exec::current().run_vec(tasks)
+}
 
 /// The geometry of the reference serving cluster: 4 channels of 1 DIMM
 /// × 2 ranks, with or without RankCaches and hot-entry profiling.
@@ -347,100 +322,6 @@ pub fn reference_tiered(spec: TierSpec) -> Box<dyn SlsBackend> {
         recnmp_storage::TieredCluster::reference(spec.dram_channels, spec.ssd_units)
             .expect("reference tiered cluster"),
     )
-}
-
-/// Sweeps every (backend × mode) pair, each at fractions of its own
-/// probed saturation rate. Curves come back factory-major
-/// (`factories[0]` under every mode, then `factories[1]`, ...).
-///
-/// # Errors
-///
-/// Returns the first failing sweep's error.
-pub fn sweep_matrix(
-    factories: &mut NamedFactories<'_>,
-    modes: &[ServingMode],
-    spec: &SweepSpec,
-) -> Result<Vec<LabeledCurve>, SimError> {
-    let mut curves = Vec::with_capacity(factories.len() * modes.len());
-    for (label, factory) in factories.iter_mut() {
-        for &mode in modes {
-            let curve = qps_sweep(
-                factory.as_mut(),
-                mode,
-                spec.process,
-                spec.shape,
-                &spec.utilizations,
-                spec.queries,
-                spec.probe_queries,
-                spec.seed,
-            )?;
-            curves.push(LabeledCurve {
-                backend: label.to_string(),
-                curve,
-            });
-        }
-    }
-    Ok(curves)
-}
-
-/// Sweeps one backend under every placement `policy`, all at the same
-/// absolute offered loads: fractions of the **sharded-hash baseline's**
-/// saturation rate. Fixing the load axis makes the comparison direct —
-/// a better placement shows up as a higher knee and a lower p99 at the
-/// same offered QPS.
-///
-/// # Errors
-///
-/// Returns the first failing sweep's error.
-pub fn placement_sweep(
-    make_backend: &mut BackendFactory<'_>,
-    policies: &[PlacementPolicy],
-    gather: GatherCost,
-    channel_capacity: Option<ByteSize>,
-    spec: &SweepSpec,
-) -> Result<Vec<SweepCurve>, SimError> {
-    let sharded = |placement| {
-        ServingMode::Sharded(ShardedDispatch {
-            placement,
-            gather,
-            channel_capacity,
-            host_cache: None,
-            prefetch: None,
-        })
-    };
-    let modes: Vec<ServingMode> = policies.iter().map(|&p| sharded(p)).collect();
-    caching_sweep(make_backend, sharded(PlacementPolicy::Hash), &modes, spec)
-}
-
-/// Sweeps one tiered backend under every tiering `policy`, all at the
-/// same absolute offered loads: fractions of the **frequency-tiered**
-/// plan's saturation rate. Frequency-tiered anchors because it is the
-/// policy with a meaningful knee when the footprint exceeds DRAM — hash
-/// saturates wherever its SSD-resident hot tables drag it, and pinning
-/// the load axis to the informed policy shows exactly how far short the
-/// uninformed one falls at each shared operating point.
-///
-/// # Errors
-///
-/// Returns the first failing sweep's error.
-pub fn tiered_sweep(
-    make_backend: &mut BackendFactory<'_>,
-    policies: &[TieredPolicy],
-    gather: GatherCost,
-    tiers: TierSpec,
-    spec: &SweepSpec,
-) -> Result<Vec<SweepCurve>, SimError> {
-    let tiered = |policy| {
-        ServingMode::Tiered(TieredDispatch {
-            policy,
-            gather,
-            tiers,
-            promotion: None,
-        })
-    };
-    let anchor = tiered(TieredPolicy::FrequencyTiered { replicate_hot: 0 });
-    let modes: Vec<ServingMode> = policies.iter().map(|&p| tiered(p)).collect();
-    caching_sweep(make_backend, anchor, &modes, spec)
 }
 
 /// The cache-aware serving arms every caching artifact measures, as
@@ -495,52 +376,10 @@ pub fn reference_caching_arms() -> Vec<(String, ServingMode)> {
     ]
 }
 
-/// Sweeps one backend under every serving `mode`, all at the same
-/// absolute offered loads: fractions of the **anchor** mode's
-/// saturation rate — the driver behind [`placement_sweep`] and
-/// [`tiered_sweep`] too. In the caching experiment the anchor is the
-/// cache-less sharded-frequency baseline, which makes the co-design
-/// verdict direct: a host cache and cache-aware placement earn their
-/// keep exactly when their curves knee later or tail lower than the
-/// anchor's at the same offered QPS.
-///
-/// # Errors
-///
-/// Returns the first failing sweep's error.
-pub fn caching_sweep(
-    make_backend: &mut BackendFactory<'_>,
-    anchor: ServingMode,
-    modes: &[ServingMode],
-    spec: &SweepSpec,
-) -> Result<Vec<SweepCurve>, SimError> {
-    let saturation = saturation_qps(
-        make_backend,
-        anchor,
-        spec.shape,
-        spec.probe_queries,
-        spec.seed,
-    )?;
-    let offered: Vec<f64> = spec.utilizations.iter().map(|&u| u * saturation).collect();
-    modes
-        .iter()
-        .map(|&mode| {
-            qps_sweep_at(
-                make_backend,
-                mode,
-                spec.process,
-                spec.shape,
-                saturation,
-                &offered,
-                spec.queries,
-                spec.seed,
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::policy::{DispatchPolicy, HostCacheSpec};
     use recnmp_baselines::HostBaseline;
 
     fn host_factory() -> Box<dyn SlsBackend> {
@@ -548,6 +387,21 @@ mod tests {
     }
 
     const FIFO: ServingMode = ServingMode::Queued(DispatchPolicy::FifoSingleQueue);
+
+    fn spec(utilizations: &[f64], queries: usize, shape: QueryShape, seed: u64) -> SweepSpec {
+        SweepSpec {
+            process: ArrivalProcess::Uniform,
+            shape,
+            utilizations: utilizations.to_vec(),
+            queries,
+            probe_queries: 6,
+            seed,
+        }
+    }
+
+    fn is_config_error<T>(result: &Result<T, SimError>) -> bool {
+        matches!(result, Err(SimError::Config(_)))
+    }
 
     #[test]
     fn saturation_probe_is_positive_and_deterministic() {
@@ -560,18 +414,10 @@ mod tests {
 
     #[test]
     fn sweep_tail_grows_with_load_and_knee_exists() {
-        let shape = QueryShape::new(2, 2, 8);
-        let curve = qps_sweep(
-            &mut host_factory,
-            FIFO,
-            ArrivalProcess::Uniform,
-            shape,
-            &[0.3, 0.7, 1.5],
-            10,
-            6,
-            5,
-        )
-        .unwrap();
+        let spec = spec(&[0.3, 0.7, 1.5], 10, QueryShape::new(2, 2, 8), 5);
+        let curve = anchored_sweep(&mut host_factory, FIFO, &[FIFO], &spec)
+            .unwrap()
+            .remove(0);
         assert_eq!(curve.points.len(), 3);
         // Latency is monotone-ish in load: the overloaded point's p99
         // strictly exceeds the light point's.
@@ -579,57 +425,44 @@ mod tests {
         // Light load is sustained; the knee is at or above it.
         assert!(curve.points[0].sustained());
         assert!(curve.knee().unwrap().utilization >= 0.3);
+        assert_eq!(curve.top_p99(), curve.points[2].summary.p99);
     }
 
     #[test]
-    fn matrix_is_factory_major_and_matches_single_sweeps() {
-        let shape = QueryShape::new(2, 2, 8);
-        let spec = SweepSpec {
-            process: ArrivalProcess::Uniform,
-            shape,
-            utilizations: vec![0.4, 1.2],
-            queries: 8,
-            probe_queries: 6,
-            seed: 5,
-        };
-        let mut factories: NamedFactories<'_> = vec![("host", Box::new(host_factory))];
-        let modes = [FIFO, ServingMode::Queued(DispatchPolicy::RoundRobin)];
-        let curves = sweep_matrix(&mut factories, &modes, &spec).unwrap();
+    fn queued_arms_share_the_fifo_anchor_and_match_single_sweeps() {
+        let spec = spec(&[0.4, 1.2], 8, QueryShape::new(2, 2, 8), 5);
+        let arms = [FIFO, ServingMode::Queued(DispatchPolicy::RoundRobin)];
+        let curves = anchored_sweep(&mut host_factory, FIFO, &arms, &spec).unwrap();
         assert_eq!(curves.len(), 2);
-        assert!(curves.iter().all(|c| c.backend == "host"));
-        let solo = qps_sweep(
+        assert!(curves.iter().all(|c| c.system == "host"));
+        assert_eq!(curves[1].arm, arms[1]);
+        assert_eq!(curves[1].saturation_qps, curves[0].saturation_qps);
+        let solo = anchored_sweep(&mut host_factory, FIFO, &[FIFO], &spec).unwrap();
+        assert_eq!(curves[0], solo[0]);
+        // The explicit-load sweep at the anchor's loads is the same curve.
+        let offered: Vec<f64> = solo[0].points.iter().map(|p| p.offered_qps).collect();
+        let at = qps_sweep_at(
             &mut host_factory,
             FIFO,
-            spec.process,
-            shape,
-            &spec.utilizations,
-            spec.queries,
-            spec.probe_queries,
-            spec.seed,
+            &spec,
+            solo[0].saturation_qps,
+            &offered,
         )
         .unwrap();
-        assert_eq!(curves[0].curve, solo);
+        assert_eq!(at, solo[0]);
     }
 
     #[test]
-    fn caching_sweep_anchors_to_the_bare_baseline() {
-        use super::super::policy::HostCacheSpec;
+    fn caching_arms_anchor_to_the_bare_baseline() {
         let shape = QueryShape::new(4, 2, 6).with_table_skew(1.0);
-        let spec = SweepSpec {
-            process: ArrivalProcess::Uniform,
-            shape,
-            utilizations: vec![0.5, 1.1],
-            queries: 8,
-            probe_queries: 6,
-            seed: 9,
-        };
+        let spec = spec(&[0.5, 1.1], 8, shape, 9);
         let frequency = PlacementPolicy::FrequencyBalanced { replicate: 1 };
         let anchor = ServingMode::sharded(frequency);
         let cached =
             ServingMode::cached(frequency, HostCacheSpec::with_capacity(ByteSize::kib(64)));
-        let curves = caching_sweep(&mut host_factory, anchor, &[anchor, cached], &spec).unwrap();
+        let curves = anchored_sweep(&mut host_factory, anchor, &[anchor, cached], &spec).unwrap();
         assert_eq!(curves.len(), 2);
-        assert_eq!(curves[1].mode.name(), "cached-frequency");
+        assert_eq!(curves[1].arm.name(), "cached-frequency");
         assert_eq!(curves[1].saturation_qps, curves[0].saturation_qps);
         for (a, b) in curves[1].points.iter().zip(&curves[0].points) {
             assert_eq!(a.offered_qps, b.offered_qps);
@@ -637,24 +470,11 @@ mod tests {
     }
 
     #[test]
-    fn placement_sweep_shares_one_load_axis() {
+    fn placement_arms_share_one_load_axis() {
         let shape = QueryShape::new(4, 2, 6).with_table_skew(1.0);
-        let spec = SweepSpec {
-            process: ArrivalProcess::Uniform,
-            shape,
-            utilizations: vec![0.5, 1.1],
-            queries: 8,
-            probe_queries: 6,
-            seed: 9,
-        };
-        let curves = placement_sweep(
-            &mut host_factory,
-            &recnmp_backend::PlacementPolicy::COMPARED,
-            GatherCost::host_default(),
-            None,
-            &spec,
-        )
-        .unwrap();
+        let spec = spec(&[0.5, 1.1], 8, shape, 9);
+        let arms = PlacementPolicy::COMPARED.map(ServingMode::sharded);
+        let curves = anchored_sweep(&mut host_factory, arms[0], &arms, &spec).unwrap();
         assert_eq!(curves.len(), 3);
         // Every policy was swept at the same absolute offered loads.
         for c in &curves[1..] {
@@ -662,6 +482,31 @@ mod tests {
             for (a, b) in c.points.iter().zip(&curves[0].points) {
                 assert_eq!(a.offered_qps, b.offered_qps);
             }
+        }
+    }
+
+    #[test]
+    fn bad_sweeps_are_config_errors() {
+        let shape = QueryShape::new(2, 2, 8);
+        let good = spec(&[0.5], 4, shape, 5);
+        let empty = anchored_sweep(&mut host_factory, FIFO, &[], &good);
+        assert!(is_config_error(&empty), "no arms");
+        for u in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            let bad = spec(&[0.5, u], 4, shape, 5);
+            let swept = anchored_sweep(&mut host_factory, FIFO, &[FIFO], &bad);
+            assert!(is_config_error(&swept), "utilization {u}");
+        }
+        let idle = SweepSpec {
+            probe_queries: 0,
+            ..good.clone()
+        };
+        let swept = anchored_sweep(&mut host_factory, FIFO, &[FIFO], &idle);
+        assert!(is_config_error(&swept), "a probe that completes nothing");
+        for bad in [0.0, f64::NAN] {
+            let at = qps_sweep_at(&mut host_factory, FIFO, &good, 1e5, &[bad]);
+            assert!(is_config_error(&at), "offered {bad}");
+            let at = qps_sweep_at(&mut host_factory, FIFO, &good, bad, &[1e5]);
+            assert!(is_config_error(&at), "saturation {bad}");
         }
     }
 }

@@ -3,20 +3,27 @@
 //! * an offered rate that is not positive and finite, and a hedge policy
 //!   with an empty window or a quantile outside (0, 1], are
 //!   `SimError::Config` instead of a panic;
+//! * a channel slowed past the end of the clock fails its queries
+//!   instead of overflowing (or, wrapped, reporting them fast);
 //! * (property) `serve` under arbitrary serving configurations — every
 //!   mode family and dispatch policy, coalescing, a depth bound, bad
 //!   rates — and `serve_fleet_resilient` under arbitrary hedge, retry and
-//!   SLO policies return `Ok` or `Err` and never panic.
+//!   SLO policies return `Ok` or `Err` and never panic;
+//! * (property) `serve_fleet_resilient` on 1–3 nodes under arbitrary
+//!   explicit or seeded fault plans (any node and channel, out-of-range
+//!   ones included, multipliers and windows up to `u64::MAX`) gives every
+//!   query exactly one outcome, counts the outcomes consistently and
+//!   never completes a query before it arrived.
 
 use proptest::prelude::*;
 use recnmp_backend::{MigrationCost, PlacementPolicy, PromotionPolicy, TierSpec, TieredPolicy};
 use recnmp_baselines::HostBaseline;
 use recnmp_sim::serving::faults::{
-    FaultPlan, HedgePolicy, ResilienceConfig, RetryPolicy, SloPolicy,
+    FaultPlan, FaultSpec, HedgePolicy, QueryOutcome, ResilienceConfig, RetryPolicy, SloPolicy,
 };
 use recnmp_sim::serving::fleet::{
-    resilience_sweep, serve_fleet_resilient, Fleet, FleetConfig, FleetDispatch, ResilienceSpec,
-    RouterPolicy,
+    resilience_sweep, serve_fleet_resilient, Fleet, FleetConfig, FleetDispatch, FleetReport,
+    ResilienceSpec, RouterPolicy,
 };
 use recnmp_sim::serving::{
     serve, ArrivalProcess, Coalescing, DispatchPolicy, EpochPromotion, HostCacheSpec, PrefetchSpec,
@@ -116,6 +123,49 @@ fn hedging_needs_a_window_and_a_quantile_in_the_unit_interval() {
     ] {
         assert!(is_config_error(&run(bad)), "{bad:?}");
     }
+}
+
+/// Every query has exactly one outcome, the report's counters and
+/// failure list agree with the outcomes, and no query completes before it
+/// arrived.
+fn assert_consistent(report: &FleetReport, queries: usize) {
+    let count = |o: QueryOutcome| report.outcomes.iter().filter(|&&x| x == o).count() as u64;
+    assert_eq!(report.outcomes.len(), queries);
+    assert_eq!(report.completions.len(), queries);
+    let r = &report.report;
+    assert_eq!(r.queries_rejected, count(QueryOutcome::Rejected));
+    assert_eq!(r.queries_shed, count(QueryOutcome::Shed));
+    assert_eq!(r.queries_failed, count(QueryOutcome::Failed));
+    assert_eq!(report.failures.len() as u64, count(QueryOutcome::Failed));
+    for (done, arrived) in report.completions.iter().zip(&report.arrivals) {
+        assert!(
+            done >= arrived,
+            "completion {done} before arrival {arrived}"
+        );
+    }
+    // The measurements over the completed queries are total too.
+    let _ = (report.summary(), report.achieved_qps());
+}
+
+#[test]
+fn a_channel_slowed_past_the_end_of_the_clock_fails_its_queries() {
+    // Channel 0 of node 0 runs u64::MAX times slower from cycle 0: a shard
+    // there would complete past the end of the clock, so its query fails
+    // instead of overflowing (or wrapping to a fast completion).
+    let cfg = fleet_cfg(60_000.0, 6, FleetDispatch::sharded(), 3);
+    let stuck = FaultPlan::none().with_degrade(0, 0, 0, u64::MAX, u64::MAX);
+    let report = serve_fleet_resilient(
+        &mut Fleet::reference(2),
+        &cfg,
+        &ResilienceConfig::new(stuck),
+    )
+    .expect("a stuck channel fails queries, not the run");
+    assert!(report.report.queries_failed > 0, "{:?}", report.outcomes);
+    assert!(report
+        .failures
+        .iter()
+        .all(|e| matches!(e, SimError::DeadlineExceeded { .. })));
+    assert_consistent(&report, 6);
 }
 
 /// Mostly good offered rates, one in four a bad one.
@@ -268,6 +318,56 @@ fn router_strategy() -> impl Strategy<Value = RouterPolicy> {
     ]
 }
 
+/// Cycles from the typical range, anywhere on the clock, or at its ends.
+fn edge_cycles(typical: Cycle) -> impl Strategy<Value = Cycle> {
+    prop_oneof![Just(0), 1..typical, any::<u64>(), Just(Cycle::MAX)]
+}
+
+/// Service multipliers from a no-op to the end of the clock.
+fn multiplier_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..20, any::<u64>(), Just(u64::MAX)]
+}
+
+/// Up to five explicit crash, degrade and timeout entries at any node
+/// and channel of a ≤3-node reference fleet (4 channels each), or just
+/// past it.
+fn explicit_plan_strategy() -> impl Strategy<Value = FaultPlan> {
+    let entry = (
+        (0u8..3, 0usize..4, 0usize..6),
+        (
+            edge_cycles(200_000),
+            edge_cycles(400_000),
+            multiplier_strategy(),
+        ),
+    );
+    prop::collection::vec(entry, 0..6).prop_map(|entries| {
+        let add = |plan: FaultPlan, ((kind, node, channel), (from, until, mult))| match kind {
+            0 => plan.with_crash(node, from),
+            1 => plan.with_degrade(node, channel, from, until, mult),
+            _ => plan.with_timeout(node, channel, from, until),
+        };
+        entries.into_iter().fold(FaultPlan::none(), add)
+    })
+}
+
+fn fault_spec_strategy() -> impl Strategy<Value = FaultSpec> {
+    (
+        (0usize..4, edge_cycles(200_000), edge_cycles(400_000)),
+        (0usize..14, multiplier_strategy()),
+        (0usize..14, edge_cycles(100_000)),
+    )
+        .prop_map(
+            |((crashes, lo, hi), (degraded, mult), (timeouts, cycles))| FaultSpec {
+                crashes,
+                window: (lo, hi),
+                degraded_channels: degraded,
+                degrade_multiplier: mult,
+                timeout_channels: timeouts,
+                timeout_cycles: cycles,
+            },
+        )
+}
+
 type ServeCase = (
     (ServingMode, Option<Coalescing>, Option<usize>),
     (f64, usize, u64, ArrivalProcess),
@@ -277,6 +377,12 @@ type ServeCase = (
 type FleetCase = (
     (Option<HedgePolicy>, RetryPolicy, Option<SloPolicy>),
     (RouterPolicy, usize, usize, u64),
+);
+
+type FaultCase = (
+    (FaultPlan, Option<FaultSpec>),
+    (RetryPolicy, Option<SloPolicy>, bool),
+    (usize, usize, usize, u64),
 );
 
 proptest! {
@@ -349,5 +455,45 @@ proptest! {
         } else {
             prop_assert!(is_config_error(&result), "{hedge:?}");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn any_fleet_under_any_fault_plan_accounts_every_query(
+        case in (
+            (
+                explicit_plan_strategy(),
+                prop_oneof![Just(None), fault_spec_strategy().prop_map(Some)],
+            ),
+            (retry_strategy(), slo_strategy(), any::<bool>()),
+            (1usize..4, 0usize..5, 1usize..12, 0u64..1 << 40),
+        )
+    ) {
+        let case: FaultCase = case;
+        let ((explicit, spec), (retry, slo, hedged), (nodes, replicate, queries, seed)) = case;
+        let mut fleet = Fleet::reference(nodes);
+        let faults = match spec {
+            Some(spec) => FaultPlan::seeded(seed, &spec, nodes, fleet.channels_per_node()),
+            None => explicit,
+        };
+        let mut res = ResilienceConfig {
+            retry,
+            slo,
+            ..ResilienceConfig::new(faults)
+        };
+        if hedged {
+            res = res.with_hedge(HedgePolicy {
+                quantile: 0.5,
+                min_samples: 1,
+                window: 8,
+            });
+        }
+        let cfg = fleet_cfg(40_000.0 * nodes as f64, queries, FleetDispatch::replicated(replicate), seed);
+        let report = serve_fleet_resilient(&mut fleet, &cfg, &res)
+            .expect("a valid configuration serves every query to an outcome");
+        assert_consistent(&report, queries);
     }
 }

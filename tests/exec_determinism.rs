@@ -15,7 +15,7 @@ use recnmp::{RecNmpCluster, RecNmpClusterConfig};
 use recnmp_backend::{RunReport, SlsBackend, SlsTrace};
 use recnmp_exec::ExecPool;
 use recnmp_sim::serving::{
-    qps_sweep, ArrivalProcess, DispatchPolicy, QueryShape, ServingMode, SweepCurve,
+    anchored_sweep, ArrivalProcess, DispatchPolicy, QueryShape, ServingMode, SweepCurve, SweepSpec,
 };
 use recnmp_storage::TieredCluster;
 use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, SlsBatch, TraceGenerator};
@@ -109,18 +109,19 @@ fn sweep_curves_are_byte_identical_across_worker_counts() {
     // A sweep over a cluster nests batches: each sweep point is a pool
     // task whose backend fans its own per-channel tasks into the same
     // pool. The curve must still be a pure function of seed and config.
-    assert_invariant_across_pools(|| -> SweepCurve {
-        qps_sweep(
-            &mut || Box::new(cluster(4)),
-            ServingMode::Queued(DispatchPolicy::LeastOutstanding),
-            ArrivalProcess::Poisson,
-            QueryShape::new(2, 2, 8),
-            &[0.4, 0.8],
-            16,
-            8,
-            0xfeed_f00d,
-        )
-        .unwrap()
+    let spec = SweepSpec {
+        process: ArrivalProcess::Poisson,
+        shape: QueryShape::new(2, 2, 8),
+        utilizations: vec![0.4, 0.8],
+        queries: 16,
+        probe_queries: 8,
+        seed: 0xfeed_f00d,
+    };
+    let fifo = ServingMode::Queued(DispatchPolicy::FifoSingleQueue);
+    let least = ServingMode::Queued(DispatchPolicy::LeastOutstanding);
+    assert_invariant_across_pools(|| -> Vec<SweepCurve> {
+        let mut make = || -> Box<dyn SlsBackend> { Box::new(cluster(4)) };
+        anchored_sweep(&mut make, fifo, &[least], &spec).unwrap()
     });
 }
 

@@ -8,7 +8,7 @@
 use recnmp::{RecNmpCluster, RecNmpClusterConfig};
 use recnmp_backend::{PlacementPlan, PlacementPolicy, SlsBackend, TableUsage};
 use recnmp_sim::serving::{
-    placement_sweep, ArrivalProcess, GatherCost, QueryShape, QueryStream, SweepCurve, SweepSpec,
+    anchored_sweep, ArrivalProcess, QueryShape, QueryStream, ServingMode, SweepCurve, SweepSpec,
 };
 
 /// A fast cluster (refresh off) with `channels` channels of 1 DIMM x 2
@@ -39,17 +39,12 @@ fn sweep(channels: usize) -> Vec<SweepCurve> {
         probe_queries: 8,
         seed: 71,
     };
-    placement_sweep(
-        &mut || cluster(channels),
-        &[
-            PlacementPolicy::Hash,
-            PlacementPolicy::FrequencyBalanced { replicate: 1 },
-        ],
-        GatherCost::host_default(),
-        None,
-        &spec,
-    )
-    .unwrap()
+    let arms = [
+        PlacementPolicy::Hash,
+        PlacementPolicy::FrequencyBalanced { replicate: 1 },
+    ]
+    .map(ServingMode::sharded);
+    anchored_sweep(&mut || cluster(channels), arms[0], &arms, &spec).unwrap()
 }
 
 #[test]
@@ -60,24 +55,22 @@ fn frequency_balanced_beats_hash_on_skewed_traffic() {
     for (h, f) in hash.points.iter().zip(&freq.points) {
         assert_eq!(h.offered_qps, f.offered_qps);
     }
-    let knee = |c: &SweepCurve| c.knee().map_or(0.0, |p| p.offered_qps);
-    let top_p99 = |c: &SweepCurve| c.points.last().unwrap().summary.p99;
     // Balancing never costs capacity: the frequency knee is at least the
     // hash knee on the shared load axis.
     assert!(
-        knee(freq) >= knee(hash),
+        freq.knee_qps() >= hash.knee_qps(),
         "frequency knee regressed: {} vs {}",
-        knee(freq),
-        knee(hash)
+        freq.knee_qps(),
+        hash.knee_qps()
     );
     // And at the overloaded top point the balanced plan's tail is
     // strictly shorter — the hash bottleneck channel queues without
     // bound first.
     assert!(
-        top_p99(freq) < top_p99(hash),
+        freq.top_p99() < hash.top_p99(),
         "overload p99: freq {} vs hash {}",
-        top_p99(freq),
-        top_p99(hash)
+        freq.top_p99(),
+        hash.top_p99()
     );
 }
 
@@ -87,15 +80,13 @@ fn placement_advantage_holds_on_two_channels() {
     // minimal geometry too.
     let curves = sweep(2);
     let (hash, freq) = (&curves[0], &curves[1]);
-    let knee = |c: &SweepCurve| c.knee().map_or(0.0, |p| p.offered_qps);
-    let top_p99 = |c: &SweepCurve| c.points.last().unwrap().summary.p99;
     assert!(
-        knee(freq) > knee(hash) || top_p99(freq) < top_p99(hash),
+        freq.knee_qps() > hash.knee_qps() || freq.top_p99() < hash.top_p99(),
         "2-channel: knees {} vs {}, top-load p99 {} vs {}",
-        knee(freq),
-        knee(hash),
-        top_p99(freq),
-        top_p99(hash)
+        freq.knee_qps(),
+        hash.knee_qps(),
+        freq.top_p99(),
+        hash.top_p99()
     );
 }
 

@@ -94,17 +94,12 @@ fn below_saturation_throughput_tracks_offered_rate() {
     // Uniform (perfectly paced) arrivals at half the probed saturation
     // rate: completions must keep up with arrivals on every backend.
     let shape = QueryShape::new(2, 2, 8);
-    type NamedFactories<'a> = Vec<(&'a str, Box<recnmp_sim::serving::BackendFactory<'a>>)>;
-    let factories: NamedFactories<'_> = vec![
-        (
-            "host",
-            Box::new(|| Box::new(HostBaseline::new(1, 2).unwrap())),
-        ),
-        ("cluster", Box::new(|| Box::new(cluster4()))),
-    ];
+    let host: fn() -> Box<dyn SlsBackend> = || Box::new(HostBaseline::new(1, 2).unwrap());
+    let cluster: fn() -> Box<dyn SlsBackend> = || Box::new(cluster4());
+    let factories = [("host", host), ("cluster", cluster)];
     for (label, mut factory) in factories {
         let fifo = ServingMode::Queued(DispatchPolicy::FifoSingleQueue);
-        let sat = saturation_qps(factory.as_mut(), fifo, shape, 8, 3).unwrap();
+        let sat = saturation_qps(&mut factory, fifo, shape, 8, 3).unwrap();
         let c = ServingConfig {
             process: ArrivalProcess::Uniform,
             qps: 0.5 * sat,

@@ -4,7 +4,7 @@
 //! A serving fleet is N RecNMP nodes (each a multi-channel cluster)
 //! behind a front-end router. Placement therefore happens twice:
 //!
-//! 1. **Tables → nodes** — a flat [`PlacementPlan`](super::PlacementPlan)
+//! 1. **Tables → nodes** — a flat [`PlacementPlan`]
 //!    over the node space. Under
 //!    [`FrequencyBalanced`](super::PlacementPolicy::FrequencyBalanced)
 //!    the hottest tables are *replicated across nodes* (RecFlash-style
@@ -128,39 +128,6 @@ impl FleetPlacementPlan {
         })
     }
 
-    /// Builds a cache-aware two-level plan: like [`build`](Self::build),
-    /// but both levels balance each table's *residual* accesses after the
-    /// expected host-cache absorption (see
-    /// [`apply_absorption`](super::apply_absorption)) — node replication
-    /// and channel load both follow the traffic that will actually cross
-    /// the fleet once hot rows are served at the hosts.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] under the conditions of
-    /// [`build`](Self::build) and
-    /// [`apply_absorption`](super::apply_absorption).
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_with_absorption(
-        nodes: usize,
-        channels_per_node: usize,
-        channel_capacity: Option<u64>,
-        tables: &[TableUsage],
-        absorbed: &[(TableId, u64)],
-        node_policy: PlacementPolicy,
-        within_policy: PlacementPolicy,
-    ) -> Result<Self, ConfigError> {
-        let residual = super::apply_absorption(tables, absorbed)?;
-        Self::build(
-            nodes,
-            channels_per_node,
-            channel_capacity,
-            &residual,
-            node_policy,
-            within_policy,
-        )
-    }
-
     /// Number of nodes the plan places onto.
     pub fn nodes(&self) -> usize {
         self.per_node.len()
@@ -225,6 +192,7 @@ impl FleetPlacementPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::apply_absorption;
 
     fn usage(specs: &[(u32, u64, u64)]) -> Vec<TableUsage> {
         specs
@@ -317,9 +285,8 @@ mod tests {
         // the residual-aware node plan balances on what remains.
         let u = usage(&[(0, 10, 900), (1, 10, 100), (2, 10, 80), (3, 10, 60)]);
         let absorbed = [(TableId::new(0), 880)];
-        let aware =
-            FleetPlacementPlan::build_with_absorption(2, 2, None, &u, &absorbed, FREQ0, FREQ0)
-                .unwrap();
+        let residual = apply_absorption(&u, &absorbed).unwrap();
+        let aware = FleetPlacementPlan::build(2, 2, None, &residual, FREQ0, FREQ0).unwrap();
         // Residual loads: 20, 100, 80, 60 → level-1 accounting sums to
         // the residual total on both nodes combined.
         let total: f64 = (0..2).map(|n| aware.node_plan().load_on(n)).sum();
@@ -329,16 +296,7 @@ mod tests {
         let blind = FleetPlacementPlan::build(2, 2, None, &u, FREQ0, FREQ0).unwrap();
         assert!(blind.node_plan().load_imbalance() > aware.node_plan().load_imbalance());
         // Over-absorption is rejected.
-        assert!(FleetPlacementPlan::build_with_absorption(
-            2,
-            2,
-            None,
-            &u,
-            &[(TableId::new(0), 901)],
-            FREQ0,
-            FREQ0
-        )
-        .is_err());
+        assert!(apply_absorption(&u, &[(TableId::new(0), 901)]).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Capacity-tiered placement: DRAM-NMP channels for the hot tables, an
 //! SSD near-data tier for the cold tail.
 //!
-//! The flat [`PlacementPlan`](super::PlacementPlan) assumes every table
+//! The flat [`PlacementPlan`] assumes every table
 //! fits in channel DRAM. Production embedding footprints do not (ROADMAP
 //! item 3: multi-TB models vs. tens of GB of channel DRAM), so this module
 //! adds a second, much larger but much slower tier and makes the
@@ -15,7 +15,7 @@
 //!   claim DRAM, the cold tail goes to SSD);
 //! * [`TieredPlacementPlan`] — the materialized assignment over the
 //!   *combined* unit space (DRAM channels `0..d`, SSD units `d..d+s`),
-//!   holding a flat [`PlacementPlan`](super::PlacementPlan) so every
+//!   holding a flat [`PlacementPlan`] so every
 //!   existing scatter/shard consumer works unchanged, plus per-tier
 //!   accounting;
 //! * [`PromotionPolicy`] / [`TieredPlacementPlan::epoch_rebalance`] — the
@@ -95,7 +95,7 @@ impl std::fmt::Display for StorageTier {
 ///
 /// Units are numbered over a combined space — DRAM channels first
 /// (`0..dram_channels`), then SSD units — so a flat
-/// [`PlacementPlan`](super::PlacementPlan) over `units()` channels
+/// [`PlacementPlan`] over `units()` channels
 /// describes a tiered assignment and existing scatter machinery needs no
 /// changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -210,7 +210,7 @@ impl std::fmt::Display for TieredPolicy {
 }
 
 /// The materialized tiered assignment: a flat
-/// [`PlacementPlan`](super::PlacementPlan) over the combined unit space
+/// [`PlacementPlan`] over the combined unit space
 /// plus the [`TierSpec`] that gives those units capacities and tiers.
 ///
 /// Replica sets never span tiers (replication is DRAM-only), so a table
@@ -345,27 +345,6 @@ impl TieredPlacementPlan {
         }
         flat.entries.sort_by_key(|(t, _)| *t);
         Ok(Self { spec, policy, flat })
-    }
-
-    /// Builds a cache-aware tiered plan: like [`build`](Self::build), but
-    /// the hot/cold split is decided on each table's *residual* accesses
-    /// after the expected host-cache absorption (see
-    /// [`apply_absorption`](super::apply_absorption)) — a table whose
-    /// heat the host cache soaks up no longer claims DRAM it won't use.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] under the conditions of
-    /// [`build`](Self::build) and
-    /// [`apply_absorption`](super::apply_absorption).
-    pub fn build_with_absorption(
-        spec: TierSpec,
-        tables: &[TableUsage],
-        absorbed: &[(TableId, u64)],
-        policy: TieredPolicy,
-    ) -> Result<Self, ConfigError> {
-        let residual = super::apply_absorption(tables, absorbed)?;
-        Self::build(spec, &residual, policy)
     }
 
     /// The capacity geometry the plan was built for.
@@ -576,6 +555,7 @@ pub struct MigrationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::apply_absorption;
 
     fn usage(specs: &[(u32, u64, u64)]) -> Vec<TableUsage> {
         specs
@@ -679,13 +659,8 @@ mod tests {
             blind.tier_of_table(TableId::new(2)),
             Some(StorageTier::Dram)
         );
-        let aware = TieredPlacementPlan::build_with_absorption(
-            spec2x1(100),
-            &u,
-            &[(TableId::new(2), 890)],
-            policy,
-        )
-        .unwrap();
+        let residual = apply_absorption(&u, &[(TableId::new(2), 890)]).unwrap();
+        let aware = TieredPlacementPlan::build(spec2x1(100), &residual, policy).unwrap();
         assert_eq!(
             aware.tier_of_table(TableId::new(1)),
             Some(StorageTier::Dram)
@@ -696,13 +671,7 @@ mod tests {
         );
         assert_eq!(aware.tier_of_table(TableId::new(2)), Some(StorageTier::Ssd));
         // Over-absorption is rejected here too.
-        assert!(TieredPlacementPlan::build_with_absorption(
-            spec2x1(100),
-            &u,
-            &[(TableId::new(2), 901)],
-            policy,
-        )
-        .is_err());
+        assert!(apply_absorption(&u, &[(TableId::new(2), 901)]).is_err());
     }
 
     #[test]

@@ -39,7 +39,8 @@ impl DimmLevelNmp {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for invalid DRAM configurations.
+    /// Returns a [`ConfigError`] for zero DIMMs or invalid DRAM
+    /// configurations.
     pub fn new(
         name: &'static str,
         dimms: u8,
@@ -54,7 +55,8 @@ impl DimmLevelNmp {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for invalid DRAM configurations.
+    /// Returns a [`ConfigError`] for zero DIMMs or invalid DRAM
+    /// configurations.
     pub fn with_refresh(
         name: &'static str,
         dimms: u8,
@@ -62,7 +64,9 @@ impl DimmLevelNmp {
         cmd_overhead_per_vector: u64,
         refresh: bool,
     ) -> Result<Self, ConfigError> {
-        assert!(dimms > 0, "need at least one DIMM");
+        if dimms == 0 {
+            return Err(ConfigError::new("dimms", "must be positive"));
+        }
         let dimm_systems = (0..dimms)
             .map(|_| {
                 let mut cfg = DramConfig::with_ranks(1, ranks_per_dimm);
@@ -373,5 +377,12 @@ mod tests {
         assert_eq!(r1.dram.reads, 50);
         assert_eq!(r2.dram.reads, 50);
         assert_eq!(r2.dram_bursts, 50);
+    }
+
+    #[test]
+    fn zero_dimms_is_a_config_error() {
+        for err in [TensorDimm::new(0, 2).err(), Chameleon::new(0, 2).err()] {
+            assert_eq!(err.expect("zero DIMMs must be rejected").field(), "dimms");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Comparator systems for RecNMP (Figure 16).
 //!
 //! Three baselines serve the same SLS lookup traces as
-//! [`recnmp::RecNmpSystem`], all through the unified
-//! [`SlsBackend`](recnmp_backend::SlsBackend) execution API:
+//! `recnmp::RecNmpSystem`, all through the unified
+//! [`SlsBackend`] execution API:
 //!
 //! * [`HostBaseline`] — the conventional path: every embedding burst is
 //!   read over the memory channel by the CPU, which performs the pooling.
@@ -19,8 +19,8 @@
 //!   costs an extra command slot per vector.
 //!
 //! The comparison methodology follows the paper: all systems see the same
-//! physical-address [`SlsTrace`](recnmp_backend::SlsTrace) and return the
-//! same [`RunReport`](recnmp_backend::RunReport) type; memory-latency
+//! physical-address [`SlsTrace`] and return the
+//! same [`RunReport`] type; memory-latency
 //! speedup is `cycles_per_lookup(baseline) / cycles_per_lookup(system)`.
 
 pub mod dimm_nmp_baseline;

@@ -32,8 +32,6 @@ fn bench(c: &mut Criterion) {
         queries: 24,
         shape,
         mode,
-        coalescing: None,
-        max_queue_depth: None,
         seed: 7,
     };
     group.bench_function("kernel", |b| {

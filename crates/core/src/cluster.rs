@@ -335,9 +335,21 @@ impl SlsBackend for RecNmpCluster {
     /// The merge order is the fixed channel order regardless of task
     /// completion order, so reports are deterministic and identical to a
     /// serial channel-by-channel run at any worker count.
+    ///
+    /// Returns [`SimError::Config`] naming the table when the installed
+    /// plan does not place one of the trace's tables.
     fn try_run(&mut self, trace: &SlsTrace) -> Result<RunReport, SimError> {
         let shards = match &self.placement {
-            Some(plan) => trace.shard_with_plan(plan),
+            Some(plan) => {
+                let mut tables = trace.batches.iter().map(|b| b.table());
+                if let Some(table) = tables.find(|&t| plan.replicas(t).is_empty()) {
+                    return Err(SimError::Config(ConfigError::new(
+                        "placement",
+                        format!("table {table} is missing from the placement plan"),
+                    )));
+                }
+                trace.shard_with_plan(plan)
+            }
             None => trace.shard(self.channels.len(), self.sharding),
         };
         let tasks: Vec<_> = self
@@ -563,6 +575,23 @@ mod tests {
         c.clear_placement();
         assert!(c.placement().is_none());
         assert_eq!(c.run(&trace).insts, trace.total_lookups());
+    }
+
+    #[test]
+    fn a_plan_missing_a_table_is_a_config_error() {
+        let trace = workload(4, 2);
+        let mut c = cluster(2);
+        // Place only the first three of the trace's four tables.
+        let usage = TableUsage::from_trace(&trace);
+        c.place_tables(&usage[..3], PlacementPolicy::Hash).unwrap();
+        let missing = usage[3].table;
+        match c.try_run(&trace) {
+            Err(SimError::Config(e)) => {
+                assert_eq!(e.field(), "placement");
+                assert!(e.reason().contains(&format!("table {missing}")), "{e}");
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 
     #[test]

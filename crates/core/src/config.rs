@@ -31,7 +31,17 @@ pub enum ExecutionMode {
     Overlapped,
 }
 
+/// NMP instructions delivered per DRAM cycle over the channel interface:
+/// the paper's double-data-rate compressed format carries two.
+pub(crate) const INSTS_PER_CYCLE: u64 = 2;
+
+/// Datapath pipeline depth in DRAM cycles (the paper's 4-stage pipeline).
+pub(crate) const PIPELINE_DEPTH: u64 = 4;
+
 /// Configuration of one RecNMP-equipped memory channel.
+///
+/// The channel interface delivers two instructions per DRAM cycle and
+/// the datapath is a 4-stage pipeline, both fixed by the paper's design.
 ///
 /// # Examples
 ///
@@ -58,11 +68,6 @@ pub struct RecNmpConfig {
     pub hot_entry_profiling: bool,
     /// Poolings packed per NMP packet (1–16; Figure 14 sweeps this).
     pub poolings_per_packet: usize,
-    /// NMP instructions delivered per DRAM cycle over the channel
-    /// interface (2 = the paper's double-data-rate compressed format).
-    pub insts_per_cycle: u32,
-    /// Datapath pipeline depth in DRAM cycles (4-stage in the paper).
-    pub pipeline_depth: u64,
     /// Whether the per-rank DRAM devices simulate refresh.
     pub refresh: bool,
     /// How packets are issued to the ranks.
@@ -70,12 +75,6 @@ pub struct RecNmpConfig {
     /// Main-loop strategy of the per-rank DRAM engines (event-driven
     /// skip-ahead by default; per-cycle is the validation reference).
     pub engine: SimEngine,
-    /// Whether the channel's cumulative `SessionStats` retain the full
-    /// per-packet latency/imbalance history. Off by default: long serving
-    /// runs execute millions of packets, and unbounded history is a leak.
-    /// The session always keeps running summaries (count/sum/max); each
-    /// per-run `RunReport` always carries that run's full vectors.
-    pub retain_packet_history: bool,
 }
 
 impl RecNmpConfig {
@@ -89,12 +88,9 @@ impl RecNmpConfig {
             scheduling: SchedulingPolicy::Fcfs,
             hot_entry_profiling: false,
             poolings_per_packet: 8,
-            insts_per_cycle: 2,
-            pipeline_depth: 4,
             refresh: true,
             execution: ExecutionMode::Serial,
             engine: SimEngine::EventDriven,
-            retain_packet_history: false,
         }
     }
 
@@ -137,8 +133,7 @@ impl RecNmpConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for zero rank counts, a pooling count that
-    /// exceeds the 4-bit PsumTag space, an invalid cache geometry, or an
-    /// instruction delivery rate that is not 1 or 2.
+    /// exceeds the 4-bit PsumTag space, or an invalid cache geometry.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.dimms == 0 {
             return Err(ConfigError::new("dimms", "must be positive"));
@@ -159,15 +154,6 @@ impl RecNmpConfig {
                 "poolings_per_packet",
                 "must be 1..=16 (4-bit PsumTag)",
             ));
-        }
-        if !(1..=2).contains(&self.insts_per_cycle) {
-            return Err(ConfigError::new(
-                "insts_per_cycle",
-                "channel interface delivers 1 or 2 instructions per cycle",
-            ));
-        }
-        if self.pipeline_depth == 0 {
-            return Err(ConfigError::new("pipeline_depth", "must be positive"));
         }
         if let Some(cache) = &self.rank_cache {
             cache.validate()?;
@@ -207,13 +193,6 @@ mod tests {
     fn validate_rejects_pooling_overflow() {
         let mut cfg = RecNmpConfig::with_ranks(1, 2);
         cfg.poolings_per_packet = 17;
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_bad_inst_rate() {
-        let mut cfg = RecNmpConfig::with_ranks(1, 2);
-        cfg.insts_per_cycle = 3;
         assert!(cfg.validate().is_err());
     }
 

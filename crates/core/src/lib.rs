@@ -22,7 +22,7 @@
 //! * [`cluster`] — [`RecNmpCluster`]: N independent channels behind one
 //!   dispatch API, the first scaling axis beyond the paper's
 //!   single-channel model. Sharding goes through an installed
-//!   [`PlacementPlan`](recnmp_backend::PlacementPlan) (built via
+//!   [`PlacementPlan`] (built via
 //!   [`RecNmpCluster::place_tables`] against each channel's DRAM
 //!   capacity) or, without one, the stateless hash-by-table/round-robin
 //!   [`ShardingPolicy`];
@@ -127,4 +127,4 @@ pub use recnmp_backend::{
     PlacementPlan, PlacementPolicy, RunReport, ShardingPolicy, SlsBackend, SlsTrace, TableUsage,
     TraceBatch,
 };
-pub use system::{compile_trace, MetricSummary, PacketHistory, RecNmpSystem, SessionStats};
+pub use system::{compile_trace, RecNmpSystem};

@@ -14,7 +14,7 @@ use recnmp_dram::{DramAddr, MemorySystem};
 use recnmp_types::{ConfigError, Cycle, RankId, RequestId, SimError};
 use serde::{Deserialize, Serialize};
 
-use crate::config::RecNmpConfig;
+use crate::config::{RecNmpConfig, PIPELINE_DEPTH};
 use crate::inst::{NmpInst, NmpOpcode};
 
 /// Counters kept by one rank-NMP module.
@@ -48,7 +48,6 @@ pub struct RankNmp {
     dram: MemorySystem,
     cache: Option<RankCache>,
     cache_latency: u64,
-    pipeline_depth: u64,
     stats: RankNmpStats,
     next_req: RequestId,
 }
@@ -87,7 +86,6 @@ impl RankNmp {
             dram,
             cache,
             cache_latency,
-            pipeline_depth: config.pipeline_depth,
             stats: RankNmpStats::default(),
             next_req: RequestId::new(0),
         })
@@ -211,7 +209,7 @@ impl RankNmp {
         } else {
             start
         };
-        let done = dram_done.max(last_hit_ready) + self.pipeline_depth;
+        let done = dram_done.max(last_hit_ready) + PIPELINE_DEPTH;
         self.stats.busy_cycles += done.saturating_sub(start);
         Ok(RankPacketResult {
             done_cycle: done,

@@ -7,99 +7,28 @@ use recnmp_dram::address::{AddressMapping, Geometry};
 use recnmp_dram::DramStats;
 use recnmp_trace::{PageMapper, SlsBatch};
 use recnmp_types::{ConfigError, Cycle, ModelId, PhysAddr, SimError};
-use serde::{Deserialize, Serialize};
 
-use crate::config::{ExecutionMode, RecNmpConfig};
+use crate::config::{ExecutionMode, RecNmpConfig, INSTS_PER_CYCLE};
 use crate::dimm_nmp::DimmNmp;
 use crate::inst::{NmpInst, NmpOpcode};
 use crate::optimizer::LocalityAwareOptimizer;
 use crate::packet::{NmpPacket, PacketBuilder};
 
-/// A bounded running summary of one per-packet metric: count, sum and
-/// max, from which the mean follows. O(1) space regardless of how many
-/// packets a session serves.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct MetricSummary {
-    /// Observations folded in.
-    pub count: u64,
-    /// Sum of all observations.
-    pub sum: f64,
-    /// Largest observation (0 before the first).
-    pub max: f64,
-}
-
-impl MetricSummary {
-    /// Folds one observation in.
-    pub fn observe(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Mean of all observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-/// The optional full per-packet history a session retains when
-/// [`RecNmpConfig::retain_packet_history`] is set.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct PacketHistory {
-    /// Per-packet latency, one entry per packet ever run.
-    pub latencies: Vec<Cycle>,
-    /// Per-packet busiest-rank fraction, aligned with `latencies`.
-    pub slowest_rank_fraction: Vec<f64>,
-}
-
-/// Lifetime statistics of one [`RecNmpSystem`] — **cumulative** across
-/// every run the channel has served.
-///
-/// Per-run results come from the [`RunReport`] snapshots that
-/// [`RecNmpSystem::run_packets`] (and the [`SlsBackend`] impl) return;
-/// this struct is the session-scope complement for long-running serving
-/// scenarios (utilization over a whole trace replay, total bytes moved).
-///
-/// Retention is bounded by default: per-packet latency and imbalance are
-/// kept as [`MetricSummary`] running summaries, so a serving run that
-/// executes millions of packets holds O(1) session state. Opting in to
-/// [`RecNmpConfig::retain_packet_history`] additionally keeps the full
-/// per-packet vectors in [`history`](Self::history).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct SessionStats {
+/// Cumulative counters of one [`RecNmpSystem`] across every run the
+/// channel has served; each run's [`RunReport`] is the delta since the
+/// run began.
+#[derive(Debug, Default)]
+struct SessionStats {
     /// Packets executed since construction.
-    pub packets: usize,
+    packets: usize,
     /// Instructions executed since construction.
-    pub insts: u64,
-    /// Running summary of per-packet latency (cycles).
-    pub latency: MetricSummary,
-    /// Running summary of the per-packet busiest-rank fraction.
-    pub rank_fraction: MetricSummary,
-    /// Full per-packet history; `None` unless retention is enabled.
-    pub history: Option<PacketHistory>,
+    insts: u64,
     /// Total instructions per rank since construction.
-    pub rank_insts: Vec<u64>,
+    rank_insts: Vec<u64>,
     /// Embedding bytes gathered since construction.
-    pub gathered_bytes: u64,
+    gathered_bytes: u64,
     /// Channel-interface bytes since construction.
-    pub io_bytes: u64,
-}
-
-impl SessionStats {
-    /// Folds one packet's latency and busiest-rank fraction into the
-    /// summaries (and the full history when retained).
-    fn observe_packet(&mut self, latency: Cycle, fraction: f64) {
-        self.latency.observe(latency as f64);
-        self.rank_fraction.observe(fraction);
-        if let Some(h) = &mut self.history {
-            h.latencies.push(latency);
-            h.slowest_rank_fraction.push(fraction);
-        }
-    }
+    io_bytes: u64,
 }
 
 /// Per-packet instruction delivery buffers: `[dimm][local rank]` slices
@@ -140,7 +69,7 @@ pub struct RecNmpSystem {
     session: SessionStats,
     /// Per-packet latencies of the run in progress — cleared at each
     /// run's [`mark`](Self::mark) so [`RunReport`]s carry full per-run
-    /// vectors while session retention stays bounded.
+    /// vectors while the session keeps only counters.
     run_latencies: Vec<Cycle>,
     /// Busiest-rank fractions of the run in progress, aligned with
     /// `run_latencies`.
@@ -165,14 +94,12 @@ impl RecNmpSystem {
             .map(|d| DimmNmp::new(recnmp_types::DimmId::new(d as u32), &config))
             .collect::<Result<Vec<_>, _>>()?;
         let ranks = config.total_ranks() as usize;
-        let history = config.retain_packet_history.then(PacketHistory::default);
         Ok(Self {
             config,
             dimms,
             now: 0,
             session: SessionStats {
                 rank_insts: vec![0; ranks],
-                history,
                 ..SessionStats::default()
             },
             run_latencies: Vec::new(),
@@ -200,11 +127,6 @@ impl RecNmpSystem {
     /// Current cycle.
     pub fn cycle(&self) -> Cycle {
         self.now
-    }
-
-    /// Cumulative statistics across every run this channel has served.
-    pub fn session(&self) -> &SessionStats {
-        &self.session
     }
 
     /// Total DRAM-engine main-loop iterations across every rank — the
@@ -345,13 +267,13 @@ impl RecNmpSystem {
         let ranks_per_dimm = self.config.ranks_per_dimm as usize;
         let total_ranks = self.config.total_ranks() as usize;
 
-        // Delivery schedule: insts_per_cycle instructions per DRAM cycle
+        // Delivery schedule: INSTS_PER_CYCLE instructions per DRAM cycle
         // over the shared channel interface (the compressed-format C/A
         // expansion of Figure 9(b)). The delivery buffers are run-scoped
         // scratch, reused across packets.
         let (mut per_dimm, mut rank_counts) = self.take_scratch();
         for (i, inst) in packet.insts.iter().enumerate() {
-            let arrival = start + (i as u64) / self.config.insts_per_cycle as u64;
+            let arrival = start + (i as u64) / INSTS_PER_CYCLE;
             let rank = inst.daddr.rank as usize % total_ranks;
             let dimm = rank / ranks_per_dimm;
             per_dimm[dimm][rank % ranks_per_dimm].push((arrival, *inst));
@@ -374,7 +296,6 @@ impl RecNmpSystem {
         let fraction = max_rank as f64 / total as f64;
         self.run_latencies.push(packet_done - start);
         self.run_fractions.push(fraction);
-        self.session.observe_packet(packet_done - start, fraction);
         for (acc, c) in self.session.rank_insts.iter_mut().zip(&rank_counts) {
             *acc += c;
         }
@@ -423,7 +344,7 @@ impl RecNmpSystem {
                 };
                 *cursor += 1;
                 remaining -= 1;
-                let arrival = start + delivered / self.config.insts_per_cycle as u64;
+                let arrival = start + delivered / INSTS_PER_CYCLE;
                 delivered += 1;
                 let rank = inst.daddr.rank as usize % total_ranks;
                 per_dimm[rank / ranks_per_dimm][rank % ranks_per_dimm].push((arrival, *inst));
@@ -450,7 +371,6 @@ impl RecNmpSystem {
         let fraction = max_rank as f64 / total as f64;
         self.run_latencies.push(latency);
         self.run_fractions.push(fraction);
-        self.session.observe_packet(latency, fraction);
         for (acc, c) in self.session.rank_insts.iter_mut().zip(&rank_counts) {
             *acc += c;
         }
@@ -817,57 +737,11 @@ mod tests {
         // DRAM/cache counters are deltas too: the second run cannot carry
         // the first run's traffic.
         assert!(second.dram_bursts <= first.dram_bursts);
-        // The session view is the cumulative complement.
-        let s = sys.session();
-        assert_eq!(s.packets, first.packets + second.packets);
-        assert_eq!(s.insts, first.insts + second.insts);
-        assert_eq!(
-            s.latency.count as usize,
-            first.packet_latencies.len() + second.packet_latencies.len()
-        );
-    }
-
-    #[test]
-    fn session_retention_is_bounded_by_default() {
-        // Default: per-run reports carry full vectors but the session
-        // keeps only running summaries — no unbounded history.
-        let mut sys = RecNmpSystem::new(quiet(RecNmpConfig::with_ranks(1, 2))).unwrap();
-        let w = batches(2, 8);
-        let first = sys.offload(&w).unwrap();
-        let second = sys.offload(&w).unwrap();
+        // Per-run reports carry full per-packet vectors.
         assert!(!first.packet_latencies.is_empty());
-        let s = sys.session();
-        assert!(s.history.is_none());
-        assert_eq!(
-            s.latency.count as usize,
-            first.packet_latencies.len() + second.packet_latencies.len()
-        );
-        let all: Vec<Cycle> = first
-            .packet_latencies
-            .iter()
-            .chain(&second.packet_latencies)
-            .copied()
-            .collect();
-        assert_eq!(s.latency.max, *all.iter().max().unwrap() as f64);
-        assert!((s.latency.sum - all.iter().sum::<Cycle>() as f64).abs() < 1e-9);
-        assert!(s.rank_fraction.mean() > 0.0);
-
-        // Opt-in: the full per-packet history is retained and matches
-        // the concatenated per-run reports.
-        let mut cfg = quiet(RecNmpConfig::with_ranks(1, 2));
-        cfg.retain_packet_history = true;
-        let mut retained = RecNmpSystem::new(cfg).unwrap();
-        let r1 = retained.offload(&w).unwrap();
-        let r2 = retained.offload(&w).unwrap();
-        let history = retained.session().history.as_ref().unwrap();
-        let expect: Vec<Cycle> = r1
-            .packet_latencies
-            .iter()
-            .chain(&r2.packet_latencies)
-            .copied()
-            .collect();
-        assert_eq!(history.latencies, expect);
-        assert_eq!(history.slowest_rank_fraction.len(), expect.len());
+        // The session counters are the cumulative complement.
+        assert_eq!(sys.session.packets, first.packets + second.packets);
+        assert_eq!(sys.session.insts, first.insts + second.insts);
     }
 
     #[test]

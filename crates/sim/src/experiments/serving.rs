@@ -233,8 +233,6 @@ pub fn fig_cache_serving(scale: Scale) -> ExperimentResult {
             queries: spec.queries,
             shape,
             mode: *mode,
-            coalescing: None,
-            max_queue_depth: None,
             seed: SEED,
         };
         let r = serve(backend.as_mut(), &cfg).expect("stats run").report;

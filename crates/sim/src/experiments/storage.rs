@@ -261,8 +261,6 @@ fn promotion_demo(scale: Scale, shape: QueryShape) -> TextTable {
             queries,
             shape,
             mode,
-            coalescing: None,
-            max_queue_depth: None,
             seed: SEED,
         };
         let mut backend = reference_tiered(tiers);

@@ -15,9 +15,8 @@
 //!   latency/throughput built on the calibrated CPU model and the
 //!   cycle-level SLS results;
 //! * [`serving`] — the query-serving subsystem: open-loop Poisson/uniform
-//!   load generation, queued dispatch (FIFO / round-robin /
-//!   least-outstanding, optional batch coalescing) or **sharded
-//!   scatter/gather** over a table-placement plan (each query fans out
+//!   load generation, queued dispatch of one query at a time (FIFO /
+//!   round-robin / least-outstanding) or **sharded scatter/gather** over a table-placement plan (each query fans out
 //!   to the channels owning its tables and completes at its slowest
 //!   shard plus a host gather cost), per-query p50/p95/p99 latency, and
 //!   throughput–latency sweeps with saturation-knee detection, shared

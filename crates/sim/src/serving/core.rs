@@ -2,17 +2,17 @@
 //! queued, sharded and tiered serving (a one-node fleet) and fleet
 //! serving.
 //!
-//! Each job routes its batches to nodes under the [`RouterPolicy`], then
-//! to a replica channel of each batch's table under the scatter rule;
-//! both levels share one rule set (`pick`). Queued serving scatters by
-//! its dispatch policy over a plan with every table on every channel,
-//! every other mode to the least-backlogged channel. Every touched node
-//! simulates its shards as one pool task, each shard queues on its
-//! channel, and the job completes at its slowest node (slowest shard
-//! plus the per-node [`GatherCost`]) plus the [`NetworkCost`] of a
-//! multi-node fleet plus the host-cache charge. Optional per-job stages
-//! do nothing when their `Option` is `None`: tier promotion epochs, the
-//! `max_queue_depth` guard, idle-gap prefetch, the host cache, and the
+//! Each query dispatches at its arrival. It routes its batches to nodes
+//! under the [`RouterPolicy`], then to a replica channel of each batch's
+//! table under the scatter rule; both levels share one rule set (`pick`).
+//! Queued serving scatters by its dispatch policy over a plan with every
+//! table on every channel, every other mode to the least-backlogged
+//! channel. Every touched node simulates its shards as one pool task,
+//! each shard queues on its channel, and the query completes at its
+//! slowest node (slowest shard plus the per-node [`GatherCost`]) plus the
+//! [`NetworkCost`] of a multi-node fleet plus the host-cache charge.
+//! Optional per-query stages do nothing when their `Option` is `None`:
+//! tier promotion epochs, idle-gap prefetch, the host cache, and the
 //! [`ResilienceConfig`] layer (failover, SLO guard, retry, hedging —
 //! inert under [`ResilienceConfig::zero`]).
 
@@ -27,91 +27,8 @@ use recnmp_types::{ConfigError, Cycle, SimError, TableId};
 use super::faults::{HealthTracker, NodeHealth, QueryOutcome, ResilienceConfig};
 use super::fleet::{NetworkCost, RouterPolicy};
 use super::host_cache::{HostCache, HotVectorTracker};
-use super::policy::{Coalescing, EpochPromotion, GatherCost};
+use super::policy::{EpochPromotion, GatherCost};
 use super::scheduler::percentile;
-
-/// One dispatched unit of work: the queries it carries and the cycle the
-/// scheduler released it.
-pub(super) struct Job {
-    pub dispatch: Cycle,
-    pub members: Vec<usize>,
-}
-
-/// Groups queries into dispatch jobs. Without coalescing every query is
-/// its own job released at its arrival; with coalescing a group closes
-/// when full or when its oldest member has waited `max_wait` cycles.
-pub(super) fn coalesce(arrivals: &[Cycle], coalescing: Option<Coalescing>) -> Vec<Job> {
-    let Some(c) = coalescing else {
-        return arrivals
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| Job {
-                dispatch: t,
-                members: vec![i],
-            })
-            .collect();
-    };
-    let mut jobs = Vec::new();
-    let mut i = 0;
-    while i < arrivals.len() {
-        let deadline = arrivals[i] + c.max_wait;
-        let mut members = vec![i];
-        i += 1;
-        while i < arrivals.len() && members.len() < c.max_queries && arrivals[i] <= deadline {
-            members.push(i);
-            i += 1;
-        }
-        // A full group releases with its filling query; a deadline group
-        // waits out the window (the coalescer cannot know no further
-        // query will arrive).
-        let dispatch = if members.len() == c.max_queries {
-            arrivals[*members.last().unwrap()]
-        } else {
-            deadline
-        };
-        jobs.push(Job { dispatch, members });
-    }
-    jobs
-}
-
-/// Concatenates the member queries of one job into a single trace,
-/// moving their batches out: [`coalesce`] puts every query in exactly one
-/// job, so each query is merged once and left empty.
-fn merge_queries(queries: &mut [SlsTrace], members: &[usize]) -> SlsTrace {
-    let mut taken = members.iter().map(|&q| std::mem::take(&mut queries[q]));
-    let mut merged = taken.next().unwrap_or_default();
-    for mut query in taken {
-        merged.batches.append(&mut query.batches);
-    }
-    merged
-}
-
-/// The admission guard behind `max_queue_depth`: the bound and the
-/// completion cycles of admitted jobs; `None` admits everything.
-struct DepthGuard(Option<(usize, Vec<Cycle>)>);
-
-impl DepthGuard {
-    fn new(bound: Option<usize>) -> Self {
-        Self(bound.map(|b| (b, Vec::new())))
-    }
-
-    /// May a job dispatching at `dispatch` enter? Dispatch times are
-    /// non-decreasing, so drained work is dropped before the count.
-    fn admits(&mut self, dispatch: Cycle) -> bool {
-        let Some((bound, outstanding)) = &mut self.0 else {
-            return true;
-        };
-        outstanding.retain(|&done| done > dispatch);
-        outstanding.len() < *bound
-    }
-
-    /// Records an admitted job's completion.
-    fn admit(&mut self, complete: Cycle) {
-        if let Some((_, outstanding)) = &mut self.0 {
-            outstanding.push(complete);
-        }
-    }
-}
 
 /// Where the core finds each table: a two-level fleet plan, or one
 /// node's channel plan (sharded, or a tiered plan's flat view).
@@ -141,6 +58,12 @@ impl Plan {
     }
 }
 
+/// Cycles a query pays when its router-preferred node turns out to be
+/// freshly crashed: the failure-detection plus re-dispatch cost. Later
+/// queries know the node is down (health tracking) and route around it
+/// for free.
+const REDISPATCH_PENALTY: Cycle = 2_400;
+
 fn missing_table(table: TableId) -> SimError {
     SimError::Config(ConfigError::new(
         "placement",
@@ -156,14 +79,14 @@ fn least_backlogged(channels: &[usize], free_at: &[Cycle]) -> Option<usize> {
 }
 
 /// The pick rule set of the router (over node replicas) and the scatter
-/// (over replica channels), ties to the lowest index: rotate by job
+/// (over replica channels), ties to the lowest index: rotate by query
 /// index, fewest lookups still in flight at `now` (`in_flight` holds each
 /// candidate's (completion, lookups)), or earliest `ready`. `None` for an
 /// empty `pool`.
 fn pick(
     rule: RouterPolicy,
     pool: &[usize],
-    job: usize,
+    query: usize,
     in_flight: &mut [Vec<(Cycle, u64)>],
     now: Cycle,
     ready: impl Fn(usize) -> Cycle,
@@ -171,7 +94,7 @@ fn pick(
     let by_key =
         |key: &mut dyn FnMut(usize) -> u64| pool.iter().copied().min_by_key(|&i| (key(i), i));
     match rule {
-        RouterPolicy::HashAffinity => (!pool.is_empty()).then(|| pool[job % pool.len()]),
+        RouterPolicy::HashAffinity => (!pool.is_empty()).then(|| pool[query % pool.len()]),
         // Dispatch times are non-decreasing, so drained work can never
         // count again.
         RouterPolicy::LeastOutstanding => by_key(&mut |i| {
@@ -183,7 +106,7 @@ fn pick(
 }
 
 /// Epoch-based tier promotion: accumulates the per-table lookups of
-/// admitted jobs into `observed` (the stream's table profile, sorted by
+/// offered queries into `observed` (the stream's table profile, sorted by
 /// table, counts zeroed at each epoch) and at every epoch boundary calls
 /// [`TieredPlacementPlan::epoch_rebalance`]; the units on either end of
 /// a migration stall by the modeled migration cost.
@@ -193,11 +116,11 @@ pub(super) struct Promotion {
 }
 
 impl Promotion {
-    /// Rebalances a tiered `plan` at the epoch boundary before job `j`.
-    /// The epoch clock ticks on offered jobs, rejected or not.
-    fn at_job(
+    /// Rebalances a tiered `plan` at the epoch boundary before query
+    /// `q`.
+    fn at_query(
         &mut self,
-        j: usize,
+        q: usize,
         dispatch: Cycle,
         plan: &mut Plan,
         free_at: &mut [Cycle],
@@ -206,7 +129,7 @@ impl Promotion {
         let Plan::Tiered(current) = plan else {
             return Ok(());
         };
-        if j == 0 || epoch == 0 || !j.is_multiple_of(epoch) {
+        if q == 0 || epoch == 0 || !q.is_multiple_of(epoch) {
             return Ok(());
         }
         let (next, mig) = current
@@ -235,9 +158,9 @@ impl Promotion {
         Ok(())
     }
 
-    /// Accumulates an admitted job's offered per-table lookups.
-    fn observe(&mut self, job: &Job, queries: &[SlsTrace]) {
-        for tb in job.members.iter().flat_map(|&q| &queries[q].batches) {
+    /// Accumulates a query's offered per-table lookups.
+    fn observe(&mut self, query: &SlsTrace) {
+        for tb in &query.batches {
             if let Ok(i) = self.observed.binary_search_by_key(&tb.table(), |u| u.table) {
                 self.observed[i].accesses += tb.lookups();
             }
@@ -245,13 +168,12 @@ impl Promotion {
     }
 }
 
-/// The optional per-job stages of the core.
+/// The optional per-query stages of the core.
 #[derive(Default)]
 pub(super) struct Stages {
     pub host_cache: Option<HostCache>,
     pub prefetch: Option<HotVectorTracker>,
     pub promotion: Option<Promotion>,
-    pub max_queue_depth: Option<usize>,
 }
 
 /// The per-query record of one serving run; `report` merges every shard
@@ -275,32 +197,30 @@ impl Served {
         }
     }
 
-    /// Settles every member of `job` at cycle `at` with `outcome`,
-    /// bumping the outcome's counter. Queries that are not served settle
-    /// at their job's dispatch cycle.
-    fn settle(&mut self, job: &Job, outcome: QueryOutcome, at: Cycle) {
-        for &q in &job.members {
-            self.completions[q] = at;
-            self.outcomes[q] = outcome;
-        }
-        let n = job.members.len() as u64;
+    /// Settles query `q` at cycle `at` with `outcome`, bumping the
+    /// outcome's counter. Queries that are not served settle at their
+    /// arrival.
+    fn settle(&mut self, q: usize, outcome: QueryOutcome, at: Cycle) {
+        self.completions[q] = at;
+        self.outcomes[q] = outcome;
         match outcome {
             QueryOutcome::Completed => {}
-            QueryOutcome::Rejected => self.report.queries_rejected += n,
-            QueryOutcome::Shed => self.report.queries_shed += n,
-            QueryOutcome::Failed => self.report.queries_failed += n,
+            QueryOutcome::Rejected => self.report.queries_rejected += 1,
+            QueryOutcome::Shed => self.report.queries_shed += 1,
+            QueryOutcome::Failed => self.report.queries_failed += 1,
         }
     }
 
-    /// Fails every member of `job`, recording `error(query)` for each.
-    fn fail(&mut self, job: &Job, error: impl Fn(usize) -> SimError) {
-        self.settle(job, QueryOutcome::Failed, job.dispatch);
-        self.failures.extend(job.members.iter().map(|&q| error(q)));
+    /// Fails query `q`, arrived at `at`, recording `error`.
+    fn fail(&mut self, q: usize, at: Cycle, error: SimError) {
+        self.settle(q, QueryOutcome::Failed, at);
+        self.failures.push(error);
     }
 
-    /// Closes the run: the merged counters cover serial jobs, so their
-    /// wall-clock is the makespan (not the per-job max `absorb_parallel`
-    /// keeps). Returns each query's completion − arrival latency.
+    /// Closes the run: the merged counters cover serial queries, so their
+    /// wall-clock is the makespan (not the per-query max
+    /// `absorb_parallel` keeps). Returns each query's completion −
+    /// arrival latency.
     pub fn finish(&mut self, arrivals: &[Cycle]) -> Vec<Cycle> {
         self.report.total_cycles = self.completions.iter().copied().max().unwrap_or(0);
         self.report.query_completions = self.completions.clone();
@@ -327,10 +247,10 @@ pub(super) struct Core {
 }
 
 impl Core {
-    /// Serves `jobs` over `queries` on `nodes` (all exposing the same
-    /// server count) under the resilience semantics of
-    /// [`serve_fleet_resilient`](super::fleet::serve_fleet_resilient).
-    /// Each job's batches are moved out of `queries` as it dispatches.
+    /// Serves `queries` (arrival `arrivals[q]` each) on `nodes` (all
+    /// exposing the same server count) under the resilience semantics of
+    /// [`serve_fleet_resilient`](super::fleet::serve_fleet_resilient),
+    /// consuming the queries.
     ///
     /// # Errors
     ///
@@ -341,8 +261,8 @@ impl Core {
         mut self,
         nodes: &mut [&mut dyn SlsBackend],
         res: &ResilienceConfig,
-        jobs: &[Job],
-        queries: &mut [SlsTrace],
+        arrivals: &[Cycle],
+        queries: Vec<SlsTrace>,
         system: &str,
     ) -> Result<Served, SimError> {
         let node_count = nodes.len();
@@ -353,26 +273,16 @@ impl Core {
         // per node and per (node, channel).
         let mut in_flight: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); node_count];
         let mut channel_in_flight = vec![vec![Vec::new(); channels]; node_count];
-        let mut served = Served::new(system, queries.len(), node_count);
-        let mut health = HealthTracker::new(node_count, res.ewma_alpha, res.degraded_after);
+        let mut served = Served::new(system, arrivals.len(), node_count);
+        let mut health = HealthTracker::new(node_count);
         // Recently observed node-job latencies the hedge delay anchors
         // at, kept only when hedging is on.
         let mut hedge_window: VecDeque<Cycle> = VecDeque::new();
-        let mut guard = DepthGuard::new(self.stages.max_queue_depth);
 
-        'jobs: for (j, job) in jobs.iter().enumerate() {
-            let dispatch_at = job.dispatch;
+        'queries: for (q, (&dispatch_at, mut trace)) in arrivals.iter().zip(queries).enumerate() {
             if let Some(p) = self.stages.promotion.as_mut() {
-                p.at_job(j, dispatch_at, &mut self.plan, &mut free_at[0])?;
-            }
-            // A rejected job never dispatches: it must not warm the host
-            // cache, feed the prefetch tracker, or touch a channel.
-            if !guard.admits(dispatch_at) {
-                served.settle(job, QueryOutcome::Rejected, dispatch_at);
-                continue;
-            }
-            if let Some(p) = self.stages.promotion.as_mut() {
-                p.observe(job, queries);
+                p.at_query(q, dispatch_at, &mut self.plan, &mut free_at[0])?;
+                p.observe(&trace);
             }
             if let Some(tracker) = &self.stages.prefetch {
                 for (n, node) in nodes.iter_mut().enumerate() {
@@ -380,7 +290,6 @@ impl Core {
                         tracker.prefetch(&mut **node, self.plan.node(n), dispatch_at, &free_at[n]);
                 }
             }
-            let mut trace = merge_queries(queries, &job.members);
             let mut host_cycles: Cycle = 0;
             if let Some(hc) = self.stages.host_cache.as_mut() {
                 let (residual, hits) = hc.filter(trace);
@@ -391,8 +300,8 @@ impl Core {
                 tr.observe(&trace);
             }
             let lookups = trace.total_lookups();
-            // Cycles this job pays for discovering a fresh crash (at most
-            // one detection per job).
+            // Cycles this query pays for discovering a fresh crash (at
+            // most one detection per query).
             let mut penalty: Cycle = 0;
 
             // Level 1: route each batch to a *live* node replica, the
@@ -406,7 +315,7 @@ impl Core {
                 // `table` frees.
                 let plan = &self.plan;
                 let mut route = |pool: &[usize]| {
-                    pick(self.router, pool, j, &mut in_flight, dispatch_at, |n| {
+                    pick(self.router, pool, q, &mut in_flight, dispatch_at, |n| {
                         least_backlogged(plan.node(n).replicas(table), &free_at[n])
                             .map_or(Cycle::MAX, |c| free_at[n][c])
                     })
@@ -418,7 +327,7 @@ impl Core {
                 } else {
                     if preferred_down && !health.known_crashed(preferred) {
                         health.mark_crashed(preferred);
-                        penalty = res.redispatch_penalty;
+                        penalty = REDISPATCH_PENALTY;
                     }
                     let alive: Vec<usize> = reps
                         .iter()
@@ -426,8 +335,8 @@ impl Core {
                         .filter(|&n| !res.faults.crashed(n, dispatch_at))
                         .collect();
                     if alive.is_empty() {
-                        served.fail(job, |query| SimError::QueryFailed { query, table });
-                        continue 'jobs;
+                        served.fail(q, dispatch_at, SimError::QueryFailed { query: q, table });
+                        continue 'queries;
                     }
                     let pool = prefer_healthy(alive, &health);
                     if !preferred_down && pool.contains(&preferred) {
@@ -461,8 +370,8 @@ impl Core {
                     est_start = est_start.max(best.max(dispatch_eff));
                 }
                 if est_start.saturating_sub(dispatch_at) > slo.deadline {
-                    served.settle(job, QueryOutcome::Rejected, dispatch_at);
-                    continue 'jobs;
+                    served.settle(q, QueryOutcome::Rejected, dispatch_at);
+                    continue 'queries;
                 }
             }
 
@@ -480,7 +389,7 @@ impl Core {
                     let table = batch.table();
                     let (reps, free) = (plan.replicas(table), &free_at[n]);
                     let load = &mut channel_in_flight[n];
-                    let channel = pick(self.scatter, reps, j, load, dispatch_at, |c| free[c])
+                    let channel = pick(self.scatter, reps, q, load, dispatch_at, |c| free[c])
                         .ok_or_else(|| missing_table(table))?;
                     result_bytes += batch.batch.output_bytes();
                     by_channel[channel].batches.push(batch);
@@ -493,7 +402,7 @@ impl Core {
                 node_jobs.push((n, shards, result_bytes));
             }
 
-            // SLO shedding: the *actual* routed service start. A job
+            // SLO shedding: the *actual* routed service start. A query
             // whose slowest shard would begin past the deadline is dropped
             // at dispatch — it cannot complete in time and would only add
             // load.
@@ -508,8 +417,8 @@ impl Core {
                     .max()
                     .unwrap_or(dispatch_eff);
                 if actual_start.saturating_sub(dispatch_at) > slo.deadline {
-                    served.settle(job, QueryOutcome::Shed, dispatch_at);
-                    continue 'jobs;
+                    served.settle(q, QueryOutcome::Shed, dispatch_at);
+                    continue 'queries;
                 }
             }
 
@@ -521,7 +430,7 @@ impl Core {
             // Queueing arithmetic, serially in (node, channel) order: each
             // shard queues on its channel (retrying on faults), each node
             // completes at its slowest shard plus the per-node gather, and
-            // the job completes at its slowest node plus the network
+            // the query completes at its slowest node plus the network
             // gather.
             let mut slowest_node = dispatch_eff;
             let mut total_result_bytes = 0u64;
@@ -618,7 +527,7 @@ impl Core {
             }
             debug_assert_eq!(scattered, lookups, "scatter must conserve lookups");
             if node_jobs.is_empty() {
-                // A job the host cache absorbed whole touches no channel
+                // A query the host cache absorbed whole touches no channel
                 // but still pays the host merge.
                 slowest_node = dispatch_eff.saturating_add(self.gather.base);
             }
@@ -633,18 +542,18 @@ impl Core {
             let complete = slowest_node
                 .saturating_add(network)
                 .saturating_add(host_cycles);
-            // A job that would complete only at the end of the clock never
-            // completes: it fails like a shard out of attempts.
+            // A query that would complete only at the end of the clock
+            // never completes: it fails like a shard out of attempts.
             if let Some(attempts) = exhausted.or((complete == Cycle::MAX).then_some(1)) {
-                served.fail(job, |query| SimError::DeadlineExceeded {
-                    query,
+                let error = SimError::DeadlineExceeded {
+                    query: q,
                     deadline: res.retry.timeout,
                     attempts,
-                });
-                continue 'jobs;
+                };
+                served.fail(q, dispatch_at, error);
+                continue 'queries;
             }
-            served.settle(job, QueryOutcome::Completed, complete);
-            guard.admit(complete);
+            served.settle(q, QueryOutcome::Completed, complete);
         }
 
         if let Some(hc) = &self.stages.host_cache {

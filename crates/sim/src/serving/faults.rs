@@ -22,9 +22,9 @@
 //!   query whose actual service start would land past the deadline);
 //! * [`ResilienceConfig`] — the bundle the scatter/gather core's
 //!   resilience stage consumes
-//!   ([`serve_fleet_resilient`](super::fleet::serve_fleet_resilient)),
-//!   including the failover re-dispatch penalty and the EWMA
-//!   health-tracking knobs.
+//!   ([`serve_fleet_resilient`](super::fleet::serve_fleet_resilient)).
+//!   Failover pays a fixed re-dispatch penalty, and health tracking uses
+//!   a fixed EWMA factor and degradation threshold.
 //!
 //! An all-zero plan ([`FaultPlan::none`]) with the default policies is a
 //! strict no-op: [`ResilienceConfig::zero`] is how
@@ -313,25 +313,17 @@ impl HedgePolicy {
 /// The serving SLO: a per-query deadline the overload controller guards.
 /// Queries whose *estimated* queue delay already exceeds the deadline
 /// are rejected at admission; queries whose *actual* service start would
-/// land past the deadline are shed at dispatch. `target_p99` records the
-/// latency the operator provisioned for (reporting only — the goodput
-/// accounting uses `deadline`).
+/// land past the deadline are shed at dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SloPolicy {
     /// Per-query completion deadline in cycles from arrival.
     pub deadline: Cycle,
-    /// Provisioned p99 target in cycles (reporting only).
-    pub target_p99: Cycle,
 }
 
 impl SloPolicy {
-    /// A deadline-only policy with the p99 target at half the deadline —
-    /// the common provisioning rule of thumb.
+    /// A policy with per-query deadline `deadline`.
     pub fn new(deadline: Cycle) -> Self {
-        Self {
-            deadline,
-            target_p99: deadline / 2,
-        }
+        Self { deadline }
     }
 }
 
@@ -347,17 +339,6 @@ pub struct ResilienceConfig {
     pub hedge: Option<HedgePolicy>,
     /// Optional SLO guard (admission control + deadline shedding).
     pub slo: Option<SloPolicy>,
-    /// Cycles a query pays when its router-preferred node turns out to
-    /// be freshly crashed: the failure-detection plus re-dispatch cost.
-    /// Later queries know the node is down (health tracking) and route
-    /// around it for free.
-    pub redispatch_penalty: Cycle,
-    /// A node is marked degraded when its per-lookup service EWMA
-    /// exceeds this multiple of the fleet-wide EWMA; the router then
-    /// prefers healthier replicas.
-    pub degraded_after: f64,
-    /// EWMA smoothing factor for the health tracker.
-    pub ewma_alpha: f64,
 }
 
 impl ResilienceConfig {
@@ -371,9 +352,6 @@ impl ResilienceConfig {
             retry: RetryPolicy::none(),
             hedge: None,
             slo: None,
-            redispatch_penalty: 2_400,
-            degraded_after: 3.0,
-            ewma_alpha: 0.2,
         }
     }
 
@@ -422,6 +400,14 @@ pub enum QueryOutcome {
     Failed,
 }
 
+/// EWMA smoothing factor of the health tracker.
+const EWMA_ALPHA: f64 = 0.2;
+
+/// A node is degraded when its per-lookup service EWMA exceeds this
+/// multiple of the fleet median; the router then prefers healthier
+/// replicas.
+const DEGRADED_AFTER: f64 = 3.0;
+
 /// Per-node health as the router sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NodeHealth {
@@ -447,19 +433,15 @@ pub struct HealthTracker {
     per_node: Vec<f64>,
     seen: Vec<bool>,
     crashed: Vec<bool>,
-    alpha: f64,
-    degraded_after: f64,
 }
 
 impl HealthTracker {
     /// A tracker for `nodes` nodes, all healthy and unobserved.
-    pub fn new(nodes: usize, alpha: f64, degraded_after: f64) -> Self {
+    pub fn new(nodes: usize) -> Self {
         Self {
             per_node: vec![0.0; nodes],
             seen: vec![false; nodes],
             crashed: vec![false; nodes],
-            alpha,
-            degraded_after,
         }
     }
 
@@ -469,7 +451,7 @@ impl HealthTracker {
         let per_lookup = service as f64 / lookups.max(1) as f64;
         if self.seen[node] {
             self.per_node[node] =
-                self.alpha * per_lookup + (1.0 - self.alpha) * self.per_node[node];
+                EWMA_ALPHA * per_lookup + (1.0 - EWMA_ALPHA) * self.per_node[node];
         } else {
             self.per_node[node] = per_lookup;
             self.seen[node] = true;
@@ -504,7 +486,7 @@ impl HealthTracker {
     }
 
     /// The node's current health classification. A node whose EWMA
-    /// exceeds `degraded_after` times the fleet median is degraded;
+    /// exceeds `DEGRADED_AFTER` (3) times the fleet median is degraded;
     /// unobserved nodes (and a fleet with nothing to compare against)
     /// stay healthy.
     pub fn health(&self, node: usize) -> NodeHealth {
@@ -512,7 +494,7 @@ impl HealthTracker {
             return NodeHealth::Crashed;
         }
         match self.baseline() {
-            Some(base) if self.seen[node] && self.per_node[node] > self.degraded_after * base => {
+            Some(base) if self.seen[node] && self.per_node[node] > DEGRADED_AFTER * base => {
                 NodeHealth::Degraded
             }
             _ => NodeHealth::Healthy,
@@ -636,7 +618,7 @@ mod tests {
 
     #[test]
     fn health_tracker_classifies_from_observations() {
-        let mut h = HealthTracker::new(3, 0.5, 2.0);
+        let mut h = HealthTracker::new(3);
         assert_eq!(h.health(0), NodeHealth::Healthy, "unobserved is healthy");
         // Two nodes at ~100 cycles/lookup, one at 1000: the slow node is
         // degraded against the fleet baseline.

@@ -7,7 +7,7 @@
 //!
 //! * a [`Fleet`] owns N node backends (each a multi-channel cluster or a
 //!   tiered DRAM+SSD system — anything implementing
-//!   [`SlsBackend`](recnmp_backend::SlsBackend));
+//!   [`SlsBackend`]);
 //! * a [`FleetPlacementPlan`] places tables twice — tables → nodes (with
 //!   cross-node replication of the hottest tables), then tables →
 //!   channels within each node;
@@ -63,7 +63,7 @@ use recnmp_types::{ByteSize, ConfigError, Cycle, SimError};
 use serde::{Deserialize, Serialize};
 
 use super::arrivals::{offered_load, ArrivalProcess, QueryShape};
-use super::core::{coalesce, Core, Plan, Stages};
+use super::core::{Core, Plan, Stages};
 use super::faults::{
     FaultPlan, HedgePolicy, QueryOutcome, ResilienceConfig, RetryPolicy, SloPolicy,
 };
@@ -126,7 +126,7 @@ impl Fleet {
 
     /// The reference fleet: `nodes` copies of the 4-channel reference
     /// serving cluster
-    /// ([`reference_cluster4`](super::sweep::reference_cluster4)).
+    /// ([`reference_cluster4`]).
     ///
     /// # Panics
     ///
@@ -213,7 +213,7 @@ impl NetworkCost {
 
     /// The default intra-rack model: a fixed round-trip plus a per-byte
     /// charge an order of magnitude above the on-host
-    /// [`GatherCost`](super::policy::GatherCost) — crossing the network
+    /// [`GatherCost`] — crossing the network
     /// must cost visibly more than staying on the node, or the model
     /// would never penalize scattering a query fleet-wide.
     pub fn rack_default() -> Self {
@@ -437,8 +437,8 @@ pub fn serve_fleet(fleet: &mut Fleet, cfg: &FleetConfig) -> Result<FleetReport, 
 /// in [`serve_fleet`], which is this function under
 /// [`ResilienceConfig::zero`]. On top of the plain scatter/gather the
 /// core applies the [`faults`](super::faults) semantics: health-aware
-/// failover (the *first* query to discover a fresh crash pays
-/// [`redispatch_penalty`](ResilienceConfig::redispatch_penalty); a table
+/// failover (the *first* query to discover a fresh crash pays a fixed
+/// 2,400-cycle re-dispatch penalty; a table
 /// with no surviving replica fails its query with
 /// [`SimError::QueryFailed`]), per-shard retry with exponential backoff
 /// onto the least-backlogged replica channel owning the shard's tables
@@ -473,14 +473,13 @@ pub fn serve_fleet_resilient(
 /// The fleet front of the scatter/gather core, shared by
 /// [`serve_fleet_resilient`] and the saturation probe: builds both
 /// placement levels from the query stream's table profile and serves
-/// every query as its own job on the fleet's nodes, consuming the
-/// queries.
+/// the queries on the fleet's nodes, consuming them.
 fn serve_fleet_resilient_arrivals(
     fleet: &mut Fleet,
     cfg: &FleetConfig,
     res: &ResilienceConfig,
     arrivals: &[Cycle],
-    mut queries: Vec<SlsTrace>,
+    queries: Vec<SlsTrace>,
 ) -> Result<FleetReport, SimError> {
     assert_eq!(arrivals.len(), queries.len(), "one arrival per query");
     let dispatch = cfg.dispatch;
@@ -507,8 +506,7 @@ fn serve_fleet_resilient_arrivals(
         .iter_mut()
         .map(|n| n.as_mut() as &mut dyn SlsBackend)
         .collect();
-    let jobs = coalesce(arrivals, None);
-    let mut served = core.run(&mut nodes, res, &jobs, &mut queries, &fleet.name)?;
+    let mut served = core.run(&mut nodes, res, arrivals, queries, &fleet.name)?;
     let latencies = served.finish(arrivals);
     Ok(FleetReport {
         system: fleet.name.clone(),
@@ -853,8 +851,6 @@ mod tests {
                 host_cache: None,
                 prefetch: None,
             }),
-            coalescing: None,
-            max_queue_depth: None,
             seed: fleet_cfg.seed,
         };
         let cluster_report = serve(cluster.as_mut(), &cluster_cfg).unwrap();

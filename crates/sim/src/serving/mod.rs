@@ -1,4 +1,4 @@
-//! The query-serving subsystem: open-loop load generation, batch
+//! The query-serving subsystem: open-loop load generation, query
 //! scheduling policies, and tail-latency accounting over any
 //! [`SlsBackend`](recnmp_backend::SlsBackend).
 //!
@@ -23,18 +23,17 @@
 //!   ([`PrefetchSpec`]) — or
 //!   **tiered** scatter/gather ([`TieredDispatch`]) over a DRAM+SSD
 //!   server space with optional epoch-based promotion
-//!   ([`EpochPromotion`]); plus optional batch [`Coalescing`] with a
-//!   max-wait deadline;
+//!   ([`EpochPromotion`]);
 //! * [`scheduler`] — [`serve`]: dispatches queries onto the backend's
 //!   servers and tracks per-query enqueue→completion latency
 //!   ([`ServingReport`], [`LatencySummary`] with p50/p95/p99/mean/max),
 //!   serving every mode as a one-node fleet on the core — queued mode as
 //!   the plan with every table on every server;
 //! * `core` — the one scatter/gather core behind every serving mode:
-//!   each job routes to nodes, then to a replica channel of each table
-//!   under one shared pick rule set, and completes at its slowest shard
-//!   plus the gather costs. Its optional per-job stages
-//!   (host cache, prefetch, promotion epochs, queue-depth guard,
+//!   each query dispatches at its arrival, routes to nodes, then to a
+//!   replica channel of each table under one shared pick rule set, and
+//!   completes at its slowest shard plus the gather costs. Its optional
+//!   per-query stages (host cache, prefetch, promotion epochs,
 //!   resilience) do nothing when unset, so every stage composes with
 //!   every topology;
 //! * [`fleet`] — rack-scale serving: a [`Fleet`] of N node backends
@@ -51,9 +50,9 @@
 //!   ([`anchored_sweep`]), each giving a [`SweepCurve`] with its knee
 //!   ([`SweepCurve::knee`]).
 //!
-//! The model: each dispatched job (or shard) occupies one server for
+//! The model: each dispatched query (or shard) occupies one server for
 //! exactly the cycles its cycle-level run reports; work queues when its
-//! server is busy. Hardware state persists across jobs per server
+//! server is busy. Hardware state persists across queries per server
 //! (sustained traffic keeps row buffers and caches warm); idle gaps are
 //! not separately simulated. Everything downstream of a seed is
 //! deterministic — same seed and config give byte-identical latency
@@ -92,8 +91,8 @@ pub use fleet::{
     FleetReport, NetworkCost, ResilienceArm, ResilienceSpec, ResilienceSweep, RouterPolicy,
 };
 pub use policy::{
-    Coalescing, DispatchPolicy, EpochPromotion, GatherCost, HostCacheSpec, PrefetchSpec,
-    ServingMode, ShardedDispatch, TieredDispatch,
+    DispatchPolicy, EpochPromotion, GatherCost, HostCacheSpec, PrefetchSpec, ServingMode,
+    ShardedDispatch, TieredDispatch,
 };
 pub use recnmp_backend::{PlacementPolicy, TierSpec, TieredPolicy};
 pub use scheduler::{serve, LatencySummary, ServingConfig, ServingReport};

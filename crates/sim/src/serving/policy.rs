@@ -1,21 +1,22 @@
-//! Dispatch policies, sharded scatter/gather dispatch, and batch
-//! coalescing for the query scheduler.
+//! Dispatch policies and sharded and tiered scatter/gather dispatch for
+//! the query scheduler.
 
 use recnmp_backend::{PlacementPolicy, PromotionPolicy, TierSpec, TieredPolicy};
 use recnmp_types::{ByteSize, Cycle};
 use serde::{Deserialize, Serialize};
 
-/// How the scheduler places dispatched jobs onto the backend's servers
-/// (channels of a cluster; the single pipeline of a one-channel system).
+/// How the scheduler places dispatched queries onto the backend's
+/// servers (channels of a cluster; the single pipeline of a one-channel
+/// system).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DispatchPolicy {
-    /// One global FIFO queue: each job goes to whichever server frees
+    /// One global FIFO queue: each query goes to whichever server frees
     /// first (central-queue M/G/k — the work-conserving reference).
     FifoSingleQueue,
-    /// Jobs rotate across servers in dispatch order regardless of load —
+    /// Queries rotate across servers in dispatch order regardless of load —
     /// cheap, stateless, but blind to service-time variance.
     RoundRobin,
-    /// Join-least-work: each job goes to the server with the fewest
+    /// Join-least-work: each query goes to the server with the fewest
     /// outstanding *lookups* at dispatch time, a size-aware variant of
     /// join-shortest-queue.
     LeastOutstanding,
@@ -180,7 +181,7 @@ impl ShardedDispatch {
 }
 
 /// Epoch-based promotion/demotion layered on tiered serving: every
-/// `epoch_queries` dispatched jobs the scheduler rebuilds the tiered
+/// `epoch_queries` offered queries the scheduler rebuilds the tiered
 /// plan from the traffic observed in the finished epoch
 /// ([`TieredPlacementPlan::epoch_rebalance`][rebal]) and stalls the
 /// units that gained or lost tables by the modeled migration cost.
@@ -188,7 +189,7 @@ impl ShardedDispatch {
 /// [rebal]: recnmp_backend::TieredPlacementPlan::epoch_rebalance
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EpochPromotion {
-    /// Jobs per epoch (a rebalance happens at each epoch boundary).
+    /// Queries per epoch (a rebalance happens at each epoch boundary).
     pub epoch_queries: usize,
     /// Hysteresis and migration-cost model of each rebalance.
     pub policy: PromotionPolicy,
@@ -233,13 +234,13 @@ impl TieredDispatch {
 /// tier-aware scatter/gather over a DRAM+SSD server space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ServingMode {
-    /// Each job runs unsharded on a single server picked by the policy —
+    /// Each query runs unsharded on a single server picked by the policy —
     /// the plan with every table on every server and a free gather.
     Queued(DispatchPolicy),
-    /// Each job scatters across the channels its tables live on and
+    /// Each query scatters across the channels its tables live on and
     /// gathers on the host.
     Sharded(ShardedDispatch),
-    /// Each job scatters across both storage tiers under a
+    /// Each query scatters across both storage tiers under a
     /// [`TieredPlacementPlan`](recnmp_backend::TieredPlacementPlan).
     Tiered(TieredDispatch),
 }
@@ -302,35 +303,6 @@ impl From<DispatchPolicy> for ServingMode {
 impl std::fmt::Display for ServingMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Batch coalescing: merge queries that arrive close together into one
-/// backend run, trading per-query latency (waiting for the group to
-/// close) for service efficiency (bigger traces amortize row activations
-/// and packet headers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Coalescing {
-    /// A group dispatches as soon as it holds this many queries.
-    pub max_queries: usize,
-    /// ... or when its oldest member has waited this long, whichever
-    /// comes first.
-    pub max_wait: Cycle,
-}
-
-impl Coalescing {
-    /// A coalescer closing groups at `max_queries` queries or `max_wait`
-    /// cycles of oldest-member wait.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `max_queries` is zero.
-    pub fn new(max_queries: usize, max_wait: Cycle) -> Self {
-        assert!(max_queries > 0, "coalescing groups need at least 1 query");
-        Self {
-            max_queries,
-            max_wait,
-        }
     }
 }
 
@@ -406,11 +378,5 @@ mod tests {
             },
         });
         assert_eq!(ServingMode::Tiered(promote).name(), "tiered-promote");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1 query")]
-    fn zero_group_size_is_rejected() {
-        Coalescing::new(0, 100);
     }
 }

@@ -3,12 +3,13 @@
 //! simulated time.
 //!
 //! Every [`ServingMode`] serves the backend as a one-node fleet on the
-//! scatter/gather core (`serving::core`): each job's batches go to
-//! channels, the shards queue independently, and the query completes at
-//! its slowest shard plus a host [`GatherCost`] merge. The mode picks
-//! the plan: **queued** puts every table on every server with a free
-//! gather and lets the [`DispatchPolicy`] pick the channel, so each job
-//! runs whole on one server; **sharded** builds a [`PlacementPlan`]
+//! scatter/gather core (`serving::core`): each query dispatches at its
+//! arrival, its batches go to channels, the shards queue independently,
+//! and the query completes at its slowest shard plus a host
+//! [`GatherCost`] merge. The mode picks the plan: **queued** puts every
+//! table on every server with a free gather and lets the
+//! [`DispatchPolicy`] pick the channel, so each query runs whole on one
+//! server; **sharded** builds a [`PlacementPlan`]
 //! (optionally behind a host cache and with idle-gap prefetch);
 //! **tiered** a [`TieredPlacementPlan`] (optionally with promotion
 //! epochs).
@@ -22,11 +23,11 @@ use recnmp_types::{ByteSize, ConfigError, Cycle, SimError};
 use serde::{Deserialize, Serialize};
 
 use super::arrivals::{offered_load, ArrivalProcess, QueryShape};
-use super::core::{coalesce, Core, Job, Plan, Promotion, Stages};
-use super::faults::{QueryOutcome, ResilienceConfig};
+use super::core::{Core, Plan, Promotion, Stages};
+use super::faults::ResilienceConfig;
 use super::fleet::{NetworkCost, RouterPolicy};
 use super::host_cache::{HostCache, HotVectorTracker};
-use super::policy::{Coalescing, DispatchPolicy, GatherCost, ServingMode};
+use super::policy::{DispatchPolicy, GatherCost, ServingMode};
 
 /// One serving run: an offered load, a query shape, and a scheduling
 /// discipline.
@@ -40,25 +41,15 @@ pub struct ServingConfig {
     pub queries: usize,
     /// SLS work per query.
     pub shape: QueryShape,
-    /// How jobs become backend work: queued whole-query dispatch or
-    /// sharded scatter/gather.
+    /// How queries become backend work: queued whole-query dispatch,
+    /// sharded or tiered scatter/gather.
     pub mode: ServingMode,
-    /// Optional batch coalescing ahead of dispatch.
-    pub coalescing: Option<Coalescing>,
-    /// Optional bound on jobs in flight (dispatched, not yet complete;
-    /// one query each without coalescing). A job arriving while the bound is met is *rejected* —
-    /// counted in [`ServingReport::rejected`] and
-    /// `RunReport::queries_rejected` — instead of growing the queue
-    /// without limit through a long overload sweep. `None` keeps the
-    /// historical unbounded queue.
-    pub max_queue_depth: Option<usize>,
     /// Seed for both the arrival schedule and the query index streams.
     pub seed: u64,
 }
 
 impl ServingConfig {
-    /// A Poisson FIFO configuration with no coalescing — the baseline
-    /// serving discipline.
+    /// A Poisson FIFO configuration — the baseline serving discipline.
     pub fn poisson(qps: f64, queries: usize, shape: QueryShape, seed: u64) -> Self {
         Self {
             process: ArrivalProcess::Poisson,
@@ -66,8 +57,6 @@ impl ServingConfig {
             queries,
             shape,
             mode: ServingMode::Queued(DispatchPolicy::FifoSingleQueue),
-            coalescing: None,
-            max_queue_depth: None,
             seed,
         }
     }
@@ -155,42 +144,30 @@ pub struct ServingReport {
     pub completions: Vec<Cycle>,
     /// Enqueue→completion latency of each query, in arrival order.
     pub latencies: Vec<Cycle>,
-    /// Backend runs dispatched (equals query count without coalescing).
+    /// Dispatched units: always the query count, since each query
+    /// dispatches on its own.
     pub jobs: usize,
-    /// Arrival-order indices of queries rejected at the
-    /// [`max_queue_depth`](ServingConfig::max_queue_depth) bound,
-    /// ascending. Their `completions` entries equal their dispatch cycle
-    /// and they are excluded from the summary and throughput window.
+    /// Arrival-order indices of rejected queries: always empty, since
+    /// single-node serving has no admission control (the SLO guard is a
+    /// fleet policy, [`ResilienceConfig::slo`]).
     pub rejected: Vec<usize>,
-    /// Counters merged over every dispatched job, with
+    /// Counters merged over every dispatched query, with
     /// `query_completions` carrying the per-query timestamps and
     /// `total_cycles` the makespan.
     pub report: RunReport,
 }
 
 impl ServingReport {
-    /// Per-query values with the rejected queries dropped (`rejected` is
-    /// ascending).
-    fn served(&self, values: &[Cycle]) -> Vec<Cycle> {
-        values
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.rejected.binary_search(i).is_err())
-            .map(|(_, &v)| v)
-            .collect()
-    }
-
-    /// Completion throughput (queries per simulated second) over the
-    /// served (non-rejected) queries, measured over the completion window
-    /// (first to last completion) so the initial ramp and final drain
-    /// don't bias short runs.
+    /// Completion throughput (queries per simulated second), measured
+    /// over the completion window (first to last completion) so the
+    /// initial ramp and final drain don't bias short runs.
     pub fn achieved_qps(&self) -> f64 {
-        window_qps(&self.served(&self.completions))
+        window_qps(&self.completions)
     }
 
-    /// The latency distribution over served (non-rejected) queries.
+    /// The latency distribution.
     pub fn summary(&self) -> LatencySummary {
-        LatencySummary::from_latencies(&self.served(&self.latencies))
+        LatencySummary::from_latencies(&self.latencies)
     }
 }
 
@@ -199,12 +176,13 @@ impl ServingReport {
 ///
 /// The queueing model: the backend exposes
 /// [`server_count`](SlsBackend::server_count) independent servers
-/// (cluster channels); each dispatched job (in sharded and tiered mode,
-/// each of its shards) occupies one server for the `total_cycles` its
-/// cycle-level run reports, and work placed on a busy server waits for it
-/// to free. Hardware state (row buffers, caches) persists across jobs on
-/// each server, as it would under sustained traffic; idle gaps between
-/// jobs are not separately simulated.
+/// (cluster channels); each query dispatches at its arrival and (in
+/// sharded and tiered mode, each of its shards) occupies one server for
+/// the `total_cycles` its cycle-level run reports, and work placed on a
+/// busy server waits for it to free. Hardware state (row buffers,
+/// caches) persists across queries on each server, as it would under
+/// sustained traffic; idle gaps between queries are not separately
+/// simulated.
 ///
 /// # Errors
 ///
@@ -218,15 +196,13 @@ pub fn serve(backend: &mut dyn SlsBackend, cfg: &ServingConfig) -> Result<Servin
 }
 
 /// The single-node scheduler, shared by [`serve`] and the saturation
-/// probe: coalesces `queries` (arrival `arrivals[i]` each) into jobs and
-/// serves them on the scatter/gather core as a one-node fleet. The
-/// queries are consumed: each job's batches move into its dispatched
-/// trace.
+/// probe: serves `queries` (arrival `arrivals[i]` each) on the
+/// scatter/gather core as a one-node fleet, consuming them.
 pub(super) fn serve_arrivals(
     backend: &mut dyn SlsBackend,
     cfg: &ServingConfig,
     arrivals: &[Cycle],
-    mut queries: Vec<SlsTrace>,
+    queries: Vec<SlsTrace>,
 ) -> Result<ServingReport, SimError> {
     assert_eq!(arrivals.len(), queries.len(), "one arrival per query");
     let servers = backend.server_count();
@@ -237,12 +213,10 @@ pub(super) fn serve_arrivals(
         )));
     }
     let system = backend.name().to_string();
-    let jobs = coalesce(arrivals, cfg.coalescing);
-    let core = node_core(cfg, servers, &jobs, &queries)?;
+    let core = node_core(cfg, servers, &queries)?;
     let zero = ResilienceConfig::zero();
-    let mut served = core.run(&mut [backend], &zero, &jobs, &mut queries, &system)?;
+    let mut served = core.run(&mut [backend], &zero, arrivals, queries, &system)?;
     let latencies = served.finish(arrivals);
-    let rejected = (0..queries.len()).filter(|&q| served.outcomes[q] == QueryOutcome::Rejected);
     Ok(ServingReport {
         system,
         mode: cfg.mode,
@@ -250,8 +224,8 @@ pub(super) fn serve_arrivals(
         arrivals: arrivals.to_vec(),
         completions: served.completions,
         latencies,
-        jobs: jobs.len(),
-        rejected: rejected.collect(),
+        jobs: arrivals.len(),
+        rejected: Vec::new(),
         report: served.report,
     })
 }
@@ -260,26 +234,18 @@ pub(super) fn serve_arrivals(
 /// once per run from the query stream's table profile.
 ///
 /// Queued mode is the replicate-everywhere plan with a free gather; its
-/// scatter rule sees no channel clock move mid-job, so each job runs
+/// scatter rule sees no channel clock move mid-query, so each query runs
 /// whole on one server.
 ///
 /// Behind a host cache the sharded plan balances the *residual* profile:
-/// a counting dry run replays the jobs through the cache to learn each
+/// a counting dry run replays the queries through the cache to learn each
 /// table's absorption, and the cache returns to cold before the measured
 /// pass (cache/placement co-design). With promotion epochs the tiered plan
 /// starts *cold* — every table weighted equally, since the profile is
 /// unknown at t=0 — and the core's promotion stage learns the split.
-fn node_core(
-    cfg: &ServingConfig,
-    servers: usize,
-    jobs: &[Job],
-    queries: &[SlsTrace],
-) -> Result<Core, SimError> {
+fn node_core(cfg: &ServingConfig, servers: usize, queries: &[SlsTrace]) -> Result<Core, SimError> {
     let usage = TableUsage::from_traces(queries);
-    let mut stages = Stages {
-        max_queue_depth: cfg.max_queue_depth,
-        ..Stages::default()
-    };
+    let mut stages = Stages::default();
     let mut scatter = RouterPolicy::PlacementScatter;
     let (plan, gather) = match cfg.mode {
         ServingMode::Queued(policy) => {
@@ -303,8 +269,8 @@ fn node_core(
             if let Some(spec) = sharded.host_cache {
                 let mut hc = HostCache::build(spec, &usage, max_vector_bytes(queries))
                     .map_err(SimError::Config)?;
-                for &q in jobs.iter().flat_map(|job| &job.members) {
-                    hc.count(&queries[q]);
+                for query in queries {
+                    hc.count(query);
                 }
                 absorbed = hc.absorbed_profile();
                 hc.reset();
@@ -384,8 +350,6 @@ mod tests {
             queries,
             shape: QueryShape::new(2, 2, 8),
             mode: ServingMode::Queued(policy),
-            coalescing: None,
-            max_queue_depth: None,
             seed: 11,
         }
     }
@@ -398,19 +362,6 @@ mod tests {
         assert!((s.mean - 50.5).abs() < 1e-9);
         let zero = LatencySummary::from_latencies(&[]);
         assert_eq!(zero.max, 0);
-    }
-
-    #[test]
-    fn coalescing_honors_size_and_deadline() {
-        let arrivals = vec![0, 10, 20, 500, 520, 2000];
-        let jobs = coalesce(&arrivals, Some(Coalescing::new(3, 100)));
-        let groups: Vec<Vec<usize>> = jobs.iter().map(|j| j.members.clone()).collect();
-        assert_eq!(groups, vec![vec![0, 1, 2], vec![3, 4], vec![5]]);
-        // Full group releases at its filling arrival; deadline groups at
-        // first-arrival + max_wait.
-        assert_eq!(jobs[0].dispatch, 20);
-        assert_eq!(jobs[1].dispatch, 600);
-        assert_eq!(jobs[2].dispatch, 2100);
     }
 
     #[test]
@@ -431,6 +382,11 @@ mod tests {
         .unwrap();
         assert!(hot.summary().p99 > low.summary().p99);
         assert_eq!(low.latencies.len(), 12);
+        // Even overload dispatches every query on its own and rejects
+        // none.
+        assert_eq!(hot.jobs, 12);
+        assert!(hot.rejected.is_empty());
+        assert_eq!(hot.report.queries_rejected, 0);
         assert_eq!(
             low.report.insts,
             12 * quick_cfg(1.0, 1, DispatchPolicy::RoundRobin)
@@ -476,64 +432,6 @@ mod tests {
         for (s, q) in sharded.completions.iter().zip(&base.completions) {
             assert_eq!(*s, q + 107);
         }
-    }
-
-    #[test]
-    fn queue_depth_bound_rejects_overload_and_none_is_unbounded() {
-        // Unbounded behavior is byte-identical to the historical
-        // scheduler; a tight bound under extreme load must reject.
-        let cfg = quick_cfg(50_000_000.0, 16, DispatchPolicy::FifoSingleQueue);
-        let mut a = HostBaseline::new(1, 2).unwrap();
-        let unbounded = serve(&mut a, &cfg).unwrap();
-        assert!(unbounded.rejected.is_empty());
-        assert_eq!(unbounded.report.queries_rejected, 0);
-
-        let mut bounded_cfg = cfg;
-        bounded_cfg.max_queue_depth = Some(2);
-        let mut b = HostBaseline::new(1, 2).unwrap();
-        let bounded = serve(&mut b, &bounded_cfg).unwrap();
-        assert!(
-            !bounded.rejected.is_empty(),
-            "a depth-2 queue under 50M qps must reject"
-        );
-        assert_eq!(
-            bounded.report.queries_rejected,
-            bounded.rejected.len() as u64
-        );
-        // Rejected queries complete at dispatch: zero latency entries.
-        for &q in &bounded.rejected {
-            assert_eq!(bounded.latencies[q], 0);
-        }
-        // The summary ignores rejected queries, so the bounded tail can
-        // only improve on the unbounded one.
-        assert!(bounded.summary().p99 <= unbounded.summary().p99);
-        // Every admitted query still ran to completion.
-        assert_eq!(
-            bounded.latencies.len() - bounded.rejected.len(),
-            bounded
-                .latencies
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !bounded.rejected.contains(i))
-                .count()
-        );
-    }
-
-    #[test]
-    fn queue_depth_bound_applies_to_sharded_mode() {
-        use recnmp_backend::PlacementPolicy;
-        let mut cfg = quick_cfg(50_000_000.0, 16, DispatchPolicy::FifoSingleQueue);
-        cfg.mode = ServingMode::Sharded(ShardedDispatch::new(PlacementPolicy::Hash));
-        cfg.max_queue_depth = Some(2);
-        let mut host = HostBaseline::new(1, 2).unwrap();
-        let report = serve(&mut host, &cfg).unwrap();
-        assert!(!report.rejected.is_empty());
-        assert_eq!(report.report.queries_rejected, report.rejected.len() as u64);
-        // Rejected work never reached a channel: dispatched lookups
-        // cover exactly the admitted queries.
-        let all: u64 = 16 * cfg.shape.lookups_per_query();
-        let rejected: u64 = report.rejected.len() as u64 * cfg.shape.lookups_per_query();
-        assert_eq!(report.report.insts, all - rejected);
     }
 
     #[test]

@@ -28,8 +28,6 @@ fn cfg(mode: ServingMode) -> ServingConfig {
         queries: 24,
         shape: shape(),
         mode,
-        coalescing: None,
-        max_queue_depth: None,
         seed: 0xcac4e,
     }
 }

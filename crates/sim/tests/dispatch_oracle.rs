@@ -1,26 +1,42 @@
-//! An independent oracle for queued dispatch: a fake multi-server
-//! backend whose service time is a fixed function of a job's lookups, and
-//! a from-the-definitions recomputation of every FIFO, round-robin and
-//! least-outstanding schedule — with and without batch coalescing and a
-//! queue-depth bound. `serve` must match the oracle exactly: the server
-//! every job ran on, every completion cycle and every rejection.
+//! An independent oracle for single-node dispatch: a fake multi-server
+//! backend whose service time is a fixed function of a trace's lookups
+//! and tables, and a from-the-definitions recomputation of every schedule:
+//!
+//! * queued FIFO, round-robin and least-outstanding dispatch, where each
+//!   query runs whole on one server;
+//! * sharded scatter/gather, where each batch goes to the least-backlogged
+//!   channel holding its table, every shard queues on its channel, and the
+//!   query completes at its slowest shard plus the host gather merge.
+//!
+//! `serve` must match the oracle exactly: the server every trace ran on
+//! and every completion cycle.
 
-use recnmp_backend::{RunReport, SlsBackend, SlsTrace};
+use recnmp_backend::{PlacementPlan, PlacementPolicy, RunReport, SlsBackend, SlsTrace, TableUsage};
 use recnmp_sim::serving::{
-    serve, ArrivalProcess, Coalescing, DispatchPolicy, QueryShape, QueryStream, ServingConfig,
-    ServingMode,
+    serve, DispatchPolicy, GatherCost, QueryShape, QueryStream, ServingConfig, ServingMode,
+    ShardedDispatch,
 };
 use recnmp_types::{Cycle, SimError};
 
 const SERVERS: usize = 3;
 
-/// Service cycles of a job carrying `lookups` lookups.
-fn service(lookups: u64) -> Cycle {
-    700 + 45 * lookups
+/// Light load, near saturation, and overload.
+const RATES: [f64; 3] = [200_000.0, 1_400_000.0, 4_000_000.0];
+
+/// Service cycles of a trace carrying `lookups` lookups whose batches'
+/// table indices sum to `tables`. Queries of one shape carry equal
+/// lookups, so the table term is what varies their service times.
+fn service(lookups: u64, tables: u64) -> Cycle {
+    700 + 45 * lookups + 300 * tables
 }
 
-/// `SERVERS` identical servers, each serving a trace in `service(lookups)`
-/// cycles, logging which server ran each trace.
+/// The sum of the table indices of `trace`'s batches.
+fn table_sum(trace: &SlsTrace) -> u64 {
+    trace.batches.iter().map(|b| b.table().index() as u64).sum()
+}
+
+/// `SERVERS` identical servers, each serving a trace in `service` cycles,
+/// logging which server ran each trace.
 struct FakeServers {
     log: Vec<(usize, u64)>,
 }
@@ -43,7 +59,7 @@ impl SlsBackend for FakeServers {
         let lookups = trace.total_lookups();
         self.log.push((server, lookups));
         let mut report = RunReport::for_system("fake-servers");
-        report.total_cycles = service(lookups);
+        report.total_cycles = service(lookups, table_sum(trace));
         Ok(report)
     }
 }
@@ -51,71 +67,46 @@ impl SlsBackend for FakeServers {
 /// What the oracle expects of one run.
 #[derive(Debug, PartialEq)]
 struct Schedule {
-    /// (server, lookups) of every admitted job, in dispatch order.
+    /// (server, lookups) of every trace run, in dispatch order.
     runs: Vec<(usize, u64)>,
     completions: Vec<Cycle>,
-    rejected: Vec<usize>,
 }
 
-/// Coalesces queries by the definition: a group opens at its first query
-/// and closes when it holds `max_queries` queries or its first query has
-/// waited `max_wait` cycles; a full group leaves with its last query, a
-/// timed-out one at the deadline.
-fn groups(arrivals: &[Cycle], coalescing: Option<(usize, Cycle)>) -> Vec<(Cycle, Vec<usize>)> {
-    let Some((max_queries, max_wait)) = coalescing else {
-        return arrivals
-            .iter()
-            .enumerate()
-            .map(|(q, &t)| (t, vec![q]))
-            .collect();
+/// Serves `mode` on a fresh fake backend: the arrival cycles `serve`
+/// drew, and what it ran.
+fn served(
+    mode: ServingMode,
+    qps: f64,
+    queries: usize,
+    shape: QueryShape,
+    seed: u64,
+) -> (Vec<Cycle>, Schedule) {
+    let cfg = ServingConfig {
+        mode,
+        ..ServingConfig::poisson(qps, queries, shape, seed)
     };
-    let mut out = Vec::new();
-    let mut q = 0;
-    while q < arrivals.len() {
-        let deadline = arrivals[q] + max_wait;
-        let mut members = vec![q];
-        q += 1;
-        while q < arrivals.len() && members.len() < max_queries && arrivals[q] <= deadline {
-            members.push(q);
-            q += 1;
-        }
-        let leave = if members.len() == max_queries {
-            arrivals[*members.last().unwrap()]
-        } else {
-            deadline
-        };
-        out.push((leave, members));
-    }
-    out
+    let mut backend = FakeServers { log: Vec::new() };
+    let report = serve(&mut backend, &cfg).expect("fake-server run");
+    assert!(report.rejected.is_empty(), "{mode} at {qps} qps rejected");
+    let schedule = Schedule {
+        runs: backend.log,
+        completions: report.completions,
+    };
+    (report.arrivals, schedule)
 }
 
 /// Recomputes a queued run straight from the policy definitions (ties to
 /// the lowest server index).
-fn oracle(
-    policy: DispatchPolicy,
-    arrivals: &[Cycle],
-    lookups: &[u64],
-    coalescing: Option<(usize, Cycle)>,
-    depth: Option<usize>,
-) -> Schedule {
+fn queued_oracle(policy: DispatchPolicy, arrivals: &[Cycle], queries: &[SlsTrace]) -> Schedule {
     let mut free = [0 as Cycle; SERVERS];
-    // (completion, lookups) of every job each server has run.
+    // (completion, lookups) of every query each server has run.
     let mut history: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); SERVERS];
-    let mut admitted_done: Vec<Cycle> = Vec::new();
     let mut schedule = Schedule {
         runs: Vec::new(),
-        completions: vec![0; arrivals.len()],
-        rejected: Vec::new(),
+        completions: Vec::new(),
     };
-    for (job, (at, members)) in groups(arrivals, coalescing).into_iter().enumerate() {
-        let in_flight = admitted_done.iter().filter(|&&done| done > at).count();
-        if depth.is_some_and(|bound| in_flight >= bound) {
-            for &q in &members {
-                schedule.completions[q] = at;
-                schedule.rejected.push(q);
-            }
-            continue;
-        }
+    for (q, (&at, query)) in arrivals.iter().zip(queries).enumerate() {
+        let work = query.total_lookups();
         let outstanding = |s: usize| -> u64 {
             history[s]
                 .iter()
@@ -125,21 +116,62 @@ fn oracle(
         };
         let server = match policy {
             DispatchPolicy::FifoSingleQueue => (0..SERVERS).min_by_key(|&s| (free[s], s)),
-            DispatchPolicy::RoundRobin => Some(job % SERVERS),
+            DispatchPolicy::RoundRobin => Some(q % SERVERS),
             DispatchPolicy::LeastOutstanding => (0..SERVERS).min_by_key(|&s| (outstanding(s), s)),
         }
         .unwrap();
-        let work: u64 = members.iter().map(|&q| lookups[q]).sum();
-        let done = at.max(free[server]) + service(work);
+        let done = at.max(free[server]) + service(work, table_sum(query));
         free[server] = done;
         history[server].push((done, work));
-        admitted_done.push(done);
         schedule.runs.push((server, work));
-        for &q in &members {
-            schedule.completions[q] = done;
-        }
+        schedule.completions.push(done);
     }
-    schedule.rejected.sort_unstable();
+    schedule
+}
+
+/// Recomputes a sharded run: each batch goes to the least-backlogged
+/// channel of `plan` holding its table (ties to the lowest index; no
+/// clock moves while a query scatters), each channel's shard queues
+/// behind that channel's earlier work, and the query completes at its
+/// slowest shard plus `gather.base + gather.per_shard × shards`.
+fn sharded_oracle(
+    plan: &PlacementPlan,
+    gather: GatherCost,
+    arrivals: &[Cycle],
+    queries: &[SlsTrace],
+) -> Schedule {
+    let mut free = [0 as Cycle; SERVERS];
+    let mut schedule = Schedule {
+        runs: Vec::new(),
+        completions: Vec::new(),
+    };
+    for (&at, query) in arrivals.iter().zip(queries) {
+        // (lookups, table sum) of each channel's shard.
+        let mut shards: [Option<(u64, u64)>; SERVERS] = [None; SERVERS];
+        for batch in &query.batches {
+            let table = batch.table();
+            let channel = (plan.replicas(table).iter().copied())
+                .min_by_key(|&c| (free[c], c))
+                .expect("every table is placed");
+            let shard = shards[channel].get_or_insert((0, 0));
+            shard.0 += batch.lookups();
+            shard.1 += table.index() as u64;
+        }
+        let mut slowest = at;
+        let mut count = 0;
+        for (channel, shard) in shards.iter().enumerate() {
+            let Some((lookups, tables)) = *shard else {
+                continue;
+            };
+            let done = at.max(free[channel]) + service(lookups, tables);
+            free[channel] = done;
+            slowest = slowest.max(done);
+            count += 1;
+            schedule.runs.push((channel, lookups));
+        }
+        let merge = gather.base + gather.per_shard * count;
+        schedule.completions.push(slowest + merge);
+    }
     schedule
 }
 
@@ -150,46 +182,55 @@ fn queued_dispatch_matches_the_policy_oracle() {
         .with_table_sampling(2);
     let queries = 60;
     let seed = 0x0_5eed;
-    let lookups: Vec<u64> = QueryStream::new(shape, seed)
-        .take_queries(queries)
-        .iter()
-        .map(SlsTrace::total_lookups)
-        .collect();
+    let traces = QueryStream::new(shape, seed).take_queries(queries);
     let mut policies_differ = false;
-    // Light load, near saturation, and overload.
-    for qps in [200_000.0, 1_400_000.0, 4_000_000.0] {
-        for coalescing in [None, Some((3, 3_000))] {
-            for depth in [None, Some(2), Some(4)] {
-                let mut schedules = Vec::new();
-                for policy in DispatchPolicy::ALL {
-                    let cfg = ServingConfig {
-                        process: ArrivalProcess::Poisson,
-                        qps,
-                        queries,
-                        shape,
-                        mode: ServingMode::Queued(policy),
-                        coalescing: coalescing.map(|(n, wait)| Coalescing::new(n, wait)),
-                        max_queue_depth: depth,
-                        seed,
-                    };
-                    let mut backend = FakeServers { log: Vec::new() };
-                    let report = serve(&mut backend, &cfg).expect("queued run");
-                    let want = oracle(policy, &report.arrivals, &lookups, coalescing, depth);
-                    let got = Schedule {
-                        runs: backend.log,
-                        completions: report.completions,
-                        rejected: report.rejected,
-                    };
-                    assert_eq!(
-                        got, want,
-                        "{policy} at {qps} qps, coalescing {coalescing:?}, depth {depth:?}"
-                    );
-                    schedules.push(want.runs);
-                }
-                policies_differ |= schedules[0] != schedules[1] && schedules[1] != schedules[2];
-            }
+    for qps in RATES {
+        let mut schedules = Vec::new();
+        for policy in DispatchPolicy::ALL {
+            let (arrivals, got) = served(ServingMode::Queued(policy), qps, queries, shape, seed);
+            let want = queued_oracle(policy, &arrivals, &traces);
+            assert_eq!(got, want, "{policy} at {qps} qps");
+            schedules.push(want.runs);
         }
+        policies_differ |= schedules[0] != schedules[1] && schedules[1] != schedules[2];
     }
     // The oracle is only a check if the three rules actually disagree.
     assert!(policies_differ, "no load point separated the policies");
+}
+
+#[test]
+fn sharded_dispatch_matches_the_scatter_gather_oracle() {
+    let shape = QueryShape::new(6, 2, 4)
+        .with_table_skew(1.0)
+        .with_table_sampling(3);
+    let queries = 60;
+    let seed = 0x0_5eed;
+    let traces = QueryStream::new(shape, seed).take_queries(queries);
+    let usage = TableUsage::from_traces(&traces);
+    let gather = GatherCost::new(90, 13);
+    let placements = [
+        PlacementPolicy::Hash,
+        PlacementPolicy::CapacityGreedy,
+        PlacementPolicy::FrequencyBalanced { replicate: 0 },
+        PlacementPolicy::FrequencyBalanced { replicate: 2 },
+    ];
+    let mut multi_shard = false;
+    let mut replica_choice = false;
+    for qps in RATES {
+        for placement in placements {
+            let plan = PlacementPlan::build(SERVERS, None, &usage, placement).expect("plan");
+            let mut dispatch = ShardedDispatch::new(placement);
+            dispatch.gather = gather;
+            let mode = ServingMode::Sharded(dispatch);
+            let (arrivals, got) = served(mode, qps, queries, shape, seed);
+            let want = sharded_oracle(&plan, gather, &arrivals, &traces);
+            assert_eq!(got, want, "{} at {qps} qps", placement.name());
+            multi_shard |= want.runs.len() > queries;
+            replica_choice |= plan.assignments().any(|(_, reps)| reps.len() > 1);
+        }
+    }
+    // The oracle is only a check if queries really scatter and some
+    // table really has a replica to choose from.
+    assert!(multi_shard, "no query spanned two channels");
+    assert!(replica_choice, "no table was replicated");
 }

@@ -113,8 +113,6 @@ fn one_node_fleet_is_numerically_the_bare_cluster() {
             host_cache: None,
             prefetch: None,
         }),
-        coalescing: None,
-        max_queue_depth: None,
         seed: fleet_cfg.seed,
     };
     let cluster_report = serve(cluster.as_mut(), &cluster_cfg).expect("cluster serving run");

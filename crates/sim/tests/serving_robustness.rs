@@ -6,8 +6,7 @@
 //! * a channel slowed past the end of the clock fails its queries
 //!   instead of overflowing (or, wrapped, reporting them fast);
 //! * (property) `serve` under arbitrary serving configurations — every
-//!   mode family and dispatch policy, coalescing, a depth bound, bad
-//!   rates — and `serve_fleet_resilient` under arbitrary hedge, retry and
+//!   mode family and dispatch policy, bad rates — and `serve_fleet_resilient` under arbitrary hedge, retry and
 //!   SLO policies return `Ok` or `Err` and never panic;
 //! * (property) `serve_fleet_resilient` on 1–3 nodes under arbitrary
 //!   explicit or seeded fault plans (any node and channel, out-of-range
@@ -26,8 +25,8 @@ use recnmp_sim::serving::fleet::{
     ResilienceSpec, RouterPolicy,
 };
 use recnmp_sim::serving::{
-    serve, ArrivalProcess, Coalescing, DispatchPolicy, EpochPromotion, HostCacheSpec, PrefetchSpec,
-    QueryShape, ServingConfig, ServingMode, ShardedDispatch, TieredDispatch,
+    serve, ArrivalProcess, DispatchPolicy, EpochPromotion, HostCacheSpec, PrefetchSpec, QueryShape,
+    ServingConfig, ServingMode, ShardedDispatch, TieredDispatch,
 };
 use recnmp_types::{ByteSize, Cycle, SimError};
 
@@ -252,17 +251,6 @@ fn mode_strategy() -> impl Strategy<Value = ServingMode> {
     ]
 }
 
-fn coalescing_strategy() -> impl Strategy<Value = Option<Coalescing>> {
-    prop_oneof![
-        Just(None),
-        (1usize..5, 0u64..20_000).prop_map(|(n, wait)| Some(Coalescing::new(n, wait))),
-    ]
-}
-
-fn depth_strategy() -> impl Strategy<Value = Option<usize>> {
-    prop_oneof![Just(None), (0usize..4).prop_map(Some)]
-}
-
 fn process_strategy() -> impl Strategy<Value = ArrivalProcess> {
     prop_oneof![Just(ArrivalProcess::Poisson), Just(ArrivalProcess::Uniform)]
 }
@@ -301,12 +289,7 @@ fn retry_strategy() -> impl Strategy<Value = RetryPolicy> {
 fn slo_strategy() -> impl Strategy<Value = Option<SloPolicy>> {
     prop_oneof![
         Just(None),
-        (cycles_strategy(400_000), cycles_strategy(400_000)).prop_map(|(deadline, target_p99)| {
-            Some(SloPolicy {
-                deadline,
-                target_p99,
-            })
-        }),
+        cycles_strategy(400_000).prop_map(|deadline| Some(SloPolicy { deadline })),
     ]
 }
 
@@ -368,11 +351,7 @@ fn fault_spec_strategy() -> impl Strategy<Value = FaultSpec> {
         )
 }
 
-type ServeCase = (
-    (ServingMode, Option<Coalescing>, Option<usize>),
-    (f64, usize, u64, ArrivalProcess),
-    QueryShape,
-);
+type ServeCase = (ServingMode, (f64, usize, u64, ArrivalProcess), QueryShape);
 
 type FleetCase = (
     (Option<HedgePolicy>, RetryPolicy, Option<SloPolicy>),
@@ -391,21 +370,19 @@ proptest! {
     #[test]
     fn serve_returns_ok_or_err_for_any_config(
         case in (
-            (mode_strategy(), coalescing_strategy(), depth_strategy()),
+            mode_strategy(),
             (rate_strategy(), 0usize..12, 0u64..1 << 40, process_strategy()),
             shape_strategy(),
         )
     ) {
         let case: ServeCase = case;
-        let ((mode, coalescing, max_queue_depth), (qps, queries, seed, process), shape) = case;
+        let (mode, (qps, queries, seed, process), shape) = case;
         let cfg = ServingConfig {
             process,
             qps,
             queries,
             shape,
             mode,
-            coalescing,
-            max_queue_depth,
             seed,
         };
         let result = serve(&mut host(), &cfg);

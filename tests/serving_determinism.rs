@@ -11,8 +11,7 @@ use recnmp::{RecNmpCluster, RecNmpClusterConfig};
 use recnmp_backend::SlsBackend;
 use recnmp_baselines::{HostBaseline, TensorDimm};
 use recnmp_sim::serving::{
-    saturation_qps, serve, ArrivalProcess, Coalescing, DispatchPolicy, QueryShape, ServingConfig,
-    ServingMode,
+    saturation_qps, serve, ArrivalProcess, DispatchPolicy, QueryShape, ServingConfig, ServingMode,
 };
 
 fn cluster4() -> RecNmpCluster {
@@ -40,8 +39,6 @@ fn cfg(policy: DispatchPolicy) -> ServingConfig {
         queries: 24,
         shape: QueryShape::new(2, 2, 8),
         mode: ServingMode::Queued(policy),
-        coalescing: None,
-        max_queue_depth: None,
         seed: 0xdead_beef,
     }
 }
@@ -80,6 +77,8 @@ fn serving_conserves_lookups_on_every_backend() {
             r.system
         );
         assert_eq!(r.latencies.len(), c.queries);
+        // Every query dispatches on its own.
+        assert_eq!(r.jobs, c.queries);
         // Completion never precedes arrival.
         assert!(r
             .completions
@@ -106,8 +105,6 @@ fn below_saturation_throughput_tracks_offered_rate() {
             queries: 32,
             shape,
             mode: fifo,
-            coalescing: None,
-            max_queue_depth: None,
             seed: 3,
         };
         let r = serve(factory().as_mut(), &c).unwrap();
@@ -129,8 +126,6 @@ fn sharded_cfg(placement: recnmp_backend::PlacementPolicy) -> ServingConfig {
         queries: 24,
         shape: QueryShape::reference_skewed(),
         mode: ServingMode::sharded(placement),
-        coalescing: None,
-        max_queue_depth: None,
         seed: 0xdead_beef,
     }
 }
@@ -195,8 +190,6 @@ fn tiered_cfg(mode: ServingMode) -> ServingConfig {
         queries: 24,
         shape: tiered_shape(),
         mode,
-        coalescing: None,
-        max_queue_depth: None,
         seed: 0xdead_beef,
     }
 }
@@ -288,22 +281,6 @@ fn frequency_tiered_sustains_more_than_hash_when_spilled() {
 }
 
 #[test]
-fn coalescing_trades_wait_for_fewer_jobs() {
-    let base = cfg(DispatchPolicy::FifoSingleQueue);
-    let mut host = HostBaseline::new(1, 2).unwrap();
-    let plain = serve(&mut host, &base).unwrap();
-    let mut coalesced_cfg = base;
-    coalesced_cfg.coalescing = Some(Coalescing::new(4, 50_000));
-    let mut host2 = HostBaseline::new(1, 2).unwrap();
-    let coalesced = serve(&mut host2, &coalesced_cfg).unwrap();
-    assert_eq!(plain.jobs, base.queries);
-    assert!(coalesced.jobs < plain.jobs, "groups formed");
-    // Same offered queries either way; every query still completes.
-    assert_eq!(coalesced.latencies.len(), base.queries);
-    assert_eq!(coalesced.report.insts, plain.report.insts);
-}
-
-#[test]
 fn pinned_latency_percentiles_for_fixed_seed() {
     // Pins the serving output for one (seed, config) point so an
     // accidental change to the arrival generator, query stream, or
@@ -316,8 +293,6 @@ fn pinned_latency_percentiles_for_fixed_seed() {
         queries: 16,
         shape: QueryShape::new(2, 2, 8),
         mode: ServingMode::Queued(DispatchPolicy::FifoSingleQueue),
-        coalescing: None,
-        max_queue_depth: None,
         seed: 42,
     };
     let mut host = HostBaseline::new(1, 2).unwrap();

@@ -42,7 +42,7 @@ impl TraceBatch {
 
     /// The addresses in pooling order (the order instruction streams and
     /// flat traces are built in).
-    pub fn flat_addrs(&self) -> impl Iterator<Item = PhysAddr> + '_ {
+    pub fn flat_addrs(&self) -> impl Iterator<Item = PhysAddr> + Clone + '_ {
         self.addrs.iter().flatten().copied()
     }
 }
@@ -147,13 +147,11 @@ impl SlsTrace {
         ids.len()
     }
 
-    /// The flat physical vector trace in arrival order — what the host
-    /// baseline and the DIMM-level NMP systems serve.
-    pub fn flat(&self) -> Vec<PhysAddr> {
-        self.batches
-            .iter()
-            .flat_map(TraceBatch::flat_addrs)
-            .collect()
+    /// Every lookup's address in arrival order — the flat vector trace
+    /// the host baseline and the DIMM-level NMP systems stream, borrowed
+    /// rather than copied.
+    pub fn flat_addrs(&self) -> impl Iterator<Item = PhysAddr> + Clone + '_ {
+        self.batches.iter().flat_map(TraceBatch::flat_addrs)
     }
 
     /// Splits the trace into `channels` sub-traces under `policy`.
@@ -251,7 +249,7 @@ mod tests {
     #[test]
     fn flat_preserves_arrival_order() {
         let tr = trace(2);
-        let flat = tr.flat();
+        let flat: Vec<PhysAddr> = tr.flat_addrs().collect();
         assert_eq!(flat.len(), 20);
         // First batch's lookups precede the second's.
         assert!(flat[..10].iter().all(|a| a.get() >> 40 == 0));

@@ -20,6 +20,8 @@ use recnmp_backend::{RunReport, SlsBackend, SlsTrace};
 use recnmp_dram::{DramConfig, DramStats, MemorySystem, SimEngine};
 use recnmp_types::{ConfigError, PhysAddr, SimError};
 
+use crate::Counted;
+
 /// Shared engine for DIMM-level NMP systems: per-DIMM memory controllers
 /// fed by a rate-limited shared command stream.
 #[derive(Debug)]
@@ -107,50 +109,58 @@ impl DimmLevelNmp {
         vectors: &[PhysAddr],
         bursts_per_vector: u8,
     ) -> Result<RunReport, SimError> {
+        self.serve_vectors(vectors.iter().copied(), bursts_per_vector)
+    }
+
+    /// [`serve`](Self::serve) over an iterator of vectors: each DIMM
+    /// streams its own share of the trace, so it holds O(queue) requests,
+    /// not the trace.
+    fn serve_vectors(
+        &mut self,
+        vectors: impl Iterator<Item = PhysAddr> + Clone,
+        bursts_per_vector: u8,
+    ) -> Result<RunReport, SimError> {
         let n = self.dimms.len() as u64;
         let start = self.dimms.iter().map(|d| d.cycle()).max().unwrap_or(0);
-        let before: Vec<DramStats> = self.dimms.iter().map(|d| d.stats().clone()).collect();
         let stagger = self.cmd_overhead_per_vector + bursts_per_vector as u64;
-        for (i, addr) in vectors.iter().enumerate() {
-            // Shared C/A bus: one vector's command bundle per `stagger`
-            // slots (PRE/ACT overhead + one RD per burst).
-            let arrival = start + i as u64 * stagger;
+        // Burst `b` of a vector lives on DIMM `(burst0 + b) mod n`.
+        let bursts_of = move |addr: PhysAddr| {
             let burst0 = addr.get() >> 6;
-            for b in 0..bursts_per_vector as u64 {
-                let dimm = ((burst0 + b) % n) as usize;
-                // The DIMM-local address drops the interleave bits.
-                let local = PhysAddr::new(((burst0 + b) / n) << 6);
-                self.dimms[dimm].enqueue_read(local, arrival);
+            burst0..burst0 + bursts_per_vector as u64
+        };
+        let mut insts = 0u64;
+        let mut share = vec![0usize; self.dimms.len()];
+        for addr in vectors.clone() {
+            insts += 1;
+            for burst in bursts_of(addr) {
+                share[(burst % n) as usize] += 1;
             }
         }
         let mut end = start;
         let mut bursts = 0;
         let mut dram = DramStats::new();
-        // Run every DIMM even after one stalls: a mid-loop early return
-        // would leave this call's requests queued in the sibling DIMMs,
-        // silently corrupting the next serve's delta report.
-        let mut first_err = None;
-        for (d, then) in self.dimms.iter_mut().zip(&before) {
-            match d.run_to_idle() {
-                Ok(()) => {
-                    // Completions arrive in data-transfer order, so the
-                    // last one carries the latest finish cycle.
-                    let done = d.completions();
-                    end = end.max(done.last().map_or(start, |c| c.finish_cycle));
-                    bursts += done.len() as u64;
-                    d.clear_completions();
-                    add_dram(&mut dram, &dram_delta(d.stats(), then));
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
+        // A stall returns at once: no DIMM holds requests of this call
+        // before its own run, so later DIMMs are left untouched.
+        for (d, (mem, &left)) in self.dimms.iter_mut().zip(&share).enumerate() {
+            let before = mem.stats().clone();
+            let reads = vectors.clone().enumerate().flat_map(move |(i, addr)| {
+                // Shared C/A bus: one vector's command bundle per
+                // `stagger` slots (PRE/ACT overhead + one RD per burst).
+                let arrival = start + i as u64 * stagger;
+                // The DIMM-local address drops the interleave bits.
+                bursts_of(addr)
+                    .filter(move |burst| burst % n == d as u64)
+                    .map(move |burst| (PhysAddr::new((burst / n) << 6), arrival))
+            });
+            let summary = mem.run_stream(Counted { iter: reads, left })?;
+            end = end.max(summary.last_finish.unwrap_or(start));
+            bursts += summary.completed;
+            add_dram(&mut dram, &dram_delta(mem.stats(), &before));
         }
         Ok(RunReport {
             system: self.name.into(),
             total_cycles: end - start,
-            insts: vectors.len() as u64,
+            insts,
             dram,
             dram_bursts: bursts,
             gathered_bytes: bursts * 64,
@@ -169,7 +179,7 @@ impl SlsBackend for DimmLevelNmp {
     }
 
     fn try_run(&mut self, trace: &SlsTrace) -> Result<RunReport, SimError> {
-        self.serve(&trace.flat(), trace.bursts_per_vector())
+        self.serve_vectors(trace.flat_addrs(), trace.bursts_per_vector())
     }
 }
 

@@ -5,6 +5,8 @@ use recnmp_backend::{RunReport, SlsBackend, SlsTrace};
 use recnmp_dram::{DramConfig, MemorySystem};
 use recnmp_types::{ConfigError, PhysAddr, SimError};
 
+use crate::Counted;
+
 /// The host baseline: SLS lookups served as ordinary cacheline reads over
 /// one memory channel, pooled on the CPU.
 ///
@@ -66,28 +68,31 @@ impl HostBaseline {
         vectors: &[PhysAddr],
         bursts_per_vector: u8,
     ) -> Result<RunReport, SimError> {
+        self.serve_vectors(vectors.iter().copied(), vectors.len(), bursts_per_vector)
+    }
+
+    /// [`serve`](Self::serve) over `count` vectors from an iterator,
+    /// streamed into the channel: it holds O(queue) requests, not the
+    /// trace.
+    fn serve_vectors(
+        &mut self,
+        vectors: impl Iterator<Item = PhysAddr>,
+        count: usize,
+        bursts_per_vector: u8,
+    ) -> Result<RunReport, SimError> {
         let start = self.mem.cycle();
         let before = self.mem.stats().clone();
-        for addr in vectors {
-            for b in 0..bursts_per_vector as u64 {
-                self.mem.enqueue_read(addr.offset(b * 64), start);
-            }
-        }
-        self.mem.run_to_idle()?;
-        // Completions arrive in data-transfer order; the last one is the
-        // end of the run. Clearing (not draining) keeps the buffer's
-        // capacity for the next serve call.
-        let end = self
-            .mem
-            .completions()
-            .last()
-            .map_or(start, |c| c.finish_cycle);
-        self.mem.clear_completions();
-        let bursts = vectors.len() as u64 * bursts_per_vector as u64;
+        let reads = vectors.flat_map(move |addr| {
+            (0..bursts_per_vector as u64).map(move |b| (addr.offset(b * 64), start))
+        });
+        let left = count * bursts_per_vector as usize;
+        let summary = self.mem.run_stream(Counted { iter: reads, left })?;
+        let end = summary.last_finish.unwrap_or(start);
+        let bursts = count as u64 * bursts_per_vector as u64;
         Ok(RunReport {
             system: "host".into(),
             total_cycles: end - start,
-            insts: vectors.len() as u64,
+            insts: count as u64,
             dram: dram_delta(self.mem.stats(), &before),
             dram_bursts: bursts,
             // The CPU reads every embedding burst over the channel.
@@ -104,7 +109,8 @@ impl SlsBackend for HostBaseline {
     }
 
     fn try_run(&mut self, trace: &SlsTrace) -> Result<RunReport, SimError> {
-        self.serve(&trace.flat(), trace.bursts_per_vector())
+        let count = trace.total_lookups() as usize;
+        self.serve_vectors(trace.flat_addrs(), count, trace.bursts_per_vector())
     }
 }
 

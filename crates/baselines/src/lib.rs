@@ -26,6 +26,30 @@
 pub mod dimm_nmp_baseline;
 pub mod host;
 
+/// An iterator with its length known up front: what
+/// `MemorySystem::run_stream` needs to count the reads it has not pulled
+/// yet, over a flattened or filtered trace that cannot tell its own.
+struct Counted<I> {
+    iter: I,
+    left: usize,
+}
+
+impl<I: Iterator> Iterator for Counted<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let item = self.iter.next()?;
+        self.left -= 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<I: Iterator> ExactSizeIterator for Counted<I> {}
+
 pub use dimm_nmp_baseline::{Chameleon, DimmLevelNmp, TensorDimm};
 pub use host::HostBaseline;
 pub use recnmp_backend::{RunReport, SlsBackend, SlsTrace};

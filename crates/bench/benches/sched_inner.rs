@@ -1,6 +1,6 @@
 //! Criterion micro-benchmark for the FR-FCFS scheduler inner loop.
 //!
-//! Times `MemorySystem::run_to_idle` — the `issue_request_command` /
+//! Times `MemorySystem::run_stream` — the `issue_request_command` /
 //! event-skip loop — on the traffic shapes that dominate simulator
 //! wall-clock: the rank-NMP device pattern (single rank, staggered
 //! 2-per-cycle arrivals, Zipf-ish bank spread), a conflict-heavy stream
@@ -14,20 +14,19 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use recnmp_dram::{DramConfig, MemorySystem};
 use recnmp_types::PhysAddr;
 
-/// Enqueues `reqs` strided reads, `per_cycle` arriving each cycle, and
+/// Streams `reqs` strided reads, `per_cycle` arriving each cycle, and
 /// runs them to idle; returns the last finish cycle.
-fn run_pattern(mem: &mut MemorySystem, salt: u64, reqs: u64, stride: u64, per_cycle: u64) -> u64 {
+fn run_pattern(mem: &mut MemorySystem, salt: u64, reqs: usize, stride: u64, per_cycle: u64) -> u64 {
     let base = mem.cycle();
-    for i in 0..reqs {
-        mem.enqueue_read(
+    let reads = (0..reqs).map(|i| {
+        let i = i as u64;
+        (
             PhysAddr::new(((i * stride + salt * 7919) * 128) & ((1 << 30) - 1)),
             base + i / per_cycle,
-        );
-    }
-    mem.run_to_idle().expect("drain");
-    let done = mem.completions().last().map_or(0, |c| c.finish_cycle);
-    mem.clear_completions();
-    done
+        )
+    });
+    let summary = mem.run_stream(reads).expect("drain");
+    summary.last_finish.unwrap_or(0)
 }
 
 fn bench(c: &mut Criterion) {

@@ -14,6 +14,7 @@
 //! [`recnmp_bench::json::diff_json`]: every number — bare, a cell like
 //! `"3.21x"`, or a figure in a note like `"knee at 3208829 qps"` —
 //! compares within it, while text, keys and shape must match exactly.
+//! On exit it prints the process's peak RSS to stderr.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -43,6 +44,12 @@ fn result_value(r: &ExperimentResult) -> Json {
 }
 
 fn main() -> ExitCode {
+    let code = golden_check();
+    recnmp_bench::print_peak_rss();
+    code
+}
+
+fn golden_check() -> ExitCode {
     let mut update = false;
     let mut dir = PathBuf::from("goldens");
     let mut tol = DEFAULT_TOL;

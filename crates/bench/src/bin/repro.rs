@@ -5,12 +5,20 @@
 //! repro all [--full]      run everything (quick scale by default)
 //! repro <id> [--full]     run one experiment
 //! ```
+//!
+//! On exit it prints the process's peak RSS to stderr.
 
 use std::process::ExitCode;
 
 use recnmp_sim::experiments::{run, run_all, Scale, IDS};
 
 fn main() -> ExitCode {
+    let code = repro();
+    recnmp_bench::print_peak_rss();
+    code
+}
+
+fn repro() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let scale = if full { Scale::Full } else { Scale::Quick };

@@ -8,6 +8,21 @@ pub mod json;
 
 pub use recnmp_sim::experiments::{run, run_all, ExperimentResult, Scale, IDS};
 
+/// Prints the process's peak resident set size (`VmHWM` in
+/// `/proc/self/status`) to stderr. It is informational only and is never
+/// gated, since it depends on the host. Prints nothing where that file
+/// does not exist.
+pub fn print_peak_rss() {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<u64>().ok());
+    if let Some(kib) = kib {
+        eprintln!("peak RSS {:.1} MiB (VmHWM)", kib as f64 / 1024.0);
+    }
+}
+
 /// The options shared by the report-writing bins: `--smoke`,
 /// `--workers N`, `--out PATH` and `--baseline PATH | --baseline-from-git`.
 #[derive(Debug, Default, PartialEq)]

@@ -395,19 +395,26 @@ impl SlsBackend for RecNmpCluster {
     /// node per job, nesting node-level fan-out over channel-level
     /// fan-out (waiting submitters help run their own batch, so nesting
     /// never deadlocks the pool).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Config`] when the shard channels are not
+    /// strictly increasing or one is out of range, and the first shard's
+    /// error otherwise.
     fn try_run_shards(&mut self, shards: &[(usize, SlsTrace)]) -> Result<Vec<RunReport>, SimError> {
-        assert!(
-            shards.windows(2).all(|w| w[0].0 < w[1].0),
-            "shards must target strictly increasing channels"
-        );
+        let bad_shards = |why: String| Err(SimError::Config(ConfigError::new("shards", why)));
+        if !shards.windows(2).all(|w| w[0].0 < w[1].0) {
+            return bad_shards("must target strictly increasing channels".into());
+        }
         let mut slots: Vec<Option<&SlsTrace>> = vec![None; self.channels.len()];
         for (c, shard) in shards {
-            assert!(
-                *c < self.channels.len(),
-                "server {c} out of range for {} channel(s)",
-                self.channels.len()
-            );
-            slots[*c] = Some(shard);
+            let Some(slot) = slots.get_mut(*c) else {
+                let channels = self.channels.len();
+                return bad_shards(format!(
+                    "channel {c} out of range for {channels} channel(s)"
+                ));
+            };
+            *slot = Some(shard);
         }
         let tasks: Vec<_> = self
             .channels
@@ -592,6 +599,30 @@ mod tests {
             }
             other => panic!("expected a config error, got {other:?}"),
         }
+    }
+
+    /// The config error `try_run_shards` returns for `shards`.
+    fn shards_error(shards: &[(usize, SlsTrace)]) -> ConfigError {
+        match cluster(2).try_run_shards(shards) {
+            Err(SimError::Config(e)) => e,
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_order_shards_are_a_config_error() {
+        let trace = workload(2, 1);
+        let e = shards_error(&[(1, trace.clone()), (0, trace)]);
+        assert_eq!(e.field(), "shards");
+        assert!(e.reason().contains("strictly increasing"), "{e}");
+    }
+
+    #[test]
+    fn out_of_range_shards_are_a_config_error() {
+        let trace = workload(2, 1);
+        let e = shards_error(&[(0, trace.clone()), (5, trace)]);
+        assert_eq!(e.field(), "shards");
+        assert!(e.reason().contains("channel 5 out of range"), "{e}");
     }
 
     #[test]

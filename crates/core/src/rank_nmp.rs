@@ -194,18 +194,11 @@ impl RankNmp {
             }
         }
         let dram_done = if enqueued > 0 {
-            // Borrow-based completion hand-off: completions stay in the
-            // engine's reusable buffer (they arrive in data-transfer
-            // order, so the last one is the latest) — no per-packet
-            // allocation.
-            self.dram.run_to_idle()?;
-            let done = self
-                .dram
-                .completions()
-                .last()
-                .map_or(start, |c| c.finish_cycle);
-            self.dram.clear_completions();
-            done
+            // Only the last finish matters: run the enqueued bursts with
+            // no stream behind them and keep the summary, not a record
+            // per burst.
+            let summary = self.dram.run_stream(std::iter::empty())?;
+            summary.last_finish.unwrap_or(start)
         } else {
             start
         };

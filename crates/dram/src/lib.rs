@@ -47,10 +47,28 @@
 //! same final cycle — while doing O(commands) instead of O(cycles) work;
 //! the `event_equivalence` suite and the `sched_props` proptests enforce
 //! this, and [`MemorySystem::loop_iterations`] exposes the work saved.
-//! Hot callers avoid the completion-vector hand-off entirely via
-//! [`MemorySystem::run_to_idle`] + [`MemorySystem::completions`] +
-//! [`MemorySystem::clear_completions`] (a counting-allocator test proves
-//! the steady-state loop performs zero allocations).
+//!
+//! # Intake and completion contract
+//!
+//! A channel runs in one of two ways:
+//!
+//! * [`MemorySystem::run_until_idle`] runs the requests enqueued so far
+//!   and returns one [`CompletedRequest`] per request, in data-transfer
+//!   order — for tests, monitors and anything that inspects individual
+//!   requests.
+//! * [`MemorySystem::run_stream`] takes its reads from an
+//!   [`ExactSizeIterator`] of `(addr, arrival)` pairs, after anything
+//!   already enqueued. It pulls them into the staged queue only as
+//!   admission drains it (never more than one tick's admission capacity
+//!   ahead), and it returns a [`RunSummary`]: the completed count and the
+//!   last finish cycle. Reads not yet pulled still count as staged for
+//!   [`MemorySystem::pending`], for the stall detector and for
+//!   [`recnmp_types::SimError::Stalled`]. So a streamed run is
+//!   cycle-identical to enqueueing everything and calling
+//!   `run_until_idle`, yet it holds O(queue) requests. The host baseline,
+//!   the DIMM-level comparators and the rank-NMP devices use it. A
+//!   counting-allocator test proves its steady-state loop allocates
+//!   nothing.
 //!
 //! # Examples
 //!
@@ -84,7 +102,7 @@ pub use address::{AddressMapping, DramAddr};
 pub use command::{DdrCommand, DdrCommandKind};
 pub use controller::{DramConfig, SimEngine};
 pub use energy::{DramEnergy, EnergyParams};
-pub use request::{CompletedRequest, Request, RequestKind};
+pub use request::{CompletedRequest, Request, RequestKind, RunSummary};
 pub use stats::DramStats;
 pub use system::MemorySystem;
 pub use timing::DdrTiming;

@@ -86,6 +86,19 @@ impl CompletedRequest {
     }
 }
 
+/// What a [`MemorySystem::run_stream`] run completed: the count and the
+/// last finish cycle, in place of one [`CompletedRequest`] per request.
+///
+/// [`MemorySystem::run_stream`]: crate::MemorySystem::run_stream
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunSummary {
+    /// Requests that completed during the run.
+    pub completed: u64,
+    /// Cycle the run's last data beat transferred; `None` when nothing
+    /// completed. Bursts share one data bus, so this is the latest finish.
+    pub last_finish: Option<Cycle>,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

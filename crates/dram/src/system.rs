@@ -9,7 +9,7 @@ use crate::bank::{Bank, BankState, RankTimer};
 use crate::command::{DdrCommand, DdrCommandKind};
 use crate::controller::{DramConfig, SimEngine};
 use crate::monitor::ProtocolMonitor;
-use crate::request::{CompletedRequest, Request, RequestKind, RowOutcome};
+use crate::request::{CompletedRequest, Request, RequestKind, RowOutcome, RunSummary};
 use crate::stats::DramStats;
 use crate::timing::DdrTiming;
 
@@ -307,6 +307,9 @@ impl Direction {
     }
 }
 
+/// The read source of a stream run: `(addr, arrival)` in staging order.
+type ReadSource<'a> = dyn Iterator<Item = (PhysAddr, Cycle)> + 'a;
+
 /// One simulated memory channel: DDR4 devices plus an FR-FCFS controller.
 ///
 /// The model issues at most one DDR command per cycle (the command/address
@@ -317,6 +320,12 @@ impl Direction {
 /// [`next_event_cycle`](Self::next_event_cycle) whenever no command can
 /// issue, which is cycle-identical but does O(commands) instead of
 /// O(cycles) work.
+///
+/// Two ways to run: [`run_until_idle`](Self::run_until_idle) returns one
+/// [`CompletedRequest`] per request, and [`run_stream`](Self::run_stream)
+/// pulls its reads from an iterator as the read queue drains and returns
+/// only a [`RunSummary`], so its memory stays bounded by the queues however
+/// long the stream.
 ///
 /// # Examples
 ///
@@ -349,6 +358,9 @@ pub struct MemorySystem {
     data_bus_free: Cycle,
     last_data_rank: Option<u8>,
     staged: VecDeque<Queued>,
+    /// Reads of the running stream not yet pulled into `staged`; they
+    /// count as staged everywhere (`pending`, the stall detector).
+    unpulled: usize,
     /// Slab of admitted requests; slots are recycled through `free_slots`
     /// so the steady-state issue loop never allocates.
     slab: Vec<Queued>,
@@ -360,6 +372,10 @@ pub struct MemorySystem {
     bank_rank: Vec<u8>,
     bank_bg: Vec<u8>,
     completed: Vec<CompletedRequest>,
+    /// Whether completions go to `completed`: not during a stream run,
+    /// which keeps only `summary`.
+    record: bool,
+    summary: RunSummary,
     next_seq: u64,
     next_auto_id: u64,
     stats: DramStats,
@@ -402,6 +418,7 @@ impl MemorySystem {
             data_bus_free: 0,
             last_data_rank: None,
             staged: VecDeque::new(),
+            unpulled: 0,
             slab: Vec::new(),
             free_slots: Vec::new(),
             reads: Direction::new(total_banks, geo.ranks as usize),
@@ -411,6 +428,8 @@ impl MemorySystem {
                 .map(|g| ((g % bpr) / geo.banks_per_group as usize) as u8)
                 .collect(),
             completed: Vec::new(),
+            record: true,
+            summary: RunSummary::default(),
             next_seq: 0,
             next_auto_id: 0,
             stats: DramStats::new(),
@@ -450,9 +469,16 @@ impl MemorySystem {
         self.monitor.as_ref().map_or(&[], |m| m.violations())
     }
 
-    /// Requests known to the controller but not yet completed.
+    /// Requests known to the controller but not yet completed, including
+    /// the reads a running stream has not handed over yet.
     pub fn pending(&self) -> usize {
-        self.staged.len() + self.reads.order.len() + self.writes.order.len()
+        self.staged_len() + self.reads.order.len() + self.writes.order.len()
+    }
+
+    /// Requests not yet admitted: the staged queue plus the running
+    /// stream's unpulled reads.
+    fn staged_len(&self) -> usize {
+        self.staged.len() + self.unpulled
     }
 
     /// Enqueues a request built by the caller.
@@ -560,39 +586,68 @@ impl MemorySystem {
     /// see [`DramConfig::stall_iterations`]). The seed engine `assert!`ed
     /// after 500M cycles instead.
     pub fn run_until_idle(&mut self) -> Result<Vec<CompletedRequest>, SimError> {
-        self.run_to_idle()?;
+        self.run(&mut std::iter::empty())?;
         Ok(self.drain_completed())
     }
 
-    /// Runs until every request has completed, leaving the completion
-    /// records in the internal buffer (see [`completions`](Self::completions)).
+    /// Runs the requests already enqueued, then `reads` as `(addr,
+    /// arrival)` reads in order, until every one has completed, and
+    /// returns how many completed and when the last finished.
     ///
-    /// This is the allocation-free counterpart of
-    /// [`run_until_idle`](Self::run_until_idle): callers that only
-    /// inspect completions can read the borrowed slice and then
-    /// [`clear_completions`](Self::clear_completions), so the buffer's
-    /// capacity is reused run after run.
+    /// The stream is pulled lazily: the staged queue is topped up to the
+    /// admission capacity of one tick (read plus write queue) after every
+    /// loop iteration, so the channel holds O(queue) requests however long
+    /// the stream. Unpulled reads count as staged for
+    /// [`pending`](Self::pending), the stall detector and the
+    /// [`SimError::Stalled`] they report, and no per-request
+    /// [`CompletedRequest`] is kept. The run is cycle-identical to
+    /// enqueueing every read with [`enqueue_read`](Self::enqueue_read) and
+    /// calling [`run_until_idle`](Self::run_until_idle): same statistics,
+    /// final cycle, loop iterations and request ids.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Stalled`] exactly as
-    /// [`run_until_idle`](Self::run_until_idle) does.
-    pub fn run_to_idle(&mut self) -> Result<(), SimError> {
+    /// [`run_until_idle`](Self::run_until_idle) does; the reads not yet
+    /// pulled are dropped.
+    pub fn run_stream<I>(&mut self, reads: I) -> Result<RunSummary, SimError>
+    where
+        I: IntoIterator<Item = (PhysAddr, Cycle)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut reads = reads.into_iter();
+        self.unpulled = reads.len();
+        self.record = false;
+        self.summary = RunSummary::default();
+        let run = self.run(&mut reads);
+        self.unpulled = 0;
+        self.record = true;
+        run.map(|()| self.summary)
+    }
+
+    /// Runs the engine of the configuration to idle, pulling from `src`.
+    fn run(&mut self, src: &mut ReadSource<'_>) -> Result<(), SimError> {
         match self.config.engine {
-            SimEngine::EventDriven => self.run_event_driven(),
-            SimEngine::PerCycle => self.run_per_cycle(),
+            SimEngine::EventDriven => self.run_event_driven(src),
+            SimEngine::PerCycle => self.run_per_cycle(src),
         }
     }
 
-    /// Completion records accumulated since the last drain/clear, in
-    /// data-transfer order (`finish_cycle` is non-decreasing).
-    pub fn completions(&self) -> &[CompletedRequest] {
-        &self.completed
-    }
-
-    /// Clears the completion buffer, retaining its capacity.
-    pub fn clear_completions(&mut self) {
-        self.completed.clear();
+    /// Moves reads from `src` into the staged queue until it holds as
+    /// many requests as one tick can admit (both queues' capacity). The
+    /// FIFO front and every admission then match a run with the whole
+    /// stream staged up front.
+    fn pull(&mut self, src: &mut ReadSource<'_>) {
+        let want = self.config.read_queue + self.config.write_queue;
+        while self.unpulled > 0 && self.staged.len() < want {
+            match src.next() {
+                Some((addr, arrival)) => {
+                    self.unpulled -= 1;
+                    self.enqueue_read(addr, arrival);
+                }
+                None => self.unpulled = 0,
+            }
+        }
     }
 
     fn stalled(&self) -> SimError {
@@ -630,15 +685,17 @@ impl MemorySystem {
     }
 
     fn progress_state(&self) -> (usize, usize) {
-        (self.pending(), self.staged.len())
+        (self.pending(), self.staged_len())
     }
 
     /// Reference main loop: one DRAM clock per iteration.
-    fn run_per_cycle(&mut self) -> Result<(), SimError> {
+    fn run_per_cycle(&mut self, src: &mut ReadSource<'_>) -> Result<(), SimError> {
+        self.pull(src);
         let mut last = self.progress_state();
         let mut idle = 0u64;
         while self.pending() > 0 {
             self.tick_inner();
+            self.pull(src);
             self.note_progress(&mut last, &mut idle)?;
         }
         self.drain_data_bus();
@@ -651,11 +708,13 @@ impl MemorySystem {
     /// failed tick's own scheduling scan (nothing mutated, so the
     /// readiness cycles it gathered are exact); only the cheap non-bank
     /// events (staged arrival, refresh deadlines) are added here.
-    fn run_event_driven(&mut self) -> Result<(), SimError> {
+    fn run_event_driven(&mut self, src: &mut ReadSource<'_>) -> Result<(), SimError> {
+        self.pull(src);
         let mut last = self.progress_state();
         let mut idle = 0u64;
         while self.pending() > 0 {
             let outcome = self.tick_inner();
+            self.pull(src);
             self.note_progress(&mut last, &mut idle)?;
             match outcome {
                 TickOutcome::Idle(cand) => match self.light_event_cycle(cand) {
@@ -1293,14 +1352,18 @@ impl MemorySystem {
         let outcome = q.outcome();
         self.stats.record_outcome(outcome);
         self.stats.record_latency(finish - q.arrival);
-        self.completed.push(CompletedRequest {
-            id: q.id,
-            addr: q.addr,
-            kind: q.kind,
-            arrival: q.arrival,
-            finish_cycle: finish,
-            outcome,
-        });
+        self.summary.completed += 1;
+        self.summary.last_finish = Some(finish);
+        if self.record {
+            self.completed.push(CompletedRequest {
+                id: q.id,
+                addr: q.addr,
+                kind: q.kind,
+                arrival: q.arrival,
+                finish_cycle: finish,
+                outcome,
+            });
+        }
     }
 
     /// Issues the already-verified-legal pass-2 command for `slot`.

@@ -1,9 +1,9 @@
 //! Allocation guard for the scheduler hot path.
 //!
-//! The restructured engine holds every queue, slab slot, candidate cache
-//! and completion record in reusable storage, so once the capacities are
-//! warmed up, a steady-state enqueue → issue → complete loop must not
-//! allocate at all. A counting global allocator proves it: after a
+//! The engine holds every queue, slab slot and candidate cache in
+//! reusable storage, and a streamed run keeps a summary instead of
+//! completion records, so once the capacities are warmed up, a
+//! steady-state stage → issue → complete loop must not allocate at all. A counting global allocator proves it: after a
 //! warm-up round, further rounds of the same traffic leave the
 //! allocation counter untouched.
 //!
@@ -60,20 +60,19 @@ use recnmp_dram::{DramConfig, MemorySystem};
 use recnmp_types::PhysAddr;
 
 /// One round of the per-rank traffic pattern: a burst of reads with
-/// staggered arrivals, run to idle through the borrow-based completion
-/// API (the hot path `RankNmp::process` uses).
+/// staggered arrivals, streamed through the summary-only run (the path
+/// the baselines and `RankNmp::process` use).
 fn round(mem: &mut MemorySystem, salt: u64) -> u64 {
     let base = mem.cycle();
-    for i in 0..256u64 {
-        mem.enqueue_read(
+    let reads = (0..256usize).map(|i| {
+        let i = i as u64;
+        (
             PhysAddr::new(((i * 131 + salt * 7919) * 128) & ((1 << 30) - 1)),
             base + i / 2,
-        );
-    }
-    mem.run_to_idle().expect("drain");
-    let last = mem.completions().last().expect("completions").finish_cycle;
-    mem.clear_completions();
-    last
+        )
+    });
+    let summary = mem.run_stream(reads).expect("drain");
+    summary.last_finish.expect("completions")
 }
 
 /// Warms `cfg`'s engine up, then asserts that further rounds of the same
@@ -82,8 +81,8 @@ fn assert_steady_state_does_not_allocate(cfg: DramConfig) {
     COUNTED.with(|c| c.set(true));
     let mut mem = MemorySystem::new(cfg).expect("config");
 
-    // Warm-up: grows the staged queue, slab, per-bank queues and the
-    // completion buffer to their steady-state capacities.
+    // Warm-up: grows the staged queue, slab and per-bank queues to their
+    // steady-state capacities.
     for salt in 0..4 {
         round(&mut mem, salt);
     }

@@ -4,11 +4,16 @@
 //! and zero protocol-monitor violations — across refresh on/off, FR-FCFS
 //! starvation, write drains and multi-rank workloads, while doing at
 //! least 10x less main-loop work on sparse refresh-enabled traffic.
+//!
+//! Under either engine, a streamed run (`run_stream`) must be
+//! indistinguishable from enqueueing the same reads up front and calling
+//! `run_until_idle`, down to the error a forced stall reports.
 
+use proptest::prelude::*;
 use recnmp_dram::request::Request;
 use recnmp_dram::{DramConfig, DramStats, MemorySystem, SimEngine};
 use recnmp_types::rng::DetRng;
-use recnmp_types::{Cycle, PhysAddr, RequestId};
+use recnmp_types::{Cycle, PhysAddr, RequestId, SimError};
 
 /// Outcome of one engine run, everything identity cares about.
 #[derive(Debug, PartialEq)]
@@ -147,4 +152,112 @@ fn event_engine_is_10x_cheaper_on_sparse_refresh_traffic() {
         ev_iters * 10 <= ref_iters,
         "event engine not >=10x cheaper: {ev_iters} vs {ref_iters} iterations"
     );
+}
+
+/// What a run left behind: its (completed, last finish) or its error,
+/// and the channel's statistics, clock and loop iterations afterwards.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    result: Result<(u64, Option<Cycle>), SimError>,
+    stats: DramStats,
+    cycle: Cycle,
+    iterations: u64,
+}
+
+/// Enqueues `staged` up front (writes among them), then serves `reads`
+/// either enqueued too (`stream == false`, then `run_until_idle`) or
+/// streamed (`run_stream`).
+fn intake(
+    cfg: &DramConfig,
+    staged: &[Request],
+    reads: &[(PhysAddr, Cycle)],
+    stream: bool,
+) -> Outcome {
+    let mut mem = MemorySystem::new(cfg.clone()).expect("valid config");
+    for &req in staged {
+        mem.enqueue(req);
+    }
+    let result = if stream {
+        mem.run_stream(reads.iter().copied())
+            .map(|s| (s.completed, s.last_finish))
+    } else {
+        for &(addr, arrival) in reads {
+            mem.enqueue_read(addr, arrival);
+        }
+        mem.run_until_idle()
+            .map(|done| (done.len() as u64, done.last().map(|c| c.finish_cycle)))
+    };
+    Outcome {
+        result,
+        stats: mem.stats().clone(),
+        cycle: mem.cycle(),
+        iterations: mem.loop_iterations(),
+    }
+}
+
+/// A channel whose reads can never issue: tRCD outlasts the stall bound
+/// and the refresh interval, so every ACT is closed again by refresh
+/// before its column command becomes legal.
+fn wedge(cfg: &mut DramConfig) {
+    let t = &mut cfg.timing;
+    t.t_rcd = 1 << 16;
+    t.t_ras = t.t_rcd;
+    t.t_rc = t.t_ras + t.t_rp;
+    cfg.refresh = true;
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn streamed_intake_matches_bulk_enqueue(
+        raw in prop::collection::vec((0u64..u64::MAX, 0u64..4, any::<bool>()), 1..200),
+        spacing in prop_oneof![Just(0u64), Just(1), Just(40)],
+        split in 0usize..64,
+        ranks in prop_oneof![Just((1u8, 1u8)), Just((1, 2)), Just((2, 2))],
+        refresh in any::<bool>(),
+        queue in prop_oneof![Just(4usize), Just(32)],
+        wedged in any::<bool>(),
+    ) {
+        // The first `split` requests are enqueued up front, the writes
+        // among them as writes; the rest are reads, streamed or not.
+        let mut arrival = 0;
+        let mut staged = Vec::new();
+        let mut reads = Vec::new();
+        for (i, &(addr, gap, write)) in raw.iter().enumerate() {
+            arrival += gap * spacing;
+            let addr = PhysAddr::new(addr & ((1 << 33) - 1) & !63);
+            if i >= split {
+                reads.push((addr, arrival));
+            } else if write {
+                staged.push(Request::write(RequestId::new(i as u64), addr, arrival));
+            } else {
+                staged.push(Request::read(RequestId::new(i as u64), addr, arrival));
+            }
+        }
+        for engine in [SimEngine::PerCycle, SimEngine::EventDriven] {
+            let mut cfg = DramConfig::with_ranks(ranks.0, ranks.1);
+            cfg.engine = engine;
+            cfg.refresh = refresh;
+            cfg.read_queue = queue;
+            cfg.write_queue = queue;
+            cfg.stall_iterations = cfg.timing.t_rfc + cfg.timing.t_refi + 1;
+            if wedged {
+                wedge(&mut cfg);
+            }
+            let bulk = intake(&cfg, &staged, &reads, false);
+            let streamed = intake(&cfg, &staged, &reads, true);
+            if wedged {
+                let stalled = matches!(
+                    bulk.result,
+                    Err(SimError::Stalled { pending, .. }) if pending == raw.len()
+                );
+                prop_assert!(stalled, "{engine:?}: {:?}", bulk.result);
+            } else {
+                let completed = bulk.result.as_ref().map(|r| r.0);
+                prop_assert_eq!(completed, Ok(raw.len() as u64));
+            }
+            prop_assert_eq!(bulk, streamed, "{:?}", engine);
+        }
+    }
 }

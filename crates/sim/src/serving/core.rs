@@ -171,7 +171,9 @@ impl Promotion {
 /// The optional per-query stages of the core.
 #[derive(Default)]
 pub(super) struct Stages {
-    pub host_cache: Option<HostCache>,
+    /// The host cache after the dry run filtered every query, and each
+    /// query's absorbed lookups.
+    pub host_cache: Option<(HostCache, Vec<u64>)>,
     pub prefetch: Option<HotVectorTracker>,
     pub promotion: Option<Promotion>,
 }
@@ -279,7 +281,7 @@ impl Core {
         // at, kept only when hedging is on.
         let mut hedge_window: VecDeque<Cycle> = VecDeque::new();
 
-        'queries: for (q, (&dispatch_at, mut trace)) in arrivals.iter().zip(queries).enumerate() {
+        'queries: for (q, (&dispatch_at, trace)) in arrivals.iter().zip(queries).enumerate() {
             if let Some(p) = self.stages.promotion.as_mut() {
                 p.at_query(q, dispatch_at, &mut self.plan, &mut free_at[0])?;
                 p.observe(&trace);
@@ -290,12 +292,9 @@ impl Core {
                         tracker.prefetch(&mut **node, self.plan.node(n), dispatch_at, &free_at[n]);
                 }
             }
-            let mut host_cycles: Cycle = 0;
-            if let Some(hc) = self.stages.host_cache.as_mut() {
-                let (residual, hits) = hc.filter(trace);
-                trace = residual;
-                host_cycles = hits.saturating_mul(hc.hit_cycles());
-            }
+            // The dry run already filtered the query; charge its hits.
+            let host_cycles = (self.stages.host_cache.as_ref())
+                .map_or(0, |(hc, hits)| hits[q].saturating_mul(hc.hit_cycles()));
             if let Some(tr) = self.stages.prefetch.as_mut() {
                 tr.observe(&trace);
             }
@@ -556,7 +555,7 @@ impl Core {
             served.settle(q, QueryOutcome::Completed, complete);
         }
 
-        if let Some(hc) = &self.stages.host_cache {
+        if let Some((hc, _)) = &self.stages.host_cache {
             let (hits, misses, absorbed_bytes) = hc.stats();
             served.report.host_hits += hits;
             served.report.host_misses += misses;

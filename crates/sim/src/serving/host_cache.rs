@@ -129,22 +129,19 @@ impl HostCache {
         (residual, job_hits)
     }
 
-    /// [`filter`](Self::filter) without the residual trace: probes the
-    /// cache with every lookup of `trace` in the same order and updates
-    /// the same counters, but builds nothing. The placement dry run uses
-    /// it to learn each table's absorption.
-    pub fn count(&mut self, trace: &SlsTrace) {
-        for batch in &trace.batches {
-            let table = batch.batch.table;
-            if !self.admitted.contains(&table) {
-                self.misses += batch.lookups();
-                continue;
-            }
-            let vbytes = batch.batch.spec.vector_bytes;
-            for addr in batch.addrs.iter().flatten() {
-                self.probe(table, vbytes, addr.get());
-            }
-        }
+    /// [`filter`](Self::filter)s a whole query stream in place, in
+    /// order: each query becomes its residual. Returns each query's
+    /// absorbed lookups. The placement dry run calls this once, so the
+    /// serving pass charges the recorded hits instead of probing again.
+    pub fn filter_all(&mut self, queries: &mut [SlsTrace]) -> Vec<u64> {
+        queries
+            .iter_mut()
+            .map(|query| {
+                let (residual, hits) = self.filter(std::mem::take(query));
+                *query = residual;
+                hits
+            })
+            .collect()
     }
 
     /// One lookup of admitted `table` probes the cache: a hit is absorbed
@@ -172,17 +169,6 @@ impl HostCache {
     /// [`apply_absorption`](recnmp_backend::apply_absorption) consumes.
     pub fn absorbed_profile(&self) -> Vec<(TableId, u64)> {
         self.per_table_hits.iter().map(|(&t, &n)| (t, n)).collect()
-    }
-
-    /// Returns the cache to cold: contents and every counter cleared.
-    /// The placement dry-run uses this so the measured pass starts from
-    /// the same cold state a fresh cache would.
-    pub fn reset(&mut self) {
-        self.cache.reset();
-        self.hits = 0;
-        self.misses = 0;
-        self.absorbed_bytes = 0;
-        self.per_table_hits.clear();
     }
 }
 
@@ -334,33 +320,19 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_cold_behaviour() {
-        let t = trace(2, 2, 20);
-        let usage = TableUsage::from_trace(&t);
-        let mut hc = HostCache::build(spec(), &usage, 128).unwrap();
-        let (cold, cold_hits) = hc.filter(t.clone());
-        let _ = hc.filter(t.clone());
-        hc.reset();
-        assert_eq!(hc.stats(), (0, 0, 0));
-        assert!(hc.absorbed_profile().is_empty());
-        let (again, again_hits) = hc.filter(t);
-        assert_eq!(again_hits, cold_hits);
-        assert_eq!(again, cold);
-    }
-
-    #[test]
-    fn counting_dry_run_matches_filter() {
+    fn dry_run_residuals_equal_per_query_filtering() {
         let jobs = [trace(4, 4, 20), trace(4, 2, 30), trace(3, 4, 20)];
         let usage = TableUsage::from_traces(&jobs);
-        let mut filtered = HostCache::build(spec(), &usage, 128).unwrap();
-        let mut counted = filtered.clone();
-        for job in &jobs {
-            let _ = filtered.filter(job.clone());
-            counted.count(job);
-        }
-        assert!(counted.stats().0 > 0, "the jobs must hit");
-        assert_eq!(counted.stats(), filtered.stats());
-        assert_eq!(counted.absorbed_profile(), filtered.absorbed_profile());
+        let mut per_query = HostCache::build(spec(), &usage, 128).unwrap();
+        let mut dry_run = per_query.clone();
+        let (residuals, hits): (Vec<SlsTrace>, Vec<u64>) =
+            jobs.iter().map(|job| per_query.filter(job.clone())).unzip();
+        let mut filtered = jobs.to_vec();
+        assert_eq!(dry_run.filter_all(&mut filtered), hits);
+        assert!(hits.iter().sum::<u64>() > 0, "the jobs must hit");
+        assert_eq!(filtered, residuals);
+        assert_eq!(dry_run.stats(), per_query.stats());
+        assert_eq!(dry_run.absorbed_profile(), per_query.absorbed_profile());
     }
 
     #[test]

@@ -202,7 +202,7 @@ pub(super) fn serve_arrivals(
     backend: &mut dyn SlsBackend,
     cfg: &ServingConfig,
     arrivals: &[Cycle],
-    queries: Vec<SlsTrace>,
+    mut queries: Vec<SlsTrace>,
 ) -> Result<ServingReport, SimError> {
     assert_eq!(arrivals.len(), queries.len(), "one arrival per query");
     let servers = backend.server_count();
@@ -213,7 +213,7 @@ pub(super) fn serve_arrivals(
         )));
     }
     let system = backend.name().to_string();
-    let core = node_core(cfg, servers, &queries)?;
+    let core = node_core(cfg, servers, &mut queries)?;
     let zero = ResilienceConfig::zero();
     let mut served = core.run(&mut [backend], &zero, arrivals, queries, &system)?;
     let latencies = served.finish(arrivals);
@@ -237,13 +237,18 @@ pub(super) fn serve_arrivals(
 /// scatter rule sees no channel clock move mid-query, so each query runs
 /// whole on one server.
 ///
-/// Behind a host cache the sharded plan balances the *residual* profile:
-/// a counting dry run replays the queries through the cache to learn each
-/// table's absorption, and the cache returns to cold before the measured
-/// pass (cache/placement co-design). With promotion epochs the tiered plan
+/// Behind a host cache the sharded plan balances the *residual* profile
+/// (cache/placement co-design): a dry run filters every query through the
+/// cold cache once, in arrival order, leaving each query as its residual
+/// and recording its hits for the core to charge, and the cache's
+/// per-table absorption weights the plan. With promotion epochs the tiered plan
 /// starts *cold* — every table weighted equally, since the profile is
 /// unknown at t=0 — and the core's promotion stage learns the split.
-fn node_core(cfg: &ServingConfig, servers: usize, queries: &[SlsTrace]) -> Result<Core, SimError> {
+fn node_core(
+    cfg: &ServingConfig,
+    servers: usize,
+    queries: &mut [SlsTrace],
+) -> Result<Core, SimError> {
     let usage = TableUsage::from_traces(queries);
     let mut stages = Stages::default();
     let mut scatter = RouterPolicy::PlacementScatter;
@@ -269,12 +274,9 @@ fn node_core(cfg: &ServingConfig, servers: usize, queries: &[SlsTrace]) -> Resul
             if let Some(spec) = sharded.host_cache {
                 let mut hc = HostCache::build(spec, &usage, max_vector_bytes(queries))
                     .map_err(SimError::Config)?;
-                for query in queries {
-                    hc.count(query);
-                }
+                let hits = hc.filter_all(queries);
                 absorbed = hc.absorbed_profile();
-                hc.reset();
-                stages.host_cache = Some(hc);
+                stages.host_cache = Some((hc, hits));
             }
             let capacity = sharded.channel_capacity.map(ByteSize::get);
             let plan = PlacementPlan::build_with_absorption(

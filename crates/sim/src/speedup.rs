@@ -128,12 +128,6 @@ impl SpeedupEngine {
         self.workload.trace(&mut |t, r| layout.translate(t, r))
     }
 
-    /// The flat physical lookup trace (for external consumers like energy
-    /// accounting and locality analysis).
-    pub fn flat_trace_for(&self, config: &RecNmpConfig) -> Vec<PhysAddr> {
-        self.trace_for(config).flat()
-    }
-
     /// Runs any backend on a trace. This is the single execution path of
     /// the engine — no backend-specific branches exist downstream of it.
     pub fn run_backend(&self, backend: &mut dyn SlsBackend, trace: &SlsTrace) -> RunReport {

@@ -172,12 +172,6 @@ impl SlsWorkload {
         SlsTrace::from_batches(&self.batches, translate)
     }
 
-    /// The flat physical vector trace, in arrival order (what the host
-    /// baseline and DIMM-level NMP systems serve).
-    pub fn flat_trace(&self, translate: &mut dyn FnMut(usize, u64) -> PhysAddr) -> Vec<PhysAddr> {
-        self.trace(translate).flat()
-    }
-
     /// Compiles the workload into scheduled NMP packets for `config`,
     /// applying the configured profiling and scheduling.
     pub fn packets(
@@ -206,8 +200,8 @@ mod tests {
     fn flat_trace_matches_lookup_count() {
         let w = SlsWorkload::build(TraceKind::Production, 2, 1, 4, 10, 2);
         let mut layout = TableLayout::random(&w.specs, 16 << 30, 3);
-        let trace = w.flat_trace(&mut |t, r| layout.translate(t, r));
-        assert_eq!(trace.len(), w.total_lookups());
+        let trace = w.trace(&mut |t, r| layout.translate(t, r));
+        assert_eq!(trace.flat_addrs().count(), w.total_lookups());
     }
 
     #[test]
@@ -217,8 +211,8 @@ mod tests {
         let mut l1 = TableLayout::random(&w1.specs, 16 << 30, 9);
         let mut l2 = TableLayout::random(&w2.specs, 16 << 30, 9);
         assert_eq!(
-            w1.flat_trace(&mut |t, r| l1.translate(t, r)),
-            w2.flat_trace(&mut |t, r| l2.translate(t, r))
+            w1.trace(&mut |t, r| l1.translate(t, r)),
+            w2.trace(&mut |t, r| l2.translate(t, r))
         );
     }
 

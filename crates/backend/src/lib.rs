@@ -8,7 +8,12 @@
 //!
 //! * [`SlsTrace`] — one physical SLS workload: batches of poolings with
 //!   their translated physical addresses, the single source of truth every
-//!   backend serves ([`trace`]);
+//!   backend serves ([`trace`]). It is stored flat, like the paper's SLS
+//!   operator input: one column each of rows, addresses and (when any
+//!   pooling is weighted) weights, plus pooling offsets and per-batch
+//!   `(table, spec, pooling range)` records. Readers borrow
+//!   [`BatchView`]s; shards copy contiguous column ranges, and a host
+//!   cache compacts a trace in place;
 //! * [`RunReport`] — the unified result of one run: cycles, per-unit
 //!   instruction counts, cache and DRAM statistics, byte accounting
 //!   ([`report`]). Reports are **per-run snapshots** (delta semantics):
@@ -63,7 +68,7 @@ pub use placement::tiered::{
 };
 pub use placement::{apply_absorption, PlacementPlan, PlacementPolicy, TableUsage};
 pub use report::RunReport;
-pub use trace::{ShardingPolicy, SlsTrace, TraceBatch};
+pub use trace::{BatchView, ShardingPolicy, SlsTrace};
 
 use recnmp_types::{Cycle, PhysAddr, SimError};
 

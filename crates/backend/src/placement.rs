@@ -89,9 +89,9 @@ impl TableUsage {
         let mut map: std::collections::BTreeMap<TableId, (u64, u64)> =
             std::collections::BTreeMap::new();
         for trace in traces {
-            for tb in &trace.batches {
+            for tb in trace.batches() {
                 let entry = map.entry(tb.table()).or_insert((0, 0));
-                entry.0 = entry.0.max(tb.batch.spec.bytes());
+                entry.0 = entry.0.max(tb.spec().bytes());
                 entry.1 += tb.lookups();
             }
         }

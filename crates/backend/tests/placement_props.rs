@@ -118,11 +118,11 @@ proptest! {
         // batch counts add up (nothing is dropped or duplicated).
         let total: u64 = shards.iter().map(SlsTrace::total_lookups).sum();
         prop_assert_eq!(total, trace.total_lookups());
-        let batches: usize = shards.iter().map(|s| s.batches.len()).sum();
-        prop_assert_eq!(batches, trace.batches.len());
+        let batches: usize = shards.iter().map(SlsTrace::len).sum();
+        prop_assert_eq!(batches, trace.len());
         // Every batch landed on a replica of its table.
         for (c, shard) in shards.iter().enumerate() {
-            for b in &shard.batches {
+            for b in shard.batches() {
                 prop_assert!(plan.replicas(b.table()).contains(&c));
             }
         }

@@ -341,7 +341,7 @@ impl SlsBackend for RecNmpCluster {
     fn try_run(&mut self, trace: &SlsTrace) -> Result<RunReport, SimError> {
         let shards = match &self.placement {
             Some(plan) => {
-                let mut tables = trace.batches.iter().map(|b| b.table());
+                let mut tables = trace.batches().map(|b| b.table());
                 if let Some(table) = tables.find(|&t| plan.replicas(t).is_empty()) {
                     return Err(SimError::Config(ConfigError::new(
                         "placement",
@@ -660,13 +660,7 @@ mod tests {
             .unwrap();
         let mut c = RecNmpCluster::new(config).unwrap();
         let trace = workload(1, 8);
-        let addrs: Vec<PhysAddr> = trace.batches[0]
-            .addrs
-            .iter()
-            .flatten()
-            .copied()
-            .take(16)
-            .collect();
+        let addrs: Vec<PhysAddr> = trace.batch(0).addrs().iter().copied().take(16).collect();
         let staged = c.prefetch_on(1, &addrs, 128, recnmp_types::Cycle::MAX);
         assert!(staged > 0, "optimized channels have RankCaches to fill");
         // Channel 0's caches were untouched by the channel-1 prefetch.

@@ -124,7 +124,7 @@ pub use optimizer::LocalityAwareOptimizer;
 pub use packet::{NmpPacket, PacketBuilder};
 // Re-exported so downstream crates name the unified API through `recnmp`.
 pub use recnmp_backend::{
-    PlacementPlan, PlacementPolicy, RunReport, ShardingPolicy, SlsBackend, SlsTrace, TableUsage,
-    TraceBatch,
+    BatchView, PlacementPlan, PlacementPolicy, RunReport, ShardingPolicy, SlsBackend, SlsTrace,
+    TableUsage,
 };
 pub use system::{compile_trace, RecNmpSystem};

@@ -2,7 +2,6 @@
 //! profiling (Section III-D), bundled behind one switchboard.
 
 use recnmp_trace::profile::{HotEntryProfile, HotEntryProfiler};
-use recnmp_trace::SlsBatch;
 
 use crate::config::{RecNmpConfig, SchedulingPolicy};
 use crate::packet::NmpPacket;
@@ -32,15 +31,15 @@ impl LocalityAwareOptimizer {
         }
     }
 
-    /// Profiles one batch's indices into `LocalityBit` hints, when
-    /// profiling is enabled. The threshold is swept 0..=max and the value
-    /// with the best predicted hit rate wins, as in the paper.
-    pub fn profile_batch(&self, batch: &SlsBatch) -> Option<HotEntryProfile> {
+    /// Profiles one batch's rows (all its poolings' indices, in order)
+    /// into `LocalityBit` hints, when profiling is enabled. The threshold
+    /// is swept 0..=max and the value with the best predicted hit rate
+    /// wins, as in the paper.
+    pub fn profile_batch(&self, rows: &[u64]) -> Option<HotEntryProfile> {
         if !self.profiling || self.cache_lines == 0 {
             return None;
         }
-        let indices = batch.flat_indices();
-        Some(HotEntryProfiler::new().sweep(&indices, self.cache_lines, self.max_threshold))
+        Some(HotEntryProfiler::new().sweep(rows, self.cache_lines, self.max_threshold))
     }
 
     /// Orders the packet queue.
@@ -52,7 +51,7 @@ impl LocalityAwareOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recnmp_trace::{EmbeddingTableSpec, Pooling};
+    use recnmp_trace::{EmbeddingTableSpec, Pooling, SlsBatch};
     use recnmp_types::TableId;
 
     fn batch() -> SlsBatch {
@@ -67,7 +66,7 @@ mod tests {
     fn base_config_disables_everything() {
         let opt = LocalityAwareOptimizer::from_config(&RecNmpConfig::with_ranks(1, 2));
         assert!(!opt.profiling);
-        assert!(opt.profile_batch(&batch()).is_none());
+        assert!(opt.profile_batch(&batch().flat_indices()).is_none());
         assert_eq!(opt.scheduling, SchedulingPolicy::Fcfs);
     }
 
@@ -76,7 +75,9 @@ mod tests {
         let opt = LocalityAwareOptimizer::from_config(&RecNmpConfig::optimized(1, 2));
         assert!(opt.profiling);
         assert_eq!(opt.cache_lines, 2048);
-        let profile = opt.profile_batch(&batch()).expect("profiling enabled");
+        let profile = opt
+            .profile_batch(&batch().flat_indices())
+            .expect("profiling enabled");
         // Row 1 repeats; with any positive threshold it is the hot one.
         assert!(profile.is_hot(1) || profile.threshold == 0);
     }

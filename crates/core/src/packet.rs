@@ -6,10 +6,10 @@
 //! the PU's accumulation counters from the packet header, streams the
 //! instructions, and receives one summed vector per pooling back.
 
+use recnmp_backend::BatchView;
 use recnmp_dram::address::{AddressMapping, Geometry};
 use recnmp_trace::profile::HotEntryProfile;
-use recnmp_trace::SlsBatch;
-use recnmp_types::{ModelId, PhysAddr, TableId};
+use recnmp_types::{ModelId, TableId};
 use serde::{Deserialize, Serialize};
 
 use crate::inst::{DdrCmdFlags, NmpInst, NmpOpcode, MAX_POOLINGS_PER_PACKET};
@@ -77,7 +77,7 @@ impl NmpPacket {
     }
 }
 
-/// Compiles SLS batches into NMP packets.
+/// Compiles the batches of an SLS trace into NMP packets.
 #[derive(Debug, Clone)]
 pub struct PacketBuilder {
     /// Operation all instructions perform.
@@ -114,21 +114,33 @@ impl PacketBuilder {
         }
     }
 
-    /// Compiles one SLS batch into packets.
-    ///
-    /// `translate` maps a row index of this batch's table to its physical
-    /// address (the OS page-mapping step). `profile`, when present,
-    /// supplies the hot-entry `LocalityBit` hints; without it every
-    /// instruction is marked cacheable (the unprofiled RecNMP-cache
-    /// configuration).
+    /// Compiles one batch of a trace into packets, reading each lookup's
+    /// row and translated address from the trace. `profile`, when
+    /// present, supplies the hot-entry `LocalityBit` hints; without it
+    /// every instruction is marked cacheable (the unprofiled
+    /// RecNMP-cache configuration).
     pub fn build(
         &self,
         model: ModelId,
-        batch: &SlsBatch,
-        translate: &mut dyn FnMut(u64) -> PhysAddr,
+        batch: BatchView<'_>,
         profile: Option<&HotEntryProfile>,
     ) -> Vec<NmpPacket> {
-        let vsize = batch.spec.bursts_per_vector() as u8;
+        let mut last_row = Vec::new();
+        (batch.chunks(self.poolings_per_packet))
+            .map(|chunk| self.packet(model, chunk, profile, &mut last_row))
+            .collect()
+    }
+
+    /// Compiles one packet: `chunk` holds at most
+    /// [`poolings_per_packet`](Self::poolings_per_packet) poolings, and
+    /// `last_row` is scratch the caller may reuse across packets.
+    pub fn packet(
+        &self,
+        model: ModelId,
+        chunk: BatchView<'_>,
+        profile: Option<&HotEntryProfile>,
+        last_row: &mut Vec<u32>,
+    ) -> NmpPacket {
         let weighted = matches!(
             self.opcode,
             NmpOpcode::WeightedSum
@@ -136,71 +148,66 @@ impl PacketBuilder {
                 | NmpOpcode::WeightedSum8
                 | NmpOpcode::WeightedMean8
         );
-        let mut packets = Vec::new();
         // Track last row per bank to set the embedded DDR command flags
         // the way the host MC would (consecutive-access heuristic; the
         // rank-NMP re-derives actual commands locally). Flat bank-indexed
         // array (`u32::MAX` = untouched), reset per packet — hashing a
         // key per instruction would dominate compile time.
         let banks_per_rank = self.geo.banks_per_rank();
-        let mut last_row = vec![u32::MAX; self.geo.ranks as usize * banks_per_rank];
-        for chunk in batch.poolings.chunks(self.poolings_per_packet) {
-            let lookups: usize = chunk.iter().map(|p| p.len()).sum();
-            let mut insts = Vec::with_capacity(lookups);
-            let mut origins = Vec::with_capacity(lookups);
-            let mut pooling_sizes = Vec::with_capacity(chunk.len());
-            last_row.fill(u32::MAX);
-            for (tag, pooling) in chunk.iter().enumerate() {
-                pooling_sizes.push(pooling.len());
-                for (i, &row) in pooling.indices.iter().enumerate() {
-                    let phys = translate(row);
-                    let daddr = self.mapping.decode(phys, &self.geo);
-                    let bank_key = daddr.rank as usize * banks_per_rank
-                        + daddr.flat_bank(self.geo.banks_per_group);
-                    let prev = last_row[bank_key];
-                    last_row[bank_key] = daddr.row;
-                    let ddr_cmd = if prev == u32::MAX {
-                        DdrCmdFlags::row_closed()
-                    } else if prev == daddr.row {
-                        DdrCmdFlags::row_hit()
-                    } else {
-                        DdrCmdFlags::row_conflict()
-                    };
-                    let locality = match profile {
-                        Some(p) => p.is_hot(row),
-                        None => true,
-                    };
-                    insts.push(NmpInst {
-                        opcode: self.opcode,
-                        ddr_cmd,
-                        daddr,
-                        vsize,
-                        weight: if weighted { pooling.weight(i) } else { 1.0 },
-                        locality,
-                        psum_tag: tag as u8,
-                    });
-                    origins.push(InstOrigin {
-                        table: batch.table,
-                        row,
-                    });
-                }
+        last_row.clear();
+        last_row.resize(self.geo.ranks as usize * banks_per_rank, u32::MAX);
+        let lookups = chunk.rows().len();
+        let mut insts = Vec::with_capacity(lookups);
+        let mut origins = Vec::with_capacity(lookups);
+        let mut pooling_sizes = Vec::with_capacity(chunk.batch_size());
+        for (tag, pooling) in chunk.poolings().enumerate() {
+            pooling_sizes.push(pooling.rows().len());
+            for (i, (&row, &phys)) in pooling.rows().iter().zip(pooling.addrs()).enumerate() {
+                let daddr = self.mapping.decode(phys, &self.geo);
+                let bank_key = daddr.rank as usize * banks_per_rank
+                    + daddr.flat_bank(self.geo.banks_per_group);
+                let prev = last_row[bank_key];
+                last_row[bank_key] = daddr.row;
+                let ddr_cmd = if prev == u32::MAX {
+                    DdrCmdFlags::row_closed()
+                } else if prev == daddr.row {
+                    DdrCmdFlags::row_hit()
+                } else {
+                    DdrCmdFlags::row_conflict()
+                };
+                let locality = match profile {
+                    Some(p) => p.is_hot(row),
+                    None => true,
+                };
+                insts.push(NmpInst {
+                    opcode: self.opcode,
+                    ddr_cmd,
+                    daddr,
+                    vsize: chunk.bursts_per_vector(),
+                    weight: if weighted { pooling.weight(i) } else { 1.0 },
+                    locality,
+                    psum_tag: tag as u8,
+                });
+                let table = chunk.table();
+                origins.push(InstOrigin { table, row });
             }
-            packets.push(NmpPacket {
-                model,
-                table: batch.table,
-                insts,
-                origins,
-                pooling_sizes,
-            });
         }
-        packets
+        NmpPacket {
+            model,
+            table: chunk.table(),
+            insts,
+            origins,
+            pooling_sizes,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recnmp_trace::{EmbeddingTableSpec, Pooling};
+    use recnmp_backend::SlsTrace;
+    use recnmp_trace::{EmbeddingTableSpec, Pooling, SlsBatch};
+    use recnmp_types::PhysAddr;
 
     fn batch(poolings: usize, pooling_len: usize) -> SlsBatch {
         SlsBatch {
@@ -227,14 +234,17 @@ mod tests {
         )
     }
 
-    fn identity_translate(row: u64) -> PhysAddr {
-        PhysAddr::new(row * 64)
+    /// `b` as a one-batch trace, each row at the identity address.
+    fn flat(b: &SlsBatch) -> SlsTrace {
+        SlsTrace::from_batches(std::slice::from_ref(b), &mut |_, row| {
+            PhysAddr::new(row * 64)
+        })
     }
 
     #[test]
     fn packets_chunk_poolings() {
         let b = batch(10, 4);
-        let packets = builder(4).build(ModelId::new(0), &b, &mut identity_translate, None);
+        let packets = builder(4).build(ModelId::new(0), flat(&b).batch(0), None);
         assert_eq!(packets.len(), 3); // 4 + 4 + 2
         assert_eq!(packets[0].poolings(), 4);
         assert_eq!(packets[2].poolings(), 2);
@@ -244,7 +254,7 @@ mod tests {
     #[test]
     fn psum_tags_identify_poolings() {
         let b = batch(3, 5);
-        let packets = builder(16).build(ModelId::new(0), &b, &mut identity_translate, None);
+        let packets = builder(16).build(ModelId::new(0), flat(&b).batch(0), None);
         assert_eq!(packets.len(), 1);
         let tags: Vec<u8> = packets[0].insts.iter().map(|i| i.psum_tag).collect();
         assert_eq!(tags[0..5], [0; 5]);
@@ -255,7 +265,7 @@ mod tests {
     #[test]
     fn origins_align_with_insts() {
         let b = batch(2, 3);
-        let packets = builder(16).build(ModelId::new(7), &b, &mut identity_translate, None);
+        let packets = builder(16).build(ModelId::new(7), flat(&b).batch(0), None);
         let p = &packets[0];
         assert_eq!(p.origins.len(), p.insts.len());
         assert!(p.origins.iter().all(|o| o.table == TableId::new(3)));
@@ -266,7 +276,7 @@ mod tests {
     #[test]
     fn locality_defaults_to_cacheable_without_profile() {
         let b = batch(1, 4);
-        let packets = builder(8).build(ModelId::new(0), &b, &mut identity_translate, None);
+        let packets = builder(8).build(ModelId::new(0), flat(&b).batch(0), None);
         assert!(packets[0].insts.iter().all(|i| i.locality));
     }
 
@@ -275,8 +285,7 @@ mod tests {
         use recnmp_trace::HotEntryProfiler;
         let b = batch(1, 4); // rows 0,1,2,3
         let profile = HotEntryProfiler::new().profile(&[0, 0, 2], 0); // hot: {0, 2}
-        let packets =
-            builder(8).build(ModelId::new(0), &b, &mut identity_translate, Some(&profile));
+        let packets = builder(8).build(ModelId::new(0), flat(&b).batch(0), Some(&profile));
         let bits: Vec<bool> = packets[0].insts.iter().map(|i| i.locality).collect();
         assert_eq!(bits, [true, false, true, false]);
     }
@@ -284,7 +293,7 @@ mod tests {
     #[test]
     fn byte_accounting() {
         let b = batch(2, 4);
-        let packets = builder(8).build(ModelId::new(0), &b, &mut identity_translate, None);
+        let packets = builder(8).build(ModelId::new(0), flat(&b).batch(0), None);
         let p = &packets[0];
         assert_eq!(p.gathered_bytes(), 8 * 64);
         assert_eq!(p.output_bytes(), 2 * 64);
@@ -300,7 +309,7 @@ mod tests {
         };
         let mut builder = builder(8);
         builder.opcode = NmpOpcode::WeightedSum;
-        let packets = builder.build(ModelId::new(0), &b, &mut identity_translate, None);
+        let packets = builder.build(ModelId::new(0), flat(&b).batch(0), None);
         let w: Vec<f32> = packets[0].insts.iter().map(|i| i.weight).collect();
         assert_eq!(w, [0.5, 2.0]);
     }
@@ -312,7 +321,7 @@ mod tests {
             spec: EmbeddingTableSpec::new(10, 64),
             poolings: vec![Pooling::unweighted(vec![5, 5])],
         };
-        let packets = builder(8).build(ModelId::new(0), &b, &mut identity_translate, None);
+        let packets = builder(8).build(ModelId::new(0), flat(&b).batch(0), None);
         assert_eq!(packets[0].insts[0].ddr_cmd, DdrCmdFlags::row_closed());
         assert_eq!(packets[0].insts[1].ddr_cmd, DdrCmdFlags::row_hit());
     }

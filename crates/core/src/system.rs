@@ -1,7 +1,7 @@
 //! The full RecNMP-equipped memory channel.
 
 use recnmp_backend::report::{add_cache, add_dram, cache_delta, dram_delta};
-use recnmp_backend::{RunReport, SlsBackend, SlsTrace, TraceBatch};
+use recnmp_backend::{RunReport, SlsBackend, SlsTrace};
 use recnmp_cache::CacheStats;
 use recnmp_dram::address::{AddressMapping, Geometry};
 use recnmp_dram::DramStats;
@@ -391,7 +391,8 @@ impl RecNmpSystem {
     /// # Errors
     ///
     /// Returns [`SimError::Config`] if a batch's table spec is
-    /// inconsistent, or [`SimError::Stalled`] if the channel livelocks.
+    /// inconsistent or the batches mix vector sizes, or
+    /// [`SimError::Stalled`] if the channel livelocks.
     pub fn offload(&mut self, batches: &[SlsBatch]) -> Result<RunReport, SimError> {
         let geo = self.geometry();
         let mut mapper = PageMapper::new(geo.capacity_bytes() / 4096, 0x5eed);
@@ -399,13 +400,17 @@ impl RecNmpSystem {
         let mut base = 0u64;
         for batch in batches {
             batch.spec.validate()?;
-            let table_base = base;
             let vector_bytes = batch.spec.vector_bytes;
-            trace
-                .batches
-                .push(TraceBatch::new(batch.clone(), &mut |row| {
-                    mapper.translate(table_base + row * vector_bytes)
-                }));
+            if !trace.is_empty() && trace.vector_bytes() != vector_bytes {
+                let msg = "batches of one offload must share a vector size";
+                return Err(SimError::Config(ConfigError::new("vector_bytes", msg)));
+            }
+            trace.push_batch(batch.table, batch.spec);
+            for p in &batch.poolings {
+                trace.push_pooling(p.indices.iter().copied(), &p.weights, |row| {
+                    mapper.translate(base + row * vector_bytes)
+                });
+            }
             base += batch.spec.bytes();
         }
         SlsBackend::try_run(self, &trace)
@@ -434,27 +439,24 @@ pub fn compile_trace(
 ) -> Vec<NmpPacket> {
     let builder = PacketBuilder::new(NmpOpcode::Sum, config.poolings_per_packet, mapping, geo);
     let optimizer = LocalityAwareOptimizer::from_config(config);
-    let mut per_batch: Vec<Vec<NmpPacket>> = Vec::with_capacity(trace.batches.len());
-    for tb in &trace.batches {
-        let profile = optimizer.profile_batch(&tb.batch);
-        // PacketBuilder walks poolings in order, so the trace's flat
-        // address stream lines up one-to-one with its translate calls.
-        let mut addrs = tb.flat_addrs();
-        let mut tr = |_row: u64| addrs.next().expect("one address per lookup");
-        per_batch.push(builder.build(ModelId::new(0), &tb.batch, &mut tr, profile.as_ref()));
-    }
-    // Round-robin interleave by *moving* packets out of the per-batch
-    // streams — packets carry their full instruction vectors, so cloning
-    // each one here would copy the entire compiled trace.
-    let max_len = per_batch.iter().map(Vec::len).max().unwrap_or(0);
-    let total: usize = per_batch.iter().map(Vec::len).sum();
+    // Round-robin across batches, one packet per batch per round: each
+    // batch's packet chunks are compiled as their turn comes.
+    let mut streams: Vec<_> = (trace.batches())
+        .map(|tb| {
+            (
+                tb.chunks(config.poolings_per_packet),
+                optimizer.profile_batch(tb.rows()),
+            )
+        })
+        .collect();
+    let total = streams.iter().map(|(chunks, _)| chunks.len()).sum();
     let mut interleaved = Vec::with_capacity(total);
-    let mut streams: Vec<std::vec::IntoIter<NmpPacket>> =
-        per_batch.into_iter().map(Vec::into_iter).collect();
-    for _ in 0..max_len {
-        for stream in &mut streams {
-            if let Some(p) = stream.next() {
-                interleaved.push(p);
+    let mut last_row = Vec::new();
+    while interleaved.len() < total {
+        for (chunks, profile) in &mut streams {
+            if let Some(chunk) = chunks.next() {
+                let model = ModelId::new(0);
+                interleaved.push(builder.packet(model, chunk, profile.as_ref(), &mut last_row));
             }
         }
     }
@@ -558,6 +560,20 @@ mod tests {
     }
 
     #[test]
+    fn offload_rejects_vectors_past_the_vsize_field() {
+        // 16,384 bytes is 256 bursts, which the instruction's u8 `vsize`
+        // would wrap to 0.
+        let mut sys = RecNmpSystem::new(quiet(RecNmpConfig::with_ranks(1, 2))).unwrap();
+        let mut wide = batches(1, 1);
+        wide[0].spec = EmbeddingTableSpec::new(1_000_000, 16_384);
+        assert!(matches!(sys.offload(&wide), Err(SimError::Config(_))));
+        // Mixed vector sizes are a config error too, not a panic.
+        let mut mixed = batches(2, 1);
+        mixed[1].spec = EmbeddingTableSpec::new(1_000_000, 64);
+        assert!(matches!(sys.offload(&mixed), Err(SimError::Config(_))));
+    }
+
+    #[test]
     fn offload_runs_all_instructions() {
         let mut sys = RecNmpSystem::new(quiet(RecNmpConfig::with_ranks(1, 2))).unwrap();
         let report = sys.offload(&batches(1, 8)).unwrap();
@@ -643,12 +659,8 @@ mod tests {
         });
         // Candidate list: unique vector addresses, hottest-first.
         let mut counts = std::collections::BTreeMap::new();
-        for b in &trace.batches {
-            for pooling in &b.addrs {
-                for a in pooling {
-                    *counts.entry(a.get()).or_insert(0u64) += 1;
-                }
-            }
+        for a in trace.flat_addrs() {
+            *counts.entry(a.get()).or_insert(0u64) += 1;
         }
         let mut hot: Vec<(u64, u64)> = counts.into_iter().collect();
         hot.sort_by_key(|&(addr, n)| (std::cmp::Reverse(n), addr));

@@ -9,7 +9,7 @@
 
 use recnmp_backend::SlsTrace;
 use recnmp_model::{ModelConfig, RecModelKind};
-use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, SlsBatch, TraceGenerator};
+use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, TraceGenerator};
 use recnmp_types::rng::DetRng;
 use recnmp_types::units::qps_to_interarrival_cycles;
 use recnmp_types::{ConfigError, Cycle, PhysAddr, SimError, TableId};
@@ -318,14 +318,10 @@ impl QueryStream {
     /// following the shape's table skew), or — under table sampling —
     /// one flat-pooling batch per sampled table.
     pub fn next_query(&mut self) -> SlsTrace {
-        let batch_size = self.shape.batch;
-        let batches: Vec<SlsBatch> = match &mut self.sampler {
-            None => self
-                .gens
-                .iter_mut()
-                .zip(&self.poolings)
-                .map(|(g, &pooling)| g.batch(batch_size, pooling))
-                .collect(),
+        let batch = self.shape.batch;
+        // (table, pooling factor) of each batch, in table order.
+        let tables: Vec<(usize, usize)> = match &mut self.sampler {
+            None => self.poolings.iter().copied().enumerate().collect(),
             Some((weights, rng)) => {
                 // Efraimidis–Spirakis weighted sampling without
                 // replacement: key each table `u^(1/w)` and keep the k
@@ -337,20 +333,28 @@ impl QueryStream {
                     .map(|(t, &w)| (rng.unit_f64().powf(1.0 / w), t))
                     .collect();
                 keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-                let mut chosen: Vec<usize> = keyed[..self.shape.sample_tables]
+                let mut chosen: Vec<(usize, usize)> = keyed[..self.shape.sample_tables]
                     .iter()
-                    .map(|&(_, t)| t)
+                    .map(|&(_, t)| (t, self.shape.pooling))
                     .collect();
                 chosen.sort_unstable();
                 chosen
-                    .into_iter()
-                    .map(|t| self.gens[t].batch(batch_size, self.shape.pooling))
-                    .collect()
             }
         };
-        SlsTrace::from_batches(&batches, &mut |t, row| {
-            PhysAddr::new(((t as u64) << 31) ^ (row * 131 * 128))
-        })
+        // Draw straight into columns sized exactly for the query.
+        let lookups = tables.iter().map(|&(_, pooling)| batch * pooling).sum();
+        let mut trace = SlsTrace::with_capacity(tables.len(), tables.len() * batch, lookups, false);
+        for (t, pooling) in tables {
+            let g = &mut self.gens[t];
+            trace.push_batch(g.table(), *g.spec());
+            for _ in 0..batch {
+                let rows = (0..pooling).map(|_| g.next_index());
+                trace.push_pooling(rows, &[], |row| {
+                    PhysAddr::new(((t as u64) << 31) ^ (row * 131 * 128))
+                });
+            }
+        }
+        trace
     }
 
     /// Generates the next `n` queries.
@@ -443,12 +447,8 @@ mod tests {
         let mut s = QueryStream::new(skewed, 3);
         let q = s.next_query();
         assert_eq!(q.total_lookups(), skewed.lookups_per_query());
-        for (t, b) in q.batches.iter().enumerate() {
-            assert!(b
-                .batch
-                .poolings
-                .iter()
-                .all(|p| p.indices.len() == poolings[t]));
+        for (t, b) in q.batches().enumerate() {
+            assert!(b.poolings().all(|p| p.rows().len() == poolings[t]));
         }
     }
 
@@ -494,11 +494,7 @@ mod tests {
             let mut s = QueryStream::new(shape, 11);
             let mut seen = std::collections::BTreeSet::new();
             for q in s.take_queries(24) {
-                for tb in &q.batches {
-                    for addrs in &tb.addrs {
-                        seen.extend(addrs.iter().map(|a| a.get()));
-                    }
-                }
+                seen.extend(q.flat_addrs().map(|a| a.get()));
             }
             seen.len()
         };
@@ -521,7 +517,7 @@ mod tests {
             5,
         );
         assert_eq!(
-            queries[0].batches[0].batch.poolings[0].indices,
+            queries[0].batch(0).poolings().next().unwrap().rows(),
             uniform.flat(8)
         );
     }

@@ -160,7 +160,7 @@ impl Promotion {
 
     /// Accumulates a query's offered per-table lookups.
     fn observe(&mut self, query: &SlsTrace) {
-        for tb in &query.batches {
+        for tb in query.batches() {
             if let Ok(i) = self.observed.binary_search_by_key(&tb.table(), |u| u.table) {
                 self.observed[i].accesses += tb.lookups();
             }
@@ -280,6 +280,9 @@ impl Core {
         // Recently observed node-job latencies the hedge delay anchors
         // at, kept only when hedging is on.
         let mut hedge_window: VecDeque<Cycle> = VecDeque::new();
+        // Per-query scratch, reused: each batch's node and channel, and
+        // the sorted hedge window.
+        let (mut node_of, mut channel_of, mut sorted) = (Vec::new(), Vec::new(), Vec::new());
 
         'queries: for (q, (&dispatch_at, trace)) in arrivals.iter().zip(queries).enumerate() {
             if let Some(p) = self.stages.promotion.as_mut() {
@@ -306,8 +309,8 @@ impl Core {
             // Level 1: route each batch to a *live* node replica, the
             // router arithmetic first and the failover path only when the
             // preferred replica is crashed or degraded.
-            let mut per_node: Vec<SlsTrace> = vec![SlsTrace::default(); node_count];
-            for batch in trace.batches {
+            node_of.clear();
+            for batch in trace.batches() {
                 let table = batch.table();
                 let reps = self.plan.node_replicas(table);
                 // A node is ready when its earliest-free channel owning
@@ -345,7 +348,7 @@ impl Core {
                         route(&pool).expect("the failover pool is non-empty")
                     }
                 };
-                per_node[node].batches.push(batch);
+                node_of.push(node);
             }
             let dispatch_eff = dispatch_at.saturating_add(penalty);
 
@@ -355,7 +358,7 @@ impl Core {
             // anything.
             if let Some(slo) = res.slo {
                 let mut est_start = dispatch_eff;
-                for batch in per_node.iter().flat_map(|t| &t.batches) {
+                for batch in trace.batches() {
                     let table = batch.table();
                     let best = (self.plan.node_replicas(table).iter())
                         .filter(|&&n| !res.faults.crashed(n, dispatch_at))
@@ -375,30 +378,34 @@ impl Core {
             }
 
             // Level 2: within each touched node, assign batches to an
-            // owning channel under the scatter rule (no clock moves yet).
+            // owning channel under the scatter rule (no clock moves yet),
+            // then copy each channel's batches out as its shard.
+            channel_of.clear();
+            channel_of.resize(trace.len(), 0);
             let mut node_jobs: Vec<(usize, Shards, u64)> = Vec::new();
-            for (n, node_trace) in per_node.into_iter().enumerate() {
-                if node_trace.batches.is_empty() {
-                    continue;
-                }
+            for n in 0..node_count {
                 let plan = self.plan.node(n);
-                let mut by_channel: Vec<SlsTrace> = vec![SlsTrace::default(); channels];
                 let mut result_bytes = 0u64;
-                for batch in node_trace.batches {
+                let routed = trace
+                    .batches()
+                    .enumerate()
+                    .filter(|&(i, _)| node_of[i] == n);
+                for (i, batch) in routed {
                     let table = batch.table();
                     let (reps, free) = (plan.replicas(table), &free_at[n]);
                     let load = &mut channel_in_flight[n];
                     let channel = pick(self.scatter, reps, q, load, dispatch_at, |c| free[c])
                         .ok_or_else(|| missing_table(table))?;
-                    result_bytes += batch.batch.output_bytes();
-                    by_channel[channel].batches.push(batch);
+                    result_bytes += batch.output_bytes();
+                    channel_of[i] = channel;
                 }
-                let shards: Shards = by_channel
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, s)| !s.batches.is_empty())
+                let shards: Shards = (0..channels)
+                    .map(|c| (c, trace.select(|i| node_of[i] == n && channel_of[i] == c)))
+                    .filter(|(_, s)| !s.is_empty())
                     .collect();
-                node_jobs.push((n, shards, result_bytes));
+                if !shards.is_empty() {
+                    node_jobs.push((n, shards, result_bytes));
+                }
             }
 
             // SLO shedding: the *actual* routed service start. A query
@@ -473,7 +480,8 @@ impl Core {
                 // observed latency.
                 if let (Some(hedge), None) = (res.hedge, exhausted) {
                     if !hedge_window.is_empty() && hedge_window.len() >= hedge.min_samples {
-                        let mut sorted: Vec<Cycle> = hedge_window.iter().copied().collect();
+                        sorted.clear();
+                        sorted.extend(hedge_window.iter().copied());
                         sorted.sort_unstable();
                         let delay = percentile(&sorted, hedge.quantile);
                         if node_slowest.saturating_sub(dispatch_eff) > delay && node_service > 0 {
@@ -651,7 +659,7 @@ fn run_shard_attempts(
 /// The least-backlogged channel of `plan` owning every table of
 /// `shard`; `None` when no single channel holds them all.
 fn retry_channel(shard: &SlsTrace, plan: &PlacementPlan, free_at: &[Cycle]) -> Option<usize> {
-    let owners = common(shard.batches.iter().map(|b| plan.replicas(b.table())))?;
+    let owners = common(shard.batches().map(|b| plan.replicas(b.table())))?;
     least_backlogged(&owners, free_at)
 }
 
@@ -691,7 +699,7 @@ fn hedge_target(
     free_at: &[Vec<Cycle>],
     health: &HealthTracker,
 ) -> Option<(usize, Vec<usize>)> {
-    let job_tables: Vec<TableId> = (shards.iter().flat_map(|(_, s)| &s.batches))
+    let job_tables: Vec<TableId> = (shards.iter().flat_map(|(_, s)| s.batches()))
         .map(|b| b.table())
         .collect();
     let candidates = common(job_tables.iter().map(|&t| plan.node_replicas(t)))?

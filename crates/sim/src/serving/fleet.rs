@@ -190,7 +190,7 @@ impl RouterPolicy {
 /// The modeled cost of shipping pooled results from the nodes back to
 /// the router: `base + per_byte * result_bytes` cycles per query, where
 /// `result_bytes` sums the pooled output vectors
-/// ([`SlsBatch::output_bytes`](recnmp_trace::SlsBatch::output_bytes)) of
+/// ([`BatchView::output_bytes`](recnmp_backend::BatchView::output_bytes)) of
 /// every batch the query scattered off-router. Charged once per query —
 /// node transfers overlap on independent links, so the gather is
 /// dominated by the aggregate bytes plus one base latency.

@@ -75,58 +75,30 @@ impl HostCache {
         self.hit_cycles
     }
 
-    /// Filters one job's trace through the cache: every lookup of an
-    /// admitted table probes it, hits are absorbed (dropped from the
-    /// dispatched trace, indices/weights/addresses rebuilt in lockstep),
-    /// misses allocate and stay in the trace. Non-admitted tables bypass
-    /// the cache and count as misses. Returns the residual trace and the
-    /// number of lookups this job absorbed.
+    /// Filters one job's trace through the cache, in place: every lookup
+    /// of an admitted table probes it, hits are absorbed (dropped from
+    /// the dispatched trace; a fully-absorbed pooling is computed
+    /// entirely on the host and leaves its batch), misses allocate and
+    /// stay. Non-admitted tables bypass the cache and count as misses.
+    /// Returns the lookups this job absorbed.
     ///
     /// Conservation: over a run, `hits + misses` equals the offered
     /// lookups exactly.
-    pub fn filter(&mut self, trace: SlsTrace) -> (SlsTrace, u64) {
-        let mut residual = SlsTrace::default();
+    pub fn filter(&mut self, trace: &mut SlsTrace) -> u64 {
         let mut job_hits = 0u64;
-        for mut batch in trace.batches {
-            let table = batch.batch.table;
-            if !self.admitted.contains(&table) {
-                self.misses += batch.lookups();
-                residual.batches.push(batch);
-                continue;
+        trace.retain_lookups(|table, spec, addr| {
+            // A hit is absorbed: its bytes no longer move on a channel.
+            let hit = self.admitted.contains(&table) && self.cache.access(addr.get()).is_hit();
+            if hit {
+                self.absorbed_bytes += spec.vector_bytes;
+                *self.per_table_hits.entry(table).or_insert(0) += 1;
             }
-            let vbytes = batch.batch.spec.vector_bytes;
-            let mut kept_poolings = Vec::with_capacity(batch.batch.poolings.len());
-            let mut kept_addrs = Vec::with_capacity(batch.addrs.len());
-            for (pooling, addrs) in batch.batch.poolings.drain(..).zip(batch.addrs.drain(..)) {
-                let weighted = !pooling.weights.is_empty();
-                let mut indices = Vec::with_capacity(pooling.indices.len());
-                let mut weights = Vec::with_capacity(pooling.weights.len());
-                let mut kept = Vec::with_capacity(addrs.len());
-                for (slot, addr) in addrs.iter().enumerate() {
-                    if self.probe(table, vbytes, addr.get()) {
-                        job_hits += 1;
-                    } else {
-                        indices.push(pooling.indices[slot]);
-                        if weighted {
-                            weights.push(pooling.weights[slot]);
-                        }
-                        kept.push(*addr);
-                    }
-                }
-                // A fully-absorbed pooling is computed entirely on the
-                // host; it leaves the dispatched batch.
-                if !indices.is_empty() {
-                    kept_poolings.push(recnmp_trace::Pooling { indices, weights });
-                    kept_addrs.push(kept);
-                }
-            }
-            if !kept_poolings.is_empty() {
-                batch.batch.poolings = kept_poolings;
-                batch.addrs = kept_addrs;
-                residual.batches.push(batch);
-            }
-        }
-        (residual, job_hits)
+            job_hits += u64::from(hit);
+            !hit
+        });
+        self.hits += job_hits;
+        self.misses += trace.total_lookups();
+        job_hits
     }
 
     /// [`filter`](Self::filter)s a whole query stream in place, in
@@ -134,29 +106,7 @@ impl HostCache {
     /// absorbed lookups. The placement dry run calls this once, so the
     /// serving pass charges the recorded hits instead of probing again.
     pub fn filter_all(&mut self, queries: &mut [SlsTrace]) -> Vec<u64> {
-        queries
-            .iter_mut()
-            .map(|query| {
-                let (residual, hits) = self.filter(std::mem::take(query));
-                *query = residual;
-                hits
-            })
-            .collect()
-    }
-
-    /// One lookup of admitted `table` probes the cache: a hit is absorbed
-    /// (`vbytes` the channels no longer move), a miss allocates. Returns
-    /// whether it hit.
-    fn probe(&mut self, table: TableId, vbytes: u64, addr: u64) -> bool {
-        let hit = self.cache.access(addr).is_hit();
-        if hit {
-            self.hits += 1;
-            self.absorbed_bytes += vbytes;
-            *self.per_table_hits.entry(table).or_insert(0) += 1;
-        } else {
-            self.misses += 1;
-        }
-        hit
+        queries.iter_mut().map(|query| self.filter(query)).collect()
     }
 
     /// `(hits, misses, absorbed_bytes)` accumulated so far.
@@ -194,14 +144,12 @@ impl HotVectorTracker {
     /// trace: host-cache-absorbed vectors never reach a channel, so
     /// staging them would waste idle budget).
     pub fn observe(&mut self, trace: &SlsTrace) {
-        for batch in &trace.batches {
-            let table = batch.batch.table;
-            let vbytes = batch.batch.spec.vector_bytes.min(u64::from(u32::MAX)) as u32;
-            for addrs in &batch.addrs {
-                for addr in addrs {
-                    let e = self.counts.entry(addr.get()).or_insert((0, table, vbytes));
-                    e.0 += 1;
-                }
+        for batch in trace.batches() {
+            let table = batch.table();
+            let vbytes = batch.spec().vector_bytes.min(u64::from(u32::MAX)) as u32;
+            for addr in batch.addrs() {
+                let e = self.counts.entry(addr.get()).or_insert((0, table, vbytes));
+                e.0 += 1;
             }
         }
     }
@@ -254,6 +202,7 @@ impl HotVectorTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::{QueryShape, QueryStream};
     use recnmp_types::ByteSize;
 
     fn trace(tables: u32, batch: usize, pool: usize) -> SlsTrace {
@@ -287,10 +236,12 @@ mod tests {
         let offered = t.total_lookups();
         let usage = TableUsage::from_trace(&t);
         let mut hc = HostCache::build(spec(), &usage, 128).unwrap();
-        let (first, first_hits) = hc.filter(t.clone());
+        let mut first = t.clone();
+        let first_hits = hc.filter(&mut first);
         assert_eq!(first.total_lookups() + first_hits, offered);
         // Re-offering the same traffic hits what the first pass cached.
-        let (second, second_hits) = hc.filter(t);
+        let mut second = t;
+        let second_hits = hc.filter(&mut second);
         assert!(second_hits > first_hits);
         assert!(second.total_lookups() < first.total_lookups());
         let (hits, misses, bytes) = hc.stats();
@@ -303,36 +254,107 @@ mod tests {
         assert!(hc.absorbed_profile().iter().all(|&(_, n)| n > 0));
     }
 
-    #[test]
-    fn filter_rebuilds_indices_and_addrs_in_lockstep() {
-        let t = trace(2, 2, 30);
-        let usage = TableUsage::from_trace(&t);
-        let mut hc = HostCache::build(spec(), &usage, 128).unwrap();
-        let _ = hc.filter(t.clone());
-        let (residual, _) = hc.filter(t);
-        for batch in &residual.batches {
-            assert_eq!(batch.batch.poolings.len(), batch.addrs.len());
-            for (pooling, addrs) in batch.batch.poolings.iter().zip(&batch.addrs) {
-                assert_eq!(pooling.indices.len(), addrs.len());
-                assert!(!pooling.indices.is_empty(), "empty poolings are dropped");
+    /// One residual lookup `(row, address)`, pooling and batch.
+    type Lookups = Vec<(u64, PhysAddr)>;
+    type Residual = Vec<(TableId, Vec<Lookups>)>;
+
+    /// Filters `queries` the slow way, per lookup and in order, with a
+    /// copy of `hc`'s admission set and cache: admitted lookups probe,
+    /// hits leave, and emptied poolings and batches leave too. Returns
+    /// each query's residual and hit count.
+    fn probe_reference(hc: &HostCache, queries: &[SlsTrace]) -> (Vec<Residual>, Vec<u64>) {
+        let mut cache = hc.cache.clone();
+        let mut residuals = Vec::new();
+        let mut hits = Vec::new();
+        for q in queries {
+            let (mut residual, mut n) = (Residual::new(), 0);
+            for b in q.batches() {
+                let mut poolings = Vec::new();
+                for p in b.poolings() {
+                    let mut kept = Lookups::new();
+                    for (&row, &addr) in p.rows().iter().zip(p.addrs()) {
+                        if hc.admitted.contains(&b.table()) && cache.access(addr.get()).is_hit() {
+                            n += 1;
+                        } else {
+                            kept.push((row, addr));
+                        }
+                    }
+                    if !kept.is_empty() {
+                        poolings.push(kept);
+                    }
+                }
+                if !poolings.is_empty() {
+                    residual.push((b.table(), poolings));
+                }
             }
+            residuals.push(residual);
+            hits.push(n);
         }
+        (residuals, hits)
+    }
+
+    /// Asserts that `filter_all` on a fresh `spec` cache compacts
+    /// `queries` to the reference residuals and hit counts, conserving
+    /// lookups. Returns the total hits.
+    fn assert_filter_all_matches_reference(spec: HostCacheSpec, queries: &[SlsTrace]) -> u64 {
+        let mut hc = HostCache::build(spec, &TableUsage::from_traces(queries), 128).unwrap();
+        let (want, want_hits) = probe_reference(&hc, queries);
+        let mut filtered = queries.to_vec();
+        assert_eq!(hc.filter_all(&mut filtered), want_hits);
+        for (q, want) in filtered.iter().zip(&want) {
+            let got: Residual = (q.batches())
+                .map(|b| {
+                    let poolings = b.poolings().map(|p| {
+                        p.rows()
+                            .iter()
+                            .copied()
+                            .zip(p.addrs().iter().copied())
+                            .collect()
+                    });
+                    (b.table(), poolings.collect())
+                })
+                .collect();
+            assert_eq!(&got, want);
+        }
+        let offered: u64 = queries.iter().map(SlsTrace::total_lookups).sum();
+        let (hits, misses, bytes) = hc.stats();
+        assert_eq!(hits, want_hits.iter().sum::<u64>());
+        assert_eq!(hits + misses, offered, "conservation");
+        assert_eq!(bytes, hits * 128);
+        hits
     }
 
     #[test]
-    fn dry_run_residuals_equal_per_query_filtering() {
+    fn dry_run_matches_per_lookup_probing() {
         let jobs = [trace(4, 4, 20), trace(4, 2, 30), trace(3, 4, 20)];
-        let usage = TableUsage::from_traces(&jobs);
-        let mut per_query = HostCache::build(spec(), &usage, 128).unwrap();
-        let mut dry_run = per_query.clone();
-        let (residuals, hits): (Vec<SlsTrace>, Vec<u64>) =
-            jobs.iter().map(|job| per_query.filter(job.clone())).unzip();
-        let mut filtered = jobs.to_vec();
-        assert_eq!(dry_run.filter_all(&mut filtered), hits);
-        assert!(hits.iter().sum::<u64>() > 0, "the jobs must hit");
-        assert_eq!(filtered, residuals);
-        assert_eq!(dry_run.stats(), per_query.stats());
-        assert_eq!(dry_run.absorbed_profile(), per_query.absorbed_profile());
+        assert!(
+            assert_filter_all_matches_reference(spec(), &jobs) > 0,
+            "the jobs must hit"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn filter_all_matches_per_lookup_probing(
+            tables in 1usize..6,
+            batch in 1usize..4,
+            pooling in 1usize..16,
+            queries in 1usize..10,
+            hot_tables in 0usize..5,
+            kib_log in 0u32..4,
+            seed in 0u64..1_000,
+        ) {
+            let shape = QueryShape::new(tables, batch, pooling).with_row_skew(1.3);
+            let queries = QueryStream::new(shape, seed).take_queries(queries);
+            let spec = HostCacheSpec {
+                capacity: ByteSize::kib(1 << kib_log),
+                hot_tables,
+                hit_cycles: 2,
+            };
+            assert_filter_all_matches_reference(spec, &queries);
+        }
     }
 
     #[test]

@@ -272,7 +272,13 @@ fn node_core(
             stages.prefetch = (sharded.prefetch).map(|p| HotVectorTracker::new(p.candidates));
             let mut absorbed = Vec::new();
             if let Some(spec) = sharded.host_cache {
-                let mut hc = HostCache::build(spec, &usage, max_vector_bytes(queries))
+                // Lines fit the stream's largest vector (each trace's is
+                // uniform).
+                let line = queries
+                    .iter()
+                    .filter(|q| !q.is_empty())
+                    .map(SlsTrace::vector_bytes);
+                let mut hc = HostCache::build(spec, &usage, line.max().unwrap_or(64))
                     .map_err(SimError::Config)?;
                 let hits = hc.filter_all(queries);
                 absorbed = hc.absorbed_profile();
@@ -326,17 +332,6 @@ fn node_core(
         network: NetworkCost::new(0, 0),
         stages,
     })
-}
-
-/// The largest vector size across the stream — the host cache's line
-/// size, so any table's vector fits one line.
-fn max_vector_bytes(queries: &[SlsTrace]) -> u64 {
-    queries
-        .iter()
-        .flat_map(|q| &q.batches)
-        .map(|b| b.batch.spec.vector_bytes)
-        .max()
-        .unwrap_or(64)
 }
 
 #[cfg(test)]

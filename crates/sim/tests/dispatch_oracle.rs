@@ -32,7 +32,7 @@ fn service(lookups: u64, tables: u64) -> Cycle {
 
 /// The sum of the table indices of `trace`'s batches.
 fn table_sum(trace: &SlsTrace) -> u64 {
-    trace.batches.iter().map(|b| b.table().index() as u64).sum()
+    trace.batches().map(|b| b.table().index() as u64).sum()
 }
 
 /// `SERVERS` identical servers, each serving a trace in `service` cycles,
@@ -148,7 +148,7 @@ fn sharded_oracle(
     for (&at, query) in arrivals.iter().zip(queries) {
         // (lookups, table sum) of each channel's shard.
         let mut shards: [Option<(u64, u64)>; SERVERS] = [None; SERVERS];
-        for batch in &query.batches {
+        for batch in query.batches() {
             let table = batch.table();
             let channel = (plan.replicas(table).iter().copied())
                 .min_by_key(|&c| (free[c], c))

@@ -251,9 +251,9 @@ impl SlsBackend for SsdNmpBackend {
         let mut insts = 0u64;
         let mut alu_adds = 0u64;
         let mut io_bytes = 0u64;
-        for tb in &trace.batches {
-            let vb = tb.batch.spec.vector_bytes;
-            for pooling in &tb.addrs {
+        for tb in trace.batches() {
+            let vb = tb.spec().vector_bytes;
+            for pooling in tb.poolings().map(|p| p.addrs()) {
                 if pooling.is_empty() {
                     continue;
                 }

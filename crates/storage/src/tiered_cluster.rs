@@ -107,12 +107,12 @@ impl SlsBackend for TieredCluster {
         // shards (their units contribute nothing to the merged report).
         let mut jobs: Vec<(&mut dyn SlsBackend, SlsTrace)> = Vec::new();
         for (channel, shard) in self.dram.channels_mut().iter_mut().zip(shards.by_ref()) {
-            if !shard.batches.is_empty() {
+            if !shard.is_empty() {
                 jobs.push((channel, shard));
             }
         }
         for (ssd, shard) in self.ssds.iter_mut().zip(shards) {
-            if !shard.batches.is_empty() {
+            if !shard.is_empty() {
                 jobs.push((ssd, shard));
             }
         }

@@ -86,21 +86,6 @@ impl SlsBatch {
             .flat_map(|p| p.indices.iter().copied())
             .collect()
     }
-
-    /// The `Lengths` vector (paper Figure 3).
-    pub fn lengths(&self) -> Vec<usize> {
-        self.poolings.iter().map(Pooling::len).collect()
-    }
-
-    /// Bytes of embedding data gathered from memory (ignoring reuse).
-    pub fn gathered_bytes(&self) -> u64 {
-        self.total_lookups() as u64 * self.spec.vector_bytes
-    }
-
-    /// Bytes of output produced (one vector per pooling).
-    pub fn output_bytes(&self) -> u64 {
-        self.batch_size() as u64 * self.spec.vector_bytes
-    }
 }
 
 #[cfg(test)]
@@ -124,14 +109,6 @@ mod tests {
         assert_eq!(b.batch_size(), 2);
         assert_eq!(b.total_lookups(), 5);
         assert_eq!(b.flat_indices(), vec![1, 2, 3, 4, 5]);
-        assert_eq!(b.lengths(), vec![3, 2]);
-    }
-
-    #[test]
-    fn byte_accounting() {
-        let b = batch();
-        assert_eq!(b.gathered_bytes(), 5 * 64);
-        assert_eq!(b.output_bytes(), 2 * 64);
     }
 
     #[test]

@@ -156,18 +156,13 @@ impl TraceGenerator {
         row
     }
 
-    /// Draws one pooling of `pooling_factor` indices.
-    pub fn pooling(&mut self, pooling_factor: usize) -> Pooling {
-        Pooling::unweighted((0..pooling_factor).map(|_| self.next_index()).collect())
-    }
-
     /// Draws a full SLS batch: `batch_size` poolings of `pooling_factor`.
     pub fn batch(&mut self, batch_size: usize, pooling_factor: usize) -> SlsBatch {
         SlsBatch {
             table: self.table,
             spec: self.spec,
             poolings: (0..batch_size)
-                .map(|_| self.pooling(pooling_factor))
+                .map(|_| Pooling::unweighted(self.flat(pooling_factor)))
                 .collect(),
         }
     }

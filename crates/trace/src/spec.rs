@@ -68,8 +68,10 @@ impl EmbeddingTableSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if either dimension is zero or the vector
-    /// size is not a multiple of 4 (FP32 elements).
+    /// Returns a [`ConfigError`] if either dimension is zero, the vector
+    /// size is not a multiple of 4 (FP32 elements), or a vector spans more
+    /// than 255 bursts (16,320 bytes) — the most an NMP instruction's
+    /// `vsize` field encodes.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.rows == 0 {
             return Err(ConfigError::new("rows", "must be positive"));
@@ -78,6 +80,12 @@ impl EmbeddingTableSpec {
             return Err(ConfigError::new(
                 "vector_bytes",
                 "must be a positive multiple of 4",
+            ));
+        }
+        if self.bursts_per_vector() > u64::from(u8::MAX) {
+            return Err(ConfigError::new(
+                "vector_bytes",
+                "must span at most 255 bursts (16,320 bytes)",
             ));
         }
         Ok(())
@@ -133,5 +141,12 @@ mod tests {
     fn validate_rejects_bad_vector() {
         assert!(EmbeddingTableSpec::new(10, 62).validate().is_err());
         assert!(EmbeddingTableSpec::new(0, 64).validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_vectors_past_255_bursts() {
+        assert!(EmbeddingTableSpec::new(10, 16_320).validate().is_ok());
+        // 256 bursts would wrap to 0 in the instruction's u8 field.
+        assert!(EmbeddingTableSpec::new(10, 16_384).validate().is_err());
     }
 }

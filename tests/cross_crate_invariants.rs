@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use recnmp::datapath::execute_packet;
 use recnmp::packet::PacketBuilder;
-use recnmp::NmpOpcode;
+use recnmp::{NmpOpcode, SlsTrace};
 use recnmp_dram::address::{AddressMapping, Geometry};
 use recnmp_model::{EmbeddingTable, QuantizedTable, SlsOp};
 use recnmp_trace::{EmbeddingTableSpec, Pooling, SlsBatch};
@@ -33,8 +33,11 @@ fn check_equivalence(op: SlsOp, batch: &SlsBatch, table: &EmbeddingTable, ranks:
         AddressMapping::SkylakeXor,
         Geometry::ddr4_8gb_x8(ranks as u8),
     );
-    let mut translate = |row: u64| PhysAddr::new(row * 4096 * 31); // scatter rows
-    let packets = builder.build(ModelId::new(0), batch, &mut translate, None);
+    // Scatter rows across the address space.
+    let trace = SlsTrace::from_batches(std::slice::from_ref(batch), &mut |_, row| {
+        PhysAddr::new(row * 4096 * 31)
+    });
+    let packets = builder.build(ModelId::new(0), trace.batch(0), None);
 
     let mut fetch = |_t: TableId, row: u64| table.row(row).to_vec();
     let mut outputs: Vec<Vec<f32>> = Vec::new();
@@ -128,8 +131,10 @@ fn packet_roundtrip_preserves_wire_format() {
         AddressMapping::SkylakeXor,
         Geometry::ddr4_8gb_x8(2),
     );
-    let mut translate = |row: u64| PhysAddr::new(row * 64 * 131);
-    let mut packets = builder.build(ModelId::new(0), &batch, &mut translate, None);
+    let trace = SlsTrace::from_batches(std::slice::from_ref(&batch), &mut |_, row| {
+        PhysAddr::new(row * 64 * 131)
+    });
+    let mut packets = builder.build(ModelId::new(0), trace.batch(0), None);
     let packet = &mut packets[0];
     for inst in &mut packet.insts {
         let wire = inst.pack();

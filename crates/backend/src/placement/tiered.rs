@@ -373,12 +373,6 @@ impl TieredPlacementPlan {
             .map(|&c| self.spec.tier_of(c))
     }
 
-    /// Deterministic unit pick for a batch of `table` (delegates to the
-    /// flat plan's replica rotation).
-    pub fn unit_for(&self, table: TableId, salt: usize) -> Option<usize> {
-        self.flat.channel_for(table, salt)
-    }
-
     /// Number of tables resident on `tier`.
     pub fn tables_in(&self, tier: StorageTier) -> usize {
         self.flat

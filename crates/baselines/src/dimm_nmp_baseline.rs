@@ -83,11 +83,6 @@ impl DimmLevelNmp {
         })
     }
 
-    /// Number of DIMMs.
-    pub fn num_dimms(&self) -> usize {
-        self.dimms.len()
-    }
-
     /// Switches the main-loop strategy of every per-DIMM memory controller
     /// (used by the engine-equivalence suite).
     pub fn set_engine(&mut self, engine: SimEngine) {

@@ -1,4 +1,4 @@
-//! Criterion micro-benchmark for the deterministic execution engine.
+//! Micro-benchmark for the deterministic execution engine.
 //!
 //! Two questions decide whether the worker pool is fit to carry every
 //! parallel site in the simulator: what does a submit → execute →
@@ -10,9 +10,9 @@
 //! in `BENCH_throughput.json` without moving any simulated cycle
 //! count.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use recnmp::{RecNmpCluster, RecNmpClusterConfig};
 use recnmp_backend::{SlsBackend, SlsTrace};
+use recnmp_bench::bench;
 use recnmp_exec::{Batch, ExecPool};
 use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, SlsBatch, TraceGenerator};
 use recnmp_types::{PhysAddr, TableId};
@@ -54,12 +54,7 @@ fn cluster(channels: usize) -> RecNmpCluster {
     RecNmpCluster::new(config).expect("cluster")
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("exec_pool");
-    group.sample_size(20);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-
+fn main() {
     // Round-trip cost of a 64-task batch on the inline engine and on a
     // 2-worker pool, with reused Batch storage (the steady state the
     // allocation guard pins).
@@ -68,20 +63,18 @@ fn bench(c: &mut Criterion) {
         let handle = pool.handle();
         let mut batch = Batch::new();
         let mut salt = 0u64;
-        group.bench_function(&format!("dispatch_64/workers{workers}"), |b| {
-            b.iter(|| {
-                salt += 1;
-                for i in 0..64u64 {
-                    let s = salt.wrapping_mul(64).wrapping_add(i);
-                    batch.push(move || Ok(busywork(s)));
-                }
-                handle.run_batch(&mut batch);
-                let mut sum = 0u64;
-                for r in batch.drain() {
-                    sum = sum.wrapping_add(r.expect("task"));
-                }
-                criterion::black_box(sum)
-            })
+        bench(&format!("exec_pool/dispatch_64/workers{workers}"), || {
+            salt += 1;
+            for i in 0..64u64 {
+                let s = salt.wrapping_mul(64).wrapping_add(i);
+                batch.push(move || Ok(busywork(s)));
+            }
+            handle.run_batch(&mut batch);
+            let mut sum = 0u64;
+            for r in batch.drain() {
+                sum = sum.wrapping_add(r.expect("task"));
+            }
+            sum
         });
     }
 
@@ -91,16 +84,8 @@ fn bench(c: &mut Criterion) {
         let pool = ExecPool::new(workers).expect("pool");
         let trace = workload(16);
         let mut sim = cluster(16);
-        group.bench_function(&format!("cluster16/workers{workers}"), |b| {
-            b.iter(|| {
-                let report = recnmp_exec::with_pool(&pool, || sim.run(&trace));
-                criterion::black_box(report.total_cycles)
-            })
+        bench(&format!("exec_pool/cluster16/workers{workers}"), || {
+            recnmp_exec::with_pool(&pool, || sim.run(&trace)).total_cycles
         });
     }
-
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Criterion micro-benchmark for the FR-FCFS scheduler inner loop.
+//! Micro-benchmark for the FR-FCFS scheduler inner loop.
 //!
 //! Times `MemorySystem::run_stream` — the `issue_request_command` /
 //! event-skip loop — on the traffic shapes that dominate simulator
@@ -10,7 +10,7 @@
 //! `sim_throughput` trajectory rides on; regressions here show up
 //! directly in `BENCH_throughput.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use recnmp_bench::bench;
 use recnmp_dram::{DramConfig, MemorySystem};
 use recnmp_types::PhysAddr;
 
@@ -29,48 +29,32 @@ fn run_pattern(mem: &mut MemorySystem, salt: u64, reqs: usize, stride: u64, per_
     summary.last_finish.unwrap_or(0)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sched_inner");
-    group.sample_size(20);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-
-    group.bench_function("rank_device_mixed", |b| {
-        let mut mem = MemorySystem::new(DramConfig::single_rank()).expect("config");
-        let mut salt = 0u64;
-        b.iter(|| {
-            salt += 1;
-            criterion::black_box(run_pattern(&mut mem, salt, 512, 131, 2))
-        })
+fn main() {
+    let mut mem = MemorySystem::new(DramConfig::single_rank()).expect("config");
+    let mut salt = 0u64;
+    bench("sched_inner/rank_device_mixed", || {
+        salt += 1;
+        run_pattern(&mut mem, salt, 512, 131, 2)
     });
 
-    group.bench_function("conflict_storm", |b| {
-        let mut cfg = DramConfig::single_rank();
-        cfg.refresh = false;
-        let mut mem = MemorySystem::new(cfg).expect("config");
-        let mut salt = 0u64;
-        b.iter(|| {
-            salt += 1;
-            // Stride chosen to pound few banks with alternating rows:
-            // every read needs PRE + ACT + RD.
-            criterion::black_box(run_pattern(&mut mem, salt, 512, 2048 + 16, 2))
-        })
+    let mut cfg = DramConfig::single_rank();
+    cfg.refresh = false;
+    let mut mem = MemorySystem::new(cfg).expect("config");
+    let mut salt = 0u64;
+    bench("sched_inner/conflict_storm", || {
+        salt += 1;
+        // Stride chosen to pound few banks with alternating rows: every
+        // read needs PRE + ACT + RD.
+        run_pattern(&mut mem, salt, 512, 2048 + 16, 2)
     });
 
-    group.bench_function("host_channel_burst", |b| {
-        // The host-baseline channel shape: 2 DIMMs x 2 ranks with the
-        // whole batch arriving in one cycle, so the read queue stays full
-        // and every scan weighs candidates across four ranks.
-        let mut mem = MemorySystem::new(DramConfig::with_ranks(2, 2)).expect("config");
-        let mut salt = 0u64;
-        b.iter(|| {
-            salt += 1;
-            criterion::black_box(run_pattern(&mut mem, salt, 512, 131, 512))
-        })
+    // The host-baseline channel shape: 2 DIMMs x 2 ranks with the whole
+    // batch arriving in one cycle, so the read queue stays full and every
+    // scan weighs candidates across four ranks.
+    let mut mem = MemorySystem::new(DramConfig::with_ranks(2, 2)).expect("config");
+    let mut salt = 0u64;
+    bench("sched_inner/host_channel_burst", || {
+        salt += 1;
+        run_pattern(&mut mem, salt, 512, 131, 512)
     });
-
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -26,6 +26,13 @@
 //!   faults × replicated/sharded × p95 hedging. Verdict: replicated+hedged
 //!   keeps >= 90% of its pre-crash goodput while sharded collapses.
 //!
+//! Each mode's workload is defined once, by its experiment in
+//! [`recnmp_sim::experiments`]: the query shape, and for tiering, fleet
+//! and resilience the tier geometry, hot-table count and whole fault
+//! spec. `--smoke` takes them at [`Scale::Quick`], the default at
+//! [`Scale::Full`]. Only each mode's sweep grid (loads, query and node
+//! counts, seed) is set here, since the committed reports pin it.
+//!
 //! A broken verdict exits 1 after the report is written. `--smoke`
 //! shrinks the workload; `--workers N` pins the pool size (curves are
 //! byte-identical at any count). `--baseline PATH` diffs the fresh report
@@ -40,16 +47,15 @@ use recnmp_backend::{PlacementPolicy, SlsBackend};
 use recnmp_baselines::{HostBaseline, TensorDimm};
 use recnmp_bench::json::{diff_json, Json, DEFAULT_TOL};
 use recnmp_bench::BenchArgs;
-use recnmp_model::RecModelKind;
-use recnmp_sim::serving::fleet::{resilience_sweep, Fleet, FleetDispatch, ResilienceSpec};
+use recnmp_sim::experiments::{self, Scale};
+use recnmp_sim::serving::fleet::{resilience_sweep, Fleet, FleetDispatch};
 use recnmp_sim::serving::{
     anchored_sweep, qps_sweep_at, reference_caching_arms, reference_channel_capacity,
     reference_cluster4, reference_cluster4_optimized, reference_tiered, ArrivalProcess,
     DispatchPolicy, QueryShape, ServingMode, ShardedDispatch, SweepCurve, SweepPoint, SweepSpec,
-    TierSpec, TieredPolicy,
+    TieredPolicy,
 };
 use recnmp_types::units::{cycles_to_us, DDR4_2400_CYCLE_SECS};
-use recnmp_types::ByteSize;
 
 const SEED: u64 = 0x5e12_2026;
 
@@ -98,14 +104,14 @@ impl Mode {
         format!("BENCH_{}.json", self.name())
     }
 
-    fn run(self, smoke: bool) -> Report {
+    fn run(self, scale: Scale) -> Report {
         match self {
-            Mode::Serving => run_serving(smoke),
-            Mode::Placement => run_placement(smoke),
-            Mode::Tiering => run_tiering(smoke),
-            Mode::Fleet => run_fleet(smoke),
-            Mode::Caching => run_caching(smoke),
-            Mode::Resilience => run_resilience(smoke),
+            Mode::Serving => run_serving(scale),
+            Mode::Placement => run_placement(scale),
+            Mode::Tiering => run_tiering(scale),
+            Mode::Fleet => run_fleet(scale),
+            Mode::Caching => run_caching(scale),
+            Mode::Resilience => run_resilience(scale),
         }
     }
 }
@@ -181,7 +187,7 @@ fn labeled_curves(curves: &[(String, SweepCurve)]) -> Json {
 /// and `lookups_per_query` — then the mode's `body` fields.
 fn report<'a>(
     schema: &str,
-    smoke: bool,
+    scale: Scale,
     (process, seed, s): (ArrivalProcess, u64, QueryShape),
     extra: impl IntoIterator<Item = (&'a str, Json)>,
     body: impl IntoIterator<Item = (&'a str, Json)>,
@@ -199,7 +205,14 @@ fn report<'a>(
     );
     let header = [
         ("schema", schema.into()),
-        ("mode", (if smoke { "smoke" } else { "full" }).into()),
+        (
+            "mode",
+            match scale {
+                Scale::Quick => "smoke",
+                Scale::Full => "full",
+            }
+            .into(),
+        ),
         ("arrival_process", process.name().into()),
         ("seed", seed.into()),
         ("shape", shape),
@@ -211,7 +224,7 @@ fn report<'a>(
 /// and the labeled curves.
 fn sweep_report(
     schema: &str,
-    smoke: bool,
+    scale: Scale,
     spec: &SweepSpec,
     curves: &[(String, SweepCurve)],
 ) -> Json {
@@ -220,23 +233,20 @@ fn sweep_report(
         ("curves", labeled_curves(curves)),
     ];
     let run = (spec.process, spec.seed, spec.shape);
-    report(schema, smoke, run, [], body)
+    report(schema, scale, run, [], body)
 }
 
 /// The load grid shared by the single-node sweeps.
-fn sweep_spec(smoke: bool, shape: QueryShape) -> SweepSpec {
-    let (queries, probe_queries) = if smoke { (24, 8) } else { (48, 12) };
-    let utilizations = if smoke {
-        vec![0.3, 0.6, 0.9, 1.2]
-    } else {
-        vec![0.2, 0.4, 0.6, 0.8, 1.0, 1.2]
-    };
+fn sweep_spec(scale: Scale, shape: QueryShape) -> SweepSpec {
     SweepSpec {
         process: ArrivalProcess::Poisson,
         shape,
-        utilizations,
-        queries,
-        probe_queries,
+        utilizations: match scale {
+            Scale::Quick => vec![0.3, 0.6, 0.9, 1.2],
+            Scale::Full => vec![0.2, 0.4, 0.6, 0.8, 1.0, 1.2],
+        },
+        queries: scale.scaled(24, 48),
+        probe_queries: scale.scaled(8, 12),
         seed: SEED,
     }
 }
@@ -262,13 +272,8 @@ fn summarize(report: &Json) {
     }
 }
 
-fn run_serving(smoke: bool) -> Report {
-    let shape = if smoke {
-        QueryShape::new(2, 2, 8)
-    } else {
-        QueryShape::for_model(RecModelKind::Rm1Small, 4)
-    };
-    let spec = sweep_spec(smoke, shape);
+fn run_serving(scale: Scale) -> Report {
+    let spec = sweep_spec(scale, experiments::serving::tail_latency_shape(scale));
     let host: fn() -> Box<dyn SlsBackend> =
         || Box::new(HostBaseline::new(4, 2).expect("host config"));
     let tensordimm: fn() -> Box<dyn SlsBackend> =
@@ -288,17 +293,12 @@ fn run_serving(smoke: bool) -> Report {
         labeled.extend(curves.into_iter().map(|c| (label.to_string(), c)));
     }
     // Schema /2: the shape object gained `table_skew`.
-    let report = sweep_report("recnmp-serving/2", smoke, &spec, &labeled);
+    let report = sweep_report("recnmp-serving/2", scale, &spec, &labeled);
     (report, Ok(()))
 }
 
-fn run_placement(smoke: bool) -> Report {
-    let shape = if smoke {
-        QueryShape::reference_skewed()
-    } else {
-        QueryShape::for_model(RecModelKind::Rm1Small, 4).with_table_skew(1.5)
-    };
-    let spec = sweep_spec(smoke, shape);
+fn run_placement(scale: Scale) -> Report {
+    let spec = sweep_spec(scale, experiments::serving::placement_shape(scale));
     let arms = PlacementPolicy::COMPARED.map(|placement| {
         ServingMode::Sharded(ShardedDispatch {
             channel_capacity: Some(reference_channel_capacity()),
@@ -311,52 +311,21 @@ fn run_placement(smoke: bool) -> Report {
         .into_iter()
         .map(|c| ("recnmp-cluster[4]".to_string(), c))
         .collect();
-    let report = sweep_report("recnmp-placement/1", smoke, &spec, &labeled);
+    let report = sweep_report("recnmp-placement/1", scale, &spec, &labeled);
     (report, Ok(()))
 }
 
-/// Geometry of the tiering sweep: 16 tables of one million 128-byte rows
-/// (2.048 GB total) over 4 DRAM channels + 2 SSD-class units, mirroring
-/// the `fig_capacity` experiment.
-const TIER_TABLES: usize = 16;
-const TIER_TABLE_BYTES: u64 = 128_000_000;
-const TIER_RATIOS: [(u64, u64, &str); 5] = [
-    (1, 2, "0.5x"),
-    (1, 1, "1x"),
-    (2, 1, "2x"),
-    (4, 1, "4x"),
-    (8, 1, "8x"),
-];
-
-fn tiers_at(num: u64, den: u64) -> TierSpec {
-    let footprint = TIER_TABLES as u64 * TIER_TABLE_BYTES;
-    TierSpec {
-        dram_channels: 4,
-        dram_channel_capacity: ByteSize::bytes(footprint * den / (num * 4)),
-        ssd_units: 2,
-        ssd_unit_capacity: ByteSize::gib(4),
-    }
-}
-
-fn run_tiering(smoke: bool) -> Report {
-    // The capacity workload of `fig_capacity`: each query samples 4 of
-    // 16 tables under Zipf-1.5 weights with the hot ranks strided across
-    // the id space (stride 5, coprime to 16).
-    let shape = if smoke {
-        QueryShape::new(TIER_TABLES, 2, 4)
-    } else {
-        QueryShape::new(TIER_TABLES, 4, 8)
-    }
-    .with_table_skew(1.5)
-    .with_skew_rotation(5)
-    .with_table_sampling(4);
-    let mut spec = sweep_spec(smoke, shape);
-    if smoke {
+fn run_tiering(scale: Scale) -> Report {
+    // The capacity workload of `fig_capacity` on its 4 DRAM channels +
+    // 2 SSD units, at each of its footprint/DRAM ratios.
+    let shape = experiments::storage::capacity_shape(scale);
+    let mut spec = sweep_spec(scale, shape);
+    if scale == Scale::Quick {
         (spec.queries, spec.probe_queries) = (14, 6);
     }
     let mut labeled: Vec<(String, SweepCurve)> = Vec::new();
-    for (num, den, ratio) in TIER_RATIOS {
-        let tiers = tiers_at(num, den);
+    for (num, den, ratio) in experiments::storage::RATIOS {
+        let tiers = experiments::storage::tiers_at(num, den);
         let mut factory = || reference_tiered(tiers);
         let anchor = ServingMode::tiered(TieredPolicy::FrequencyTiered { replicate_hot: 0 }, tiers);
         let arms = TieredPolicy::COMPARED.map(|policy| ServingMode::tiered(policy, tiers));
@@ -375,33 +344,30 @@ fn run_tiering(smoke: bool) -> Report {
     let body = [
         (
             "footprint_bytes",
-            (TIER_TABLES as u64 * TIER_TABLE_BYTES).into(),
+            experiments::storage::FOOTPRINT_BYTES.into(),
         ),
         ("queries_per_point", spec.queries.into()),
         ("curves", labeled_curves(&labeled)),
     ];
     let run = (spec.process, spec.seed, shape);
-    (report("recnmp-tiering/1", smoke, run, extra, body), Ok(()))
+    (report("recnmp-tiering/1", scale, run, extra, body), Ok(()))
 }
 
-fn run_fleet(smoke: bool) -> Report {
-    // The full-scale shape must carry enough distinct tables to keep all
-    // 64 channels of the 16-node fleet busy (128 single-copy tables over
-    // 64 channels), and must replicate enough of the Zipf head that no
-    // single-copy table's channel caps the fleet.
-    let (tables, batch, sample, hot_tables) = if smoke { (12, 2, 3, 2) } else { (128, 4, 4, 8) };
-    let shape = QueryShape::new(tables, batch, if smoke { 6 } else { 8 })
-        .with_table_skew(1.2)
-        .with_table_sampling(sample);
-    let node_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8, 16] };
-    let (queries_per_node, probe_per_node) = if smoke { (24, 10) } else { (48, 16) };
-    let utilizations: Vec<f64> = if smoke {
-        vec![0.4, 0.8, 1.2]
-    } else {
-        vec![0.3, 0.5, 0.7, 0.9, 1.1, 1.3]
+fn run_fleet(scale: Scale) -> Report {
+    // The workload and hot-table count of `fig_fleet`, over this sweep's
+    // own node counts and loads.
+    let shape = experiments::fleet::fleet_shape(scale);
+    let node_counts: &[usize] = match scale {
+        Scale::Quick => &[1, 2],
+        Scale::Full => &[1, 2, 4, 8, 16],
+    };
+    let (queries_per_node, probe_per_node) = (scale.scaled(24, 48), scale.scaled(10, 16));
+    let utilizations: Vec<f64> = match scale {
+        Scale::Quick => vec![0.4, 0.8, 1.2],
+        Scale::Full => vec![0.3, 0.5, 0.7, 0.9, 1.1, 1.3],
     };
     let dispatches = [
-        FleetDispatch::replicated(hot_tables),
+        FleetDispatch::replicated(experiments::fleet::hot_tables(scale)),
         FleetDispatch::sharded(),
     ];
     let mut curves: Vec<(usize, SweepCurve<FleetDispatch>)> = Vec::new();
@@ -411,7 +377,7 @@ fn run_fleet(smoke: bool) -> Report {
             utilizations: utilizations.clone(),
             queries: queries_per_node * nodes,
             probe_queries: probe_per_node * nodes,
-            ..sweep_spec(smoke, shape)
+            ..sweep_spec(scale, shape)
         };
         let mut make = move || Fleet::reference(nodes);
         let swept = anchored_sweep(&mut make, dispatches[0], &dispatches, &spec)
@@ -454,7 +420,7 @@ fn run_fleet(smoke: bool) -> Report {
     let extra = [("sample_tables", shape.sample_tables.into())];
     let run = (ArrivalProcess::Poisson, SEED, shape);
     (
-        report("recnmp-fleet/1", smoke, run, extra, body),
+        report("recnmp-fleet/1", scale, run, extra, body),
         node1_equal.then_some(()).ok_or_else(|| {
             "node-1 fleet diverged from the bare cluster: the router layer must be free at \
              one node"
@@ -463,22 +429,13 @@ fn run_fleet(smoke: bool) -> Report {
     )
 }
 
-fn run_caching(smoke: bool) -> Report {
+fn run_caching(scale: Scale) -> Report {
     // The co-design verdict compares the largest co-designed arm against
     // the cache-less frequency baseline at the shared loads.
     const ARM: &str = "cached-frequency@1MiB";
     const BASELINE: &str = "sharded-frequency";
-    // The row streams are hotter than the reference workload (Zipf 1.2)
-    // so a bounded host cache sees real repeat traffic — the same shapes
-    // as the `fig_cache_serving` experiment at the matching scale.
-    let shape = if smoke {
-        QueryShape::reference_skewed().with_row_skew(1.2)
-    } else {
-        QueryShape::for_model(RecModelKind::Rm1Small, 4)
-            .with_table_skew(1.5)
-            .with_row_skew(1.2)
-    };
-    let spec = sweep_spec(smoke, shape);
+    let shape = experiments::serving::cache_serving_shape(scale);
+    let spec = sweep_spec(scale, shape);
     let arms = reference_caching_arms();
     let modes: Vec<ServingMode> = arms.iter().map(|(_, m)| *m).collect();
     let curves = anchored_sweep(&mut reference_cluster4_optimized, modes[0], &modes, &spec)
@@ -525,7 +482,7 @@ fn run_caching(smoke: bool) -> Report {
     let extra = [("row_skew", Json::fixed(shape.row_skew, 2))];
     let run = (spec.process, spec.seed, shape);
     (
-        report("recnmp-caching/1", smoke, run, extra, body),
+        report("recnmp-caching/1", scale, run, extra, body),
         wins.then_some(()).ok_or_else(|| {
             format!(
                 "cache/placement co-design lost to the bare frequency baseline: {ARM} must \
@@ -535,34 +492,12 @@ fn run_caching(smoke: bool) -> Report {
     )
 }
 
-/// The resilience sweep's seed — the same anchor as the `fig_resilience`
-/// experiment, so the bench artifact and the committed golden tell one
-/// story.
-const RESILIENCE_SEED: u64 = 0x5e51_11e0;
-
-fn run_resilience(smoke: bool) -> Report {
-    // The fault-injection sweep on the 4-node reference fleet: the same
-    // shapes, load and anchors as the `fig_resilience` experiment at the
-    // matching scale.
+fn run_resilience(scale: Scale) -> Report {
+    // The fault-injection sweep of `fig_resilience`, spec and all, on
+    // the 4-node reference fleet.
     let nodes = 4;
-    let (tables, batch, pooling, sample, queries) = if smoke {
-        (12, 2, 6, 3, 64)
-    } else {
-        (24, 4, 8, 4, 256)
-    };
-    let shape = QueryShape::new(tables, batch, pooling)
-        .with_table_skew(1.2)
-        .with_table_sampling(sample);
-    let spec = ResilienceSpec {
-        process: ArrivalProcess::Poisson,
-        qps: 40_000.0 * nodes as f64,
-        queries,
-        shape,
-        seed: RESILIENCE_SEED,
-        deadline_p99_multiple: 3,
-        sustain_fraction: 0.90,
-        degrade_multiplier: 16,
-    };
+    let spec = experiments::resilience::reference_spec(scale, nodes);
+    let shape = spec.shape;
     let mut make = move || Fleet::reference(nodes);
     let sweep = resilience_sweep(&mut make, &spec)
         .unwrap_or_else(|e| panic!("resilience sweep failed: {e}"));
@@ -609,7 +544,7 @@ fn run_resilience(smoke: bool) -> Report {
     let extra = [("sample_tables", shape.sample_tables.into())];
     let run = (spec.process, spec.seed, shape);
     (
-        report("recnmp-resilience/1", smoke, run, extra, body),
+        report("recnmp-resilience/1", scale, run, extra, body),
         sweep.verdict_holds().then_some(()).ok_or_else(|| {
             format!(
                 "resilience verdict broken: replicated+p95 must keep >= {:.0}% of its \
@@ -634,7 +569,11 @@ fn main() {
         mode.name(),
         recnmp_exec::current().workers()
     );
-    let (report, verdict) = mode.run(args.smoke);
+    let (report, verdict) = mode.run(if args.smoke {
+        Scale::Quick
+    } else {
+        Scale::Full
+    });
     summarize(&report);
     std::fs::write(&out, report.write()).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("wrote {out}");

@@ -1,12 +1,19 @@
 //! Benchmark and reproduction harness for the RecNMP workspace: `repro`
 //! regenerates the paper's tables and figures, `golden_check` diffs them
 //! against `goldens/`, `serve_sweep` and `sim_throughput` write and check
-//! the `BENCH_*.json` reports, and `cargo bench -p recnmp-bench` times
-//! the kernel behind each artifact. Every bin does JSON through [`json`].
+//! the `BENCH_*.json` reports, and `cargo bench -p recnmp-bench` runs
+//! three layer micro-benchmarks through [`bench()`]. Every bin does JSON
+//! through [`json`].
+//!
+//! Each artifact's traffic is defined once, in
+//! [`recnmp_sim::experiments`]: `golden_check` and `repro` time those
+//! experiments themselves, and `serve_sweep` takes its query shapes from
+//! them.
 
 pub mod json;
 
-pub use recnmp_sim::experiments::{run, run_all, ExperimentResult, Scale, IDS};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// Prints the process's peak resident set size (`VmHWM` in
 /// `/proc/self/status`) to stderr. It is informational only and is never
@@ -21,6 +28,27 @@ pub fn print_peak_rss() {
     if let Some(kib) = kib {
         eprintln!("peak RSS {:.1} MiB (VmHWM)", kib as f64 / 1024.0);
     }
+}
+
+/// Times `f` for a layer micro-benchmark: 500 ms of warm-up, then up to
+/// 20 timed calls within a 3 s budget. Prints `{name}: {n} iterations,
+/// mean {x} us/iter`, the mean per call. Informational only, never gated.
+pub fn bench<O>(name: &str, mut f: impl FnMut() -> O) {
+    let warm_up = Instant::now();
+    while warm_up.elapsed() < Duration::from_millis(500) {
+        black_box(f());
+    }
+    let start = Instant::now();
+    let mut iterations = 0u32;
+    while iterations < 20 {
+        black_box(f());
+        iterations += 1;
+        if start.elapsed() >= Duration::from_secs(3) {
+            break;
+        }
+    }
+    let mean_us = start.elapsed().as_secs_f64() * 1e6 / f64::from(iterations);
+    println!("{name}: {iterations} iterations, mean {mean_us:.1} us/iter");
 }
 
 /// The options shared by the report-writing bins: `--smoke`,

@@ -8,7 +8,7 @@
 //! partial-sum accumulate) in a pipeline that hides behind the memory
 //! reads.
 
-use recnmp_cache::{CacheConfig, CacheStats, RankCache, RankCacheOutcome};
+use recnmp_cache::{CacheStats, RankCache, RankCacheOutcome};
 use recnmp_dram::request::RequestKind;
 use recnmp_dram::{DramAddr, MemorySystem};
 use recnmp_types::{ConfigError, Cycle, RankId, RequestId, SimError};
@@ -107,11 +107,6 @@ impl RankNmp {
             .as_ref()
             .map(RankCache::stats)
             .unwrap_or_default()
-    }
-
-    /// The cache configuration, if any.
-    pub fn cache_config(&self) -> Option<&CacheConfig> {
-        self.cache.as_ref().map(RankCache::config)
     }
 
     /// DRAM statistics of this rank's devices.
@@ -279,6 +274,7 @@ fn burst_daddr(base: &DramAddr, b: u8) -> DramAddr {
 mod tests {
     use super::*;
     use crate::inst::NmpInst;
+    use recnmp_cache::CacheConfig;
 
     fn config(cache: bool) -> RecNmpConfig {
         let mut cfg = RecNmpConfig::with_ranks(1, 1);

@@ -177,12 +177,6 @@ impl AddressMapping {
             column,
         }
     }
-
-    /// Returns the rank that `addr` maps to, without computing the rest of
-    /// the coordinates.
-    pub fn rank_of(self, addr: PhysAddr, geo: &Geometry) -> u8 {
-        self.decode(addr, geo).rank
-    }
 }
 
 #[cfg(test)]

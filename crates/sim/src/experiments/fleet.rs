@@ -9,11 +9,23 @@ use crate::serving::{anchored_sweep, ArrivalProcess, QueryShape, SweepCurve, Swe
 
 const SEED: u64 = 0xf1ee7;
 
+/// The fleet workload: skewed (Zipf 1.2) sampled-table queries. Full
+/// scale carries enough distinct tables (128 over the 16-node fleet's
+/// 64 channels) that single-copy tables can spread across the whole
+/// fleet instead of bottlenecking on one channel.
+pub fn fleet_shape(scale: Scale) -> QueryShape {
+    match scale {
+        Scale::Quick => QueryShape::new(12, 2, 6).with_table_sampling(3),
+        Scale::Full => QueryShape::new(128, 4, 8).with_table_sampling(4),
+    }
+    .with_table_skew(1.2)
+}
+
 /// How many of the hottest tables the replicated configuration copies
 /// onto every node. Full scale replicates a deeper slice of the Zipf
 /// head: at 16 nodes a single-copy hot table's one channel would
 /// otherwise cap the whole fleet.
-fn hot_tables(scale: Scale) -> usize {
+pub fn hot_tables(scale: Scale) -> usize {
     scale.scaled(2, 8)
 }
 
@@ -33,22 +45,12 @@ fn hot_tables(scale: Scale) -> usize {
 /// directly, and the knee-vs-nodes series is the scaling claim: the
 /// replicated knee grows near-linearly while pure sharding flattens at
 /// the hottest node's capacity.
-pub fn fig_fleet(scale: Scale) -> ExperimentResult {
+pub(super) fn fig_fleet(scale: Scale) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "fig_fleet",
         "Fleet scaling: knee QPS vs node count, sharding vs hot-table replication",
     );
-    // Full scale carries enough distinct tables (128 over the 16-node
-    // fleet's 64 channels) that single-copy tables can spread across the
-    // whole fleet instead of bottlenecking on one channel.
-    let shape = match scale {
-        Scale::Quick => QueryShape::new(12, 2, 6)
-            .with_table_skew(1.2)
-            .with_table_sampling(3),
-        Scale::Full => QueryShape::new(128, 4, 8)
-            .with_table_skew(1.2)
-            .with_table_sampling(4),
-    };
+    let shape = fleet_shape(scale);
     let node_counts: &[usize] = match scale {
         Scale::Quick => &[1, 2, 4],
         Scale::Full => &[1, 2, 4, 8, 16],

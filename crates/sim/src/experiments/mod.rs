@@ -3,14 +3,20 @@
 //! Each experiment regenerates the rows/series of its figure from the
 //! simulators in this workspace and returns them as renderable tables.
 //! `EXPERIMENTS.md` records these outputs next to the paper's numbers.
+//!
+//! This is the only place an artifact's traffic is defined. The four
+//! serving-side modules are public so that `serve_sweep` sweeps the same
+//! query shapes, tier geometry, hot-table count and resilience spec as
+//! the figures, at [`Scale::Quick`] for `--smoke` and [`Scale::Full`]
+//! otherwise.
 
 mod characterization;
 mod endtoend;
-mod fleet;
+pub mod fleet;
 mod nmp;
-mod resilience;
-mod serving;
-mod storage;
+pub mod resilience;
+pub mod serving;
+pub mod storage;
 mod tables;
 
 use std::fmt;
@@ -25,7 +31,7 @@ use crate::render::TextTable;
 /// the trace lengths recorded in `EXPERIMENTS.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
-    /// Small traces (seconds): tests, benches, smoke runs.
+    /// Small traces (seconds): tests, goldens, smoke runs.
     Quick,
     /// Full traces (minutes): the recorded reproduction.
     Full,
@@ -130,13 +136,6 @@ pub fn run(id: &str, scale: Scale) -> Option<ExperimentResult> {
         _ => return None,
     };
     Some(result)
-}
-
-/// Runs every experiment in paper order.
-pub fn run_all(scale: Scale) -> Vec<ExperimentResult> {
-    IDS.iter()
-        .map(|id| run(id, scale).expect("registered id"))
-        .collect()
 }
 
 #[cfg(test)]

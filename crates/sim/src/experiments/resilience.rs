@@ -12,7 +12,7 @@ const SEED: u64 = 0x5e5111e0;
 /// A run's goodput must keep at least this fraction of its pre-fault
 /// rate through the fault window to count as sustained — the same bar
 /// the CI verdict and the acceptance test enforce.
-pub const SUSTAIN_FRACTION: f64 = 0.90;
+const SUSTAIN_FRACTION: f64 = 0.90;
 
 /// The SLO deadline is this multiple of the fault-free replicated
 /// configuration's p99 — generous enough that a healthy fleet never
@@ -30,9 +30,11 @@ fn shape(scale: Scale) -> QueryShape {
     }
 }
 
-/// The spec the experiment shares with `serve_sweep --resilience`: same
-/// anchors, so the figure and `BENCH_resilience.json` tell one story.
-pub(crate) fn reference_spec(scale: Scale, nodes: usize) -> ResilienceSpec {
+/// The resilience workload at `nodes` reference nodes: 40,000 qps per
+/// node, Zipf-1.2 sampled-table queries. `serve_sweep --resilience`
+/// sweeps this same spec at 4 nodes, so the figure and
+/// `BENCH_resilience.json` tell one story.
+pub fn reference_spec(scale: Scale, nodes: usize) -> ResilienceSpec {
     ResilienceSpec {
         process: ArrivalProcess::Poisson,
         qps: 40_000.0 * nodes as f64,
@@ -62,7 +64,7 @@ pub(crate) fn reference_spec(scale: Scale, nodes: usize) -> ResilienceSpec {
 /// replicated+hedged arm sustains at least
 /// [`SUSTAIN_FRACTION`] of its pre-fault goodput-under-SLO, while
 /// unreplicated placement collapses.
-pub fn fig_resilience(scale: Scale) -> ExperimentResult {
+pub(super) fn fig_resilience(scale: Scale) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "fig_resilience",
         "Fleet resilience: availability and goodput-under-SLO through injected faults",

@@ -16,18 +16,40 @@ use crate::serving::{
 
 const SEED: u64 = 0x5e12;
 
+/// The query shape of `fig18_tail_latency`: two tables at quick scale,
+/// the RM1-small embedding shape at batch 4 at full scale.
+pub fn tail_latency_shape(scale: Scale) -> QueryShape {
+    match scale {
+        Scale::Quick => QueryShape::new(2, 2, 8),
+        Scale::Full => QueryShape::for_model(RecModelKind::Rm1Small, 4),
+    }
+}
+
+/// The query shape of `fig19_placement`: per-table traffic skewed
+/// `(t+1)^-1.5`, so that placement matters.
+pub fn placement_shape(scale: Scale) -> QueryShape {
+    match scale {
+        Scale::Quick => QueryShape::reference_skewed(),
+        Scale::Full => QueryShape::for_model(RecModelKind::Rm1Small, 4).with_table_skew(1.5),
+    }
+}
+
+/// The query shape of `fig_cache_serving`: the placement shape with
+/// hotter row streams (Zipf 1.2), so a bounded host cache sees real
+/// repeat traffic.
+pub fn cache_serving_shape(scale: Scale) -> QueryShape {
+    placement_shape(scale).with_row_skew(1.2)
+}
+
 /// Figure-18-style tail latency: p50/p95/p99 vs offered QPS for the host
 /// baseline and a 4-channel RecNMP cluster under each dispatch policy,
 /// with the saturation knee identified per curve.
-pub fn fig18_tail_latency(scale: Scale) -> ExperimentResult {
+pub(super) fn fig18_tail_latency(scale: Scale) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "fig18_tail_latency",
         "Figure 18 (serving): tail latency vs offered load over the cluster",
     );
-    let shape = match scale {
-        Scale::Quick => QueryShape::new(2, 2, 8),
-        Scale::Full => QueryShape::for_model(RecModelKind::Rm1Small, 4),
-    };
+    let shape = tail_latency_shape(scale);
     let spec = SweepSpec {
         process: ArrivalProcess::Poisson,
         shape,
@@ -81,15 +103,12 @@ pub fn fig18_tail_latency(scale: Scale) -> ExperimentResult {
 /// placement actually matters. All policies are swept at the same
 /// absolute offered loads (fractions of the sharded-hash baseline's
 /// saturation), so knee QPS and p99-at-fixed-load compare directly.
-pub fn fig19_placement(scale: Scale) -> ExperimentResult {
+pub(super) fn fig19_placement(scale: Scale) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "fig19_placement",
         "Figure 19 (placement): sharded serving under skewed table traffic, by placement policy",
     );
-    let shape = match scale {
-        Scale::Quick => QueryShape::reference_skewed(),
-        Scale::Full => QueryShape::for_model(RecModelKind::Rm1Small, 4).with_table_skew(1.5),
-    };
+    let shape = placement_shape(scale);
     let spec = SweepSpec {
         process: ArrivalProcess::Poisson,
         shape,
@@ -160,17 +179,12 @@ pub fn fig19_placement(scale: Scale) -> ExperimentResult {
 /// than the reference workload (Zipf 1.2) so a bounded cache sees real
 /// repeat traffic; every arm runs at the same absolute offered loads,
 /// anchored to the cache-less frequency-balanced baseline's saturation.
-pub fn fig_cache_serving(scale: Scale) -> ExperimentResult {
+pub(super) fn fig_cache_serving(scale: Scale) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "fig_cache_serving",
         "Cache-aware serving: host-cache capacity x placement over the RecNMP-opt cluster",
     );
-    let shape = match scale {
-        Scale::Quick => QueryShape::reference_skewed().with_row_skew(1.2),
-        Scale::Full => QueryShape::for_model(RecModelKind::Rm1Small, 4)
-            .with_table_skew(1.5)
-            .with_row_skew(1.2),
-    };
+    let shape = cache_serving_shape(scale);
     let spec = SweepSpec {
         process: ArrivalProcess::Poisson,
         shape,

@@ -34,10 +34,13 @@ const SSD_UNITS: usize = 2;
 const TABLES: usize = 16;
 const TABLE_BYTES: u64 = 128_000_000;
 
+/// The capacity workload's model footprint: 2.048 GB.
+pub const FOOTPRINT_BYTES: u64 = TABLES as u64 * TABLE_BYTES;
+
 /// Footprint-to-DRAM ratios swept, as (numerator, denominator, label):
 /// at 0.5x everything fits twice over, at 1x exactly, at 8x no single
 /// table fits any channel and both policies degenerate to all-SSD.
-const RATIOS: [(u64, u64, &str); 5] = [
+pub const RATIOS: [(u64, u64, &str); 5] = [
     (1, 2, "0.5x"),
     (1, 1, "1x"),
     (2, 1, "2x"),
@@ -48,11 +51,12 @@ const RATIOS: [(u64, u64, &str); 5] = [
 /// The tier geometry at footprint/DRAM ratio `num/den`: total DRAM
 /// capacity is `footprint * den / num`, split evenly across the
 /// channels; the SSD units are always large enough for the whole model.
-fn tiers_at(num: u64, den: u64) -> TierSpec {
-    let footprint = TABLES as u64 * TABLE_BYTES;
+pub fn tiers_at(num: u64, den: u64) -> TierSpec {
     TierSpec {
         dram_channels: DRAM_CHANNELS,
-        dram_channel_capacity: ByteSize::bytes(footprint * den / (num * DRAM_CHANNELS as u64)),
+        dram_channel_capacity: ByteSize::bytes(
+            FOOTPRINT_BYTES * den / (num * DRAM_CHANNELS as u64),
+        ),
         ssd_units: SSD_UNITS,
         ssd_unit_capacity: ByteSize::gib(4),
     }
@@ -65,7 +69,7 @@ fn tiers_at(num: u64, den: u64) -> TierSpec {
 /// capacity story graceful: a query whose tables all live in DRAM never
 /// touches the SSD tier, so spilling the cold tail slows only the
 /// queries that actually reference it.
-fn capacity_shape(scale: Scale) -> QueryShape {
+pub fn capacity_shape(scale: Scale) -> QueryShape {
     match scale {
         Scale::Quick => QueryShape::new(TABLES, 2, 4),
         Scale::Full => QueryShape::new(TABLES, 4, 8),
@@ -79,7 +83,7 @@ fn capacity_shape(scale: Scale) -> QueryShape {
 /// embedding footprint sweeps 0.5x–8x of DRAM capacity on a 4-channel +
 /// 2-SSD tiered system, hash vs frequency-tiered placement, plus an
 /// epoch-promotion demonstration at the 4x point.
-pub fn fig_capacity(scale: Scale) -> ExperimentResult {
+pub(super) fn fig_capacity(scale: Scale) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "fig_capacity",
         "Capacity sweep (tiered storage): serving knee vs footprint/DRAM ratio",

@@ -197,9 +197,9 @@ impl QueryShape {
     /// The reference skewed quick/smoke workload of the placement
     /// artifacts — 8 tables, batch 2, pooling 8, per-table traffic
     /// `(t+1)^-1.5` — one definition shared by `fig19_placement`
-    /// (quick), `serve_sweep --placement --smoke`, the placement
-    /// acceptance tests and the Criterion bench, so none can silently
-    /// measure a different workload than the committed golden.
+    /// (quick), `serve_sweep --placement --smoke` and the placement
+    /// acceptance tests, so none can silently measure a different
+    /// workload than the committed golden.
     pub fn reference_skewed() -> Self {
         Self::new(8, 2, 8).with_table_skew(1.5)
     }

@@ -7,7 +7,7 @@
 //! [`RunReport`] for each. The engine has no backend-specific logic:
 //! every run goes through [`SpeedupEngine::run_backend`].
 
-use recnmp::{compile_trace, ExecutionMode, RecNmpConfig, RecNmpSystem};
+use recnmp::{ExecutionMode, RecNmpConfig, RecNmpSystem};
 use recnmp_backend::{RunReport, SlsBackend, SlsTrace};
 use recnmp_baselines::{Chameleon, HostBaseline, TensorDimm};
 use recnmp_dram::DramConfig;
@@ -219,18 +219,6 @@ impl SpeedupEngine {
         let mut host = HostBaseline::with_config(dram_cfg)?;
         let mut sys = RecNmpSystem::new(config.clone())?;
         Ok(self.compare_backends(&mut host, &mut sys, &trace))
-    }
-
-    /// Compiles the shared trace into `config`'s scheduled packet stream
-    /// (exposed for packet-level experiments). Uses the same geometry and
-    /// mapping the `SlsBackend` execution path derives from `config`.
-    pub fn packets_for(&self, config: &RecNmpConfig) -> Vec<recnmp::NmpPacket> {
-        compile_trace(
-            config,
-            config.geometry(),
-            config.mapping(),
-            &self.trace_for(config),
-        )
     }
 }
 

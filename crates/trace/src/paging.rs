@@ -113,11 +113,6 @@ impl PageMapper {
         };
         PhysAddr::from_page(frame, offset)
     }
-
-    /// Translates a whole logical trace.
-    pub fn translate_all<I: IntoIterator<Item = u64>>(&mut self, logicals: I) -> Vec<PhysAddr> {
-        logicals.into_iter().map(|l| self.translate(l)).collect()
-    }
 }
 
 #[cfg(test)]

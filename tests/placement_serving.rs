@@ -76,7 +76,7 @@ fn frequency_balanced_beats_hash_on_skewed_traffic() {
 
 #[test]
 fn placement_advantage_holds_on_two_channels() {
-    // The acceptance criterion names a >=2-channel cluster; check the
+    // The acceptance bar names a >=2-channel cluster; check the
     // minimal geometry too.
     let curves = sweep(2);
     let (hash, freq) = (&curves[0], &curves[1]);

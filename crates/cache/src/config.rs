@@ -77,12 +77,18 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] when the line size is not a power of two,
-    /// the capacity is not divisible into `ways`-sized sets, or the set
-    /// count is not a power of two (required for index hashing).
+    /// Returns a [`ConfigError`] when the line size is not a power of two
+    /// of at least 2 bytes (a 1-byte line would give address `u64::MAX`
+    /// the line id [`SetAssocCache`](crate::SetAssocCache) reserves for an
+    /// empty way), the capacity is not divisible into `ways`-sized sets,
+    /// or the set count is not a power of two (required for index
+    /// hashing).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.line_bytes == 0 || !self.line_bytes.is_power_of_two() {
-            return Err(ConfigError::new("line_bytes", "must be a power of two"));
+        if self.line_bytes < 2 || !self.line_bytes.is_power_of_two() {
+            return Err(ConfigError::new(
+                "line_bytes",
+                "must be a power of two of at least 2",
+            ));
         }
         if self.capacity_bytes == 0 || !self.capacity_bytes.is_multiple_of(self.line_bytes) {
             return Err(ConfigError::new(
@@ -133,6 +139,12 @@ mod tests {
     #[test]
     fn validate_rejects_bad_line() {
         let cfg = CacheConfig::new(8192, 48, 4);
+        assert_eq!(cfg.validate().unwrap_err().field(), "line_bytes");
+    }
+
+    #[test]
+    fn validate_rejects_one_byte_lines() {
+        let cfg = CacheConfig::new(8192, 1, 4);
         assert_eq!(cfg.validate().unwrap_err().field(), "line_bytes");
     }
 

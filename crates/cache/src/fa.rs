@@ -4,11 +4,13 @@
 //! line-size sweep on a fully-associative cache. At 16 MiB that is
 //! hundreds of thousands of ways, far beyond what the linear-scan
 //! [`SetAssocCache`](crate::SetAssocCache) handles; this implementation
-//! uses a hash map plus an ordered recency index instead.
+//! uses a hash map plus an ordered recency index instead. Like the
+//! set-associative model it keeps no history of evicted lines, so its
+//! `compulsory_misses` stays zero.
 
 use std::collections::BTreeMap;
 
-use recnmp_types::hash::{U64Map, U64Set};
+use recnmp_types::hash::U64Map;
 use recnmp_types::ConfigError;
 
 use crate::stats::CacheStats;
@@ -40,7 +42,6 @@ pub struct FullyAssocLru {
     /// recency stamp -> tag (oldest first)
     recency: BTreeMap<u64, u64>,
     clock: u64,
-    seen: U64Set,
     stats: CacheStats,
 }
 
@@ -68,7 +69,6 @@ impl FullyAssocLru {
             lines: U64Map::default(),
             recency: BTreeMap::new(),
             clock: 0,
-            seen: U64Set::default(),
             stats: CacheStats::new(),
         })
     }
@@ -95,9 +95,6 @@ impl FullyAssocLru {
             return true;
         }
         self.stats.misses += 1;
-        if self.seen.insert(tag) {
-            self.stats.compulsory_misses += 1;
-        }
         if self.lines.len() == self.capacity_lines {
             let (&oldest, &victim) = self.recency.iter().next().expect("cache is full");
             self.recency.remove(&oldest);

@@ -17,6 +17,12 @@
 //!   per-channel RankCaches between queries via the stats-clean prefetch
 //!   path ([`SetAssocCache::fill`] / [`RankCache::prefetch_fill`]).
 //!
+//! Only the [`RankCache`] counts cold misses
+//! ([`CacheStats::compulsory_misses`]), because only its compulsory limit
+//! reaches a report (Figure 12). [`SetAssocCache`] and
+//! [`fa::FullyAssocLru`] keep no line history: their footprint is fixed
+//! at construction, 16 bytes per line for the set-associative model.
+//!
 //! # Examples
 //!
 //! ```

@@ -11,7 +11,11 @@
 //!
 //! Access latency and energy come from Table I: 1 cycle and 50 pJ per
 //! access.
+//!
+//! It is also the one cache in the crate that counts cold misses: its
+//! compulsory limit is what Figure 12 reports beside the hit rate.
 
+use recnmp_types::hash::U64Set;
 use recnmp_types::ConfigError;
 
 use crate::config::CacheConfig;
@@ -60,6 +64,10 @@ impl RankCacheOutcome {
 #[derive(Debug, Clone)]
 pub struct RankCache {
     inner: SetAssocCache,
+    /// Every line id a hinted demand access has missed on since the last
+    /// reset; its size is the compulsory-miss count. Prefetch fills do not
+    /// enter it.
+    demand_missed: U64Set,
     bypasses: u64,
     prefetch_fills: u64,
 }
@@ -73,6 +81,7 @@ impl RankCache {
     pub fn new(config: CacheConfig) -> Result<Self, ConfigError> {
         Ok(Self {
             inner: SetAssocCache::new(config)?,
+            demand_missed: U64Set::default(),
             bypasses: 0,
             prefetch_fills: 0,
         })
@@ -93,6 +102,8 @@ impl RankCache {
         if self.inner.access(addr).is_hit() {
             RankCacheOutcome::Hit
         } else {
+            self.demand_missed
+                .insert(addr / self.inner.config().line_bytes);
             RankCacheOutcome::MissFill
         }
     }
@@ -116,10 +127,14 @@ impl RankCache {
         self.prefetch_fills
     }
 
-    /// Statistics, with bypasses folded in.
+    /// Statistics, with bypasses and compulsory misses folded in. A
+    /// compulsory miss is the first demand miss on a line since the last
+    /// [`reset`](Self::reset); a line that was prefetched and then hit
+    /// never counts.
     pub fn stats(&self) -> CacheStats {
         let mut s = *self.inner.stats();
         s.bypasses = self.bypasses;
+        s.compulsory_misses = self.demand_missed.len() as u64;
         s
     }
 
@@ -131,6 +146,7 @@ impl RankCache {
     /// Clears contents and counters.
     pub fn reset(&mut self) {
         self.inner.reset();
+        self.demand_missed.clear();
         self.bypasses = 0;
         self.prefetch_fills = 0;
     }

@@ -1,23 +1,23 @@
 //! Set-associative cache model.
 
-use recnmp_types::hash::U64Set;
 use recnmp_types::ConfigError;
 
 use crate::config::{CacheConfig, ReplacementPolicy};
 use crate::stats::CacheStats;
 
 /// Result of one cache access.
+///
+/// A set-associative cache keeps no history of the lines it has seen, so
+/// a miss does not say whether it was a cold (first-reference) miss; the
+/// [`RankCache`](crate::RankCache) counts those itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// Line was resident.
     Hit,
-    /// Line was absent; `evicted` names the displaced line's base address,
-    /// `compulsory` is true when the line was never referenced before.
+    /// Line was absent and is now installed.
     Miss {
         /// Base address of the evicted line, if a valid line was displaced.
         evicted: Option<u64>,
-        /// Whether this was a cold (first-reference) miss.
-        compulsory: bool,
     },
 }
 
@@ -28,19 +28,36 @@ impl AccessOutcome {
     }
 }
 
+/// One way of a set: 16 bytes, so a 4-way set fills one 64-byte line of
+/// the host running the model.
 #[derive(Debug, Clone, Copy)]
 struct Line {
+    /// Line id (`addr / line_bytes`), or `u64::MAX` for an empty way.
+    /// Lines are at least 2 bytes, so no address has that id.
     tag: u64,
-    /// LRU timestamp or FIFO insertion order, depending on policy.
+    /// LRU timestamp or FIFO insertion order, depending on policy. The
+    /// clock ticks before every install, so a valid way's stamp is at
+    /// least 1 and an empty way's is 0.
     stamp: u64,
-    valid: bool,
+}
+
+impl Line {
+    const EMPTY: Self = Self {
+        tag: u64::MAX,
+        stamp: 0,
+    };
+
+    fn is_valid(self) -> bool {
+        self.tag != Self::EMPTY.tag
+    }
 }
 
 /// A set-associative cache with LRU or FIFO replacement.
 ///
 /// Addresses are plain `u64` byte addresses; the cache works on aligned
 /// lines of `line_bytes`. The model is *trace driven*: it tracks only
-/// presence, not contents.
+/// presence, not contents. Its footprint is fixed at construction, 16
+/// bytes per line, however many lines stream through it.
 ///
 /// # Examples
 ///
@@ -64,8 +81,6 @@ pub struct SetAssocCache {
     lines: Vec<Line>,
     num_sets: usize,
     clock: u64,
-    /// Every line id ever referenced, for compulsory-miss accounting.
-    seen: U64Set,
     stats: CacheStats,
 }
 
@@ -79,20 +94,11 @@ impl SetAssocCache {
     pub fn new(config: CacheConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         let num_sets = config.num_sets();
-        let lines = vec![
-            Line {
-                tag: 0,
-                stamp: 0,
-                valid: false
-            };
-            num_sets * config.ways
-        ];
         Ok(Self {
             config,
-            lines,
+            lines: vec![Line::EMPTY; num_sets * config.ways],
             num_sets,
             clock: 0,
-            seen: U64Set::default(),
             stats: CacheStats::new(),
         })
     }
@@ -102,18 +108,16 @@ impl SetAssocCache {
         &self.config
     }
 
-    /// Accumulated statistics.
+    /// Accumulated statistics. `compulsory_misses` stays zero: this cache
+    /// does not track cold misses.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
 
     /// Resets contents and statistics, keeping the configuration.
     pub fn reset(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-        }
+        self.lines.fill(Line::EMPTY);
         self.clock = 0;
-        self.seen.clear();
         self.stats = CacheStats::new();
     }
 
@@ -135,59 +139,18 @@ impl SetAssocCache {
     pub fn contains(&self, addr: u64) -> bool {
         let id = self.line_id(addr);
         let set = self.set_lines(self.set_index(id));
-        set.iter().any(|l| l.valid && l.tag == id)
+        set.iter().any(|l| l.tag == id)
     }
 
     /// Performs one access, updating replacement state and statistics.
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
-        self.clock += 1;
-        let id = self.line_id(addr);
-        let idx = self.set_index(id);
-        let policy = self.config.policy;
-        let ways = self.config.ways;
-        let set = &mut self.lines[idx * ways..][..ways];
-
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == id) {
-            if policy == ReplacementPolicy::Lru {
-                line.stamp = self.clock;
-            }
+        let outcome = self.touch(addr);
+        if outcome.is_hit() {
             self.stats.hits += 1;
-            return AccessOutcome::Hit;
-        }
-
-        // Miss: choose a victim — an invalid way if any, else the smallest
-        // stamp (LRU time or FIFO insertion order).
-        let victim = match set.iter().position(|l| !l.valid) {
-            Some(i) => i,
-            None => {
-                let (i, _) = set
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.stamp)
-                    .expect("sets are never empty");
-                i
-            }
-        };
-        let evicted = if set[victim].valid {
-            self.stats.evictions += 1;
-            Some(set[victim].tag * self.config.line_bytes)
         } else {
-            None
-        };
-        set[victim] = Line {
-            tag: id,
-            stamp: self.clock,
-            valid: true,
-        };
-        let compulsory = self.seen.insert(id);
-        self.stats.misses += 1;
-        if compulsory {
-            self.stats.compulsory_misses += 1;
+            self.stats.misses += 1;
         }
-        AccessOutcome::Miss {
-            evicted,
-            compulsory,
-        }
+        outcome
     }
 
     /// Installs the line of `addr` without recording a hit or miss — the
@@ -200,39 +163,43 @@ impl SetAssocCache {
     /// when the line was newly installed, `false` when already resident
     /// (residency is refreshed either way under LRU).
     pub fn fill(&mut self, addr: u64) -> bool {
+        !self.touch(addr).is_hit()
+    }
+
+    /// The step [`access`](Self::access) and [`fill`](Self::fill) share:
+    /// refreshes a resident line's recency under LRU, or installs the line
+    /// over its set's victim and counts the eviction. The victim is the
+    /// first empty way, else the smallest stamp (LRU time or FIFO
+    /// insertion order); since empty ways have stamp 0 and valid stamps
+    /// are distinct and positive, that is the first way of smallest stamp.
+    fn touch(&mut self, addr: u64) -> AccessOutcome {
         self.clock += 1;
         let id = self.line_id(addr);
         let idx = self.set_index(id);
-        let policy = self.config.policy;
         let ways = self.config.ways;
         let set = &mut self.lines[idx * ways..][..ways];
 
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == id) {
-            if policy == ReplacementPolicy::Lru {
+        if let Some(line) = set.iter_mut().find(|l| l.tag == id) {
+            if self.config.policy == ReplacementPolicy::Lru {
                 line.stamp = self.clock;
             }
-            return false;
+            return AccessOutcome::Hit;
         }
-        let victim = match set.iter().position(|l| !l.valid) {
-            Some(i) => i,
-            None => {
-                let (i, _) = set
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.stamp)
-                    .expect("sets are never empty");
-                i
-            }
-        };
-        if set[victim].valid {
-            self.stats.evictions += 1;
-        }
-        set[victim] = Line {
+        let victim = set
+            .iter_mut()
+            .min_by_key(|l| l.stamp)
+            .expect("sets are never empty");
+        let evicted = victim
+            .is_valid()
+            .then(|| victim.tag * self.config.line_bytes);
+        *victim = Line {
             tag: id,
             stamp: self.clock,
-            valid: true,
         };
-        true
+        if evicted.is_some() {
+            self.stats.evictions += 1;
+        }
+        AccessOutcome::Miss { evicted }
     }
 
     /// Runs a whole trace of addresses and returns the hit rate.
@@ -245,7 +212,7 @@ impl SetAssocCache {
 
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.is_valid()).count()
     }
 }
 
@@ -261,17 +228,10 @@ mod tests {
     #[test]
     fn cold_miss_then_hit() {
         let mut c = tiny();
-        let m = c.access(0);
-        assert!(matches!(
-            m,
-            AccessOutcome::Miss {
-                evicted: None,
-                compulsory: true
-            }
-        ));
+        assert_eq!(c.access(0), AccessOutcome::Miss { evicted: None });
         assert!(c.access(63).is_hit());
         assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().compulsory_misses, 1);
+        assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
@@ -283,13 +243,7 @@ mod tests {
         // Touch line 0 so line 1 becomes LRU.
         c.access(0);
         let out = c.access(4 * 64);
-        assert_eq!(
-            out,
-            AccessOutcome::Miss {
-                evicted: Some(64),
-                compulsory: true
-            }
-        );
+        assert_eq!(out, AccessOutcome::Miss { evicted: Some(64) });
         assert!(c.contains(0));
         assert!(!c.contains(64));
     }
@@ -305,13 +259,7 @@ mod tests {
         // Re-touching line 0 must NOT save it under FIFO.
         c.access(0);
         let out = c.access(4 * 64);
-        assert_eq!(
-            out,
-            AccessOutcome::Miss {
-                evicted: Some(0),
-                compulsory: true
-            }
-        );
+        assert_eq!(out, AccessOutcome::Miss { evicted: Some(0) });
     }
 
     #[test]
@@ -327,20 +275,14 @@ mod tests {
     }
 
     #[test]
-    fn recurrent_miss_is_not_compulsory() {
+    fn recurrent_miss_reports_its_victim() {
         let mut c = SetAssocCache::new(CacheConfig::new(128, 64, 1)).unwrap();
         c.access(0);
         c.access(128); // evicts 0
-        let out = c.access(0); // capacity/conflict miss, seen before
-        assert!(matches!(
-            out,
-            AccessOutcome::Miss {
-                compulsory: false,
-                ..
-            }
-        ));
-        assert_eq!(c.stats().compulsory_misses, 2);
+        let out = c.access(0); // conflict miss: evicts 128 in turn
+        assert_eq!(out, AccessOutcome::Miss { evicted: Some(128) });
         assert_eq!(c.stats().misses, 3);
+        assert_eq!(c.stats().compulsory_misses, 0);
     }
 
     #[test]
@@ -377,20 +319,6 @@ mod tests {
         assert_eq!(c.stats().evictions, 1);
         assert!(c.contains(0));
         assert!(!c.contains(64));
-        // Fills never mark lines as seen: a filled-then-evicted line
-        // that was never demand-accessed still misses as compulsory.
-        for i in 5..9u64 {
-            c.access(i * 64); // flush the filled 4*64 line out
-        }
-        assert!(!c.contains(4 * 64));
-        let out = c.access(4 * 64);
-        assert!(matches!(
-            out,
-            AccessOutcome::Miss {
-                compulsory: true,
-                ..
-            }
-        ));
     }
 
     #[test]

@@ -9,7 +9,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Accesses that missed.
     pub misses: u64,
-    /// Misses to lines never seen before (compulsory/cold misses).
+    /// Misses to lines never missed on before (compulsory/cold misses).
+    /// Only [`RankCache`](crate::RankCache) fills this in, counting
+    /// demand misses alone; the set- and fully-associative models keep no
+    /// line history and leave it zero.
     pub compulsory_misses: u64,
     /// Valid lines evicted to make room.
     pub evictions: u64,

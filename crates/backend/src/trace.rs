@@ -6,6 +6,11 @@
 //! weights, the pooling offsets into them, and one record per batch
 //! naming its table, spec and pooling range. Readers borrow
 //! [`BatchView`]s; sub-traces copy contiguous column ranges.
+//!
+//! Rows are stored as `u32`, 4 bytes beside each 8-byte address: a valid
+//! [`EmbeddingTableSpec`] has at most 2^32 rows, so every row of a valid
+//! table fits, and [`SlsTrace::push_pooling`] refuses one that does not
+//! rather than truncate it.
 
 use recnmp_trace::{EmbeddingTableSpec, SlsBatch};
 use recnmp_types::{PhysAddr, TableId};
@@ -51,6 +56,11 @@ fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("trace offsets fit in u32")
 }
 
+/// `row` as a stored row, panicking when it does not fit a `u32`.
+fn narrow(row: u64) -> u32 {
+    u32::try_from(row).unwrap_or_else(|_| panic!("row {row} does not fit a u32 row column"))
+}
+
 /// One physical SLS workload: the single source of truth every
 /// [`SlsBackend`](crate::SlsBackend) serves.
 ///
@@ -61,7 +71,7 @@ fn offset(n: usize) -> u32 {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SlsTrace {
     /// Every lookup's row, in batch then pooling order.
-    rows: Vec<u64>,
+    rows: Vec<u32>,
     /// Each row's physical address (the page-mapping step applied once,
     /// so all backends see the same addresses).
     addrs: Vec<PhysAddr>,
@@ -89,7 +99,8 @@ impl SlsTrace {
     /// so a mixed-size trace would be silently mis-served. The paper's
     /// workloads are uniform (128-byte DLRM vectors). Also panics when a
     /// vector spans more than 255 bursts (16,320 bytes), the most an
-    /// instruction's `vsize` field encodes.
+    /// instruction's `vsize` field encodes, and when a row is 2^32 or
+    /// more, past the `u32` row column (no valid spec has such a row).
     pub fn from_batches(
         batches: &[SlsBatch],
         translate: &mut dyn FnMut(usize, u64) -> PhysAddr,
@@ -146,6 +157,12 @@ impl SlsTrace {
     /// Appends a pooling of `rows` to the open batch, translating each
     /// row in order; `weights` is empty (all ones) or has one weight per
     /// row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no batch is open, when `weights` is neither empty nor
+    /// one per row, and when a row is 2^32 or more: rows are stored as
+    /// `u32`, and none is silently truncated.
     pub fn push_pooling(
         &mut self,
         rows: impl IntoIterator<Item = u64>,
@@ -154,8 +171,9 @@ impl SlsTrace {
     ) {
         let batch = self.batches.last_mut().expect("push_batch opens a batch");
         let start = self.rows.len();
-        self.rows.extend(rows);
-        (self.addrs).extend(self.rows[start..].iter().map(|&row| translate(row)));
+        self.rows.extend(rows.into_iter().map(narrow));
+        let added = &self.rows[start..];
+        (self.addrs).extend(added.iter().map(|&row| translate(u64::from(row))));
         if !weights.is_empty() {
             assert_eq!(
                 weights.len(),
@@ -354,7 +372,7 @@ pub struct BatchView<'a> {
     table: TableId,
     spec: EmbeddingTableSpec,
     bursts: u8,
-    rows: &'a [u64],
+    rows: &'a [u32],
     addrs: &'a [PhysAddr],
     weights: &'a [f32],
     /// The trace's offsets of these poolings, plus the end of the last;
@@ -379,7 +397,7 @@ impl<'a> BatchView<'a> {
     }
 
     /// Every lookup's row, in pooling order.
-    pub fn rows(&self) -> &'a [u64] {
+    pub fn rows(&self) -> &'a [u32] {
         self.rows
     }
 
@@ -465,7 +483,7 @@ mod tests {
             for pooling in tb.poolings() {
                 assert_eq!(pooling.rows().len(), pooling.addrs().len());
                 for (&row, &addr) in pooling.rows().iter().zip(pooling.addrs()) {
-                    assert_eq!(addr.get() & 0xffff_ffff, row * 128);
+                    assert_eq!(addr.get() & 0xffff_ffff, u64::from(row) * 128);
                 }
             }
         }
@@ -533,6 +551,41 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "row 4294967296 does not fit")]
+    fn rows_past_u32_are_rejected_by_from_batches() {
+        let batches = vec![SlsBatch {
+            table: TableId::new(0),
+            spec: EmbeddingTableSpec::new(1 << 33, 64),
+            poolings: vec![Pooling::unweighted(vec![1, 1 << 32])],
+        }];
+        SlsTrace::from_batches(&batches, &mut |_, row| PhysAddr::new(row * 64));
+    }
+
+    #[test]
+    #[should_panic(expected = "row 4294967296 does not fit")]
+    fn rows_past_u32_are_rejected_by_push_pooling() {
+        let mut tr = SlsTrace::default();
+        tr.push_batch(TableId::new(0), EmbeddingTableSpec::new(1 << 33, 64));
+        tr.push_pooling([1 << 32], &[], |row| PhysAddr::new(row * 64));
+    }
+
+    #[test]
+    fn the_largest_u32_row_reads_back_exactly() {
+        let max = u64::from(u32::MAX);
+        let mut tr = SlsTrace::default();
+        tr.push_batch(TableId::new(0), EmbeddingTableSpec::new(1 << 32, 64));
+        let mut seen = Vec::new();
+        tr.push_pooling([0, max], &[], |row| {
+            seen.push(row);
+            PhysAddr::new(row * 64)
+        });
+        assert_eq!(seen, [0, max]);
+        let b = tr.batch(0);
+        assert_eq!(b.rows(), [0, u32::MAX]);
+        assert_eq!(b.addrs()[1], PhysAddr::new(max * 64));
+    }
+
+    #[test]
     fn plan_sharding_conserves_and_rotates_replicas() {
         let tr = trace(4);
         let usage = TableUsage::from_trace(&tr);
@@ -579,7 +632,7 @@ mod tests {
         assert_eq!(tr.len(), 1);
         let b = tr.batch(0);
         assert_eq!(b.table(), TableId::new(1));
-        let rows: Vec<&[u64]> = b.poolings().map(|p| p.rows()).collect();
+        let rows: Vec<&[u32]> = b.poolings().map(|p| p.rows()).collect();
         assert_eq!(rows, [&[0, 2, 4][..], &[2, 4]]);
         tr.retain_lookups(|_, _, _| false);
         assert_eq!(tr, SlsTrace::default());

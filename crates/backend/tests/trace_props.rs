@@ -17,8 +17,9 @@ use recnmp_types::{PhysAddr, TableId};
 
 const SPEC: EmbeddingTableSpec = EmbeddingTableSpec::new(1 << 20, 128);
 
-/// One reference pooling: rows, their addresses and effective weights.
-type RefPooling = (Vec<u64>, Vec<PhysAddr>, Vec<f32>);
+/// One reference pooling: rows (as the trace stores them), their
+/// addresses and effective weights.
+type RefPooling = (Vec<u32>, Vec<PhysAddr>, Vec<f32>);
 
 /// One reference batch: its table and its poolings.
 type RefBatch = (TableId, Vec<RefPooling>);
@@ -55,7 +56,8 @@ fn reference(batches: &[SlsBatch]) -> Vec<RefBatch> {
             let poolings = b.poolings.iter().map(|p| {
                 let addrs = p.indices.iter().map(|&r| translate(b.table.index(), r));
                 let weights = (0..p.len()).map(|i| p.weight(i));
-                (p.indices.clone(), addrs.collect(), weights.collect())
+                let rows = p.indices.iter().map(|&r| u32::try_from(r).unwrap());
+                (rows.collect(), addrs.collect(), weights.collect())
             });
             (b.table, poolings.collect())
         })
@@ -87,7 +89,7 @@ fn assert_reads_back(trace: &SlsTrace, want: &[RefBatch]) {
         prop_assert_eq!(view.bursts_per_vector(), 2);
         prop_assert_eq!(view.batch_size(), poolings.len());
         prop_assert_eq!(view.output_bytes(), poolings.len() as u64 * 128);
-        let rows: Vec<u64> = poolings.iter().flat_map(|p| p.0.clone()).collect();
+        let rows: Vec<u32> = poolings.iter().flat_map(|p| p.0.clone()).collect();
         prop_assert_eq!(view.rows(), &rows[..]);
         prop_assert_eq!(view.lookups(), rows.len() as u64);
         prop_assert_eq!(view.poolings().len(), poolings.len());
@@ -102,11 +104,11 @@ fn assert_reads_back(trace: &SlsTrace, want: &[RefBatch]) {
             let chunks: Vec<_> = view.chunks(n).collect();
             prop_assert_eq!(chunks.len(), poolings.len().div_ceil(n));
             prop_assert!(chunks.iter().all(|c| (1..=n).contains(&c.batch_size())));
-            let rejoined: Vec<&[u64]> = chunks
+            let rejoined: Vec<&[u32]> = chunks
                 .iter()
                 .flat_map(|c| c.poolings().map(|p| p.rows()))
                 .collect();
-            let expect: Vec<&[u64]> = poolings.iter().map(|p| &p.0[..]).collect();
+            let expect: Vec<&[u32]> = poolings.iter().map(|p| &p.0[..]).collect();
             prop_assert_eq!(rejoined, expect);
         }
     }

@@ -43,7 +43,7 @@ pub fn execute_packet(
     let mut psums: Vec<Vec<Vec<f32>>> = vec![vec![vec![0.0; dims]; poolings]; total_ranks];
     for (inst, origin) in packet.insts.iter().zip(&packet.origins) {
         let rank = inst.daddr.rank as usize % total_ranks;
-        let vec = fetch(origin.table, origin.row);
+        let vec = fetch(origin.table, u64::from(origin.row));
         assert_eq!(vec.len(), dims, "fetched vector has wrong dimension");
         let acc = &mut psums[rank][inst.psum_tag as usize];
         for (a, v) in acc.iter_mut().zip(&vec) {
@@ -99,7 +99,7 @@ mod tests {
         vec![row as f32; 16]
     }
 
-    fn packet(op: NmpOpcode, entries: &[(u8 /*rank*/, u64 /*row*/, u8 /*tag*/, f32)]) -> NmpPacket {
+    fn packet(op: NmpOpcode, entries: &[(u8 /*rank*/, u32 /*row*/, u8 /*tag*/, f32)]) -> NmpPacket {
         let max_tag = entries.iter().map(|e| e.2).max().unwrap_or(0) as usize;
         let mut pooling_sizes = vec![0usize; max_tag + 1];
         for e in entries {
@@ -117,7 +117,7 @@ mod tests {
                         rank,
                         bank_group: 0,
                         bank: 0,
-                        row: row as u32,
+                        row,
                         column: 0,
                     },
                     vsize: 1,

@@ -35,7 +35,7 @@ impl LocalityAwareOptimizer {
     /// into `LocalityBit` hints, when profiling is enabled. The threshold
     /// is swept 0..=max and the value with the best predicted hit rate
     /// wins, as in the paper.
-    pub fn profile_batch(&self, rows: &[u64]) -> Option<HotEntryProfile> {
+    pub fn profile_batch(&self, rows: &[u32]) -> Option<HotEntryProfile> {
         if !self.profiling || self.cache_lines == 0 {
             return None;
         }
@@ -62,11 +62,17 @@ mod tests {
         }
     }
 
+    /// The batch's rows as an `SlsTrace` stores them.
+    fn rows() -> Vec<u32> {
+        let rows = batch().flat_indices().into_iter();
+        rows.map(|r| u32::try_from(r).unwrap()).collect()
+    }
+
     #[test]
     fn base_config_disables_everything() {
         let opt = LocalityAwareOptimizer::from_config(&RecNmpConfig::with_ranks(1, 2));
         assert!(!opt.profiling);
-        assert!(opt.profile_batch(&batch().flat_indices()).is_none());
+        assert!(opt.profile_batch(&rows()).is_none());
         assert_eq!(opt.scheduling, SchedulingPolicy::Fcfs);
     }
 
@@ -75,9 +81,7 @@ mod tests {
         let opt = LocalityAwareOptimizer::from_config(&RecNmpConfig::optimized(1, 2));
         assert!(opt.profiling);
         assert_eq!(opt.cache_lines, 2048);
-        let profile = opt
-            .profile_batch(&batch().flat_indices())
-            .expect("profiling enabled");
+        let profile = opt.profile_batch(&rows()).expect("profiling enabled");
         // Row 1 repeats; with any positive threshold it is the hot one.
         assert!(profile.is_hot(1) || profile.threshold == 0);
     }

@@ -22,8 +22,8 @@ use crate::inst::{DdrCmdFlags, NmpInst, NmpOpcode, MAX_POOLINGS_PER_PACKET};
 pub struct InstOrigin {
     /// Source embedding table.
     pub table: TableId,
-    /// Row index within the table.
-    pub row: u64,
+    /// Row index within the table (a valid table has at most 2^32 rows).
+    pub row: u32,
 }
 
 /// One NMP packet: a counter-controlled group of instructions whose
@@ -176,7 +176,7 @@ impl PacketBuilder {
                     DdrCmdFlags::row_conflict()
                 };
                 let locality = match profile {
-                    Some(p) => p.is_hot(row),
+                    Some(p) => p.is_hot(u64::from(row)),
                     None => true,
                 };
                 insts.push(NmpInst {

@@ -255,7 +255,7 @@ mod tests {
     }
 
     /// One residual lookup `(row, address)`, pooling and batch.
-    type Lookups = Vec<(u64, PhysAddr)>;
+    type Lookups = Vec<(u32, PhysAddr)>;
     type Residual = Vec<(TableId, Vec<Lookups>)>;
 
     /// Filters `queries` the slow way, per lookup and in order, with a

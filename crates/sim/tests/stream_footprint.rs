@@ -3,9 +3,10 @@
 //! A serving run generates its whole offered stream up front and holds it
 //! while it serves, so the stream's footprint is most of a faulted fleet
 //! run's heap. Each query is stored as flat columns built at their exact
-//! size: 8 bytes of row and 8 bytes of address per lookup, plus pooling
-//! offsets, one record per batch and the trace header. A counting global
-//! allocator measures what `take_queries` leaves live on the heap.
+//! size: 4 bytes of row (rows are `u32`) and 8 bytes of address per
+//! lookup, plus pooling offsets, one record per batch and the trace
+//! header. A counting global allocator measures what `take_queries`
+//! leaves live on the heap.
 //!
 //! Only allocations made on the measuring thread count, so the test
 //! harness's other threads cannot decide the verdict.
@@ -59,7 +60,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
-fn held_fleet_stream_stays_near_sixteen_bytes_per_lookup() {
+fn held_fleet_stream_holds_at_most_sixteen_bytes_per_lookup() {
     // The faulted-fleet benchmark's shape: 24 skewed tables, 4 sampled
     // per query, 4 poolings of 8 lookups each.
     let shape = QueryShape::new(24, 4, 8)
@@ -76,8 +77,10 @@ fn held_fleet_stream_stays_near_sixteen_bytes_per_lookup() {
     assert_eq!(lookups, 3_000 * shape.lookups_per_query());
     let bytes_per_lookup = (after.0 - before.0) as f64 / lookups as f64;
     let allocations_per_query = (after.1 - before.1) as f64 / queries.len() as f64;
+    // 12 bytes of columns per lookup; at this shape the pooling offsets,
+    // batch records and trace headers add about 2.5 more.
     assert!(
-        bytes_per_lookup <= 20.0,
+        bytes_per_lookup <= 16.0,
         "held stream: {bytes_per_lookup:.2} B of live heap per lookup"
     );
     assert!(

@@ -49,7 +49,8 @@ pub struct TraceGenerator {
     /// on the row count and the skew.
     zipf: Option<Zipf>,
     rng: DetRng,
-    /// Multiplier of the rank→row permutation (odd, coprime with `rows`).
+    /// Multiplier of the rank→row permutation (a prime not dividing
+    /// `rows`, so coprime with it).
     perm_mult: u64,
     /// Probability that a lookup re-references a recently drawn row — the
     /// *bursty temporal reuse* of production traffic that interleaved
@@ -63,20 +64,28 @@ pub struct TraceGenerator {
 /// A large prime used to scatter popularity ranks over the row space.
 const PERM_PRIME: u64 = 982_451_653;
 
+/// The multiplier for the four valid row counts [`PERM_PRIME`] divides,
+/// which it would collapse; no valid row count is a multiple of both.
+const PERM_PRIME_ALT: u64 = 1_000_000_007;
+
 impl TraceGenerator {
     /// Creates a generator with an explicit seed.
     ///
     /// # Panics
     ///
-    /// Panics if `dist` is [`IndexDistribution::Zipf`] with parameters
-    /// the sampler rejects: a skew `s` that is not positive and finite,
-    /// or a spec with zero rows.
+    /// Panics if `spec` is invalid (see [`EmbeddingTableSpec::validate`]),
+    /// under either distribution, or if `dist` is
+    /// [`IndexDistribution::Zipf`] with a skew `s` that is not positive
+    /// and finite.
     pub fn new(
         table: TableId,
         spec: EmbeddingTableSpec,
         dist: IndexDistribution,
         seed: u64,
     ) -> Self {
+        if let Err(e) = spec.validate() {
+            panic!("TraceGenerator needs a valid table spec: {e}");
+        }
         let zipf = match dist {
             IndexDistribution::Uniform => None,
             IndexDistribution::Zipf { s } => {
@@ -89,7 +98,11 @@ impl TraceGenerator {
             dist,
             zipf,
             rng: DetRng::seed(seed ^ (u32::from(table) as u64) << 32),
-            perm_mult: PERM_PRIME,
+            perm_mult: if spec.rows.is_multiple_of(PERM_PRIME) {
+                PERM_PRIME_ALT
+            } else {
+                PERM_PRIME
+            },
             reuse_p: 0.0,
             history: std::collections::VecDeque::new(),
             history_cap: 0,
@@ -127,10 +140,13 @@ impl TraceGenerator {
         self.dist
     }
 
-    /// Maps a popularity rank (0 = hottest) to a scattered row index.
+    /// Maps a popularity rank (0 = hottest) to a scattered row index; a
+    /// bijection on `0..rows`.
     pub fn rank_to_row(&self, rank: u64) -> u64 {
         debug_assert!(rank < self.spec.rows);
-        (rank.wrapping_mul(self.perm_mult)) % self.spec.rows
+        // rank < rows ≤ 2^32 and perm_mult < 2^30: the product is below
+        // 2^62 and cannot wrap.
+        rank * self.perm_mult % self.spec.rows
     }
 
     /// Draws the next row index.
@@ -237,6 +253,59 @@ mod tests {
             IndexDistribution::Zipf { s: 0.0 },
             1,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "valid table spec: invalid `rows`: must be positive")]
+    fn zero_row_uniform_spec_panics_at_construction() {
+        let spec = EmbeddingTableSpec::new(0, 64);
+        TraceGenerator::new(TableId::new(0), spec, IndexDistribution::Uniform, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "valid table spec: invalid `rows`: must be positive")]
+    fn zero_row_zipf_spec_panics_with_the_same_message() {
+        let spec = EmbeddingTableSpec::new(0, 64);
+        TraceGenerator::new(TableId::new(0), spec, IndexDistribution::Zipf { s: 0.9 }, 1);
+    }
+
+    #[test]
+    fn rank_to_row_is_a_bijection_on_small_tables() {
+        for rows in [1, 2, 3, 7, 64, 1000, 4096, 65_537] {
+            let spec = EmbeddingTableSpec::new(rows, 64);
+            let g = TraceGenerator::new(TableId::new(0), spec, IndexDistribution::Uniform, 1);
+            let mut hit = vec![false; rows as usize];
+            for rank in 0..rows {
+                let row = g.rank_to_row(rank) as usize;
+                assert!(!hit[row], "rows {rows}: row {row} drawn twice");
+                hit[row] = true;
+            }
+        }
+    }
+
+    #[test]
+    fn permutation_multiplier_is_coprime_with_every_valid_row_count() {
+        fn gcd(a: u64, b: u64) -> u64 {
+            if b == 0 {
+                a
+            } else {
+                gcd(b, a % b)
+            }
+        }
+        let multiples = (1..=4).flat_map(|k| [k * PERM_PRIME, k * PERM_PRIME_ALT]);
+        let edges = [
+            1_000_000,
+            EmbeddingTableSpec::MAX_ROWS - 1,
+            EmbeddingTableSpec::MAX_ROWS,
+        ];
+        for rows in multiples.chain(edges) {
+            let spec = EmbeddingTableSpec::new(rows, 64);
+            let g = TraceGenerator::new(TableId::new(0), spec, IndexDistribution::Uniform, 1);
+            assert_eq!(gcd(g.perm_mult, rows), 1, "rows {rows}");
+            assert_ne!(g.rank_to_row(1), g.rank_to_row(0), "rows {rows}");
+            // The largest rank maps in range without wrapping.
+            assert!(g.rank_to_row(rows - 1) < rows);
+        }
     }
 
     #[test]

@@ -60,6 +60,10 @@ impl HotEntryProfile {
 }
 
 /// Profiles index batches into `LocalityBit` hints.
+///
+/// Rows are taken as `u32`, the width a physical trace stores them at, so
+/// a batch is profiled straight from the trace's row column with no
+/// widening copy; the hot set keeps them as `u64` row indices.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HotEntryProfiler;
 
@@ -70,7 +74,7 @@ impl HotEntryProfiler {
     }
 
     /// Marks rows referenced more than `threshold` times in `indices`.
-    pub fn profile(&self, indices: &[u64], threshold: u64) -> HotEntryProfile {
+    pub fn profile(&self, indices: &[u32], threshold: u64) -> HotEntryProfile {
         RowCounts::of(indices).profile(threshold)
     }
 
@@ -82,7 +86,7 @@ impl HotEntryProfiler {
     /// docs); the first threshold with the strictly largest hit count wins.
     pub fn sweep(
         &self,
-        indices: &[u64],
+        indices: &[u32],
         cache_lines: usize,
         max_threshold: u64,
     ) -> HotEntryProfile {
@@ -107,19 +111,19 @@ struct RowCounts {
     /// Dense row id of every access, in access order.
     ids: Vec<usize>,
     /// Row index of each dense id.
-    rows: Vec<u64>,
+    rows: Vec<u32>,
     /// Access count of each dense id.
     counts: Vec<usize>,
 }
 
 impl RowCounts {
-    fn of(indices: &[u64]) -> Self {
+    fn of(indices: &[u32]) -> Self {
         let mut dense = U64Map::with_capacity_and_hasher(indices.len(), Default::default());
         let mut rows = Vec::new();
         let mut counts = Vec::new();
         let mut ids = Vec::with_capacity(indices.len());
         for &i in indices {
-            let id = *dense.entry(i).or_insert(rows.len());
+            let id = *dense.entry(u64::from(i)).or_insert(rows.len());
             if id == rows.len() {
                 rows.push(i);
                 counts.push(0);
@@ -140,7 +144,7 @@ impl RowCounts {
         let mut hot_accesses = 0;
         for (&row, &c) in self.rows.iter().zip(&self.counts) {
             if c as u64 > threshold {
-                hot.insert(row);
+                hot.insert(u64::from(row));
                 hot_accesses += c;
             }
         }
@@ -248,18 +252,18 @@ mod tests {
     /// Simulates a small fully-associative LRU cache in which only hinted
     /// rows allocate; returns the hit rate over all accesses. The reference
     /// the stack-distance pass is checked against.
-    fn simulate_hint_hit_rate(indices: &[u64], hot: &HashSet<u64>, cache_lines: usize) -> f64 {
+    fn simulate_hint_hit_rate(indices: &[u32], hot: &HashSet<u64>, cache_lines: usize) -> f64 {
         if indices.is_empty() || cache_lines == 0 {
             return 0.0;
         }
-        let mut lru: Vec<u64> = Vec::with_capacity(cache_lines);
+        let mut lru: Vec<u32> = Vec::with_capacity(cache_lines);
         let mut hits = 0u64;
         for &i in indices {
             if let Some(pos) = lru.iter().position(|&x| x == i) {
                 lru.remove(pos);
                 lru.insert(0, i);
                 hits += 1;
-            } else if hot.contains(&i) {
+            } else if hot.contains(&u64::from(i)) {
                 lru.insert(0, i);
                 if lru.len() > cache_lines {
                     lru.pop();
@@ -272,7 +276,7 @@ mod tests {
     /// The brute-force selection: count, filter and replay the LRU for
     /// every threshold, keeping the first strictly best rate.
     fn brute_force_sweep(
-        indices: &[u64],
+        indices: &[u32],
         cache_lines: usize,
         max_threshold: u64,
     ) -> HotEntryProfile {
@@ -282,8 +286,11 @@ mod tests {
                 .iter()
                 .copied()
                 .filter(|&i| indices.iter().filter(|&&x| x == i).count() as u64 > t)
+                .map(u64::from)
                 .collect();
-            let hot_accesses = indices.iter().filter(|i| hot.contains(i)).count();
+            let hot_accesses = (indices.iter())
+                .filter(|&&i| hot.contains(&u64::from(i)))
+                .count();
             let profile = HotEntryProfile {
                 threshold: t,
                 hot_access_fraction: if indices.is_empty() {
@@ -306,7 +313,7 @@ mod tests {
     }
 
     /// One replay-shaped batch: 32 poolings of 80 Zipf-0.9 lookups.
-    fn zipf_batch(seed: u64) -> Vec<u64> {
+    fn zipf_batch(seed: u64) -> Vec<u32> {
         TraceGenerator::new(
             TableId::new(0),
             EmbeddingTableSpec::dlrm_default(),
@@ -315,6 +322,9 @@ mod tests {
         )
         .batch(32, 80)
         .flat_indices()
+        .into_iter()
+        .map(|i| u32::try_from(i).expect("a DLRM table row fits a u32"))
+        .collect()
     }
 
     #[test]
@@ -350,7 +360,7 @@ mod tests {
         // cold rows that would thrash a 2-line cache if allowed to
         // allocate. The best threshold must exclude the cold rows.
         let mut indices = Vec::new();
-        for i in 0..50u64 {
+        for i in 0..50u32 {
             indices.push(1);
             indices.push(1000 + 2 * i);
             indices.push(2);
@@ -398,7 +408,7 @@ mod tests {
     #[test]
     fn huge_max_threshold_is_clamped_to_the_largest_count() {
         let indices = zipf_batch(7);
-        let mut counts: HashMap<u64, u64> = HashMap::new();
+        let mut counts: HashMap<u32, u64> = HashMap::new();
         for &i in &indices {
             *counts.entry(i).or_default() += 1;
         }
@@ -421,15 +431,15 @@ mod tests {
 
         #[test]
         fn sweep_matches_lru_replay(
-            raw in prop::collection::vec(0u64..1024, 0..160),
-            alphabet in 1u64..24,
+            raw in prop::collection::vec(0u32..1024, 0..160),
+            alphabet in 1u32..24,
             cache_lines in prop_oneof![
                 Just(0usize), Just(1), Just(2), Just(3), Just(5), Just(8), Just(1000)
             ],
             max_threshold in 0u64..7,
         ) {
             // A small row alphabet forces reuse at every stack distance.
-            let indices: Vec<u64> = raw.iter().map(|i| i % alphabet).collect();
+            let indices: Vec<u32> = raw.iter().map(|i| i % alphabet).collect();
             let fast = HotEntryProfiler::new().sweep(&indices, cache_lines, max_threshold);
             let slow = brute_force_sweep(&indices, cache_lines, max_threshold);
             prop_assert_eq!(fast, slow, "indices {:?}", indices);

@@ -24,6 +24,10 @@ pub struct EmbeddingTableSpec {
 }
 
 impl EmbeddingTableSpec {
+    /// The most rows a valid table has: 2^32, so every row index fits
+    /// a `u32`, the width an `SlsTrace` stores rows at.
+    pub const MAX_ROWS: u64 = 1 << 32;
+
     /// Creates a spec.
     pub const fn new(rows: u64, vector_bytes: u64) -> Self {
         Self { rows, vector_bytes }
@@ -68,13 +72,17 @@ impl EmbeddingTableSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if either dimension is zero, the vector
-    /// size is not a multiple of 4 (FP32 elements), or a vector spans more
-    /// than 255 bursts (16,320 bytes) — the most an NMP instruction's
-    /// `vsize` field encodes.
+    /// Returns a [`ConfigError`] if either dimension is zero, the table
+    /// has more than [`MAX_ROWS`](Self::MAX_ROWS) rows, the vector size is
+    /// not a multiple of 4 (FP32 elements), or a vector spans more than
+    /// 255 bursts (16,320 bytes) — the most an NMP instruction's `vsize`
+    /// field encodes.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.rows == 0 {
             return Err(ConfigError::new("rows", "must be positive"));
+        }
+        if self.rows > Self::MAX_ROWS {
+            return Err(ConfigError::new("rows", "must be at most 2^32"));
         }
         if self.vector_bytes == 0 || !self.vector_bytes.is_multiple_of(4) {
             return Err(ConfigError::new(
@@ -141,6 +149,17 @@ mod tests {
     fn validate_rejects_bad_vector() {
         assert!(EmbeddingTableSpec::new(10, 62).validate().is_err());
         assert!(EmbeddingTableSpec::new(0, 64).validate().is_err());
+    }
+
+    #[test]
+    fn validate_bounds_rows_at_two_to_the_32() {
+        let rows = EmbeddingTableSpec::MAX_ROWS;
+        assert_eq!(rows, 4_294_967_296);
+        assert!(EmbeddingTableSpec::new(rows, 64).validate().is_ok());
+        let err = EmbeddingTableSpec::new(rows + 1, 64)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.to_string(), "invalid `rows`: must be at most 2^32");
     }
 
     #[test]

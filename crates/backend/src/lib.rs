@@ -72,7 +72,7 @@ pub use placement::{apply_absorption, PlacementPlan, PlacementPolicy, TableUsage
 pub use report::RunReport;
 pub use trace::{BatchView, ShardingPolicy, SlsTrace};
 
-use recnmp_types::{Cycle, PhysAddr, SimError};
+use recnmp_types::{ConfigError, Cycle, PhysAddr, SimError};
 
 /// An SLS execution system: anything that can serve a physical SLS trace
 /// and report what that cost.
@@ -172,18 +172,12 @@ pub trait SlsBackend: Send {
     ///
     /// # Errors
     ///
-    /// Returns the first failing shard's error (in shard order) under
+    /// Returns [`SimError::Config`] (see [`shard_slots`]) when the shard
+    /// servers are not strictly increasing or one is out of range, and
+    /// otherwise the first failing shard's error (in shard order) under
     /// the same conditions as [`try_run`](Self::try_run).
-    ///
-    /// # Panics
-    ///
-    /// Panics when shard server indices are not strictly increasing or
-    /// out of range.
     fn try_run_shards(&mut self, shards: &[(usize, SlsTrace)]) -> Result<Vec<RunReport>, SimError> {
-        assert!(
-            shards.windows(2).all(|w| w[0].0 < w[1].0),
-            "shards must target strictly increasing servers"
-        );
+        shard_slots(shards, self.server_count())?;
         shards
             .iter()
             .map(|(server, shard)| self.try_run_on(*server, shard))
@@ -221,4 +215,30 @@ pub trait SlsBackend: Send {
     /// independent and byte-identical at any worker count. The default is
     /// a no-op for cache-less backends.
     fn reset_caches(&mut self) {}
+}
+
+/// Checks a [`SlsBackend::try_run_shards`] request against `servers`
+/// servers and lays it out as one slot per server: slot `s` holds the
+/// shard for server `s`, or `None` when no shard targets it.
+///
+/// # Errors
+///
+/// Returns [`SimError::Config`] on field `shards` when the shard servers
+/// are not strictly increasing or one is `servers` or more.
+pub fn shard_slots(
+    shards: &[(usize, SlsTrace)],
+    servers: usize,
+) -> Result<Vec<Option<&SlsTrace>>, SimError> {
+    let bad_shards = |why: String| Err(SimError::Config(ConfigError::new("shards", why)));
+    if !shards.windows(2).all(|w| w[0].0 < w[1].0) {
+        return bad_shards("must target strictly increasing servers".into());
+    }
+    let mut slots = vec![None; servers];
+    for (s, shard) in shards {
+        let Some(slot) = slots.get_mut(*s) else {
+            return bad_shards(format!("server {s} out of range for {servers} server(s)"));
+        };
+        *slot = Some(shard);
+    }
+    Ok(slots)
 }

@@ -17,13 +17,29 @@
 
 use recnmp_backend::report::{add_dram, dram_delta};
 use recnmp_backend::{RunReport, SlsBackend, SlsTrace};
-use recnmp_dram::{DramConfig, DramStats, MemorySystem, SimEngine};
+use recnmp_dram::{DramConfig, DramStats, MemorySystem};
 use recnmp_types::{ConfigError, PhysAddr, SimError};
 
 use crate::Counted;
 
-/// Shared engine for DIMM-level NMP systems: per-DIMM memory controllers
-/// fed by a rate-limited shared command stream.
+/// A DIMM-level NMP system: per-DIMM memory controllers fed by a
+/// rate-limited shared command stream. Build one with
+/// [`tensordimm`](Self::tensordimm) or [`chameleon`](Self::chameleon).
+///
+/// # Examples
+///
+/// ```
+/// use recnmp_baselines::{DimmLevelNmp, DramConfig, SlsBackend};
+///
+/// # fn main() -> Result<(), recnmp_types::ConfigError> {
+/// // The same 4-DIMM x 2-rank channel the host baseline would use.
+/// let channel = DramConfig::with_ranks(4, 2);
+/// let td = DimmLevelNmp::tensordimm(channel.clone())?;
+/// let ch = DimmLevelNmp::chameleon(channel)?;
+/// assert_eq!((td.name(), ch.name()), ("tensordimm", "chameleon"));
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug)]
 pub struct DimmLevelNmp {
     name: &'static str,
@@ -35,101 +51,77 @@ pub struct DimmLevelNmp {
 }
 
 impl DimmLevelNmp {
-    /// Builds a system of `dimms` DIMMs with `ranks_per_dimm` ranks each;
-    /// each vector costs `cmd_overhead_per_vector + bursts` slots on the
-    /// shared C/A bus.
+    /// TensorDIMM (MICRO 2019): DIMM-level NMP with the standard command
+    /// cost, PRE + ACT plus one RD per burst on the shared C/A bus.
+    /// `channel` is the host channel it replaces: one controller per DIMM
+    /// runs its ranks, refresh and engine settings.
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for zero DIMMs or invalid DRAM
-    /// configurations.
-    pub fn new(
-        name: &'static str,
-        dimms: u8,
-        ranks_per_dimm: u8,
-        cmd_overhead_per_vector: u64,
-    ) -> Result<Self, ConfigError> {
-        Self::with_refresh(name, dimms, ranks_per_dimm, cmd_overhead_per_vector, true)
+    /// Returns a [`ConfigError`] for zero DIMMs or an invalid DRAM
+    /// configuration.
+    pub fn tensordimm(channel: DramConfig) -> Result<Self, ConfigError> {
+        Self::build("tensordimm", channel, 2)
     }
 
-    /// Like [`new`](Self::new) with explicit refresh simulation — matched
-    /// comparisons must run every system under the same refresh setting.
+    /// Chameleon (MICRO 2016): NDA accelerators with multiplexed C/A,
+    /// PRE + ACT plus one time-multiplexed NDA control word per vector.
+    /// `channel` is read as for [`tensordimm`](Self::tensordimm).
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for zero DIMMs or invalid DRAM
-    /// configurations.
-    pub fn with_refresh(
+    /// Returns a [`ConfigError`] for zero DIMMs or an invalid DRAM
+    /// configuration.
+    pub fn chameleon(channel: DramConfig) -> Result<Self, ConfigError> {
+        Self::build("chameleon", channel, 3)
+    }
+
+    fn build(
         name: &'static str,
-        dimms: u8,
-        ranks_per_dimm: u8,
+        channel: DramConfig,
         cmd_overhead_per_vector: u64,
-        refresh: bool,
     ) -> Result<Self, ConfigError> {
-        if dimms == 0 {
+        if channel.dimms == 0 {
             return Err(ConfigError::new("dimms", "must be positive"));
         }
-        let dimm_systems = (0..dimms)
-            .map(|_| {
-                let mut cfg = DramConfig::with_ranks(1, ranks_per_dimm);
-                cfg.refresh = refresh;
-                MemorySystem::new(cfg)
-            })
+        let dimm = DramConfig {
+            dimms: 1,
+            ..channel
+        };
+        let dimms = (0..channel.dimms)
+            .map(|_| MemorySystem::new(dimm.clone()))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             name,
-            dimms: dimm_systems,
+            dimms,
             cmd_overhead_per_vector,
         })
     }
+}
 
-    /// Switches the main-loop strategy of every per-DIMM memory controller
-    /// (used by the engine-equivalence suite).
-    pub fn set_engine(&mut self, engine: SimEngine) {
-        for dimm in &mut self.dimms {
-            dimm.set_engine(engine);
-        }
+impl SlsBackend for DimmLevelNmp {
+    fn name(&self) -> &str {
+        self.name
     }
 
     /// Serves a lookup trace. Vectors are assigned to DIMMs by address
     /// interleave: a 64-byte vector lands in one DIMM; larger vectors
     /// spread consecutive bursts across DIMMs (the TensorDIMM layout).
-    /// The report covers this call only.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Stalled`] if any per-DIMM channel livelocks.
-    pub fn serve(
-        &mut self,
-        vectors: &[PhysAddr],
-        bursts_per_vector: u8,
-    ) -> Result<RunReport, SimError> {
-        self.serve_vectors(vectors.iter().copied(), bursts_per_vector)
-    }
-
-    /// [`serve`](Self::serve) over an iterator of vectors: each DIMM
-    /// streams its own share of the trace, so it holds O(queue) requests,
-    /// not the trace.
-    fn serve_vectors(
-        &mut self,
-        vectors: impl Iterator<Item = PhysAddr> + Clone,
-        bursts_per_vector: u8,
-    ) -> Result<RunReport, SimError> {
+    /// Each DIMM streams its own share of the trace, so a run holds
+    /// O(queue) requests, not the trace.
+    fn try_run(&mut self, trace: &SlsTrace) -> Result<RunReport, SimError> {
+        let bursts_per_vector = trace.bursts_per_vector() as u64;
         let n = self.dimms.len() as u64;
         let start = self.dimms.iter().map(|d| d.cycle()).max().unwrap_or(0);
-        let stagger = self.cmd_overhead_per_vector + bursts_per_vector as u64;
+        let stagger = self.cmd_overhead_per_vector + bursts_per_vector;
         // Burst `b` of a vector lives on DIMM `(burst0 + b) mod n`.
         let bursts_of = move |addr: PhysAddr| {
             let burst0 = addr.get() >> 6;
-            burst0..burst0 + bursts_per_vector as u64
+            burst0..burst0 + bursts_per_vector
         };
-        let mut insts = 0u64;
         let mut share = vec![0usize; self.dimms.len()];
-        for addr in vectors.clone() {
-            insts += 1;
-            for burst in bursts_of(addr) {
-                share[(burst % n) as usize] += 1;
-            }
+        for burst in trace.flat_addrs().flat_map(bursts_of) {
+            share[(burst % n) as usize] += 1;
         }
         let mut end = start;
         let mut bursts = 0;
@@ -138,7 +130,7 @@ impl DimmLevelNmp {
         // before its own run, so later DIMMs are left untouched.
         for (d, (mem, &left)) in self.dimms.iter_mut().zip(&share).enumerate() {
             let before = mem.stats().clone();
-            let reads = vectors.clone().enumerate().flat_map(move |(i, addr)| {
+            let reads = trace.flat_addrs().enumerate().flat_map(move |(i, addr)| {
                 // Shared C/A bus: one vector's command bundle per
                 // `stagger` slots (PRE/ACT overhead + one RD per burst).
                 let arrival = start + i as u64 * stagger;
@@ -155,7 +147,7 @@ impl DimmLevelNmp {
         Ok(RunReport {
             system: self.name.into(),
             total_cycles: end - start,
-            insts,
+            insts: trace.total_lookups(),
             dram,
             dram_bursts: bursts,
             gathered_bytes: bursts * 64,
@@ -168,150 +160,19 @@ impl DimmLevelNmp {
     }
 }
 
-impl SlsBackend for DimmLevelNmp {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn try_run(&mut self, trace: &SlsTrace) -> Result<RunReport, SimError> {
-        self.serve_vectors(trace.flat_addrs(), trace.bursts_per_vector())
-    }
-}
-
-/// TensorDIMM (MICRO 2019): DIMM-level NMP with standard command cost.
-#[derive(Debug)]
-pub struct TensorDimm(DimmLevelNmp);
-
-impl TensorDimm {
-    /// Builds a TensorDIMM system.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for invalid DRAM configurations.
-    pub fn new(dimms: u8, ranks_per_dimm: u8) -> Result<Self, ConfigError> {
-        Self::with_refresh(dimms, ranks_per_dimm, true)
-    }
-
-    /// Builds a TensorDIMM system with explicit refresh simulation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for invalid DRAM configurations.
-    pub fn with_refresh(dimms: u8, ranks_per_dimm: u8, refresh: bool) -> Result<Self, ConfigError> {
-        // PRE + ACT overhead plus one RD per burst on the shared C/A bus.
-        Ok(Self(DimmLevelNmp::with_refresh(
-            "tensordimm",
-            dimms,
-            ranks_per_dimm,
-            2,
-            refresh,
-        )?))
-    }
-
-    /// Switches the main-loop strategy of every per-DIMM controller.
-    pub fn set_engine(&mut self, engine: SimEngine) {
-        self.0.set_engine(engine);
-    }
-
-    /// Serves a lookup trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Stalled`] if any per-DIMM channel livelocks.
-    pub fn serve(
-        &mut self,
-        vectors: &[PhysAddr],
-        bursts_per_vector: u8,
-    ) -> Result<RunReport, SimError> {
-        self.0.serve(vectors, bursts_per_vector)
-    }
-}
-
-impl SlsBackend for TensorDimm {
-    fn name(&self) -> &str {
-        "tensordimm"
-    }
-
-    fn try_run(&mut self, trace: &SlsTrace) -> Result<RunReport, SimError> {
-        self.0.try_run(trace)
-    }
-}
-
-/// Chameleon (MICRO 2016): NDA accelerators with multiplexed C/A.
-#[derive(Debug)]
-pub struct Chameleon(DimmLevelNmp);
-
-impl Chameleon {
-    /// Builds a Chameleon system.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for invalid DRAM configurations.
-    pub fn new(dimms: u8, ranks_per_dimm: u8) -> Result<Self, ConfigError> {
-        Self::with_refresh(dimms, ranks_per_dimm, true)
-    }
-
-    /// Builds a Chameleon system with explicit refresh simulation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for invalid DRAM configurations.
-    pub fn with_refresh(dimms: u8, ranks_per_dimm: u8, refresh: bool) -> Result<Self, ConfigError> {
-        // PRE + ACT plus one time-multiplexed NDA control word per vector.
-        Ok(Self(DimmLevelNmp::with_refresh(
-            "chameleon",
-            dimms,
-            ranks_per_dimm,
-            3,
-            refresh,
-        )?))
-    }
-
-    /// Switches the main-loop strategy of every per-DIMM controller.
-    pub fn set_engine(&mut self, engine: SimEngine) {
-        self.0.set_engine(engine);
-    }
-
-    /// Serves a lookup trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Stalled`] if any per-DIMM channel livelocks.
-    pub fn serve(
-        &mut self,
-        vectors: &[PhysAddr],
-        bursts_per_vector: u8,
-    ) -> Result<RunReport, SimError> {
-        self.0.serve(vectors, bursts_per_vector)
-    }
-}
-
-impl SlsBackend for Chameleon {
-    fn name(&self) -> &str {
-        "chameleon"
-    }
-
-    fn try_run(&mut self, trace: &SlsTrace) -> Result<RunReport, SimError> {
-        self.0.try_run(trace)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recnmp_types::rng::DetRng;
+    use crate::tests::{random_addrs, trace_of};
 
-    fn random_addrs(n: usize, seed: u64) -> Vec<PhysAddr> {
-        let mut rng = DetRng::seed(seed);
-        (0..n)
-            .map(|_| PhysAddr::new(rng.below(4 << 30) & !63))
-            .collect()
+    fn tensordimm(dimms: u8, ranks_per_dimm: u8) -> DimmLevelNmp {
+        DimmLevelNmp::tensordimm(DramConfig::with_ranks(dimms, ranks_per_dimm)).unwrap()
     }
 
     #[test]
     fn all_vectors_complete() {
-        let mut td = TensorDimm::new(4, 1).unwrap();
-        let report = td.serve(&random_addrs(200, 1), 1).unwrap();
+        let mut td = tensordimm(4, 1);
+        let report = td.try_run(&trace_of(&random_addrs(200, 1, 4), 1)).unwrap();
         assert_eq!(report.insts, 200);
         assert_eq!(report.dram_bursts, 200);
     }
@@ -320,8 +181,8 @@ mod tests {
     fn delivery_rate_caps_tensordimm() {
         // 64-byte vectors: TensorDIMM is C/A-delivery-bound at ~3
         // cycles/vector no matter how many DIMMs.
-        let mut td = TensorDimm::new(4, 2).unwrap();
-        let report = td.serve(&random_addrs(400, 2), 1).unwrap();
+        let mut td = tensordimm(4, 2);
+        let report = td.try_run(&trace_of(&random_addrs(400, 2, 4), 1)).unwrap();
         assert!(
             report.cycles_per_lookup() >= 3.0,
             "{}",
@@ -336,11 +197,11 @@ mod tests {
 
     #[test]
     fn chameleon_is_slower_than_tensordimm() {
-        let addrs = random_addrs(400, 3);
-        let mut td = TensorDimm::new(4, 2).unwrap();
-        let mut ch = Chameleon::new(4, 2).unwrap();
-        let t = td.serve(&addrs, 1).unwrap().total_cycles;
-        let c = ch.serve(&addrs, 1).unwrap().total_cycles;
+        let trace = trace_of(&random_addrs(400, 3, 4), 1);
+        let mut td = tensordimm(4, 2);
+        let mut ch = DimmLevelNmp::chameleon(DramConfig::with_ranks(4, 2)).unwrap();
+        let t = td.try_run(&trace).unwrap().total_cycles;
+        let c = ch.try_run(&trace).unwrap().total_cycles;
         assert!(c > t, "chameleon {c} vs tensordimm {t}");
     }
 
@@ -349,8 +210,8 @@ mod tests {
         // A 256-byte vector spreads over 4 DIMMs: TensorDIMM's design
         // point. Throughput per vector should beat 4 sequential bursts on
         // one DIMM.
-        let mut td = TensorDimm::new(4, 1).unwrap();
-        let report = td.serve(&random_addrs(100, 4), 4).unwrap();
+        let mut td = tensordimm(4, 1);
+        let report = td.try_run(&trace_of(&random_addrs(100, 4, 4), 4)).unwrap();
         assert_eq!(report.dram_bursts, 400);
         // Delivery is 3 cycles/vector; data 4x4=16 cycles/vector spread
         // over 4 DIMMs = 4 cycles/vector effective.
@@ -365,20 +226,21 @@ mod tests {
     fn locality_insensitive_without_cache() {
         // The same addresses repeated give roughly the same cycles per
         // lookup (row-buffer effects aside) — no memory-side cache.
-        let addrs = random_addrs(100, 5);
+        let addrs = random_addrs(100, 5, 4);
         let repeated: Vec<PhysAddr> = addrs.iter().chain(addrs.iter()).copied().collect();
-        let mut td1 = TensorDimm::new(2, 2).unwrap();
-        let mut td2 = TensorDimm::new(2, 2).unwrap();
-        let once = td1.serve(&addrs, 1).unwrap().cycles_per_lookup();
-        let twice = td2.serve(&repeated, 1).unwrap().cycles_per_lookup();
+        let mut td1 = tensordimm(2, 2);
+        let mut td2 = tensordimm(2, 2);
+        let once = td1.try_run(&trace_of(&addrs, 1)).unwrap();
+        let twice = td2.try_run(&trace_of(&repeated, 1)).unwrap();
+        let (once, twice) = (once.cycles_per_lookup(), twice.cycles_per_lookup());
         assert!((twice - once).abs() < 0.5 * once, "{once} vs {twice}");
     }
 
     #[test]
     fn back_to_back_runs_report_deltas() {
-        let mut td = TensorDimm::new(2, 2).unwrap();
-        let r1 = td.serve(&random_addrs(50, 6), 1).unwrap();
-        let r2 = td.serve(&random_addrs(50, 7), 1).unwrap();
+        let mut td = tensordimm(2, 2);
+        let r1 = td.try_run(&trace_of(&random_addrs(50, 6, 4), 1)).unwrap();
+        let r2 = td.try_run(&trace_of(&random_addrs(50, 7, 4), 1)).unwrap();
         assert_eq!(r1.dram.reads, 50);
         assert_eq!(r2.dram.reads, 50);
         assert_eq!(r2.dram_bursts, 50);
@@ -386,7 +248,11 @@ mod tests {
 
     #[test]
     fn zero_dimms_is_a_config_error() {
-        for err in [TensorDimm::new(0, 2).err(), Chameleon::new(0, 2).err()] {
+        let channel = DramConfig::with_ranks(0, 2);
+        for err in [
+            DimmLevelNmp::tensordimm(channel.clone()).err(),
+            DimmLevelNmp::chameleon(channel).err(),
+        ] {
             assert_eq!(err.expect("zero DIMMs must be rejected").field(), "dimms");
         }
     }

@@ -3,7 +3,7 @@
 use recnmp_backend::report::dram_delta;
 use recnmp_backend::{RunReport, SlsBackend, SlsTrace};
 use recnmp_dram::{DramConfig, MemorySystem};
-use recnmp_types::{ConfigError, PhysAddr, SimError};
+use recnmp_types::{ConfigError, SimError};
 
 use crate::Counted;
 
@@ -13,14 +13,21 @@ use crate::Counted;
 /// # Examples
 ///
 /// ```
-/// use recnmp_baselines::HostBaseline;
-/// use recnmp_types::PhysAddr;
+/// use recnmp_baselines::{HostBaseline, SlsBackend, SlsTrace};
+/// use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, TraceGenerator};
+/// use recnmp_types::{PhysAddr, TableId};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let spec = EmbeddingTableSpec::dlrm_default();
+/// let batch = TraceGenerator::new(TableId::new(0), spec, IndexDistribution::Uniform, 7)
+///     .batch(4, 16);
+/// let trace = SlsTrace::from_batches(&[batch], &mut |_, row| PhysAddr::new(row * 128));
+///
 /// let mut host = HostBaseline::new(1, 2)?;
-/// let addrs: Vec<PhysAddr> = (0..64u64).map(|i| PhysAddr::new(i * 4096)).collect();
-/// let report = host.serve(&addrs, 1)?;
+/// let report = host.try_run(&trace)?;
 /// assert_eq!(report.insts, 64);
+/// // Every 128-byte vector crosses the channel as two 64-byte bursts.
+/// assert_eq!(report.dram.reads, 128);
 /// # Ok(())
 /// # }
 /// ```
@@ -50,49 +57,31 @@ impl HostBaseline {
             mem: MemorySystem::new(config)?,
         })
     }
+}
 
-    /// Access to the underlying memory system (e.g. for monitors).
-    pub fn memory(&mut self) -> &mut MemorySystem {
-        &mut self.mem
+impl SlsBackend for HostBaseline {
+    fn name(&self) -> &str {
+        "host"
     }
 
-    /// Serves one lookup trace: each vector of `bursts_per_vector`
-    /// 64-byte bursts is read in full over the channel. The report covers
-    /// this call only (row-buffer state persists across calls).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Stalled`] if the channel livelocks.
-    pub fn serve(
-        &mut self,
-        vectors: &[PhysAddr],
-        bursts_per_vector: u8,
-    ) -> Result<RunReport, SimError> {
-        self.serve_vectors(vectors.iter().copied(), vectors.len(), bursts_per_vector)
-    }
-
-    /// [`serve`](Self::serve) over `count` vectors from an iterator,
-    /// streamed into the channel: it holds O(queue) requests, not the
-    /// trace.
-    fn serve_vectors(
-        &mut self,
-        vectors: impl Iterator<Item = PhysAddr>,
-        count: usize,
-        bursts_per_vector: u8,
-    ) -> Result<RunReport, SimError> {
+    /// Serves a lookup trace: each vector's bursts are read in full over
+    /// the channel, streamed in, so a run holds O(queue) requests, not
+    /// the trace.
+    fn try_run(&mut self, trace: &SlsTrace) -> Result<RunReport, SimError> {
+        let bursts_per_vector = trace.bursts_per_vector() as u64;
         let start = self.mem.cycle();
         let before = self.mem.stats().clone();
-        let reads = vectors.flat_map(move |addr| {
-            (0..bursts_per_vector as u64).map(move |b| (addr.offset(b * 64), start))
+        let reads = trace.flat_addrs().flat_map(move |addr| {
+            (0..bursts_per_vector).map(move |b| (addr.offset(b * 64), start))
         });
-        let left = count * bursts_per_vector as usize;
+        let bursts = trace.total_lookups() * bursts_per_vector;
+        let left = bursts as usize;
         let summary = self.mem.run_stream(Counted { iter: reads, left })?;
         let end = summary.last_finish.unwrap_or(start);
-        let bursts = count as u64 * bursts_per_vector as u64;
         Ok(RunReport {
             system: "host".into(),
             total_cycles: end - start,
-            insts: count as u64,
+            insts: trace.total_lookups(),
             dram: dram_delta(self.mem.stats(), &before),
             dram_bursts: bursts,
             // The CPU reads every embedding burst over the channel.
@@ -103,33 +92,17 @@ impl HostBaseline {
     }
 }
 
-impl SlsBackend for HostBaseline {
-    fn name(&self) -> &str {
-        "host"
-    }
-
-    fn try_run(&mut self, trace: &SlsTrace) -> Result<RunReport, SimError> {
-        let count = trace.total_lookups() as usize;
-        self.serve_vectors(trace.flat_addrs(), count, trace.bursts_per_vector())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recnmp_types::rng::DetRng;
-
-    fn random_addrs(n: usize, seed: u64) -> Vec<PhysAddr> {
-        let mut rng = DetRng::seed(seed);
-        (0..n)
-            .map(|_| PhysAddr::new(rng.below(8 << 30) & !63))
-            .collect()
-    }
+    use crate::tests::{random_addrs, trace_of};
 
     #[test]
     fn serves_every_vector() {
         let mut host = HostBaseline::new(1, 2).unwrap();
-        let report = host.serve(&random_addrs(100, 1), 1).unwrap();
+        let report = host
+            .try_run(&trace_of(&random_addrs(100, 1, 8), 1))
+            .unwrap();
         assert_eq!(report.insts, 100);
         assert_eq!(report.dram.reads, 100);
         assert!(report.total_cycles > 0);
@@ -138,7 +111,7 @@ mod tests {
     #[test]
     fn multi_burst_vectors_read_all_bursts() {
         let mut host = HostBaseline::new(1, 2).unwrap();
-        let report = host.serve(&random_addrs(50, 2), 4).unwrap();
+        let report = host.try_run(&trace_of(&random_addrs(50, 2, 8), 4)).unwrap();
         assert_eq!(report.dram_bursts, 200);
         assert_eq!(report.dram.reads, 200);
     }
@@ -148,7 +121,9 @@ mod tests {
         // Random 64-byte reads cannot beat the 16 B/cycle channel data
         // bus: at least 4 cycles per vector.
         let mut host = HostBaseline::new(1, 2).unwrap();
-        let report = host.serve(&random_addrs(500, 3), 1).unwrap();
+        let report = host
+            .try_run(&trace_of(&random_addrs(500, 3, 8), 1))
+            .unwrap();
         assert!(
             report.cycles_per_lookup() >= 4.0,
             "{}",
@@ -168,12 +143,27 @@ mod tests {
         // Delta semantics: each report covers its own run even though the
         // controller's internal counters keep accumulating.
         let mut host = HostBaseline::new(1, 2).unwrap();
-        let r1 = host.serve(&random_addrs(10, 4), 1).unwrap();
-        let r2 = host.serve(&random_addrs(10, 5), 1).unwrap();
+        let r1 = host.try_run(&trace_of(&random_addrs(10, 4, 8), 1)).unwrap();
+        let r2 = host.try_run(&trace_of(&random_addrs(10, 5, 8), 1)).unwrap();
         assert_eq!(r1.dram.reads, 10);
         assert_eq!(r2.dram.reads, 10);
         assert_eq!(r2.insts, 10);
-        // The lifetime view stays available on the memory system itself.
-        assert_eq!(host.memory().stats().reads, 20);
+    }
+
+    #[test]
+    fn bad_shards_are_a_config_error() {
+        // The single-server default `try_run_shards` checks its shards
+        // like the multi-channel overrides do.
+        let mut host = HostBaseline::new(1, 2).unwrap();
+        let trace = trace_of(&random_addrs(4, 6, 8), 1);
+        for shards in [
+            vec![(1, trace.clone())],
+            vec![(0, trace.clone()), (0, trace)],
+        ] {
+            match host.try_run_shards(&shards) {
+                Err(SimError::Config(e)) => assert_eq!(e.field(), "shards"),
+                other => panic!("expected a config error, got {other:?}"),
+            }
+        }
     }
 }

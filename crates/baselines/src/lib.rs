@@ -8,20 +8,24 @@
 //!   read over the memory channel by the CPU, which performs the pooling.
 //!   One channel-level FR-FCFS controller (from `recnmp-dram`) models the
 //!   shared command/address and data buses exactly.
-//! * [`TensorDimm`] — DIMM-level near-memory processing (Kwon et al.,
-//!   MICRO 2019): an NMP core per DIMM reduces vectors locally, and large
-//!   vectors interleave 64-byte bursts across DIMMs. Commands still come
-//!   from the host over the shared C/A bus (three per low-locality
-//!   vector), which is what caps it for the paper's 64-byte vectors.
-//! * [`Chameleon`] — NDA-style CGRA accelerators in the data buffer
-//!   devices (Asghari-Moghaddam et al., MICRO 2016): same DIMM-level
-//!   reduction, but its temporally/spatially multiplexed C/A protocol
-//!   costs an extra command slot per vector.
+//! * [`DimmLevelNmp::tensordimm`] — DIMM-level near-memory processing
+//!   (Kwon et al., MICRO 2019): an NMP core per DIMM reduces vectors
+//!   locally, and large vectors interleave 64-byte bursts across DIMMs.
+//!   Commands still come from the host over the shared C/A bus (three per
+//!   low-locality vector), which is what caps it for the paper's 64-byte
+//!   vectors.
+//! * [`DimmLevelNmp::chameleon`] — NDA-style CGRA accelerators in the
+//!   data buffer devices (Asghari-Moghaddam et al., MICRO 2016): same
+//!   DIMM-level reduction, but its temporally/spatially multiplexed C/A
+//!   protocol costs an extra command slot per vector.
 //!
-//! The comparison methodology follows the paper: all systems see the same
-//! physical-address [`SlsTrace`] and return the
-//! same [`RunReport`] type; memory-latency
-//! speedup is `cycles_per_lookup(baseline) / cycles_per_lookup(system)`.
+//! Each is built from one [`DramConfig`], the host channel of the
+//! comparison: the DIMM-level systems run one controller per DIMM of it,
+//! with its ranks, refresh and engine settings. The comparison
+//! methodology follows the paper: all systems see the same
+//! physical-address [`SlsTrace`] and return the same [`RunReport`] type;
+//! memory-latency speedup is
+//! `cycles_per_lookup(baseline) / cycles_per_lookup(system)`.
 
 pub mod dimm_nmp_baseline;
 pub mod host;
@@ -50,6 +54,33 @@ impl<I: Iterator> Iterator for Counted<I> {
 
 impl<I: Iterator> ExactSizeIterator for Counted<I> {}
 
-pub use dimm_nmp_baseline::{Chameleon, DimmLevelNmp, TensorDimm};
+pub use dimm_nmp_baseline::DimmLevelNmp;
 pub use host::HostBaseline;
 pub use recnmp_backend::{RunReport, SlsBackend, SlsTrace};
+pub use recnmp_dram::DramConfig;
+
+#[cfg(test)]
+mod tests {
+    use recnmp_backend::SlsTrace;
+    use recnmp_trace::EmbeddingTableSpec;
+    use recnmp_types::rng::DetRng;
+    use recnmp_types::{PhysAddr, TableId};
+
+    /// `n` random 64-byte-aligned addresses below `gib` GiB.
+    pub(crate) fn random_addrs(n: usize, seed: u64, gib: u64) -> Vec<PhysAddr> {
+        let mut rng = DetRng::seed(seed);
+        (0..n)
+            .map(|_| PhysAddr::new(rng.below(gib << 30) & !63))
+            .collect()
+    }
+
+    /// A one-batch, one-pooling trace reading a vector of `bursts`
+    /// 64-byte bursts at each of `addrs`, in order.
+    pub(crate) fn trace_of(addrs: &[PhysAddr], bursts: u8) -> SlsTrace {
+        let spec = EmbeddingTableSpec::new(addrs.len() as u64, 64 * bursts as u64);
+        let mut trace = SlsTrace::with_capacity(1, 1, addrs.len(), false);
+        trace.push_batch(TableId::new(0), spec);
+        trace.push_pooling(0..addrs.len() as u64, &[], |row| addrs[row as usize]);
+        trace
+    }
+}

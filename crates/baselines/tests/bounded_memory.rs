@@ -62,9 +62,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-use recnmp_baselines::{HostBaseline, RunReport, TensorDimm};
+use recnmp_baselines::{DimmLevelNmp, DramConfig, HostBaseline, RunReport, SlsBackend, SlsTrace};
+use recnmp_trace::EmbeddingTableSpec;
 use recnmp_types::rng::DetRng;
-use recnmp_types::PhysAddr;
+use recnmp_types::{PhysAddr, TableId};
 
 /// The most heap `serve` held at once beyond what was live before it.
 fn peak_heap(serve: impl FnOnce() -> RunReport) -> i64 {
@@ -77,15 +78,22 @@ fn peak_heap(serve: impl FnOnce() -> RunReport) -> i64 {
     PEAK.with(Cell::get)
 }
 
-fn vectors(n: usize, seed: u64) -> Vec<PhysAddr> {
+/// A one-pooling trace of `n` random 128-byte (two-burst) vectors.
+fn vectors(n: usize, seed: u64) -> SlsTrace {
     let mut rng = DetRng::seed(seed);
-    (0..n)
+    let addrs: Vec<PhysAddr> = (0..n)
         .map(|_| PhysAddr::new(rng.below(8 << 30) & !127))
-        .collect()
+        .collect();
+    let mut trace = SlsTrace::with_capacity(1, 1, n, false);
+    trace.push_batch(TableId::new(0), EmbeddingTableSpec::new(n as u64, 128));
+    trace.push_pooling(0..n as u64, &[], |row| addrs[row as usize]);
+    trace
 }
 
 /// Asserts that serving 10k and 100k vectors peaks at the same heap.
-fn assert_bounded(mut serve: impl FnMut(&[PhysAddr]) -> RunReport) {
+/// The traces are built before counting starts: only the serve call's
+/// own heap counts.
+fn assert_bounded(mut serve: impl FnMut(&SlsTrace) -> RunReport) {
     let (small, large) = (vectors(10_000, 1), vectors(100_000, 2));
     let small_peak = peak_heap(|| serve(&small));
     let large_peak = peak_heap(|| serve(&large));
@@ -99,16 +107,16 @@ fn assert_bounded(mut serve: impl FnMut(&[PhysAddr]) -> RunReport) {
 
 #[test]
 fn host_baseline_heap_is_bounded_by_its_queues() {
-    assert_bounded(|v| {
+    assert_bounded(|trace| {
         let mut host = HostBaseline::new(2, 2).expect("config");
-        host.serve(v, 2).expect("serve")
+        host.try_run(trace).expect("serve")
     });
 }
 
 #[test]
 fn tensordimm_heap_is_bounded_by_its_queues() {
-    assert_bounded(|v| {
-        let mut td = TensorDimm::new(4, 2).expect("config");
-        td.serve(v, 2).expect("serve")
+    assert_bounded(|trace| {
+        let mut td = DimmLevelNmp::tensordimm(DramConfig::with_ranks(4, 2)).expect("config");
+        td.try_run(trace).expect("serve")
     });
 }

@@ -44,7 +44,7 @@
 //! HEAD:./<out>` instead.
 
 use recnmp_backend::{PlacementPolicy, SlsBackend};
-use recnmp_baselines::{HostBaseline, TensorDimm};
+use recnmp_baselines::{DimmLevelNmp, DramConfig, HostBaseline};
 use recnmp_bench::json::{diff_json, Json, DEFAULT_TOL};
 use recnmp_bench::BenchArgs;
 use recnmp_sim::experiments::{self, Scale};
@@ -277,7 +277,7 @@ fn run_serving(scale: Scale) -> Report {
     let host: fn() -> Box<dyn SlsBackend> =
         || Box::new(HostBaseline::new(4, 2).expect("host config"));
     let tensordimm: fn() -> Box<dyn SlsBackend> =
-        || Box::new(TensorDimm::new(4, 2).expect("tensordimm config"));
+        || Box::new(DimmLevelNmp::tensordimm(DramConfig::with_ranks(4, 2)).expect("tensordimm"));
     let backends = [
         ("host", host),
         ("tensordimm", tensordimm),

@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use recnmp::{RecNmpCluster, RecNmpClusterConfig, RecNmpConfig, RecNmpSystem};
 use recnmp_backend::{ShardingPolicy, SlsBackend, SlsTrace};
-use recnmp_baselines::{HostBaseline, TensorDimm};
+use recnmp_baselines::{DimmLevelNmp, DramConfig, HostBaseline};
 use recnmp_bench::json::Json;
 use recnmp_bench::BenchArgs;
 use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, SlsBatch, TraceGenerator};
@@ -240,7 +240,7 @@ fn main() {
     let mut results = Vec::new();
     let mut host = HostBaseline::new(4, 2).expect("host config");
     results.push(measure("host", &mut host, &trace));
-    let mut td = TensorDimm::new(4, 2).expect("tensordimm config");
+    let mut td = DimmLevelNmp::tensordimm(DramConfig::with_ranks(4, 2)).expect("tensordimm config");
     results.push(measure("tensordimm", &mut td, &trace));
     let mut nmp = RecNmpSystem::new(RecNmpConfig::with_ranks(4, 2)).expect("recnmp config");
     results.push(measure("recnmp", &mut nmp, &trace));

@@ -52,7 +52,8 @@
 //! ```
 
 use recnmp_backend::{
-    PlacementPlan, PlacementPolicy, RunReport, ShardingPolicy, SlsBackend, SlsTrace, TableUsage,
+    shard_slots, PlacementPlan, PlacementPolicy, RunReport, ShardingPolicy, SlsBackend, SlsTrace,
+    TableUsage,
 };
 use recnmp_types::{ConfigError, SimError};
 use serde::{Deserialize, Serialize};
@@ -399,23 +400,10 @@ impl SlsBackend for RecNmpCluster {
     /// # Errors
     ///
     /// Returns [`SimError::Config`] when the shard channels are not
-    /// strictly increasing or one is out of range, and the first shard's
-    /// error otherwise.
+    /// strictly increasing or one is out of range ([`shard_slots`]), and
+    /// the first shard's error otherwise.
     fn try_run_shards(&mut self, shards: &[(usize, SlsTrace)]) -> Result<Vec<RunReport>, SimError> {
-        let bad_shards = |why: String| Err(SimError::Config(ConfigError::new("shards", why)));
-        if !shards.windows(2).all(|w| w[0].0 < w[1].0) {
-            return bad_shards("must target strictly increasing channels".into());
-        }
-        let mut slots: Vec<Option<&SlsTrace>> = vec![None; self.channels.len()];
-        for (c, shard) in shards {
-            let Some(slot) = slots.get_mut(*c) else {
-                let channels = self.channels.len();
-                return bad_shards(format!(
-                    "channel {c} out of range for {channels} channel(s)"
-                ));
-            };
-            *slot = Some(shard);
-        }
+        let slots = shard_slots(shards, self.channels.len())?;
         let tasks: Vec<_> = self
             .channels
             .iter_mut()
@@ -622,7 +610,7 @@ mod tests {
         let trace = workload(2, 1);
         let e = shards_error(&[(0, trace.clone()), (5, trace)]);
         assert_eq!(e.field(), "shards");
-        assert!(e.reason().contains("channel 5 out of range"), "{e}");
+        assert!(e.reason().contains("server 5 out of range"), "{e}");
     }
 
     #[test]

@@ -120,6 +120,16 @@ impl RecNmpConfig {
         recnmp_dram::AddressMapping::SkylakeXor
     }
 
+    /// The host channel matching this configuration, for matched
+    /// comparisons: the same DIMMs, ranks, refresh setting and engine.
+    /// The host baseline and the DIMM-level comparators are built from it.
+    pub fn host_dram_config(&self) -> DramConfig {
+        let mut cfg = DramConfig::with_ranks(self.dimms, self.ranks_per_dimm);
+        cfg.refresh = self.refresh;
+        cfg.engine = self.engine;
+        cfg
+    }
+
     /// The DRAM configuration of one rank's devices.
     pub fn rank_dram_config(&self) -> DramConfig {
         let mut cfg = DramConfig::single_rank();
@@ -200,5 +210,16 @@ mod tests {
     fn rank_dram_is_single_rank() {
         let cfg = RecNmpConfig::with_ranks(2, 2);
         assert_eq!(cfg.rank_dram_config().geometry().ranks, 1);
+    }
+
+    #[test]
+    fn host_dram_matches_the_channel() {
+        let mut cfg = RecNmpConfig::with_ranks(2, 4);
+        cfg.refresh = false;
+        cfg.engine = SimEngine::PerCycle;
+        let host = cfg.host_dram_config();
+        assert_eq!((host.dimms, host.ranks_per_dimm), (2, 4));
+        assert!(!host.refresh);
+        assert_eq!(host.engine, SimEngine::PerCycle);
     }
 }

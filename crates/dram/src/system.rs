@@ -569,13 +569,6 @@ impl MemorySystem {
         self.loop_iters
     }
 
-    /// Switches the main-loop strategy (the configuration default is
-    /// [`SimEngine::EventDriven`]). State and statistics carry over; both
-    /// engines are cycle-identical.
-    pub fn set_engine(&mut self, engine: SimEngine) {
-        self.config.engine = engine;
-    }
-
     /// Runs until every request has completed, returning all completions
     /// (also recorded in [`stats`](Self::stats)).
     ///

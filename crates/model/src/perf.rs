@@ -14,8 +14,9 @@
 //! The effective constants below are *calibrated*, not derived: they are
 //! chosen so the operator breakdown (Figure 4 shape: SLS share 35–75%,
 //! growing with batch and table count) and the end-to-end speedups
-//! (Figure 18) land near the published values. `EXPERIMENTS.md` records
-//! the deviations.
+//! (Figure 18) land near the published values. `tests/paper_claims.rs`
+//! holds the bands they must stay within, and `goldens/` pins the
+//! figures they feed.
 
 use serde::{Deserialize, Serialize};
 

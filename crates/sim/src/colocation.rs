@@ -14,7 +14,6 @@
 //! bonus that wears off as co-location grows and the combined working
 //! set overflows the LLC.
 
-use recnmp_backend::{SlsBackend, SlsTrace};
 use recnmp_model::{BandwidthModel, CpuPerfModel, ModelConfig};
 use serde::{Deserialize, Serialize};
 
@@ -101,50 +100,6 @@ impl ColocationModel {
         bd.sls_us / sls_speedup + bd.bottom_fc_us + bd.top_fc_us + bd.other_us
     }
 
-    /// Measures the SLS memory-latency speedup by serving `trace` on both
-    /// backends — the cycle-level input the analytic curves consume. Any
-    /// [`SlsBackend`] pair works: host vs RecNMP, host vs a cluster, one
-    /// RecNMP configuration vs another.
-    pub fn measured_sls_speedup(
-        baseline: &mut dyn SlsBackend,
-        accelerated: &mut dyn SlsBackend,
-        trace: &SlsTrace,
-    ) -> f64 {
-        let base = baseline.run(trace).cycles_per_lookup();
-        let accel = accelerated.run(trace).cycles_per_lookup();
-        if accel == 0.0 {
-            0.0
-        } else {
-            base / accel
-        }
-    }
-
-    /// Latency/throughput curve with the SLS speedup measured directly
-    /// from a backend pair instead of passed in by hand.
-    // One parameter per physical input: an analytic config half and a
-    // cycle-level backend half. Bundling them would just move the arity.
-    #[allow(clippy::too_many_arguments)]
-    pub fn curve_measured(
-        &self,
-        config: &ModelConfig,
-        batch: usize,
-        max_co_located: usize,
-        kind: TraceKind,
-        baseline: &mut dyn SlsBackend,
-        accelerated: &mut dyn SlsBackend,
-        trace: &SlsTrace,
-    ) -> Vec<ColocationPoint> {
-        let speedup = Self::measured_sls_speedup(baseline, accelerated, trace);
-        // The 0.0 sentinel means "nothing was measured" (empty trace or a
-        // backend that served no lookups); dividing by it would produce
-        // infinite latencies that corrupt downstream tables silently.
-        assert!(
-            speedup > 0.0,
-            "cannot measure an SLS speedup: the accelerated backend served no lookups"
-        );
-        self.curve(config, batch, max_co_located, kind, Some(speedup))
-    }
-
     /// Latency/throughput curve for increasing co-location.
     pub fn curve(
         &self,
@@ -219,23 +174,14 @@ mod tests {
         let mut cfg = RecNmpConfig::optimized(4, 2);
         cfg.refresh = false;
         let trace = e.trace_for(&cfg);
-        // Matched comparison: both systems share the refresh setting.
-        let mut dram_cfg = recnmp_dram::DramConfig::with_ranks(cfg.dimms, cfg.ranks_per_dimm);
-        dram_cfg.refresh = cfg.refresh;
-        let mut host = HostBaseline::with_config(dram_cfg).unwrap();
+        let mut host = HostBaseline::with_config(cfg.host_dram_config()).unwrap();
         let mut sys = RecNmpSystem::new(cfg).unwrap();
+        let speedup = e.compare_backends(&mut host, &mut sys, &trace).speedup();
+        assert!(speedup > 0.0, "RecNMP served no lookups");
 
         let model_cfg = RecModelKind::Rm2Small.config();
         let analytic = m().curve(&model_cfg, 64, 4, TraceKind::Production, None);
-        let measured = m().curve_measured(
-            &model_cfg,
-            64,
-            4,
-            TraceKind::Production,
-            &mut host,
-            &mut sys,
-            &trace,
-        );
+        let measured = m().curve(&model_cfg, 64, 4, TraceKind::Production, Some(speedup));
         for (h, n) in analytic.iter().zip(&measured) {
             assert!(
                 n.latency_us < h.latency_us,

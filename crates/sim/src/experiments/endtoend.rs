@@ -55,7 +55,7 @@ pub fn fig17_fc_colocation() -> ExperimentResult {
 
 /// SLS memory-latency speedups per rank count, measured by the
 /// cycle-level engine with full optimizations (feeds Figure 18).
-pub fn measured_sls_speedups(scale: Scale) -> [(u8, u8, f64); 3] {
+fn sls_speedups_by_rank(scale: Scale) -> [(u8, u8, f64); 3] {
     let rounds = scale.scaled(2, 6);
     let batch = scale.scaled(32, 32);
     let e = SpeedupEngine::with_workload(TraceKind::Production, 8, rounds, batch, 0x18);
@@ -76,7 +76,7 @@ pub fn fig18_end2end(scale: Scale) -> ExperimentResult {
         "Figure 18: end-to-end model speedup and co-location trade-off",
     );
     let perf = CpuPerfModel::table1();
-    let speedups = measured_sls_speedups(scale);
+    let speedups = sls_speedups_by_rank(scale);
 
     // (a) model x rank count at batch 256.
     let mut ta = TextTable::new(

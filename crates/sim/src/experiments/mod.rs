@@ -2,7 +2,10 @@
 //!
 //! Each experiment regenerates the rows/series of its figure from the
 //! simulators in this workspace and returns them as renderable tables.
-//! `EXPERIMENTS.md` records these outputs next to the paper's numbers.
+//! Their quick-scale outputs are pinned under `goldens/`
+//! (`golden_check --update` rewrites them, `repro` prints any of them),
+//! and `tests/paper_claims.rs` checks the headline claims against the
+//! paper's numbers.
 //!
 //! This is the only place an artifact's traffic is defined. The four
 //! serving-side modules are public so that `serve_sweep` sweeps the same
@@ -27,8 +30,8 @@ use crate::render::TextTable;
 
 /// How much work an experiment run does.
 ///
-/// `Quick` keeps traces small enough for tests and benches; `Full` uses
-/// the trace lengths recorded in `EXPERIMENTS.md`.
+/// `Quick` keeps traces small enough for tests and benches (the
+/// `goldens/` outputs); `Full` uses longer traces (`repro --full`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
     /// Small traces (seconds): tests, goldens, smoke runs.

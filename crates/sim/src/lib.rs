@@ -23,7 +23,10 @@
 //!   between the `serve_sweep` binary and the experiment harness;
 //! * [`experiments`] — one entry point per table/figure
 //!   (`fig01_footprint` … `tab02_overhead`), each returning renderable
-//!   tables recorded in `EXPERIMENTS.md`;
+//!   tables. Their quick-scale outputs are pinned under `goldens/`
+//!   (`golden_check --update` rewrites them, `repro` prints any of them),
+//!   and `tests/paper_claims.rs` checks the headline claims against the
+//!   paper's numbers;
 //! * [`render`] — plain-text table rendering shared by the `repro` binary
 //!   and the docs.
 //!
@@ -42,10 +45,9 @@
 //! config.refresh = false;
 //! let trace = engine.trace_for(&config);
 //!
-//! // Matched comparison: both systems share the refresh setting.
-//! let mut dram_cfg = recnmp_dram::DramConfig::with_ranks(config.dimms, config.ranks_per_dimm);
-//! dram_cfg.refresh = config.refresh;
-//! let mut host = HostBaseline::with_config(dram_cfg)?;
+//! // Matched comparison: the host channel has the same DIMMs, ranks and
+//! // refresh setting.
+//! let mut host = HostBaseline::with_config(config.host_dram_config())?;
 //! let mut nmp = RecNmpSystem::new(config)?;
 //! let cmp = engine.compare_backends(&mut host, &mut nmp, &trace);
 //! assert!(cmp.speedup() > 1.0);

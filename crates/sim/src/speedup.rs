@@ -9,8 +9,7 @@
 
 use recnmp::{ExecutionMode, RecNmpConfig, RecNmpSystem};
 use recnmp_backend::{RunReport, SlsBackend, SlsTrace};
-use recnmp_baselines::{Chameleon, HostBaseline, TensorDimm};
-use recnmp_dram::DramConfig;
+use recnmp_baselines::{DimmLevelNmp, HostBaseline};
 use recnmp_types::{ConfigError, PhysAddr};
 use serde::{Deserialize, Serialize};
 
@@ -147,16 +146,14 @@ impl SpeedupEngine {
         }
     }
 
-    /// Runs the host baseline on the shared trace, with a channel matching
-    /// `config`'s DIMM/rank counts.
+    /// Runs the host baseline on the shared trace, on the channel
+    /// matching `config` ([`RecNmpConfig::host_dram_config`]).
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for invalid configurations.
     pub fn run_host(&self, config: &RecNmpConfig) -> Result<RunReport, ConfigError> {
-        let mut dram_cfg = DramConfig::with_ranks(config.dimms, config.ranks_per_dimm);
-        dram_cfg.refresh = config.refresh;
-        let mut host = HostBaseline::with_config(dram_cfg)?;
+        let mut host = HostBaseline::with_config(config.host_dram_config())?;
         Ok(self.run_backend(&mut host, &self.trace_for(config)))
     }
 
@@ -186,23 +183,25 @@ impl SpeedupEngine {
         Ok(self.run_backend(&mut sys, &self.colored_trace_for(config)))
     }
 
-    /// Runs TensorDIMM on the shared trace.
+    /// Runs TensorDIMM on the shared trace, on the channel matching
+    /// `config`.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for invalid configurations.
     pub fn run_tensordimm(&self, config: &RecNmpConfig) -> Result<RunReport, ConfigError> {
-        let mut td = TensorDimm::with_refresh(config.dimms, config.ranks_per_dimm, config.refresh)?;
+        let mut td = DimmLevelNmp::tensordimm(config.host_dram_config())?;
         Ok(self.run_backend(&mut td, &self.trace_for(config)))
     }
 
-    /// Runs Chameleon on the shared trace.
+    /// Runs Chameleon on the shared trace, on the channel matching
+    /// `config`.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for invalid configurations.
     pub fn run_chameleon(&self, config: &RecNmpConfig) -> Result<RunReport, ConfigError> {
-        let mut ch = Chameleon::with_refresh(config.dimms, config.ranks_per_dimm, config.refresh)?;
+        let mut ch = DimmLevelNmp::chameleon(config.host_dram_config())?;
         Ok(self.run_backend(&mut ch, &self.trace_for(config)))
     }
 
@@ -214,9 +213,7 @@ impl SpeedupEngine {
     /// Returns a [`ConfigError`] for invalid configurations.
     pub fn compare(&self, config: &RecNmpConfig) -> Result<SlsComparison, ConfigError> {
         let trace = self.trace_for(config);
-        let mut dram_cfg = DramConfig::with_ranks(config.dimms, config.ranks_per_dimm);
-        dram_cfg.refresh = config.refresh;
-        let mut host = HostBaseline::with_config(dram_cfg)?;
+        let mut host = HostBaseline::with_config(config.host_dram_config())?;
         let mut sys = RecNmpSystem::new(config.clone())?;
         Ok(self.compare_backends(&mut host, &mut sys, &trace))
     }
@@ -273,6 +270,26 @@ mod tests {
     }
 
     #[test]
+    fn every_baseline_inherits_the_refresh_setting() {
+        // The matched channel: host, TensorDIMM and Chameleon all run
+        // under the RecNMP configuration's refresh setting.
+        let e = engine();
+        for refresh in [false, true] {
+            let mut cfg = RecNmpConfig::optimized(2, 2);
+            cfg.refresh = refresh;
+            let runs = [
+                e.run_host(&cfg).unwrap(),
+                e.run_tensordimm(&cfg).unwrap(),
+                e.run_chameleon(&cfg).unwrap(),
+            ];
+            for report in runs {
+                let refs = report.dram.refs;
+                assert_eq!(refs > 0, refresh, "{}: {refs} refreshes", report.system);
+            }
+        }
+    }
+
+    #[test]
     fn page_coloring_reaches_near_ideal_throughput() {
         // 8 tables on 8 ranks: coloring pins one table per rank and the
         // overlapped execution keeps all ranks busy — faster than the
@@ -297,9 +314,7 @@ mod tests {
         let cfg = quiet(RecNmpConfig::with_ranks(2, 2));
         let trace = e.trace_for(&cfg);
 
-        let mut dram_cfg = DramConfig::with_ranks(cfg.dimms, cfg.ranks_per_dimm);
-        dram_cfg.refresh = cfg.refresh;
-        let mut host = HostBaseline::with_config(dram_cfg).unwrap();
+        let mut host = HostBaseline::with_config(cfg.host_dram_config()).unwrap();
         let mut sys = RecNmpSystem::new(cfg.clone()).unwrap();
         let cmp = e.compare_backends(&mut host, &mut sys, &trace);
 

@@ -1,7 +1,7 @@
 //! DRAM-NMP channels plus SSD units behind one dispatch surface.
 
 use recnmp::{RecNmpCluster, RecNmpClusterConfig};
-use recnmp_backend::{RunReport, ShardingPolicy, SlsBackend, SlsTrace};
+use recnmp_backend::{shard_slots, RunReport, ShardingPolicy, SlsBackend, SlsTrace};
 use recnmp_types::{ConfigError, SimError};
 
 use crate::ssd::{SsdNmpBackend, SsdNmpConfig};
@@ -156,17 +156,14 @@ impl SlsBackend for TieredCluster {
     /// Runs each shard on its unit (DRAM channel or SSD) as one pool
     /// task, reports in shard order — the fleet node handle for tiered
     /// nodes, identical to the serial default at any worker count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Config`] when the shard units are not strictly
+    /// increasing or one is out of range ([`shard_slots`]), and the first
+    /// shard's error otherwise.
     fn try_run_shards(&mut self, shards: &[(usize, SlsTrace)]) -> Result<Vec<RunReport>, SimError> {
-        assert!(
-            shards.windows(2).all(|w| w[0].0 < w[1].0),
-            "shards must target strictly increasing units"
-        );
-        let units = self.server_count();
-        let mut slots: Vec<Option<&SlsTrace>> = vec![None; units];
-        for (u, shard) in shards {
-            assert!(*u < units, "server {u} out of range for {units} server(s)");
-            slots[*u] = Some(shard);
-        }
+        let slots = shard_slots(shards, self.server_count())?;
         let backends = self
             .dram
             .channels_mut()
@@ -234,5 +231,31 @@ mod tests {
         let mut a = TieredCluster::reference(4, 2).unwrap();
         let mut b = TieredCluster::reference(4, 2).unwrap();
         assert_eq!(a.run(&t), b.run(&t));
+    }
+
+    /// The config error `try_run_shards` returns for `shards` on a node
+    /// of 2 DRAM channels and 1 SSD unit.
+    fn shards_error(shards: &[(usize, SlsTrace)]) -> ConfigError {
+        let mut cluster = TieredCluster::reference(2, 1).unwrap();
+        match cluster.try_run_shards(shards) {
+            Err(SimError::Config(e)) => e,
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_order_shards_are_a_config_error() {
+        let t = trace(2, 3);
+        let e = shards_error(&[(2, t.clone()), (0, t)]);
+        assert_eq!(e.field(), "shards");
+        assert!(e.reason().contains("strictly increasing"), "{e}");
+    }
+
+    #[test]
+    fn out_of_range_shards_are_a_config_error() {
+        let t = trace(2, 3);
+        let e = shards_error(&[(0, t.clone()), (3, t)]);
+        assert_eq!(e.field(), "shards");
+        assert!(e.reason().contains("server 3 out of range"), "{e}");
     }
 }

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = RecNmpConfig::optimized(4, 2);
     let trace = engine.trace_for(&config);
 
-    let mut host = HostBaseline::new(config.dimms, config.ranks_per_dimm)?;
+    let mut host = HostBaseline::with_config(config.host_dram_config())?;
     let mut nmp = RecNmpSystem::new(config.clone())?;
     let comparison = engine.compare_backends(&mut host, &mut nmp, &trace);
 

@@ -6,7 +6,7 @@
 
 use recnmp::cluster::{RecNmpCluster, RecNmpClusterConfig};
 use recnmp::{RecNmpConfig, RecNmpSystem, ShardingPolicy, SlsBackend, SlsTrace};
-use recnmp_baselines::{Chameleon, HostBaseline, TensorDimm};
+use recnmp_baselines::{DimmLevelNmp, HostBaseline};
 use recnmp_sim::speedup::SpeedupEngine;
 use recnmp_sim::workload::TraceKind;
 
@@ -15,20 +15,15 @@ fn quiet(mut cfg: RecNmpConfig) -> RecNmpConfig {
     cfg
 }
 
-/// Builds the four single-channel backends at one geometry, all under
-/// `cfg`'s refresh setting (matched comparisons share DRAM settings).
+/// Builds the four single-channel backends at one geometry, the
+/// baselines on `cfg`'s matched host channel (matched comparisons share
+/// DRAM settings).
 fn backends(cfg: &RecNmpConfig) -> Vec<Box<dyn SlsBackend>> {
-    let mut dram_cfg = recnmp_dram::DramConfig::with_ranks(cfg.dimms, cfg.ranks_per_dimm);
-    dram_cfg.refresh = cfg.refresh;
+    let channel = cfg.host_dram_config();
     vec![
-        Box::new(HostBaseline::with_config(dram_cfg).expect("host")),
-        Box::new(
-            TensorDimm::with_refresh(cfg.dimms, cfg.ranks_per_dimm, cfg.refresh)
-                .expect("tensordimm"),
-        ),
-        Box::new(
-            Chameleon::with_refresh(cfg.dimms, cfg.ranks_per_dimm, cfg.refresh).expect("chameleon"),
-        ),
+        Box::new(HostBaseline::with_config(channel.clone()).expect("host")),
+        Box::new(DimmLevelNmp::tensordimm(channel.clone()).expect("tensordimm")),
+        Box::new(DimmLevelNmp::chameleon(channel).expect("chameleon")),
         Box::new(RecNmpSystem::new(cfg.clone()).expect("recnmp")),
     ]
 }

@@ -7,7 +7,7 @@
 
 use recnmp::{RecNmpCluster, RecNmpClusterConfig, RecNmpConfig, RecNmpSystem};
 use recnmp_backend::{RunReport, ShardingPolicy, SlsBackend, SlsTrace};
-use recnmp_baselines::{Chameleon, HostBaseline, TensorDimm};
+use recnmp_baselines::{DimmLevelNmp, HostBaseline};
 use recnmp_dram::{DramConfig, SimEngine};
 use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, SlsBatch, TraceGenerator};
 use recnmp_types::{PhysAddr, TableId};
@@ -47,31 +47,32 @@ fn check<B: SlsBackend>(name: &str, mut build: impl FnMut(SimEngine, bool) -> B)
     }
 }
 
+/// A 2-DIMM x 2-rank host channel under `engine` and `refresh`.
+fn channel(engine: SimEngine, refresh: bool) -> DramConfig {
+    let mut cfg = DramConfig::with_ranks(2, 2);
+    cfg.engine = engine;
+    cfg.refresh = refresh;
+    cfg
+}
+
 #[test]
 fn host_baseline_is_engine_invariant() {
     check("host", |engine, refresh| {
-        let mut cfg = DramConfig::with_ranks(2, 2);
-        cfg.engine = engine;
-        cfg.refresh = refresh;
-        HostBaseline::with_config(cfg).expect("host")
+        HostBaseline::with_config(channel(engine, refresh)).expect("host")
     });
 }
 
 #[test]
 fn tensordimm_is_engine_invariant() {
     check("tensordimm", |engine, refresh| {
-        let mut td = TensorDimm::with_refresh(2, 2, refresh).expect("tensordimm");
-        td.set_engine(engine);
-        td
+        DimmLevelNmp::tensordimm(channel(engine, refresh)).expect("tensordimm")
     });
 }
 
 #[test]
 fn chameleon_is_engine_invariant() {
     check("chameleon", |engine, refresh| {
-        let mut ch = Chameleon::with_refresh(2, 2, refresh).expect("chameleon");
-        ch.set_engine(engine);
-        ch
+        DimmLevelNmp::chameleon(channel(engine, refresh)).expect("chameleon")
     });
 }
 

@@ -9,7 +9,7 @@
 
 use recnmp::{RecNmpCluster, RecNmpClusterConfig};
 use recnmp_backend::SlsBackend;
-use recnmp_baselines::{HostBaseline, TensorDimm};
+use recnmp_baselines::{DimmLevelNmp, DramConfig, HostBaseline};
 use recnmp_sim::serving::{
     saturation_qps, serve, ArrivalProcess, DispatchPolicy, QueryShape, ServingConfig, ServingMode,
 };
@@ -27,7 +27,7 @@ fn cluster4() -> RecNmpCluster {
 fn backends() -> Vec<Box<dyn SlsBackend>> {
     vec![
         Box::new(HostBaseline::new(1, 2).unwrap()),
-        Box::new(TensorDimm::new(1, 2).unwrap()),
+        Box::new(DimmLevelNmp::tensordimm(DramConfig::with_ranks(1, 2)).unwrap()),
         Box::new(cluster4()),
     ]
 }

@@ -141,18 +141,11 @@ pub trait SlsBackend: Send {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Stalled`] under the same conditions as
-    /// [`try_run`](Self::try_run).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `server >= self.server_count()`.
+    /// Returns [`SimError::Config`] (see [`check_server`]) when `server >=
+    /// self.server_count()`, and otherwise [`SimError::Stalled`] under the
+    /// same conditions as [`try_run`](Self::try_run).
     fn try_run_on(&mut self, server: usize, trace: &SlsTrace) -> Result<RunReport, SimError> {
-        assert!(
-            server < self.server_count(),
-            "server {server} out of range for {} server(s)",
-            self.server_count()
-        );
+        check_server(server, self.server_count())?;
         self.try_run(trace)
     }
 
@@ -217,6 +210,29 @@ pub trait SlsBackend: Send {
     fn reset_caches(&mut self) {}
 }
 
+/// Checks that `server` names one of `servers` servers, for
+/// [`SlsBackend::try_run_on`].
+///
+/// # Errors
+///
+/// Returns [`SimError::Config`] on field `server` when `server` is
+/// `servers` or more.
+pub fn check_server(server: usize, servers: usize) -> Result<(), SimError> {
+    if server < servers {
+        Ok(())
+    } else {
+        Err(server_out_of_range("server", server, servers))
+    }
+}
+
+/// The error for a server index past the last of `servers` servers.
+fn server_out_of_range(field: &str, server: usize, servers: usize) -> SimError {
+    SimError::Config(ConfigError::new(
+        field,
+        format!("server {server} out of range for {servers} server(s)"),
+    ))
+}
+
 /// Checks a [`SlsBackend::try_run_shards`] request against `servers`
 /// servers and lays it out as one slot per server: slot `s` holds the
 /// shard for server `s`, or `None` when no shard targets it.
@@ -229,14 +245,16 @@ pub fn shard_slots(
     shards: &[(usize, SlsTrace)],
     servers: usize,
 ) -> Result<Vec<Option<&SlsTrace>>, SimError> {
-    let bad_shards = |why: String| Err(SimError::Config(ConfigError::new("shards", why)));
     if !shards.windows(2).all(|w| w[0].0 < w[1].0) {
-        return bad_shards("must target strictly increasing servers".into());
+        return Err(SimError::Config(ConfigError::new(
+            "shards",
+            "must target strictly increasing servers",
+        )));
     }
     let mut slots = vec![None; servers];
     for (s, shard) in shards {
         let Some(slot) = slots.get_mut(*s) else {
-            return bad_shards(format!("server {s} out of range for {servers} server(s)"));
+            return Err(server_out_of_range("shards", *s, servers));
         };
         *slot = Some(shard);
     }

@@ -139,10 +139,11 @@ impl SlsBackend for DimmLevelNmp {
                     .filter(move |burst| burst % n == d as u64)
                     .map(move |burst| (PhysAddr::new((burst / n) << 6), arrival))
             });
-            let summary = mem.run_stream(Counted { iter: reads, left })?;
-            end = end.max(summary.last_finish.unwrap_or(start));
-            bursts += summary.completed;
-            add_dram(&mut dram, &dram_delta(mem.stats(), &before));
+            mem.run_stream(Counted { iter: reads, left }, |_| {})?;
+            end = end.max(mem.cycle());
+            let delta = dram_delta(mem.stats(), &before);
+            bursts += delta.reads;
+            add_dram(&mut dram, &delta);
         }
         Ok(RunReport {
             system: self.name.into(),

@@ -76,11 +76,10 @@ impl SlsBackend for HostBaseline {
         });
         let bursts = trace.total_lookups() * bursts_per_vector;
         let left = bursts as usize;
-        let summary = self.mem.run_stream(Counted { iter: reads, left })?;
-        let end = summary.last_finish.unwrap_or(start);
+        self.mem.run_stream(Counted { iter: reads, left }, |_| {})?;
         Ok(RunReport {
             system: "host".into(),
-            total_cycles: end - start,
+            total_cycles: self.mem.cycle() - start,
             insts: trace.total_lookups(),
             dram: dram_delta(self.mem.stats(), &before),
             dram_bursts: bursts,
@@ -106,6 +105,17 @@ mod tests {
         assert_eq!(report.insts, 100);
         assert_eq!(report.dram.reads, 100);
         assert!(report.total_cycles > 0);
+    }
+
+    #[test]
+    fn try_run_on_rejects_a_second_server() {
+        let mut host = HostBaseline::new(1, 2).unwrap();
+        let trace = trace_of(&random_addrs(4, 1, 8), 1);
+        let err = host.try_run_on(1, &trace).unwrap_err();
+        assert!(
+            matches!(&err, SimError::Config(e) if e.field() == "server"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -52,8 +52,8 @@
 //! ```
 
 use recnmp_backend::{
-    shard_slots, PlacementPlan, PlacementPolicy, RunReport, ShardingPolicy, SlsBackend, SlsTrace,
-    TableUsage,
+    check_server, shard_slots, PlacementPlan, PlacementPolicy, RunReport, ShardingPolicy,
+    SlsBackend, SlsTrace, TableUsage,
 };
 use recnmp_types::{ConfigError, SimError};
 use serde::{Deserialize, Serialize};
@@ -377,15 +377,12 @@ impl SlsBackend for RecNmpCluster {
     /// is **not** sharded: the whole query lands on one channel, so a
     /// serving layer controls placement (and therefore queueing) itself.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `server >= self.channels()`.
+    /// Returns [`SimError::Config`] when `server >= self.channels()`
+    /// ([`check_server`]), and the channel's error otherwise.
     fn try_run_on(&mut self, server: usize, trace: &SlsTrace) -> Result<RunReport, SimError> {
-        assert!(
-            server < self.channels.len(),
-            "server {server} out of range for {} channel(s)",
-            self.channels.len()
-        );
+        check_server(server, self.channels.len())?;
         self.channels[server].try_run(trace)
     }
 
@@ -661,9 +658,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn try_run_on_rejects_bad_server() {
         let trace = workload(2, 1);
-        let _ = cluster(2).try_run_on(5, &trace);
+        let Err(SimError::Config(e)) = cluster(2).try_run_on(5, &trace) else {
+            panic!("an out-of-range server must be a config error");
+        };
+        assert_eq!(e.field(), "server");
+        assert!(e.reason().contains("server 5 out of range"), "{e}");
     }
 }

@@ -11,7 +11,7 @@
 use recnmp_cache::{CacheStats, RankCache, RankCacheOutcome};
 use recnmp_dram::request::RequestKind;
 use recnmp_dram::{DramAddr, MemorySystem};
-use recnmp_types::{ConfigError, Cycle, RankId, RequestId, SimError};
+use recnmp_types::{ConfigError, Cycle, RankId, SimError};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{RecNmpConfig, PIPELINE_DEPTH};
@@ -49,7 +49,6 @@ pub struct RankNmp {
     cache: Option<RankCache>,
     cache_latency: u64,
     stats: RankNmpStats,
-    next_req: RequestId,
 }
 
 /// SRAM access latency grows with capacity (Cacti-style): 1 cycle up to
@@ -87,7 +86,6 @@ impl RankNmp {
             cache,
             cache_latency,
             stats: RankNmpStats::default(),
-            next_req: RequestId::new(0),
         })
     }
 
@@ -180,20 +178,18 @@ impl RankNmp {
             } else {
                 for b in 0..inst.vsize {
                     let addr = burst_daddr(&inst.daddr, b);
-                    self.dram
-                        .enqueue_decoded(addr, RequestKind::Read, *arrival, self.next_req);
-                    self.next_req = self.next_req.next();
+                    self.dram.enqueue_decoded(addr, RequestKind::Read, *arrival);
                     self.stats.dram_bursts += 1;
                     enqueued += 1;
                 }
             }
         }
         let dram_done = if enqueued > 0 {
-            // Only the last finish matters: run the enqueued bursts with
-            // no stream behind them and keep the summary, not a record
-            // per burst.
-            let summary = self.dram.run_stream(std::iter::empty())?;
-            summary.last_finish.unwrap_or(start)
+            // Only the last finish matters, and the run ends there: run
+            // the enqueued bursts with no stream behind them and ignore
+            // the individual completions.
+            self.dram.run_stream(std::iter::empty(), |_| {})?;
+            self.dram.cycle()
         } else {
             start
         };

@@ -62,8 +62,8 @@ pub struct DramConfig {
     /// Main-loop strategy (event-driven skip-ahead by default).
     pub engine: SimEngine,
     /// Loop iterations without any request progress after which
-    /// `run_until_idle` reports [`recnmp_types::SimError::Stalled`]
-    /// instead of spinning forever.
+    /// [`run_stream`](crate::MemorySystem::run_stream) reports
+    /// [`recnmp_types::SimError::Stalled`] instead of spinning forever.
     pub stall_iterations: u64,
 }
 

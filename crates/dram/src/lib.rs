@@ -38,51 +38,51 @@
 //! of the banks that have work — requests needing the same command on
 //! the same bank share one legality verdict.
 //!
-//! `run_until_idle` is **event-driven** by default ([`SimEngine`]): when
-//! no command can issue, the clock jumps straight to the next cycle at
-//! which anything could change — and the jump target falls out of the
-//! same traversal that failed to issue, so there is no separate event
-//! rescan. The result is cycle-identical to the per-cycle reference
-//! engine — same completions (and completion order), same statistics,
-//! same final cycle — while doing O(commands) instead of O(cycles) work;
-//! the `event_equivalence` suite and the `sched_props` proptests enforce
+//! A run is **event-driven** by default ([`SimEngine`]): when no command
+//! can issue, the clock jumps straight to the next cycle at which
+//! anything could change — and the jump target falls out of the same
+//! traversal that failed to issue, so there is no separate event rescan.
+//! The result is cycle-identical to the per-cycle reference engine —
+//! same completions (and completion order), same statistics, same final
+//! cycle — while doing O(commands) instead of O(cycles) work; the
+//! `event_equivalence` suite and the `sched_props` proptests enforce
 //! this, and [`MemorySystem::loop_iterations`] exposes the work saved.
 //!
 //! # Intake and completion contract
 //!
-//! A channel runs in one of two ways:
+//! A channel runs one way, [`MemorySystem::run_stream`]. It runs the
+//! requests enqueued so far, then takes its reads from an
+//! [`ExactSizeIterator`] of `(addr, arrival)` pairs, pulling them into
+//! the staged queue only as admission drains it (never more than one
+//! tick's admission capacity ahead). Reads not yet pulled still count as
+//! staged for [`MemorySystem::pending`], for the stall detector and for
+//! [`recnmp_types::SimError::Stalled`], so a run is cycle-identical
+//! however its reads are split between [`MemorySystem::enqueue`] and the
+//! stream, yet it holds O(queue) requests.
 //!
-//! * [`MemorySystem::run_until_idle`] runs the requests enqueued so far
-//!   and returns one [`CompletedRequest`] per request, in data-transfer
-//!   order — for tests, monitors and anything that inspects individual
-//!   requests.
-//! * [`MemorySystem::run_stream`] takes its reads from an
-//!   [`ExactSizeIterator`] of `(addr, arrival)` pairs, after anything
-//!   already enqueued. It pulls them into the staged queue only as
-//!   admission drains it (never more than one tick's admission capacity
-//!   ahead), and it returns a [`RunSummary`]: the completed count and the
-//!   last finish cycle. Reads not yet pulled still count as staged for
-//!   [`MemorySystem::pending`], for the stall detector and for
-//!   [`recnmp_types::SimError::Stalled`]. So a streamed run is
-//!   cycle-identical to enqueueing everything and calling
-//!   `run_until_idle`, yet it holds O(queue) requests. The host baseline,
-//!   the DIMM-level comparators and the rank-NMP devices use it. A
-//!   counting-allocator test proves its steady-state loop allocates
-//!   nothing.
+//! Each completion goes to the run's callback as a [`CompletedRequest`],
+//! in data-transfer order, and the run ends at the last one's finish
+//! cycle. The host baseline, the DIMM-level comparators and the rank-NMP
+//! devices pass a no-op and read the run's cost off
+//! [`MemorySystem::cycle`] and [`MemorySystem::stats`]; tests collect
+//! the completions to compare them request by request. A
+//! counting-allocator test proves the steady-state loop allocates
+//! nothing.
 //!
 //! # Examples
 //!
 //! ```
-//! use recnmp_dram::{DramConfig, MemorySystem, Request};
+//! use recnmp_dram::{DramConfig, MemorySystem};
 //! use recnmp_types::PhysAddr;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut mem = MemorySystem::new(DramConfig::table1_baseline())?;
-//! mem.enqueue_read(PhysAddr::new(0x40), 0);
-//! let done = mem.run_until_idle()?;
+//! let mut done = Vec::new();
+//! mem.run_stream([(PhysAddr::new(0x40), 0)], |c| done.push(*c))?;
 //! assert_eq!(done.len(), 1);
 //! // A cold read costs at least tRCD + tCL + tBL cycles.
 //! assert!(done[0].finish_cycle >= 36);
+//! assert_eq!(mem.cycle(), done[0].finish_cycle);
 //! # Ok(())
 //! # }
 //! ```
@@ -102,7 +102,7 @@ pub use address::{AddressMapping, DramAddr};
 pub use command::{DdrCommand, DdrCommandKind};
 pub use controller::{DramConfig, SimEngine};
 pub use energy::{DramEnergy, EnergyParams};
-pub use request::{CompletedRequest, Request, RequestKind, RunSummary};
+pub use request::{CompletedRequest, Request, RequestKind};
 pub use stats::DramStats;
 pub use system::MemorySystem;
 pub use timing::DdrTiming;

@@ -1,6 +1,6 @@
 //! Memory requests and their completion records.
 
-use recnmp_types::{Cycle, PhysAddr, RequestId};
+use recnmp_types::{Cycle, PhysAddr};
 use serde::{Deserialize, Serialize};
 
 use crate::address::DramAddr;
@@ -19,8 +19,6 @@ pub enum RequestKind {
 /// [`MemorySystem`]: crate::MemorySystem
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Request {
-    /// Caller-chosen identifier, echoed in the completion record.
-    pub id: RequestId,
     /// Physical byte address (the containing 64-byte burst is accessed).
     pub addr: PhysAddr,
     /// Read or write.
@@ -31,9 +29,8 @@ pub struct Request {
 
 impl Request {
     /// Creates a read request.
-    pub fn read(id: RequestId, addr: PhysAddr, arrival: Cycle) -> Self {
+    pub fn read(addr: PhysAddr, arrival: Cycle) -> Self {
         Self {
-            id,
             addr,
             kind: RequestKind::Read,
             arrival,
@@ -41,9 +38,8 @@ impl Request {
     }
 
     /// Creates a write request.
-    pub fn write(id: RequestId, addr: PhysAddr, arrival: Cycle) -> Self {
+    pub fn write(addr: PhysAddr, arrival: Cycle) -> Self {
         Self {
-            id,
             addr,
             kind: RequestKind::Write,
             arrival,
@@ -62,11 +58,15 @@ pub enum RowOutcome {
     Conflict,
 }
 
-/// Completion record for one request.
+/// Completion record for one request, handed to the callback of
+/// [`MemorySystem::run_stream`].
+///
+/// [`MemorySystem::run_stream`]: crate::MemorySystem::run_stream
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompletedRequest {
-    /// Identifier from the originating [`Request`].
-    pub id: RequestId,
+    /// The request's place in enqueue order on its channel, counted
+    /// from 0 across runs.
+    pub seq: u64,
     /// Decoded coordinates the request was serviced at.
     pub addr: DramAddr,
     /// Read or write.
@@ -86,28 +86,15 @@ impl CompletedRequest {
     }
 }
 
-/// What a [`MemorySystem::run_stream`] run completed: the count and the
-/// last finish cycle, in place of one [`CompletedRequest`] per request.
-///
-/// [`MemorySystem::run_stream`]: crate::MemorySystem::run_stream
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunSummary {
-    /// Requests that completed during the run.
-    pub completed: u64,
-    /// Cycle the run's last data beat transferred; `None` when nothing
-    /// completed. Bursts share one data bus, so this is the latest finish.
-    pub last_finish: Option<Cycle>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn constructors_set_kind() {
-        let r = Request::read(RequestId::new(1), PhysAddr::new(64), 5);
+        let r = Request::read(PhysAddr::new(64), 5);
         assert_eq!(r.kind, RequestKind::Read);
-        let w = Request::write(RequestId::new(2), PhysAddr::new(128), 6);
+        let w = Request::write(PhysAddr::new(128), 6);
         assert_eq!(w.kind, RequestKind::Write);
         assert_eq!(w.arrival, 6);
     }
@@ -115,7 +102,7 @@ mod tests {
     #[test]
     fn latency_is_finish_minus_arrival() {
         let c = CompletedRequest {
-            id: RequestId::new(0),
+            seq: 0,
             addr: DramAddr::default(),
             kind: RequestKind::Read,
             arrival: 10,

@@ -93,15 +93,6 @@ impl DramStats {
     pub fn bandwidth_gbs(&self, elapsed: Cycle) -> f64 {
         units::bandwidth_gbs(self.data_bytes(), elapsed)
     }
-
-    /// Data-bus utilization over `elapsed` cycles.
-    pub fn bus_utilization(&self, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.data_bus_busy as f64 / elapsed as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +133,6 @@ mod tests {
         let bw = s.bandwidth_gbs(4000);
         // 64 B / 4 cycles at 1.2 GHz = 19.2 GB/s.
         assert!((bw - 19.2).abs() < 0.01, "{bw}");
-        assert!((s.bus_utilization(4000) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -150,6 +140,5 @@ mod tests {
         let s = DramStats::new();
         assert_eq!(s.mean_latency(), 0.0);
         assert_eq!(s.row_hit_rate(), 0.0);
-        assert_eq!(s.bus_utilization(0), 0.0);
     }
 }

@@ -2,21 +2,20 @@
 
 use std::collections::VecDeque;
 
-use recnmp_types::{Cycle, PhysAddr, RequestId, SimError};
+use recnmp_types::{Cycle, PhysAddr, SimError};
 
 use crate::address::{DramAddr, Geometry};
 use crate::bank::{Bank, BankState, RankTimer};
 use crate::command::{DdrCommand, DdrCommandKind};
 use crate::controller::{DramConfig, SimEngine};
 use crate::monitor::ProtocolMonitor;
-use crate::request::{CompletedRequest, Request, RequestKind, RowOutcome, RunSummary};
+use crate::request::{CompletedRequest, Request, RequestKind, RowOutcome};
 use crate::stats::DramStats;
 use crate::timing::DdrTiming;
 
 /// An in-service request tracked by the controller.
 #[derive(Debug, Clone)]
 struct Queued {
-    id: RequestId,
     kind: RequestKind,
     addr: DramAddr,
     arrival: Cycle,
@@ -202,7 +201,7 @@ impl CandCache {
     /// Earliest-legal cycle of the column candidate: the cached bank part,
     /// the rank timer's bank-group part, and the rank's column `gate`
     /// (see [`MemorySystem::col_gate`]). The one spelling of the formula,
-    /// shared by the scan and the event queries.
+    /// shared by the scan and the post-issue hint.
     #[inline]
     fn col_at(&self, timer: &RankTimer, bg: u8, gate: Cycle) -> Cycle {
         self.col_ready.max(timer.col_group_ready(bg)).max(gate)
@@ -295,37 +294,31 @@ impl Direction {
             self.is_dirty[g] = false;
         }
     }
-
-    /// `gbank`'s candidates, recomputed on the fly when stale (for the
-    /// `&self` event query).
-    fn candidate(&self, gbank: usize, bank: &Bank, is_read: bool) -> CandCache {
-        if self.is_dirty[gbank] {
-            CandCache::compute(&self.queues[gbank], bank, is_read)
-        } else {
-            self.cand[gbank]
-        }
-    }
 }
 
-/// The read source of a stream run: `(addr, arrival)` in staging order.
+/// The read source of a run: `(addr, arrival)` in staging order.
 type ReadSource<'a> = dyn Iterator<Item = (PhysAddr, Cycle)> + 'a;
+
+/// The completion callback of a run, called once per request in
+/// data-transfer order.
+type Done<'a> = dyn FnMut(&CompletedRequest) + 'a;
 
 /// One simulated memory channel: DDR4 devices plus an FR-FCFS controller.
 ///
 /// The model issues at most one DDR command per cycle (the command/address
 /// bus limit that RecNMP's compressed instructions work around). Time
-/// advances either one DRAM clock per [`tick`](Self::tick), or — inside
-/// [`run_until_idle`](Self::run_until_idle) with the default
-/// [`SimEngine::EventDriven`] — by skipping the clock directly to
-/// [`next_event_cycle`](Self::next_event_cycle) whenever no command can
+/// advances one DRAM clock per loop iteration with [`SimEngine::PerCycle`],
+/// or, with the default [`SimEngine::EventDriven`], jumps straight to the
+/// next cycle at which anything could change whenever no command can
 /// issue, which is cycle-identical but does O(commands) instead of
 /// O(cycles) work.
 ///
-/// Two ways to run: [`run_until_idle`](Self::run_until_idle) returns one
-/// [`CompletedRequest`] per request, and [`run_stream`](Self::run_stream)
-/// pulls its reads from an iterator as the read queue drains and returns
-/// only a [`RunSummary`], so its memory stays bounded by the queues however
-/// long the stream.
+/// [`run_stream`](Self::run_stream) is the one way to run: it pulls its
+/// reads from an iterator as the read queue drains and hands each
+/// completion to a callback, so its memory stays bounded by the queues
+/// however long the stream. A run ends at the last completion's finish
+/// cycle, so callers read what it cost off [`cycle`](Self::cycle) and
+/// [`stats`](Self::stats).
 ///
 /// # Examples
 ///
@@ -335,11 +328,11 @@ type ReadSource<'a> = dyn Iterator<Item = (PhysAddr, Cycle)> + 'a;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut mem = MemorySystem::new(DramConfig::single_rank())?;
-/// for i in 0..8u64 {
-///     mem.enqueue_read(PhysAddr::new(i * 64), 0);
-/// }
-/// let done = mem.run_until_idle()?;
-/// assert_eq!(done.len(), 8);
+/// let reads = (0..8u32).map(|i| (PhysAddr::new(u64::from(i) * 64), 0));
+/// let mut last = None;
+/// mem.run_stream(reads, |c| last = Some(c.finish_cycle))?;
+/// assert_eq!(mem.stats().reads, 8);
+/// assert_eq!(last, Some(mem.cycle()));
 /// # Ok(())
 /// # }
 /// ```
@@ -371,13 +364,7 @@ pub struct MemorySystem {
     /// bank), so the hot loops never divide.
     bank_rank: Vec<u8>,
     bank_bg: Vec<u8>,
-    completed: Vec<CompletedRequest>,
-    /// Whether completions go to `completed`: not during a stream run,
-    /// which keeps only `summary`.
-    record: bool,
-    summary: RunSummary,
     next_seq: u64,
-    next_auto_id: u64,
     stats: DramStats,
     monitor: Option<ProtocolMonitor>,
     loop_iters: u64,
@@ -427,11 +414,7 @@ impl MemorySystem {
             bank_bg: (0..total_banks)
                 .map(|g| ((g % bpr) / geo.banks_per_group as usize) as u8)
                 .collect(),
-            completed: Vec::new(),
-            record: true,
-            summary: RunSummary::default(),
             next_seq: 0,
-            next_auto_id: 0,
             stats: DramStats::new(),
             monitor: None,
             loop_iters: 0,
@@ -481,30 +464,17 @@ impl MemorySystem {
         self.staged.len() + self.unpulled
     }
 
-    /// Enqueues a request built by the caller.
+    /// Enqueues a request for the next [`run_stream`](Self::run_stream).
+    /// Requests are numbered in enqueue order; the number comes back as
+    /// [`CompletedRequest::seq`].
     pub fn enqueue(&mut self, req: Request) {
         let addr = self.config.mapping.decode(req.addr, &self.geo);
-        self.enqueue_decoded(addr, req.kind, req.arrival, req.id);
-    }
-
-    /// Enqueues a read of the burst containing `addr`, arriving at
-    /// `arrival`, and returns the auto-assigned request id.
-    pub fn enqueue_read(&mut self, addr: PhysAddr, arrival: Cycle) -> RequestId {
-        let id = RequestId::new(self.next_auto_id);
-        self.next_auto_id += 1;
-        self.enqueue(Request::read(id, addr, arrival));
-        id
+        self.enqueue_decoded(addr, req.kind, req.arrival);
     }
 
     /// Enqueues a request at pre-decoded DRAM coordinates. Rank-NMP modules
     /// use this path: their instructions carry device coordinates directly.
-    pub fn enqueue_decoded(
-        &mut self,
-        addr: DramAddr,
-        kind: RequestKind,
-        arrival: Cycle,
-        id: RequestId,
-    ) {
+    pub fn enqueue_decoded(&mut self, addr: DramAddr, kind: RequestKind, arrival: Cycle) {
         assert!(
             addr.rank < self.geo.ranks
                 && addr.bank_group < self.geo.bank_groups
@@ -516,7 +486,6 @@ impl MemorySystem {
         let gbank =
             (addr.rank as usize * self.bpr + addr.flat_bank(self.geo.banks_per_group)) as u32;
         let q = Queued {
-            id,
             kind,
             addr,
             arrival,
@@ -529,20 +498,15 @@ impl MemorySystem {
         self.staged.push_back(q);
     }
 
-    /// Advances the channel by one cycle.
-    pub fn tick(&mut self) {
-        self.tick_inner();
-    }
-
     /// One controller cycle: admit arrivals, progress refresh, issue at
     /// most one command. Returns whether a command slot was consumed and,
     /// when it was not, the earliest future bank-candidate readiness.
-    fn tick_inner(&mut self) -> TickOutcome {
+    fn tick(&mut self, done: &mut Done<'_>) -> TickOutcome {
         self.loop_iters += 1;
         let outcome = if self.admit_and_refresh() {
             TickOutcome::Issued(None)
         } else {
-            self.issue_request_command()
+            self.issue_request_command(done)
         };
         self.cycle += 1;
         outcome
@@ -569,61 +533,44 @@ impl MemorySystem {
         self.loop_iters
     }
 
-    /// Runs until every request has completed, returning all completions
-    /// (also recorded in [`stats`](Self::stats)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Stalled`] if the controller stops making
-    /// forward progress while requests are pending (a scheduling livelock;
-    /// see [`DramConfig::stall_iterations`]). The seed engine `assert!`ed
-    /// after 500M cycles instead.
-    pub fn run_until_idle(&mut self) -> Result<Vec<CompletedRequest>, SimError> {
-        self.run(&mut std::iter::empty())?;
-        Ok(self.drain_completed())
-    }
-
     /// Runs the requests already enqueued, then `reads` as `(addr,
-    /// arrival)` reads in order, until every one has completed, and
-    /// returns how many completed and when the last finished.
+    /// arrival)` reads in order, until every one has completed, handing
+    /// each completion to `done` in data-transfer order.
     ///
     /// The stream is pulled lazily: the staged queue is topped up to the
     /// admission capacity of one tick (read plus write queue) after every
     /// loop iteration, so the channel holds O(queue) requests however long
     /// the stream. Unpulled reads count as staged for
     /// [`pending`](Self::pending), the stall detector and the
-    /// [`SimError::Stalled`] they report, and no per-request
-    /// [`CompletedRequest`] is kept. The run is cycle-identical to
-    /// enqueueing every read with [`enqueue_read`](Self::enqueue_read) and
-    /// calling [`run_until_idle`](Self::run_until_idle): same statistics,
-    /// final cycle, loop iterations and request ids.
+    /// [`SimError::Stalled`] they report, so a run is cycle-identical
+    /// however its reads are split between [`enqueue`](Self::enqueue) and
+    /// the stream: same completions, statistics, final cycle and loop
+    /// iterations.
+    ///
+    /// A run ends when its last data beat has transferred: afterwards
+    /// [`cycle`](Self::cycle) is the last completion's finish cycle, or
+    /// unchanged when nothing was queued.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Stalled`] exactly as
-    /// [`run_until_idle`](Self::run_until_idle) does; the reads not yet
-    /// pulled are dropped.
-    pub fn run_stream<I>(&mut self, reads: I) -> Result<RunSummary, SimError>
+    /// Returns [`SimError::Stalled`] if the controller stops making
+    /// forward progress while requests are pending (a scheduling livelock;
+    /// see [`DramConfig::stall_iterations`]); the reads not yet pulled are
+    /// dropped.
+    pub fn run_stream<I, F>(&mut self, reads: I, mut done: F) -> Result<(), SimError>
     where
         I: IntoIterator<Item = (PhysAddr, Cycle)>,
         I::IntoIter: ExactSizeIterator,
+        F: FnMut(&CompletedRequest),
     {
         let mut reads = reads.into_iter();
         self.unpulled = reads.len();
-        self.record = false;
-        self.summary = RunSummary::default();
-        let run = self.run(&mut reads);
+        let run = match self.config.engine {
+            SimEngine::EventDriven => self.run_event_driven(&mut reads, &mut done),
+            SimEngine::PerCycle => self.run_per_cycle(&mut reads, &mut done),
+        };
         self.unpulled = 0;
-        self.record = true;
-        run.map(|()| self.summary)
-    }
-
-    /// Runs the engine of the configuration to idle, pulling from `src`.
-    fn run(&mut self, src: &mut ReadSource<'_>) -> Result<(), SimError> {
-        match self.config.engine {
-            SimEngine::EventDriven => self.run_event_driven(src),
-            SimEngine::PerCycle => self.run_per_cycle(src),
-        }
+        run
     }
 
     /// Moves reads from `src` into the staged queue until it holds as
@@ -636,7 +583,7 @@ impl MemorySystem {
             match src.next() {
                 Some((addr, arrival)) => {
                     self.unpulled -= 1;
-                    self.enqueue_read(addr, arrival);
+                    self.enqueue(Request::read(addr, arrival));
                 }
                 None => self.unpulled = 0,
             }
@@ -682,16 +629,20 @@ impl MemorySystem {
     }
 
     /// Reference main loop: one DRAM clock per iteration.
-    fn run_per_cycle(&mut self, src: &mut ReadSource<'_>) -> Result<(), SimError> {
+    fn run_per_cycle(
+        &mut self,
+        src: &mut ReadSource<'_>,
+        done: &mut Done<'_>,
+    ) -> Result<(), SimError> {
         self.pull(src);
         let mut last = self.progress_state();
         let mut idle = 0u64;
         while self.pending() > 0 {
-            self.tick_inner();
+            self.tick(done);
             self.pull(src);
             self.note_progress(&mut last, &mut idle)?;
         }
-        self.drain_data_bus();
+        self.drain_data_bus(done);
         Ok(())
     }
 
@@ -701,12 +652,16 @@ impl MemorySystem {
     /// failed tick's own scheduling scan (nothing mutated, so the
     /// readiness cycles it gathered are exact); only the cheap non-bank
     /// events (staged arrival, refresh deadlines) are added here.
-    fn run_event_driven(&mut self, src: &mut ReadSource<'_>) -> Result<(), SimError> {
+    fn run_event_driven(
+        &mut self,
+        src: &mut ReadSource<'_>,
+        done: &mut Done<'_>,
+    ) -> Result<(), SimError> {
         self.pull(src);
         let mut last = self.progress_state();
         let mut idle = 0u64;
         while self.pending() > 0 {
-            let outcome = self.tick_inner();
+            let outcome = self.tick(done);
             self.pull(src);
             self.note_progress(&mut last, &mut idle)?;
             match outcome {
@@ -727,16 +682,16 @@ impl MemorySystem {
                 TickOutcome::Issued(_) => {}
             }
         }
-        self.drain_data_bus();
+        self.drain_data_bus(done);
         Ok(())
     }
 
     /// Lets in-flight data bursts (and any refresh that falls due while
     /// they stream) finish.
-    fn drain_data_bus(&mut self) {
+    fn drain_data_bus(&mut self, done: &mut Done<'_>) {
         let drain_to = self.data_bus_free.max(self.cycle);
         while self.cycle < drain_to {
-            let outcome = self.tick_inner();
+            let outcome = self.tick(done);
             if self.config.engine == SimEngine::EventDriven {
                 if let TickOutcome::Idle(cand) = outcome {
                     let e = self
@@ -750,11 +705,12 @@ impl MemorySystem {
         }
     }
 
-    /// The non-bank events plus a precomputed bank-candidate readiness:
-    /// the jump target of a tick that issued nothing. Equals
-    /// [`next_event_cycle`](Self::next_event_cycle) when `cand` is the
-    /// minimum readiness over every schedulable queued request (which is
-    /// exactly what the failed tick's scan produced).
+    /// The jump target of a tick that issued nothing: the earliest of
+    /// `cand`, the failed scan's bank-candidate readiness, and the
+    /// non-bank events (the next admissible staged arrival, the next
+    /// refresh deadline or refresh-step legality). `None` when no such
+    /// cycle exists — with requests pending that is a livelock, which the
+    /// run reports as [`SimError::Stalled`].
     fn light_event_cycle(&self, cand: Option<Cycle>) -> Option<Cycle> {
         let now = self.cycle;
         let mut next: Option<Cycle> = None;
@@ -782,84 +738,25 @@ impl MemorySystem {
         next
     }
 
-    /// The next cycle (>= the current one) at which the controller state
-    /// can change: the earliest of the next admissible staged arrival, the
-    /// next refresh deadline or refresh-step legality, and the earliest
-    /// bank/rank/data-bus readiness of any schedulable queued request.
-    ///
-    /// Returns `None` when no such cycle exists — with requests pending
-    /// that is a livelock, which `run_until_idle` reports as
-    /// [`SimError::Stalled`].
-    pub fn next_event_cycle(&self) -> Option<Cycle> {
-        // Queued requests: the cycle their next command (column, PRE or
-        // ACT) becomes legal. Command legality is a property of the bank,
-        // not the request, so each bank contributes at most two candidate
-        // cycles per direction (column for open-row matches, PRE for
-        // mismatches; ACT when closed) — served from the per-bank
-        // candidate caches, no per-request rescan. Writes only
-        // participate when the controller would drain them — drain mode
-        // flips only on admissions or issues, which are events themselves.
-        let mut cand: Option<Cycle> = None;
-        let mut consider = |at: Cycle| {
-            cand = Some(cand.map_or(at, |n| n.min(at)));
-        };
-        let drain = self.drain_writes();
-        for gbank in 0..self.banks.len() {
-            if self.refresh_pending[self.bank_rank[gbank] as usize] {
-                // The refresh-step event (in `light_event_cycle`) covers
-                // the unblock.
-                continue;
-            }
-            self.consider_bank_events(true, gbank, &mut consider);
-            if drain {
-                self.consider_bank_events(false, gbank, &mut consider);
-            }
-        }
-        // The non-bank events (staged admission, refresh deadlines and
-        // steps) live in the same helper the run loop uses, so the
-        // standalone query and the engine's jump targets cannot drift
-        // apart.
-        self.light_event_cycle(cand)
-    }
-
-    /// Feeds the earliest-legal cycles of one (bank, direction)'s
-    /// candidates into `consider`, reading through the candidate cache
-    /// (recomputing on the fly when stale — this is a `&self` query).
-    fn consider_bank_events(&self, is_read: bool, gbank: usize, consider: &mut impl FnMut(Cycle)) {
-        let c = self
-            .dir(is_read)
-            .candidate(gbank, &self.banks[gbank], is_read);
-        let (col, alt) = self.cand_effective_ready(&c, is_read, gbank);
-        if col != Cycle::MAX {
-            consider(col);
-        }
-        if alt != Cycle::MAX {
-            consider(alt);
-        }
-    }
-
-    /// The effective earliest-legal cycles of a cache's candidates: the
-    /// cached bank-local parts combined with the **live** rank timers and
+    /// The earliest-legal cycle of `gbank`'s read candidates: the cached
+    /// bank-local parts combined with the **live** rank timers and
     /// data-bus reservation, through the same gates and
-    /// [`CandCache::col_at`]/[`CandCache::act_at`] the scan uses.
-    /// `Cycle::MAX` marks an absent candidate.
-    fn cand_effective_ready(&self, c: &CandCache, is_read: bool, gbank: usize) -> (Cycle, Cycle) {
+    /// [`CandCache::col_at`]/[`CandCache::act_at`] the scan uses. `None`
+    /// when the bank holds no read.
+    fn read_candidates_ready(&self, gbank: usize) -> Option<Cycle> {
+        let c = &self.reads.cand[gbank];
         let rank = self.bank_rank[gbank] as usize;
         let timer = &self.ranks[rank];
         let bg = self.bank_bg[gbank];
-        let col = if c.col_seq != u64::MAX {
-            c.col_at(timer, bg, self.col_gate(is_read, rank))
-        } else {
-            Cycle::MAX
-        };
-        let alt = if c.alt_seq == u64::MAX {
-            Cycle::MAX
-        } else if c.alt_is_act {
-            c.act_at(timer, bg, timer.act_rank_ready())
-        } else {
-            c.alt_ready
-        };
-        (col, alt)
+        let col = (c.col_seq != u64::MAX).then(|| c.col_at(timer, bg, self.col_gate(true, rank)));
+        let alt = (c.alt_seq != u64::MAX).then(|| {
+            if c.alt_is_act {
+                c.act_at(timer, bg, timer.act_rank_ready())
+            } else {
+                c.alt_ready
+            }
+        });
+        min_cycle(col, alt)
     }
 
     /// The column gate of `rank`: the part of column readiness shared by
@@ -970,23 +867,6 @@ impl MemorySystem {
     fn drain_writes(&self) -> bool {
         self.writes.order.len() * 4 >= self.config.write_queue * 3
             || (self.reads.order.is_empty() && !self.writes.order.is_empty())
-    }
-
-    /// Removes and returns all completions whose data has fully transferred
-    /// by the current cycle.
-    ///
-    /// Completions are recorded in data-transfer order (the shared data
-    /// bus serializes bursts), so the buffer is always sorted by
-    /// `finish_cycle`: the common all-done case hands the whole buffer
-    /// over, and a partial drain splits off a prefix — no re-partitioning
-    /// scan of the remainder.
-    pub fn drain_completed(&mut self) -> Vec<CompletedRequest> {
-        let now = self.cycle;
-        if self.completed.last().is_none_or(|c| c.finish_cycle <= now) {
-            return std::mem::take(&mut self.completed);
-        }
-        let k = self.completed.partition_point(|c| c.finish_cycle <= now);
-        self.completed.drain(..k).collect()
     }
 
     fn admit_arrivals(&mut self) {
@@ -1110,7 +990,7 @@ impl MemorySystem {
     /// nothing is legal, the same scan has already produced a lower bound
     /// on the earliest future readiness, which the event-driven engine
     /// jumps to.
-    fn issue_request_command(&mut self) -> TickOutcome {
+    fn issue_request_command(&mut self, done: &mut Done<'_>) -> TickOutcome {
         let drain_writes = self.drain_writes();
         let has_reads = !self.reads.order.is_empty();
         if !has_reads && (!drain_writes || self.writes.order.is_empty()) {
@@ -1135,23 +1015,23 @@ impl MemorySystem {
             // and whose column command is legal right now, reads first.
             if let Some(slot) = reads.col_winner {
                 let gbank = self.slab[slot as usize].gbank as usize;
-                self.issue_column(true, slot);
+                self.issue_column(true, slot, done);
                 let hint = self.post_issue_hint(gbank, drain_writes, &reads);
                 return TickOutcome::Issued(hint);
             }
             if drain_writes {
                 let writes = self.scan_direction(false, allow_fr);
                 if let Some(slot) = writes.col_winner {
-                    self.issue_column(false, slot);
+                    self.issue_column(false, slot, done);
                     return TickOutcome::Issued(None);
                 }
                 // Pass 2 with both directions already scanned.
                 if let Some((slot, cmd)) = reads.other_winner {
-                    self.issue_progress(true, slot, cmd);
+                    self.issue_progress(true, slot, cmd, done);
                     return TickOutcome::Issued(None);
                 }
                 if let Some((slot, cmd)) = writes.other_winner {
-                    self.issue_progress(false, slot, cmd);
+                    self.issue_progress(false, slot, cmd, done);
                     return TickOutcome::Issued(None);
                 }
                 return TickOutcome::Idle(min_cycle(reads.min_ready, writes.min_ready));
@@ -1164,14 +1044,14 @@ impl MemorySystem {
         // and ACT candidates remain in play.
         if let Some((slot, cmd)) = reads.other_winner {
             let gbank = self.slab[slot as usize].gbank as usize;
-            self.issue_progress(true, slot, cmd);
+            self.issue_progress(true, slot, cmd, done);
             let hint = self.post_issue_hint(gbank, drain_writes, &reads);
             return TickOutcome::Issued(hint);
         }
         if drain_writes {
             let writes = self.scan_direction(false, allow_fr);
             if let Some((slot, cmd)) = writes.other_winner {
-                self.issue_progress(false, slot, cmd);
+                self.issue_progress(false, slot, cmd, done);
                 return TickOutcome::Issued(None);
             }
             return TickOutcome::Idle(min_cycle(reads.min_ready, writes.min_ready));
@@ -1200,16 +1080,8 @@ impl MemorySystem {
         if scan.legal != 1 || drain_before || self.drain_writes() {
             return None;
         }
-        let mut m = scan.min_ready;
         self.refresh_candidates(true);
-        let (col, alt) = self.cand_effective_ready(&self.reads.cand[gbank], true, gbank);
-        if col != Cycle::MAX {
-            m = min_cycle(m, Some(col));
-        }
-        if alt != Cycle::MAX {
-            m = min_cycle(m, Some(alt));
-        }
-        m
+        min_cycle(scan.min_ready, self.read_candidates_ready(gbank))
     }
 
     /// One direction's FR-FCFS candidate scan.
@@ -1313,8 +1185,8 @@ impl MemorySystem {
     }
 
     /// Issues the already-verified-legal column command for `slot`,
-    /// completing the request.
-    fn issue_column(&mut self, is_read: bool, slot: u32) {
+    /// completing the request and handing it to `done`.
+    fn issue_column(&mut self, is_read: bool, slot: u32, done: &mut Done<'_>) {
         let now = self.cycle;
         let q = self.remove_queued(is_read, slot);
         let gbank = q.gbank as usize;
@@ -1345,25 +1217,21 @@ impl MemorySystem {
         let outcome = q.outcome();
         self.stats.record_outcome(outcome);
         self.stats.record_latency(finish - q.arrival);
-        self.summary.completed += 1;
-        self.summary.last_finish = Some(finish);
-        if self.record {
-            self.completed.push(CompletedRequest {
-                id: q.id,
-                addr: q.addr,
-                kind: q.kind,
-                arrival: q.arrival,
-                finish_cycle: finish,
-                outcome,
-            });
-        }
+        done(&CompletedRequest {
+            seq: q.seq,
+            addr: q.addr,
+            kind: q.kind,
+            arrival: q.arrival,
+            finish_cycle: finish,
+            outcome,
+        });
     }
 
     /// Issues the already-verified-legal pass-2 command for `slot`.
-    fn issue_progress(&mut self, is_read: bool, slot: u32, cmd: NextCmd) {
+    fn issue_progress(&mut self, is_read: bool, slot: u32, cmd: NextCmd, done: &mut Done<'_>) {
         let now = self.cycle;
         match cmd {
-            NextCmd::Column => self.issue_column(is_read, slot),
+            NextCmd::Column => self.issue_column(is_read, slot, done),
             NextCmd::Pre => {
                 let addr = self.slab[slot as usize].addr;
                 let gbank = self.slab[slot as usize].gbank as usize;
@@ -1506,7 +1374,8 @@ mod tests {
     /// The state an FR-FCFS issue changes, captured before the decision
     /// so the issued command can be read off the difference.
     struct Snapshot {
-        completed: usize,
+        /// Column commands issued so far; each completes a request.
+        columns: u64,
         queued: Vec<u32>,
         counts: Vec<(u8, u8)>,
     }
@@ -1514,7 +1383,7 @@ mod tests {
     impl Snapshot {
         fn take(mem: &MemorySystem) -> Self {
             Self {
-                completed: mem.completed.len(),
+                columns: mem.stats.reads + mem.stats.writes,
                 queued: mem
                     .reads
                     .order
@@ -1529,7 +1398,7 @@ mod tests {
         /// The command issued since the snapshot, if any.
         fn issued(&self, mem: &MemorySystem) -> Option<Decision> {
             let is_read = |slot: usize| mem.slab[slot].kind == RequestKind::Read;
-            if mem.completed.len() > self.completed {
+            if mem.stats.reads + mem.stats.writes > self.columns {
                 let slot = *self
                     .queued
                     .iter()
@@ -1552,14 +1421,14 @@ mod tests {
         }
     }
 
-    /// One per-cycle controller tick (as `tick_inner` runs it) with the
+    /// One per-cycle controller tick (as `tick` runs it) with the
     /// scan's decision checked against the oracle, and an idle tick's
     /// jump bound checked to be no later than the exact next readiness.
     fn oracle_checked_tick(mem: &mut MemorySystem) {
         if !mem.admit_and_refresh() {
             let (expected, exact_min) = oracle(mem);
             let before = Snapshot::take(mem);
-            let outcome = mem.issue_request_command();
+            let outcome = mem.issue_request_command(&mut |_| {});
             assert_eq!(
                 before.issued(mem),
                 expected,
@@ -1603,11 +1472,11 @@ mod tests {
             mem.attach_monitor();
             for (i, &(addr, jitter, write)) in raw.iter().enumerate() {
                 let addr = PhysAddr::new(addr & ((1 << span_bits) - 1) & !63);
-                let (id, arrival) = (RequestId::new(i as u64), i as u64 * gap + jitter);
+                let arrival = i as u64 * gap + jitter;
                 mem.enqueue(if writes && write {
-                    Request::write(id, addr, arrival)
+                    Request::write(addr, arrival)
                 } else {
-                    Request::read(id, addr, arrival)
+                    Request::read(addr, arrival)
                 });
             }
             let mut ticks = 0u64;
@@ -1624,11 +1493,21 @@ mod tests {
         MemorySystem::new(DramConfig::single_rank()).expect("valid config")
     }
 
+    /// Runs the enqueued requests, then `reads`, collecting every
+    /// completion in order.
+    fn run(
+        mem: &mut MemorySystem,
+        reads: &[(u64, Cycle)],
+    ) -> Result<Vec<CompletedRequest>, SimError> {
+        let mut done = Vec::new();
+        let reads = reads.iter().map(|&(a, at)| (PhysAddr::new(a), at));
+        mem.run_stream(reads, |c| done.push(*c))?;
+        Ok(done)
+    }
+
     #[test]
     fn cold_read_latency_is_trcd_tcl_tbl() {
-        let mut mem = single_rank();
-        mem.enqueue_read(PhysAddr::new(0), 0);
-        let done = mem.run_until_idle().expect("drain");
+        let done = run(&mut single_rank(), &[(0, 0)]).expect("drain");
         assert_eq!(done.len(), 1);
         let t = DdrTiming::ddr4_2400();
         // ACT at cycle 0 is legal immediately; RD at tRCD; data done
@@ -1639,10 +1518,7 @@ mod tests {
 
     #[test]
     fn row_hit_follows_open_row() {
-        let mut mem = single_rank();
-        mem.enqueue_read(PhysAddr::new(0), 0);
-        mem.enqueue_read(PhysAddr::new(64), 0);
-        let done = mem.run_until_idle().expect("drain");
+        let done = run(&mut single_rank(), &[(0, 0), (64, 0)]).expect("drain");
         assert_eq!(done.len(), 2);
         assert_eq!(done[1].outcome, RowOutcome::Hit);
         // Second burst streams tCCD after the first RD.
@@ -1656,9 +1532,7 @@ mod tests {
         // Same bank, different row: stride by one full row of bursts.
         let row_bytes = geo.columns as u64 * CACHELINE_BYTES;
         let banks = geo.banks_per_rank() as u64;
-        mem.enqueue_read(PhysAddr::new(0), 0);
-        mem.enqueue_read(PhysAddr::new(row_bytes * banks), 0);
-        let done = mem.run_until_idle().expect("drain");
+        let done = run(&mut mem, &[(0, 0), (row_bytes * banks, 0)]).expect("drain");
         assert_eq!(done[1].outcome, RowOutcome::Conflict);
         let t = DdrTiming::ddr4_2400();
         assert!(done[1].finish_cycle >= t.t_ras + t.t_rp + t.t_rcd);
@@ -1671,13 +1545,11 @@ mod tests {
         // bus should stream a burst every tBL cycles.
         let geo = *mem.geometry();
         let row_bytes = geo.columns as u64 * CACHELINE_BYTES;
-        for i in 0..64u64 {
-            // Rotate across all 16 banks, two bursts each.
-            let bank = i % 16;
-            let col = i / 16;
-            mem.enqueue_read(PhysAddr::new(bank * row_bytes + col * 64), 0);
-        }
-        let done = mem.run_until_idle().expect("drain");
+        // Rotate across all 16 banks, two bursts each.
+        let reads: Vec<_> = (0..64u64)
+            .map(|i| ((i % 16) * row_bytes + (i / 16) * 64, 0))
+            .collect();
+        let done = run(&mut mem, &reads).expect("drain");
         assert_eq!(done.len(), 64);
         let finish = done.iter().map(|c| c.finish_cycle).max().unwrap();
         // Perfect streaming would take 64*4 = 256 cycles of data after the
@@ -1689,10 +1561,8 @@ mod tests {
     fn monitor_sees_no_violations_under_load() {
         let mut mem = MemorySystem::new(DramConfig::table1_baseline()).unwrap();
         mem.attach_monitor();
-        for i in 0..200u64 {
-            mem.enqueue_read(PhysAddr::new(i * 64 * 4097), 0);
-        }
-        let done = mem.run_until_idle().expect("drain");
+        let reads: Vec<_> = (0..200u64).map(|i| (i * 64 * 4097, 0)).collect();
+        let done = run(&mut mem, &reads).expect("drain");
         assert_eq!(done.len(), 200);
         assert!(
             mem.monitor_violations().is_empty(),
@@ -1705,29 +1575,42 @@ mod tests {
     fn refresh_occurs_periodically() {
         let mut mem = single_rank();
         // Run past several tREFI windows with sparse traffic.
-        for i in 0..32u64 {
-            mem.enqueue_read(PhysAddr::new(i * 64), i * 2000);
-        }
-        let _ = mem.run_until_idle().expect("drain");
+        let reads: Vec<_> = (0..32u64).map(|i| (i * 64, i * 2000)).collect();
+        run(&mut mem, &reads).expect("drain");
         assert!(mem.stats().refs >= 5, "refs = {}", mem.stats().refs);
     }
 
     #[test]
     fn writes_complete_and_count() {
         let mut mem = single_rank();
-        let id = RequestId::new(77);
-        mem.enqueue(Request::write(id, PhysAddr::new(64), 0));
-        let done = mem.run_until_idle().expect("drain");
+        mem.enqueue(Request::write(PhysAddr::new(64), 0));
+        let done = run(&mut mem, &[]).expect("drain");
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].id, id);
+        assert_eq!(done[0].kind, RequestKind::Write);
         assert_eq!(mem.stats().writes, 1);
     }
 
     #[test]
-    fn arrival_times_are_respected() {
+    fn completions_carry_enqueue_order() {
+        // Two requests staged up front, then two streamed: `seq` numbers
+        // them in enqueue order across both intakes, whatever order their
+        // data transfers in.
         let mut mem = single_rank();
-        mem.enqueue_read(PhysAddr::new(0), 1000);
-        let done = mem.run_until_idle().expect("drain");
+        mem.enqueue(Request::read(PhysAddr::new(1 << 20), 0));
+        mem.enqueue(Request::write(PhysAddr::new(0), 0));
+        let done = run(&mut mem, &[(64, 0), (128, 0)]).expect("drain");
+        let mut seqs: Vec<u64> = done.iter().map(|c| c.seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, [0, 1, 2, 3]);
+        assert_eq!(
+            done.iter().find(|c| c.seq == 1).unwrap().kind,
+            RequestKind::Write
+        );
+    }
+
+    #[test]
+    fn arrival_times_are_respected() {
+        let done = run(&mut single_rank(), &[(0, 1000)]).expect("drain");
         assert!(done[0].finish_cycle >= 1000);
         assert!(done[0].latency() < 1000);
     }
@@ -1736,29 +1619,25 @@ mod tests {
     fn two_ranks_overlap_activation() {
         // The same request stream takes fewer cycles on 2 ranks than 1 when
         // requests conflict in banks.
-        let run = |ranks: u8| {
+        let cycles = |ranks: u8| {
             let mut cfg = DramConfig::with_ranks(1, ranks);
             cfg.refresh = false;
             let mut mem = MemorySystem::new(cfg).unwrap();
             // Strided addresses that pound a few banks.
-            for i in 0..128u64 {
-                mem.enqueue_read(PhysAddr::new(i * 1024 * 1024), 0);
-            }
-            let done = mem.run_until_idle().expect("drain");
-            done.iter().map(|c| c.finish_cycle).max().unwrap()
+            let reads: Vec<_> = (0..128u64).map(|i| (i * 1024 * 1024, 0)).collect();
+            run(&mut mem, &reads).expect("drain");
+            mem.cycle()
         };
-        let one = run(1);
-        let two = run(2);
+        let one = cycles(1);
+        let two = cycles(2);
         assert!(two < one, "1-rank {one} vs 2-rank {two}");
     }
 
     #[test]
     fn stats_outcomes_sum_to_reads() {
         let mut mem = single_rank();
-        for i in 0..50u64 {
-            mem.enqueue_read(PhysAddr::new(i * 640_000), 0);
-        }
-        mem.run_until_idle().expect("drain");
+        let reads: Vec<_> = (0..50u64).map(|i| (i * 640_000, 0)).collect();
+        run(&mut mem, &reads).expect("drain");
         let s = mem.stats();
         assert_eq!(s.row_hits + s.row_misses + s.row_conflicts, s.reads);
     }
@@ -1775,9 +1654,8 @@ mod tests {
             cfg.engine = engine;
             cfg.stall_iterations = cfg.timing.t_rfc + cfg.timing.t_refi + 1;
             let mut mem = MemorySystem::new(cfg).unwrap();
-            mem.enqueue_read(PhysAddr::new(0), 0);
             mem.refresh_pending[0] = true;
-            let err = mem.run_until_idle().unwrap_err();
+            let err = run(&mut mem, &[(0, 0)]).unwrap_err();
             assert!(
                 matches!(err, SimError::Stalled { pending: 1, .. }),
                 "{engine:?}: {err}"
@@ -1796,9 +1674,8 @@ mod tests {
         cfg.engine = SimEngine::PerCycle;
         cfg.stall_iterations = cfg.timing.t_rfc + cfg.timing.t_refi + 1;
         let mut mem = MemorySystem::new(cfg).unwrap();
-        mem.enqueue_read(PhysAddr::new(0), 0);
         mem.data_bus_free = 1 << 40;
-        let err = mem.run_until_idle().unwrap_err();
+        let err = run(&mut mem, &[(0, 0)]).unwrap_err();
         assert!(matches!(err, SimError::Stalled { pending: 1, .. }), "{err}");
     }
 
@@ -1813,8 +1690,7 @@ mod tests {
             cfg.stall_iterations = cfg.timing.t_rfc + cfg.timing.t_refi + 1;
             let far = 10 * cfg.stall_iterations;
             let mut mem = MemorySystem::new(cfg).unwrap();
-            mem.enqueue_read(PhysAddr::new(0), far);
-            let done = mem.run_until_idle().expect("drain");
+            let done = run(&mut mem, &[(0, far)]).expect("drain");
             assert_eq!(done.len(), 1);
             assert!(done[0].finish_cycle >= far);
         }
@@ -1824,14 +1700,12 @@ mod tests {
     fn event_engine_skips_idle_cycles() {
         // Sparse refresh-enabled traffic: the per-cycle engine burns one
         // iteration per DRAM clock; the event engine does O(commands).
-        let run = |engine: SimEngine| {
+        let reads: Vec<_> = (0..32u64).map(|i| (i * 64, i * 2000)).collect();
+        let engine_run = |engine: SimEngine| {
             let mut cfg = DramConfig::single_rank();
             cfg.engine = engine;
             let mut mem = MemorySystem::new(cfg).unwrap();
-            for i in 0..32u64 {
-                mem.enqueue_read(PhysAddr::new(i * 64), i * 2000);
-            }
-            let done = mem.run_until_idle().expect("drain");
+            let done = run(&mut mem, &reads).expect("drain");
             (
                 done,
                 mem.cycle(),
@@ -1839,8 +1713,8 @@ mod tests {
                 mem.loop_iterations(),
             )
         };
-        let (done_pc, cycle_pc, stats_pc, iters_pc) = run(SimEngine::PerCycle);
-        let (done_ev, cycle_ev, stats_ev, iters_ev) = run(SimEngine::EventDriven);
+        let (done_pc, cycle_pc, stats_pc, iters_pc) = engine_run(SimEngine::PerCycle);
+        let (done_ev, cycle_ev, stats_ev, iters_ev) = engine_run(SimEngine::EventDriven);
         assert_eq!(done_pc, done_ev);
         assert_eq!(cycle_pc, cycle_ev);
         assert_eq!(stats_pc, stats_ev);
@@ -1861,7 +1735,6 @@ mod tests {
             },
             RequestKind::Read,
             0,
-            RequestId::new(0),
         );
     }
 }

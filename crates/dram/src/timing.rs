@@ -139,16 +139,6 @@ impl DdrTiming {
         }
         Ok(())
     }
-
-    /// Cycles from RD issue until the last data beat has transferred.
-    pub const fn read_to_done(&self) -> u64 {
-        self.t_cl + self.t_bl
-    }
-
-    /// Cycles from WR issue until the last data beat has transferred.
-    pub const fn write_to_done(&self) -> u64 {
-        self.t_cwl + self.t_bl
-    }
 }
 
 impl Default for DdrTiming {
@@ -206,12 +196,5 @@ mod tests {
         let mut t = DdrTiming::ddr4_2400();
         t.t_faw = 10;
         assert_eq!(t.validate().unwrap_err().field(), "t_faw");
-    }
-
-    #[test]
-    fn derived_latencies() {
-        let t = DdrTiming::ddr4_2400();
-        assert_eq!(t.read_to_done(), 20);
-        assert_eq!(t.write_to_done(), 16);
     }
 }

@@ -1,24 +1,26 @@
 //! Golden-equivalence suite: the event-driven skip-ahead engine must be
 //! *cycle-identical* to the per-cycle reference engine — same completion
-//! records (ids, cycles, outcomes), same final clock, same `DramStats`,
-//! and zero protocol-monitor violations — across refresh on/off, FR-FCFS
-//! starvation, write drains and multi-rank workloads, while doing at
-//! least 10x less main-loop work on sparse refresh-enabled traffic.
+//! records (enqueue order, cycles, outcomes), same final clock, same
+//! `DramStats`, and zero protocol-monitor violations — across refresh
+//! on/off, FR-FCFS starvation, write drains and multi-rank workloads,
+//! while doing at least 10x less main-loop work on sparse
+//! refresh-enabled traffic.
 //!
-//! Under either engine, a streamed run (`run_stream`) must be
-//! indistinguishable from enqueueing the same reads up front and calling
-//! `run_until_idle`, down to the error a forced stall reports.
+//! Under either engine, streaming reads into `run_stream` must be
+//! indistinguishable from enqueueing the same reads up front and running
+//! an empty stream, down to the error a forced stall reports, and every
+//! successful run must end at its last completion's finish cycle.
 
 use proptest::prelude::*;
 use recnmp_dram::request::Request;
-use recnmp_dram::{DramConfig, DramStats, MemorySystem, SimEngine};
+use recnmp_dram::{CompletedRequest, DramConfig, DramStats, MemorySystem, SimEngine};
 use recnmp_types::rng::DetRng;
-use recnmp_types::{Cycle, PhysAddr, RequestId, SimError};
+use recnmp_types::{Cycle, PhysAddr, SimError};
 
 /// Outcome of one engine run, everything identity cares about.
 #[derive(Debug, PartialEq)]
 struct Golden {
-    completions: Vec<(u64, Cycle, Cycle)>,
+    completions: Vec<CompletedRequest>,
     final_cycle: Cycle,
     stats: DramStats,
     violations: usize,
@@ -32,12 +34,11 @@ fn run(cfg: &DramConfig, engine: SimEngine, reqs: &[Request]) -> (Golden, u64) {
     for r in reqs {
         mem.enqueue(*r);
     }
-    let done = mem.run_until_idle().expect("drain");
+    let mut completions = Vec::new();
+    mem.run_stream(std::iter::empty(), |c| completions.push(*c))
+        .expect("drain");
     let golden = Golden {
-        completions: done
-            .iter()
-            .map(|c| (c.id.get(), c.arrival, c.finish_cycle))
-            .collect(),
+        completions,
         final_cycle: mem.cycle(),
         stats: mem.stats().clone(),
         violations: mem.monitor_violations().len(),
@@ -59,13 +60,7 @@ fn assert_equivalent(cfg: &DramConfig, reqs: &[Request]) -> (u64, u64) {
 fn reads(n: u64, seed: u64, span: u64, gap: u64) -> Vec<Request> {
     let mut rng = DetRng::seed(seed);
     (0..n)
-        .map(|i| {
-            Request::read(
-                RequestId::new(i),
-                PhysAddr::new(rng.below(span) & !63),
-                i * gap,
-            )
-        })
+        .map(|i| Request::read(PhysAddr::new(rng.below(span) & !63), i * gap))
         .collect()
 }
 
@@ -105,7 +100,7 @@ fn frfcfs_starvation_guard_fires_identically() {
         } else {
             PhysAddr::new((i % 8) * 64)
         };
-        reqs.push(Request::read(RequestId::new(i), addr, i / 4));
+        reqs.push(Request::read(addr, i / 4));
     }
     assert_equivalent(&cfg, &reqs);
 }
@@ -121,11 +116,10 @@ fn write_drain_mode_is_identical() {
     let mut reqs = Vec::new();
     for i in 0..200u64 {
         let addr = PhysAddr::new(rng.below(4 << 30) & !63);
-        let id = RequestId::new(i);
         reqs.push(if i % 3 == 0 {
-            Request::read(id, addr, i)
+            Request::read(addr, i)
         } else {
-            Request::write(id, addr, i)
+            Request::write(addr, i)
         });
     }
     assert_equivalent(&cfg, &reqs);
@@ -154,19 +148,35 @@ fn event_engine_is_10x_cheaper_on_sparse_refresh_traffic() {
     );
 }
 
-/// What a run left behind: its (completed, last finish) or its error,
-/// and the channel's statistics, clock and loop iterations afterwards.
+/// What a run left behind: its completions or its error, and the
+/// channel's statistics, clock and loop iterations afterwards.
 #[derive(Debug, PartialEq)]
 struct Outcome {
-    result: Result<(u64, Option<Cycle>), SimError>,
+    result: Result<Vec<CompletedRequest>, SimError>,
     stats: DramStats,
     cycle: Cycle,
     iterations: u64,
 }
 
+/// Runs `reads` through `mem`, collecting the completions, and checks
+/// that a successful run ends at its last completion's finish cycle, or
+/// leaves the clock alone when nothing completed.
+fn run_ending_at_last_finish(
+    mem: &mut MemorySystem,
+    reads: &[(PhysAddr, Cycle)],
+) -> Result<Vec<CompletedRequest>, SimError> {
+    let before = mem.cycle();
+    let mut done = Vec::new();
+    mem.run_stream(reads.iter().copied(), |c| done.push(*c))?;
+    let end = done.last().map_or(before, |c| c.finish_cycle);
+    assert_eq!(mem.cycle(), end, "the run did not end at its last finish");
+    Ok(done)
+}
+
 /// Enqueues `staged` up front (writes among them), then serves `reads`
-/// either enqueued too (`stream == false`, then `run_until_idle`) or
-/// streamed (`run_stream`).
+/// either enqueued too and an empty stream run (`stream == false`), or
+/// streamed. A successful run is followed by an empty one, which must
+/// leave the clock alone.
 fn intake(
     cfg: &DramConfig,
     staged: &[Request],
@@ -178,15 +188,17 @@ fn intake(
         mem.enqueue(req);
     }
     let result = if stream {
-        mem.run_stream(reads.iter().copied())
-            .map(|s| (s.completed, s.last_finish))
+        run_ending_at_last_finish(&mut mem, reads)
     } else {
         for &(addr, arrival) in reads {
-            mem.enqueue_read(addr, arrival);
+            mem.enqueue(Request::read(addr, arrival));
         }
-        mem.run_until_idle()
-            .map(|done| (done.len() as u64, done.last().map(|c| c.finish_cycle)))
+        run_ending_at_last_finish(&mut mem, &[])
     };
+    if result.is_ok() {
+        let idle = run_ending_at_last_finish(&mut mem, &[]);
+        assert_eq!(idle, Ok(Vec::new()), "an empty run completed something");
+    }
     Outcome {
         result,
         stats: mem.stats().clone(),
@@ -230,9 +242,9 @@ proptest! {
             if i >= split {
                 reads.push((addr, arrival));
             } else if write {
-                staged.push(Request::write(RequestId::new(i as u64), addr, arrival));
+                staged.push(Request::write(addr, arrival));
             } else {
-                staged.push(Request::read(RequestId::new(i as u64), addr, arrival));
+                staged.push(Request::read(addr, arrival));
             }
         }
         for engine in [SimEngine::PerCycle, SimEngine::EventDriven] {
@@ -254,8 +266,8 @@ proptest! {
                 );
                 prop_assert!(stalled, "{engine:?}: {:?}", bulk.result);
             } else {
-                let completed = bulk.result.as_ref().map(|r| r.0);
-                prop_assert_eq!(completed, Ok(raw.len() as u64));
+                let completed = bulk.result.as_ref().map(Vec::len);
+                prop_assert_eq!(completed, Ok(raw.len()));
             }
             prop_assert_eq!(bulk, streamed, "{:?}", engine);
         }

@@ -3,8 +3,24 @@
 //! request streams and random (valid) configurations.
 
 use proptest::prelude::*;
-use recnmp_dram::{AddressMapping, DramConfig, MemorySystem};
-use recnmp_types::PhysAddr;
+use recnmp_dram::{AddressMapping, CompletedRequest, DramConfig, MemorySystem};
+use recnmp_types::{Cycle, PhysAddr};
+
+/// Streams reads of the bursts at `addrs`, the `i`-th arriving at
+/// `arrival(i)`, and collects every completion in order.
+fn run(
+    mem: &mut MemorySystem,
+    addrs: &[u64],
+    arrival: impl Fn(u64) -> Cycle,
+) -> Vec<CompletedRequest> {
+    let reads = addrs
+        .iter()
+        .enumerate()
+        .map(|(i, a)| (PhysAddr::new(a & !63), arrival(i as u64)));
+    let mut done = Vec::new();
+    mem.run_stream(reads, |c| done.push(*c)).expect("drain");
+    done
+}
 
 fn arb_config() -> impl Strategy<Value = DramConfig> {
     (
@@ -36,10 +52,7 @@ proptest! {
     ) {
         let mut mem = MemorySystem::new(cfg).expect("valid config");
         mem.attach_monitor();
-        for (i, a) in addrs.iter().enumerate() {
-            mem.enqueue_read(PhysAddr::new(a & !63), i as u64 * gap);
-        }
-        let done = mem.run_until_idle().expect("drain");
+        let done = run(&mut mem, &addrs, |i| i * gap);
         // Every request completes exactly once.
         prop_assert_eq!(done.len(), addrs.len());
         // The independent protocol monitor saw no timing violations.
@@ -60,9 +73,7 @@ proptest! {
         addr in 0u64..(1 << 30),
     ) {
         let mut mem = MemorySystem::new(DramConfig::single_rank()).unwrap();
-        mem.enqueue_read(PhysAddr::new(addr & !63), 0);
-        mem.enqueue_read(PhysAddr::new(addr & !63), 0);
-        let done = mem.run_until_idle().expect("drain");
+        let done = run(&mut mem, &[addr, addr], |_| 0);
         prop_assert_eq!(done.len(), 2);
         // Second access is a row hit.
         prop_assert_eq!(done[1].outcome, recnmp_dram::request::RowOutcome::Hit);
@@ -75,10 +86,7 @@ proptest! {
         let mut cfg = DramConfig::table1_baseline();
         cfg.refresh = false;
         let mut mem = MemorySystem::new(cfg).unwrap();
-        for a in &addrs {
-            mem.enqueue_read(PhysAddr::new(a & !63), 0);
-        }
-        let done = mem.run_until_idle().expect("drain");
+        let done = run(&mut mem, &addrs, |_| 0);
         let s = mem.stats();
         prop_assert_eq!(s.reads, done.len() as u64);
         prop_assert_eq!(s.row_hits + s.row_misses + s.row_conflicts, s.reads);
@@ -94,10 +102,7 @@ proptest! {
         addrs in prop::collection::vec(0u64..(1 << 28), 2..60),
     ) {
         let mut mem = MemorySystem::new(DramConfig::single_rank()).unwrap();
-        for a in &addrs {
-            mem.enqueue_read(PhysAddr::new(a & !63), 0);
-        }
-        let done = mem.run_until_idle().expect("drain");
+        let done = run(&mut mem, &addrs, |_| 0);
         // Data bursts on one channel cannot overlap: finish cycles must be
         // pairwise distinct and separated by at least tBL.
         let mut finishes: Vec<u64> = done.iter().map(|c| c.finish_cycle).collect();

@@ -6,14 +6,14 @@
 //! no candidate caches consulted across jumps and no event arithmetic —
 //! across randomized traces: arrival jitter, refresh on and off, mixed
 //! read/write traffic, and tight queue capacities. Identity covers the
-//! full completion *vector* (ids, addresses, arrival and finish cycles,
-//! row outcomes, and their order), the final clock, every statistics
+//! full completion *vector* (enqueue order, addresses, arrival and finish
+//! cycles, row outcomes, and their order), the final clock, every statistics
 //! counter, and protocol-monitor cleanliness.
 
 use proptest::prelude::*;
 use recnmp_dram::request::Request;
-use recnmp_dram::{DramConfig, MemorySystem, SimEngine};
-use recnmp_types::{PhysAddr, RequestId};
+use recnmp_dram::{CompletedRequest, DramConfig, MemorySystem, SimEngine};
+use recnmp_types::PhysAddr;
 
 /// Builds a request trace from randomized per-request raw material.
 fn trace(raw: &[(u64, u64, bool)], span: u64, gap: u64) -> Vec<Request> {
@@ -24,11 +24,10 @@ fn trace(raw: &[(u64, u64, bool)], span: u64, gap: u64) -> Vec<Request> {
             // Arrivals are non-decreasing with random jitter, so traces
             // mix back-to-back bursts with quiet gaps.
             let arrival = i as u64 * gap + jitter;
-            let id = RequestId::new(i as u64);
             if write {
-                Request::write(id, addr, arrival)
+                Request::write(addr, arrival)
             } else {
-                Request::read(id, addr, arrival)
+                Request::read(addr, arrival)
             }
         })
         .collect()
@@ -36,7 +35,7 @@ fn trace(raw: &[(u64, u64, bool)], span: u64, gap: u64) -> Vec<Request> {
 
 /// Everything identity cares about from one engine run.
 type RunFingerprint = (
-    Vec<(u64, u64, u64)>,
+    Vec<CompletedRequest>,
     u64,
     recnmp_dram::DramStats,
     usize,
@@ -53,11 +52,11 @@ fn run(cfg: &DramConfig, engine: SimEngine, reqs: &[Request]) -> RunFingerprint 
     for r in reqs {
         mem.enqueue(*r);
     }
-    let done = mem.run_until_idle().expect("drain");
+    let mut done = Vec::new();
+    mem.run_stream(std::iter::empty(), |c| done.push(*c))
+        .expect("drain");
     (
-        done.iter()
-            .map(|c| (c.id.get(), c.arrival, c.finish_cycle))
-            .collect(),
+        done,
         mem.cycle(),
         mem.stats().clone(),
         mem.monitor_violations().len(),
@@ -129,43 +128,6 @@ proptest! {
         let cfg = DramConfig::with_ranks(ranks.0, ranks.1);
         assert_engines_agree(&cfg, &trace(&raw, 8 << 30, 5));
     }
-
-    // The public `next_event_cycle` query must never be *late*: whenever
-    // any externally visible change happens at a cycle (a command
-    // issues, a request completes or is admitted), the event estimate
-    // computed just before that tick must not have promised a later
-    // cycle. (The run loop computes its jump targets from the issue scan
-    // itself, so this pins the standalone query against drift.)
-    #[test]
-    fn next_event_cycle_is_never_late(
-        raw in prop::collection::vec((0u64..u64::MAX, 0u64..6, any::<bool>()), 1..120),
-        refresh in any::<bool>(),
-    ) {
-        let mut cfg = DramConfig::with_ranks(1, 2);
-        cfg.refresh = refresh;
-        cfg.engine = SimEngine::PerCycle;
-        let mut mem = MemorySystem::new(cfg).expect("valid config");
-        for r in trace(&raw, 4 << 30, 40) {
-            mem.enqueue(r);
-        }
-        let mut guard = 0u64;
-        while mem.pending() > 0 {
-            let promised = mem.next_event_cycle();
-            let now = mem.cycle();
-            let before = (mem.stats().cmd_bus_busy, mem.pending());
-            mem.tick();
-            let after = (mem.stats().cmd_bus_busy, mem.pending());
-            if before != after {
-                let e = promised.expect("visible change with no predicted event");
-                assert!(
-                    e <= now,
-                    "change at cycle {now} but next_event_cycle promised {e}"
-                );
-            }
-            guard += 1;
-            assert!(guard < 20_000_000, "trace did not drain");
-        }
-    }
 }
 
 /// The event engine must never do *more* scheduling work than the
@@ -174,13 +136,7 @@ proptest! {
 fn event_engine_is_cheaper_on_sparse_traffic() {
     let cfg = DramConfig::table1_baseline();
     let reqs: Vec<Request> = (0..64u64)
-        .map(|i| {
-            Request::read(
-                RequestId::new(i),
-                PhysAddr::new((i * 7919 * 64) & !63),
-                i * 2500,
-            )
-        })
+        .map(|i| Request::read(PhysAddr::new((i * 7919 * 64) & !63), i * 2500))
         .collect();
     let (.., iters_pc) = run(&cfg, SimEngine::PerCycle, &reqs);
     let (.., iters_ev) = run(&cfg, SimEngine::EventDriven, &reqs);

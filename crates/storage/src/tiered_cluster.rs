@@ -1,7 +1,7 @@
 //! DRAM-NMP channels plus SSD units behind one dispatch surface.
 
 use recnmp::{RecNmpCluster, RecNmpClusterConfig};
-use recnmp_backend::{shard_slots, RunReport, ShardingPolicy, SlsBackend, SlsTrace};
+use recnmp_backend::{check_server, shard_slots, RunReport, ShardingPolicy, SlsBackend, SlsTrace};
 use recnmp_types::{ConfigError, SimError};
 
 use crate::ssd::{SsdNmpBackend, SsdNmpConfig};
@@ -136,19 +136,16 @@ impl SlsBackend for TieredCluster {
     /// Runs `trace` entirely on one unit of either tier: DRAM channels
     /// first, then SSD units.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `server >= self.server_count()`.
+    /// Returns [`SimError::Config`] when `server >= self.server_count()`
+    /// ([`check_server`]), and the unit's error otherwise.
     fn try_run_on(&mut self, server: usize, trace: &SlsTrace) -> Result<RunReport, SimError> {
+        check_server(server, self.server_count())?;
         let d = self.dram.server_count();
         if server < d {
             self.dram.try_run_on(server, trace)
         } else {
-            assert!(
-                server - d < self.ssds.len(),
-                "server {server} out of range for {} server(s)",
-                self.server_count()
-            );
             self.ssds[server - d].try_run(trace)
         }
     }
@@ -223,6 +220,18 @@ mod tests {
         // The cold SSD tier is far slower than a DRAM channel — that gap
         // is the entire premise of tiered placement.
         assert!(on_ssd.total_cycles > 4 * on_dram.total_cycles);
+    }
+
+    #[test]
+    fn per_server_dispatch_rejects_bad_server() {
+        let t = trace(1, 21);
+        let mut cluster = TieredCluster::reference(2, 1).unwrap();
+        match cluster.try_run_on(3, &t) {
+            Err(SimError::Config(e)) => {
+                assert!(e.reason().contains("server 3 out of range for 3"), "{e}");
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 
     #[test]

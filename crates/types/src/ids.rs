@@ -76,37 +76,6 @@ id_type!(
     "node"
 );
 
-/// Identifies a memory request or NMP instruction in flight.
-///
-/// 64-bit because long simulations can issue billions of requests.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct RequestId(u64);
-
-impl RequestId {
-    /// Creates the identifier from its integer index.
-    pub const fn new(index: u64) -> Self {
-        Self(index)
-    }
-
-    /// Returns the integer index.
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Returns the next sequential id.
-    pub const fn next(self) -> Self {
-        Self(self.0 + 1)
-    }
-}
-
-impl fmt::Display for RequestId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "req{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,7 +87,6 @@ mod tests {
         assert_eq!(ModelId::new(7).to_string(), "M7");
         assert_eq!(DimmId::new(1).to_string(), "dimm1");
         assert_eq!(NodeId::new(2).to_string(), "node2");
-        assert_eq!(RequestId::new(9).to_string(), "req9");
     }
 
     #[test]
@@ -126,11 +94,6 @@ mod tests {
         let t = TableId::from(5u32);
         assert_eq!(u32::from(t), 5);
         assert_eq!(t.index(), 5);
-    }
-
-    #[test]
-    fn request_id_next_increments() {
-        assert_eq!(RequestId::new(1).next(), RequestId::new(2));
     }
 
     #[test]

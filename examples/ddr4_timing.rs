@@ -12,16 +12,15 @@ use recnmp_types::PhysAddr;
 fn run(label: &str, addrs: &[PhysAddr]) -> Result<(), Box<dyn std::error::Error>> {
     let mut mem = MemorySystem::new(DramConfig::table1_baseline())?;
     mem.attach_monitor();
-    for a in addrs {
-        mem.enqueue_read(*a, 0);
-    }
-    let done = mem.run_until_idle()?;
-    let end = done.iter().map(|c| c.finish_cycle).max().unwrap_or(0);
+    // Every read arrives at cycle 0; the run ends at the last finish.
+    let mut reads = 0;
+    mem.run_stream(addrs.iter().map(|&a| (a, 0)), |_| reads += 1)?;
+    let end = mem.cycle();
     let stats = mem.stats();
     println!(
         "{label:<12} {:>6} reads in {:>7} cycles  ({:>5.2} GB/s, row-hit {:>5.1}%, \
          mean latency {:>6.1} cyc, protocol violations: {})",
-        done.len(),
+        reads,
         end,
         stats.bandwidth_gbs(end),
         100.0 * stats.row_hit_rate(),

@@ -30,25 +30,41 @@ pub fn print_peak_rss() {
     }
 }
 
-/// Times `f` for a layer micro-benchmark: 500 ms of warm-up, then up to
-/// 20 timed calls within a 3 s budget. Prints `{name}: {n} iterations,
-/// mean {x} us/iter`, the mean per call. Informational only, never gated.
+/// Times `f` for a layer micro-benchmark: 500 ms of warm-up, then 3 s of
+/// timed batches, each running `f` until at least 20 ms have passed. One
+/// batch gives one µs/iter sample; prints `{name}: {b} batches,
+/// {n} iterations, median {x} us/iter (min {lo}, max {hi})`.
+/// Informational only, never gated.
 pub fn bench<O>(name: &str, mut f: impl FnMut() -> O) {
+    const BATCH: Duration = Duration::from_millis(20);
     let warm_up = Instant::now();
     while warm_up.elapsed() < Duration::from_millis(500) {
         black_box(f());
     }
     let start = Instant::now();
-    let mut iterations = 0u32;
-    while iterations < 20 {
-        black_box(f());
-        iterations += 1;
-        if start.elapsed() >= Duration::from_secs(3) {
-            break;
+    let mut samples = Vec::new();
+    let mut iterations = 0u64;
+    while start.elapsed() < Duration::from_secs(3) {
+        let batch = Instant::now();
+        let mut calls = 0u32;
+        while batch.elapsed() < BATCH {
+            black_box(f());
+            calls += 1;
         }
+        iterations += u64::from(calls);
+        samples.push(batch.elapsed().as_secs_f64() * 1e6 / f64::from(calls));
     }
-    let mean_us = start.elapsed().as_secs_f64() * 1e6 / f64::from(iterations);
-    println!("{name}: {iterations} iterations, mean {mean_us:.1} us/iter");
+    samples.sort_by(f64::total_cmp);
+    let (min, median, max) = (
+        samples[0],
+        samples[samples.len() / 2],
+        samples[samples.len() - 1],
+    );
+    println!(
+        "{name}: {} batches, {iterations} iterations, median {median:.1} us/iter \
+         (min {min:.1}, max {max:.1})",
+        samples.len()
+    );
 }
 
 /// The options shared by the report-writing bins: `--smoke`,

@@ -3,17 +3,7 @@
 use recnmp_types::ConfigError;
 use serde::{Deserialize, Serialize};
 
-/// Replacement policy for a cache set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ReplacementPolicy {
-    /// Evict the least-recently-used line (the paper's policy).
-    #[default]
-    Lru,
-    /// Evict the line resident longest (insertion order).
-    Fifo,
-}
-
-/// Geometry and policy of a simulated cache.
+/// Geometry of an LRU cache.
 ///
 /// # Examples
 ///
@@ -35,8 +25,6 @@ pub struct CacheConfig {
     /// Ways per set; use [`CacheConfig::fully_associative`] for one set
     /// spanning the whole cache.
     pub ways: usize,
-    /// Replacement policy.
-    pub policy: ReplacementPolicy,
 }
 
 impl CacheConfig {
@@ -46,7 +34,6 @@ impl CacheConfig {
             capacity_bytes,
             line_bytes,
             ways,
-            policy: ReplacementPolicy::Lru,
         }
     }
 

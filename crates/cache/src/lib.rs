@@ -42,7 +42,7 @@ pub mod rank_cache;
 pub mod set_assoc;
 pub mod stats;
 
-pub use config::{CacheConfig, ReplacementPolicy};
+pub use config::CacheConfig;
 pub use rank_cache::{RankCache, RankCacheOutcome};
 pub use set_assoc::{AccessOutcome, SetAssocCache};
 pub use stats::CacheStats;

@@ -2,7 +2,7 @@
 
 use recnmp_types::ConfigError;
 
-use crate::config::{CacheConfig, ReplacementPolicy};
+use crate::config::CacheConfig;
 use crate::stats::CacheStats;
 
 /// Result of one cache access.
@@ -35,9 +35,9 @@ struct Line {
     /// Line id (`addr / line_bytes`), or `u64::MAX` for an empty way.
     /// Lines are at least 2 bytes, so no address has that id.
     tag: u64,
-    /// LRU timestamp or FIFO insertion order, depending on policy. The
-    /// clock ticks before every install, so a valid way's stamp is at
-    /// least 1 and an empty way's is 0.
+    /// Time of the last access (LRU recency). The clock ticks before
+    /// every install, so a valid way's stamp is at least 1 and an empty
+    /// way's is 0.
     stamp: u64,
 }
 
@@ -52,7 +52,7 @@ impl Line {
     }
 }
 
-/// A set-associative cache with LRU or FIFO replacement.
+/// A set-associative cache with LRU replacement.
 ///
 /// Addresses are plain `u64` byte addresses; the cache works on aligned
 /// lines of `line_bytes`. The model is *trace driven*: it tracks only
@@ -161,17 +161,17 @@ impl SetAssocCache {
     /// fresh demand fill) and may evict a victim, which *is* counted —
     /// displacement is real regardless of who caused it. Returns `true`
     /// when the line was newly installed, `false` when already resident
-    /// (residency is refreshed either way under LRU).
+    /// (its recency is refreshed either way).
     pub fn fill(&mut self, addr: u64) -> bool {
         !self.touch(addr).is_hit()
     }
 
     /// The step [`access`](Self::access) and [`fill`](Self::fill) share:
-    /// refreshes a resident line's recency under LRU, or installs the line
-    /// over its set's victim and counts the eviction. The victim is the
-    /// first empty way, else the smallest stamp (LRU time or FIFO
-    /// insertion order); since empty ways have stamp 0 and valid stamps
-    /// are distinct and positive, that is the first way of smallest stamp.
+    /// refreshes a resident line's recency, or installs the line over its
+    /// set's victim and counts the eviction. The victim is the first empty
+    /// way, else the least recently used; since empty ways have stamp 0
+    /// and valid stamps are distinct and positive, that is the first way
+    /// of smallest stamp.
     fn touch(&mut self, addr: u64) -> AccessOutcome {
         self.clock += 1;
         let id = self.line_id(addr);
@@ -180,9 +180,7 @@ impl SetAssocCache {
         let set = &mut self.lines[idx * ways..][..ways];
 
         if let Some(line) = set.iter_mut().find(|l| l.tag == id) {
-            if self.config.policy == ReplacementPolicy::Lru {
-                line.stamp = self.clock;
-            }
+            line.stamp = self.clock;
             return AccessOutcome::Hit;
         }
         let victim = set
@@ -246,20 +244,6 @@ mod tests {
         assert_eq!(out, AccessOutcome::Miss { evicted: Some(64) });
         assert!(c.contains(0));
         assert!(!c.contains(64));
-    }
-
-    #[test]
-    fn fifo_ignores_recency() {
-        let mut cfg = CacheConfig::fully_associative(256, 64);
-        cfg.policy = ReplacementPolicy::Fifo;
-        let mut c = SetAssocCache::new(cfg).unwrap();
-        for i in 0..4u64 {
-            c.access(i * 64);
-        }
-        // Re-touching line 0 must NOT save it under FIFO.
-        c.access(0);
-        let out = c.access(4 * 64);
-        assert_eq!(out, AccessOutcome::Miss { evicted: Some(0) });
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The key oracles: a naive reference LRU model must agree with the
 //! set-associative implementation configured fully-associatively, a naive
-//! per-set model must agree with it call for call under both policies
-//! and any geometry, the LRU *stack property* (inclusion: a bigger
-//! fully-associative LRU cache hits on a superset of accesses) must hold,
+//! per-set LRU model must agree with it call for call under any geometry,
+//! the LRU *stack property* (inclusion: a bigger fully-associative LRU
+//! cache hits on a superset of accesses) must hold,
 //! and the RankCache's cold-miss count must equal the distinct lines the
 //! per-set model says missed on demand.
 
@@ -12,8 +12,7 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 use recnmp_cache::{
-    AccessOutcome, CacheConfig, CacheStats, RankCache, RankCacheOutcome, ReplacementPolicy,
-    SetAssocCache,
+    AccessOutcome, CacheConfig, CacheStats, RankCache, RankCacheOutcome, SetAssocCache,
 };
 
 /// Naive LRU over a Vec: move-to-front on hit, pop-back on overflow.
@@ -55,14 +54,12 @@ impl RefLru {
 }
 
 /// Naive set-associative model: each set is a `Vec` of line ids in
-/// eviction order, the next victim first. A hit moves its line to the back
-/// under LRU and leaves it in place under FIFO; a miss appends, evicting
-/// the front line when the set is full.
+/// eviction order, the next victim first. A hit moves its line to the
+/// back; a miss appends, evicting the front line when the set is full.
 struct RefSets {
     sets: Vec<Vec<u64>>,
     ways: usize,
     line_bytes: u64,
-    policy: ReplacementPolicy,
     stats: CacheStats,
 }
 
@@ -72,7 +69,6 @@ impl RefSets {
             sets: vec![Vec::new(); config.num_sets()],
             ways: config.ways,
             line_bytes: config.line_bytes,
-            policy: config.policy,
             stats: CacheStats::new(),
         }
     }
@@ -92,10 +88,8 @@ impl RefSets {
         let idx = self.set_of(id);
         let set = &mut self.sets[idx];
         if let Some(pos) = set.iter().position(|&l| l == id) {
-            if self.policy == ReplacementPolicy::Lru {
-                set.remove(pos);
-                set.push(id);
-            }
+            set.remove(pos);
+            set.push(id);
             return AccessOutcome::Hit;
         }
         let evicted = (set.len() == self.ways).then(|| set.remove(0) * self.line_bytes);
@@ -181,13 +175,9 @@ proptest! {
     fn set_assoc_matches_per_set_reference(
         ops in prop::collection::vec(op(), 1..500),
         geometry in geometry(),
-        fifo in any::<bool>(),
     ) {
         let (capacity, line, ways) = geometry;
-        let mut config = CacheConfig::new(capacity, line, ways);
-        if fifo {
-            config.policy = ReplacementPolicy::Fifo;
-        }
+        let config = CacheConfig::new(capacity, line, ways);
         let mut sut = SetAssocCache::new(config).unwrap();
         let mut oracle = RefSets::new(config);
         // Four times the capacity: hits, conflicts and evictions all occur.

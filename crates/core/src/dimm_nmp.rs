@@ -11,15 +11,6 @@ use crate::config::RecNmpConfig;
 use crate::inst::NmpInst;
 use crate::rank_nmp::RankNmp;
 
-/// Outcome of one packet's slice on a DIMM.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DimmPacketResult {
-    /// Cycle the DIMM finished reducing its ranks' partial sums.
-    pub done_cycle: Cycle,
-    /// Instructions executed per rank of this DIMM.
-    pub rank_insts: Vec<u64>,
-}
-
 /// One DIMM's processing unit: its rank-NMP modules plus the adder tree.
 #[derive(Debug)]
 pub struct DimmNmp {
@@ -65,8 +56,9 @@ impl DimmNmp {
     /// Executes this DIMM's slice of a packet.
     ///
     /// `per_rank[r]` holds the delivery-stamped instructions for local
-    /// rank `r`. The DIMM finishes when its slowest rank finishes plus the
-    /// adder-tree and sum-buffer latency.
+    /// rank `r`. Returns the cycle the DIMM finished reducing its ranks'
+    /// partial sums: its slowest rank's finish plus the adder-tree and
+    /// sum-buffer latency, or `start` when no rank had work.
     ///
     /// # Errors
     ///
@@ -75,30 +67,21 @@ impl DimmNmp {
         &mut self,
         start: Cycle,
         per_rank: &[Vec<(Cycle, NmpInst)>],
-    ) -> Result<DimmPacketResult, SimError> {
+    ) -> Result<Cycle, SimError> {
         assert_eq!(
             per_rank.len(),
             self.ranks.len(),
             "one instruction slice per rank"
         );
-        let mut done = start;
-        let mut rank_insts = Vec::with_capacity(self.ranks.len());
-        for (rank, slice) in self.ranks.iter_mut().zip(per_rank) {
-            let res = rank.process(start, slice)?;
-            done = done.max(res.done_cycle);
-            rank_insts.push(res.insts);
+        if per_rank.iter().all(Vec::is_empty) {
+            return Ok(start);
         }
-        let total: u64 = rank_insts.iter().sum();
-        let done_cycle = if total == 0 {
-            start
-        } else {
-            // Adder tree + one cycle into the DIMM.Sum buffer.
-            done + self.adder_tree_latency() + 1
-        };
-        Ok(DimmPacketResult {
-            done_cycle,
-            rank_insts,
-        })
+        let mut done = start;
+        for (rank, slice) in self.ranks.iter_mut().zip(per_rank) {
+            done = done.max(rank.process(start, slice)?);
+        }
+        // Adder tree + one cycle into the DIMM.Sum buffer.
+        Ok(done + self.adder_tree_latency() + 1)
     }
 }
 
@@ -141,12 +124,13 @@ mod tests {
     fn ranks_process_in_parallel() {
         let mut d = DimmNmp::new(DimmId::new(0), &config()).unwrap();
         // Two instructions, one per rank, both arriving at cycle 0.
-        let res = d
+        let done = d
             .process(0, &[vec![(0, inst(0, 1))], vec![(0, inst(1, 2))]])
             .unwrap();
         // Parallel ranks: latency close to a single read, not double.
-        assert!(res.done_cycle < 2 * 40, "{}", res.done_cycle);
-        assert_eq!(res.rank_insts, vec![1, 1]);
+        assert!(done < 2 * 40, "{done}");
+        let insts: Vec<u64> = d.ranks().iter().map(|r| r.stats().insts).collect();
+        assert_eq!(insts, vec![1, 1]);
     }
 
     #[test]
@@ -154,21 +138,18 @@ mod tests {
         let mut d = DimmNmp::new(DimmId::new(0), &config()).unwrap();
         // Rank 0 gets 8 conflicting reads, rank 1 gets one.
         let heavy: Vec<(Cycle, NmpInst)> = (0..8).map(|i| (0, inst(0, i * 7 + 1))).collect();
-        let res = d.process(0, &[heavy, vec![(0, inst(1, 2))]]).unwrap();
+        let done = d.process(0, &[heavy, vec![(0, inst(1, 2))]]).unwrap();
         let single = {
             let mut d2 = DimmNmp::new(DimmId::new(0), &config()).unwrap();
-            d2.process(0, &[vec![(0, inst(0, 1))], Vec::new()])
-                .unwrap()
-                .done_cycle
+            d2.process(0, &[vec![(0, inst(0, 1))], Vec::new()]).unwrap()
         };
-        assert!(res.done_cycle > single, "{} vs {single}", res.done_cycle);
+        assert!(done > single, "{done} vs {single}");
     }
 
     #[test]
     fn empty_packet_is_free() {
         let mut d = DimmNmp::new(DimmId::new(0), &config()).unwrap();
-        let res = d.process(55, &[Vec::new(), Vec::new()]).unwrap();
-        assert_eq!(res.done_cycle, 55);
+        assert_eq!(d.process(55, &[Vec::new(), Vec::new()]).unwrap(), 55);
     }
 
     #[test]

@@ -32,15 +32,6 @@ pub struct RankNmpStats {
     pub busy_cycles: Cycle,
 }
 
-/// Outcome of one packet's slice on this rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RankPacketResult {
-    /// Cycle at which this rank finished its last accumulate.
-    pub done_cycle: Cycle,
-    /// Instructions this rank executed for the packet.
-    pub insts: u64,
-}
-
 /// One rank's NMP engine: local DRAM, optional RankCache, datapath stats.
 #[derive(Debug)]
 pub struct RankNmp {
@@ -122,8 +113,8 @@ impl RankNmp {
     /// Executes this rank's slice of a packet.
     ///
     /// `arrivals` pairs each instruction with the cycle the MC delivered
-    /// it. Returns when the rank finished its last accumulate. A rank with
-    /// no instructions finishes at `start`.
+    /// it. Returns the cycle the rank finished its last accumulate; a
+    /// rank with no instructions finishes at `start`.
     ///
     /// # Errors
     ///
@@ -132,12 +123,9 @@ impl RankNmp {
         &mut self,
         start: Cycle,
         arrivals: &[(Cycle, NmpInst)],
-    ) -> Result<RankPacketResult, SimError> {
+    ) -> Result<Cycle, SimError> {
         if arrivals.is_empty() {
-            return Ok(RankPacketResult {
-                done_cycle: start,
-                insts: 0,
-            });
+            return Ok(start);
         }
         let mut last_hit_ready = start;
         let mut enqueued = 0u64;
@@ -195,10 +183,7 @@ impl RankNmp {
         };
         let done = dram_done.max(last_hit_ready) + PIPELINE_DEPTH;
         self.stats.busy_cycles += done.saturating_sub(start);
-        Ok(RankPacketResult {
-            done_cycle: done,
-            insts: arrivals.len() as u64,
-        })
+        Ok(done)
     }
 
     /// Whether this rank carries a RankCache at all.
@@ -298,17 +283,16 @@ mod tests {
     #[test]
     fn empty_slice_finishes_immediately() {
         let mut r = RankNmp::new(RankId::new(0), &config(false)).unwrap();
-        let res = r.process(100, &[]).unwrap();
-        assert_eq!(res.done_cycle, 100);
-        assert_eq!(res.insts, 0);
+        assert_eq!(r.process(100, &[]).unwrap(), 100);
+        assert_eq!(r.stats().insts, 0);
     }
 
     #[test]
     fn single_read_latency_includes_pipeline() {
         let mut r = RankNmp::new(RankId::new(0), &config(false)).unwrap();
-        let res = r.process(0, &[(0, inst(1, 0, 0))]).unwrap();
+        let done = r.process(0, &[(0, inst(1, 0, 0))]).unwrap();
         // ACT + RD + data + pipeline drain.
-        assert!(res.done_cycle >= 16 + 16 + 4 + 4);
+        assert!(done >= 16 + 16 + 4 + 4);
         assert_eq!(r.stats().dram_bursts, 1);
         assert_eq!(r.stats().adds, 16);
     }
@@ -319,10 +303,10 @@ mod tests {
         let i = inst(1, 0, 0);
         r.process(0, &[(0, i)]).unwrap();
         let bursts_before = r.stats().dram_bursts;
-        let res = r.process(1000, &[(1000, i)]).unwrap();
+        let done = r.process(1000, &[(1000, i)]).unwrap();
         assert_eq!(r.stats().dram_bursts, bursts_before, "hit went to DRAM");
         // Cache hit: 1 cycle + pipeline.
-        assert_eq!(res.done_cycle, 1000 + 1 + 4);
+        assert_eq!(done, 1000 + 1 + 4);
         assert_eq!(r.cache_stats().hits, 1);
     }
 
@@ -342,10 +326,10 @@ mod tests {
         let mut r = RankNmp::new(RankId::new(0), &config(false)).unwrap();
         let mut i = inst(2, 4, 0);
         i.vsize = 4; // 256-byte vector
-        let res = r.process(0, &[(0, i)]).unwrap();
+        let done = r.process(0, &[(0, i)]).unwrap();
         assert_eq!(r.stats().dram_bursts, 4);
         // Row hit streaming: 4 bursts at tCCD_L spacing after the ACT.
-        assert!(res.done_cycle < 70, "{}", res.done_cycle);
+        assert!(done < 70, "{done}");
     }
 
     #[test]
@@ -383,10 +367,10 @@ mod tests {
                 )
             })
             .collect();
-        let res = r.process(0, &insts).unwrap();
+        let done = r.process(0, &insts).unwrap();
         // Serial row misses would cost 16 * ~36 cycles; bank-level
         // parallelism must land far below that.
-        assert!(res.done_cycle < 16 * 36, "{}", res.done_cycle);
+        assert!(done < 16 * 36, "{done}");
     }
 
     #[test]
@@ -396,10 +380,10 @@ mod tests {
         assert!(r.has_cache());
         assert!(r.prefetch_vector(&i.daddr, i.vsize));
         assert!(!r.prefetch_vector(&i.daddr, i.vsize)); // already staged
-        let res = r.process(1000, &[(1000, i)]).unwrap();
+        let done = r.process(1000, &[(1000, i)]).unwrap();
         // Served from the staged line: no DRAM bursts, cache-hit latency.
         assert_eq!(r.stats().dram_bursts, 0);
-        assert_eq!(res.done_cycle, 1000 + 1 + 4);
+        assert_eq!(done, 1000 + 1 + 4);
         assert_eq!(r.cache_stats().hits, 1);
         assert_eq!(r.cache_stats().misses, 0);
         r.reset_cache();

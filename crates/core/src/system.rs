@@ -282,8 +282,7 @@ impl RecNmpSystem {
 
         let mut done = start;
         for (dimm, slices) in self.dimms.iter_mut().zip(&per_dimm) {
-            let res = dimm.process(start, slices)?;
-            done = done.max(res.done_cycle);
+            done = done.max(dimm.process(start, slices)?);
         }
         // Return the pooled sums to the host: one burst (4 cycles) per
         // pooling per vsize unit over the channel DQ bus.
@@ -357,8 +356,7 @@ impl RecNmpSystem {
         }
         let mut done = start;
         for (dimm, slices) in self.dimms.iter_mut().zip(&per_dimm) {
-            let res = dimm.process(start, slices)?;
-            done = done.max(res.done_cycle);
+            done = done.max(dimm.process(start, slices)?);
         }
         // Pooled outputs stream back overlapped with execution; only the
         // final buffer write adds a cycle.

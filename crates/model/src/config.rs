@@ -201,6 +201,22 @@ mod tests {
     }
 
     #[test]
+    fn fc_widths_chain_through_the_interaction() {
+        for kind in RecModelKind::ALL {
+            let c = kind.config();
+            let dims = c.table_spec.dims();
+            assert_eq!(c.bottom_fc.first(), Some(&c.dense_dim), "{kind}");
+            assert_eq!(c.bottom_fc.last(), Some(&dims), "{kind}");
+            assert_eq!(
+                c.top_fc[0],
+                ModelConfig::interaction_dim(c.num_tables, dims),
+                "{kind}"
+            );
+            assert_eq!(c.top_fc.last(), Some(&1), "{kind}");
+        }
+    }
+
+    #[test]
     fn interaction_dim_formula() {
         // 8 tables + bottom = 9 vectors -> 36 dots + 16 passthrough.
         assert_eq!(ModelConfig::interaction_dim(8, 16), 52);

@@ -9,9 +9,6 @@
 //! * [`table`] / [`ops`] — functional embedding tables and the
 //!   SLS operator family (sum, mean, weighted, 8-bit row-wise quantized),
 //!   the reference semantics the NMP datapath must match,
-//! * [`fc`] / [`dlrm`] — fully-connected layers and the assembled DLRM
-//!   forward pass (bottom MLP → embedding lookups → feature interaction →
-//!   top MLP),
 //! * [`perf`] — the calibrated analytic CPU model standing in for the
 //!   paper's 18-core Skylake measurements (operator latency breakdown,
 //!   Figure 4; co-location FC contention, Figure 17),
@@ -21,8 +18,6 @@
 
 pub mod bandwidth;
 pub mod config;
-pub mod dlrm;
-pub mod fc;
 pub mod footprint;
 pub mod ops;
 pub mod perf;
@@ -31,8 +26,6 @@ pub mod table;
 
 pub use bandwidth::BandwidthModel;
 pub use config::{ModelConfig, RecModelKind};
-pub use dlrm::DlrmModel;
-pub use fc::{FcLayer, Mlp};
 pub use ops::SlsOp;
 pub use perf::{CpuPerfModel, CpuSpec, OperatorBreakdown};
 pub use roofline::{Roofline, RooflinePoint};

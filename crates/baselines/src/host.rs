@@ -57,6 +57,13 @@ impl HostBaseline {
             mem: MemorySystem::new(config)?,
         })
     }
+
+    /// Main-loop iterations the channel's DRAM engine has executed (see
+    /// [`MemorySystem::loop_iterations`]), like
+    /// `RankNmp::dram_loop_iterations` on the RecNMP side.
+    pub fn dram_loop_iterations(&self) -> u64 {
+        self.mem.loop_iterations()
+    }
 }
 
 impl SlsBackend for HostBaseline {

@@ -5,20 +5,34 @@
 //! / event-skip loop — on the traffic shapes that dominate simulator
 //! wall-clock: the rank-NMP device pattern (single rank, staggered
 //! 2-per-cycle arrivals, Zipf-ish bank spread), a conflict-heavy stream
-//! that maximizes PRE/ACT churn, and the host-baseline channel (4 ranks,
-//! a whole batch arriving at once), where the scan's per-rank column and
-//! ACT gates do most of the work. This is the kernel the
+//! that maximizes PRE/ACT churn, the host-baseline channel (4 ranks, a
+//! whole batch arriving at once), where the scan's per-rank column and
+//! ACT gates do most of the work, and the host baseline serving one
+//! input of perfbench's `replay` workload. This is the kernel the
 //! `sim_throughput` trajectory rides on; regressions here show up
 //! directly in `BENCH_throughput.json`.
+//!
+//! Besides time per call, each shape prints the DRAM loop iterations and
+//! commands one call costs and the time per loop iteration, in ns and in
+//! calibration-kernel steps.
 
-use recnmp_bench::bench;
+use recnmp_backend::SlsBackend;
+use recnmp_baselines::HostBaseline;
+use recnmp_bench::{bench, replay_trace};
 use recnmp_dram::{DramConfig, MemorySystem};
 use recnmp_types::PhysAddr;
 
 /// Streams `reqs` strided reads, `per_cycle` arriving each cycle, and
-/// runs them to idle; returns the last finish cycle, where the run ends.
-fn run_pattern(mem: &mut MemorySystem, salt: u64, reqs: usize, stride: u64, per_cycle: u64) -> u64 {
+/// runs them to idle; returns the loop iterations and commands it cost.
+fn run_pattern(
+    mem: &mut MemorySystem,
+    salt: u64,
+    reqs: usize,
+    stride: u64,
+    per_cycle: u64,
+) -> (u64, u64) {
     let base = mem.cycle();
+    let (iters, cmds) = (mem.loop_iterations(), mem.stats().cmd_bus_busy);
     let reads = (0..reqs).map(|i| {
         let i = i as u64;
         (
@@ -27,13 +41,37 @@ fn run_pattern(mem: &mut MemorySystem, salt: u64, reqs: usize, stride: u64, per_
         )
     });
     mem.run_stream(reads, |_| {}).expect("drain");
-    mem.cycle()
+    (
+        mem.loop_iterations() - iters,
+        mem.stats().cmd_bus_busy - cmds,
+    )
+}
+
+/// Benches one DRAM shape; `f` makes one call and returns the loop
+/// iterations and commands it cost.
+fn bench_dram(name: &str, mut f: impl FnMut() -> (u64, u64)) {
+    let (mut calls, mut iters, mut cmds) = (0u64, 0u64, 0u64);
+    let summary = bench(name, || {
+        let (i, c) = f();
+        calls += 1;
+        iters += i;
+        cmds += c;
+    });
+    let per_call = |n: u64| n as f64 / calls as f64;
+    let loops = per_call(iters);
+    println!(
+        "  {loops:.0} loop iterations and {:.0} commands per call: {:.1} ns and \
+         {:.0} xorshift steps per loop iteration",
+        per_call(cmds),
+        summary.median_us * 1e3 / loops,
+        summary.median_steps / loops,
+    );
 }
 
 fn main() {
     let mut mem = MemorySystem::new(DramConfig::single_rank()).expect("config");
     let mut salt = 0u64;
-    bench("sched_inner/rank_device_mixed", || {
+    bench_dram("sched_inner/rank_device_mixed", || {
         salt += 1;
         run_pattern(&mut mem, salt, 512, 131, 2)
     });
@@ -42,7 +80,7 @@ fn main() {
     cfg.refresh = false;
     let mut mem = MemorySystem::new(cfg).expect("config");
     let mut salt = 0u64;
-    bench("sched_inner/conflict_storm", || {
+    bench_dram("sched_inner/conflict_storm", || {
         salt += 1;
         // Stride chosen to pound few banks with alternating rows: every
         // read needs PRE + ACT + RD.
@@ -54,8 +92,21 @@ fn main() {
     // scan weighs candidates across four ranks.
     let mut mem = MemorySystem::new(DramConfig::with_ranks(2, 2)).expect("config");
     let mut salt = 0u64;
-    bench("sched_inner/host_channel_burst", || {
+    bench_dram("sched_inner/host_channel_burst", || {
         salt += 1;
         run_pattern(&mut mem, salt, 512, 131, 512)
+    });
+
+    // The host baseline as perfbench `replay` runs it: input 0 at seed 7
+    // (163,840 lookups, about a million loop iterations per call).
+    let trace = replay_trace(7);
+    let mut host = HostBaseline::new(2, 2).expect("config");
+    bench_dram("sched_inner/host_replay", || {
+        let iters = host.dram_loop_iterations();
+        let report = host.try_run(&trace).expect("host replay");
+        (
+            host.dram_loop_iterations() - iters,
+            report.dram.cmd_bus_busy,
+        )
     });
 }

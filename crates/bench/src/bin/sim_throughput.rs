@@ -37,9 +37,7 @@ use recnmp::{RecNmpCluster, RecNmpClusterConfig, RecNmpConfig, RecNmpSystem};
 use recnmp_backend::{ShardingPolicy, SlsBackend, SlsTrace};
 use recnmp_baselines::{DimmLevelNmp, DramConfig, HostBaseline};
 use recnmp_bench::json::Json;
-use recnmp_bench::BenchArgs;
-use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, SlsBatch, TraceGenerator};
-use recnmp_types::{PhysAddr, TableId};
+use recnmp_bench::{zipf_trace, BenchArgs};
 
 struct Measurement {
     name: String,
@@ -74,22 +72,9 @@ impl Measurement {
 }
 
 /// A multi-table SLS workload with hashed physical placement (the shared
-/// conformance-test address pattern).
+/// conformance-test address pattern), table `t` drawn from `seed + t`.
 fn workload(tables: u32, batch: usize, pooling: usize, seed: u64) -> SlsTrace {
-    let batches: Vec<SlsBatch> = (0..tables)
-        .map(|t| {
-            TraceGenerator::new(
-                TableId::new(t),
-                EmbeddingTableSpec::dlrm_default(),
-                IndexDistribution::Zipf { s: 0.9 },
-                seed + t as u64,
-            )
-            .batch(batch, pooling)
-        })
-        .collect();
-    SlsTrace::from_batches(&batches, &mut |t, row| {
-        PhysAddr::new(((t as u64) << 31) ^ (row * 131 * 128))
-    })
+    zipf_trace(tables, batch, pooling, |t| seed + u64::from(t))
 }
 
 fn measure(name: &str, backend: &mut dyn SlsBackend, trace: &SlsTrace) -> Measurement {

@@ -15,6 +15,10 @@ pub mod json;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use recnmp_backend::SlsTrace;
+use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, SlsBatch, TraceGenerator};
+use recnmp_types::{PhysAddr, TableId};
+
 /// Prints the process's peak resident set size (`VmHWM` in
 /// `/proc/self/status`) to stderr. It is informational only and is never
 /// gated, since it depends on the host. Prints nothing where that file
@@ -30,12 +34,44 @@ pub fn print_peak_rss() {
     }
 }
 
+/// Xorshift steps in one run of the calibration kernel, about 3 ms.
+const CALIBRATION_STEPS: u64 = 1 << 20;
+
+/// One run of a fixed single-thread integer kernel, a copy of
+/// perfbench's `calibration_mops` kernel (perfbench sits outside the
+/// workspace). Returns its wall time.
+fn calibration_run() -> Duration {
+    let start = Instant::now();
+    let mut x = black_box(0x9e37_79b9_7f4a_7c15u64);
+    for i in 0..CALIBRATION_STEPS {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x = x.wrapping_add(i);
+    }
+    black_box(x);
+    start.elapsed()
+}
+
+/// What one [`bench()`] run measured.
+#[derive(Debug, Clone, Copy)]
+pub struct Summary {
+    /// Median wall time of one call of the benched closure, in µs.
+    pub median_us: f64,
+    /// Median per-batch cost of one call in calibration-kernel xorshift
+    /// steps: the batch's µs per call over the µs of the calibration run
+    /// timed right after it. Host load slows both alike, so this moves
+    /// less between runs than `median_us`.
+    pub median_steps: f64,
+}
+
 /// Times `f` for a layer micro-benchmark: 500 ms of warm-up, then 3 s of
-/// timed batches, each running `f` until at least 20 ms have passed. One
-/// batch gives one µs/iter sample; prints `{name}: {b} batches,
-/// {n} iterations, median {x} us/iter (min {lo}, max {hi})`.
-/// Informational only, never gated.
-pub fn bench<O>(name: &str, mut f: impl FnMut() -> O) {
+/// timed batches, each running `f` until at least 20 ms have passed and
+/// followed by one run of the calibration kernel. One batch gives one
+/// µs/iter sample and one xorshift-steps/iter sample; prints `{name}:
+/// {b} batches, {n} iterations, median {x} us/iter (min {lo}, max {hi}),
+/// median {s} xorshift steps/iter`. Informational only, never gated.
+pub fn bench<O>(name: &str, mut f: impl FnMut() -> O) -> Summary {
     const BATCH: Duration = Duration::from_millis(20);
     let warm_up = Instant::now();
     while warm_up.elapsed() < Duration::from_millis(500) {
@@ -43,6 +79,7 @@ pub fn bench<O>(name: &str, mut f: impl FnMut() -> O) {
     }
     let start = Instant::now();
     let mut samples = Vec::new();
+    let mut steps = Vec::new();
     let mut iterations = 0u64;
     while start.elapsed() < Duration::from_secs(3) {
         let batch = Instant::now();
@@ -52,19 +89,59 @@ pub fn bench<O>(name: &str, mut f: impl FnMut() -> O) {
             calls += 1;
         }
         iterations += u64::from(calls);
-        samples.push(batch.elapsed().as_secs_f64() * 1e6 / f64::from(calls));
+        let us = batch.elapsed().as_secs_f64() * 1e6 / f64::from(calls);
+        let calibration_us = calibration_run().as_secs_f64() * 1e6;
+        samples.push(us);
+        steps.push(us / calibration_us * CALIBRATION_STEPS as f64);
     }
     samples.sort_by(f64::total_cmp);
-    let (min, median, max) = (
-        samples[0],
-        samples[samples.len() / 2],
-        samples[samples.len() - 1],
-    );
+    steps.sort_by(f64::total_cmp);
+    let summary = Summary {
+        median_us: samples[samples.len() / 2],
+        median_steps: steps[steps.len() / 2],
+    };
     println!(
-        "{name}: {} batches, {iterations} iterations, median {median:.1} us/iter \
-         (min {min:.1}, max {max:.1})",
-        samples.len()
+        "{name}: {} batches, {iterations} iterations, median {:.1} us/iter \
+         (min {:.1}, max {:.1}), median {:.0} xorshift steps/iter",
+        samples.len(),
+        summary.median_us,
+        samples[0],
+        samples[samples.len() - 1],
+        summary.median_steps,
     );
+    summary
+}
+
+/// A Zipf-0.9 SLS trace over `tables` DLRM-default tables, `batch`
+/// poolings of `pooling` lookups each, with table `t` drawn from seed
+/// `seed(t)` and placed at hashed physical addresses.
+pub fn zipf_trace(
+    tables: u32,
+    batch: usize,
+    pooling: usize,
+    seed: impl Fn(u32) -> u64,
+) -> SlsTrace {
+    let batches: Vec<SlsBatch> = (0..tables)
+        .map(|t| {
+            TraceGenerator::new(
+                TableId::new(t),
+                EmbeddingTableSpec::dlrm_default(),
+                IndexDistribution::Zipf { s: 0.9 },
+                seed(t),
+            )
+            .batch(batch, pooling)
+        })
+        .collect();
+    SlsTrace::from_batches(&batches, &mut |t, row| {
+        PhysAddr::new(((t as u64) << 31) ^ (row * 131 * 128))
+    })
+}
+
+/// The trace of one input of perfbench's `replay` workload: 64 tables x
+/// 32 poolings x 80 lookups, every table drawn from `seed` (input `i` of
+/// a run at seed `s` uses `s + i`).
+pub fn replay_trace(seed: u64) -> SlsTrace {
+    zipf_trace(64, 32, 80, |_| seed)
 }
 
 /// The options shared by the report-writing bins: `--smoke`,

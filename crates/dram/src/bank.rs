@@ -128,6 +128,10 @@ pub const MAX_BANK_GROUPS: usize = 8;
 
 /// Rank-level timing state: tRRD, tFAW, tCCD, write-to-read turnaround and
 /// refresh bookkeeping.
+///
+/// The rank-wide parts of ACT and column readiness (the *gates* every
+/// bank of the rank shares) are kept as fields, recomputed by each
+/// `did_*` update, so a scheduler reads them with one load per rank.
 #[derive(Debug, Clone)]
 pub struct RankTimer {
     /// Issue times of the most recent ACTs (for the four-activate
@@ -141,9 +145,15 @@ pub struct RankTimer {
     next_wr_any: Cycle,
     faw: Cycle,
     /// Rank unavailable until this cycle (refresh in progress).
-    pub busy_until: Cycle,
+    busy_until: Cycle,
     /// Next cycle a refresh becomes due.
-    pub refresh_due: Cycle,
+    refresh_due: Cycle,
+    /// [`act_rank_ready`](Self::act_rank_ready), kept current.
+    act_gate: Cycle,
+    /// [`col_rank_ready`](Self::col_rank_ready) for reads and for
+    /// writes, kept current.
+    rd_gate: Cycle,
+    wr_gate: Cycle,
 }
 
 impl RankTimer {
@@ -168,7 +178,33 @@ impl RankTimer {
             faw: t.t_faw,
             busy_until: 0,
             refresh_due: t.t_refi,
+            act_gate: 0,
+            rd_gate: 0,
+            wr_gate: 0,
         }
+    }
+
+    /// Rank unavailable until this cycle (refresh in progress).
+    pub fn busy_until(&self) -> Cycle {
+        self.busy_until
+    }
+
+    /// Next cycle a refresh becomes due.
+    pub fn refresh_due(&self) -> Cycle {
+        self.refresh_due
+    }
+
+    /// Recomputes the rank-wide gates after an update.
+    fn update_gates(&mut self) {
+        let act = self.next_act_any.max(self.busy_until);
+        self.act_gate = if self.act_count == 4 {
+            // tFAW counts from the oldest of the last four ACTs.
+            act.max(self.act_history[0] + self.faw_window())
+        } else {
+            act
+        };
+        self.rd_gate = self.next_rd_any.max(self.busy_until);
+        self.wr_gate = self.next_wr_any.max(self.busy_until);
     }
 
     /// Earliest cycle an ACT to `bank_group` satisfies tRRD and tFAW:
@@ -182,13 +218,7 @@ impl RankTimer {
     /// tFAW and refresh. No ACT to this rank is legal before it, so a
     /// scheduler can rule out every ACT candidate of the rank at once.
     pub fn act_rank_ready(&self) -> Cycle {
-        let ready = self.next_act_any.max(self.busy_until);
-        if self.act_count == 4 {
-            // tFAW counts from the oldest of the last four ACTs.
-            ready.max(self.act_history[0] + self.faw_window())
-        } else {
-            ready
-        }
+        self.act_gate
     }
 
     /// The bank-group part of ACT readiness (tRRD_L).
@@ -220,16 +250,15 @@ impl RankTimer {
 
     /// The part of column readiness shared by every bank of the rank:
     /// tCCD_S (plus write-to-read turnaround for reads) and refresh.
+    /// Writes share the CCD structure with reads; only the rank-wide
+    /// constraint is tracked per direction (writes are rare in inference
+    /// workloads).
     pub fn col_rank_ready(&self, is_read: bool) -> Cycle {
-        let any = if is_read {
-            self.next_rd_any
+        if is_read {
+            self.rd_gate
         } else {
-            // Writes share the CCD structure with reads; we track the
-            // rank-wide constraint only (writes are rare in inference
-            // workloads).
-            self.next_wr_any
-        };
-        any.max(self.busy_until)
+            self.wr_gate
+        }
     }
 
     /// The bank-group part of column readiness (tCCD_L), shared by reads
@@ -250,12 +279,14 @@ impl RankTimer {
             self.act_count += 1;
         }
         self.faw = t.t_faw;
+        self.update_gates();
     }
 
     /// Records a RD issued at `now` to `bank_group`.
     pub fn did_rd(&mut self, now: Cycle, bank_group: u8, t: &DdrTiming) {
         self.next_rd_any = now + t.t_ccd_s;
         self.next_rd_same_bg[bank_group as usize] = now + t.t_ccd_l;
+        self.update_gates();
     }
 
     /// Records a WR issued at `now` to `bank_group`.
@@ -264,12 +295,14 @@ impl RankTimer {
         self.next_rd_same_bg[bank_group as usize] = now + t.t_ccd_l;
         // Write-to-read turnaround applies rank-wide.
         self.next_rd_any = self.next_rd_any.max(now + t.t_cwl + t.t_bl + t.t_wtr);
+        self.update_gates();
     }
 
     /// Records a REF issued at `now`; the rank is busy for tRFC.
     pub fn did_ref(&mut self, now: Cycle, t: &DdrTiming) {
         self.busy_until = now + t.t_rfc;
         self.refresh_due = now + t.t_refi;
+        self.update_gates();
     }
 }
 
@@ -355,8 +388,8 @@ mod tests {
         let timing = t();
         let mut r = RankTimer::new(4, &timing);
         r.did_ref(100, &timing);
-        assert_eq!(r.busy_until, 100 + timing.t_rfc);
-        assert_eq!(r.refresh_due, 100 + timing.t_refi);
+        assert_eq!(r.busy_until(), 100 + timing.t_rfc);
+        assert_eq!(r.refresh_due(), 100 + timing.t_refi);
         assert!(r.act_ready(0) >= 100 + timing.t_rfc);
     }
 

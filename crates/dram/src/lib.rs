@@ -31,12 +31,16 @@
 //!
 //! The scheduler hot path is allocation-free and index-structured:
 //! admitted requests live in a slab with recycled slots, reached through
-//! per-(rank,bank) queues and seq-ordered order deques, with decoded
-//! coordinates computed once at enqueue. Each bank caches its earliest
-//! candidates per command class (one 64-byte line, stamp-invalidated
-//! only when that bank changes), so an FR-FCFS decision is one traversal
+//! per-(rank,bank) queues and seq-ordered arrival lists (admitting and
+//! retiring a request are O(1)), with decoded coordinates computed once
+//! at enqueue.
+//! Each bank caches its earliest candidates per command class (one
+//! 64-byte line, recomputed only when a change to that bank puts it on
+//! its direction's dirty list), so an FR-FCFS decision is one traversal
 //! of the banks that have work — requests needing the same command on
-//! the same bank share one legality verdict.
+//! the same bank share one legality verdict. The traversal computes each
+//! rank's column and ACT gates first, then makes one pass per command
+//! class over the channel-wide bitmasks of the banks behind open gates.
 //!
 //! A run is **event-driven** by default ([`SimEngine`]): when no command
 //! can issue, the clock jumps straight to the next cycle at which

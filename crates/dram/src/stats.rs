@@ -33,7 +33,9 @@ pub struct DramStats {
     /// Worst observed request latency.
     pub latency_max: Cycle,
     /// Log2-bucketed latency histogram: bucket `i` counts latencies in
-    /// `[2^i, 2^(i+1))`.
+    /// `[2^i, 2^(i+1))`, except that bucket 0 also counts a latency of 0
+    /// and the last bucket, 23, is open-ended: it counts every latency
+    /// from `2^23` up.
     pub latency_hist: [u64; 24],
 }
 
@@ -111,6 +113,16 @@ mod tests {
         // 36 lands in [32,64) = bucket 5; 100 in [64,128) = bucket 6.
         assert_eq!(s.latency_hist[5], 1);
         assert_eq!(s.latency_hist[6], 1);
+    }
+
+    #[test]
+    fn latency_histogram_ends_are_open() {
+        let mut s = DramStats::new();
+        s.record_latency(0);
+        s.record_latency(1 << 23);
+        s.record_latency(1 << 40);
+        assert_eq!(s.latency_hist[0], 1);
+        assert_eq!(s.latency_hist[23], 2);
     }
 
     #[test]

@@ -13,12 +13,16 @@ use crate::request::{CompletedRequest, Request, RequestKind, RowOutcome};
 use crate::stats::DramStats;
 use crate::timing::DdrTiming;
 
+/// The `seq` of a free slab slot: its request has retired.
+const RETIRED: u64 = u64::MAX;
+
 /// An in-service request tracked by the controller.
 #[derive(Debug, Clone)]
 struct Queued {
     kind: RequestKind,
     addr: DramAddr,
     arrival: Cycle,
+    /// Enqueue number; [`RETIRED`] once the slot is free.
     seq: u64,
     acts: u8,
     pres: u8,
@@ -142,6 +146,8 @@ struct CandCache {
     alt_slot: u32,
     /// Whether `alt` is an ACT (closed bank) rather than a PRE.
     alt_is_act: bool,
+    /// The bank's bank group, for the rank timer's bank-group parts.
+    bg: u8,
 }
 
 impl Default for CandCache {
@@ -154,15 +160,19 @@ impl Default for CandCache {
             col_slot: 0,
             alt_slot: 0,
             alt_is_act: false,
+            bg: 0,
         }
     }
 }
 
 impl CandCache {
     /// Recomputes the candidates of one (bank, direction) from the bank's
-    /// queue and state.
-    fn compute(queue: &[BankEntry], bank: &Bank, is_read: bool) -> Self {
-        let mut c = Self::default();
+    /// queue and state; `bg` is the bank's bank group.
+    fn compute(queue: &[BankEntry], bank: &Bank, bg: u8, is_read: bool) -> Self {
+        let mut c = Self {
+            bg,
+            ..Self::default()
+        };
         match bank.state {
             BankState::Closed => {
                 if let Some(e) = queue.first() {
@@ -198,28 +208,28 @@ impl CandCache {
         c
     }
 
-    /// Earliest-legal cycle of the column candidate: the cached bank part,
-    /// the rank timer's bank-group part, and the rank's column `gate`
-    /// (see [`MemorySystem::col_gate`]). The one spelling of the formula,
-    /// shared by the scan and the post-issue hint.
+    /// The column candidate's readiness below its rank's gate: the cached
+    /// bank part and the rank timer's bank-group part. Its earliest-legal
+    /// cycle is this or the rank's column gate (see
+    /// [`MemorySystem::col_gate`]), whichever is later; behind an open
+    /// gate it is this alone. The one spelling of the formula, shared by
+    /// the scan and the post-issue hint.
     #[inline]
-    fn col_at(&self, timer: &RankTimer, bg: u8, gate: Cycle) -> Cycle {
-        self.col_ready.max(timer.col_group_ready(bg)).max(gate)
+    fn col_at(&self, timer: &RankTimer) -> Cycle {
+        self.col_ready.max(timer.col_group_ready(self.bg))
     }
 
-    /// Earliest-legal cycle of an ACT candidate: the cached bank part, the
-    /// rank timer's bank-group part, and the rank's ACT `gate`
-    /// ([`RankTimer::act_rank_ready`]).
+    /// An ACT candidate's readiness below its rank's ACT gate
+    /// ([`RankTimer::act_rank_ready`]): the cached bank part and the rank
+    /// timer's bank-group part.
     #[inline]
-    fn act_at(&self, timer: &RankTimer, bg: u8, gate: Cycle) -> Cycle {
-        self.alt_ready.max(timer.act_group_ready(bg)).max(gate)
+    fn act_at(&self, timer: &RankTimer) -> Cycle {
+        self.alt_ready.max(timer.act_group_ready(self.bg))
     }
 }
 
-/// Which banks of one rank hold a candidate of each command class, one
-/// bit per bank of the rank (bit `i` = flat bank `i`). The scan walks
-/// these instead of every active bank, and skips a whole class when its
-/// rank-level gate is closed.
+/// Which banks of one 64-bank word of the channel hold a candidate of
+/// each command class (bit `i` = global flat bank `64 * word + i`).
 #[derive(Debug, Clone, Copy, Default)]
 struct ClassMasks {
     col: u64,
@@ -227,13 +237,29 @@ struct ClassMasks {
     pre: u64,
 }
 
+/// The end of an arrival-order list.
+const NIL: u32 = u32::MAX;
+
+/// A slab slot's neighbours in its direction's arrival order, older
+/// (`prev`) and newer (`next`); [`NIL`] at the ends.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
 /// The controller state of one direction (reads or writes): its queues,
 /// its candidate caches and the index the scan walks over them.
 #[derive(Debug)]
 struct Direction {
-    /// Admitted requests as slab indices in arrival (`seq`) order — the
-    /// FR-FCFS consideration order. Removal preserves order.
-    order: VecDeque<u32>,
+    /// The oldest and the newest admitted request: the ends of the
+    /// arrival (`seq`) order, the FR-FCFS consideration order, a list
+    /// threaded through [`MemorySystem::links`] so that admitting and
+    /// retiring are O(1).
+    head: u32,
+    tail: u32,
+    /// Admitted requests: the queue depth.
+    live: usize,
     /// Per-(rank,bank) FR-FCFS queues in `seq` order, one per global flat
     /// bank. Small (queue caps bound them), capacity reused.
     queues: Vec<Vec<BankEntry>>,
@@ -241,7 +267,9 @@ struct Direction {
     /// directions live in separate arrays, so read-only traffic never
     /// touches the write caches.
     cand: Vec<CandCache>,
-    /// Per-rank class bitmasks over `cand`.
+    /// Channel-wide class bitmasks over `cand`, one bit per global flat
+    /// bank (bit `g % 64` of word `g / 64`). A rank's banks never
+    /// straddle a word.
     masks: Vec<ClassMasks>,
     /// Banks whose cache is stale, each listed once (`is_dirty` dedupes),
     /// so the list never outgrows its bank-count capacity and pushing
@@ -251,12 +279,15 @@ struct Direction {
 }
 
 impl Direction {
-    fn new(total_banks: usize, ranks: usize) -> Self {
+    fn new(total_banks: usize) -> Self {
+        let words = total_banks.div_ceil(64);
         Self {
-            order: VecDeque::new(),
+            head: NIL,
+            tail: NIL,
+            live: 0,
             queues: vec![Vec::new(); total_banks],
             cand: vec![CandCache::default(); total_banks],
-            masks: vec![ClassMasks::default(); ranks],
+            masks: vec![ClassMasks::default(); words],
             dirty: Vec::with_capacity(total_banks),
             is_dirty: vec![false; total_banks],
         }
@@ -270,30 +301,67 @@ impl Direction {
         }
     }
 
-    /// Recomputes the candidates (and class bits) of every dirty bank.
-    fn refresh(&mut self, banks: &[Bank], bpr: usize, is_read: bool) {
+    /// Recomputes the candidates (and class bits) of every dirty bank;
+    /// `bank_bg` maps a global flat bank to its bank group.
+    fn refresh(&mut self, banks: &[Bank], bank_bg: &[u8], is_read: bool) {
         for g in self.dirty.drain(..) {
             let g = g as usize;
-            let c = CandCache::compute(&self.queues[g], &banks[g], is_read);
-            let bit = 1u64 << (g % bpr);
-            let m = &mut self.masks[g / bpr];
-            m.col &= !bit;
-            m.act &= !bit;
-            m.pre &= !bit;
-            if c.col_seq != u64::MAX {
-                m.col |= bit;
-            }
-            if c.alt_seq != u64::MAX {
-                if c.alt_is_act {
-                    m.act |= bit;
-                } else {
-                    m.pre |= bit;
-                }
-            }
+            let c = CandCache::compute(&self.queues[g], &banks[g], bank_bg[g], is_read);
+            let (m, bit) = (&mut self.masks[g / 64], 1u64 << (g % 64));
+            let has_alt = c.alt_seq != u64::MAX;
+            set_bit(&mut m.col, bit, c.col_seq != u64::MAX);
+            set_bit(&mut m.act, bit, has_alt && c.alt_is_act);
+            set_bit(&mut m.pre, bit, has_alt && !c.alt_is_act);
             self.cand[g] = c;
             self.is_dirty[g] = false;
         }
     }
+
+    /// Admits `slot` behind every older request.
+    fn admit(&mut self, links: &mut [Link], slot: u32) {
+        links[slot as usize] = Link {
+            prev: self.tail,
+            next: NIL,
+        };
+        match self.tail {
+            NIL => self.head = slot,
+            tail => links[tail as usize].next = slot,
+        }
+        self.tail = slot;
+        self.live += 1;
+    }
+
+    /// Unlinks the retiring `slot` from the arrival order.
+    fn retire(&mut self, links: &mut [Link], slot: u32) {
+        let Link { prev, next } = links[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            prev => links[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => links[next as usize].prev = prev,
+        }
+        self.live -= 1;
+    }
+
+    /// The slot of the oldest admitted request, if any.
+    fn oldest(&self) -> Option<u32> {
+        (self.head != NIL).then_some(self.head)
+    }
+}
+
+/// `at` when `keep`, else `Cycle::MAX`: a branch-free term for a running
+/// minimum.
+#[inline]
+fn kept_or_max(at: Cycle, keep: bool) -> Cycle {
+    at | u64::from(!keep).wrapping_neg()
+}
+
+/// Sets or clears `bit` in `word`.
+#[inline]
+fn set_bit(word: &mut u64, bit: u64, on: bool) {
+    *word = (*word & !bit) | (u64::from(on) * bit);
 }
 
 /// The read source of a run: `(addr, arrival)` in staging order.
@@ -342,12 +410,23 @@ pub struct MemorySystem {
     timing: DdrTiming,
     geo: Geometry,
     /// `geo.banks_per_rank()`, cached for the flat bank indexing below.
+    /// A power of two of at most 64, so a global flat bank's rank is
+    /// `gbank >> rank_shift`.
     bpr: usize,
+    rank_shift: u32,
     cycle: Cycle,
     /// All banks, flattened rank-major: `banks[rank * bpr + flat_bank]`.
     banks: Vec<Bank>,
     ranks: Vec<RankTimer>,
+    /// Per-rank: a refresh is due and the rank takes no request command
+    /// until its REF issues.
     refresh_pending: Vec<bool>,
+    /// How many `refresh_pending` flags refresh has set.
+    refreshes_pending: usize,
+    /// The earliest `refresh_due` over the ranks without a pending
+    /// refresh (`Cycle::MAX` when every rank has one), so a tick checks
+    /// one deadline instead of every rank.
+    next_refresh_due: Cycle,
     data_bus_free: Cycle,
     last_data_rank: Option<u8>,
     staged: VecDeque<Queued>,
@@ -357,12 +436,13 @@ pub struct MemorySystem {
     /// Slab of admitted requests; slots are recycled through `free_slots`
     /// so the steady-state issue loop never allocates.
     slab: Vec<Queued>,
+    /// Each slab slot's place in its direction's arrival order.
+    links: Vec<Link>,
     free_slots: Vec<u32>,
     reads: Direction,
     writes: Direction,
-    /// Per-bank rank and bank-group lookup tables (indexed by global flat
-    /// bank), so the hot loops never divide.
-    bank_rank: Vec<u8>,
+    /// Per-bank bank-group lookup table (indexed by global flat bank), so
+    /// the candidate refresh never divides.
     bank_bg: Vec<u8>,
     next_seq: u64,
     stats: DramStats,
@@ -381,12 +461,14 @@ impl MemorySystem {
         config.validate()?;
         let geo = config.geometry();
         let timing = config.timing;
-        let ranks = (0..geo.ranks)
+        let ranks: Vec<RankTimer> = (0..geo.ranks)
             .map(|_| RankTimer::new(geo.bank_groups, &timing))
             .collect();
+        let next_refresh_due = ranks.iter().map(RankTimer::refresh_due).min();
         let bpr = geo.banks_per_rank();
         if bpr > u64::BITS as usize {
-            // The scheduler's class bitmasks hold one bit per bank of a rank.
+            // A rank's banks must fit one word of the scheduler's class
+            // bitmasks.
             return Err(recnmp_types::ConfigError::new(
                 "banks_per_rank",
                 "must be at most 64",
@@ -395,10 +477,13 @@ impl MemorySystem {
         let total_banks = geo.ranks as usize * bpr;
         Ok(Self {
             refresh_pending: vec![false; geo.ranks as usize],
+            refreshes_pending: 0,
+            next_refresh_due: next_refresh_due.unwrap_or(Cycle::MAX),
             config,
             timing,
             geo,
             bpr,
+            rank_shift: bpr.trailing_zeros(),
             cycle: 0,
             banks: vec![Bank::new(); total_banks],
             ranks,
@@ -407,10 +492,10 @@ impl MemorySystem {
             staged: VecDeque::new(),
             unpulled: 0,
             slab: Vec::new(),
+            links: Vec::new(),
             free_slots: Vec::new(),
-            reads: Direction::new(total_banks, geo.ranks as usize),
-            writes: Direction::new(total_banks, geo.ranks as usize),
-            bank_rank: (0..total_banks).map(|g| (g / bpr) as u8).collect(),
+            reads: Direction::new(total_banks),
+            writes: Direction::new(total_banks),
             bank_bg: (0..total_banks)
                 .map(|g| ((g % bpr) / geo.banks_per_group as usize) as u8)
                 .collect(),
@@ -455,7 +540,7 @@ impl MemorySystem {
     /// Requests known to the controller but not yet completed, including
     /// the reads a running stream has not handed over yet.
     pub fn pending(&self) -> usize {
-        self.staged_len() + self.reads.order.len() + self.writes.order.len()
+        self.staged_len() + self.reads.live + self.writes.live
     }
 
     /// Requests not yet admitted: the staged queue plus the running
@@ -520,8 +605,10 @@ impl MemorySystem {
         if !self.config.refresh {
             return false;
         }
-        self.update_refresh_state();
-        self.try_issue_refresh()
+        if self.cycle >= self.next_refresh_due {
+            self.update_refresh_state();
+        }
+        self.refreshes_pending > 0 && self.try_issue_refresh()
     }
 
     /// Main-loop iterations executed so far (ticks, across both engines).
@@ -725,14 +812,12 @@ impl MemorySystem {
             consider(at);
         }
         if self.config.refresh {
-            let mut first_pending = true;
-            for r in 0..self.geo.ranks as usize {
-                if !self.refresh_pending[r] {
-                    consider(self.ranks[r].refresh_due);
-                } else if first_pending {
-                    first_pending = false;
-                    consider(self.refresh_step_ready(r));
-                }
+            if self.next_refresh_due != Cycle::MAX {
+                consider(self.next_refresh_due);
+            }
+            if self.refreshes_pending > 0 {
+                let first = self.refresh_pending.iter().position(|&p| p);
+                consider(self.refresh_step_ready(first.expect("a pending rank")));
             }
         }
         next
@@ -745,13 +830,12 @@ impl MemorySystem {
     /// when the bank holds no read.
     fn read_candidates_ready(&self, gbank: usize) -> Option<Cycle> {
         let c = &self.reads.cand[gbank];
-        let rank = self.bank_rank[gbank] as usize;
+        let rank = gbank >> self.rank_shift;
         let timer = &self.ranks[rank];
-        let bg = self.bank_bg[gbank];
-        let col = (c.col_seq != u64::MAX).then(|| c.col_at(timer, bg, self.col_gate(true, rank)));
+        let col = (c.col_seq != u64::MAX).then(|| c.col_at(timer).max(self.col_gate(true, rank)));
         let alt = (c.alt_seq != u64::MAX).then(|| {
             if c.alt_is_act {
-                c.act_at(timer, bg, timer.act_rank_ready())
+                c.act_at(timer).max(timer.act_rank_ready())
             } else {
                 c.alt_ready
             }
@@ -763,61 +847,55 @@ impl MemorySystem {
     /// all its banks — the rank timer's rank-wide part and the data bus.
     /// A lower bound on every column candidate of the rank.
     fn col_gate(&self, is_read: bool, rank: usize) -> Cycle {
-        self.ranks[rank]
-            .col_rank_ready(is_read)
-            .max(self.bus_part(is_read, rank as u8))
+        let (same, other) = self.bus_parts(is_read);
+        let bus = match self.last_data_rank {
+            Some(last) if usize::from(last) != rank => other,
+            _ => same,
+        };
+        self.ranks[rank].col_rank_ready(is_read).max(bus)
     }
 
-    /// The data-bus contribution to column legality for `rank`: the cycle
-    /// from which a column command's data (offset by CL/CWL) no longer
-    /// collides with the current bus reservation, including the
+    /// The data-bus contribution to column legality: the cycle from which
+    /// a column command's data (offset by CL/CWL) no longer collides with
+    /// the current bus reservation. The first value is for the rank whose
+    /// data last used the bus (or for every rank, before any data has
+    /// moved), the second for every other rank, which pays the
     /// rank-to-rank switch penalty.
-    fn bus_part(&self, is_read: bool, rank: u8) -> Cycle {
+    fn bus_parts(&self, is_read: bool) -> (Cycle, Cycle) {
         let data_offset = if is_read {
             self.timing.t_cl
         } else {
             self.timing.t_cwl
         };
-        let mut bus_free = self.data_bus_free;
-        if self.last_data_rank.is_some() && self.last_data_rank != Some(rank) {
-            bus_free += self.timing.rank_switch;
-        }
-        bus_free.saturating_sub(data_offset)
+        let bus_free = self.data_bus_free;
+        (
+            bus_free.saturating_sub(data_offset),
+            (bus_free + self.timing.rank_switch).saturating_sub(data_offset),
+        )
     }
 
     /// Marks `gbank`'s candidates stale in both directions (its timing or
-    /// row state changed).
+    /// row state changed). A write direction that holds nothing is left
+    /// alone: its bank queues are empty, so its caches are empty or
+    /// already dirty, and a timing change cannot move them.
     fn touch_bank(&mut self, gbank: usize) {
         self.reads.mark(gbank);
-        self.writes.mark(gbank);
-    }
-
-    /// The state of the read or the write direction.
-    fn dir(&self, is_read: bool) -> &Direction {
-        if is_read {
-            &self.reads
-        } else {
-            &self.writes
-        }
-    }
-
-    /// Mutable [`dir`](Self::dir).
-    fn dir_mut(&mut self, is_read: bool) -> &mut Direction {
-        if is_read {
-            &mut self.reads
-        } else {
-            &mut self.writes
+        if self.writes.live > 0 {
+            self.writes.mark(gbank);
         }
     }
 
     /// Brings one direction's candidate caches and class bits up to date.
+    #[inline]
     fn refresh_candidates(&mut self, is_read: bool) {
         let dir = if is_read {
             &mut self.reads
         } else {
             &mut self.writes
         };
-        dir.refresh(&self.banks, self.bpr, is_read);
+        if !dir.dirty.is_empty() {
+            dir.refresh(&self.banks, &self.bank_bg, is_read);
+        }
     }
 
     /// Arrival cycle of the staged-queue front, if its target queue has
@@ -843,7 +921,7 @@ impl MemorySystem {
                 .map(Bank::act_ready)
                 .max()
                 .unwrap_or(0)
-                .max(self.ranks[r].busy_until)
+                .max(self.ranks[r].busy_until())
         }
     }
 
@@ -854,19 +932,18 @@ impl MemorySystem {
 
     /// Whether the admitted-request queue of one direction is at capacity.
     fn queue_full(&self, is_read: bool) -> bool {
-        let cap = if is_read {
-            self.config.read_queue
+        if is_read {
+            self.reads.live >= self.config.read_queue
         } else {
-            self.config.write_queue
-        };
-        self.dir(is_read).order.len() >= cap
+            self.writes.live >= self.config.write_queue
+        }
     }
 
     /// Whether the controller is in write-drain mode (the same predicate
     /// `issue_request_command` applies).
     fn drain_writes(&self) -> bool {
-        self.writes.order.len() * 4 >= self.config.write_queue * 3
-            || (self.reads.order.is_empty() && !self.writes.order.is_empty())
+        self.writes.live * 4 >= self.config.write_queue * 3
+            || (self.reads.live == 0 && self.writes.live > 0)
     }
 
     fn admit_arrivals(&mut self) {
@@ -891,11 +968,19 @@ impl MemorySystem {
                 }
                 None => {
                     self.slab.push(q);
+                    self.links.push(Link {
+                        prev: NIL,
+                        next: NIL,
+                    });
                     (self.slab.len() - 1) as u32
                 }
             };
-            let dir = self.dir_mut(is_read);
-            dir.order.push_back(slot);
+            let dir = if is_read {
+                &mut self.reads
+            } else {
+                &mut self.writes
+            };
+            dir.admit(&mut self.links, slot);
             dir.queues[gbank].push(BankEntry {
                 slot,
                 row: entry_row,
@@ -905,12 +990,22 @@ impl MemorySystem {
         }
     }
 
+    /// Flags every rank whose refresh has fallen due, and moves
+    /// `next_refresh_due` to the next deadline among the rest.
     fn update_refresh_state(&mut self) {
-        for r in 0..self.geo.ranks as usize {
-            if self.cycle >= self.ranks[r].refresh_due {
-                self.refresh_pending[r] = true;
+        let mut next = Cycle::MAX;
+        for (timer, pending) in self.ranks.iter().zip(&mut self.refresh_pending) {
+            if *pending {
+                continue;
+            }
+            if self.cycle >= timer.refresh_due() {
+                *pending = true;
+                self.refreshes_pending += 1;
+            } else {
+                next = next.min(timer.refresh_due());
             }
         }
+        self.next_refresh_due = next;
     }
 
     /// Tries to make progress on a pending refresh; returns true if a
@@ -946,7 +1041,7 @@ impl MemorySystem {
                 .map(Bank::act_ready)
                 .max()
                 .unwrap_or(0);
-            if ready <= now && self.ranks[r].busy_until <= now {
+            if ready <= now && self.ranks[r].busy_until() <= now {
                 let addr = self.bank_addr(r as u8, 0);
                 self.issue(DdrCommand::new(DdrCommandKind::Ref, addr));
                 self.ranks[r].did_ref(now, &self.timing);
@@ -959,6 +1054,8 @@ impl MemorySystem {
                 }
                 self.stats.refs += 1;
                 self.refresh_pending[r] = false;
+                self.refreshes_pending -= 1;
+                self.next_refresh_due = self.next_refresh_due.min(self.ranks[r].refresh_due());
                 return true;
             }
             return false;
@@ -992,18 +1089,19 @@ impl MemorySystem {
     /// jumps to.
     fn issue_request_command(&mut self, done: &mut Done<'_>) -> TickOutcome {
         let drain_writes = self.drain_writes();
-        let has_reads = !self.reads.order.is_empty();
-        if !has_reads && (!drain_writes || self.writes.order.is_empty()) {
+        let has_reads = self.reads.live > 0;
+        if !has_reads && (!drain_writes || self.writes.live == 0) {
             return TickOutcome::Idle(None);
         }
 
         // Starvation guard: when the oldest request has waited too long,
         // skip the row-hit pass so it makes progress.
         let oldest = if has_reads {
-            self.reads.order[0]
+            self.reads.oldest()
         } else {
-            self.writes.order[0]
-        };
+            self.writes.oldest()
+        }
+        .expect("a live request heads its order");
         let oldest_age = self
             .cycle
             .saturating_sub(self.slab[oldest as usize].arrival);
@@ -1087,81 +1185,102 @@ impl MemorySystem {
     /// One direction's FR-FCFS candidate scan.
     ///
     /// Recomputes the candidates of the banks that changed since the last
-    /// scan, then walks each rank's class bitmasks. Before touching a
-    /// class it checks the rank's gate for it: the column gate (tCCD_S,
-    /// turnaround, refresh and the data bus) or the ACT gate (tRRD_S,
-    /// tFAW and refresh). A gate is a lower bound on the readiness of every
-    /// candidate in the class, so a gate past `now` rules the whole class
-    /// out at once and stands in for its candidates in `min_ready` — a
-    /// jump to it is never late and costs at most one no-op tick. PRE
-    /// candidates are gated by their bank alone.
+    /// scan, then works one 64-bank word of the channel-wide class
+    /// bitmasks at a time. It first computes the gates of every rank in
+    /// the word, without branches: the column gate (tCCD_S, turnaround,
+    /// refresh and the data bus) and the ACT gate (tRRD_S, tFAW and
+    /// refresh). A gate is a lower bound on the readiness of every
+    /// candidate of its class in the rank, so a rank whose gate is past
+    /// `now` has the class ruled out at once, and the gate stands in for
+    /// those candidates in `min_ready` — a jump to it is never late and
+    /// costs at most one no-op tick. A rank waiting for a refresh has all
+    /// its candidates masked out. The scan then makes one pass over the
+    /// word's column bits behind open gates, one over its ACT bits behind
+    /// open gates and one over its PRE bits. Behind an open gate (at most
+    /// `now`) a candidate's readiness is its bank and bank-group parts
+    /// alone; PRE candidates are gated by their bank alone.
     fn scan_direction(&mut self, is_read: bool, fr: bool) -> ScanResult {
         self.refresh_candidates(is_read);
         let now = self.cycle;
+        let (bus_same, bus_other) = self.bus_parts(is_read);
+        // No rank pays the switch penalty before any data has moved.
+        let (last_rank, bus_other) = match self.last_data_rank {
+            Some(r) => (usize::from(r), bus_other),
+            None => (usize::MAX, bus_same),
+        };
+        let dir = if is_read { &self.reads } else { &self.writes };
+        let (bpr, shift) = (self.bpr, self.rank_shift);
+        let per_word = 64 >> shift;
+        let rank_bits = u64::MAX >> (64 - bpr);
         let mut best_col_seq = u64::MAX;
         let mut best_col = 0u32;
         let mut best_other_seq = u64::MAX;
         let mut best_other = (0u32, NextCmd::Pre);
         let mut min_ready = Cycle::MAX;
         let mut legal = 0u32;
-        let dir = self.dir(is_read);
-        for (rank, (masks, timer)) in dir.masks.iter().zip(&self.ranks).enumerate() {
-            if self.refresh_pending[rank] {
-                continue;
+        for (w, m) in dir.masks.iter().enumerate() {
+            let first = w * per_word;
+            let last = (first + per_word).min(self.ranks.len());
+            let ranks = &self.ranks[first..last];
+            let pending = &self.refresh_pending[first..last];
+            let (mut col_open, mut act_open, mut awake) = (0u64, 0u64, 0u64);
+            let mut bits = rank_bits;
+            for ((timer, &pending), r) in ranks.iter().zip(pending).zip(first..) {
+                let bus = if r == last_rank { bus_same } else { bus_other };
+                let col_gate = timer.col_rank_ready(is_read).max(bus);
+                let act_gate = timer.act_rank_ready();
+                let awake_bits = if pending { 0 } else { bits };
+                let col_bits = m.col & awake_bits;
+                let act_bits = m.act & awake_bits;
+                min_ready = min_ready
+                    .min(kept_or_max(col_gate, (col_bits != 0) & (col_gate > now)))
+                    .min(kept_or_max(act_gate, (act_bits != 0) & (act_gate > now)));
+                col_open |= if col_gate <= now { col_bits } else { 0 };
+                act_open |= if act_gate <= now { act_bits } else { 0 };
+                awake |= awake_bits;
+                bits = bits.wrapping_shl(bpr as u32);
             }
-            let base = rank * self.bpr;
-            if masks.col != 0 {
-                let gate = self.col_gate(is_read, rank);
-                if gate > now {
-                    min_ready = min_ready.min(gate);
-                } else {
-                    let mut bits = masks.col;
-                    while bits != 0 {
-                        let gbank = base + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let c = &dir.cand[gbank];
-                        let ready = c.col_at(timer, self.bank_bg[gbank], gate);
-                        if ready > now {
-                            min_ready = min_ready.min(ready);
-                            continue;
-                        }
-                        legal += 1;
-                        if fr {
-                            if c.col_seq < best_col_seq {
-                                best_col_seq = c.col_seq;
-                                best_col = c.col_slot;
-                            }
-                        } else if c.col_seq < best_other_seq {
-                            best_other_seq = c.col_seq;
-                            best_other = (c.col_slot, NextCmd::Column);
-                        }
+            let base = w * 64;
+            let mut bits = col_open;
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let c = &dir.cand[base + bit];
+                let ready = c.col_at(&ranks[bit >> shift]);
+                if ready > now {
+                    min_ready = min_ready.min(ready);
+                    continue;
+                }
+                legal += 1;
+                let seq = c.col_seq;
+                if fr {
+                    if seq < best_col_seq {
+                        best_col_seq = seq;
+                        best_col = c.col_slot;
                     }
+                } else if seq < best_other_seq {
+                    best_other_seq = seq;
+                    best_other = (c.col_slot, NextCmd::Column);
                 }
             }
-            if masks.act != 0 {
-                let gate = timer.act_rank_ready();
-                if gate > now {
-                    min_ready = min_ready.min(gate);
-                } else {
-                    let mut bits = masks.act;
-                    while bits != 0 {
-                        let gbank = base + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let c = &dir.cand[gbank];
-                        let ready = c.act_at(timer, self.bank_bg[gbank], gate);
-                        if ready > now {
-                            min_ready = min_ready.min(ready);
-                            continue;
-                        }
-                        legal += 1;
-                        if c.alt_seq < best_other_seq {
-                            best_other_seq = c.alt_seq;
-                            best_other = (c.alt_slot, NextCmd::Act);
-                        }
-                    }
+            let mut bits = act_open;
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let c = &dir.cand[base + bit];
+                let ready = c.act_at(&ranks[bit >> shift]);
+                if ready > now {
+                    min_ready = min_ready.min(ready);
+                    continue;
+                }
+                legal += 1;
+                let seq = c.alt_seq;
+                if seq < best_other_seq {
+                    best_other_seq = seq;
+                    best_other = (c.alt_slot, NextCmd::Act);
                 }
             }
-            let mut bits = masks.pre;
+            let mut bits = m.pre & awake;
             while bits != 0 {
                 let c = &dir.cand[base + bits.trailing_zeros() as usize];
                 bits &= bits - 1;
@@ -1170,8 +1289,9 @@ impl MemorySystem {
                     continue;
                 }
                 legal += 1;
-                if c.alt_seq < best_other_seq {
-                    best_other_seq = c.alt_seq;
+                let seq = c.alt_seq;
+                if seq < best_other_seq {
+                    best_other_seq = seq;
                     best_other = (c.alt_slot, NextCmd::Pre);
                 }
             }
@@ -1210,6 +1330,11 @@ impl MemorySystem {
             self.timing.t_cwl
         };
         self.touch_bank(gbank);
+        if !is_read {
+            // The bank's write queue changed; `touch_bank` skips a write
+            // direction that this retirement just emptied.
+            self.writes.mark(gbank);
+        }
         let finish = now + data_offset + self.timing.t_bl;
         self.data_bus_free = finish;
         self.last_data_rank = Some(rank);
@@ -1256,24 +1381,26 @@ impl MemorySystem {
         }
     }
 
-    /// Unlinks `slot` from its order queue and its bank queue and recycles
-    /// the slab slot. Returns the request. The caller touches the bank.
+    /// Retires `slot`: frees the slab slot and unlinks it from its
+    /// arrival order and its bank queue. Returns the request. The caller
+    /// marks the bank's candidates stale.
     fn remove_queued(&mut self, is_read: bool, slot: u32) -> Queued {
         let q = self.slab[slot as usize].clone();
-        let dir = self.dir_mut(is_read);
-        let pos = dir
-            .order
-            .iter()
-            .position(|&s| s == slot)
-            .expect("slot is in its order queue");
-        dir.order.remove(pos);
-        let bank_q = &mut dir.queues[q.gbank as usize];
+        self.slab[slot as usize].seq = RETIRED;
+        self.free_slots.push(slot);
+        let dir = if is_read {
+            &mut self.reads
+        } else {
+            &mut self.writes
+        };
+        dir.retire(&mut self.links, slot);
+        let gbank = q.gbank as usize;
+        let bank_q = &mut dir.queues[gbank];
         let bpos = bank_q
             .iter()
             .position(|e| e.slot == slot)
             .expect("slot is in its bank queue");
         bank_q.remove(bpos);
-        self.free_slots.push(slot);
         q
     }
 
@@ -1294,10 +1421,22 @@ mod tests {
     /// A command the controller issued: (is read, slab slot, command).
     type Decision = (bool, u32, NextCmd);
 
+    /// The queued requests of one direction, oldest first, listed from
+    /// the slab alone: every slot whose request has not retired.
+    fn queued(mem: &MemorySystem, is_read: bool) -> Vec<u32> {
+        let mut live: Vec<(u64, u32)> = (mem.slab.iter().enumerate())
+            .filter(|(_, q)| q.seq != RETIRED && (q.kind == RequestKind::Read) == is_read)
+            .map(|(slot, q)| (q.seq, slot as u32))
+            .collect();
+        live.sort_unstable();
+        live.into_iter().map(|(_, slot)| slot).collect()
+    }
+
     /// The FR-FCFS decision recomputed from first principles, with no
-    /// candidate cache, class mask or rank gate: every queued request's
-    /// next command and the cycle it becomes legal, read straight off the
-    /// slab, bank, rank and data-bus state. The rules: row hits first
+    /// candidate cache, class mask, rank gate, arrival list or refresh
+    /// deadline: every queued request's next command and the cycle it
+    /// becomes legal, read straight off the slab, bank, rank, per-rank
+    /// refresh flag and data-bus state. The rules: row hits first
     /// (unless the oldest request has starved), reads before writes,
     /// writes only while draining, oldest first within each pass.
     ///
@@ -1306,11 +1445,11 @@ mod tests {
     fn oracle(mem: &MemorySystem) -> (Option<Decision>, Option<Cycle>) {
         let now = mem.cycle;
         let t = &mem.timing;
-        let (reads, writes) = (&mem.reads.order, &mem.writes.order);
+        let (reads, writes) = (queued(mem, true), queued(mem, false));
         let drain = writes.len() * 4 >= mem.config.write_queue * 3
             || (reads.is_empty() && !writes.is_empty());
         let mut next = Vec::new();
-        for (is_read, order) in [(true, reads), (false, writes)] {
+        for (is_read, order) in [(true, &reads), (false, &writes)] {
             if !is_read && !drain {
                 continue;
             }
@@ -1355,7 +1494,7 @@ mod tests {
                 .find(|n| n.0 == is_read && n.3 <= now && (!hits_only || n.2 == NextCmd::Column))
                 .map(|n| (n.0, n.1, n.2))
         };
-        let Some(&oldest) = reads.front().or(writes.front()) else {
+        let Some(&oldest) = reads.first().or(writes.first()) else {
             return (None, exact_min);
         };
         let allow_fr =
@@ -1376,7 +1515,8 @@ mod tests {
     struct Snapshot {
         /// Column commands issued so far; each completes a request.
         columns: u64,
-        queued: Vec<u32>,
+        /// Every slab slot's `seq`; a column command retires one.
+        seqs: Vec<u64>,
         counts: Vec<(u8, u8)>,
     }
 
@@ -1384,13 +1524,7 @@ mod tests {
         fn take(mem: &MemorySystem) -> Self {
             Self {
                 columns: mem.stats.reads + mem.stats.writes,
-                queued: mem
-                    .reads
-                    .order
-                    .iter()
-                    .chain(&mem.writes.order)
-                    .copied()
-                    .collect(),
+                seqs: mem.slab.iter().map(|q| q.seq).collect(),
                 counts: mem.slab.iter().map(|q| (q.acts, q.pres)).collect(),
             }
         }
@@ -1399,12 +1533,10 @@ mod tests {
         fn issued(&self, mem: &MemorySystem) -> Option<Decision> {
             let is_read = |slot: usize| mem.slab[slot].kind == RequestKind::Read;
             if mem.stats.reads + mem.stats.writes > self.columns {
-                let slot = *self
-                    .queued
-                    .iter()
-                    .find(|s| !mem.reads.order.contains(s) && !mem.writes.order.contains(s))
+                let slot = (self.seqs.iter().zip(&mem.slab))
+                    .position(|(&before, q)| before != RETIRED && q.seq == RETIRED)
                     .expect("a column command retires its request");
-                return Some((is_read(slot as usize), slot, NextCmd::Column));
+                return Some((is_read(slot), slot as u32, NextCmd::Column));
             }
             self.counts
                 .iter()
@@ -1450,13 +1582,20 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         // Every decision of the rank-gated scan equals the oracle's, on
-        // 1/2/4/8-rank channels, refresh on and off, read-only and mixed
-        // traffic, short queues (frequent write drains) and a tight
-        // starvation bound.
+        // 1/2/4/8/16-rank channels (the 8- and 16-rank ones spread their
+        // 128 and 256 banks over several mask words), refresh on and off,
+        // read-only and mixed traffic, short queues (frequent write
+        // drains) and a tight starvation bound.
         #[test]
         fn scan_matches_decision_oracle(
             raw in prop::collection::vec((0u64..u64::MAX, 0u64..6, any::<bool>()), 1..160),
-            ranks in prop_oneof![Just((1u8, 1u8)), Just((1, 2)), Just((2, 2)), Just((4, 2))],
+            ranks in prop_oneof![
+                Just((1u8, 1u8)),
+                Just((1, 2)),
+                Just((2, 2)),
+                Just((4, 2)),
+                Just((8, 2)),
+            ],
             refresh in any::<bool>(),
             writes in any::<bool>(),
             span_bits in prop_oneof![Just(20u32), Just(26), Just(33)],

@@ -4,7 +4,9 @@
 //! the baselines and rank-NMP devices run it — the `issue_request_command`
 //! / event-skip loop — on the traffic shapes that dominate simulator
 //! wall-clock: the rank-NMP device pattern (single rank, staggered
-//! 2-per-cycle arrivals, Zipf-ish bank spread), a conflict-heavy stream
+//! 2-per-cycle arrivals, Zipf-ish bank spread), the same device as
+//! `RankNmp::process` drives it packet by packet (a few two-burst vectors
+//! per call, so the per-call set-up and drain count), a conflict-heavy stream
 //! that maximizes PRE/ACT churn, the host-baseline channel (4 ranks, a
 //! whole batch arriving at once), where the scan's per-rank column and
 //! ACT gates do most of the work, and the host baseline serving one
@@ -19,7 +21,9 @@
 use recnmp_backend::SlsBackend;
 use recnmp_baselines::HostBaseline;
 use recnmp_bench::{bench, replay_trace};
-use recnmp_dram::{DramConfig, MemorySystem};
+use recnmp_dram::request::RequestKind;
+use recnmp_dram::{DramAddr, DramConfig, MemorySystem};
+use recnmp_types::rng::DetRng;
 use recnmp_types::PhysAddr;
 
 /// Streams `reqs` strided reads, `per_cycle` arriving each cycle, and
@@ -41,6 +45,36 @@ fn run_pattern(
         )
     });
     mem.run_stream(reads, |_| {}).expect("drain");
+    (
+        mem.loop_iterations() - iters,
+        mem.stats().cmd_bus_busy - cmds,
+    )
+}
+
+/// One rank-NMP packet: 8 two-burst vectors at random device
+/// coordinates, 2 cycles apart, enqueued decoded and run to idle; returns
+/// the loop iterations and commands it cost.
+fn run_packet(mem: &mut MemorySystem, rng: &mut DetRng) -> (u64, u64) {
+    let geo = *mem.geometry();
+    let start = mem.cycle();
+    let (iters, cmds) = (mem.loop_iterations(), mem.stats().cmd_bus_busy);
+    for v in 0..8u64 {
+        let base = DramAddr {
+            rank: 0,
+            bank_group: rng.below(u64::from(geo.bank_groups)) as u8,
+            bank: rng.below(u64::from(geo.banks_per_group)) as u8,
+            row: rng.below(1024) as u32,
+            column: rng.below(u64::from(geo.columns / 2)) as u32 * 2,
+        };
+        for b in 0..2 {
+            let addr = DramAddr {
+                column: base.column + b,
+                ..base
+            };
+            mem.enqueue_decoded(addr, RequestKind::Read, start + 2 * v);
+        }
+    }
+    mem.run_stream(std::iter::empty(), |_| {}).expect("drain");
     (
         mem.loop_iterations() - iters,
         mem.stats().cmd_bus_busy - cmds,
@@ -74,6 +108,14 @@ fn main() {
     bench_dram("sched_inner/rank_device_mixed", || {
         salt += 1;
         run_pattern(&mut mem, salt, 512, 131, 2)
+    });
+
+    // The rank-NMP device as perfbench `fleet-faults` runs it: one short
+    // call per packet, refresh on.
+    let mut mem = MemorySystem::new(DramConfig::single_rank()).expect("config");
+    let mut rng = DetRng::seed(5);
+    bench_dram("sched_inner/rank_device_packets", || {
+        run_packet(&mut mem, &mut rng)
     });
 
     let mut cfg = DramConfig::single_rank();

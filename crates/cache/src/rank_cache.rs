@@ -102,8 +102,7 @@ impl RankCache {
         if self.inner.access(addr).is_hit() {
             RankCacheOutcome::Hit
         } else {
-            self.demand_missed
-                .insert(addr / self.inner.config().line_bytes);
+            self.demand_missed.insert(self.inner.line_id(addr));
             RankCacheOutcome::MissFill
         }
     }

@@ -79,7 +79,12 @@ pub struct SetAssocCache {
     /// islands, so the rank-cache hot path walks a set without chasing an
     /// outer pointer.
     lines: Vec<Line>,
-    num_sets: usize,
+    /// `log2(line_bytes)`: a line id is `addr >> line_shift`.
+    line_shift: u32,
+    /// `num_sets - 1`: a line's set is `line_id & set_mask`. Both sizes
+    /// are powers of two ([`CacheConfig::validate`]), so the hot path
+    /// neither divides nor takes a remainder.
+    set_mask: u64,
     clock: u64,
     stats: CacheStats,
 }
@@ -97,7 +102,8 @@ impl SetAssocCache {
         Ok(Self {
             config,
             lines: vec![Line::EMPTY; num_sets * config.ways],
-            num_sets,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: num_sets as u64 - 1,
             clock: 0,
             stats: CacheStats::new(),
         })
@@ -121,12 +127,13 @@ impl SetAssocCache {
         self.stats = CacheStats::new();
     }
 
-    fn line_id(&self, addr: u64) -> u64 {
-        addr / self.config.line_bytes
+    /// The id of the line holding `addr` (`addr / line_bytes`).
+    pub(crate) fn line_id(&self, addr: u64) -> u64 {
+        addr >> self.line_shift
     }
 
     fn set_index(&self, line_id: u64) -> usize {
-        (line_id % self.num_sets as u64) as usize
+        (line_id & self.set_mask) as usize
     }
 
     /// The ways of one set: `ways` consecutive lines starting at
@@ -187,9 +194,7 @@ impl SetAssocCache {
             .iter_mut()
             .min_by_key(|l| l.stamp)
             .expect("sets are never empty");
-        let evicted = victim
-            .is_valid()
-            .then(|| victim.tag * self.config.line_bytes);
+        let evicted = victim.is_valid().then(|| victim.tag << self.line_shift);
         *victim = Line {
             tag: id,
             stamp: self.clock,

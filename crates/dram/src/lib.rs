@@ -38,9 +38,27 @@
 //! 64-byte line, recomputed only when a change to that bank puts it on
 //! its direction's dirty list), so an FR-FCFS decision is one traversal
 //! of the banks that have work — requests needing the same command on
-//! the same bank share one legality verdict. The traversal computes each
-//! rank's column and ACT gates first, then makes one pass per command
-//! class over the channel-wide bitmasks of the banks behind open gates.
+//! the same bank share one legality verdict. Admission keeps the caches
+//! current in O(1): an admitted request is the newest of its bank, so it
+//! can only fill a class the bank lacks (the ACT of a closed bank, the
+//! column command or PRE of an open one), and a clean bank takes it into
+//! its cache and class bit in place; only a bank already on the dirty
+//! list waits for the next scan's recompute.
+//!
+//! Which traversal a channel runs follows from its rank count, fixed at
+//! construction. A one-rank channel — every rank-NMP device, which is
+//! most of the engine time in a RecNMP run — checks its rank's column
+//! and ACT gates once per class with candidates and then visits only the
+//! column, ACT and PRE bits of that rank, so it pays for the candidates
+//! present and nothing per rank. A multi-rank channel (the host baseline,
+//! a TensorDIMM or Chameleon DIMM) computes the gates of every rank of a
+//! 64-bank word branch-free first and then makes one pass per command
+//! class over the word's bitmasks of the banks behind open gates, which
+//! rules out a blocked rank's whole class without visiting it. Both
+//! traversals sort the candidates they visit into legal and not yet
+//! legal without a branch per candidate, make the same decision and
+//! report the same jump bound; the decision oracle in `system.rs`'s
+//! tests checks both.
 //!
 //! A run is **event-driven** by default ([`SimEngine`]): when no command
 //! can issue, the clock jumps straight to the next cycle at which

@@ -77,6 +77,102 @@ struct ScanResult {
     legal: u32,
 }
 
+/// The running state of a candidate scan: the best candidate of each
+/// pass so far, the earliest readiness seen and the legal count.
+struct Pick {
+    now: Cycle,
+    /// Whether pass 1 runs: a legal column candidate competes there,
+    /// not in pass 2.
+    fr: bool,
+    best_col_seq: u64,
+    best_col: u32,
+    best_other_seq: u64,
+    best_other: (u32, NextCmd),
+    min_ready: Cycle,
+    legal: u32,
+}
+
+impl Pick {
+    fn new(now: Cycle, fr: bool) -> Self {
+        Self {
+            now,
+            fr,
+            best_col_seq: u64::MAX,
+            best_col: 0,
+            best_other_seq: u64::MAX,
+            best_other: (0, NextCmd::Pre),
+            min_ready: Cycle::MAX,
+            legal: 0,
+        }
+    }
+
+    /// Counts `at` towards the earliest readiness.
+    #[inline]
+    fn wait(&mut self, at: Cycle) {
+        self.min_ready = self.min_ready.min(at);
+    }
+
+    /// Sorts the candidates of `bits`, bank `b`'s legal from `ready(b)`,
+    /// without a branch per candidate: counts each one not yet legal
+    /// towards the earliest readiness and returns the legal ones.
+    #[inline]
+    fn legal(&mut self, bits: u64, ready: impl Fn(usize) -> Cycle) -> u64 {
+        let mut legal = 0;
+        for_each_bit(bits, |b| {
+            let at = ready(b);
+            let ok = at <= self.now;
+            self.min_ready = self.min_ready.min(kept_or_max(at, !ok));
+            legal |= u64::from(ok) << b;
+        });
+        legal
+    }
+
+    /// Takes `c`'s column candidate, legal now.
+    #[inline]
+    fn take_col(&mut self, c: &CandCache) {
+        self.legal += 1;
+        let seq = c.col_seq;
+        if self.fr {
+            if seq < self.best_col_seq {
+                self.best_col_seq = seq;
+                self.best_col = c.col_slot;
+            }
+        } else if seq < self.best_other_seq {
+            self.best_other_seq = seq;
+            self.best_other = (c.col_slot, NextCmd::Column);
+        }
+    }
+
+    /// Takes `c`'s ACT or PRE candidate (`cmd`), legal now.
+    #[inline]
+    fn take_alt(&mut self, c: &CandCache, cmd: NextCmd) {
+        self.legal += 1;
+        let seq = c.alt_seq;
+        if seq < self.best_other_seq {
+            self.best_other_seq = seq;
+            self.best_other = (c.alt_slot, cmd);
+        }
+    }
+
+    fn result(&self) -> ScanResult {
+        ScanResult {
+            col_winner: (self.best_col_seq != u64::MAX).then_some(self.best_col),
+            other_winner: (self.best_other_seq != u64::MAX).then_some(self.best_other),
+            min_ready: (self.min_ready != Cycle::MAX).then_some(self.min_ready),
+            legal: self.legal,
+        }
+    }
+}
+
+/// Calls `f` with the index of every set bit of `bits`, lowest first.
+#[inline]
+fn for_each_bit(mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+}
+
 /// The smaller of two optional cycles.
 fn min_cycle(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     match (a, b) {
@@ -124,13 +220,14 @@ enum TickOutcome {
 /// `u64::MAX` sequence number marks an absent candidate.
 ///
 /// Valid until the owning bank's timing state, row state or queue
-/// contents change, which puts the bank on its direction's dirty list.
-/// Rank-level timers and the shared data bus change on almost every
-/// issue, so those parts are deliberately **not** cached: they are read
+/// contents change, which puts the bank on its direction's dirty list —
+/// except an admission to a clean bank, which updates the cache in place
+/// ([`Direction::push`]). Rank-level timers and the shared data bus
+/// change on almost every issue, so those parts are deliberately **not** cached: they are read
 /// live (as per-rank gates) and combined at query time. Mere passage of
 /// time never invalidates the cache — legality is a comparison of the
 /// cached cycle against `now`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(align(64))]
 struct CandCache {
     /// Sequence of the earliest row-hit entry (`u64::MAX` = none).
@@ -146,12 +243,14 @@ struct CandCache {
     alt_slot: u32,
     /// Whether `alt` is an ACT (closed bank) rather than a PRE.
     alt_is_act: bool,
-    /// The bank's bank group, for the rank timer's bank-group parts.
+    /// The bank's bank group, for the rank timer's bank-group parts. Set
+    /// at construction and never changed.
     bg: u8,
 }
 
-impl Default for CandCache {
-    fn default() -> Self {
+impl CandCache {
+    /// The cache of a bank in bank group `bg` with no candidates.
+    fn empty(bg: u8) -> Self {
         Self {
             col_seq: u64::MAX,
             alt_seq: u64::MAX,
@@ -160,19 +259,14 @@ impl Default for CandCache {
             col_slot: 0,
             alt_slot: 0,
             alt_is_act: false,
-            bg: 0,
+            bg,
         }
     }
-}
 
-impl CandCache {
     /// Recomputes the candidates of one (bank, direction) from the bank's
     /// queue and state; `bg` is the bank's bank group.
     fn compute(queue: &[BankEntry], bank: &Bank, bg: u8, is_read: bool) -> Self {
-        let mut c = Self {
-            bg,
-            ..Self::default()
-        };
+        let mut c = Self::empty(bg);
         match bank.state {
             BankState::Closed => {
                 if let Some(e) = queue.first() {
@@ -279,15 +373,17 @@ struct Direction {
 }
 
 impl Direction {
-    fn new(total_banks: usize) -> Self {
-        let words = total_banks.div_ceil(64);
+    /// An empty direction over banks whose bank groups are `bank_bg`
+    /// (indexed by global flat bank).
+    fn new(bank_bg: &[u8]) -> Self {
+        let total_banks = bank_bg.len();
         Self {
             head: NIL,
             tail: NIL,
             live: 0,
             queues: vec![Vec::new(); total_banks],
-            cand: vec![CandCache::default(); total_banks],
-            masks: vec![ClassMasks::default(); words],
+            cand: bank_bg.iter().map(|&bg| CandCache::empty(bg)).collect(),
+            masks: vec![ClassMasks::default(); total_banks.div_ceil(64)],
             dirty: Vec::with_capacity(total_banks),
             is_dirty: vec![false; total_banks],
         }
@@ -301,12 +397,11 @@ impl Direction {
         }
     }
 
-    /// Recomputes the candidates (and class bits) of every dirty bank;
-    /// `bank_bg` maps a global flat bank to its bank group.
-    fn refresh(&mut self, banks: &[Bank], bank_bg: &[u8], is_read: bool) {
+    /// Recomputes the candidates (and class bits) of every dirty bank.
+    fn refresh(&mut self, banks: &[Bank], is_read: bool) {
         for g in self.dirty.drain(..) {
             let g = g as usize;
-            let c = CandCache::compute(&self.queues[g], &banks[g], bank_bg[g], is_read);
+            let c = CandCache::compute(&self.queues[g], &banks[g], self.cand[g].bg, is_read);
             let (m, bit) = (&mut self.masks[g / 64], 1u64 << (g % 64));
             let has_alt = c.alt_seq != u64::MAX;
             set_bit(&mut m.col, bit, c.col_seq != u64::MAX);
@@ -314,6 +409,40 @@ impl Direction {
             set_bit(&mut m.pre, bit, has_alt && !c.alt_is_act);
             self.cand[g] = c;
             self.is_dirty[g] = false;
+        }
+    }
+
+    /// Appends `e`, the newest request of this direction, to `gbank`'s
+    /// queue. Being the newest, it can only fill a class the bank lacks:
+    /// the ACT of a closed bank, or the column command or PRE of an open
+    /// one. A clean cache takes it in place, with its class bit; a dirty
+    /// one is recomputed by the next scan as before.
+    fn push(&mut self, gbank: usize, e: BankEntry, bank: &Bank, is_read: bool) {
+        self.queues[gbank].push(e);
+        if self.is_dirty[gbank] {
+            return;
+        }
+        let c = &mut self.cand[gbank];
+        let (m, bit) = (&mut self.masks[gbank / 64], 1u64 << (gbank % 64));
+        if bank.state == BankState::Open(e.row) {
+            if c.col_seq == u64::MAX {
+                c.col_seq = e.seq;
+                c.col_slot = e.slot;
+                c.col_ready = bank.col_ready(is_read);
+                m.col |= bit;
+            }
+        } else if c.alt_seq == u64::MAX {
+            let is_act = bank.state == BankState::Closed;
+            c.alt_seq = e.seq;
+            c.alt_slot = e.slot;
+            c.alt_is_act = is_act;
+            if is_act {
+                c.alt_ready = bank.act_ready();
+                m.act |= bit;
+            } else {
+                c.alt_ready = bank.pre_ready();
+                m.pre |= bit;
+            }
         }
     }
 
@@ -441,9 +570,6 @@ pub struct MemorySystem {
     free_slots: Vec<u32>,
     reads: Direction,
     writes: Direction,
-    /// Per-bank bank-group lookup table (indexed by global flat bank), so
-    /// the candidate refresh never divides.
-    bank_bg: Vec<u8>,
     next_seq: u64,
     stats: DramStats,
     monitor: Option<ProtocolMonitor>,
@@ -475,6 +601,9 @@ impl MemorySystem {
             ));
         }
         let total_banks = geo.ranks as usize * bpr;
+        let bank_bg: Vec<u8> = (0..total_banks)
+            .map(|g| ((g % bpr) / geo.banks_per_group as usize) as u8)
+            .collect();
         Ok(Self {
             refresh_pending: vec![false; geo.ranks as usize],
             refreshes_pending: 0,
@@ -494,11 +623,8 @@ impl MemorySystem {
             slab: Vec::new(),
             links: Vec::new(),
             free_slots: Vec::new(),
-            reads: Direction::new(total_banks),
-            writes: Direction::new(total_banks),
-            bank_bg: (0..total_banks)
-                .map(|g| ((g % bpr) / geo.banks_per_group as usize) as u8)
-                .collect(),
+            reads: Direction::new(&bank_bg),
+            writes: Direction::new(&bank_bg),
             next_seq: 0,
             stats: DramStats::new(),
             monitor: None,
@@ -799,28 +925,18 @@ impl MemorySystem {
     /// cycle exists — with requests pending that is a livelock, which the
     /// run reports as [`SimError::Stalled`].
     fn light_event_cycle(&self, cand: Option<Cycle>) -> Option<Cycle> {
-        let now = self.cycle;
-        let mut next: Option<Cycle> = None;
-        let mut consider = |at: Cycle| {
-            let at = at.max(now);
-            next = Some(next.map_or(at, |n| n.min(at)));
-        };
-        if let Some(at) = cand {
-            consider(at);
-        }
+        let mut next = cand.unwrap_or(Cycle::MAX);
         if let Some(at) = self.next_admissible_arrival() {
-            consider(at);
+            next = next.min(at);
         }
         if self.config.refresh {
-            if self.next_refresh_due != Cycle::MAX {
-                consider(self.next_refresh_due);
-            }
+            next = next.min(self.next_refresh_due);
             if self.refreshes_pending > 0 {
                 let first = self.refresh_pending.iter().position(|&p| p);
-                consider(self.refresh_step_ready(first.expect("a pending rank")));
+                next = next.min(self.refresh_step_ready(first.expect("a pending rank")));
             }
         }
-        next
+        (next != Cycle::MAX).then(|| next.max(self.cycle))
     }
 
     /// The earliest-legal cycle of `gbank`'s read candidates: the cached
@@ -894,7 +1010,7 @@ impl MemorySystem {
             &mut self.writes
         };
         if !dir.dirty.is_empty() {
-            dir.refresh(&self.banks, &self.bank_bg, is_read);
+            dir.refresh(&self.banks, is_read);
         }
     }
 
@@ -981,12 +1097,12 @@ impl MemorySystem {
                 &mut self.writes
             };
             dir.admit(&mut self.links, slot);
-            dir.queues[gbank].push(BankEntry {
+            let entry = BankEntry {
                 slot,
                 row: entry_row,
                 seq: entry_seq,
-            });
-            dir.mark(gbank);
+            };
+            dir.push(gbank, entry, &self.banks[gbank], is_read);
         }
     }
 
@@ -1182,14 +1298,64 @@ impl MemorySystem {
         min_cycle(scan.min_ready, self.read_candidates_ready(gbank))
     }
 
-    /// One direction's FR-FCFS candidate scan.
-    ///
-    /// Recomputes the candidates of the banks that changed since the last
-    /// scan, then works one 64-bank word of the channel-wide class
-    /// bitmasks at a time. It first computes the gates of every rank in
-    /// the word, without branches: the column gate (tCCD_S, turnaround,
-    /// refresh and the data bus) and the ACT gate (tRRD_S, tFAW and
-    /// refresh). A gate is a lower bound on the readiness of every
+    /// One direction's FR-FCFS candidate scan: recomputes the candidates
+    /// of the banks that changed since the last scan, then weighs every
+    /// candidate against its rank's gates. A one-rank channel (every
+    /// rank-NMP device) takes [`scan_one_rank`](Self::scan_one_rank), any
+    /// other [`scan_ranks`](Self::scan_ranks); both make the same
+    /// decision and report the same bound.
+    fn scan_direction(&mut self, is_read: bool, fr: bool) -> ScanResult {
+        self.refresh_candidates(is_read);
+        if self.ranks.len() == 1 {
+            self.scan_one_rank(is_read, fr)
+        } else {
+            self.scan_ranks(is_read, fr)
+        }
+    }
+
+    /// The scan of a one-rank channel, which pays only for the
+    /// candidates present. A rank waiting for a refresh has none. A class
+    /// with candidates checks its gate once: the column gate (tCCD_S,
+    /// turnaround, refresh and the data bus) or the ACT gate (tRRD_S,
+    /// tFAW and refresh). A gate past `now` rules the class out and
+    /// stands in for its candidates in `min_ready`, as in
+    /// [`scan_ranks`](Self::scan_ranks); behind an open gate each
+    /// candidate's readiness is its bank and bank-group parts alone.
+    fn scan_one_rank(&self, is_read: bool, fr: bool) -> ScanResult {
+        let mut pick = Pick::new(self.cycle, fr);
+        if self.refresh_pending[0] {
+            return pick.result();
+        }
+        let dir = if is_read { &self.reads } else { &self.writes };
+        let (m, timer, cand) = (&dir.masks[0], &self.ranks[0], &dir.cand);
+        if m.col != 0 {
+            // The one rank is the last to have used the data bus, if any.
+            let gate = timer.col_rank_ready(is_read).max(self.bus_parts(is_read).0);
+            if gate > pick.now {
+                pick.wait(gate);
+            } else {
+                let legal = pick.legal(m.col, |b| cand[b].col_at(timer));
+                for_each_bit(legal, |b| pick.take_col(&cand[b]));
+            }
+        }
+        if m.act != 0 {
+            let gate = timer.act_rank_ready();
+            if gate > pick.now {
+                pick.wait(gate);
+            } else {
+                let legal = pick.legal(m.act, |b| cand[b].act_at(timer));
+                for_each_bit(legal, |b| pick.take_alt(&cand[b], NextCmd::Act));
+            }
+        }
+        let legal = pick.legal(m.pre, |b| cand[b].alt_ready);
+        for_each_bit(legal, |b| pick.take_alt(&cand[b], NextCmd::Pre));
+        pick.result()
+    }
+
+    /// The scan of a multi-rank channel, one 64-bank word of the
+    /// channel-wide class bitmasks at a time. It first computes the gates
+    /// of every rank in the word, without branches: the column gate and
+    /// the ACT gate. A gate is a lower bound on the readiness of every
     /// candidate of its class in the rank, so a rank whose gate is past
     /// `now` has the class ruled out at once, and the gate stands in for
     /// those candidates in `min_ready` — a jump to it is never late and
@@ -1199,8 +1365,7 @@ impl MemorySystem {
     /// open gates and one over its PRE bits. Behind an open gate (at most
     /// `now`) a candidate's readiness is its bank and bank-group parts
     /// alone; PRE candidates are gated by their bank alone.
-    fn scan_direction(&mut self, is_read: bool, fr: bool) -> ScanResult {
-        self.refresh_candidates(is_read);
+    fn scan_ranks(&self, is_read: bool, fr: bool) -> ScanResult {
         let now = self.cycle;
         let (bus_same, bus_other) = self.bus_parts(is_read);
         // No rank pays the switch penalty before any data has moved.
@@ -1212,12 +1377,7 @@ impl MemorySystem {
         let (bpr, shift) = (self.bpr, self.rank_shift);
         let per_word = 64 >> shift;
         let rank_bits = u64::MAX >> (64 - bpr);
-        let mut best_col_seq = u64::MAX;
-        let mut best_col = 0u32;
-        let mut best_other_seq = u64::MAX;
-        let mut best_other = (0u32, NextCmd::Pre);
-        let mut min_ready = Cycle::MAX;
-        let mut legal = 0u32;
+        let mut pick = Pick::new(now, fr);
         for (w, m) in dir.masks.iter().enumerate() {
             let first = w * per_word;
             let last = (first + per_word).min(self.ranks.len());
@@ -1232,7 +1392,8 @@ impl MemorySystem {
                 let awake_bits = if pending { 0 } else { bits };
                 let col_bits = m.col & awake_bits;
                 let act_bits = m.act & awake_bits;
-                min_ready = min_ready
+                pick.min_ready = pick
+                    .min_ready
                     .min(kept_or_max(col_gate, (col_bits != 0) & (col_gate > now)))
                     .min(kept_or_max(act_gate, (act_bits != 0) & (act_gate > now)));
                 col_open |= if col_gate <= now { col_bits } else { 0 };
@@ -1240,68 +1401,15 @@ impl MemorySystem {
                 awake |= awake_bits;
                 bits = bits.wrapping_shl(bpr as u32);
             }
-            let base = w * 64;
-            let mut bits = col_open;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let c = &dir.cand[base + bit];
-                let ready = c.col_at(&ranks[bit >> shift]);
-                if ready > now {
-                    min_ready = min_ready.min(ready);
-                    continue;
-                }
-                legal += 1;
-                let seq = c.col_seq;
-                if fr {
-                    if seq < best_col_seq {
-                        best_col_seq = seq;
-                        best_col = c.col_slot;
-                    }
-                } else if seq < best_other_seq {
-                    best_other_seq = seq;
-                    best_other = (c.col_slot, NextCmd::Column);
-                }
-            }
-            let mut bits = act_open;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let c = &dir.cand[base + bit];
-                let ready = c.act_at(&ranks[bit >> shift]);
-                if ready > now {
-                    min_ready = min_ready.min(ready);
-                    continue;
-                }
-                legal += 1;
-                let seq = c.alt_seq;
-                if seq < best_other_seq {
-                    best_other_seq = seq;
-                    best_other = (c.alt_slot, NextCmd::Act);
-                }
-            }
-            let mut bits = m.pre & awake;
-            while bits != 0 {
-                let c = &dir.cand[base + bits.trailing_zeros() as usize];
-                bits &= bits - 1;
-                if c.alt_ready > now {
-                    min_ready = min_ready.min(c.alt_ready);
-                    continue;
-                }
-                legal += 1;
-                let seq = c.alt_seq;
-                if seq < best_other_seq {
-                    best_other_seq = seq;
-                    best_other = (c.alt_slot, NextCmd::Pre);
-                }
-            }
+            let cand = &dir.cand[w * 64..];
+            let legal = pick.legal(col_open, |b| cand[b].col_at(&ranks[b >> shift]));
+            for_each_bit(legal, |b| pick.take_col(&cand[b]));
+            let legal = pick.legal(act_open, |b| cand[b].act_at(&ranks[b >> shift]));
+            for_each_bit(legal, |b| pick.take_alt(&cand[b], NextCmd::Act));
+            let legal = pick.legal(m.pre & awake, |b| cand[b].alt_ready);
+            for_each_bit(legal, |b| pick.take_alt(&cand[b], NextCmd::Pre));
         }
-        ScanResult {
-            col_winner: (best_col_seq != u64::MAX).then_some(best_col),
-            other_winner: (best_other_seq != u64::MAX).then_some(best_other),
-            min_ready: (min_ready != Cycle::MAX).then_some(min_ready),
-            legal,
-        }
+        pick.result()
     }
 
     /// Issues the already-verified-legal column command for `slot`,
@@ -1553,9 +1661,44 @@ mod tests {
         }
     }
 
+    /// Asserts that every clean candidate cache of both directions, and
+    /// its class bits, equal a fresh [`CandCache::compute`] of its bank:
+    /// a cache the scan trusts is never stale.
+    fn assert_caches_coherent(mem: &MemorySystem) {
+        for (is_read, dir) in [(true, &mem.reads), (false, &mem.writes)] {
+            for (g, bank) in mem.banks.iter().enumerate() {
+                if dir.is_dirty[g] {
+                    continue;
+                }
+                let bg = ((g % mem.bpr) / mem.geo.banks_per_group as usize) as u8;
+                let want = CandCache::compute(&dir.queues[g], bank, bg, is_read);
+                let (m, bit) = (&dir.masks[g / 64], 1u64 << (g % 64));
+                let has_alt = want.alt_seq != u64::MAX;
+                assert_eq!(
+                    (
+                        dir.cand[g],
+                        m.col & bit != 0,
+                        m.act & bit != 0,
+                        m.pre & bit != 0
+                    ),
+                    (
+                        want,
+                        want.col_seq != u64::MAX,
+                        has_alt && want.alt_is_act,
+                        has_alt && !want.alt_is_act
+                    ),
+                    "cycle {}: stale {} cache of bank {g}",
+                    mem.cycle,
+                    if is_read { "read" } else { "write" }
+                );
+            }
+        }
+    }
+
     /// One per-cycle controller tick (as `tick` runs it) with the
-    /// scan's decision checked against the oracle, and an idle tick's
-    /// jump bound checked to be no later than the exact next readiness.
+    /// scan's decision checked against the oracle, an idle tick's jump
+    /// bound checked to be no later than the exact next readiness, and
+    /// every clean candidate cache checked afterwards.
     fn oracle_checked_tick(mem: &mut MemorySystem) {
         if !mem.admit_and_refresh() {
             let (expected, exact_min) = oracle(mem);
@@ -1575,26 +1718,30 @@ mod tests {
                 );
             }
         }
+        assert_caches_coherent(mem);
         mem.cycle += 1;
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        // Every decision of the rank-gated scan equals the oracle's, on
-        // 1/2/4/8/16-rank channels (the 8- and 16-rank ones spread their
-        // 128 and 256 banks over several mask words), refresh on and off,
-        // read-only and mixed traffic, short queues (frequent write
-        // drains) and a tight starvation bound.
+        // Every decision of both scans equals the oracle's, on 1/2/4/8/16-rank
+        // channels (the 8- and 16-rank ones spread their 128 and 256
+        // banks over several mask words) and on a rank-NMP device (`None`:
+        // the one-rank config with its own mapping, two-burst vectors
+        // enqueued at decoded coordinates), refresh on and off, read-only
+        // and mixed traffic, short queues (frequent write drains) and a
+        // tight starvation bound.
         #[test]
         fn scan_matches_decision_oracle(
             raw in prop::collection::vec((0u64..u64::MAX, 0u64..6, any::<bool>()), 1..160),
             ranks in prop_oneof![
-                Just((1u8, 1u8)),
-                Just((1, 2)),
-                Just((2, 2)),
-                Just((4, 2)),
-                Just((8, 2)),
+                Just(None),
+                Just(Some((1u8, 1u8))),
+                Just(Some((1, 2))),
+                Just(Some((2, 2))),
+                Just(Some((4, 2))),
+                Just(Some((8, 2))),
             ],
             refresh in any::<bool>(),
             writes in any::<bool>(),
@@ -1603,20 +1750,33 @@ mod tests {
             starvation in prop_oneof![Just(48u64), Just(2048)],
             write_queue in prop_oneof![Just(4usize), Just(32)],
         ) {
-            let mut cfg = DramConfig::with_ranks(ranks.0, ranks.1);
+            let mut cfg = match ranks {
+                Some((dimms, ranks)) => DramConfig::with_ranks(dimms, ranks),
+                None => DramConfig::single_rank(),
+            };
             cfg.refresh = refresh;
             cfg.starvation_cycles = starvation;
             cfg.write_queue = write_queue;
+            let (mapping, geo) = (cfg.mapping, cfg.geometry());
             let mut mem = MemorySystem::new(cfg).expect("valid config");
             mem.attach_monitor();
             for (i, &(addr, jitter, write)) in raw.iter().enumerate() {
                 let addr = PhysAddr::new(addr & ((1 << span_bits) - 1) & !63);
                 let arrival = i as u64 * gap + jitter;
-                mem.enqueue(if writes && write {
-                    Request::write(addr, arrival)
+                let kind = if writes && write {
+                    RequestKind::Write
                 } else {
-                    Request::read(addr, arrival)
-                });
+                    RequestKind::Read
+                };
+                if ranks.is_some() {
+                    mem.enqueue(Request { addr, kind, arrival });
+                    continue;
+                }
+                let base = mapping.decode(addr, &geo);
+                for b in 0..2 {
+                    let column = (base.column + b) % geo.columns;
+                    mem.enqueue_decoded(DramAddr { column, ..base }, kind, arrival);
+                }
             }
             let mut ticks = 0u64;
             while mem.pending() > 0 {

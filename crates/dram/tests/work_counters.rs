@@ -13,10 +13,13 @@
 //! - a rank-NMP device (one rank), two reads arriving per cycle;
 //! - a 4 x 2 channel (8 ranks, 128 banks) with refresh on, long enough
 //!   for every rank to refresh several times;
-//! - a mixed read/write stream that fills the write queue and drains it.
+//! - a mixed read/write stream that fills the write queue and drains it;
+//! - a rank-NMP device as `RankNmp::process` drives it: many short calls
+//!   of a few two-burst vectors each, every call enqueued at decoded
+//!   coordinates and run to idle, refresh on.
 
-use recnmp_dram::request::Request;
-use recnmp_dram::{DramConfig, MemorySystem};
+use recnmp_dram::request::{Request, RequestKind};
+use recnmp_dram::{DramAddr, DramConfig, MemorySystem};
 use recnmp_types::rng::DetRng;
 use recnmp_types::PhysAddr;
 
@@ -91,4 +94,42 @@ fn mixed_stream_drains_writes() {
         .collect();
     let got = counters(DramConfig::table1_baseline(), &reqs);
     assert_eq!(got, (18552, 20915, [2736, 1360, 5426, 5394, 4, 14920]));
+}
+
+#[test]
+fn rank_device_packets() {
+    let cfg = DramConfig::single_rank();
+    assert!(cfg.refresh);
+    let geo = cfg.geometry();
+    let mut mem = MemorySystem::new(cfg).expect("valid config");
+    let mut rng = DetRng::seed(5);
+    for _ in 0..2000 {
+        // One call: 8 two-burst vectors, 2 cycles apart, both bursts of a
+        // vector arriving together.
+        let start = mem.cycle();
+        for v in 0..8u64 {
+            let base = DramAddr {
+                rank: 0,
+                bank_group: rng.below(u64::from(geo.bank_groups)) as u8,
+                bank: rng.below(u64::from(geo.banks_per_group)) as u8,
+                row: rng.below(1024) as u32,
+                column: rng.below(u64::from(geo.columns / 2)) as u32 * 2,
+            };
+            for b in 0..2 {
+                let addr = DramAddr {
+                    column: base.column + b,
+                    ..base
+                };
+                mem.enqueue_decoded(addr, RequestKind::Read, start + 2 * v);
+            }
+        }
+        mem.run_stream(std::iter::empty(), |_| {}).expect("drain");
+    }
+    let s = mem.stats();
+    let got = (
+        mem.loop_iterations(),
+        mem.cycle(),
+        [s.reads, s.writes, s.acts, s.pres, s.refs, s.cmd_bus_busy],
+    );
+    assert_eq!(got, (101351, 285272, [32000, 0, 16060, 16044, 30, 64134]));
 }

@@ -191,7 +191,6 @@ pub fn add_cache(a: &mut CacheStats, b: &CacheStats) {
 /// Adds `b`'s DRAM counters into `a`.
 pub fn add_dram(a: &mut DramStats, b: &DramStats) {
     a.reads += b.reads;
-    a.writes += b.writes;
     a.acts += b.acts;
     a.pres += b.pres;
     a.refs += b.refs;
@@ -213,7 +212,6 @@ pub fn add_dram(a: &mut DramStats, b: &DramStats) {
 pub fn dram_delta(now: &DramStats, then: &DramStats) -> DramStats {
     let mut d = DramStats {
         reads: now.reads - then.reads,
-        writes: now.writes - then.writes,
         acts: now.acts - then.acts,
         pres: now.pres - then.pres,
         refs: now.refs - then.refs,

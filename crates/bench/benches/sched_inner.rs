@@ -21,7 +21,6 @@
 use recnmp_backend::SlsBackend;
 use recnmp_baselines::HostBaseline;
 use recnmp_bench::{bench, replay_trace};
-use recnmp_dram::request::RequestKind;
 use recnmp_dram::{DramAddr, DramConfig, MemorySystem};
 use recnmp_types::rng::DetRng;
 use recnmp_types::PhysAddr;
@@ -71,7 +70,7 @@ fn run_packet(mem: &mut MemorySystem, rng: &mut DetRng) -> (u64, u64) {
                 column: base.column + b,
                 ..base
             };
-            mem.enqueue_decoded(addr, RequestKind::Read, start + 2 * v);
+            mem.enqueue_decoded(addr, start + 2 * v);
         }
     }
     mem.run_stream(std::iter::empty(), |_| {}).expect("drain");

@@ -9,7 +9,6 @@
 //! reads.
 
 use recnmp_cache::{CacheStats, RankCache, RankCacheOutcome};
-use recnmp_dram::request::RequestKind;
 use recnmp_dram::{DramAddr, MemorySystem};
 use recnmp_types::{ConfigError, Cycle, RankId, SimError};
 use serde::{Deserialize, Serialize};
@@ -166,7 +165,7 @@ impl RankNmp {
             } else {
                 for b in 0..inst.vsize {
                     let addr = burst_daddr(&inst.daddr, b);
-                    self.dram.enqueue_decoded(addr, RequestKind::Read, *arrival);
+                    self.dram.enqueue_decoded(addr, *arrival);
                     self.stats.dram_bursts += 1;
                     enqueued += 1;
                 }

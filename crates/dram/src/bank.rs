@@ -26,7 +26,6 @@ pub struct Bank {
     pub state: BankState,
     next_act: Cycle,
     next_rd: Cycle,
-    next_wr: Cycle,
     next_pre: Cycle,
 }
 
@@ -41,30 +40,16 @@ impl Bank {
         self.next_act
     }
 
-    /// Earliest cycle a RD may be issued (assuming the row is open).
+    /// Earliest cycle a RD may be issued (assuming the row is open) — the
+    /// bank-level "earliest ready" query the event-driven engine skips
+    /// ahead to.
     pub fn rd_ready(&self) -> Cycle {
         self.next_rd
-    }
-
-    /// Earliest cycle a WR may be issued (assuming the row is open).
-    pub fn wr_ready(&self) -> Cycle {
-        self.next_wr
     }
 
     /// Earliest cycle a PRE may be issued.
     pub fn pre_ready(&self) -> Cycle {
         self.next_pre
-    }
-
-    /// Earliest cycle the column command of the given direction may be
-    /// issued (assuming the row is open) — the bank-level "earliest ready"
-    /// query the event-driven engine skips ahead to.
-    pub fn col_ready(&self, is_read: bool) -> Cycle {
-        if is_read {
-            self.next_rd
-        } else {
-            self.next_wr
-        }
     }
 
     /// Applies an ACT issued at `now` for `row`.
@@ -79,7 +64,6 @@ impl Bank {
         self.state = BankState::Open(row);
         self.next_act = now + t.t_rc;
         self.next_rd = now + t.t_rcd;
-        self.next_wr = now + t.t_rcd;
         self.next_pre = now + t.t_ras;
     }
 
@@ -94,20 +78,9 @@ impl Bank {
         self.next_pre = self.next_pre.max(now + t.t_rtp);
     }
 
-    /// Applies a WR issued at `now`.
-    pub fn do_wr(&mut self, now: Cycle, t: &DdrTiming) {
-        debug_assert!(
-            matches!(self.state, BankState::Open(_)),
-            "WR to closed bank"
-        );
-        debug_assert!(now >= self.next_wr, "WR violates tRCD");
-        // Writes delay a following precharge until write recovery is done.
-        self.next_pre = self.next_pre.max(now + t.t_cwl + t.t_bl + t.t_wr);
-    }
-
     /// Applies a PRE issued at `now`.
     pub fn do_pre(&mut self, now: Cycle, t: &DdrTiming) {
-        debug_assert!(now >= self.next_pre, "PRE violates tRAS/tRTP/tWR");
+        debug_assert!(now >= self.next_pre, "PRE violates tRAS/tRTP");
         self.state = BankState::Closed;
         self.next_act = self.next_act.max(now + t.t_rp);
     }
@@ -126,8 +99,7 @@ impl Bank {
 /// here is a measurable fraction of simulator wall-clock).
 pub const MAX_BANK_GROUPS: usize = 8;
 
-/// Rank-level timing state: tRRD, tFAW, tCCD, write-to-read turnaround and
-/// refresh bookkeeping.
+/// Rank-level timing state: tRRD, tFAW, tCCD and refresh bookkeeping.
 ///
 /// The rank-wide parts of ACT and column readiness (the *gates* every
 /// bank of the rank shares) are kept as fields, recomputed by each
@@ -142,7 +114,6 @@ pub struct RankTimer {
     next_act_same_bg: [Cycle; MAX_BANK_GROUPS],
     next_rd_any: Cycle,
     next_rd_same_bg: [Cycle; MAX_BANK_GROUPS],
-    next_wr_any: Cycle,
     faw: Cycle,
     /// Rank unavailable until this cycle (refresh in progress).
     busy_until: Cycle,
@@ -150,10 +121,8 @@ pub struct RankTimer {
     refresh_due: Cycle,
     /// [`act_rank_ready`](Self::act_rank_ready), kept current.
     act_gate: Cycle,
-    /// [`col_rank_ready`](Self::col_rank_ready) for reads and for
-    /// writes, kept current.
-    rd_gate: Cycle,
-    wr_gate: Cycle,
+    /// [`col_rank_ready`](Self::col_rank_ready), kept current.
+    col_gate: Cycle,
 }
 
 impl RankTimer {
@@ -174,13 +143,11 @@ impl RankTimer {
             next_act_same_bg: [0; MAX_BANK_GROUPS],
             next_rd_any: 0,
             next_rd_same_bg: [0; MAX_BANK_GROUPS],
-            next_wr_any: 0,
             faw: t.t_faw,
             busy_until: 0,
             refresh_due: t.t_refi,
             act_gate: 0,
-            rd_gate: 0,
-            wr_gate: 0,
+            col_gate: 0,
         }
     }
 
@@ -203,8 +170,7 @@ impl RankTimer {
         } else {
             act
         };
-        self.rd_gate = self.next_rd_any.max(self.busy_until);
-        self.wr_gate = self.next_wr_any.max(self.busy_until);
+        self.col_gate = self.next_rd_any.max(self.busy_until);
     }
 
     /// Earliest cycle an ACT to `bank_group` satisfies tRRD and tFAW:
@@ -230,39 +196,20 @@ impl RankTimer {
         self.faw
     }
 
-    /// Earliest cycle a RD to `bank_group` satisfies tCCD and turnaround.
-    pub fn rd_ready(&self, bank_group: u8) -> Cycle {
-        self.col_ready(true, bank_group)
-    }
-
-    /// Earliest cycle a WR to `bank_group` satisfies tCCD.
-    pub fn wr_ready(&self, bank_group: u8) -> Cycle {
-        self.col_ready(false, bank_group)
-    }
-
-    /// Earliest cycle the column command of the given direction satisfies
-    /// the rank-level constraints — the rank-side counterpart of
-    /// [`Bank::col_ready`] used by the event-driven engine.
-    pub fn col_ready(&self, is_read: bool, bank_group: u8) -> Cycle {
-        self.col_rank_ready(is_read)
-            .max(self.col_group_ready(bank_group))
+    /// Earliest cycle a RD to `bank_group` satisfies the rank-level
+    /// constraints (tCCD and refresh) — the rank-side counterpart of
+    /// [`Bank::rd_ready`] used by the event-driven engine.
+    pub fn col_ready(&self, bank_group: u8) -> Cycle {
+        self.col_rank_ready().max(self.col_group_ready(bank_group))
     }
 
     /// The part of column readiness shared by every bank of the rank:
-    /// tCCD_S (plus write-to-read turnaround for reads) and refresh.
-    /// Writes share the CCD structure with reads; only the rank-wide
-    /// constraint is tracked per direction (writes are rare in inference
-    /// workloads).
-    pub fn col_rank_ready(&self, is_read: bool) -> Cycle {
-        if is_read {
-            self.rd_gate
-        } else {
-            self.wr_gate
-        }
+    /// tCCD_S and refresh.
+    pub fn col_rank_ready(&self) -> Cycle {
+        self.col_gate
     }
 
-    /// The bank-group part of column readiness (tCCD_L), shared by reads
-    /// and writes.
+    /// The bank-group part of column readiness (tCCD_L).
     pub fn col_group_ready(&self, bank_group: u8) -> Cycle {
         self.next_rd_same_bg[bank_group as usize]
     }
@@ -286,15 +233,6 @@ impl RankTimer {
     pub fn did_rd(&mut self, now: Cycle, bank_group: u8, t: &DdrTiming) {
         self.next_rd_any = now + t.t_ccd_s;
         self.next_rd_same_bg[bank_group as usize] = now + t.t_ccd_l;
-        self.update_gates();
-    }
-
-    /// Records a WR issued at `now` to `bank_group`.
-    pub fn did_wr(&mut self, now: Cycle, bank_group: u8, t: &DdrTiming) {
-        self.next_wr_any = now + t.t_ccd_s;
-        self.next_rd_same_bg[bank_group as usize] = now + t.t_ccd_l;
-        // Write-to-read turnaround applies rank-wide.
-        self.next_rd_any = self.next_rd_any.max(now + t.t_cwl + t.t_bl + t.t_wtr);
         self.update_gates();
     }
 
@@ -347,19 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn write_recovery_blocks_pre() {
-        let timing = t();
-        let mut b = Bank::new();
-        b.do_act(0, 1, &timing);
-        let wr_at = timing.t_rcd;
-        b.do_wr(wr_at, &timing);
-        assert_eq!(
-            b.pre_ready(),
-            (wr_at + timing.t_cwl + timing.t_bl + timing.t_wr).max(timing.t_ras)
-        );
-    }
-
-    #[test]
     fn rank_faw_limits_fifth_act() {
         let timing = t();
         let mut r = RankTimer::new(4, &timing);
@@ -379,8 +304,8 @@ mod tests {
         let timing = t();
         let mut r = RankTimer::new(4, &timing);
         r.did_rd(10, 2, &timing);
-        assert_eq!(r.rd_ready(2), 10 + timing.t_ccd_l);
-        assert_eq!(r.rd_ready(1), 10 + timing.t_ccd_s);
+        assert_eq!(r.col_ready(2), 10 + timing.t_ccd_l);
+        assert_eq!(r.col_ready(1), 10 + timing.t_ccd_s);
     }
 
     #[test]
@@ -391,13 +316,5 @@ mod tests {
         assert_eq!(r.busy_until(), 100 + timing.t_rfc);
         assert_eq!(r.refresh_due(), 100 + timing.t_refi);
         assert!(r.act_ready(0) >= 100 + timing.t_rfc);
-    }
-
-    #[test]
-    fn write_to_read_turnaround() {
-        let timing = t();
-        let mut r = RankTimer::new(4, &timing);
-        r.did_wr(50, 0, &timing);
-        assert!(r.rd_ready(1) >= 50 + timing.t_cwl + timing.t_bl + timing.t_wtr);
     }
 }

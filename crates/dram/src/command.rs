@@ -13,8 +13,6 @@ pub enum DdrCommandKind {
     Act,
     /// Read a column burst from the open row.
     Rd,
-    /// Write a column burst into the open row.
-    Wr,
     /// Precharge: close the bank's open row.
     Pre,
     /// Refresh one rank (all banks must be precharged).
@@ -26,7 +24,6 @@ impl fmt::Display for DdrCommandKind {
         let s = match self {
             Self::Act => "ACT",
             Self::Rd => "RD",
-            Self::Wr => "WR",
             Self::Pre => "PRE",
             Self::Ref => "REF",
         };

@@ -52,8 +52,6 @@ pub struct DramConfig {
     pub mapping: AddressMapping,
     /// Read-queue capacity (Table I: 32).
     pub read_queue: usize,
-    /// Write-queue capacity.
-    pub write_queue: usize,
     /// Whether periodic refresh is simulated.
     pub refresh: bool,
     /// Age (cycles) after which the oldest request preempts row-hit
@@ -83,7 +81,6 @@ impl DramConfig {
             timing: DdrTiming::ddr4_2400(),
             mapping: AddressMapping::SkylakeXor,
             read_queue: 32,
-            write_queue: 32,
             refresh: true,
             starvation_cycles: 2048,
             engine: SimEngine::EventDriven,
@@ -115,7 +112,7 @@ impl DramConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the rank count is not a positive power
-    /// of two, a queue is empty, or the timing set is inconsistent.
+    /// of two, the read queue is empty, or the timing set is inconsistent.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.dimms == 0 {
             return Err(ConfigError::new("dimms", "must be positive"));
@@ -125,9 +122,6 @@ impl DramConfig {
         }
         if self.read_queue == 0 {
             return Err(ConfigError::new("read_queue", "must be positive"));
-        }
-        if self.write_queue == 0 {
-            return Err(ConfigError::new("write_queue", "must be positive"));
         }
         if self.stall_iterations <= self.timing.t_rfc + self.timing.t_refi {
             // A per-cycle engine legitimately idles for a whole refresh

@@ -9,10 +9,12 @@
 //!   with per-bank row-buffer state ([`bank`]),
 //! * the full timing-constraint set from Table I of the paper (tRC, tRCD,
 //!   tCL, tRP, tBL, tCCD_S/L, tRRD_S/L, tFAW, plus the standard tRAS, tRTP,
-//!   tWR, tWTR, tCWL, tREFI, tRFC needed for a working protocol) ([`timing`]),
+//!   tREFI, tRFC needed for a working read protocol) ([`timing`]),
 //! * a command-level model of the shared command and data buses,
 //! * an FR-FCFS memory controller with open-page policy and a 32-entry read
-//!   queue (Table I) ([`controller`]),
+//!   queue (Table I) ([`controller`]); it only reads, since SLS inference
+//!   issues no writes and RecNMP's NMP instructions encode only ACT, RD
+//!   and PRE,
 //! * physical-address → DRAM-coordinate mapping, both a simple
 //!   row–bank–rank–column interleave and the Skylake-style XOR mapping the
 //!   paper cites ([`address`]),
@@ -36,7 +38,7 @@
 //! at enqueue.
 //! Each bank caches its earliest candidates per command class (one
 //! 64-byte line, recomputed only when a change to that bank puts it on
-//! its direction's dirty list), so an FR-FCFS decision is one traversal
+//! the dirty list), so an FR-FCFS decision is one traversal
 //! of the banks that have work — requests needing the same command on
 //! the same bank share one legality verdict. Admission keeps the caches
 //! current in O(1): an admitted request is the newest of its bank, so it
@@ -124,7 +126,7 @@ pub use address::{AddressMapping, DramAddr};
 pub use command::{DdrCommand, DdrCommandKind};
 pub use controller::{DramConfig, SimEngine};
 pub use energy::{DramEnergy, EnergyParams};
-pub use request::{CompletedRequest, Request, RequestKind};
+pub use request::{CompletedRequest, Request};
 pub use stats::DramStats;
 pub use system::MemorySystem;
 pub use timing::DdrTiming;

@@ -47,7 +47,6 @@ struct ShadowBank {
     last_act: Option<Cycle>,
     last_pre: Option<Cycle>,
     last_rd: Option<Cycle>,
-    last_wr: Option<Cycle>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -161,7 +160,7 @@ impl ProtocolMonitor {
                         broken.push("tRFC");
                     }
                 }
-                DdrCommandKind::Rd | DdrCommandKind::Wr => {
+                DdrCommandKind::Rd => {
                     match bank.open_row {
                         None => broken.push("column-to-closed-bank"),
                         Some(row) if row != cmd.addr.row => broken.push("column-to-wrong-row"),
@@ -197,11 +196,6 @@ impl ProtocolMonitor {
                             broken.push("tRTP");
                         }
                     }
-                    if let Some(wr) = bank.last_wr {
-                        if now < wr + t.t_cwl + t.t_bl + t.t_wr {
-                            broken.push("tWR");
-                        }
-                    }
                 }
                 DdrCommandKind::Ref => {
                     let any_open = self.banks[r].iter().any(|b| b.open_row.is_some());
@@ -223,13 +217,8 @@ impl ProtocolMonitor {
             }
         }
         // Data-bus overlap check for column commands.
-        if matches!(cmd.kind, DdrCommandKind::Rd | DdrCommandKind::Wr) {
-            let start = now
-                + if cmd.kind == DdrCommandKind::Rd {
-                    t.t_cl
-                } else {
-                    t.t_cwl
-                };
+        if cmd.kind == DdrCommandKind::Rd {
+            let start = now + t.t_cl;
             if start < self.data_busy_until {
                 broken.push("data-bus-overlap");
             }
@@ -255,11 +244,6 @@ impl ProtocolMonitor {
             }
             DdrCommandKind::Rd => {
                 bank.last_rd = Some(now);
-                rank.last_col_any = Some(now);
-                rank.last_col_bg[bg] = Some(now);
-            }
-            DdrCommandKind::Wr => {
-                bank.last_wr = Some(now);
                 rank.last_col_any = Some(now);
                 rank.last_col_bg[bg] = Some(now);
             }

@@ -5,24 +5,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::address::DramAddr;
 
-/// Whether a request reads or writes one 64-byte burst.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RequestKind {
-    /// Read one burst.
-    Read,
-    /// Write one burst.
-    Write,
-}
-
-/// A 64-byte memory request presented to a [`MemorySystem`].
+/// A 64-byte read presented to a [`MemorySystem`].
 ///
 /// [`MemorySystem`]: crate::MemorySystem
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Request {
-    /// Physical byte address (the containing 64-byte burst is accessed).
+    /// Physical byte address (the containing 64-byte burst is read).
     pub addr: PhysAddr,
-    /// Read or write.
-    pub kind: RequestKind,
     /// Cycle at which the request becomes visible to the controller.
     pub arrival: Cycle,
 }
@@ -30,20 +19,7 @@ pub struct Request {
 impl Request {
     /// Creates a read request.
     pub fn read(addr: PhysAddr, arrival: Cycle) -> Self {
-        Self {
-            addr,
-            kind: RequestKind::Read,
-            arrival,
-        }
-    }
-
-    /// Creates a write request.
-    pub fn write(addr: PhysAddr, arrival: Cycle) -> Self {
-        Self {
-            addr,
-            kind: RequestKind::Write,
-            arrival,
-        }
+        Self { addr, arrival }
     }
 }
 
@@ -69,8 +45,6 @@ pub struct CompletedRequest {
     pub seq: u64,
     /// Decoded coordinates the request was serviced at.
     pub addr: DramAddr,
-    /// Read or write.
-    pub kind: RequestKind,
     /// Cycle the request arrived at the controller.
     pub arrival: Cycle,
     /// Cycle the last data beat transferred.
@@ -91,12 +65,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constructors_set_kind() {
+    fn read_sets_address_and_arrival() {
         let r = Request::read(PhysAddr::new(64), 5);
-        assert_eq!(r.kind, RequestKind::Read);
-        let w = Request::write(PhysAddr::new(128), 6);
-        assert_eq!(w.kind, RequestKind::Write);
-        assert_eq!(w.arrival, 6);
+        assert_eq!((r.addr, r.arrival), (PhysAddr::new(64), 5));
     }
 
     #[test]
@@ -104,7 +75,6 @@ mod tests {
         let c = CompletedRequest {
             seq: 0,
             addr: DramAddr::default(),
-            kind: RequestKind::Read,
             arrival: 10,
             finish_cycle: 46,
             outcome: RowOutcome::Miss,

@@ -10,7 +10,9 @@ use crate::request::RowOutcome;
 pub struct DramStats {
     /// Completed read requests.
     pub reads: u64,
-    /// Completed write requests.
+    /// Always 0: the engine only reads. Kept until perfbench's digest,
+    /// which hashes this struct's `Debug` output, is re-pinned without it
+    /// (ROADMAP.md, item 5).
     pub writes: u64,
     /// ACT commands issued.
     pub acts: u64,
@@ -62,9 +64,9 @@ impl DramStats {
         }
     }
 
-    /// Completed requests (reads + writes).
+    /// Completed requests: every request is a read.
     pub fn completed(&self) -> u64 {
-        self.reads + self.writes
+        self.reads
     }
 
     /// Mean request latency in cycles (zero when nothing completed).

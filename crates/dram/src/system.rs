@@ -9,7 +9,7 @@ use crate::bank::{Bank, BankState, RankTimer};
 use crate::command::{DdrCommand, DdrCommandKind};
 use crate::controller::{DramConfig, SimEngine};
 use crate::monitor::ProtocolMonitor;
-use crate::request::{CompletedRequest, Request, RequestKind, RowOutcome};
+use crate::request::{CompletedRequest, Request, RowOutcome};
 use crate::stats::DramStats;
 use crate::timing::DdrTiming;
 
@@ -19,7 +19,6 @@ const RETIRED: u64 = u64::MAX;
 /// An in-service request tracked by the controller.
 #[derive(Debug, Clone)]
 struct Queued {
-    kind: RequestKind,
     addr: DramAddr,
     arrival: Cycle,
     /// Enqueue number; [`RETIRED`] once the slot is free.
@@ -60,7 +59,7 @@ enum NextCmd {
     Act,
 }
 
-/// What one direction's candidate traversal produced.
+/// What one candidate traversal produced.
 #[derive(Debug, Clone, Copy)]
 struct ScanResult {
     /// Pass-1 winner: oldest legal row-hit column command.
@@ -200,15 +199,14 @@ enum TickOutcome {
     /// with the issued bank's freshly recomputed candidates. A
     /// lower-bound jump can cost at most a no-op tick; it can never skip
     /// a decision cycle. `None` means no safe bound is available (e.g. a
-    /// refresh issued, or drain mode flipped) — tick the next cycle
-    /// normally.
+    /// refresh issued) — tick the next cycle normally.
     Issued(Option<Cycle>),
     /// Nothing issued; the earliest future bank-candidate readiness, if
     /// any request is queued.
     Idle(Option<Cycle>),
 }
 
-/// Cached scheduling candidates of one (bank, direction), packed into a
+/// Cached scheduling candidates of one bank, packed into a
 /// single 64-byte cache line — the scan touches exactly one unique line
 /// per candidate it evaluates.
 ///
@@ -220,13 +218,13 @@ enum TickOutcome {
 /// `u64::MAX` sequence number marks an absent candidate.
 ///
 /// Valid until the owning bank's timing state, row state or queue
-/// contents change, which puts the bank on its direction's dirty list —
-/// except an admission to a clean bank, which updates the cache in place
-/// ([`Direction::push`]). Rank-level timers and the shared data bus
-/// change on almost every issue, so those parts are deliberately **not** cached: they are read
-/// live (as per-rank gates) and combined at query time. Mere passage of
-/// time never invalidates the cache — legality is a comparison of the
-/// cached cycle against `now`.
+/// contents change, which puts the bank on the dirty list — except an
+/// admission to a clean bank, which updates the cache in place
+/// ([`ReadQueue::push`]). Rank-level timers and the shared data bus
+/// change on almost every issue, so those parts are deliberately **not**
+/// cached: they are read live (as per-rank gates) and combined at query
+/// time. Mere passage of time never invalidates the cache — legality is
+/// a comparison of the cached cycle against `now`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(align(64))]
 struct CandCache {
@@ -263,9 +261,9 @@ impl CandCache {
         }
     }
 
-    /// Recomputes the candidates of one (bank, direction) from the bank's
-    /// queue and state; `bg` is the bank's bank group.
-    fn compute(queue: &[BankEntry], bank: &Bank, bg: u8, is_read: bool) -> Self {
+    /// Recomputes the candidates of one bank from its queue and state;
+    /// `bg` is the bank's bank group.
+    fn compute(queue: &[BankEntry], bank: &Bank, bg: u8) -> Self {
         let mut c = Self::empty(bg);
         match bank.state {
             BankState::Closed => {
@@ -292,7 +290,7 @@ impl CandCache {
                     }
                 }
                 if c.col_seq != u64::MAX {
-                    c.col_ready = bank.col_ready(is_read);
+                    c.col_ready = bank.rd_ready();
                 }
                 if c.alt_seq != u64::MAX {
                     c.alt_ready = bank.pre_ready();
@@ -334,18 +332,18 @@ struct ClassMasks {
 /// The end of an arrival-order list.
 const NIL: u32 = u32::MAX;
 
-/// A slab slot's neighbours in its direction's arrival order, older
-/// (`prev`) and newer (`next`); [`NIL`] at the ends.
+/// A slab slot's neighbours in the arrival order, older (`prev`) and
+/// newer (`next`); [`NIL`] at the ends.
 #[derive(Debug, Clone, Copy)]
 struct Link {
     prev: u32,
     next: u32,
 }
 
-/// The controller state of one direction (reads or writes): its queues,
-/// its candidate caches and the index the scan walks over them.
+/// The controller's read queue: its admitted requests, its per-bank
+/// queues, its candidate caches and the index the scan walks over them.
 #[derive(Debug)]
-struct Direction {
+struct ReadQueue {
     /// The oldest and the newest admitted request: the ends of the
     /// arrival (`seq`) order, the FR-FCFS consideration order, a list
     /// threaded through [`MemorySystem::links`] so that admitting and
@@ -357,9 +355,7 @@ struct Direction {
     /// Per-(rank,bank) FR-FCFS queues in `seq` order, one per global flat
     /// bank. Small (queue caps bound them), capacity reused.
     queues: Vec<Vec<BankEntry>>,
-    /// Per-bank candidate caches, one 64-byte line each. The two
-    /// directions live in separate arrays, so read-only traffic never
-    /// touches the write caches.
+    /// Per-bank candidate caches, one 64-byte line each.
     cand: Vec<CandCache>,
     /// Channel-wide class bitmasks over `cand`, one bit per global flat
     /// bank (bit `g % 64` of word `g / 64`). A rank's banks never
@@ -372,8 +368,8 @@ struct Direction {
     is_dirty: Vec<bool>,
 }
 
-impl Direction {
-    /// An empty direction over banks whose bank groups are `bank_bg`
+impl ReadQueue {
+    /// An empty queue over banks whose bank groups are `bank_bg`
     /// (indexed by global flat bank).
     fn new(bank_bg: &[u8]) -> Self {
         let total_banks = bank_bg.len();
@@ -398,10 +394,10 @@ impl Direction {
     }
 
     /// Recomputes the candidates (and class bits) of every dirty bank.
-    fn refresh(&mut self, banks: &[Bank], is_read: bool) {
+    fn refresh(&mut self, banks: &[Bank]) {
         for g in self.dirty.drain(..) {
             let g = g as usize;
-            let c = CandCache::compute(&self.queues[g], &banks[g], self.cand[g].bg, is_read);
+            let c = CandCache::compute(&self.queues[g], &banks[g], self.cand[g].bg);
             let (m, bit) = (&mut self.masks[g / 64], 1u64 << (g % 64));
             let has_alt = c.alt_seq != u64::MAX;
             set_bit(&mut m.col, bit, c.col_seq != u64::MAX);
@@ -412,12 +408,12 @@ impl Direction {
         }
     }
 
-    /// Appends `e`, the newest request of this direction, to `gbank`'s
-    /// queue. Being the newest, it can only fill a class the bank lacks:
-    /// the ACT of a closed bank, or the column command or PRE of an open
-    /// one. A clean cache takes it in place, with its class bit; a dirty
-    /// one is recomputed by the next scan as before.
-    fn push(&mut self, gbank: usize, e: BankEntry, bank: &Bank, is_read: bool) {
+    /// Appends `e`, the newest request, to `gbank`'s queue. Being the
+    /// newest, it can only fill a class the bank lacks: the ACT of a
+    /// closed bank, or the column command or PRE of an open one. A clean
+    /// cache takes it in place, with its class bit; a dirty one is
+    /// recomputed by the next scan as before.
+    fn push(&mut self, gbank: usize, e: BankEntry, bank: &Bank) {
         self.queues[gbank].push(e);
         if self.is_dirty[gbank] {
             return;
@@ -428,7 +424,7 @@ impl Direction {
             if c.col_seq == u64::MAX {
                 c.col_seq = e.seq;
                 c.col_slot = e.slot;
-                c.col_ready = bank.col_ready(is_read);
+                c.col_ready = bank.rd_ready();
                 m.col |= bit;
             }
         } else if c.alt_seq == u64::MAX {
@@ -565,11 +561,10 @@ pub struct MemorySystem {
     /// Slab of admitted requests; slots are recycled through `free_slots`
     /// so the steady-state issue loop never allocates.
     slab: Vec<Queued>,
-    /// Each slab slot's place in its direction's arrival order.
+    /// Each slab slot's place in the arrival order.
     links: Vec<Link>,
     free_slots: Vec<u32>,
-    reads: Direction,
-    writes: Direction,
+    reads: ReadQueue,
     next_seq: u64,
     stats: DramStats,
     monitor: Option<ProtocolMonitor>,
@@ -623,8 +618,7 @@ impl MemorySystem {
             slab: Vec::new(),
             links: Vec::new(),
             free_slots: Vec::new(),
-            reads: Direction::new(&bank_bg),
-            writes: Direction::new(&bank_bg),
+            reads: ReadQueue::new(&bank_bg),
             next_seq: 0,
             stats: DramStats::new(),
             monitor: None,
@@ -666,7 +660,7 @@ impl MemorySystem {
     /// Requests known to the controller but not yet completed, including
     /// the reads a running stream has not handed over yet.
     pub fn pending(&self) -> usize {
-        self.staged_len() + self.reads.live + self.writes.live
+        self.staged_len() + self.reads.live
     }
 
     /// Requests not yet admitted: the staged queue plus the running
@@ -675,17 +669,17 @@ impl MemorySystem {
         self.staged.len() + self.unpulled
     }
 
-    /// Enqueues a request for the next [`run_stream`](Self::run_stream).
+    /// Enqueues a read for the next [`run_stream`](Self::run_stream).
     /// Requests are numbered in enqueue order; the number comes back as
     /// [`CompletedRequest::seq`].
     pub fn enqueue(&mut self, req: Request) {
         let addr = self.config.mapping.decode(req.addr, &self.geo);
-        self.enqueue_decoded(addr, req.kind, req.arrival);
+        self.enqueue_decoded(addr, req.arrival);
     }
 
-    /// Enqueues a request at pre-decoded DRAM coordinates. Rank-NMP modules
+    /// Enqueues a read at pre-decoded DRAM coordinates. Rank-NMP modules
     /// use this path: their instructions carry device coordinates directly.
-    pub fn enqueue_decoded(&mut self, addr: DramAddr, kind: RequestKind, arrival: Cycle) {
+    pub fn enqueue_decoded(&mut self, addr: DramAddr, arrival: Cycle) {
         assert!(
             addr.rank < self.geo.ranks
                 && addr.bank_group < self.geo.bank_groups
@@ -697,7 +691,6 @@ impl MemorySystem {
         let gbank =
             (addr.rank as usize * self.bpr + addr.flat_bank(self.geo.banks_per_group)) as u32;
         let q = Queued {
-            kind,
             addr,
             arrival,
             seq: self.next_seq,
@@ -751,9 +744,9 @@ impl MemorySystem {
     /// each completion to `done` in data-transfer order.
     ///
     /// The stream is pulled lazily: the staged queue is topped up to the
-    /// admission capacity of one tick (read plus write queue) after every
-    /// loop iteration, so the channel holds O(queue) requests however long
-    /// the stream. Unpulled reads count as staged for
+    /// admission capacity of one tick (the read queue's capacity) after
+    /// every loop iteration, so the channel holds O(queue) requests
+    /// however long the stream. Unpulled reads count as staged for
     /// [`pending`](Self::pending), the stall detector and the
     /// [`SimError::Stalled`] they report, so a run is cycle-identical
     /// however its reads are split between [`enqueue`](Self::enqueue) and
@@ -787,12 +780,11 @@ impl MemorySystem {
     }
 
     /// Moves reads from `src` into the staged queue until it holds as
-    /// many requests as one tick can admit (both queues' capacity). The
-    /// FIFO front and every admission then match a run with the whole
+    /// many requests as one tick can admit (the read queue's capacity).
+    /// The FIFO front and every admission then match a run with the whole
     /// stream staged up front.
     fn pull(&mut self, src: &mut ReadSource<'_>) {
-        let want = self.config.read_queue + self.config.write_queue;
-        while self.unpulled > 0 && self.staged.len() < want {
+        while self.unpulled > 0 && self.staged.len() < self.config.read_queue {
             match src.next() {
                 Some((addr, arrival)) => {
                     self.unpulled -= 1;
@@ -939,16 +931,16 @@ impl MemorySystem {
         (next != Cycle::MAX).then(|| next.max(self.cycle))
     }
 
-    /// The earliest-legal cycle of `gbank`'s read candidates: the cached
+    /// The earliest-legal cycle of `gbank`'s candidates: the cached
     /// bank-local parts combined with the **live** rank timers and
     /// data-bus reservation, through the same gates and
     /// [`CandCache::col_at`]/[`CandCache::act_at`] the scan uses. `None`
-    /// when the bank holds no read.
-    fn read_candidates_ready(&self, gbank: usize) -> Option<Cycle> {
+    /// when the bank holds no request.
+    fn candidates_ready(&self, gbank: usize) -> Option<Cycle> {
         let c = &self.reads.cand[gbank];
         let rank = gbank >> self.rank_shift;
         let timer = &self.ranks[rank];
-        let col = (c.col_seq != u64::MAX).then(|| c.col_at(timer).max(self.col_gate(true, rank)));
+        let col = (c.col_seq != u64::MAX).then(|| c.col_at(timer).max(self.col_gate(rank)));
         let alt = (c.alt_seq != u64::MAX).then(|| {
             if c.alt_is_act {
                 c.act_at(timer).max(timer.act_rank_ready())
@@ -962,64 +954,41 @@ impl MemorySystem {
     /// The column gate of `rank`: the part of column readiness shared by
     /// all its banks — the rank timer's rank-wide part and the data bus.
     /// A lower bound on every column candidate of the rank.
-    fn col_gate(&self, is_read: bool, rank: usize) -> Cycle {
-        let (same, other) = self.bus_parts(is_read);
+    fn col_gate(&self, rank: usize) -> Cycle {
+        let (same, other) = self.bus_parts();
         let bus = match self.last_data_rank {
             Some(last) if usize::from(last) != rank => other,
             _ => same,
         };
-        self.ranks[rank].col_rank_ready(is_read).max(bus)
+        self.ranks[rank].col_rank_ready().max(bus)
     }
 
     /// The data-bus contribution to column legality: the cycle from which
-    /// a column command's data (offset by CL/CWL) no longer collides with
-    /// the current bus reservation. The first value is for the rank whose
-    /// data last used the bus (or for every rank, before any data has
-    /// moved), the second for every other rank, which pays the
-    /// rank-to-rank switch penalty.
-    fn bus_parts(&self, is_read: bool) -> (Cycle, Cycle) {
-        let data_offset = if is_read {
-            self.timing.t_cl
-        } else {
-            self.timing.t_cwl
-        };
-        let bus_free = self.data_bus_free;
+    /// a RD's data (tCL later) no longer collides with the current bus
+    /// reservation. The first value is for the rank whose data last used
+    /// the bus (or for every rank, before any data has moved), the second
+    /// for every other rank, which pays the rank-to-rank switch penalty.
+    fn bus_parts(&self) -> (Cycle, Cycle) {
+        let (bus_free, t_cl) = (self.data_bus_free, self.timing.t_cl);
         (
-            bus_free.saturating_sub(data_offset),
-            (bus_free + self.timing.rank_switch).saturating_sub(data_offset),
+            bus_free.saturating_sub(t_cl),
+            (bus_free + self.timing.rank_switch).saturating_sub(t_cl),
         )
     }
 
-    /// Marks `gbank`'s candidates stale in both directions (its timing or
-    /// row state changed). A write direction that holds nothing is left
-    /// alone: its bank queues are empty, so its caches are empty or
-    /// already dirty, and a timing change cannot move them.
-    fn touch_bank(&mut self, gbank: usize) {
-        self.reads.mark(gbank);
-        if self.writes.live > 0 {
-            self.writes.mark(gbank);
-        }
-    }
-
-    /// Brings one direction's candidate caches and class bits up to date.
+    /// Brings the candidate caches and class bits up to date.
     #[inline]
-    fn refresh_candidates(&mut self, is_read: bool) {
-        let dir = if is_read {
-            &mut self.reads
-        } else {
-            &mut self.writes
-        };
-        if !dir.dirty.is_empty() {
-            dir.refresh(&self.banks, is_read);
+    fn refresh_candidates(&mut self) {
+        if !self.reads.dirty.is_empty() {
+            self.reads.refresh(&self.banks);
         }
     }
 
-    /// Arrival cycle of the staged-queue front, if its target queue has
+    /// Arrival cycle of the staged-queue front, if the read queue has
     /// room to admit it.
     fn next_admissible_arrival(&self) -> Option<Cycle> {
         let front = self.staged.front()?;
-        let is_read = front.kind == RequestKind::Read;
-        (!self.queue_full(is_read)).then_some(front.arrival)
+        (!self.queue_full()).then_some(front.arrival)
     }
 
     /// Earliest cycle rank `r`'s next refresh step (PRE of the first open
@@ -1046,20 +1015,9 @@ impl MemorySystem {
         &self.banks[r * self.bpr..(r + 1) * self.bpr]
     }
 
-    /// Whether the admitted-request queue of one direction is at capacity.
-    fn queue_full(&self, is_read: bool) -> bool {
-        if is_read {
-            self.reads.live >= self.config.read_queue
-        } else {
-            self.writes.live >= self.config.write_queue
-        }
-    }
-
-    /// Whether the controller is in write-drain mode (the same predicate
-    /// `issue_request_command` applies).
-    fn drain_writes(&self) -> bool {
-        self.writes.live * 4 >= self.config.write_queue * 3
-            || (self.reads.live == 0 && self.writes.live > 0)
+    /// Whether the read queue is at capacity.
+    fn queue_full(&self) -> bool {
+        self.reads.live >= self.config.read_queue
     }
 
     fn admit_arrivals(&mut self) {
@@ -1069,8 +1027,7 @@ impl MemorySystem {
                 // cannot jump the queue.
                 break;
             }
-            let is_read = front.kind == RequestKind::Read;
-            if self.queue_full(is_read) {
+            if self.queue_full() {
                 break;
             }
             let q = self.staged.pop_front().expect("front checked");
@@ -1091,18 +1048,13 @@ impl MemorySystem {
                     (self.slab.len() - 1) as u32
                 }
             };
-            let dir = if is_read {
-                &mut self.reads
-            } else {
-                &mut self.writes
-            };
-            dir.admit(&mut self.links, slot);
+            self.reads.admit(&mut self.links, slot);
             let entry = BankEntry {
                 slot,
                 row: entry_row,
                 seq: entry_seq,
             };
-            dir.push(gbank, entry, &self.banks[gbank], is_read);
+            self.reads.push(gbank, entry, &self.banks[gbank]);
         }
     }
 
@@ -1143,7 +1095,7 @@ impl MemorySystem {
                     let addr = self.bank_addr(r as u8, b);
                     self.issue(DdrCommand::new(DdrCommandKind::Pre, addr));
                     self.banks[base + b].do_pre(now, &self.timing);
-                    self.touch_bank(base + b);
+                    self.reads.mark(base + b);
                     self.stats.pres += 1;
                     return true;
                 }
@@ -1166,7 +1118,7 @@ impl MemorySystem {
                     bank.finish_refresh(done);
                 }
                 for gbank in base..base + self.bpr {
-                    self.touch_bank(gbank);
+                    self.reads.mark(gbank);
                 }
                 self.stats.refs += 1;
                 self.refresh_pending[r] = false;
@@ -1194,88 +1146,45 @@ impl MemorySystem {
     /// The decision procedure is unchanged from the flat-queue scheduler —
     /// pass 1 issues the oldest row-hit column command that is legal right
     /// now, pass 2 the oldest request whose next command (column, PRE or
-    /// ACT) is legal, reads always ahead of writes, writes only in drain
-    /// mode — but both passes run over the per-bank candidate caches: each
-    /// bank contributes its earliest eligible request per command class
-    /// (requests needing the same command on the same bank share one
-    /// legality verdict), and the oldest legal candidate across banks
-    /// wins. No allocation, no sort, no per-request timing re-checks. When
-    /// nothing is legal, the same scan has already produced a lower bound
-    /// on the earliest future readiness, which the event-driven engine
-    /// jumps to.
+    /// ACT) is legal — but both passes run over the per-bank candidate
+    /// caches: each bank contributes its earliest eligible request per
+    /// command class (requests needing the same command on the same bank
+    /// share one legality verdict), and the oldest legal candidate across
+    /// banks wins. No allocation, no sort, no per-request timing
+    /// re-checks. When nothing is legal, the same scan has already
+    /// produced a lower bound on the earliest future readiness, which the
+    /// event-driven engine jumps to.
     fn issue_request_command(&mut self, done: &mut Done<'_>) -> TickOutcome {
-        let drain_writes = self.drain_writes();
-        let has_reads = self.reads.live > 0;
-        if !has_reads && (!drain_writes || self.writes.live == 0) {
+        let Some(oldest) = self.reads.oldest() else {
             return TickOutcome::Idle(None);
-        }
-
+        };
         // Starvation guard: when the oldest request has waited too long,
         // skip the row-hit pass so it makes progress.
-        let oldest = if has_reads {
-            self.reads.oldest()
-        } else {
-            self.writes.oldest()
-        }
-        .expect("a live request heads its order");
         let oldest_age = self
             .cycle
             .saturating_sub(self.slab[oldest as usize].arrival);
         let allow_fr = oldest_age < self.config.starvation_cycles;
 
-        let reads = self.scan_direction(true, allow_fr);
-        if allow_fr {
-            // Pass 1: first-ready — the oldest request whose row is open
-            // and whose column command is legal right now, reads first.
-            if let Some(slot) = reads.col_winner {
-                let gbank = self.slab[slot as usize].gbank as usize;
-                self.issue_column(true, slot, done);
-                let hint = self.post_issue_hint(gbank, drain_writes, &reads);
-                return TickOutcome::Issued(hint);
-            }
-            if drain_writes {
-                let writes = self.scan_direction(false, allow_fr);
-                if let Some(slot) = writes.col_winner {
-                    self.issue_column(false, slot, done);
-                    return TickOutcome::Issued(None);
-                }
-                // Pass 2 with both directions already scanned.
-                if let Some((slot, cmd)) = reads.other_winner {
-                    self.issue_progress(true, slot, cmd, done);
-                    return TickOutcome::Issued(None);
-                }
-                if let Some((slot, cmd)) = writes.other_winner {
-                    self.issue_progress(false, slot, cmd, done);
-                    return TickOutcome::Issued(None);
-                }
-                return TickOutcome::Idle(min_cycle(reads.min_ready, writes.min_ready));
-            }
-        }
-        // Pass 2: oldest-first — issue whatever command the oldest
+        let scan = self.scan(allow_fr);
+        // Pass 1: first-ready — the oldest request whose row is open and
+        // whose column command is legal right now; only found when pass 1
+        // runs. Pass 2: oldest-first — whatever command the oldest
         // serviceable request needs next, if legal. When pass 1 ran,
         // row-hit column commands are already proven illegal (legality is
         // bank state that cannot change without an issue), so only PRE
         // and ACT candidates remain in play.
-        if let Some((slot, cmd)) = reads.other_winner {
-            let gbank = self.slab[slot as usize].gbank as usize;
-            self.issue_progress(true, slot, cmd, done);
-            let hint = self.post_issue_hint(gbank, drain_writes, &reads);
-            return TickOutcome::Issued(hint);
-        }
-        if drain_writes {
-            let writes = self.scan_direction(false, allow_fr);
-            if let Some((slot, cmd)) = writes.other_winner {
-                self.issue_progress(false, slot, cmd, done);
-                return TickOutcome::Issued(None);
-            }
-            return TickOutcome::Idle(min_cycle(reads.min_ready, writes.min_ready));
-        }
-        TickOutcome::Idle(reads.min_ready)
+        let (slot, cmd) = match (scan.col_winner, scan.other_winner) {
+            (Some(slot), _) => (slot, NextCmd::Column),
+            (None, Some(winner)) => winner,
+            (None, None) => return TickOutcome::Idle(scan.min_ready),
+        };
+        let gbank = self.slab[slot as usize].gbank as usize;
+        self.issue_progress(slot, cmd, done);
+        TickOutcome::Issued(self.post_issue_hint(gbank, &scan))
     }
 
     /// A safe lower bound on the next bank-candidate event after an
-    /// issue in read-only (non-drain) mode, or `None` when the very next
-    /// cycle must be ticked normally.
+    /// issue, or `None` when the very next cycle must be ticked normally.
     ///
     /// Only taken when the issued command was the *only* legal candidate
     /// this cycle. Then every surviving candidate was not-yet-legal, and
@@ -1283,54 +1192,47 @@ impl MemorySystem {
     /// pushes timing constraints later). The issued bank's candidate
     /// structure did change, so its candidates (the only dirty ones) are
     /// recomputed fresh. A lower-bound jump can cost at most a no-op tick;
-    /// it can never skip a decision cycle. Drain-mode flips change which candidates
-    /// participate at all, so any flip bails out.
-    fn post_issue_hint(
-        &mut self,
-        gbank: usize,
-        drain_before: bool,
-        scan: &ScanResult,
-    ) -> Option<Cycle> {
-        if scan.legal != 1 || drain_before || self.drain_writes() {
+    /// it can never skip a decision cycle.
+    fn post_issue_hint(&mut self, gbank: usize, scan: &ScanResult) -> Option<Cycle> {
+        if scan.legal != 1 {
             return None;
         }
-        self.refresh_candidates(true);
-        min_cycle(scan.min_ready, self.read_candidates_ready(gbank))
+        self.refresh_candidates();
+        min_cycle(scan.min_ready, self.candidates_ready(gbank))
     }
 
-    /// One direction's FR-FCFS candidate scan: recomputes the candidates
-    /// of the banks that changed since the last scan, then weighs every
-    /// candidate against its rank's gates. A one-rank channel (every
-    /// rank-NMP device) takes [`scan_one_rank`](Self::scan_one_rank), any
-    /// other [`scan_ranks`](Self::scan_ranks); both make the same
-    /// decision and report the same bound.
-    fn scan_direction(&mut self, is_read: bool, fr: bool) -> ScanResult {
-        self.refresh_candidates(is_read);
+    /// The FR-FCFS candidate scan: recomputes the candidates of the banks
+    /// that changed since the last scan, then weighs every candidate
+    /// against its rank's gates. A one-rank channel (every rank-NMP
+    /// device) takes [`scan_one_rank`](Self::scan_one_rank), any other
+    /// [`scan_ranks`](Self::scan_ranks); both make the same decision and
+    /// report the same bound.
+    fn scan(&mut self, fr: bool) -> ScanResult {
+        self.refresh_candidates();
         if self.ranks.len() == 1 {
-            self.scan_one_rank(is_read, fr)
+            self.scan_one_rank(fr)
         } else {
-            self.scan_ranks(is_read, fr)
+            self.scan_ranks(fr)
         }
     }
 
     /// The scan of a one-rank channel, which pays only for the
     /// candidates present. A rank waiting for a refresh has none. A class
     /// with candidates checks its gate once: the column gate (tCCD_S,
-    /// turnaround, refresh and the data bus) or the ACT gate (tRRD_S,
-    /// tFAW and refresh). A gate past `now` rules the class out and
-    /// stands in for its candidates in `min_ready`, as in
+    /// refresh and the data bus) or the ACT gate (tRRD_S, tFAW and
+    /// refresh). A gate past `now` rules the class out and stands in for
+    /// its candidates in `min_ready`, as in
     /// [`scan_ranks`](Self::scan_ranks); behind an open gate each
     /// candidate's readiness is its bank and bank-group parts alone.
-    fn scan_one_rank(&self, is_read: bool, fr: bool) -> ScanResult {
+    fn scan_one_rank(&self, fr: bool) -> ScanResult {
         let mut pick = Pick::new(self.cycle, fr);
         if self.refresh_pending[0] {
             return pick.result();
         }
-        let dir = if is_read { &self.reads } else { &self.writes };
-        let (m, timer, cand) = (&dir.masks[0], &self.ranks[0], &dir.cand);
+        let (m, timer, cand) = (&self.reads.masks[0], &self.ranks[0], &self.reads.cand);
         if m.col != 0 {
             // The one rank is the last to have used the data bus, if any.
-            let gate = timer.col_rank_ready(is_read).max(self.bus_parts(is_read).0);
+            let gate = timer.col_rank_ready().max(self.bus_parts().0);
             if gate > pick.now {
                 pick.wait(gate);
             } else {
@@ -1365,20 +1267,19 @@ impl MemorySystem {
     /// open gates and one over its PRE bits. Behind an open gate (at most
     /// `now`) a candidate's readiness is its bank and bank-group parts
     /// alone; PRE candidates are gated by their bank alone.
-    fn scan_ranks(&self, is_read: bool, fr: bool) -> ScanResult {
+    fn scan_ranks(&self, fr: bool) -> ScanResult {
         let now = self.cycle;
-        let (bus_same, bus_other) = self.bus_parts(is_read);
+        let (bus_same, bus_other) = self.bus_parts();
         // No rank pays the switch penalty before any data has moved.
         let (last_rank, bus_other) = match self.last_data_rank {
             Some(r) => (usize::from(r), bus_other),
             None => (usize::MAX, bus_same),
         };
-        let dir = if is_read { &self.reads } else { &self.writes };
         let (bpr, shift) = (self.bpr, self.rank_shift);
         let per_word = 64 >> shift;
         let rank_bits = u64::MAX >> (64 - bpr);
         let mut pick = Pick::new(now, fr);
-        for (w, m) in dir.masks.iter().enumerate() {
+        for (w, m) in self.reads.masks.iter().enumerate() {
             let first = w * per_word;
             let last = (first + per_word).min(self.ranks.len());
             let ranks = &self.ranks[first..last];
@@ -1387,7 +1288,7 @@ impl MemorySystem {
             let mut bits = rank_bits;
             for ((timer, &pending), r) in ranks.iter().zip(pending).zip(first..) {
                 let bus = if r == last_rank { bus_same } else { bus_other };
-                let col_gate = timer.col_rank_ready(is_read).max(bus);
+                let col_gate = timer.col_rank_ready().max(bus);
                 let act_gate = timer.act_rank_ready();
                 let awake_bits = if pending { 0 } else { bits };
                 let col_bits = m.col & awake_bits;
@@ -1401,7 +1302,7 @@ impl MemorySystem {
                 awake |= awake_bits;
                 bits = bits.wrapping_shl(bpr as u32);
             }
-            let cand = &dir.cand[w * 64..];
+            let cand = &self.reads.cand[w * 64..];
             let legal = pick.legal(col_open, |b| cand[b].col_at(&ranks[b >> shift]));
             for_each_bit(legal, |b| pick.take_col(&cand[b]));
             let legal = pick.legal(act_open, |b| cand[b].act_at(&ranks[b >> shift]));
@@ -1412,38 +1313,19 @@ impl MemorySystem {
         pick.result()
     }
 
-    /// Issues the already-verified-legal column command for `slot`,
-    /// completing the request and handing it to `done`.
-    fn issue_column(&mut self, is_read: bool, slot: u32, done: &mut Done<'_>) {
+    /// Issues the already-verified-legal RD for `slot`, completing the
+    /// request and handing it to `done`.
+    fn issue_column(&mut self, slot: u32, done: &mut Done<'_>) {
         let now = self.cycle;
-        let q = self.remove_queued(is_read, slot);
+        let q = self.remove_queued(slot);
         let gbank = q.gbank as usize;
-        let (rank, bg) = (q.addr.rank, q.addr.bank_group);
-        let kind = if is_read {
-            DdrCommandKind::Rd
-        } else {
-            DdrCommandKind::Wr
-        };
-        self.issue(DdrCommand::new(kind, q.addr));
-        let bank = &mut self.banks[gbank];
-        let data_offset = if is_read {
-            bank.do_rd(now, &self.timing);
-            self.ranks[rank as usize].did_rd(now, bg, &self.timing);
-            self.stats.reads += 1;
-            self.timing.t_cl
-        } else {
-            bank.do_wr(now, &self.timing);
-            self.ranks[rank as usize].did_wr(now, bg, &self.timing);
-            self.stats.writes += 1;
-            self.timing.t_cwl
-        };
-        self.touch_bank(gbank);
-        if !is_read {
-            // The bank's write queue changed; `touch_bank` skips a write
-            // direction that this retirement just emptied.
-            self.writes.mark(gbank);
-        }
-        let finish = now + data_offset + self.timing.t_bl;
+        let rank = q.addr.rank;
+        self.issue(DdrCommand::new(DdrCommandKind::Rd, q.addr));
+        self.banks[gbank].do_rd(now, &self.timing);
+        self.ranks[rank as usize].did_rd(now, q.addr.bank_group, &self.timing);
+        self.stats.reads += 1;
+        self.reads.mark(gbank);
+        let finish = now + self.timing.t_cl + self.timing.t_bl;
         self.data_bus_free = finish;
         self.last_data_rank = Some(rank);
         self.stats.data_bus_busy += self.timing.t_bl;
@@ -1453,23 +1335,22 @@ impl MemorySystem {
         done(&CompletedRequest {
             seq: q.seq,
             addr: q.addr,
-            kind: q.kind,
             arrival: q.arrival,
             finish_cycle: finish,
             outcome,
         });
     }
 
-    /// Issues the already-verified-legal pass-2 command for `slot`.
-    fn issue_progress(&mut self, is_read: bool, slot: u32, cmd: NextCmd, done: &mut Done<'_>) {
+    /// Issues the already-verified-legal command `cmd` for `slot`.
+    fn issue_progress(&mut self, slot: u32, cmd: NextCmd, done: &mut Done<'_>) {
         let now = self.cycle;
         match cmd {
-            NextCmd::Column => self.issue_column(is_read, slot, done),
+            NextCmd::Column => self.issue_column(slot, done),
             NextCmd::Pre => {
                 let addr = self.slab[slot as usize].addr;
                 let gbank = self.slab[slot as usize].gbank as usize;
                 self.banks[gbank].do_pre(now, &self.timing);
-                self.touch_bank(gbank);
+                self.reads.mark(gbank);
                 self.stats.pres += 1;
                 let q = &mut self.slab[slot as usize];
                 q.pres = q.pres.saturating_add(1);
@@ -1479,7 +1360,7 @@ impl MemorySystem {
                 let addr = self.slab[slot as usize].addr;
                 let gbank = self.slab[slot as usize].gbank as usize;
                 self.banks[gbank].do_act(now, addr.row, &self.timing);
-                self.touch_bank(gbank);
+                self.reads.mark(gbank);
                 self.ranks[addr.rank as usize].did_act(now, addr.bank_group, &self.timing);
                 self.stats.acts += 1;
                 let q = &mut self.slab[slot as usize];
@@ -1489,21 +1370,15 @@ impl MemorySystem {
         }
     }
 
-    /// Retires `slot`: frees the slab slot and unlinks it from its
+    /// Retires `slot`: frees the slab slot and unlinks it from the
     /// arrival order and its bank queue. Returns the request. The caller
     /// marks the bank's candidates stale.
-    fn remove_queued(&mut self, is_read: bool, slot: u32) -> Queued {
+    fn remove_queued(&mut self, slot: u32) -> Queued {
         let q = self.slab[slot as usize].clone();
         self.slab[slot as usize].seq = RETIRED;
         self.free_slots.push(slot);
-        let dir = if is_read {
-            &mut self.reads
-        } else {
-            &mut self.writes
-        };
-        dir.retire(&mut self.links, slot);
-        let gbank = q.gbank as usize;
-        let bank_q = &mut dir.queues[gbank];
+        self.reads.retire(&mut self.links, slot);
+        let bank_q = &mut self.reads.queues[q.gbank as usize];
         let bpos = bank_q
             .iter()
             .position(|e| e.slot == slot)
@@ -1526,14 +1401,14 @@ mod tests {
     use proptest::prelude::*;
     use recnmp_types::units::CACHELINE_BYTES;
 
-    /// A command the controller issued: (is read, slab slot, command).
-    type Decision = (bool, u32, NextCmd);
+    /// A command the controller issued: (slab slot, command).
+    type Decision = (u32, NextCmd);
 
-    /// The queued requests of one direction, oldest first, listed from
-    /// the slab alone: every slot whose request has not retired.
-    fn queued(mem: &MemorySystem, is_read: bool) -> Vec<u32> {
+    /// The queued requests, oldest first, listed from the slab alone:
+    /// every slot whose request has not retired.
+    fn queued(mem: &MemorySystem) -> Vec<u32> {
         let mut live: Vec<(u64, u32)> = (mem.slab.iter().enumerate())
-            .filter(|(_, q)| q.seq != RETIRED && (q.kind == RequestKind::Read) == is_read)
+            .filter(|(_, q)| q.seq != RETIRED)
             .map(|(slot, q)| (q.seq, slot as u32))
             .collect();
         live.sort_unstable();
@@ -1545,77 +1420,59 @@ mod tests {
     /// deadline: every queued request's next command and the cycle it
     /// becomes legal, read straight off the slab, bank, rank, per-rank
     /// refresh flag and data-bus state. The rules: row hits first
-    /// (unless the oldest request has starved), reads before writes,
-    /// writes only while draining, oldest first within each pass.
+    /// (unless the oldest request has starved), oldest first within each
+    /// pass.
     ///
     /// Returns the command the controller must issue this cycle, and the
     /// exact earliest future readiness over every schedulable request.
     fn oracle(mem: &MemorySystem) -> (Option<Decision>, Option<Cycle>) {
         let now = mem.cycle;
         let t = &mem.timing;
-        let (reads, writes) = (queued(mem, true), queued(mem, false));
-        let drain = writes.len() * 4 >= mem.config.write_queue * 3
-            || (reads.is_empty() && !writes.is_empty());
+        let order = queued(mem);
         let mut next = Vec::new();
-        for (is_read, order) in [(true, &reads), (false, &writes)] {
-            if !is_read && !drain {
+        for &slot in &order {
+            let q = &mem.slab[slot as usize];
+            let (a, bank, rank) = (
+                q.addr,
+                &mem.banks[q.gbank as usize],
+                &mem.ranks[q.addr.rank as usize],
+            );
+            if mem.refresh_pending[a.rank as usize] {
                 continue;
             }
-            for &slot in order {
-                let q = &mem.slab[slot as usize];
-                let (a, bank, rank) = (
-                    q.addr,
-                    &mem.banks[q.gbank as usize],
-                    &mem.ranks[q.addr.rank as usize],
-                );
-                if mem.refresh_pending[a.rank as usize] {
-                    continue;
+            let (cmd, ready) = match bank.state {
+                BankState::Open(row) if row == a.row => {
+                    let switch = match mem.last_data_rank {
+                        Some(r) if r != a.rank => t.rank_switch,
+                        _ => 0,
+                    };
+                    let bus = (mem.data_bus_free + switch).saturating_sub(t.t_cl);
+                    let rank_ready = rank.col_ready(a.bank_group);
+                    (NextCmd::Column, bank.rd_ready().max(rank_ready).max(bus))
                 }
-                let (cmd, ready) = match bank.state {
-                    BankState::Open(row) if row == a.row => {
-                        let (bank_ready, rank_ready, offset) = if is_read {
-                            (bank.rd_ready(), rank.rd_ready(a.bank_group), t.t_cl)
-                        } else {
-                            (bank.wr_ready(), rank.wr_ready(a.bank_group), t.t_cwl)
-                        };
-                        let switch = match mem.last_data_rank {
-                            Some(r) if r != a.rank => t.rank_switch,
-                            _ => 0,
-                        };
-                        let bus = (mem.data_bus_free + switch).saturating_sub(offset);
-                        (NextCmd::Column, bank_ready.max(rank_ready).max(bus))
-                    }
-                    BankState::Open(_) => (NextCmd::Pre, bank.pre_ready()),
-                    BankState::Closed => (
-                        NextCmd::Act,
-                        bank.act_ready().max(rank.act_ready(a.bank_group)),
-                    ),
-                };
-                next.push((is_read, slot, cmd, ready));
-            }
+                BankState::Open(_) => (NextCmd::Pre, bank.pre_ready()),
+                BankState::Closed => (
+                    NextCmd::Act,
+                    bank.act_ready().max(rank.act_ready(a.bank_group)),
+                ),
+            };
+            next.push((slot, cmd, ready));
         }
-        let exact_min = next.iter().map(|n| n.3).filter(|&r| r > now).min();
-        // Orders are in age order, reads listed before writes, so the
-        // first legal match of a pass is its winner.
-        let pass = |is_read: bool, hits_only: bool| {
+        let exact_min = next.iter().map(|n| n.2).filter(|&r| r > now).min();
+        // `order` is in age order, so the first legal match of a pass is
+        // its winner.
+        let pass = |hits_only: bool| {
             next.iter()
-                .find(|n| n.0 == is_read && n.3 <= now && (!hits_only || n.2 == NextCmd::Column))
-                .map(|n| (n.0, n.1, n.2))
+                .find(|n| n.2 <= now && (!hits_only || n.1 == NextCmd::Column))
+                .map(|n| (n.0, n.1))
         };
-        let Some(&oldest) = reads.first().or(writes.first()) else {
+        let Some(&oldest) = order.first() else {
             return (None, exact_min);
         };
         let allow_fr =
             now.saturating_sub(mem.slab[oldest as usize].arrival) < mem.config.starvation_cycles;
-        let first_ready = if allow_fr {
-            pass(true, true).or_else(|| pass(false, true))
-        } else {
-            None
-        };
-        let decision = first_ready
-            .or_else(|| pass(true, false))
-            .or_else(|| pass(false, false));
-        (decision, exact_min)
+        let first_ready = if allow_fr { pass(true) } else { None };
+        (first_ready.or_else(|| pass(false)), exact_min)
     }
 
     /// The state an FR-FCFS issue changes, captured before the decision
@@ -1631,7 +1488,7 @@ mod tests {
     impl Snapshot {
         fn take(mem: &MemorySystem) -> Self {
             Self {
-                columns: mem.stats.reads + mem.stats.writes,
+                columns: mem.stats.reads,
                 seqs: mem.slab.iter().map(|q| q.seq).collect(),
                 counts: mem.slab.iter().map(|q| (q.acts, q.pres)).collect(),
             }
@@ -1639,12 +1496,11 @@ mod tests {
 
         /// The command issued since the snapshot, if any.
         fn issued(&self, mem: &MemorySystem) -> Option<Decision> {
-            let is_read = |slot: usize| mem.slab[slot].kind == RequestKind::Read;
-            if mem.stats.reads + mem.stats.writes > self.columns {
+            if mem.stats.reads > self.columns {
                 let slot = (self.seqs.iter().zip(&mem.slab))
                     .position(|(&before, q)| before != RETIRED && q.seq == RETIRED)
                     .expect("a column command retires its request");
-                return Some((is_read(slot), slot as u32, NextCmd::Column));
+                return Some((slot as u32, NextCmd::Column));
             }
             self.counts
                 .iter()
@@ -1656,42 +1512,40 @@ mod tests {
                     } else {
                         NextCmd::Pre
                     };
-                    (is_read(slot), slot as u32, cmd)
+                    (slot as u32, cmd)
                 })
         }
     }
 
-    /// Asserts that every clean candidate cache of both directions, and
-    /// its class bits, equal a fresh [`CandCache::compute`] of its bank:
-    /// a cache the scan trusts is never stale.
+    /// Asserts that every clean candidate cache, and its class bits,
+    /// equal a fresh [`CandCache::compute`] of its bank: a cache the scan
+    /// trusts is never stale.
     fn assert_caches_coherent(mem: &MemorySystem) {
-        for (is_read, dir) in [(true, &mem.reads), (false, &mem.writes)] {
-            for (g, bank) in mem.banks.iter().enumerate() {
-                if dir.is_dirty[g] {
-                    continue;
-                }
-                let bg = ((g % mem.bpr) / mem.geo.banks_per_group as usize) as u8;
-                let want = CandCache::compute(&dir.queues[g], bank, bg, is_read);
-                let (m, bit) = (&dir.masks[g / 64], 1u64 << (g % 64));
-                let has_alt = want.alt_seq != u64::MAX;
-                assert_eq!(
-                    (
-                        dir.cand[g],
-                        m.col & bit != 0,
-                        m.act & bit != 0,
-                        m.pre & bit != 0
-                    ),
-                    (
-                        want,
-                        want.col_seq != u64::MAX,
-                        has_alt && want.alt_is_act,
-                        has_alt && !want.alt_is_act
-                    ),
-                    "cycle {}: stale {} cache of bank {g}",
-                    mem.cycle,
-                    if is_read { "read" } else { "write" }
-                );
+        let q = &mem.reads;
+        for (g, bank) in mem.banks.iter().enumerate() {
+            if q.is_dirty[g] {
+                continue;
             }
+            let bg = ((g % mem.bpr) / mem.geo.banks_per_group as usize) as u8;
+            let want = CandCache::compute(&q.queues[g], bank, bg);
+            let (m, bit) = (&q.masks[g / 64], 1u64 << (g % 64));
+            let has_alt = want.alt_seq != u64::MAX;
+            assert_eq!(
+                (
+                    q.cand[g],
+                    m.col & bit != 0,
+                    m.act & bit != 0,
+                    m.pre & bit != 0
+                ),
+                (
+                    want,
+                    want.col_seq != u64::MAX,
+                    has_alt && want.alt_is_act,
+                    has_alt && !want.alt_is_act
+                ),
+                "cycle {}: stale cache of bank {g}",
+                mem.cycle
+            );
         }
     }
 
@@ -1729,12 +1583,11 @@ mod tests {
         // channels (the 8- and 16-rank ones spread their 128 and 256
         // banks over several mask words) and on a rank-NMP device (`None`:
         // the one-rank config with its own mapping, two-burst vectors
-        // enqueued at decoded coordinates), refresh on and off, read-only
-        // and mixed traffic, short queues (frequent write drains) and a
+        // enqueued at decoded coordinates), refresh on and off and a
         // tight starvation bound.
         #[test]
         fn scan_matches_decision_oracle(
-            raw in prop::collection::vec((0u64..u64::MAX, 0u64..6, any::<bool>()), 1..160),
+            raw in prop::collection::vec((0u64..u64::MAX, 0u64..6), 1..160),
             ranks in prop_oneof![
                 Just(None),
                 Just(Some((1u8, 1u8))),
@@ -1744,11 +1597,9 @@ mod tests {
                 Just(Some((8, 2))),
             ],
             refresh in any::<bool>(),
-            writes in any::<bool>(),
             span_bits in prop_oneof![Just(20u32), Just(26), Just(33)],
             gap in prop_oneof![Just(0u64), Just(2), Just(40)],
             starvation in prop_oneof![Just(48u64), Just(2048)],
-            write_queue in prop_oneof![Just(4usize), Just(32)],
         ) {
             let mut cfg = match ranks {
                 Some((dimms, ranks)) => DramConfig::with_ranks(dimms, ranks),
@@ -1756,26 +1607,20 @@ mod tests {
             };
             cfg.refresh = refresh;
             cfg.starvation_cycles = starvation;
-            cfg.write_queue = write_queue;
             let (mapping, geo) = (cfg.mapping, cfg.geometry());
             let mut mem = MemorySystem::new(cfg).expect("valid config");
             mem.attach_monitor();
-            for (i, &(addr, jitter, write)) in raw.iter().enumerate() {
+            for (i, &(addr, jitter)) in raw.iter().enumerate() {
                 let addr = PhysAddr::new(addr & ((1 << span_bits) - 1) & !63);
                 let arrival = i as u64 * gap + jitter;
-                let kind = if writes && write {
-                    RequestKind::Write
-                } else {
-                    RequestKind::Read
-                };
                 if ranks.is_some() {
-                    mem.enqueue(Request { addr, kind, arrival });
+                    mem.enqueue(Request::read(addr, arrival));
                     continue;
                 }
                 let base = mapping.decode(addr, &geo);
                 for b in 0..2 {
                     let column = (base.column + b) % geo.columns;
-                    mem.enqueue_decoded(DramAddr { column, ..base }, kind, arrival);
+                    mem.enqueue_decoded(DramAddr { column, ..base }, arrival);
                 }
             }
             let mut ticks = 0u64;
@@ -1880,30 +1725,21 @@ mod tests {
     }
 
     #[test]
-    fn writes_complete_and_count() {
-        let mut mem = single_rank();
-        mem.enqueue(Request::write(PhysAddr::new(64), 0));
-        let done = run(&mut mem, &[]).expect("drain");
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].kind, RequestKind::Write);
-        assert_eq!(mem.stats().writes, 1);
-    }
-
-    #[test]
     fn completions_carry_enqueue_order() {
         // Two requests staged up front, then two streamed: `seq` numbers
         // them in enqueue order across both intakes, whatever order their
         // data transfers in.
         let mut mem = single_rank();
+        let (mapping, geo) = (mem.config.mapping, mem.geo);
         mem.enqueue(Request::read(PhysAddr::new(1 << 20), 0));
-        mem.enqueue(Request::write(PhysAddr::new(0), 0));
+        mem.enqueue(Request::read(PhysAddr::new(0), 0));
         let done = run(&mut mem, &[(64, 0), (128, 0)]).expect("drain");
         let mut seqs: Vec<u64> = done.iter().map(|c| c.seq).collect();
         seqs.sort_unstable();
         assert_eq!(seqs, [0, 1, 2, 3]);
         assert_eq!(
-            done.iter().find(|c| c.seq == 1).unwrap().kind,
-            RequestKind::Write
+            done.iter().find(|c| c.seq == 1).unwrap().addr,
+            mapping.decode(PhysAddr::new(0), &geo)
         );
     }
 
@@ -2032,7 +1868,6 @@ mod tests {
                 rank: 3,
                 ..DramAddr::default()
             },
-            RequestKind::Read,
             0,
         );
     }

@@ -2,9 +2,8 @@
 //!
 //! All values are in DRAM clock cycles (1200 MHz for DDR4-2400). The
 //! paper's Table I pins the core parameters; the remaining standard
-//! parameters (tRAS, tRTP, tWR, tWTR, tCWL, tREFI, tRFC) are taken from the
-//! Micron 8 Gb ×8 DDR4-2400 datasheet the paper cites, since a working
-//! protocol model needs them.
+//! parameters a working read protocol needs (tRAS, tRTP, tREFI, tRFC) are
+//! taken from the Micron 8 Gb ×8 DDR4-2400 datasheet the paper cites.
 
 use recnmp_types::ConfigError;
 use serde::{Deserialize, Serialize};
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 pub struct DdrTiming {
     /// ACT-to-ACT delay, same bank (row cycle time).
     pub t_rc: u64,
-    /// ACT-to-RD/WR delay (RAS-to-CAS).
+    /// ACT-to-RD delay (RAS-to-CAS).
     pub t_rcd: u64,
     /// RD-to-first-data delay (CAS latency).
     pub t_cl: u64,
@@ -48,12 +47,6 @@ pub struct DdrTiming {
     pub t_ras: u64,
     /// RD-to-PRE minimum (read-to-precharge).
     pub t_rtp: u64,
-    /// WR-to-data delay (CAS write latency).
-    pub t_cwl: u64,
-    /// Write recovery: last write data to PRE.
-    pub t_wr: u64,
-    /// Write-to-read turnaround, same rank.
-    pub t_wtr: u64,
     /// Average refresh interval (one REF per rank every tREFI).
     pub t_refi: u64,
     /// Refresh cycle time (rank is busy for tRFC after REF).
@@ -83,12 +76,6 @@ impl DdrTiming {
             t_ras: 39,
             // tRTP = max(4 nCK, 7.5 ns) = 9 cycles.
             t_rtp: 9,
-            // CWL for DDR4-2400 = 12.
-            t_cwl: 12,
-            // tWR = 15 ns = 18 cycles.
-            t_wr: 18,
-            // tWTR_L = 7.5 ns = 9 cycles.
-            t_wtr: 9,
             // tREFI = 7.8 us = 9360 cycles.
             t_refi: 9360,
             // tRFC for 8 Gb = 350 ns = 420 cycles.

@@ -2,7 +2,7 @@
 //! *cycle-identical* to the per-cycle reference engine — same completion
 //! records (enqueue order, cycles, outcomes), same final clock, same
 //! `DramStats`, and zero protocol-monitor violations — across refresh
-//! on/off, FR-FCFS starvation, write drains and multi-rank workloads,
+//! on/off, FR-FCFS starvation, queue back-pressure and multi-rank workloads,
 //! while doing at least 10x less main-loop work on sparse
 //! refresh-enabled traffic.
 //!
@@ -106,26 +106,6 @@ fn frfcfs_starvation_guard_fires_identically() {
 }
 
 #[test]
-fn write_drain_mode_is_identical() {
-    // Enough writes to trip the 3/4 write-drain threshold, mixed with
-    // reads, so write scheduling and turnaround timing are covered.
-    let mut cfg = DramConfig::table1_baseline();
-    cfg.refresh = false;
-    cfg.write_queue = 8;
-    let mut rng = DetRng::seed(21);
-    let mut reqs = Vec::new();
-    for i in 0..200u64 {
-        let addr = PhysAddr::new(rng.below(4 << 30) & !63);
-        reqs.push(if i % 3 == 0 {
-            Request::read(addr, i)
-        } else {
-            Request::write(addr, i)
-        });
-    }
-    assert_equivalent(&cfg, &reqs);
-}
-
-#[test]
 fn sparse_refresh_workload_with_queue_pressure() {
     // Sparse arrivals with a small read queue: admission back-pressure,
     // refresh epochs and long idle gaps all in one trace.
@@ -173,7 +153,7 @@ fn run_ending_at_last_finish(
     Ok(done)
 }
 
-/// Enqueues `staged` up front (writes among them), then serves `reads`
+/// Enqueues `staged` up front, then serves `reads`
 /// either enqueued too and an empty stream run (`stream == false`), or
 /// streamed. A successful run is followed by an empty one, which must
 /// leave the clock alone.
@@ -223,7 +203,7 @@ proptest! {
 
     #[test]
     fn streamed_intake_matches_bulk_enqueue(
-        raw in prop::collection::vec((0u64..u64::MAX, 0u64..4, any::<bool>()), 1..200),
+        raw in prop::collection::vec((0u64..u64::MAX, 0u64..4), 1..200),
         spacing in prop_oneof![Just(0u64), Just(1), Just(40)],
         split in 0usize..64,
         ranks in prop_oneof![Just((1u8, 1u8)), Just((1, 2)), Just((2, 2))],
@@ -231,18 +211,16 @@ proptest! {
         queue in prop_oneof![Just(4usize), Just(32)],
         wedged in any::<bool>(),
     ) {
-        // The first `split` requests are enqueued up front, the writes
-        // among them as writes; the rest are reads, streamed or not.
+        // The first `split` requests are enqueued up front; the rest
+        // are streamed or not.
         let mut arrival = 0;
         let mut staged = Vec::new();
         let mut reads = Vec::new();
-        for (i, &(addr, gap, write)) in raw.iter().enumerate() {
+        for (i, &(addr, gap)) in raw.iter().enumerate() {
             arrival += gap * spacing;
             let addr = PhysAddr::new(addr & ((1 << 33) - 1) & !63);
             if i >= split {
                 reads.push((addr, arrival));
-            } else if write {
-                staged.push(Request::write(addr, arrival));
             } else {
                 staged.push(Request::read(addr, arrival));
             }
@@ -252,7 +230,6 @@ proptest! {
             cfg.engine = engine;
             cfg.refresh = refresh;
             cfg.read_queue = queue;
-            cfg.write_queue = queue;
             cfg.stall_iterations = cfg.timing.t_rfc + cfg.timing.t_refi + 1;
             if wedged {
                 wedge(&mut cfg);

@@ -4,8 +4,8 @@
 //! *observationally identical* to the per-cycle reference engine — which
 //! runs the exact same decision procedure one DRAM clock at a time, with
 //! no candidate caches consulted across jumps and no event arithmetic —
-//! across randomized traces: arrival jitter, refresh on and off, mixed
-//! read/write traffic, and tight queue capacities. Identity covers the
+//! across randomized traces: arrival jitter, refresh on and off, several
+//! rank counts, and tight queue capacities. Identity covers the
 //! full completion *vector* (enqueue order, addresses, arrival and finish
 //! cycles, row outcomes, and their order), the final clock, every statistics
 //! counter, and protocol-monitor cleanliness.
@@ -15,20 +15,15 @@ use recnmp_dram::request::Request;
 use recnmp_dram::{CompletedRequest, DramConfig, MemorySystem, SimEngine};
 use recnmp_types::PhysAddr;
 
-/// Builds a request trace from randomized per-request raw material.
-fn trace(raw: &[(u64, u64, bool)], span: u64, gap: u64) -> Vec<Request> {
+/// Builds a read trace from randomized per-request raw material.
+fn trace(raw: &[(u64, u64)], span: u64, gap: u64) -> Vec<Request> {
     raw.iter()
         .enumerate()
-        .map(|(i, &(addr, jitter, write))| {
+        .map(|(i, &(addr, jitter))| {
             let addr = PhysAddr::new((addr % span) & !63);
             // Arrivals are non-decreasing with random jitter, so traces
             // mix back-to-back bursts with quiet gaps.
-            let arrival = i as u64 * gap + jitter;
-            if write {
-                Request::write(addr, arrival)
-            } else {
-                Request::read(addr, arrival)
-            }
+            Request::read(addr, i as u64 * gap + jitter)
         })
         .collect()
 }
@@ -81,7 +76,7 @@ proptest! {
     // Dense random reads with jittered arrivals, refresh on/off.
     #[test]
     fn read_traces_are_engine_invariant(
-        raw in prop::collection::vec((0u64..u64::MAX, 0u64..8, Just(false)), 1..220),
+        raw in prop::collection::vec((0u64..u64::MAX, 0u64..8), 1..220),
         refresh in any::<bool>(),
         gap in prop_oneof![Just(0u64), Just(2), Just(37), Just(900)],
     ) {
@@ -90,25 +85,11 @@ proptest! {
         assert_engines_agree(&cfg, &trace(&raw, 8 << 30, gap));
     }
 
-    // Mixed read/write traffic exercising drain mode and turnaround.
-    #[test]
-    fn mixed_rw_traces_are_engine_invariant(
-        raw in prop::collection::vec((0u64..u64::MAX, 0u64..5, any::<bool>()), 1..200),
-        refresh in any::<bool>(),
-        write_queue in prop_oneof![Just(4usize), Just(8), Just(32)],
-        gap in prop_oneof![Just(0u64), Just(3), Just(150)],
-    ) {
-        let mut cfg = DramConfig::with_ranks(1, 2);
-        cfg.refresh = refresh;
-        cfg.write_queue = write_queue;
-        assert_engines_agree(&cfg, &trace(&raw, 4 << 30, gap));
-    }
-
     // The rank-NMP device configuration (single rank, identity mapping)
     // under queue back-pressure and a tight starvation bound.
     #[test]
     fn rank_device_traces_are_engine_invariant(
-        raw in prop::collection::vec((0u64..u64::MAX, 0u64..4, Just(false)), 1..200),
+        raw in prop::collection::vec((0u64..u64::MAX, 0u64..4), 1..200),
         read_queue in prop_oneof![Just(4usize), Just(32)],
         starvation in prop_oneof![Just(64u64), Just(2048)],
     ) {
@@ -122,7 +103,7 @@ proptest! {
     // refresh interleave with scheduling.
     #[test]
     fn multi_rank_traces_are_engine_invariant(
-        raw in prop::collection::vec((0u64..u64::MAX, 0u64..6, any::<bool>()), 1..160),
+        raw in prop::collection::vec((0u64..u64::MAX, 0u64..6), 1..160),
         ranks in prop_oneof![Just((1u8, 2u8)), Just((2, 2)), Just((4, 2))],
     ) {
         let cfg = DramConfig::with_ranks(ranks.0, ranks.1);

@@ -5,7 +5,10 @@
 //! fixed `DetRng` streams through four channel shapes and pin the exact
 //! loop iterations, final cycle and command counts: any change to a
 //! scheduling decision, to the event-skip targets or to refresh timing
-//! moves at least one of them, on any host.
+//! moves at least one of them, on any host. Every shape also runs under
+//! a `ProtocolMonitor`, which must see no DDR timing violation in these
+//! long, refresh-heavy, deep-queue runs; the monitor only observes
+//! commands, so it cannot move a pinned counter.
 //!
 //! The shapes:
 //! - the host baseline's channel (2 DIMMs x 2 ranks), a whole batch
@@ -13,12 +16,11 @@
 //! - a rank-NMP device (one rank), two reads arriving per cycle;
 //! - a 4 x 2 channel (8 ranks, 128 banks) with refresh on, long enough
 //!   for every rank to refresh several times;
-//! - a mixed read/write stream that fills the write queue and drains it;
 //! - a rank-NMP device as `RankNmp::process` drives it: many short calls
 //!   of a few two-burst vectors each, every call enqueued at decoded
 //!   coordinates and run to idle, refresh on.
 
-use recnmp_dram::request::{Request, RequestKind};
+use recnmp_dram::request::Request;
 use recnmp_dram::{DramAddr, DramConfig, MemorySystem};
 use recnmp_types::rng::DetRng;
 use recnmp_types::PhysAddr;
@@ -27,19 +29,38 @@ use recnmp_types::PhysAddr;
 /// `reads`, `writes`, `acts`, `pres`, `refs` and `cmd_bus_busy`.
 type Counters = (u64, u64, [u64; 6]);
 
-/// Enqueues `reqs` on a fresh channel, runs them and returns its counters.
-fn counters(cfg: DramConfig, reqs: &[Request]) -> Counters {
+/// A fresh channel with a protocol monitor attached.
+fn monitored(cfg: DramConfig) -> MemorySystem {
     let mut mem = MemorySystem::new(cfg).expect("valid config");
-    for r in reqs {
-        mem.enqueue(*r);
-    }
-    mem.run_stream(std::iter::empty(), |_| {}).expect("drain");
+    mem.attach_monitor();
+    mem
+}
+
+/// The counters of a finished run, after asserting that its monitor saw
+/// no protocol violation.
+fn checked_counters(mem: &MemorySystem) -> Counters {
+    assert!(
+        mem.monitor_violations().is_empty(),
+        "{:?}",
+        mem.monitor_violations()
+    );
     let s = mem.stats();
     (
         mem.loop_iterations(),
         mem.cycle(),
         [s.reads, s.writes, s.acts, s.pres, s.refs, s.cmd_bus_busy],
     )
+}
+
+/// Enqueues `reqs` on a fresh monitored channel, runs them and returns
+/// its counters.
+fn counters(cfg: DramConfig, reqs: &[Request]) -> Counters {
+    let mut mem = monitored(cfg);
+    for r in reqs {
+        mem.enqueue(*r);
+    }
+    mem.run_stream(std::iter::empty(), |_| {}).expect("drain");
+    checked_counters(&mem)
 }
 
 /// `n` reads at random cacheline addresses below `span`, read `i`
@@ -79,29 +100,11 @@ fn eight_rank_channel_with_refresh() {
 }
 
 #[test]
-fn mixed_stream_drains_writes() {
-    let mut rng = DetRng::seed(4);
-    let reqs: Vec<Request> = (0..4096u64)
-        .map(|i| {
-            let addr = PhysAddr::new(rng.below(8 << 30) & !63);
-            // Bursts of writes long enough to reach the drain watermark.
-            if (i / 48) % 3 == 1 {
-                Request::write(addr, i / 2)
-            } else {
-                Request::read(addr, i / 2)
-            }
-        })
-        .collect();
-    let got = counters(DramConfig::table1_baseline(), &reqs);
-    assert_eq!(got, (18552, 20915, [2736, 1360, 5426, 5394, 4, 14920]));
-}
-
-#[test]
 fn rank_device_packets() {
     let cfg = DramConfig::single_rank();
     assert!(cfg.refresh);
     let geo = cfg.geometry();
-    let mut mem = MemorySystem::new(cfg).expect("valid config");
+    let mut mem = monitored(cfg);
     let mut rng = DetRng::seed(5);
     for _ in 0..2000 {
         // One call: 8 two-burst vectors, 2 cycles apart, both bursts of a
@@ -120,16 +123,11 @@ fn rank_device_packets() {
                     column: base.column + b,
                     ..base
                 };
-                mem.enqueue_decoded(addr, RequestKind::Read, start + 2 * v);
+                mem.enqueue_decoded(addr, start + 2 * v);
             }
         }
         mem.run_stream(std::iter::empty(), |_| {}).expect("drain");
     }
-    let s = mem.stats();
-    let got = (
-        mem.loop_iterations(),
-        mem.cycle(),
-        [s.reads, s.writes, s.acts, s.pres, s.refs, s.cmd_bus_busy],
-    );
+    let got = checked_counters(&mem);
     assert_eq!(got, (101351, 285272, [32000, 0, 16060, 16044, 30, 64134]));
 }

@@ -105,10 +105,6 @@ impl QueryShape {
     ///
     /// Panics when any dimension is zero.
     pub fn new(tables: usize, batch: usize, pooling: usize) -> Self {
-        assert!(
-            tables > 0 && batch > 0 && pooling > 0,
-            "query shape dimensions must be positive"
-        );
         Self {
             tables,
             batch,
@@ -118,6 +114,7 @@ impl QueryShape {
             sample_tables: 0,
             row_skew: 0.9,
         }
+        .checked()
     }
 
     /// Sets the Zipf exponent of the per-table row index streams (see
@@ -127,12 +124,8 @@ impl QueryShape {
     ///
     /// Panics when `skew` is negative or not finite.
     pub fn with_row_skew(mut self, skew: f64) -> Self {
-        assert!(
-            skew >= 0.0 && skew.is_finite(),
-            "row skew must be finite and non-negative"
-        );
         self.row_skew = skew;
-        self
+        self.checked()
     }
 
     /// Skews per-table traffic with exponent `skew` (see
@@ -144,12 +137,8 @@ impl QueryShape {
     ///
     /// Panics when `skew` is negative or not finite.
     pub fn with_table_skew(mut self, skew: f64) -> Self {
-        assert!(
-            skew >= 0.0 && skew.is_finite(),
-            "table skew must be finite and non-negative"
-        );
         self.table_skew = skew;
-        self
+        self.checked()
     }
 
     /// Strides the skew ranks by `rotate` (see
@@ -162,13 +151,8 @@ impl QueryShape {
     /// map must be a permutation, or two tables would share one weight
     /// and another weight would go unused).
     pub fn with_skew_rotation(mut self, rotate: usize) -> Self {
-        assert!(
-            gcd(rotate, self.tables) == 1,
-            "skew rotation {rotate} must be coprime to {} tables",
-            self.tables
-        );
         self.skew_rotate = rotate;
-        self
+        self.checked()
     }
 
     /// Samples `k` distinct tables per query instead of touching all of
@@ -178,12 +162,57 @@ impl QueryShape {
     ///
     /// Panics when `k` is zero or exceeds the table count.
     pub fn with_table_sampling(mut self, k: usize) -> Self {
-        assert!(
-            k > 0 && k <= self.tables,
-            "sample size {k} must be in 1..={} tables",
-            self.tables
-        );
+        assert!(k > 0, "a table sample must hold at least one table");
         self.sample_tables = k;
+        self.checked()
+    }
+
+    /// Checks that the shape describes work the query stream can draw.
+    /// The builders panic on the same rules, but the fields are public,
+    /// so the serving entry points check a shape again before using it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] naming the first bad field: a zero
+    /// `tables`, `batch` or `pooling`, a `sample_tables` above `tables`,
+    /// a negative or non-finite `table_skew` or `row_skew`, or a
+    /// `skew_rotate` that is not coprime to `tables`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (field, n) in [
+            ("tables", self.tables),
+            ("batch", self.batch),
+            ("pooling", self.pooling),
+        ] {
+            if n == 0 {
+                return Err(ConfigError::new(field, "must be positive"));
+            }
+        }
+        if self.sample_tables > self.tables {
+            let msg = format!("{} exceeds {} tables", self.sample_tables, self.tables);
+            return Err(ConfigError::new("sample_tables", msg));
+        }
+        for (field, skew) in [("table_skew", self.table_skew), ("row_skew", self.row_skew)] {
+            if !(skew >= 0.0 && skew.is_finite()) {
+                let msg = format!("must be finite and non-negative, got {skew}");
+                return Err(ConfigError::new(field, msg));
+            }
+        }
+        if gcd(self.skew_rotate, self.tables) != 1 {
+            let msg = format!(
+                "{} must be coprime to {} tables",
+                self.skew_rotate, self.tables
+            );
+            return Err(ConfigError::new("skew_rotate", msg));
+        }
+        Ok(())
+    }
+
+    /// `self`, after panicking on a field [`validate`](Self::validate)
+    /// rejects: the builders' one check.
+    fn checked(self) -> Self {
+        if let Err(e) = self.validate() {
+            panic!("invalid query shape: {e}");
+        }
         self
     }
 
@@ -369,7 +398,8 @@ impl QueryStream {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Config`] when `qps` is not positive and finite.
+/// Returns [`SimError::Config`] when `qps` is not positive and finite,
+/// or `shape` fails [`QueryShape::validate`].
 pub(super) fn offered_load(
     process: ArrivalProcess,
     qps: f64,
@@ -381,6 +411,7 @@ pub(super) fn offered_load(
         let msg = format!("offered rate must be positive and finite, got {qps}");
         return Err(SimError::Config(ConfigError::new("qps", msg)));
     }
+    shape.validate()?;
     let mut rng = DetRng::seed(seed ^ 0xa5a5_5a5a_0f0f_f0f0);
     let arrivals = process.arrival_times(qps, queries, &mut rng);
     Ok((

@@ -453,8 +453,9 @@ pub fn serve_fleet(fleet: &mut Fleet, cfg: &FleetConfig) -> Result<FleetReport, 
 ///
 /// Returns [`SimError::Stalled`] if a node's cycle-level run stalls, or
 /// [`SimError::Config`] when the offered rate is not positive and
-/// finite, the hedge policy has an empty window or a quantile outside
-/// (0, 1], or placement cannot fit the workload — run-level problems
+/// finite, the query shape fails [`QueryShape::validate`], the hedge
+/// policy has an empty window or a quantile outside (0, 1], or placement
+/// cannot fit the workload — run-level problems
 /// only; per-query failures land in [`FleetReport::failures`].
 pub fn serve_fleet_resilient(
     fleet: &mut Fleet,

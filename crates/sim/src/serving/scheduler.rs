@@ -188,8 +188,8 @@ impl ServingReport {
 ///
 /// Returns [`SimError::Stalled`] if any job's cycle-level run stalls, or
 /// [`SimError::Config`] when the offered rate is not positive and finite,
-/// the backend exposes no servers, or the placement cannot fit the
-/// workload's tables.
+/// the query shape fails [`QueryShape::validate`], the backend exposes no
+/// servers, or the placement cannot fit the workload's tables.
 pub fn serve(backend: &mut dyn SlsBackend, cfg: &ServingConfig) -> Result<ServingReport, SimError> {
     let (arrivals, queries) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed)?;
     serve_arrivals(backend, cfg, &arrivals, queries)

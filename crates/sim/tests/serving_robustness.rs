@@ -1,8 +1,9 @@
 //! Robustness of the serving entry points:
 //!
-//! * an offered rate that is not positive and finite, and a hedge policy
-//!   with an empty window or a quantile outside (0, 1], are
-//!   `SimError::Config` instead of a panic;
+//! * an offered rate that is not positive and finite, a query shape with
+//!   no work, an out-of-range table sample, a bad skew or a skew rotation
+//!   that is no permutation, and a hedge policy with an empty window or a
+//!   quantile outside (0, 1], are `SimError::Config` instead of a panic;
 //! * a channel slowed past the end of the clock fails its queries
 //!   instead of overflowing (or, wrapped, reporting them fast);
 //! * (property) `serve` under arbitrary serving configurations — every
@@ -78,6 +79,53 @@ fn a_bad_offered_rate_is_a_config_error() {
         };
         let swept = resilience_sweep(&mut || Fleet::reference(2), &spec);
         assert!(is_config_error(&swept), "resilience_sweep at {qps}");
+    }
+}
+
+#[test]
+fn a_bad_query_shape_is_a_config_error() {
+    let good = QueryShape::new(4, 2, 6);
+    let mut bad = vec![
+        QueryShape { tables: 0, ..good },
+        QueryShape { batch: 0, ..good },
+        QueryShape { pooling: 0, ..good },
+        QueryShape {
+            sample_tables: 99,
+            ..good
+        },
+        QueryShape {
+            skew_rotate: 2,
+            ..good
+        },
+        QueryShape {
+            skew_rotate: 0,
+            ..good
+        },
+    ];
+    for skew in [-1.0, f64::NAN, f64::INFINITY] {
+        bad.push(QueryShape {
+            table_skew: skew,
+            ..good
+        });
+        bad.push(QueryShape {
+            row_skew: skew,
+            ..good
+        });
+    }
+    for shape in bad {
+        let cfg = ServingConfig::poisson(60_000.0, 4, shape, 1);
+        assert!(
+            is_config_error(&serve(&mut host(), &cfg)),
+            "serve {shape:?}"
+        );
+
+        let fleet_cfg = FleetConfig {
+            shape,
+            ..fleet_cfg(60_000.0, 4, FleetDispatch::sharded(), 1)
+        };
+        let res = ResilienceConfig::zero();
+        let served = serve_fleet_resilient(&mut Fleet::reference(2), &fleet_cfg, &res);
+        assert!(is_config_error(&served), "serve_fleet_resilient {shape:?}");
     }
 }
 

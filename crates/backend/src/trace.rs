@@ -316,6 +316,17 @@ impl SlsTrace {
         self.batches.truncate(batches);
     }
 
+    /// Releases the columns' spare capacity, such as what
+    /// [`retain_lookups`](Self::retain_lookups) leaves behind, so a trace
+    /// kept for later holds only its own lookups.
+    pub fn shrink_to_fit(&mut self) {
+        self.rows.shrink_to_fit();
+        self.addrs.shrink_to_fit();
+        self.weights.shrink_to_fit();
+        self.offsets.shrink_to_fit();
+        self.batches.shrink_to_fit();
+    }
+
     /// Splits the trace into `channels` sub-traces under `policy`.
     ///
     /// Every batch lands in exactly one shard; shard order preserves

@@ -41,7 +41,10 @@
 //! deterministic, so the only slack is the golden gate's 1% for float
 //! jitter, and keys, labels and verdict bools compare exactly.
 //! `--baseline-from-git` reads the committed file from `git show
-//! HEAD:./<out>` instead.
+//! HEAD:./<out>` instead. Every run that parsed its arguments prints the
+//! process's peak RSS (`VmHWM`) to stderr on exit, informational only.
+
+use std::process::ExitCode;
 
 use recnmp_backend::{PlacementPolicy, SlsBackend};
 use recnmp_baselines::{DimmLevelNmp, DramConfig, HostBaseline};
@@ -555,11 +558,22 @@ fn run_resilience(scale: Scale) -> Report {
     )
 }
 
-fn main() {
-    let (mode, args) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("{e}\n{USAGE}");
-        std::process::exit(2);
-    });
+fn main() -> ExitCode {
+    let (mode, args) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let code = serve_sweep(mode, args);
+    recnmp_bench::print_peak_rss();
+    code
+}
+
+/// Runs `mode`, writes its report and checks it against the baseline
+/// `args` names, if any.
+fn serve_sweep(mode: Mode, args: BenchArgs) -> ExitCode {
     args.pin_workers();
     let out = args.out.unwrap_or_else(|| mode.default_out());
     // Read the committed report before this run overwrites `out`.
@@ -580,10 +594,10 @@ fn main() {
 
     if let Err(broken) = verdict {
         eprintln!("{broken} (see {out})");
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
     let Some((committed, source)) = committed else {
-        return;
+        return ExitCode::SUCCESS;
     };
     let committed = Json::parse(&committed).unwrap_or_else(|e| panic!("parsing {source}: {e}"));
     let mismatches = diff_json(&committed, &report, DEFAULT_TOL);
@@ -593,9 +607,10 @@ fn main() {
             eprintln!("{m}");
         }
         eprintln!("if the change is intended, commit the regenerated {out}");
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
     println!("baseline check vs {source}: ok (structural diff, tol {DEFAULT_TOL})");
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

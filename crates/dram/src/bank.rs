@@ -114,6 +114,7 @@ pub struct RankTimer {
     next_act_same_bg: [Cycle; MAX_BANK_GROUPS],
     next_rd_any: Cycle,
     next_rd_same_bg: [Cycle; MAX_BANK_GROUPS],
+    /// tFAW, copied once from the timing the rank was built with.
     faw: Cycle,
     /// Rank unavailable until this cycle (refresh in progress).
     busy_until: Cycle,
@@ -166,7 +167,7 @@ impl RankTimer {
         let act = self.next_act_any.max(self.busy_until);
         self.act_gate = if self.act_count == 4 {
             // tFAW counts from the oldest of the last four ACTs.
-            act.max(self.act_history[0] + self.faw_window())
+            act.max(self.act_history[0] + self.faw)
         } else {
             act
         };
@@ -190,10 +191,6 @@ impl RankTimer {
     /// The bank-group part of ACT readiness (tRRD_L).
     pub fn act_group_ready(&self, bank_group: u8) -> Cycle {
         self.next_act_same_bg[bank_group as usize]
-    }
-
-    fn faw_window(&self) -> Cycle {
-        self.faw
     }
 
     /// Earliest cycle a RD to `bank_group` satisfies the rank-level
@@ -225,7 +222,6 @@ impl RankTimer {
             self.act_history[self.act_count] = now;
             self.act_count += 1;
         }
-        self.faw = t.t_faw;
         self.update_gates();
     }
 

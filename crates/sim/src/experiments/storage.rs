@@ -9,8 +9,7 @@
 //! — what happens to the serving knee when it no longer fits?
 
 use recnmp_backend::{
-    MigrationCost, PromotionPolicy, StorageTier, TableUsage, TierSpec, TieredPlacementPlan,
-    TieredPolicy,
+    MigrationCost, PromotionPolicy, StorageTier, TierSpec, TieredPlacementPlan, TieredPolicy,
 };
 use recnmp_types::ByteSize;
 
@@ -103,7 +102,7 @@ pub(super) fn fig_capacity(scale: Scale) -> ExperimentResult {
     // The static profile both placement policies see: the sweep's own
     // query stream, so the plan split reported here is exactly the one
     // the curves were served under.
-    let usage = TableUsage::from_traces(&QueryStream::new(shape, SEED).take_queries(spec.queries));
+    let usage = QueryStream::new(shape, SEED).table_profile(spec.queries);
 
     let mut knees = TextTable::new(
         format!(

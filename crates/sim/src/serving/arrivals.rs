@@ -6,8 +6,14 @@
 //! methodology (a closed loop self-throttles and hides queueing delay).
 //! Both processes here are driven by [`DetRng`], so a (seed, QPS, count)
 //! triple always yields the same arrival schedule.
+//!
+//! Serving draws each query from its [`QueryStream`] when the core
+//! dispatches it, so a run holds one query at a time, not its whole
+//! stream. The placement plans need the stream's per-table profile
+//! before the first dispatch; [`QueryStream::table_profile`] replays
+//! only the table choices for that, and draws no rows.
 
-use recnmp_backend::SlsTrace;
+use recnmp_backend::{SlsTrace, TableUsage};
 use recnmp_model::{ModelConfig, RecModelKind};
 use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, TraceGenerator};
 use recnmp_types::rng::DetRng;
@@ -352,22 +358,10 @@ impl QueryStream {
         let tables: Vec<(usize, usize)> = match &mut self.sampler {
             None => self.poolings.iter().copied().enumerate().collect(),
             Some((weights, rng)) => {
-                // Efraimidis–Spirakis weighted sampling without
-                // replacement: key each table `u^(1/w)` and keep the k
-                // largest. One RNG draw per table per query, so the
-                // stream's draw sequence is independent of k.
-                let mut keyed: Vec<(f64, usize)> = weights
-                    .iter()
-                    .enumerate()
-                    .map(|(t, &w)| (rng.unit_f64().powf(1.0 / w), t))
-                    .collect();
-                keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-                let mut chosen: Vec<(usize, usize)> = keyed[..self.shape.sample_tables]
-                    .iter()
-                    .map(|&(_, t)| (t, self.shape.pooling))
-                    .collect();
-                chosen.sort_unstable();
-                chosen
+                let (k, pooling) = (self.shape.sample_tables, self.shape.pooling);
+                let mut keyed = Vec::with_capacity(weights.len());
+                sample_tables(weights, rng, k, &mut keyed);
+                keyed.iter().map(|&(_, t)| (t, pooling)).collect()
             }
         };
         // Draw straight into columns sized exactly for the query.
@@ -390,11 +384,66 @@ impl QueryStream {
     pub fn take_queries(&mut self, n: usize) -> Vec<SlsTrace> {
         (0..n).map(|_| self.next_query()).collect()
     }
+
+    /// The per-table usage of the next `n` queries, exactly
+    /// `TableUsage::from_traces(&self.take_queries(n))`, without drawing
+    /// them: the stream itself does not advance. Only a sampling shape
+    /// replays its table sampler (on a copy of its RNG); every other
+    /// shape touches each table every query, so its profile is closed
+    /// form. No row is drawn either way.
+    pub fn table_profile(&self, n: usize) -> Vec<TableUsage> {
+        let per_sample = self.shape.batch as u64;
+        let accesses: Vec<u64> = match &self.sampler {
+            None => (self.poolings.iter())
+                .map(|&p| n as u64 * per_sample * p as u64)
+                .collect(),
+            Some((weights, rng)) => {
+                let (mut rng, mut keyed) = (rng.clone(), Vec::with_capacity(weights.len()));
+                let mut accesses = vec![0; self.shape.tables];
+                for _ in 0..n {
+                    sample_tables(weights, &mut rng, self.shape.sample_tables, &mut keyed);
+                    for &(_, t) in &keyed {
+                        accesses[t] += per_sample * self.shape.pooling as u64;
+                    }
+                }
+                accesses
+            }
+        };
+        // A table no query touched has no batch, so no usage record.
+        (self.gens.iter().zip(accesses))
+            .filter(|&(_, a)| a > 0)
+            .map(|(g, a)| TableUsage::new(g.table(), g.spec().bytes(), a))
+            .collect()
+    }
+
+    /// Bytes per embedding vector of the stream's largest-vector table
+    /// (64, an empty trace's, for a stream without tables).
+    pub(super) fn vector_bytes(&self) -> u64 {
+        let bytes = self.gens.iter().map(|g| g.spec().vector_bytes);
+        bytes.max().unwrap_or(64)
+    }
 }
 
-/// The offered load of one seeded run: each query's arrival cycle and
-/// its trace. Single-node and fleet serving draw both from the seed the
-/// same way, so a 1-node fleet replays the bare cluster's workload.
+/// Samples the `k` tables of one query into `keyed` as `(key, table)`,
+/// ascending by table: Efraimidis–Spirakis weighted sampling without
+/// replacement keys each table `u^(1/w)` and keeps the `k` largest. One
+/// RNG draw per table per query, so the stream's draw sequence is
+/// independent of `k`.
+fn sample_tables(weights: &[f64], rng: &mut DetRng, k: usize, keyed: &mut Vec<(f64, usize)>) {
+    keyed.clear();
+    let keys = weights.iter().map(|&w| rng.unit_f64().powf(1.0 / w));
+    keyed.extend(keys.zip(0..));
+    keyed.select_nth_unstable_by(k - 1, |a, b| {
+        b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1))
+    });
+    keyed.truncate(k);
+    keyed.sort_unstable_by_key(|&(_, t)| t);
+}
+
+/// The offered load of one seeded run: each query's arrival cycle, and
+/// the stream its queries are drawn from as they dispatch. Single-node
+/// and fleet serving derive both from the seed the same way, so a
+/// 1-node fleet replays the bare cluster's workload.
 ///
 /// # Errors
 ///
@@ -406,7 +455,7 @@ pub(super) fn offered_load(
     queries: usize,
     shape: QueryShape,
     seed: u64,
-) -> Result<(Vec<Cycle>, Vec<SlsTrace>), SimError> {
+) -> Result<(Vec<Cycle>, QueryStream), SimError> {
     if !(qps > 0.0 && qps.is_finite()) {
         let msg = format!("offered rate must be positive and finite, got {qps}");
         return Err(SimError::Config(ConfigError::new("qps", msg)));
@@ -414,10 +463,7 @@ pub(super) fn offered_load(
     shape.validate()?;
     let mut rng = DetRng::seed(seed ^ 0xa5a5_5a5a_0f0f_f0f0);
     let arrivals = process.arrival_times(qps, queries, &mut rng);
-    Ok((
-        arrivals,
-        QueryStream::new(shape, seed).take_queries(queries),
-    ))
+    Ok((arrivals, QueryStream::new(shape, seed)))
 }
 
 #[cfg(test)]
@@ -550,6 +596,46 @@ mod tests {
         let rows = queries[0].batch(0).poolings().next().unwrap().rows();
         let want = uniform.flat(8);
         assert!(rows.iter().map(|&r| u64::from(r)).eq(want));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn table_profile_replays_the_stream_exactly(
+            tables in 1usize..25,
+            sample in 0usize..25,
+            size in (1usize..4, 1usize..9),
+            skews in (
+                proptest::prop_oneof![proptest::strategy::Just(0.0), 0.0f64..3.0],
+                proptest::prop_oneof![proptest::strategy::Just(0.0), 0.0f64..1.5],
+            ),
+            draw in (1usize..48, 0usize..64, 0u64..1_000),
+        ) {
+            let ((batch, pooling), (table_skew, row_skew)) = (size, skews);
+            let (rotate, n, seed) = draw;
+            let shape = QueryShape {
+                tables,
+                batch,
+                pooling,
+                table_skew,
+                // The first stride from `rotate` up that permutes the ranks.
+                skew_rotate: (rotate..).find(|&r| gcd(r, tables) == 1).unwrap(),
+                sample_tables: sample % (tables + 1),
+                row_skew,
+            };
+            shape.validate().unwrap();
+            let profiled = QueryStream::new(shape, seed);
+            let profile = profiled.table_profile(n);
+            let mut fresh = QueryStream::new(shape, seed);
+            let queries = fresh.take_queries(n);
+            assert_eq!(profile, TableUsage::from_traces(&queries), "{shape:?}, {n} queries");
+            // Profiling leaves the stream where it was: it then yields
+            // the fresh stream's queries, and they continue alike.
+            let mut profiled = profiled;
+            assert_eq!(profiled.take_queries(n), queries);
+            assert_eq!(profiled.next_query(), fresh.next_query());
+        }
     }
 
     #[test]

@@ -251,8 +251,10 @@ pub(super) struct Core {
 impl Core {
     /// Serves `queries` (arrival `arrivals[q]` each) on `nodes` (all
     /// exposing the same server count) under the resilience semantics of
-    /// [`serve_fleet_resilient`](super::fleet::serve_fleet_resilient),
-    /// consuming the queries.
+    /// [`serve_fleet_resilient`](super::fleet::serve_fleet_resilient).
+    /// Each query is pulled from `queries` when it dispatches and dropped
+    /// once it settles, so a lazy stream is never held whole; the run
+    /// takes one query per arrival.
     ///
     /// # Errors
     ///
@@ -264,7 +266,7 @@ impl Core {
         nodes: &mut [&mut dyn SlsBackend],
         res: &ResilienceConfig,
         arrivals: &[Cycle],
-        queries: Vec<SlsTrace>,
+        queries: impl Iterator<Item = SlsTrace>,
         system: &str,
     ) -> Result<Served, SimError> {
         let node_count = nodes.len();
@@ -611,7 +613,7 @@ fn run_shard_attempts(
 ) -> Result<(Cycle, Cycle), u32> {
     let retry = res.retry;
     let budget = retry.timeout;
-    let attempts = retry.max_attempts.max(1);
+    let attempts = retry.max_attempts;
     let mut t = dispatch;
     let mut channel = first_channel;
     for attempt in 0..attempts {

@@ -46,7 +46,7 @@
 //! ```
 
 use recnmp_types::rng::DetRng;
-use recnmp_types::Cycle;
+use recnmp_types::{ConfigError, Cycle};
 use serde::{Deserialize, Serialize};
 
 /// A node that stops serving at a scheduled cycle and never recovers
@@ -138,7 +138,7 @@ impl FaultPlan {
             channel,
             from,
             until,
-            multiplier: multiplier.max(1),
+            multiplier,
         });
         self
     }
@@ -172,7 +172,6 @@ impl FaultPlan {
             .map(|d| d.multiplier)
             .max()
             .unwrap_or(1)
-            .max(1)
     }
 
     /// Does a shard attempt starting at `cycle` on `(node, channel)`
@@ -380,6 +379,46 @@ impl ResilienceConfig {
     pub fn with_slo(mut self, slo: SloPolicy) -> Self {
         self.slo = Some(slo);
         self
+    }
+
+    /// Checks the configuration against a fleet of `nodes` nodes with
+    /// `channels` channels each, so that a fault plan cannot silently
+    /// inject nothing and no policy runs outside its documented range.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] naming the first bad entry: a crash,
+    /// degrade window or timeout window on a node or channel the fleet
+    /// lacks, a degrade `multiplier` of 0, a retry `max_attempts` of 0,
+    /// or a hedge with an empty window or a quantile outside (0, 1].
+    pub fn validate(&self, nodes: usize, channels: usize) -> Result<(), ConfigError> {
+        let plan = &self.faults;
+        let crashes = plan.crashes.iter().map(|c| ("crashes", c.node, None));
+        let degrades = (plan.degrades.iter()).map(|d| ("degrades", d.node, Some(d.channel)));
+        let timeouts = (plan.timeouts.iter()).map(|t| ("timeouts", t.node, Some(t.channel)));
+        for (field, node, channel) in crashes.chain(degrades).chain(timeouts) {
+            if node >= nodes {
+                let msg = format!("names node {node} of a {nodes}-node fleet");
+                return Err(ConfigError::new(field, msg));
+            }
+            if let Some(c) = channel.filter(|&c| c >= channels) {
+                let msg = format!("names channel {c} of a {channels}-channel node");
+                return Err(ConfigError::new(field, msg));
+            }
+        }
+        if let Some(d) = plan.degrades.iter().find(|d| d.multiplier == 0) {
+            let msg = format!("{d:?} needs a multiplier of at least 1");
+            return Err(ConfigError::new("degrades", msg));
+        }
+        if self.retry.max_attempts == 0 {
+            return Err(ConfigError::new("retry", "max_attempts must be at least 1"));
+        }
+        let valid = |h: &HedgePolicy| h.window > 0 && h.quantile > 0.0 && h.quantile <= 1.0;
+        if let Some(h) = self.hedge.filter(|h| !valid(h)) {
+            let msg = format!("{h:?} needs a window > 0 and a quantile in (0, 1]");
+            return Err(ConfigError::new("hedge", msg));
+        }
+        Ok(())
     }
 }
 

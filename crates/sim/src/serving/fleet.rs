@@ -55,14 +55,12 @@
 //! assert_eq!(report.latencies.len(), 64);
 //! ```
 
-use recnmp_backend::{
-    FleetPlacementPlan, PlacementPolicy, RunReport, SlsBackend, SlsTrace, TableUsage,
-};
+use recnmp_backend::{FleetPlacementPlan, PlacementPolicy, RunReport, SlsBackend};
 use recnmp_types::units::qps_to_interarrival_cycles;
 use recnmp_types::{ByteSize, ConfigError, Cycle, SimError};
 use serde::{Deserialize, Serialize};
 
-use super::arrivals::{offered_load, ArrivalProcess, QueryShape};
+use super::arrivals::{offered_load, ArrivalProcess, QueryShape, QueryStream};
 use super::core::{Core, Plan, Stages};
 use super::faults::{
     FaultPlan, HedgePolicy, QueryOutcome, ResilienceConfig, RetryPolicy, SloPolicy,
@@ -453,8 +451,8 @@ pub fn serve_fleet(fleet: &mut Fleet, cfg: &FleetConfig) -> Result<FleetReport, 
 ///
 /// Returns [`SimError::Stalled`] if a node's cycle-level run stalls, or
 /// [`SimError::Config`] when the offered rate is not positive and
-/// finite, the query shape fails [`QueryShape::validate`], the hedge
-/// policy has an empty window or a quantile outside (0, 1], or placement
+/// finite, the query shape fails [`QueryShape::validate`], `res` fails
+/// [`ResilienceConfig::validate`] on this fleet, or placement
 /// cannot fit the workload — run-level problems
 /// only; per-query failures land in [`FleetReport::failures`].
 pub fn serve_fleet_resilient(
@@ -462,33 +460,30 @@ pub fn serve_fleet_resilient(
     cfg: &FleetConfig,
     res: &ResilienceConfig,
 ) -> Result<FleetReport, SimError> {
-    let valid = |h: &HedgePolicy| h.window > 0 && h.quantile > 0.0 && h.quantile <= 1.0;
-    if let Some(h) = res.hedge.filter(|h| !valid(h)) {
-        let msg = format!("{h:?} needs a window > 0 and a quantile in (0, 1]");
-        return Err(SimError::Config(ConfigError::new("hedge", msg)));
-    }
-    let (arrivals, queries) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed)?;
-    serve_fleet_resilient_arrivals(fleet, cfg, res, &arrivals, queries)
+    res.validate(fleet.nodes(), fleet.channels_per_node())?;
+    let (arrivals, stream) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed)?;
+    serve_fleet_resilient_arrivals(fleet, cfg, res, &arrivals, stream)
 }
 
 /// The fleet front of the scatter/gather core, shared by
-/// [`serve_fleet_resilient`] and the saturation probe: builds both
-/// placement levels from the query stream's table profile and serves
-/// the queries on the fleet's nodes, consuming them.
+/// [`serve_fleet_resilient`] and the sweeps: builds both placement levels
+/// from the stream's [`table_profile`](QueryStream::table_profile), then
+/// serves one query of `stream` per arrival on the fleet's nodes,
+/// drawing each as it dispatches.
 fn serve_fleet_resilient_arrivals(
     fleet: &mut Fleet,
     cfg: &FleetConfig,
     res: &ResilienceConfig,
     arrivals: &[Cycle],
-    queries: Vec<SlsTrace>,
+    mut stream: QueryStream,
 ) -> Result<FleetReport, SimError> {
-    assert_eq!(arrivals.len(), queries.len(), "one arrival per query");
     let dispatch = cfg.dispatch;
+    let n = arrivals.len();
     let plan = FleetPlacementPlan::build(
         fleet.nodes.len(),
         fleet.channels_per_node,
         dispatch.channel_capacity.map(ByteSize::get),
-        &TableUsage::from_traces(&queries),
+        &stream.table_profile(n),
         dispatch.node_policy,
         dispatch.within_policy,
     )
@@ -507,6 +502,7 @@ fn serve_fleet_resilient_arrivals(
         .iter_mut()
         .map(|n| n.as_mut() as &mut dyn SlsBackend)
         .collect();
+    let queries = (0..n).map(|_| stream.next_query());
     let mut served = core.run(&mut nodes, res, arrivals, queries, &fleet.name)?;
     let latencies = served.finish(arrivals);
     Ok(FleetReport {
@@ -538,20 +534,21 @@ impl Sweepable for Fleet {
         dispatch: FleetDispatch,
         shape: QueryShape,
         arrivals: &[Cycle],
-        queries: Vec<SlsTrace>,
+        seed: u64,
     ) -> Result<(f64, LatencySummary), SimError> {
-        // The rate, process and seed only label the report: the load is
+        // The rate and process only label the report: the arrivals are
         // given.
         let cfg = FleetConfig {
             process: ArrivalProcess::Uniform,
             qps: 1.0,
-            queries: queries.len(),
+            queries: arrivals.len(),
             shape,
             dispatch,
-            seed: 0,
+            seed,
         };
         let zero = ResilienceConfig::zero();
-        let report = serve_fleet_resilient_arrivals(self, &cfg, &zero, arrivals, queries)?;
+        let stream = QueryStream::new(shape, seed);
+        let report = serve_fleet_resilient_arrivals(self, &cfg, &zero, arrivals, stream)?;
         Ok((report.achieved_qps(), report.summary()))
     }
 }
@@ -680,8 +677,8 @@ impl ResilienceSweep {
 /// # Errors
 ///
 /// Returns [`SimError::Stalled`] if a cycle-level run stalls, or
-/// [`SimError::Config`] when the offered rate is not positive and finite
-/// or placement fails.
+/// [`SimError::Config`] when the offered rate is not positive and finite,
+/// the degrade multiplier is 0 or placement fails.
 pub fn resilience_sweep(
     make_fleet: &mut dyn FnMut() -> Fleet,
     spec: &ResilienceSpec,
@@ -775,10 +772,10 @@ pub fn resilience_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::arrivals::QueryStream;
     use crate::serving::policy::{ServingMode, ShardedDispatch};
     use crate::serving::scheduler::serve;
     use crate::serving::ServingConfig;
+    use recnmp_backend::SlsTrace;
 
     fn quick_shape() -> QueryShape {
         QueryShape::new(8, 2, 6)

@@ -101,14 +101,6 @@ impl HostCache {
         job_hits
     }
 
-    /// [`filter`](Self::filter)s a whole query stream in place, in
-    /// order: each query becomes its residual. Returns each query's
-    /// absorbed lookups. The placement dry run calls this once, so the
-    /// serving pass charges the recorded hits instead of probing again.
-    pub fn filter_all(&mut self, queries: &mut [SlsTrace]) -> Vec<u64> {
-        queries.iter_mut().map(|query| self.filter(query)).collect()
-    }
-
     /// `(hits, misses, absorbed_bytes)` accumulated so far.
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.absorbed_bytes)
@@ -293,14 +285,15 @@ mod tests {
         (residuals, hits)
     }
 
-    /// Asserts that `filter_all` on a fresh `spec` cache compacts
-    /// `queries` to the reference residuals and hit counts, conserving
-    /// lookups. Returns the total hits.
-    fn assert_filter_all_matches_reference(spec: HostCacheSpec, queries: &[SlsTrace]) -> u64 {
+    /// Asserts that `filter`ing `queries` in order through a fresh
+    /// `spec` cache compacts them to the reference residuals and hit
+    /// counts, conserving lookups. Returns the total hits.
+    fn assert_filtering_matches_reference(spec: HostCacheSpec, queries: &[SlsTrace]) -> u64 {
         let mut hc = HostCache::build(spec, &TableUsage::from_traces(queries), 128).unwrap();
         let (want, want_hits) = probe_reference(&hc, queries);
         let mut filtered = queries.to_vec();
-        assert_eq!(hc.filter_all(&mut filtered), want_hits);
+        let hits: Vec<u64> = filtered.iter_mut().map(|q| hc.filter(q)).collect();
+        assert_eq!(hits, want_hits);
         for (q, want) in filtered.iter().zip(&want) {
             let got: Residual = (q.batches())
                 .map(|b| {
@@ -328,7 +321,7 @@ mod tests {
     fn dry_run_matches_per_lookup_probing() {
         let jobs = [trace(4, 4, 20), trace(4, 2, 30), trace(3, 4, 20)];
         assert!(
-            assert_filter_all_matches_reference(spec(), &jobs) > 0,
+            assert_filtering_matches_reference(spec(), &jobs) > 0,
             "the jobs must hit"
         );
     }
@@ -353,7 +346,7 @@ mod tests {
                 hot_tables,
                 hit_cycles: 2,
             };
-            assert_filter_all_matches_reference(spec, &queries);
+            assert_filtering_matches_reference(spec, &queries);
         }
     }
 

@@ -10,7 +10,8 @@
 //!   ([`ArrivalProcess::Poisson`]/[`ArrivalProcess::Uniform`]) driven by
 //!   `recnmp_types::rng`, and the per-query trace stream ([`QueryStream`])
 //!   parameterized by offered QPS, batch size, and model kind
-//!   ([`QueryShape::for_model`]);
+//!   ([`QueryShape::for_model`]), from which serving draws each query
+//!   as it dispatches;
 //! * [`policy`] — serving modes ([`ServingMode`]): **queued** dispatch
 //!   under a [`DispatchPolicy`] (FIFO single queue, round-robin per
 //!   channel, least-outstanding-work), or **sharded** scatter/gather

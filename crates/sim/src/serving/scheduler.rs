@@ -22,7 +22,7 @@ use recnmp_types::units::{completions_to_qps, cycles_to_us};
 use recnmp_types::{ByteSize, ConfigError, Cycle, SimError};
 use serde::{Deserialize, Serialize};
 
-use super::arrivals::{offered_load, ArrivalProcess, QueryShape};
+use super::arrivals::{offered_load, ArrivalProcess, QueryShape, QueryStream};
 use super::core::{Core, Plan, Promotion, Stages};
 use super::faults::ResilienceConfig;
 use super::fleet::{NetworkCost, RouterPolicy};
@@ -191,20 +191,20 @@ impl ServingReport {
 /// the query shape fails [`QueryShape::validate`], the backend exposes no
 /// servers, or the placement cannot fit the workload's tables.
 pub fn serve(backend: &mut dyn SlsBackend, cfg: &ServingConfig) -> Result<ServingReport, SimError> {
-    let (arrivals, queries) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed)?;
-    serve_arrivals(backend, cfg, &arrivals, queries)
+    let (arrivals, stream) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed)?;
+    serve_arrivals(backend, cfg, &arrivals, stream)
 }
 
-/// The single-node scheduler, shared by [`serve`] and the saturation
-/// probe: serves `queries` (arrival `arrivals[i]` each) on the
-/// scatter/gather core as a one-node fleet, consuming them.
+/// The single-node scheduler, shared by [`serve`] and the sweeps: serves
+/// one query of `stream` per arrival (query `i` at `arrivals[i]`) on the
+/// scatter/gather core as a one-node fleet, drawing each as it
+/// dispatches.
 pub(super) fn serve_arrivals(
     backend: &mut dyn SlsBackend,
     cfg: &ServingConfig,
     arrivals: &[Cycle],
-    mut queries: Vec<SlsTrace>,
+    stream: QueryStream,
 ) -> Result<ServingReport, SimError> {
-    assert_eq!(arrivals.len(), queries.len(), "one arrival per query");
     let servers = backend.server_count();
     if servers == 0 {
         return Err(SimError::Config(ConfigError::new(
@@ -213,7 +213,7 @@ pub(super) fn serve_arrivals(
         )));
     }
     let system = backend.name().to_string();
-    let core = node_core(cfg, servers, &mut queries)?;
+    let (core, queries) = node_core(cfg, servers, stream, arrivals.len())?;
     let zero = ResilienceConfig::zero();
     let mut served = core.run(&mut [backend], &zero, arrivals, queries, &system)?;
     let latencies = served.finish(arrivals);
@@ -230,26 +230,32 @@ pub(super) fn serve_arrivals(
     })
 }
 
-/// The one-node scatter/gather core of `cfg.mode`, with the plan built
-/// once per run from the query stream's table profile.
+/// The one-node scatter/gather core of `cfg.mode` for the first `n`
+/// queries of `stream`, with the plan built once per run from the
+/// stream's [`table_profile`](QueryStream::table_profile), and the
+/// queries the core serves, drawn as it dispatches them.
 ///
 /// Queued mode is the replicate-everywhere plan with a free gather; its
 /// scatter rule sees no channel clock move mid-query, so each query runs
 /// whole on one server.
 ///
 /// Behind a host cache the sharded plan balances the *residual* profile
-/// (cache/placement co-design): a dry run filters every query through the
-/// cold cache once, in arrival order, leaving each query as its residual
-/// and recording its hits for the core to charge, and the cache's
-/// per-table absorption weights the plan. With promotion epochs the tiered plan
-/// starts *cold* — every table weighted equally, since the profile is
-/// unknown at t=0 — and the core's promotion stage learns the split.
+/// (cache/placement co-design): a dry run draws the queries and filters
+/// each through the cold cache once, in arrival order, recording its
+/// hits for the core to charge, and the cache's per-table absorption
+/// weights the plan. The core then serves those residuals, each trimmed
+/// to its size, in place of the stream. With
+/// promotion epochs the tiered plan starts *cold* — every table weighted
+/// equally, since the profile is unknown at t=0 — and the core's
+/// promotion stage learns the split.
 fn node_core(
     cfg: &ServingConfig,
     servers: usize,
-    queries: &mut [SlsTrace],
-) -> Result<Core, SimError> {
-    let usage = TableUsage::from_traces(queries);
+    mut stream: QueryStream,
+    n: usize,
+) -> Result<(Core, Box<dyn Iterator<Item = SlsTrace>>), SimError> {
+    let usage = stream.table_profile(n);
+    let mut residuals: Option<Vec<SlsTrace>> = None;
     let mut stages = Stages::default();
     let mut scatter = RouterPolicy::PlacementScatter;
     let (plan, gather) = match cfg.mode {
@@ -272,15 +278,18 @@ fn node_core(
             stages.prefetch = (sharded.prefetch).map(|p| HotVectorTracker::new(p.candidates));
             let mut absorbed = Vec::new();
             if let Some(spec) = sharded.host_cache {
-                // Lines fit the stream's largest vector (each trace's is
-                // uniform).
-                let line = queries
-                    .iter()
-                    .filter(|q| !q.is_empty())
-                    .map(SlsTrace::vector_bytes);
-                let mut hc = HostCache::build(spec, &usage, line.max().unwrap_or(64))
+                // Lines fit the stream's largest vector.
+                let mut hc = HostCache::build(spec, &usage, stream.vector_bytes())
                     .map_err(SimError::Config)?;
-                let hits = hc.filter_all(queries);
+                let (kept, hits) = (0..n)
+                    .map(|_| {
+                        let mut query = stream.next_query();
+                        let hits = hc.filter(&mut query);
+                        query.shrink_to_fit();
+                        (query, hits)
+                    })
+                    .unzip();
+                residuals = Some(kept);
                 absorbed = hc.absorbed_profile();
                 stages.host_cache = Some((hc, hits));
             }
@@ -324,14 +333,19 @@ fn node_core(
         }
     };
     // One node needs no router and pays no network gather.
-    Ok(Core {
+    let core = Core {
         plan,
         router: RouterPolicy::HashAffinity,
         scatter,
         gather,
         network: NetworkCost::new(0, 0),
         stages,
-    })
+    };
+    let queries: Box<dyn Iterator<Item = SlsTrace>> = match residuals {
+        Some(residuals) => Box::new(residuals.into_iter()),
+        None => Box::new((0..n).map(move |_| stream.next_query())),
+    };
+    Ok((core, queries))
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //!   at the same absolute loads (fractions of the anchor's saturation),
 //!   so knee QPS and p99 at a fixed load compare arms like for like.
 
-use recnmp_backend::{PlacementPolicy, SlsBackend, SlsTrace, TierSpec};
+use recnmp_backend::{PlacementPolicy, SlsBackend, TierSpec};
 use recnmp_types::{ByteSize, ConfigError, Cycle, SimError};
 
 use super::arrivals::{offered_load, ArrivalProcess, QueryShape, QueryStream};
@@ -32,9 +32,10 @@ pub trait Sweepable: Send {
     /// The system label a curve records.
     fn label(&self) -> String;
 
-    /// Serves `queries` of `shape` (query `i` arriving at `arrivals[i]`)
-    /// under `arm` and measures `(completion throughput, latency
-    /// distribution)`.
+    /// Serves one query of `shape` per arrival (query `i` arriving at
+    /// `arrivals[i]`) under `arm`, drawn in order from the
+    /// [`QueryStream`] seeded with `seed` as each dispatches, and measures
+    /// `(completion throughput, latency distribution)`.
     ///
     /// # Errors
     ///
@@ -44,7 +45,7 @@ pub trait Sweepable: Send {
         arm: Self::Arm,
         shape: QueryShape,
         arrivals: &[Cycle],
-        queries: Vec<SlsTrace>,
+        seed: u64,
     ) -> Result<(f64, LatencySummary), SimError>;
 }
 
@@ -62,15 +63,17 @@ impl Sweepable for Box<dyn SlsBackend> {
         mode: ServingMode,
         shape: QueryShape,
         arrivals: &[Cycle],
-        queries: Vec<SlsTrace>,
+        seed: u64,
     ) -> Result<(f64, LatencySummary), SimError> {
         self.reset_caches();
-        // The rate and seed only label the report: the load is given.
+        // The rate and process only label the report: the arrivals are
+        // given.
         let cfg = ServingConfig {
             mode,
-            ..ServingConfig::poisson(1.0, queries.len(), shape, 0)
+            ..ServingConfig::poisson(1.0, arrivals.len(), shape, seed)
         };
-        let report = serve_arrivals(self.as_mut(), &cfg, arrivals, queries)?;
+        let stream = QueryStream::new(shape, seed);
+        let report = serve_arrivals(self.as_mut(), &cfg, arrivals, stream)?;
         Ok((report.achieved_qps(), report.summary()))
     }
 }
@@ -179,8 +182,7 @@ pub fn saturation_qps<S: Sweepable>(
     queries: usize,
     seed: u64,
 ) -> Result<f64, SimError> {
-    let trace_queries = QueryStream::new(shape, seed).take_queries(queries);
-    let (qps, _) = make().serve_load(arm, shape, &vec![0; queries], trace_queries)?;
+    let (qps, _) = make().serve_load(arm, shape, &vec![0; queries], seed)?;
     positive("saturation probe", qps)
 }
 
@@ -206,9 +208,8 @@ pub fn qps_sweep_at<S: Sweepable>(
     let mut systems: Vec<(S, f64)> = offered.iter().map(|&qps| (make(), qps)).collect();
     let system = systems.first().map(|(s, _)| s.label()).unwrap_or_default();
     let measured = run_each(&mut systems, |(system, qps)| {
-        let (arrivals, queries) =
-            offered_load(spec.process, *qps, spec.queries, spec.shape, spec.seed)?;
-        system.serve_load(arm, spec.shape, &arrivals, queries)
+        let (arrivals, _) = offered_load(spec.process, *qps, spec.queries, spec.shape, spec.seed)?;
+        system.serve_load(arm, spec.shape, &arrivals, spec.seed)
     })?;
     let points = offered
         .iter()

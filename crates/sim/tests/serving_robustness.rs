@@ -4,6 +4,9 @@
 //!   no work, an out-of-range table sample, a bad skew or a skew rotation
 //!   that is no permutation, and a hedge policy with an empty window or a
 //!   quantile outside (0, 1], are `SimError::Config` instead of a panic;
+//! * a fault plan entry on a node or channel the fleet lacks, a degrade
+//!   multiplier of 0 and a retry policy of 0 attempts are
+//!   `SimError::Config` instead of being ignored or clamped;
 //! * a channel slowed past the end of the clock fails its queries
 //!   instead of overflowing (or, wrapped, reporting them fast);
 //! * (property) `serve` under arbitrary serving configurations — every
@@ -11,9 +14,11 @@
 //!   SLO policies return `Ok` or `Err` and never panic;
 //! * (property) `serve_fleet_resilient` on 1–3 nodes under arbitrary
 //!   explicit or seeded fault plans (any node and channel, out-of-range
-//!   ones included, multipliers and windows up to `u64::MAX`) gives every
-//!   query exactly one outcome, counts the outcomes consistently and
-//!   never completes a query before it arrived.
+//!   ones included, multipliers and windows up to `u64::MAX`) rejects
+//!   exactly the configurations the fleet cannot run as a config error,
+//!   and otherwise gives every query exactly one outcome, counts the
+//!   outcomes consistently and never completes a query before it
+//!   arrived.
 
 use proptest::prelude::*;
 use recnmp_backend::{MigrationCost, PlacementPolicy, PromotionPolicy, TierSpec, TieredPolicy};
@@ -170,6 +175,55 @@ fn hedging_needs_a_window_and_a_quantile_in_the_unit_interval() {
     ] {
         assert!(is_config_error(&run(bad)), "{bad:?}");
     }
+}
+
+#[test]
+fn a_fault_plan_outside_the_fleet_is_a_config_error() {
+    // Two reference nodes of four channels each.
+    let cfg = fleet_cfg(60_000.0, 8, FleetDispatch::replicated(4), 3);
+    let run = |res: &ResilienceConfig| serve_fleet_resilient(&mut Fleet::reference(2), &cfg, res);
+    let none = FaultPlan::none;
+    let degrade = |multiplier| none().with_degrade(1, 3, 0, u64::MAX, multiplier);
+    // The last in-range entry of each kind, and a 1x degrade, serve.
+    for plan in [
+        none().with_crash(1, 50_000),
+        degrade(1),
+        none().with_timeout(1, 3, 0, 10_000),
+    ] {
+        let report = run(&ResilienceConfig::new(plan.clone())).expect("an in-range plan serves");
+        assert_consistent(&report, 8);
+    }
+    for plan in [
+        none().with_crash(2, 0),
+        none().with_degrade(2, 0, 0, u64::MAX, 4),
+        none().with_degrade(0, 4, 0, u64::MAX, 4),
+        none().with_timeout(2, 0, 0, 10_000),
+        none().with_timeout(0, 4, 0, 10_000),
+        degrade(0),
+    ] {
+        let res = ResilienceConfig::new(plan.clone());
+        assert!(is_config_error(&run(&res)), "{plan:?}");
+    }
+    let no_attempts = RetryPolicy {
+        max_attempts: 0,
+        ..RetryPolicy::serving_default(50_000)
+    };
+    let res = ResilienceConfig::zero().with_retry(no_attempts);
+    assert!(is_config_error(&run(&res)), "{no_attempts:?}");
+}
+
+/// Whether a fleet of `nodes` reference nodes (4 channels each) accepts
+/// `res`, from the documented ranges: every fault on one of its nodes
+/// and channels, degrade multipliers and retry attempts of at least 1,
+/// and a hedge with a window and a quantile in (0, 1].
+fn accepted(res: &ResilienceConfig, nodes: usize) -> bool {
+    let (plan, channels) = (&res.faults, 4);
+    let on_fleet = |node: usize, channel: usize| node < nodes && channel < channels;
+    plan.crashes.iter().all(|c| c.node < nodes)
+        && (plan.degrades.iter()).all(|d| on_fleet(d.node, d.channel) && d.multiplier >= 1)
+        && (plan.timeouts.iter()).all(|t| on_fleet(t.node, t.channel))
+        && res.retry.max_attempts >= 1
+        && (res.hedge).is_none_or(|h| h.window > 0 && h.quantile > 0.0 && h.quantile <= 1.0)
 }
 
 /// Every query has exactly one outcome, the report's counters and
@@ -473,12 +527,11 @@ proptest! {
         };
         let cfg = fleet_cfg(80_000.0, queries, dispatch, seed);
         let result = serve_fleet_resilient(&mut Fleet::reference(2), &cfg, &res);
-        let hedge_ok = hedge.is_none_or(|h| h.window > 0 && h.quantile > 0.0 && h.quantile <= 1.0);
-        if hedge_ok {
+        if accepted(&res, 2) {
             let report = result.expect("valid policies serve every query to an outcome");
             prop_assert_eq!(report.outcomes.len(), queries);
         } else {
-            prop_assert!(is_config_error(&result), "{hedge:?}");
+            prop_assert!(is_config_error(&result), "{res:?}");
         }
     }
 }
@@ -517,8 +570,12 @@ proptest! {
             });
         }
         let cfg = fleet_cfg(40_000.0 * nodes as f64, queries, FleetDispatch::replicated(replicate), seed);
-        let report = serve_fleet_resilient(&mut fleet, &cfg, &res)
-            .expect("a valid configuration serves every query to an outcome");
-        assert_consistent(&report, queries);
+        let result = serve_fleet_resilient(&mut fleet, &cfg, &res);
+        if accepted(&res, nodes) {
+            let report = result.expect("a valid configuration serves every query to an outcome");
+            assert_consistent(&report, queries);
+        } else {
+            prop_assert!(is_config_error(&result), "{res:?}");
+        }
     }
 }

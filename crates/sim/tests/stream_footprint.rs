@@ -1,10 +1,10 @@
 //! Memory guard for a held query stream.
 //!
-//! A serving run generates its whole offered stream up front and holds it
-//! while it serves, so the stream's footprint is most of a faulted fleet
-//! run's heap. Each query is stored as flat columns built at their exact
-//! size: 4 bytes of row (rows are `u32`) and 8 bytes of address per
-//! lookup, plus pooling offsets, one record per batch and the trace
+//! Serving draws each query as it dispatches, but whatever holds queries
+//! (`take_queries`, the host cache's filtered residuals) keeps their
+//! columns live. Each query is stored as flat columns built at their
+//! exact size: 4 bytes of row (rows are `u32`) and 8 bytes of address
+//! per lookup, plus pooling offsets, one record per batch and the trace
 //! header. A counting global allocator measures what `take_queries`
 //! leaves live on the heap.
 //!

@@ -164,7 +164,7 @@ fn point(p: &SweepPoint) -> Json {
 
 /// One curve: its identifying `labels`, then its saturation anchor, knee
 /// (`null` when nothing was sustained) and points.
-fn curve<'a, A>(labels: impl IntoIterator<Item = (&'a str, Json)>, c: &SweepCurve<A>) -> Json {
+fn curve<'a>(labels: impl IntoIterator<Item = (&'a str, Json)>, c: &SweepCurve) -> Json {
     let knee = c.knee().map(|p| Json::fixed(p.offered_qps, 1));
     Json::obj(labels.into_iter().chain([
         ("saturation_qps", Json::fixed(c.saturation_qps, 1)),
@@ -373,7 +373,8 @@ fn run_fleet(scale: Scale) -> Report {
         FleetDispatch::replicated(experiments::fleet::hot_tables(scale)),
         FleetDispatch::sharded(),
     ];
-    let mut curves: Vec<(usize, SweepCurve<FleetDispatch>)> = Vec::new();
+    let modes = dispatches.map(ServingMode::Fleet);
+    let mut curves: Vec<(usize, FleetDispatch, SweepCurve)> = Vec::new();
     let mut node1_equal = false;
     for &nodes in node_counts {
         let spec = SweepSpec {
@@ -383,7 +384,7 @@ fn run_fleet(scale: Scale) -> Report {
             ..sweep_spec(scale, shape)
         };
         let mut make = move || Fleet::reference(nodes);
-        let swept = anchored_sweep(&mut make, dispatches[0], &dispatches, &spec)
+        let swept = anchored_sweep(&mut make, modes[0], &modes, &spec)
             .unwrap_or_else(|e| panic!("fleet sweep at {nodes} node(s) failed: {e}"));
         if nodes == 1 {
             // The router-costs-nothing invariant: the 1-node fleet's
@@ -404,14 +405,19 @@ fn run_fleet(scale: Scale) -> Report {
                     .unwrap_or_else(|e| panic!("bare-cluster equality sweep failed: {e}"));
             node1_equal = sharded.points == cluster_curve.points;
         }
-        curves.extend(swept.into_iter().map(|c| (nodes, c)));
+        curves.extend(
+            dispatches
+                .into_iter()
+                .zip(swept)
+                .map(|(d, c)| (nodes, d, c)),
+        );
     }
-    let curves = curves.iter().map(|(nodes, c)| {
+    let curves = curves.iter().map(|(nodes, dispatch, c)| {
         let labels = [
             ("system", c.system.as_str().into()),
             ("nodes", (*nodes).into()),
-            ("placement", c.arm.label().as_str().into()),
-            ("router", c.arm.router.name().into()),
+            ("placement", dispatch.label().as_str().into()),
+            ("router", dispatch.router.name().into()),
         ];
         curve(labels, c)
     });

@@ -126,7 +126,7 @@ pub use address::{AddressMapping, DramAddr};
 pub use command::{DdrCommand, DdrCommandKind};
 pub use controller::{DramConfig, SimEngine};
 pub use energy::{DramEnergy, EnergyParams};
-pub use request::{CompletedRequest, Request};
+pub use request::CompletedRequest;
 pub use stats::DramStats;
 pub use system::MemorySystem;
 pub use timing::DdrTiming;

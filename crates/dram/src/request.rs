@@ -1,27 +1,9 @@
-//! Memory requests and their completion records.
+//! The completion records of memory requests.
 
-use recnmp_types::{Cycle, PhysAddr};
+use recnmp_types::Cycle;
 use serde::{Deserialize, Serialize};
 
 use crate::address::DramAddr;
-
-/// A 64-byte read presented to a [`MemorySystem`].
-///
-/// [`MemorySystem`]: crate::MemorySystem
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Request {
-    /// Physical byte address (the containing 64-byte burst is read).
-    pub addr: PhysAddr,
-    /// Cycle at which the request becomes visible to the controller.
-    pub arrival: Cycle,
-}
-
-impl Request {
-    /// Creates a read request.
-    pub fn read(addr: PhysAddr, arrival: Cycle) -> Self {
-        Self { addr, arrival }
-    }
-}
 
 /// How the row buffer treated a serviced request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -63,12 +45,6 @@ impl CompletedRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn read_sets_address_and_arrival() {
-        let r = Request::read(PhysAddr::new(64), 5);
-        assert_eq!((r.addr, r.arrival), (PhysAddr::new(64), 5));
-    }
 
     #[test]
     fn latency_is_finish_minus_arrival() {

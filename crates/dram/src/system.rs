@@ -9,7 +9,7 @@ use crate::bank::{Bank, BankState, RankTimer};
 use crate::command::{DdrCommand, DdrCommandKind};
 use crate::controller::{DramConfig, SimEngine};
 use crate::monitor::ProtocolMonitor;
-use crate::request::{CompletedRequest, Request, RowOutcome};
+use crate::request::{CompletedRequest, RowOutcome};
 use crate::stats::DramStats;
 use crate::timing::DdrTiming;
 
@@ -669,12 +669,13 @@ impl MemorySystem {
         self.staged.len() + self.unpulled
     }
 
-    /// Enqueues a read for the next [`run_stream`](Self::run_stream).
-    /// Requests are numbered in enqueue order; the number comes back as
-    /// [`CompletedRequest::seq`].
-    pub fn enqueue(&mut self, req: Request) {
-        let addr = self.config.mapping.decode(req.addr, &self.geo);
-        self.enqueue_decoded(addr, req.arrival);
+    /// Enqueues a 64-byte read of the burst containing `addr`, visible to
+    /// the controller from cycle `arrival`, for the next
+    /// [`run_stream`](Self::run_stream). Requests are numbered in enqueue
+    /// order; the number comes back as [`CompletedRequest::seq`].
+    pub fn enqueue(&mut self, addr: PhysAddr, arrival: Cycle) {
+        let addr = self.config.mapping.decode(addr, &self.geo);
+        self.enqueue_decoded(addr, arrival);
     }
 
     /// Enqueues a read at pre-decoded DRAM coordinates. Rank-NMP modules
@@ -788,7 +789,7 @@ impl MemorySystem {
             match src.next() {
                 Some((addr, arrival)) => {
                     self.unpulled -= 1;
-                    self.enqueue(Request::read(addr, arrival));
+                    self.enqueue(addr, arrival);
                 }
                 None => self.unpulled = 0,
             }
@@ -1614,7 +1615,7 @@ mod tests {
                 let addr = PhysAddr::new(addr & ((1 << span_bits) - 1) & !63);
                 let arrival = i as u64 * gap + jitter;
                 if ranks.is_some() {
-                    mem.enqueue(Request::read(addr, arrival));
+                    mem.enqueue(addr, arrival);
                     continue;
                 }
                 let base = mapping.decode(addr, &geo);
@@ -1731,8 +1732,8 @@ mod tests {
         // data transfers in.
         let mut mem = single_rank();
         let (mapping, geo) = (mem.config.mapping, mem.geo);
-        mem.enqueue(Request::read(PhysAddr::new(1 << 20), 0));
-        mem.enqueue(Request::read(PhysAddr::new(0), 0));
+        mem.enqueue(PhysAddr::new(1 << 20), 0);
+        mem.enqueue(PhysAddr::new(0), 0);
         let done = run(&mut mem, &[(64, 0), (128, 0)]).expect("drain");
         let mut seqs: Vec<u64> = done.iter().map(|c| c.seq).collect();
         seqs.sort_unstable();

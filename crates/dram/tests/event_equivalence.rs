@@ -12,7 +12,6 @@
 //! successful run must end at its last completion's finish cycle.
 
 use proptest::prelude::*;
-use recnmp_dram::request::Request;
 use recnmp_dram::{CompletedRequest, DramConfig, DramStats, MemorySystem, SimEngine};
 use recnmp_types::rng::DetRng;
 use recnmp_types::{Cycle, PhysAddr, SimError};
@@ -26,13 +25,13 @@ struct Golden {
     violations: usize,
 }
 
-fn run(cfg: &DramConfig, engine: SimEngine, reqs: &[Request]) -> (Golden, u64) {
+fn run(cfg: &DramConfig, engine: SimEngine, reqs: &[(PhysAddr, Cycle)]) -> (Golden, u64) {
     let mut cfg = cfg.clone();
     cfg.engine = engine;
     let mut mem = MemorySystem::new(cfg).expect("valid config");
     mem.attach_monitor();
-    for r in reqs {
-        mem.enqueue(*r);
+    for &(addr, arrival) in reqs {
+        mem.enqueue(addr, arrival);
     }
     let mut completions = Vec::new();
     mem.run_stream(std::iter::empty(), |c| completions.push(*c))
@@ -48,7 +47,7 @@ fn run(cfg: &DramConfig, engine: SimEngine, reqs: &[Request]) -> (Golden, u64) {
 
 /// Runs `reqs` under both engines and asserts identity; returns
 /// (per-cycle iterations, event iterations).
-fn assert_equivalent(cfg: &DramConfig, reqs: &[Request]) -> (u64, u64) {
+fn assert_equivalent(cfg: &DramConfig, reqs: &[(PhysAddr, Cycle)]) -> (u64, u64) {
     let (ref_run, ref_iters) = run(cfg, SimEngine::PerCycle, reqs);
     let (ev_run, ev_iters) = run(cfg, SimEngine::EventDriven, reqs);
     assert_eq!(ref_run.violations, 0, "reference engine broke protocol");
@@ -57,10 +56,10 @@ fn assert_equivalent(cfg: &DramConfig, reqs: &[Request]) -> (u64, u64) {
     (ref_iters, ev_iters)
 }
 
-fn reads(n: u64, seed: u64, span: u64, gap: u64) -> Vec<Request> {
+fn reads(n: u64, seed: u64, span: u64, gap: u64) -> Vec<(PhysAddr, Cycle)> {
     let mut rng = DetRng::seed(seed);
     (0..n)
-        .map(|i| Request::read(PhysAddr::new(rng.below(span) & !63), i * gap))
+        .map(|i| (PhysAddr::new(rng.below(span) & !63), i * gap))
         .collect()
 }
 
@@ -100,7 +99,7 @@ fn frfcfs_starvation_guard_fires_identically() {
         } else {
             PhysAddr::new((i % 8) * 64)
         };
-        reqs.push(Request::read(addr, i / 4));
+        reqs.push((addr, i / 4));
     }
     assert_equivalent(&cfg, &reqs);
 }
@@ -159,19 +158,19 @@ fn run_ending_at_last_finish(
 /// leave the clock alone.
 fn intake(
     cfg: &DramConfig,
-    staged: &[Request],
+    staged: &[(PhysAddr, Cycle)],
     reads: &[(PhysAddr, Cycle)],
     stream: bool,
 ) -> Outcome {
     let mut mem = MemorySystem::new(cfg.clone()).expect("valid config");
-    for &req in staged {
-        mem.enqueue(req);
+    for &(addr, arrival) in staged {
+        mem.enqueue(addr, arrival);
     }
     let result = if stream {
         run_ending_at_last_finish(&mut mem, reads)
     } else {
         for &(addr, arrival) in reads {
-            mem.enqueue(Request::read(addr, arrival));
+            mem.enqueue(addr, arrival);
         }
         run_ending_at_last_finish(&mut mem, &[])
     };
@@ -222,7 +221,7 @@ proptest! {
             if i >= split {
                 reads.push((addr, arrival));
             } else {
-                staged.push(Request::read(addr, arrival));
+                staged.push((addr, arrival));
             }
         }
         for engine in [SimEngine::PerCycle, SimEngine::EventDriven] {

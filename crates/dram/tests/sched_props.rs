@@ -11,19 +11,18 @@
 //! counter, and protocol-monitor cleanliness.
 
 use proptest::prelude::*;
-use recnmp_dram::request::Request;
 use recnmp_dram::{CompletedRequest, DramConfig, MemorySystem, SimEngine};
-use recnmp_types::PhysAddr;
+use recnmp_types::{Cycle, PhysAddr};
 
 /// Builds a read trace from randomized per-request raw material.
-fn trace(raw: &[(u64, u64)], span: u64, gap: u64) -> Vec<Request> {
+fn trace(raw: &[(u64, u64)], span: u64, gap: u64) -> Vec<(PhysAddr, Cycle)> {
     raw.iter()
         .enumerate()
         .map(|(i, &(addr, jitter))| {
             let addr = PhysAddr::new((addr % span) & !63);
             // Arrivals are non-decreasing with random jitter, so traces
             // mix back-to-back bursts with quiet gaps.
-            Request::read(addr, i as u64 * gap + jitter)
+            (addr, i as u64 * gap + jitter)
         })
         .collect()
 }
@@ -39,13 +38,13 @@ type RunFingerprint = (
 
 /// Runs `reqs` under one engine and returns everything identity cares
 /// about.
-fn run(cfg: &DramConfig, engine: SimEngine, reqs: &[Request]) -> RunFingerprint {
+fn run(cfg: &DramConfig, engine: SimEngine, reqs: &[(PhysAddr, Cycle)]) -> RunFingerprint {
     let mut cfg = cfg.clone();
     cfg.engine = engine;
     let mut mem = MemorySystem::new(cfg).expect("valid config");
     mem.attach_monitor();
-    for r in reqs {
-        mem.enqueue(*r);
+    for &(addr, arrival) in reqs {
+        mem.enqueue(addr, arrival);
     }
     let mut done = Vec::new();
     mem.run_stream(std::iter::empty(), |c| done.push(*c))
@@ -59,7 +58,7 @@ fn run(cfg: &DramConfig, engine: SimEngine, reqs: &[Request]) -> RunFingerprint 
     )
 }
 
-fn assert_engines_agree(cfg: &DramConfig, reqs: &[Request]) {
+fn assert_engines_agree(cfg: &DramConfig, reqs: &[(PhysAddr, Cycle)]) {
     let (done_pc, cycle_pc, stats_pc, viol_pc, _) = run(cfg, SimEngine::PerCycle, reqs);
     let (done_ev, cycle_ev, stats_ev, viol_ev, _) = run(cfg, SimEngine::EventDriven, reqs);
     assert_eq!(viol_pc, 0, "reference engine broke the DDR protocol");
@@ -116,8 +115,8 @@ proptest! {
 #[test]
 fn event_engine_is_cheaper_on_sparse_traffic() {
     let cfg = DramConfig::table1_baseline();
-    let reqs: Vec<Request> = (0..64u64)
-        .map(|i| Request::read(PhysAddr::new((i * 7919 * 64) & !63), i * 2500))
+    let reqs: Vec<(PhysAddr, Cycle)> = (0..64u64)
+        .map(|i| (PhysAddr::new((i * 7919 * 64) & !63), i * 2500))
         .collect();
     let (.., iters_pc) = run(&cfg, SimEngine::PerCycle, &reqs);
     let (.., iters_ev) = run(&cfg, SimEngine::EventDriven, &reqs);

@@ -20,10 +20,9 @@
 //!   of a few two-burst vectors each, every call enqueued at decoded
 //!   coordinates and run to idle, refresh on.
 
-use recnmp_dram::request::Request;
 use recnmp_dram::{DramAddr, DramConfig, MemorySystem};
 use recnmp_types::rng::DetRng;
-use recnmp_types::PhysAddr;
+use recnmp_types::{Cycle, PhysAddr};
 
 /// The counters a shape pins: loop iterations, final cycle, then
 /// `reads`, `writes`, `acts`, `pres`, `refs` and `cmd_bus_busy`.
@@ -54,10 +53,10 @@ fn checked_counters(mem: &MemorySystem) -> Counters {
 
 /// Enqueues `reqs` on a fresh monitored channel, runs them and returns
 /// its counters.
-fn counters(cfg: DramConfig, reqs: &[Request]) -> Counters {
+fn counters(cfg: DramConfig, reqs: &[(PhysAddr, Cycle)]) -> Counters {
     let mut mem = monitored(cfg);
-    for r in reqs {
-        mem.enqueue(*r);
+    for &(addr, arrival) in reqs {
+        mem.enqueue(addr, arrival);
     }
     mem.run_stream(std::iter::empty(), |_| {}).expect("drain");
     checked_counters(&mem)
@@ -65,10 +64,10 @@ fn counters(cfg: DramConfig, reqs: &[Request]) -> Counters {
 
 /// `n` reads at random cacheline addresses below `span`, read `i`
 /// arriving at `arrival(i)`.
-fn reads(n: u64, seed: u64, span: u64, arrival: impl Fn(u64) -> u64) -> Vec<Request> {
+fn reads(n: u64, seed: u64, span: u64, arrival: impl Fn(u64) -> u64) -> Vec<(PhysAddr, Cycle)> {
     let mut rng = DetRng::seed(seed);
     (0..n)
-        .map(|i| Request::read(PhysAddr::new(rng.below(span) & !63), arrival(i)))
+        .map(|i| (PhysAddr::new(rng.below(span) & !63), arrival(i)))
         .collect()
 }
 

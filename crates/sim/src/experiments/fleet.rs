@@ -5,7 +5,9 @@ use super::serving::knee_note;
 use super::{ExperimentResult, Scale};
 use crate::render::{f2, TextTable};
 use crate::serving::fleet::{Fleet, FleetDispatch};
-use crate::serving::{anchored_sweep, ArrivalProcess, QueryShape, SweepCurve, SweepSpec};
+use crate::serving::{
+    anchored_sweep, ArrivalProcess, QueryShape, ServingMode, SweepCurve, SweepSpec,
+};
 
 const SEED: u64 = 0xf1ee7;
 
@@ -62,7 +64,8 @@ pub(super) fn fig_fleet(scale: Scale) -> ExperimentResult {
     let queries_per_node = scale.scaled(12, 48);
     let probe_per_node = scale.scaled(8, 16);
     let hot = hot_tables(scale);
-    let dispatches = [FleetDispatch::replicated(hot), FleetDispatch::sharded()];
+    let dispatches =
+        [FleetDispatch::replicated(hot), FleetDispatch::sharded()].map(ServingMode::Fleet);
 
     let mut table = TextTable::new(
         format!(
@@ -84,7 +87,7 @@ pub(super) fn fig_fleet(scale: Scale) -> ExperimentResult {
     // (nodes, replicated-knee qps) series for the scaling note, and the
     // largest fleet's curves for the replication-vs-sharding note.
     let mut replicated_knees: Vec<(usize, f64)> = Vec::new();
-    let mut top_curves: Vec<SweepCurve<FleetDispatch>> = Vec::new();
+    let mut top_curves: Vec<SweepCurve> = Vec::new();
     for &nodes in node_counts {
         let spec = SweepSpec {
             process: ArrivalProcess::Poisson,
@@ -102,7 +105,7 @@ pub(super) fn fig_fleet(scale: Scale) -> ExperimentResult {
                 let (p50, p95, p99) = p.summary.percentiles_us();
                 table.push_row(vec![
                     nodes.to_string(),
-                    curve.arm.label(),
+                    curve.arm.to_string(),
                     f2(p.utilization),
                     format!("{:.0}", p.offered_qps),
                     format!("{:.0}", p.achieved_qps),
@@ -115,7 +118,7 @@ pub(super) fn fig_fleet(scale: Scale) -> ExperimentResult {
             let label = format!("{} [{nodes} node(s)]", curve.system);
             result
                 .notes
-                .push(knee_note(&label, &curve.arm.label(), curve));
+                .push(knee_note(&label, &curve.arm.to_string(), curve));
         }
         replicated_knees.push((nodes, curves[0].knee_qps()));
         if nodes == *node_counts.last().unwrap() {
@@ -129,7 +132,7 @@ pub(super) fn fig_fleet(scale: Scale) -> ExperimentResult {
     result.notes.push(format!(
         "fleet scaling ({}): replicated knee {:.0} qps at {first_n} node(s) -> {:.0} qps \
          at {last_n} node(s), ratio {:.1}x",
-        dispatches[0].label(),
+        dispatches[0],
         first_knee,
         last_knee,
         if first_knee > 0.0 {

@@ -10,8 +10,8 @@ use super::{ExperimentResult, Scale};
 use crate::render::{f2, TextTable};
 use crate::serving::{
     anchored_sweep, reference_caching_arms, reference_channel_capacity, reference_cluster4,
-    reference_cluster4_optimized, serve, ArrivalProcess, DispatchPolicy, QueryShape, ServingConfig,
-    ServingMode, ShardedDispatch, SweepCurve, SweepSpec,
+    reference_cluster4_optimized, run, ArrivalProcess, DispatchPolicy, QueryShape,
+    ResilienceConfig, ServingConfig, ServingMode, ShardedDispatch, SweepCurve, SweepSpec,
 };
 
 const SEED: u64 = 0x5e12;
@@ -249,7 +249,10 @@ pub(super) fn fig_cache_serving(scale: Scale) -> ExperimentResult {
             mode: *mode,
             seed: SEED,
         };
-        let r = serve(backend.as_mut(), &cfg).expect("stats run").report;
+        let zero = ResilienceConfig::zero();
+        let r = run(&mut [backend.as_mut()], &cfg, &zero)
+            .expect("stats run")
+            .report;
         let offered = r.host_hits + r.host_misses;
         let hit_rate = if offered > 0 {
             format!("{:.1}%", 100.0 * r.host_hits as f64 / offered as f64)
@@ -316,7 +319,7 @@ pub(super) fn push_labeled_rows(table: &mut TextTable, label: &str, curve: &Swee
 
 /// The knee note of one curve, `"{label}/{arm}: saturation …"` — one
 /// format for every sweep experiment.
-pub(super) fn knee_note<A>(label: &str, arm: &str, curve: &SweepCurve<A>) -> String {
+pub(super) fn knee_note(label: &str, arm: &str, curve: &SweepCurve) -> String {
     let saturation = curve.saturation_qps;
     match curve.knee() {
         Some(p) => format!(

@@ -17,8 +17,9 @@ use super::serving::{knee_note, push_curve_rows};
 use super::{ExperimentResult, Scale};
 use crate::render::{f2, TextTable};
 use crate::serving::{
-    anchored_sweep, reference_tiered, saturation_qps, serve, ArrivalProcess, EpochPromotion,
-    QueryShape, QueryStream, ServingConfig, ServingMode, SweepCurve, SweepSpec, TieredDispatch,
+    anchored_sweep, reference_tiered, run, saturation_qps, ArrivalProcess, EpochPromotion,
+    QueryShape, QueryStream, ResilienceConfig, ServingConfig, ServingMode, SweepCurve, SweepSpec,
+    TieredDispatch,
 };
 
 const SEED: u64 = 0x57a8;
@@ -267,7 +268,8 @@ fn promotion_demo(scale: Scale, shape: QueryShape) -> TextTable {
             seed: SEED,
         };
         let mut backend = reference_tiered(tiers);
-        let report = serve(backend.as_mut(), &cfg).expect("promotion serve");
+        let zero = ResilienceConfig::zero();
+        let report = run(&mut [backend.as_mut()], &cfg, &zero).expect("promotion serve");
         push_latency_row(
             &mut table,
             mode.name(),

@@ -75,6 +75,6 @@ pub use experiments::{ExperimentResult, Scale};
 pub use render::TextTable;
 pub use serving::faults;
 pub use serving::fleet;
-pub use serving::{DispatchPolicy, LatencySummary, ServingConfig, ServingReport};
+pub use serving::{DispatchPolicy, LatencySummary, ServingConfig, ServingRun};
 pub use speedup::{SlsComparison, SpeedupEngine};
 pub use workload::{SlsWorkload, TableLayout, TraceKind};

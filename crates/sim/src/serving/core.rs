@@ -28,7 +28,7 @@ use super::faults::{HealthTracker, NodeHealth, QueryOutcome, ResilienceConfig};
 use super::fleet::{NetworkCost, RouterPolicy};
 use super::host_cache::{HostCache, HotVectorTracker};
 use super::policy::{EpochPromotion, GatherCost};
-use super::scheduler::percentile;
+use super::scheduler::{percentile, ServingConfig, ServingRun};
 
 /// Where the core finds each table: a two-level fleet plan, or one
 /// node's channel plan (sharded, or a tiered plan's flat view).
@@ -178,24 +178,31 @@ pub(super) struct Stages {
     pub promotion: Option<Promotion>,
 }
 
-/// The per-query record of one serving run; `report` merges every shard
+/// The run-time half of [`ServingRun`]: the core settles each query into
+/// it as the query completes or fails, and `report` merges every shard
 /// run's counters.
-pub(super) struct Served {
-    pub completions: Vec<Cycle>,
-    pub outcomes: Vec<QueryOutcome>,
-    pub failures: Vec<SimError>,
-    pub node_queries: Vec<u64>,
-    pub report: RunReport,
-}
-
-impl Served {
-    fn new(system: &str, queries: usize, nodes: usize) -> Self {
+impl ServingRun {
+    /// The record of a run of `system` on `nodes` nodes under `cfg`, one
+    /// query per arrival, before any query has settled.
+    pub(super) fn new(
+        system: String,
+        cfg: &ServingConfig,
+        arrivals: Vec<Cycle>,
+        nodes: usize,
+    ) -> Self {
+        let queries = arrivals.len();
         Self {
+            report: RunReport::for_system(system.clone()),
+            system,
+            mode: cfg.mode,
+            offered_qps: cfg.qps,
+            arrivals,
             completions: vec![0; queries],
+            latencies: Vec::new(),
+            node_queries: vec![0; nodes],
+            replicated_tables: 0,
             outcomes: vec![QueryOutcome::Completed; queries],
             failures: Vec::new(),
-            node_queries: vec![0; nodes],
-            report: RunReport::for_system(system.to_string()),
         }
     }
 
@@ -219,18 +226,16 @@ impl Served {
         self.failures.push(error);
     }
 
-    /// Closes the run: the merged counters cover serial queries, so their
-    /// wall-clock is the makespan (not the per-query max
-    /// `absorb_parallel` keeps). Returns each query's completion −
-    /// arrival latency.
-    pub fn finish(&mut self, arrivals: &[Cycle]) -> Vec<Cycle> {
+    /// Closes the run: each query's latency is its completion − arrival,
+    /// and the merged counters cover serial queries, so their wall-clock
+    /// is the makespan (not the per-query max `absorb_parallel` keeps).
+    fn finish(&mut self) {
         self.report.total_cycles = self.completions.iter().copied().max().unwrap_or(0);
         self.report.query_completions = self.completions.clone();
-        self.completions
-            .iter()
-            .zip(arrivals)
+        self.latencies = (self.completions.iter())
+            .zip(&self.arrivals)
             .map(|(&done, &arr)| done - arr)
-            .collect()
+            .collect();
     }
 }
 
@@ -249,26 +254,25 @@ pub(super) struct Core {
 }
 
 impl Core {
-    /// Serves `queries` (arrival `arrivals[q]` each) on `nodes` (all
-    /// exposing the same server count) under the resilience semantics of
-    /// [`serve_fleet_resilient`](super::fleet::serve_fleet_resilient).
-    /// Each query is pulled from `queries` when it dispatches and dropped
-    /// once it settles, so a lazy stream is never held whole; the run
-    /// takes one query per arrival.
+    /// Serves `queries` on `nodes` (all exposing the same server count)
+    /// under the resilience semantics of [`run`](super::scheduler::run),
+    /// one per arrival of `served` (query `q` at `served.arrivals[q]`),
+    /// and settles each into `served`. Each query is pulled from
+    /// `queries` when it dispatches and dropped once it settles, so a
+    /// lazy stream is never held whole.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Stalled`] if a node's cycle-level run stalls,
     /// or [`SimError::Config`] when a table is missing from the plan;
-    /// per-query failures land in [`Served::failures`].
+    /// per-query failures land in [`ServingRun::failures`].
     pub fn run(
         mut self,
         nodes: &mut [&mut dyn SlsBackend],
         res: &ResilienceConfig,
-        arrivals: &[Cycle],
+        mut served: ServingRun,
         queries: impl Iterator<Item = SlsTrace>,
-        system: &str,
-    ) -> Result<Served, SimError> {
+    ) -> Result<ServingRun, SimError> {
         let node_count = nodes.len();
         let channels = nodes.first().map_or(0, |n| n.server_count());
         // Earliest cycle each (node, channel) is free.
@@ -277,7 +281,9 @@ impl Core {
         // per node and per (node, channel).
         let mut in_flight: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); node_count];
         let mut channel_in_flight = vec![vec![Vec::new(); channels]; node_count];
-        let mut served = Served::new(system, arrivals.len(), node_count);
+        if let Plan::Fleet(p) = &self.plan {
+            served.replicated_tables = p.replicated_tables();
+        }
         let mut health = HealthTracker::new(node_count);
         // Recently observed node-job latencies the hedge delay anchors
         // at, kept only when hedging is on.
@@ -286,7 +292,9 @@ impl Core {
         // the sorted hedge window.
         let (mut node_of, mut channel_of, mut sorted) = (Vec::new(), Vec::new(), Vec::new());
 
-        'queries: for (q, (&dispatch_at, trace)) in arrivals.iter().zip(queries).enumerate() {
+        let offered = served.arrivals.len();
+        'queries: for (q, trace) in queries.take(offered).enumerate() {
+            let dispatch_at = served.arrivals[q];
             if let Some(p) = self.stages.promotion.as_mut() {
                 p.at_query(q, dispatch_at, &mut self.plan, &mut free_at[0])?;
                 p.observe(&trace);
@@ -571,6 +579,7 @@ impl Core {
             served.report.host_misses += misses;
             served.report.host_absorbed_bytes += absorbed_bytes;
         }
+        served.finish();
         Ok(served)
     }
 }

@@ -21,15 +21,14 @@
 //!   delay already exceeds the deadline) and deadline shedding (drop a
 //!   query whose actual service start would land past the deadline);
 //! * [`ResilienceConfig`] — the bundle the scatter/gather core's
-//!   resilience stage consumes
-//!   ([`serve_fleet_resilient`](super::fleet::serve_fleet_resilient)).
+//!   resilience stage consumes in every mode
+//!   ([`run`](super::scheduler::run)).
 //!   Failover pays a fixed re-dispatch penalty, and health tracking uses
 //!   a fixed EWMA factor and degradation threshold.
 //!
 //! An all-zero plan ([`FaultPlan::none`]) with the default policies is a
-//! strict no-op: [`ResilienceConfig::zero`] is how
-//! [`serve_fleet`](super::fleet::serve_fleet) and single-node sharded
-//! and tiered serving run the same core.
+//! strict no-op: [`ResilienceConfig::zero`] is how fault-free runs and
+//! the sweeps use the same core.
 //!
 //! # Examples
 //!

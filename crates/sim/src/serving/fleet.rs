@@ -8,9 +8,9 @@
 //! * a [`Fleet`] owns N node backends (each a multi-channel cluster or a
 //!   tiered DRAM+SSD system — anything implementing
 //!   [`SlsBackend`]);
-//! * a [`FleetPlacementPlan`] places tables twice — tables → nodes (with
-//!   cross-node replication of the hottest tables), then tables →
-//!   channels within each node;
+//! * a [`FleetPlacementPlan`](recnmp_backend::FleetPlacementPlan)
+//!   places tables twice — tables → nodes (with cross-node replication
+//!   of the hottest tables), then tables → channels within each node;
 //! * a [`RouterPolicy`] picks, per batch, which node replica serves it
 //!   (stateless hash-affinity rotation, least-outstanding-lookups, or
 //!   placement-aware scatter onto the node whose owning channels are
@@ -24,69 +24,82 @@
 //!   the bare cluster under sharded serving — the invariant the
 //!   `serve_sweep --fleet` smoke and `fleet_determinism` tests pin.
 //!
-//! Fleets run on the same scatter/gather core as single-node sharded and
-//! tiered serving: [`serve_fleet`] with the inert
-//! [`ResilienceConfig::zero`], [`serve_fleet_resilient`] under a fault
-//! plan. Each query runs one pool task per involved node, each node fans
-//! its shards out as nested tasks ([`SlsBackend::try_run_shards`]), and
-//! results merge in (node, channel) order, so fleet runs are
-//! byte-identical at any worker count.
-//!
-//! A fleet is [`Sweepable`] under a [`FleetDispatch`]: the one sweep
+//! A fleet is one more [`ServingMode`]: [`run`] serves it under
+//! [`ServingMode::Fleet`] on the same scatter/gather core as single-node
+//! sharded and tiered serving, under any fault plan. Each query runs one
+//! pool task per involved node, each node fans its shards out as nested
+//! tasks ([`SlsBackend::try_run_shards`]), and results merge in (node,
+//! channel) order, so fleet runs are byte-identical at any worker count.
+//! A bare backend is a one-node fleet ([`Fleet::from`]), so the sweep
 //! driver ([`anchored_sweep`](super::sweep::anchored_sweep)) measures
 //! fleet throughput–latency curves exactly as it does a backend's.
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use recnmp_sim::fleet::{serve_fleet, Fleet, FleetConfig, FleetDispatch};
-//! use recnmp_sim::serving::{ArrivalProcess, QueryShape};
+//! use recnmp_sim::fleet::{Fleet, FleetDispatch};
+//! use recnmp_sim::serving::{
+//!     run, ArrivalProcess, QueryShape, ResilienceConfig, ServingConfig, ServingMode,
+//! };
 //!
 //! let mut fleet = Fleet::reference(2);
-//! let cfg = FleetConfig {
+//! let cfg = ServingConfig {
 //!     process: ArrivalProcess::Poisson,
 //!     qps: 50_000.0,
 //!     queries: 64,
 //!     shape: QueryShape::new(8, 2, 8).with_table_sampling(4),
-//!     dispatch: FleetDispatch::replicated(2),
+//!     mode: ServingMode::Fleet(FleetDispatch::replicated(2)),
 //!     seed: 7,
 //! };
-//! let report = serve_fleet(&mut fleet, &cfg).unwrap();
-//! assert_eq!(report.latencies.len(), 64);
+//! let served = run(&mut fleet.nodes_mut(), &cfg, &ResilienceConfig::zero()).unwrap();
+//! assert_eq!(served.latencies.len(), 64);
 //! ```
 
-use recnmp_backend::{FleetPlacementPlan, PlacementPolicy, RunReport, SlsBackend};
+use recnmp_backend::{PlacementPolicy, SlsBackend};
 use recnmp_types::units::qps_to_interarrival_cycles;
 use recnmp_types::{ByteSize, ConfigError, Cycle, SimError};
 use serde::{Deserialize, Serialize};
 
-use super::arrivals::{offered_load, ArrivalProcess, QueryShape, QueryStream};
-use super::core::{Core, Plan, Stages};
-use super::faults::{
-    FaultPlan, HedgePolicy, QueryOutcome, ResilienceConfig, RetryPolicy, SloPolicy,
-};
-use super::policy::GatherCost;
-use super::scheduler::{window_qps, LatencySummary};
-use super::sweep::{reference_cluster4, run_each, Sweepable};
+use super::arrivals::{ArrivalProcess, QueryShape};
+use super::faults::{FaultPlan, HedgePolicy, ResilienceConfig, RetryPolicy, SloPolicy};
+use super::policy::{GatherCost, ServingMode};
+use super::scheduler::{run, ServingConfig, ServingRun};
+use super::sweep::{reference_cluster4, run_each};
 
-/// N node backends behind one router: the serving fleet.
+/// N node backends behind one router: the serving fleet. A bare backend
+/// is a one-node fleet ([`Fleet::from`]).
 ///
 /// Every node must expose the same
 /// [`server_count`](SlsBackend::server_count) — the fleet's placement
 /// plan assumes a uniform channels-per-node geometry.
 pub struct Fleet {
-    name: String,
-    channels_per_node: usize,
     nodes: Vec<Box<dyn SlsBackend>>,
 }
 
-impl std::fmt::Debug for Fleet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Fleet")
-            .field("name", &self.name)
-            .field("channels_per_node", &self.channels_per_node)
-            .field("nodes", &self.nodes.len())
-            .finish()
+/// The server count every one of `nodes` exposes.
+///
+/// # Errors
+///
+/// Returns a [`ConfigError`] when `nodes` is empty or the nodes disagree
+/// on server count.
+pub(super) fn node_servers<'a>(
+    mut nodes: impl Iterator<Item = &'a dyn SlsBackend>,
+) -> Result<usize, ConfigError> {
+    let Some(first) = nodes.next() else {
+        return Err(ConfigError::new("fleet", "need at least one node"));
+    };
+    let servers = first.server_count();
+    match nodes.find(|n| n.server_count() != servers) {
+        Some(odd) => Err(ConfigError::new(
+            "fleet",
+            format!(
+                "nodes disagree on geometry: {} exposes {servers} server(s), {} exposes {}",
+                first.name(),
+                odd.name(),
+                odd.server_count()
+            ),
+        )),
+        None => Ok(servers),
     }
 }
 
@@ -98,28 +111,8 @@ impl Fleet {
     /// Returns a [`ConfigError`] when `nodes` is empty or the nodes
     /// disagree on server count.
     pub fn new(nodes: Vec<Box<dyn SlsBackend>>) -> Result<Self, ConfigError> {
-        let Some(first) = nodes.first() else {
-            return Err(ConfigError::new("fleet", "need at least one node"));
-        };
-        let channels_per_node = first.server_count();
-        if let Some(odd) = nodes.iter().find(|n| n.server_count() != channels_per_node) {
-            return Err(ConfigError::new(
-                "fleet",
-                format!(
-                    "nodes disagree on geometry: {} exposes {} server(s), {} exposes {}",
-                    first.name(),
-                    channels_per_node,
-                    odd.name(),
-                    odd.server_count()
-                ),
-            ));
-        }
-        let name = format!("fleet[{} x {}]", nodes.len(), first.name());
-        Ok(Self {
-            name,
-            channels_per_node,
-            nodes,
-        })
+        node_servers(nodes.iter().map(|n| n.as_ref()))?;
+        Ok(Self { nodes })
     }
 
     /// The reference fleet: `nodes` copies of the 4-channel reference
@@ -133,11 +126,6 @@ impl Fleet {
         Self::new((0..nodes).map(|_| reference_cluster4()).collect()).expect("reference fleet")
     }
 
-    /// `"fleet[N x node-name]"`.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
         self.nodes.len()
@@ -145,7 +133,20 @@ impl Fleet {
 
     /// Channels (dispatchable servers) per node.
     pub fn channels_per_node(&self) -> usize {
-        self.channels_per_node
+        self.nodes[0].server_count()
+    }
+
+    /// The nodes, in order, as [`run`] takes them.
+    pub fn nodes_mut(&mut self) -> Vec<&mut dyn SlsBackend> {
+        (self.nodes.iter_mut())
+            .map(|n| n.as_mut() as &mut dyn SlsBackend)
+            .collect()
+    }
+}
+
+impl From<Box<dyn SlsBackend>> for Fleet {
+    fn from(node: Box<dyn SlsBackend>) -> Self {
+        Self { nodes: vec![node] }
     }
 }
 
@@ -226,9 +227,9 @@ impl NetworkCost {
     }
 }
 
-/// How a fleet turns queries into node work: the router, the two
-/// placement levels, and the gather costs at both levels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// How a fleet turns queries into node work ([`ServingMode::Fleet`]): the
+/// router, the two placement levels, and the gather costs at both levels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetDispatch {
     /// Node pick per batch.
     pub router: RouterPolicy,
@@ -276,280 +277,11 @@ impl FleetDispatch {
     /// (`"fleet-sharded"`, `"fleet-replicated(2)"`, ...).
     pub fn label(&self) -> String {
         match self.node_policy {
-            PlacementPolicy::FrequencyBalanced { replicate: 0 } => "fleet-sharded".to_string(),
-            PlacementPolicy::FrequencyBalanced { replicate } => {
+            PlacementPolicy::FrequencyBalanced { replicate } if replicate > 0 => {
                 format!("fleet-replicated({replicate})")
             }
-            PlacementPolicy::Hash => "fleet-hash".to_string(),
-            PlacementPolicy::CapacityGreedy => "fleet-capacity".to_string(),
+            _ => ServingMode::Fleet(*self).name().to_string(),
         }
-    }
-}
-
-/// One fleet serving run: an offered load, a query shape, and a fleet
-/// dispatch discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FleetConfig {
-    /// Arrival process of the open-loop generator.
-    pub process: ArrivalProcess,
-    /// Offered query rate (queries per second of simulated time).
-    pub qps: f64,
-    /// Queries to offer.
-    pub queries: usize,
-    /// SLS work per query.
-    pub shape: QueryShape,
-    /// Router, placement and gather model.
-    pub dispatch: FleetDispatch,
-    /// Seed for both the arrival schedule and the query index streams.
-    pub seed: u64,
-}
-
-/// The outcome of one fleet serving run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetReport {
-    /// Fleet label the run was served by.
-    pub system: String,
-    /// Router the run was dispatched under.
-    pub router: RouterPolicy,
-    /// Offered query rate.
-    pub offered_qps: f64,
-    /// Arrival cycle of each query, in arrival order.
-    pub arrivals: Vec<Cycle>,
-    /// Completion cycle of each query, in arrival order.
-    pub completions: Vec<Cycle>,
-    /// Enqueue→completion latency of each query, in arrival order.
-    pub latencies: Vec<Cycle>,
-    /// Queries that touched each node (a query spanning k nodes counts
-    /// once on each).
-    pub node_queries: Vec<u64>,
-    /// Tables the node-level plan replicated across nodes.
-    pub replicated_tables: usize,
-    /// What became of each offered query, in arrival order. Plain
-    /// (fault-free) serving completes everything; under
-    /// [`serve_fleet_resilient`] queries may be rejected, shed or
-    /// failed, and their `completions`/`latencies` entries are zeroed
-    /// relative to arrival.
-    pub outcomes: Vec<QueryOutcome>,
-    /// The per-query failures behind every
-    /// [`QueryOutcome::Failed`] entry, aggregated instead of aborting
-    /// the run.
-    pub failures: Vec<SimError>,
-    /// Counters merged over every node shard, with `query_completions`
-    /// carrying the per-query timestamps and `total_cycles` the
-    /// makespan.
-    pub report: RunReport,
-}
-
-impl FleetReport {
-    /// Queries served to completion.
-    pub fn completed(&self) -> usize {
-        self.completed_only(&self.completions).len()
-    }
-
-    /// Fraction of offered queries served to completion (1.0 for an
-    /// empty run).
-    pub fn availability(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            1.0
-        } else {
-            self.completed() as f64 / self.outcomes.len() as f64
-        }
-    }
-
-    /// Per-query `values` of the completed queries only.
-    fn completed_only(&self, values: &[Cycle]) -> Vec<Cycle> {
-        values
-            .iter()
-            .zip(&self.outcomes)
-            .filter(|(_, &o)| o == QueryOutcome::Completed)
-            .map(|(&v, _)| v)
-            .collect()
-    }
-
-    /// Latencies of the completed queries only — what the distribution
-    /// summary and throughput window are computed over.
-    pub fn completed_latencies(&self) -> Vec<Cycle> {
-        self.completed_only(&self.latencies)
-    }
-
-    /// Completion throughput (queries per simulated second) over the
-    /// completed queries, windowed over first→last completion exactly
-    /// like
-    /// [`ServingReport::achieved_qps`](super::scheduler::ServingReport::achieved_qps).
-    pub fn achieved_qps(&self) -> f64 {
-        window_qps(&self.completed_only(&self.completions))
-    }
-
-    /// The latency distribution over completed queries.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary::from_latencies(&self.completed_latencies())
-    }
-
-    /// `(good, offered)` over the queries arriving in `[from, until)`:
-    /// how many met the SLO deadline vs how many were offered — the
-    /// windowed goodput used to compare pre-fault and post-fault
-    /// service.
-    pub fn goodput_in_window(&self, deadline: Cycle, from: Cycle, until: Cycle) -> (u64, u64) {
-        let mut good = 0;
-        let mut offered = 0;
-        for ((&arr, &lat), &out) in self
-            .arrivals
-            .iter()
-            .zip(&self.latencies)
-            .zip(&self.outcomes)
-        {
-            if arr < from || arr >= until {
-                continue;
-            }
-            offered += 1;
-            if out == QueryOutcome::Completed && lat <= deadline {
-                good += 1;
-            }
-        }
-        (good, offered)
-    }
-}
-
-/// Serves `cfg.queries` open-loop queries on `fleet` and accounts
-/// per-query latency in simulated time: [`serve_fleet_resilient`] under
-/// [`ResilienceConfig::zero`] (no faults, inert policies).
-///
-/// Arrival schedule and query streams derive from `cfg.seed` exactly as
-/// in single-node [`serve`](super::scheduler::serve), so a 1-node fleet
-/// replays the same workload as the bare cluster.
-///
-/// # Errors
-///
-/// Returns [`SimError::Stalled`] if any node's cycle-level run stalls,
-/// or [`SimError::Config`] when the offered rate is not positive and
-/// finite or placement cannot fit the workload's tables at either level.
-pub fn serve_fleet(fleet: &mut Fleet, cfg: &FleetConfig) -> Result<FleetReport, SimError> {
-    serve_fleet_resilient(fleet, cfg, &ResilienceConfig::zero())
-}
-
-/// Serves `cfg.queries` open-loop queries on `fleet` under a fault
-/// schedule and resilience policies, aggregating per-query failures
-/// into the report instead of aborting the run.
-///
-/// Arrival schedule and query streams derive from `cfg.seed` exactly as
-/// in [`serve_fleet`], which is this function under
-/// [`ResilienceConfig::zero`]. On top of the plain scatter/gather the
-/// core applies the [`faults`](super::faults) semantics: health-aware
-/// failover (the *first* query to discover a fresh crash pays a fixed
-/// 2,400-cycle re-dispatch penalty; a table
-/// with no surviving replica fails its query with
-/// [`SimError::QueryFailed`]), per-shard retry with exponential backoff
-/// onto the least-backlogged replica channel owning the shard's tables
-/// ([`SimError::DeadlineExceeded`] on exhaustion), hedging of straggler
-/// node jobs onto a replica node holding all their tables (both copies
-/// occupy their channels, the earlier completion wins), and the SLO
-/// guard (admission rejection on the optimistic queue estimate, shedding
-/// on the actual routed start). Rejected and shed queries run no
-/// cycle-level work.
-///
-/// # Errors
-///
-/// Returns [`SimError::Stalled`] if a node's cycle-level run stalls, or
-/// [`SimError::Config`] when the offered rate is not positive and
-/// finite, the query shape fails [`QueryShape::validate`], `res` fails
-/// [`ResilienceConfig::validate`] on this fleet, or placement
-/// cannot fit the workload — run-level problems
-/// only; per-query failures land in [`FleetReport::failures`].
-pub fn serve_fleet_resilient(
-    fleet: &mut Fleet,
-    cfg: &FleetConfig,
-    res: &ResilienceConfig,
-) -> Result<FleetReport, SimError> {
-    res.validate(fleet.nodes(), fleet.channels_per_node())?;
-    let (arrivals, stream) = offered_load(cfg.process, cfg.qps, cfg.queries, cfg.shape, cfg.seed)?;
-    serve_fleet_resilient_arrivals(fleet, cfg, res, &arrivals, stream)
-}
-
-/// The fleet front of the scatter/gather core, shared by
-/// [`serve_fleet_resilient`] and the sweeps: builds both placement levels
-/// from the stream's [`table_profile`](QueryStream::table_profile), then
-/// serves one query of `stream` per arrival on the fleet's nodes,
-/// drawing each as it dispatches.
-fn serve_fleet_resilient_arrivals(
-    fleet: &mut Fleet,
-    cfg: &FleetConfig,
-    res: &ResilienceConfig,
-    arrivals: &[Cycle],
-    mut stream: QueryStream,
-) -> Result<FleetReport, SimError> {
-    let dispatch = cfg.dispatch;
-    let n = arrivals.len();
-    let plan = FleetPlacementPlan::build(
-        fleet.nodes.len(),
-        fleet.channels_per_node,
-        dispatch.channel_capacity.map(ByteSize::get),
-        &stream.table_profile(n),
-        dispatch.node_policy,
-        dispatch.within_policy,
-    )
-    .map_err(SimError::Config)?;
-    let replicated_tables = plan.replicated_tables();
-    let core = Core {
-        plan: Plan::Fleet(plan),
-        router: dispatch.router,
-        scatter: RouterPolicy::PlacementScatter,
-        gather: dispatch.gather,
-        network: dispatch.network,
-        stages: Stages::default(),
-    };
-    let mut nodes: Vec<&mut dyn SlsBackend> = fleet
-        .nodes
-        .iter_mut()
-        .map(|n| n.as_mut() as &mut dyn SlsBackend)
-        .collect();
-    let queries = (0..n).map(|_| stream.next_query());
-    let mut served = core.run(&mut nodes, res, arrivals, queries, &fleet.name)?;
-    let latencies = served.finish(arrivals);
-    Ok(FleetReport {
-        system: fleet.name.clone(),
-        router: dispatch.router,
-        offered_qps: cfg.qps,
-        arrivals: arrivals.to_vec(),
-        completions: served.completions,
-        latencies,
-        node_queries: served.node_queries,
-        replicated_tables,
-        outcomes: served.outcomes,
-        failures: served.failures,
-        report: served.report,
-    })
-}
-
-/// A fleet sweeps under each [`FleetDispatch`], on the inert
-/// [`ResilienceConfig::zero`] — the same runs as [`serve_fleet`].
-impl Sweepable for Fleet {
-    type Arm = FleetDispatch;
-
-    fn label(&self) -> String {
-        self.name.clone()
-    }
-
-    fn serve_load(
-        &mut self,
-        dispatch: FleetDispatch,
-        shape: QueryShape,
-        arrivals: &[Cycle],
-        seed: u64,
-    ) -> Result<(f64, LatencySummary), SimError> {
-        // The rate and process only label the report: the arrivals are
-        // given.
-        let cfg = FleetConfig {
-            process: ArrivalProcess::Uniform,
-            qps: 1.0,
-            queries: arrivals.len(),
-            shape,
-            dispatch,
-            seed,
-        };
-        let zero = ResilienceConfig::zero();
-        let stream = QueryStream::new(shape, seed);
-        let report = serve_fleet_resilient_arrivals(self, &cfg, &zero, arrivals, stream)?;
-        Ok((report.achieved_qps(), report.summary()))
     }
 }
 
@@ -600,8 +332,8 @@ pub struct ResilienceArm {
     pub post_goodput: f64,
     /// `post_goodput >= sustain_fraction * pre_goodput`.
     pub sustained: bool,
-    /// The full fleet report (outcome counters, latencies).
-    pub report: FleetReport,
+    /// The full serving run (outcome counters, latencies).
+    pub report: ServingRun,
 }
 
 impl ResilienceArm {
@@ -684,12 +416,12 @@ pub fn resilience_sweep(
     spec: &ResilienceSpec,
 ) -> Result<ResilienceSweep, SimError> {
     let replicated = FleetDispatch::replicated(spec.shape.tables);
-    let cfg = |dispatch: FleetDispatch| FleetConfig {
+    let cfg = |dispatch| ServingConfig {
         process: spec.process,
         qps: spec.qps,
         queries: spec.queries,
         shape: spec.shape,
-        dispatch,
+        mode: ServingMode::Fleet(dispatch),
         seed: spec.seed,
     };
     // Both anchors are pure arithmetic from the spec plus one fault-free
@@ -697,9 +429,9 @@ pub fn resilience_sweep(
     // bad offered rate before the crash cycle divides by it.
     let mut baseline_fleet = make_fleet();
     let crashed_node = baseline_fleet.nodes() - 1;
-    let baseline_p99 = serve_fleet(&mut baseline_fleet, &cfg(replicated))?
-        .summary()
-        .p99;
+    let zero = ResilienceConfig::zero();
+    let baseline = run(&mut baseline_fleet.nodes_mut(), &cfg(replicated), &zero)?;
+    let baseline_p99 = baseline.summary().p99;
     let deadline = spec.deadline_p99_multiple * baseline_p99;
     let crash_at = ((spec.queries as f64 / 2.0) * qps_to_interarrival_cycles(spec.qps)) as Cycle;
 
@@ -730,10 +462,10 @@ pub fn resilience_sweep(
         }
     }
     let reports = run_each(&mut runs, |(_, fleet, cfg, res)| {
-        serve_fleet_resilient(fleet, cfg, res)
+        run(&mut fleet.nodes_mut(), cfg, res)
     })?;
 
-    let goodput = |report: &FleetReport, from: Cycle, until: Cycle| {
+    let goodput = |report: &ServingRun, from: Cycle, until: Cycle| {
         let (good, offered) = report.goodput_in_window(deadline, from, until);
         if offered == 0 {
             1.0
@@ -772,9 +504,8 @@ pub fn resilience_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::policy::{ServingMode, ShardedDispatch};
-    use crate::serving::scheduler::serve;
-    use crate::serving::ServingConfig;
+    use crate::serving::faults::QueryOutcome;
+    use crate::serving::QueryStream;
     use recnmp_backend::SlsTrace;
 
     fn quick_shape() -> QueryShape {
@@ -783,15 +514,34 @@ mod tests {
             .with_table_sampling(3)
     }
 
-    fn quick_cfg(nodes_hint: f64, queries: usize, dispatch: FleetDispatch) -> FleetConfig {
-        FleetConfig {
+    fn quick_cfg(nodes_hint: f64, queries: usize, dispatch: FleetDispatch) -> ServingConfig {
+        ServingConfig {
             process: ArrivalProcess::Poisson,
             qps: 40_000.0 * nodes_hint,
             queries,
             shape: quick_shape(),
-            dispatch,
+            mode: ServingMode::Fleet(dispatch),
             seed: 23,
         }
+    }
+
+    /// `cfg` on a fresh reference fleet of `nodes` nodes under `res`.
+    fn serve_on(nodes: usize, cfg: &ServingConfig, res: &ResilienceConfig) -> ServingRun {
+        run(&mut Fleet::reference(nodes).nodes_mut(), cfg, res).unwrap()
+    }
+
+    /// `cfg` on a fresh fault-free reference fleet of 2 nodes.
+    fn serve2(cfg: &ServingConfig) -> ServingRun {
+        serve_on(2, cfg, &ResilienceConfig::zero())
+    }
+
+    /// The lookups of `cfg`'s query stream.
+    fn offered_lookups(cfg: &ServingConfig) -> u64 {
+        QueryStream::new(cfg.shape, cfg.seed)
+            .take_queries(cfg.queries)
+            .iter()
+            .map(SlsTrace::total_lookups)
+            .sum()
     }
 
     #[test]
@@ -805,62 +555,20 @@ mod tests {
         let fleet = Fleet::reference(2);
         assert_eq!(fleet.nodes(), 2);
         assert_eq!(fleet.channels_per_node(), 4);
-        assert_eq!(fleet.name(), "fleet[2 x recnmp-cluster[4]]");
+        let served = serve2(&quick_cfg(2.0, 2, FleetDispatch::sharded()));
+        assert_eq!(served.system, "fleet[2 x recnmp-cluster[4]]");
     }
 
     #[test]
     fn fleet_serving_conserves_lookups_across_nodes() {
         let cfg = quick_cfg(2.0, 10, FleetDispatch::replicated(1));
-        let mut fleet = Fleet::reference(2);
-        let report = serve_fleet(&mut fleet, &cfg).unwrap();
-        let expected: u64 = QueryStream::new(cfg.shape, cfg.seed)
-            .take_queries(cfg.queries)
-            .iter()
-            .map(SlsTrace::total_lookups)
-            .sum();
-        assert_eq!(report.report.insts, expected);
+        let report = serve2(&cfg);
+        assert_eq!(report.report.insts, offered_lookups(&cfg));
         assert_eq!(report.latencies.len(), 10);
         // Replication spread at least one table fleet-wide and both
         // nodes served traffic.
         assert!(report.replicated_tables >= 1);
         assert!(report.node_queries.iter().all(|&q| q > 0));
-    }
-
-    #[test]
-    fn single_node_fleet_matches_bare_cluster() {
-        // The keystone invariant: a 1-node fleet is numerically the bare
-        // cluster under sharded serving — same arrivals, same placement,
-        // same channel queues, no network charge.
-        let dispatch = FleetDispatch::sharded();
-        let fleet_cfg = quick_cfg(1.0, 12, dispatch);
-        let mut fleet = Fleet::reference(1);
-        let fleet_report = serve_fleet(&mut fleet, &fleet_cfg).unwrap();
-
-        let mut cluster = reference_cluster4();
-        let cluster_cfg = ServingConfig {
-            process: fleet_cfg.process,
-            qps: fleet_cfg.qps,
-            queries: fleet_cfg.queries,
-            shape: fleet_cfg.shape,
-            mode: ServingMode::Sharded(ShardedDispatch {
-                placement: dispatch.within_policy,
-                gather: dispatch.gather,
-                channel_capacity: dispatch.channel_capacity,
-                host_cache: None,
-                prefetch: None,
-            }),
-            seed: fleet_cfg.seed,
-        };
-        let cluster_report = serve(cluster.as_mut(), &cluster_cfg).unwrap();
-
-        assert_eq!(fleet_report.arrivals, cluster_report.arrivals);
-        assert_eq!(fleet_report.completions, cluster_report.completions);
-        assert_eq!(fleet_report.latencies, cluster_report.latencies);
-        assert_eq!(fleet_report.report.insts, cluster_report.report.insts);
-        assert_eq!(
-            fleet_report.report.total_cycles,
-            cluster_report.report.total_cycles
-        );
     }
 
     #[test]
@@ -871,27 +579,21 @@ mod tests {
                 ..FleetDispatch::replicated(1)
             };
             let cfg = quick_cfg(2.0, 8, dispatch);
-            let mut fleet = Fleet::reference(2);
-            let report = serve_fleet(&mut fleet, &cfg).unwrap();
-            let expected: u64 = QueryStream::new(cfg.shape, cfg.seed)
-                .take_queries(cfg.queries)
-                .iter()
-                .map(SlsTrace::total_lookups)
-                .sum();
-            assert_eq!(report.report.insts, expected, "router {}", router.name());
-            assert_eq!(report.router, router);
+            let report = serve2(&cfg);
+            assert_eq!(
+                report.report.insts,
+                offered_lookups(&cfg),
+                "router {}",
+                router.name()
+            );
+            assert_eq!(report.mode, ServingMode::Fleet(dispatch));
         }
     }
 
     #[test]
     fn fleet_runs_are_deterministic() {
         let cfg = quick_cfg(2.0, 8, FleetDispatch::replicated(1));
-        let mut a = Fleet::reference(2);
-        let mut b = Fleet::reference(2);
-        assert_eq!(
-            serve_fleet(&mut a, &cfg).unwrap(),
-            serve_fleet(&mut b, &cfg).unwrap()
-        );
+        assert_eq!(serve2(&cfg), serve2(&cfg));
     }
 
     #[test]
@@ -899,20 +601,20 @@ mod tests {
         // Same workload, same per-node arithmetic: a 2-node fleet with
         // zero network cost must strictly undercut one with the rack
         // default on every completion that left the router's rack slot.
-        let mut free = quick_cfg(2.0, 8, FleetDispatch::sharded());
-        free.dispatch.network = NetworkCost::new(0, 0);
-        let charged = quick_cfg(2.0, 8, FleetDispatch::sharded());
-        let mut a = Fleet::reference(2);
-        let mut b = Fleet::reference(2);
-        let r_free = serve_fleet(&mut a, &free).unwrap();
-        let r_charged = serve_fleet(&mut b, &charged).unwrap();
+        let charged = FleetDispatch::sharded();
+        let free = FleetDispatch {
+            network: NetworkCost::new(0, 0),
+            ..charged
+        };
+        let r_free = serve2(&quick_cfg(2.0, 8, free));
+        let r_charged = serve2(&quick_cfg(2.0, 8, charged));
         for (f, c) in r_free.latencies.iter().zip(&r_charged.latencies) {
-            assert!(f + charged.dispatch.network.base <= *c + 1);
+            assert!(f + charged.network.base <= *c + 1);
             assert!(f < c);
         }
     }
 
-    fn assert_conserved(report: &FleetReport) {
+    fn assert_conserved(report: &ServingRun) {
         let count = |o: QueryOutcome| report.outcomes.iter().filter(|&&x| x == o).count() as u64;
         assert_eq!(
             report.outcomes.len() as u64,
@@ -939,10 +641,7 @@ mod tests {
         // Unreplicated: tables homed on the dead node have no surviving
         // replica, so their queries fail (counted, not panicked).
         let cfg = quick_cfg(2.0, 12, FleetDispatch::sharded());
-        let mut fleet = Fleet::reference(2);
-        let sharded =
-            serve_fleet_resilient(&mut fleet, &cfg, &ResilienceConfig::new(faults.clone()))
-                .unwrap();
+        let sharded = serve_on(2, &cfg, &ResilienceConfig::new(faults.clone()));
         assert!(
             sharded.availability() < 1.0,
             "dead tables must fail queries"
@@ -954,9 +653,7 @@ mod tests {
         // Fully replicated: every table survives on node 0, so every
         // query fails over and completes.
         let cfg = quick_cfg(2.0, 12, FleetDispatch::replicated(64));
-        let mut fleet = Fleet::reference(2);
-        let replicated =
-            serve_fleet_resilient(&mut fleet, &cfg, &ResilienceConfig::new(faults)).unwrap();
+        let replicated = serve_on(2, &cfg, &ResilienceConfig::new(faults));
         assert_eq!(replicated.availability(), 1.0);
         assert!(replicated.report.failovers > 0);
         assert_eq!(replicated.node_queries[1], 0);
@@ -973,13 +670,12 @@ mod tests {
             }
         }
         let cfg = quick_cfg(2.0, 6, FleetDispatch::replicated(64));
-        let mut fleet = Fleet::reference(2);
         let res = ResilienceConfig::new(faults).with_retry(RetryPolicy {
             max_attempts: 3,
             timeout: 50_000,
             backoff: 1_000,
         });
-        let report = serve_fleet_resilient(&mut fleet, &cfg, &res).unwrap();
+        let report = serve_on(2, &cfg, &res);
         assert_eq!(
             report.availability(),
             0.0,
@@ -1000,9 +696,8 @@ mod tests {
         // time: the backlog must trip admission control.
         let mut cfg = quick_cfg(2.0, 48, FleetDispatch::replicated(1));
         cfg.qps *= 1_000.0;
-        let mut fleet = Fleet::reference(2);
         let res = ResilienceConfig::new(FaultPlan::none()).with_slo(SloPolicy::new(2_000));
-        let report = serve_fleet_resilient(&mut fleet, &cfg, &res).unwrap();
+        let report = serve_on(2, &cfg, &res);
         let guarded = report.report.queries_rejected + report.report.queries_shed;
         assert!(guarded > 0, "1000x overload must trip the SLO guard");
         assert!(report.completed() > 0, "early queries still meet the SLO");
@@ -1027,10 +722,8 @@ mod tests {
             min_samples: 8,
             window: 32,
         });
-        let mut a = Fleet::reference(2);
-        let mut b = Fleet::reference(2);
-        let r1 = serve_fleet_resilient(&mut a, &cfg, &res).unwrap();
-        let r2 = serve_fleet_resilient(&mut b, &cfg, &res).unwrap();
+        let r1 = serve_on(2, &cfg, &res);
+        let r2 = serve_on(2, &cfg, &res);
         assert_eq!(r1, r2, "hedged runs are deterministic");
         assert!(
             r1.report.hedges > 0,
@@ -1052,11 +745,14 @@ mod tests {
             seed: 23,
         };
         let mut make = || Fleet::reference(2);
-        let dispatches = [FleetDispatch::replicated(1), FleetDispatch::sharded()];
+        let dispatches = [
+            ServingMode::Fleet(FleetDispatch::replicated(1)),
+            ServingMode::Fleet(FleetDispatch::sharded()),
+        ];
         let curves = anchored_sweep(&mut make, dispatches[0], &dispatches, &spec).unwrap();
         assert_eq!(curves.len(), 2);
-        assert_eq!(curves[0].arm.label(), "fleet-replicated(1)");
-        assert_eq!(curves[1].arm.label(), "fleet-sharded");
+        assert_eq!(curves[0].arm.to_string(), "fleet-replicated(1)");
+        assert_eq!(curves[1].arm.to_string(), "fleet-sharded");
         assert_eq!(curves[0].saturation_qps, curves[1].saturation_qps);
         for (a, b) in curves[0].points.iter().zip(&curves[1].points) {
             assert_eq!(a.offered_qps, b.offered_qps);

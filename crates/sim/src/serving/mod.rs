@@ -24,12 +24,14 @@
 //!   ([`PrefetchSpec`]) — or
 //!   **tiered** scatter/gather ([`TieredDispatch`]) over a DRAM+SSD
 //!   server space with optional epoch-based promotion
-//!   ([`EpochPromotion`]);
-//! * [`scheduler`] — [`serve`]: dispatches queries onto the backend's
-//!   servers and tracks per-query enqueue→completion latency
-//!   ([`ServingReport`], [`LatencySummary`] with p50/p95/p99/mean/max),
-//!   serving every mode as a one-node fleet on the core — queued mode as
-//!   the plan with every table on every server;
+//!   ([`EpochPromotion`]), or **fleet** scatter/gather across nodes
+//!   ([`FleetDispatch`]);
+//! * [`scheduler`] — the serving front: one config ([`ServingConfig`],
+//!   whose [`ServingMode`] picks the topology), one entry point
+//!   ([`run`]) that dispatches queries onto one backend's servers or a
+//!   fleet's nodes, and one report ([`ServingRun`], with per-query
+//!   enqueue→completion latency, outcomes and [`LatencySummary`]
+//!   p50/p95/p99/mean/max);
 //! * `core` — the one scatter/gather core behind every serving mode:
 //!   each query dispatches at its arrival, routes to nodes, then to a
 //!   replica channel of each table under one shared pick rule set, and
@@ -41,15 +43,18 @@
 //!   behind a router ([`RouterPolicy`]), a two-level
 //!   [`FleetPlacementPlan`](recnmp_backend::FleetPlacementPlan) with
 //!   cross-node hot-table replication, and an inter-node
-//!   [`NetworkCost`] ([`serve_fleet`], [`serve_fleet_resilient`]);
-//!   [`faults`] holds the fault plans and resilience policies;
+//!   [`NetworkCost`] ([`ServingMode::Fleet`] of a [`FleetDispatch`]);
+//!   [`faults`] holds the fault plans and resilience policies, which
+//!   [`run`] applies in every mode;
 //! * [`sweep`] — throughput–latency curves over a QPS sweep: one driver
-//!   serves a backend under a [`ServingMode`] and a [`Fleet`] under a
-//!   [`FleetDispatch`] alike ([`Sweepable`]) through one saturation probe
-//!   ([`saturation_qps`]), one sweep at explicit loads ([`qps_sweep_at`])
-//!   and one sweep anchored at a reference arm's probed saturation
-//!   ([`anchored_sweep`]), each giving a [`SweepCurve`] with its knee
-//!   ([`SweepCurve::knee`]).
+//!   serves a backend or a [`Fleet`] under any [`ServingMode`] through
+//!   one saturation probe ([`saturation_qps`]), one sweep at explicit
+//!   loads ([`qps_sweep_at`]) and one sweep anchored at a reference
+//!   mode's probed saturation ([`anchored_sweep`]), each giving a
+//!   [`SweepCurve`] with its knee ([`SweepCurve::knee`]);
+//! * `legacy` — the two entry points that came before [`run`] and their
+//!   report and config types, each a field-for-field move of a
+//!   [`ServingRun`], kept only while an outside harness calls them.
 //!
 //! The model: each dispatched query (or shard) occupies one server for
 //! exactly the cycles its cycle-level run reports; work queues when its
@@ -63,13 +68,13 @@
 //!
 //! ```
 //! use recnmp_baselines::HostBaseline;
-//! use recnmp_sim::serving::{serve, DispatchPolicy, QueryShape, ServingConfig};
+//! use recnmp_sim::serving::{run, QueryShape, ResilienceConfig, ServingConfig};
 //!
 //! let mut host = HostBaseline::new(1, 2).unwrap();
 //! let cfg = ServingConfig::poisson(10_000.0, 16, QueryShape::new(2, 2, 8), 42);
-//! let report = serve(&mut host, &cfg).unwrap();
-//! assert_eq!(report.latencies.len(), 16);
-//! let s = report.summary();
+//! let served = run(&mut [&mut host], &cfg, &ResilienceConfig::zero()).unwrap();
+//! assert_eq!(served.latencies.len(), 16);
+//! let s = served.summary();
 //! assert!(s.p50 <= s.p99);
 //! ```
 
@@ -78,6 +83,7 @@ mod core;
 pub mod faults;
 pub mod fleet;
 mod host_cache;
+mod legacy;
 pub mod policy;
 pub mod scheduler;
 pub mod sweep;
@@ -88,17 +94,18 @@ pub use faults::{
     ResilienceConfig, RetryPolicy, ShardTimeout, SloPolicy,
 };
 pub use fleet::{
-    resilience_sweep, serve_fleet, serve_fleet_resilient, Fleet, FleetConfig, FleetDispatch,
-    FleetReport, NetworkCost, ResilienceArm, ResilienceSpec, ResilienceSweep, RouterPolicy,
+    resilience_sweep, Fleet, FleetDispatch, NetworkCost, ResilienceArm, ResilienceSpec,
+    ResilienceSweep, RouterPolicy,
 };
+pub use legacy::{serve, serve_fleet_resilient, FleetConfig, FleetReport, ServingReport};
 pub use policy::{
     DispatchPolicy, EpochPromotion, GatherCost, HostCacheSpec, PrefetchSpec, ServingMode,
     ShardedDispatch, TieredDispatch,
 };
 pub use recnmp_backend::{PlacementPolicy, TierSpec, TieredPolicy};
-pub use scheduler::{serve, LatencySummary, ServingConfig, ServingReport};
+pub use scheduler::{run, LatencySummary, ServingConfig, ServingRun};
 pub use sweep::{
     anchored_sweep, qps_sweep_at, reference_caching_arms, reference_channel_capacity,
     reference_cluster4, reference_cluster4_optimized, reference_tiered, saturation_qps, SweepCurve,
-    SweepPoint, SweepSpec, Sweepable,
+    SweepPoint, SweepSpec,
 };

@@ -1,9 +1,11 @@
-//! Dispatch policies and sharded and tiered scatter/gather dispatch for
-//! the query scheduler.
+//! Dispatch policies and sharded, tiered and fleet scatter/gather
+//! dispatch for the serving front.
 
 use recnmp_backend::{PlacementPolicy, PromotionPolicy, TierSpec, TieredPolicy};
 use recnmp_types::{ByteSize, Cycle};
 use serde::{Deserialize, Serialize};
+
+use super::fleet::FleetDispatch;
 
 /// How the scheduler places dispatched queries onto the backend's
 /// servers (channels of a cluster; the single pipeline of a one-channel
@@ -228,10 +230,11 @@ impl TieredDispatch {
     }
 }
 
-/// How the scheduler turns queries into backend work: whole-query
+/// How serving turns queries into backend work: on one node, whole-query
 /// dispatch onto one server under a [`DispatchPolicy`], sharded
 /// scatter/gather across the servers owning the query's tables, or
-/// tier-aware scatter/gather over a DRAM+SSD server space.
+/// tier-aware scatter/gather over a DRAM+SSD server space; or
+/// scatter/gather across the nodes of a fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ServingMode {
     /// Each query runs unsharded on a single server picked by the policy —
@@ -243,6 +246,9 @@ pub enum ServingMode {
     /// Each query scatters across both storage tiers under a
     /// [`TieredPlacementPlan`](recnmp_backend::TieredPlacementPlan).
     Tiered(TieredDispatch),
+    /// Each query's batches route to nodes of a fleet under the router,
+    /// then scatter across each node's channels.
+    Fleet(FleetDispatch),
 }
 
 impl ServingMode {
@@ -273,6 +279,12 @@ impl ServingMode {
                 // that the split was *learned*, not given.
                 (_, Some(_)) => "tiered-promote",
             },
+            ServingMode::Fleet(f) => match f.node_policy {
+                PlacementPolicy::FrequencyBalanced { replicate: 0 } => "fleet-sharded",
+                PlacementPolicy::FrequencyBalanced { .. } => "fleet-replicated",
+                PlacementPolicy::Hash => "fleet-hash",
+                PlacementPolicy::CapacityGreedy => "fleet-capacity",
+            },
         }
     }
 
@@ -300,9 +312,14 @@ impl From<DispatchPolicy> for ServingMode {
     }
 }
 
+/// The [`name`](ServingMode::name), with a fleet's replicated-table count
+/// ([`FleetDispatch::label`]).
 impl std::fmt::Display for ServingMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+        match self {
+            ServingMode::Fleet(dispatch) => f.write_str(&dispatch.label()),
+            mode => f.write_str(mode.name()),
+        }
     }
 }
 

@@ -1,82 +1,28 @@
 //! Throughput–latency curves: sweep offered QPS against a backend or a
 //! fleet and locate the saturation knee.
 //!
-//! One driver serves every kind of system ([`Sweepable`]): a backend
-//! under a [`ServingMode`], or a [`Fleet`](super::fleet::Fleet) under a
-//! [`FleetDispatch`](super::fleet::FleetDispatch). Three entry points
-//! share it, and the `serve_sweep` bench binary and the experiment
-//! harness consume them alike:
+//! One driver serves every system under a [`ServingMode`]: a system is
+//! anything that becomes a [`Fleet`] (a bare backend is a one-node
+//! fleet), served through [`run`]. Three entry points share it, and the
+//! `serve_sweep` bench binary and the experiment harness consume them
+//! alike:
 //!
 //! * [`saturation_qps`] — the probe: every query arrives at cycle 0 and
 //!   the completion throughput of the busy period is the saturation rate;
 //! * [`qps_sweep_at`] — one curve at explicit offered loads, each point
 //!   on a fresh system, all points in parallel on the worker pool;
-//! * [`anchored_sweep`] — probe the *anchor* arm, then sweep every arm
+//! * [`anchored_sweep`] — probe the *anchor* mode, then sweep every mode
 //!   at the same absolute loads (fractions of the anchor's saturation),
-//!   so knee QPS and p99 at a fixed load compare arms like for like.
+//!   so knee QPS and p99 at a fixed load compare modes like for like.
 
 use recnmp_backend::{PlacementPolicy, SlsBackend, TierSpec};
 use recnmp_types::{ByteSize, ConfigError, Cycle, SimError};
 
-use super::arrivals::{offered_load, ArrivalProcess, QueryShape, QueryStream};
+use super::arrivals::{ArrivalProcess, QueryShape, QueryStream};
+use super::faults::ResilienceConfig;
+use super::fleet::Fleet;
 use super::policy::{GatherCost, ServingMode, ShardedDispatch};
-use super::scheduler::{serve_arrivals, LatencySummary, ServingConfig};
-
-/// A system the sweep driver serves: a backend under a [`ServingMode`],
-/// or a [`Fleet`](super::fleet::Fleet) under a
-/// [`FleetDispatch`](super::fleet::FleetDispatch).
-pub trait Sweepable: Send {
-    /// What one curve of the system holds fixed.
-    type Arm: Copy + Send + Sync;
-
-    /// The system label a curve records.
-    fn label(&self) -> String;
-
-    /// Serves one query of `shape` per arrival (query `i` arriving at
-    /// `arrivals[i]`) under `arm`, drawn in order from the
-    /// [`QueryStream`] seeded with `seed` as each dispatches, and measures
-    /// `(completion throughput, latency distribution)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the serving run's error.
-    fn serve_load(
-        &mut self,
-        arm: Self::Arm,
-        shape: QueryShape,
-        arrivals: &[Cycle],
-        seed: u64,
-    ) -> Result<(f64, LatencySummary), SimError>;
-}
-
-impl Sweepable for Box<dyn SlsBackend> {
-    type Arm = ServingMode;
-
-    fn label(&self) -> String {
-        self.name().to_string()
-    }
-
-    /// Serves on cold caches, so every sweep point starts from identical
-    /// hardware state.
-    fn serve_load(
-        &mut self,
-        mode: ServingMode,
-        shape: QueryShape,
-        arrivals: &[Cycle],
-        seed: u64,
-    ) -> Result<(f64, LatencySummary), SimError> {
-        self.reset_caches();
-        // The rate and process only label the report: the arrivals are
-        // given.
-        let cfg = ServingConfig {
-            mode,
-            ..ServingConfig::poisson(1.0, arrivals.len(), shape, seed)
-        };
-        let stream = QueryStream::new(shape, seed);
-        let report = serve_arrivals(self.as_mut(), &cfg, arrivals, stream)?;
-        Ok((report.achieved_qps(), report.summary()))
-    }
-}
+use super::scheduler::{run, run_at, LatencySummary, ServingConfig};
 
 /// One measured point of a throughput–latency curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,15 +47,13 @@ impl SweepPoint {
     }
 }
 
-/// One throughput–latency curve: a system under one arm — a backend's
-/// [`ServingMode`] or a fleet's
-/// [`FleetDispatch`](super::fleet::FleetDispatch).
+/// One throughput–latency curve: a system under one [`ServingMode`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct SweepCurve<A = ServingMode> {
-    /// System label.
+pub struct SweepCurve {
+    /// System label ([`ServingRun::system`](super::ServingRun::system)).
     pub system: String,
-    /// The arm the curve was measured under.
-    pub arm: A,
+    /// The mode the curve was measured under.
+    pub arm: ServingMode,
     /// Reference saturation throughput (queries per simulated second)
     /// the utilization fractions are anchored to.
     pub saturation_qps: f64,
@@ -117,7 +61,7 @@ pub struct SweepCurve<A = ServingMode> {
     pub points: Vec<SweepPoint>,
 }
 
-impl<A> SweepCurve<A> {
+impl SweepCurve {
     /// The saturation knee: the highest offered load the system still
     /// sustained (achieved ≥ 90% of offered). `None` when even the
     /// lightest point was unsustainable.
@@ -166,7 +110,7 @@ fn positive(field: &str, value: f64) -> Result<f64, SimError> {
 }
 
 /// Probes the back-to-back service capacity of a fresh system from
-/// `make` under `arm`: all `queries` queries of `shape` arrive at cycle
+/// `make` under `mode`: all `queries` queries of `shape` arrive at cycle
 /// 0 and the completion throughput of the resulting busy period is the
 /// saturation rate.
 ///
@@ -175,18 +119,31 @@ fn positive(field: &str, value: f64) -> Result<f64, SimError> {
 /// Returns the serving run's error ([`SimError::Stalled`], or
 /// [`SimError::Config`] when placement fails), or
 /// [`SimError::Config`] when the probe completes no query.
-pub fn saturation_qps<S: Sweepable>(
+pub fn saturation_qps<S: Into<Fleet>>(
     make: &mut dyn FnMut() -> S,
-    arm: S::Arm,
+    mode: ServingMode,
     shape: QueryShape,
     queries: usize,
     seed: u64,
 ) -> Result<f64, SimError> {
-    let (qps, _) = make().serve_load(arm, shape, &vec![0; queries], seed)?;
-    positive("saturation probe", qps)
+    // The rate and process only label the run: the arrivals are given.
+    let cfg = ServingConfig {
+        mode,
+        ..ServingConfig::poisson(1.0, queries, shape, seed)
+    };
+    let (arrivals, stream) = (vec![0; queries], QueryStream::new(shape, seed));
+    let zero = ResilienceConfig::zero();
+    let probe = run_at(
+        &mut make().into().nodes_mut(),
+        &cfg,
+        &zero,
+        arrivals,
+        stream,
+    )?;
+    positive("saturation probe", probe.achieved_qps())
 }
 
-/// Measures one curve under `arm` at explicit `offered` loads (queries
+/// Measures one curve under `mode` at explicit `offered` loads (queries
 /// per second), anchored to a caller-provided `saturation` rate: each
 /// point's `utilization` is `offered / saturation`. Points take their
 /// arrival process, shape, query count and seed from `spec`; each runs
@@ -197,24 +154,32 @@ pub fn saturation_qps<S: Sweepable>(
 ///
 /// Returns [`SimError::Config`] when `saturation` or an offered load is
 /// not positive and finite, or the first failing point's error.
-pub fn qps_sweep_at<S: Sweepable>(
+pub fn qps_sweep_at<S: Into<Fleet>>(
     make: &mut dyn FnMut() -> S,
-    arm: S::Arm,
+    mode: ServingMode,
     spec: &SweepSpec,
     saturation: f64,
     offered: &[f64],
-) -> Result<SweepCurve<S::Arm>, SimError> {
+) -> Result<SweepCurve, SimError> {
     positive("saturation", saturation)?;
-    let mut systems: Vec<(S, f64)> = offered.iter().map(|&qps| (make(), qps)).collect();
-    let system = systems.first().map(|(s, _)| s.label()).unwrap_or_default();
-    let measured = run_each(&mut systems, |(system, qps)| {
-        let (arrivals, _) = offered_load(spec.process, *qps, spec.queries, spec.shape, spec.seed)?;
-        system.serve_load(arm, spec.shape, &arrivals, spec.seed)
+    let mut systems: Vec<(Fleet, f64)> = offered.iter().map(|&qps| (make().into(), qps)).collect();
+    let measured = run_each(&mut systems, |(fleet, qps)| {
+        let cfg = ServingConfig {
+            process: spec.process,
+            qps: *qps,
+            queries: spec.queries,
+            shape: spec.shape,
+            mode,
+            seed: spec.seed,
+        };
+        let served = run(&mut fleet.nodes_mut(), &cfg, &ResilienceConfig::zero())?;
+        Ok((served.achieved_qps(), served.summary(), served.system))
     })?;
+    let system = measured.first().map(|m| m.2.clone()).unwrap_or_default();
     let points = offered
         .iter()
         .zip(measured)
-        .map(|(&qps, (achieved_qps, summary))| SweepPoint {
+        .map(|(&qps, (achieved_qps, summary, _))| SweepPoint {
             offered_qps: qps,
             utilization: qps / saturation,
             achieved_qps,
@@ -223,16 +188,16 @@ pub fn qps_sweep_at<S: Sweepable>(
         .collect();
     Ok(SweepCurve {
         system,
-        arm,
+        arm: mode,
         saturation_qps: saturation,
         points,
     })
 }
 
-/// Sweeps every arm in `arms` at the same absolute offered loads: the
-/// `spec.utilizations` fractions of the **anchor** arm's probed
+/// Sweeps every mode in `arms` at the same absolute offered loads: the
+/// `spec.utilizations` fractions of the **anchor** mode's probed
 /// saturation rate. Fixing the load axis makes the comparison direct —
-/// a better arm shows up as a higher knee and a lower p99 at the same
+/// a better mode shows up as a higher knee and a lower p99 at the same
 /// offered QPS. The anchor need not be one of `arms`. Curves come back
 /// in `arms` order.
 ///
@@ -241,12 +206,12 @@ pub fn qps_sweep_at<S: Sweepable>(
 /// Returns [`SimError::Config`] for an empty `arms` list, a utilization
 /// that is not positive and finite, or a probe that completes nothing;
 /// otherwise the first failing run's error.
-pub fn anchored_sweep<S: Sweepable>(
+pub fn anchored_sweep<S: Into<Fleet>>(
     make: &mut dyn FnMut() -> S,
-    anchor: S::Arm,
-    arms: &[S::Arm],
+    anchor: ServingMode,
+    arms: &[ServingMode],
     spec: &SweepSpec,
-) -> Result<Vec<SweepCurve<S::Arm>>, SimError> {
+) -> Result<Vec<SweepCurve>, SimError> {
     if arms.is_empty() {
         let msg = "an anchored sweep needs at least one arm";
         return Err(SimError::Config(ConfigError::new("arms", msg)));
@@ -261,16 +226,16 @@ pub fn anchored_sweep<S: Sweepable>(
         .collect()
 }
 
-/// Runs `serve` on each of `systems` as one task on the deterministic
+/// Runs `job` on each of `systems` as one task on the deterministic
 /// worker pool (`recnmp-exec`), nesting the systems' own node and
 /// channel tasks into the same pool; results come back in input order,
 /// byte-identical to a serial run at any worker count.
 pub(super) fn run_each<S: Send, T: Send>(
     systems: &mut [S],
-    serve: impl Fn(&mut S) -> Result<T, SimError> + Sync,
+    job: impl Fn(&mut S) -> Result<T, SimError> + Sync,
 ) -> Result<Vec<T>, SimError> {
-    let serve = &serve;
-    let tasks: Vec<_> = systems.iter_mut().map(|s| move || serve(s)).collect();
+    let job = &job;
+    let tasks: Vec<_> = systems.iter_mut().map(|s| move || job(s)).collect();
     recnmp_exec::current().run_vec(tasks)
 }
 

@@ -37,9 +37,9 @@ use std::cell::Cell;
 
 use recnmp_exec::{with_pool, ExecPool};
 use recnmp_sim::serving::{
-    reference_cluster4, serve, serve_fleet_resilient, ArrivalProcess, FaultPlan, FaultSpec, Fleet,
-    FleetConfig, FleetDispatch, HedgePolicy, PlacementPolicy, QueryShape, ResilienceConfig,
-    RetryPolicy, ServingConfig, ServingMode, SloPolicy,
+    reference_cluster4, run, ArrivalProcess, FaultPlan, FaultSpec, Fleet, FleetDispatch,
+    HedgePolicy, PlacementPolicy, QueryShape, ResilienceConfig, RetryPolicy, ServingConfig,
+    ServingMode, SloPolicy,
 };
 
 struct CountingAlloc;
@@ -145,16 +145,16 @@ fn faulted_fleet_serving_holds_no_query_stream() {
         .with_hedge(HedgePolicy::p95())
         .with_slo(SloPolicy::new(13_185));
     assert_streamed("faulted fleet", |queries| {
-        let cfg = FleetConfig {
+        let cfg = ServingConfig {
             process: ArrivalProcess::Poisson,
             qps,
             queries,
             shape,
-            dispatch: FleetDispatch::replicated(shape.tables),
+            mode: ServingMode::Fleet(FleetDispatch::replicated(shape.tables)),
             seed: 7,
         };
         let mut fleet = Fleet::reference(nodes);
-        let report = serve_fleet_resilient(&mut fleet, &cfg, &res).expect("fleet run");
+        let report = run(&mut fleet.nodes_mut(), &cfg, &res).expect("fleet run");
         assert_eq!(report.outcomes.len(), queries);
     });
 }
@@ -167,7 +167,8 @@ fn sharded_serving_holds_no_query_stream() {
             ..ServingConfig::poisson(60_000.0, queries, fleet_shape(), 7)
         };
         let mut cluster = reference_cluster4();
-        let report = serve(cluster.as_mut(), &cfg).expect("sharded run");
+        let zero = ResilienceConfig::zero();
+        let report = run(&mut [cluster.as_mut()], &cfg, &zero).expect("sharded run");
         assert_eq!(report.completions.len(), queries);
     });
 }

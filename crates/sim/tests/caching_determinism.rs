@@ -13,8 +13,8 @@
 use recnmp_backend::SlsTrace;
 use recnmp_exec::{with_pool, ExecPool};
 use recnmp_sim::serving::{
-    reference_caching_arms, reference_cluster4_optimized, serve, ArrivalProcess, QueryShape,
-    QueryStream, ServingConfig, ServingMode, ServingReport,
+    reference_caching_arms, reference_cluster4_optimized, run, ArrivalProcess, QueryShape,
+    QueryStream, ResilienceConfig, ServingConfig, ServingMode, ServingRun,
 };
 
 fn shape() -> QueryShape {
@@ -32,12 +32,13 @@ fn cfg(mode: ServingMode) -> ServingConfig {
     }
 }
 
-fn run_with_workers(workers: usize, mode: ServingMode) -> ServingReport {
+fn run_with_workers(workers: usize, mode: ServingMode) -> ServingRun {
     let pool = ExecPool::new(workers).expect("positive worker count");
     with_pool(&pool, || {
         let mut backend = reference_cluster4_optimized();
         backend.reset_caches();
-        serve(backend.as_mut(), &cfg(mode)).expect("cached serving run")
+        let zero = ResilienceConfig::zero();
+        run(&mut [backend.as_mut()], &cfg(mode), &zero).expect("cached serving run")
     })
 }
 

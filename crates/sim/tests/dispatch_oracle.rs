@@ -8,13 +8,13 @@
 //!   channel holding its table, every shard queues on its channel, and the
 //!   query completes at its slowest shard plus the host gather merge.
 //!
-//! `serve` must match the oracle exactly: the server every trace ran on
+//! `run` must match the oracle exactly: the server every trace ran on
 //! and every completion cycle.
 
 use recnmp_backend::{PlacementPlan, PlacementPolicy, RunReport, SlsBackend, SlsTrace, TableUsage};
 use recnmp_sim::serving::{
-    serve, DispatchPolicy, GatherCost, QueryShape, QueryStream, ServingConfig, ServingMode,
-    ShardedDispatch,
+    run, DispatchPolicy, GatherCost, QueryShape, QueryStream, ResilienceConfig, ServingConfig,
+    ServingMode, ShardedDispatch,
 };
 use recnmp_types::{Cycle, SimError};
 
@@ -72,7 +72,7 @@ struct Schedule {
     completions: Vec<Cycle>,
 }
 
-/// Serves `mode` on a fresh fake backend: the arrival cycles `serve`
+/// Serves `mode` on a fresh fake backend: the arrival cycles `run`
 /// drew, and what it ran.
 fn served(
     mode: ServingMode,
@@ -86,8 +86,9 @@ fn served(
         ..ServingConfig::poisson(qps, queries, shape, seed)
     };
     let mut backend = FakeServers { log: Vec::new() };
-    let report = serve(&mut backend, &cfg).expect("fake-server run");
-    assert!(report.rejected.is_empty(), "{mode} at {qps} qps rejected");
+    let report =
+        run(&mut [&mut backend], &cfg, &ResilienceConfig::zero()).expect("fake-server run");
+    assert_eq!(report.completed(), queries, "{mode} at {qps} qps");
     let schedule = Schedule {
         runs: backend.log,
         completions: report.completions,

@@ -11,12 +11,10 @@
 use proptest::prelude::*;
 use recnmp_backend::{FleetPlacementPlan, PlacementPolicy, SlsTrace, TableUsage};
 use recnmp_exec::{with_pool, ExecPool};
-use recnmp_sim::serving::fleet::{
-    serve_fleet, Fleet, FleetConfig, FleetDispatch, FleetReport, RouterPolicy,
-};
+use recnmp_sim::serving::fleet::{Fleet, FleetDispatch, RouterPolicy};
 use recnmp_sim::serving::{
-    reference_cluster4, serve, ArrivalProcess, QueryShape, QueryStream, ServingConfig, ServingMode,
-    ShardedDispatch,
+    reference_cluster4, run, ArrivalProcess, QueryShape, QueryStream, ResilienceConfig,
+    ServingConfig, ServingMode, ServingRun, ShardedDispatch,
 };
 use recnmp_types::TableId;
 
@@ -26,23 +24,26 @@ fn shape() -> QueryShape {
         .with_table_sampling(3)
 }
 
-fn cfg(nodes: usize, queries: usize, dispatch: FleetDispatch) -> FleetConfig {
-    FleetConfig {
+fn cfg(nodes: usize, queries: usize, dispatch: FleetDispatch) -> ServingConfig {
+    ServingConfig {
         process: ArrivalProcess::Poisson,
         qps: 30_000.0 * nodes as f64,
         queries,
         shape: shape(),
-        dispatch,
+        mode: ServingMode::Fleet(dispatch),
         seed: 0xd5_7e57,
     }
 }
 
-fn run_with_workers(workers: usize, nodes: usize, dispatch: FleetDispatch) -> FleetReport {
+/// `c` on a fresh fault-free reference fleet of `nodes` nodes.
+fn on_fleet(nodes: usize, c: &ServingConfig) -> ServingRun {
+    let zero = ResilienceConfig::zero();
+    run(&mut Fleet::reference(nodes).nodes_mut(), c, &zero).expect("fleet serving run")
+}
+
+fn run_with_workers(workers: usize, nodes: usize, dispatch: FleetDispatch) -> ServingRun {
     let pool = ExecPool::new(workers).expect("positive worker count");
-    with_pool(&pool, || {
-        let mut fleet = Fleet::reference(nodes);
-        serve_fleet(&mut fleet, &cfg(nodes, 24, dispatch)).expect("fleet serving run")
-    })
+    with_pool(&pool, || on_fleet(nodes, &cfg(nodes, 24, dispatch)))
 }
 
 #[test]
@@ -72,8 +73,7 @@ fn fleet_serving_conserves_lookups_across_nodes() {
             ..FleetDispatch::replicated(2)
         };
         let c = cfg(4, 20, dispatch);
-        let mut fleet = Fleet::reference(4);
-        let report = serve_fleet(&mut fleet, &c).expect("fleet serving run");
+        let report = on_fleet(4, &c);
         let expected: u64 = QueryStream::new(c.shape, c.seed)
             .take_queries(c.queries)
             .iter()
@@ -95,17 +95,12 @@ fn fleet_serving_conserves_lookups_across_nodes() {
 
 #[test]
 fn one_node_fleet_is_numerically_the_bare_cluster() {
+    // The keystone invariant: one cluster served under the fleet mode is
+    // numerically the same cluster under sharded serving — same
+    // arrivals, same placement, same channel queues, no network charge.
     let dispatch = FleetDispatch::sharded();
     let fleet_cfg = cfg(1, 30, dispatch);
-    let mut fleet = Fleet::reference(1);
-    let fleet_report = serve_fleet(&mut fleet, &fleet_cfg).expect("fleet serving run");
-
-    let mut cluster = reference_cluster4();
     let cluster_cfg = ServingConfig {
-        process: fleet_cfg.process,
-        qps: fleet_cfg.qps,
-        queries: fleet_cfg.queries,
-        shape: fleet_cfg.shape,
         mode: ServingMode::Sharded(ShardedDispatch {
             placement: dispatch.within_policy,
             gather: dispatch.gather,
@@ -113,18 +108,18 @@ fn one_node_fleet_is_numerically_the_bare_cluster() {
             host_cache: None,
             prefetch: None,
         }),
-        seed: fleet_cfg.seed,
+        ..fleet_cfg
     };
-    let cluster_report = serve(cluster.as_mut(), &cluster_cfg).expect("cluster serving run");
+    let zero = ResilienceConfig::zero();
+    let on_cluster = |c| run(&mut [reference_cluster4().as_mut()], c, &zero).expect("serving run");
+    let (fleet, cluster) = (on_cluster(&fleet_cfg), on_cluster(&cluster_cfg));
 
-    assert_eq!(fleet_report.arrivals, cluster_report.arrivals);
-    assert_eq!(fleet_report.completions, cluster_report.completions);
-    assert_eq!(fleet_report.latencies, cluster_report.latencies);
-    assert_eq!(fleet_report.report.insts, cluster_report.report.insts);
-    assert_eq!(
-        fleet_report.report.total_cycles,
-        cluster_report.report.total_cycles
-    );
+    assert_eq!(fleet.system, "fleet[1 x recnmp-cluster[4]]");
+    assert_eq!(fleet.arrivals, cluster.arrivals);
+    assert_eq!(fleet.completions, cluster.completions);
+    assert_eq!(fleet.latencies, cluster.latencies);
+    assert_eq!(fleet.report.insts, cluster.report.insts);
+    assert_eq!(fleet.report.total_cycles, cluster.report.total_cycles);
 }
 
 /// A random profiled-table set: table `i` with the given bytes/accesses.

@@ -14,10 +14,10 @@ use recnmp_exec::{with_pool, ExecPool};
 use recnmp_sim::serving::faults::{
     FaultPlan, HedgePolicy, QueryOutcome, ResilienceConfig, RetryPolicy, SloPolicy,
 };
-use recnmp_sim::serving::fleet::{
-    serve_fleet_resilient, Fleet, FleetConfig, FleetDispatch, FleetReport, RouterPolicy,
+use recnmp_sim::serving::fleet::{Fleet, FleetDispatch, RouterPolicy};
+use recnmp_sim::serving::{
+    run, ArrivalProcess, QueryShape, ServingConfig, ServingMode, ServingRun,
 };
-use recnmp_sim::serving::{ArrivalProcess, QueryShape};
 
 fn shape() -> QueryShape {
     QueryShape::new(10, 2, 6)
@@ -25,13 +25,13 @@ fn shape() -> QueryShape {
         .with_table_sampling(3)
 }
 
-fn cfg(nodes: usize, queries: usize, dispatch: FleetDispatch) -> FleetConfig {
-    FleetConfig {
+fn cfg(nodes: usize, queries: usize, dispatch: FleetDispatch) -> ServingConfig {
+    ServingConfig {
         process: ArrivalProcess::Poisson,
         qps: 30_000.0 * nodes as f64,
         queries,
         shape: shape(),
-        dispatch,
+        mode: ServingMode::Fleet(dispatch),
         seed: 0xfa_c75,
     }
 }
@@ -51,13 +51,14 @@ fn active_res() -> ResilienceConfig {
     .with_slo(SloPolicy::new(40_000))
 }
 
-fn run_with_workers(workers: usize, dispatch: FleetDispatch) -> FleetReport {
+/// `c` on a fresh reference fleet of 3 nodes under `res`.
+fn serve3(c: &ServingConfig, res: &ResilienceConfig) -> ServingRun {
+    run(&mut Fleet::reference(3).nodes_mut(), c, res).expect("resilient fleet run")
+}
+
+fn run_with_workers(workers: usize, dispatch: FleetDispatch) -> ServingRun {
     let pool = ExecPool::new(workers).expect("positive worker count");
-    with_pool(&pool, || {
-        let mut fleet = Fleet::reference(3);
-        serve_fleet_resilient(&mut fleet, &cfg(3, 24, dispatch), &active_res())
-            .expect("resilient fleet run")
-    })
+    with_pool(&pool, || serve3(&cfg(3, 24, dispatch), &active_res()))
 }
 
 #[test]
@@ -137,8 +138,7 @@ proptest! {
         let mut c = cfg(3, queries, dispatch);
         c.seed = seed;
         let res = ResilienceConfig::new(FaultPlan::none().with_crash(crashed, 0));
-        let mut fleet = Fleet::reference(3);
-        let report = serve_fleet_resilient(&mut fleet, &c, &res).expect("resilient run");
+        let report = serve3(&c, &res);
         prop_assert_eq!(
             report.node_queries[crashed],
             0,

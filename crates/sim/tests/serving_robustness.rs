@@ -9,10 +9,11 @@
 //!   `SimError::Config` instead of being ignored or clamped;
 //! * a channel slowed past the end of the clock fails its queries
 //!   instead of overflowing (or, wrapped, reporting them fast);
-//! * (property) `serve` under arbitrary serving configurations — every
-//!   mode family and dispatch policy, bad rates — and `serve_fleet_resilient` under arbitrary hedge, retry and
-//!   SLO policies return `Ok` or `Err` and never panic;
-//! * (property) `serve_fleet_resilient` on 1–3 nodes under arbitrary
+//! * (property) `run` under arbitrary single-node serving
+//!   configurations — every mode family and dispatch policy, bad rates —
+//!   and under the fleet mode with arbitrary hedge, retry and SLO
+//!   policies returns `Ok` or `Err` and never panics;
+//! * (property) `run` on a fleet of 1–3 nodes under arbitrary
 //!   explicit or seeded fault plans (any node and channel, out-of-range
 //!   ones included, multipliers and windows up to `u64::MAX`) rejects
 //!   exactly the configurations the fleet cannot run as a config error,
@@ -27,12 +28,11 @@ use recnmp_sim::serving::faults::{
     FaultPlan, FaultSpec, HedgePolicy, QueryOutcome, ResilienceConfig, RetryPolicy, SloPolicy,
 };
 use recnmp_sim::serving::fleet::{
-    resilience_sweep, serve_fleet_resilient, Fleet, FleetConfig, FleetDispatch, FleetReport,
-    ResilienceSpec, RouterPolicy,
+    resilience_sweep, Fleet, FleetDispatch, ResilienceSpec, RouterPolicy,
 };
 use recnmp_sim::serving::{
-    serve, ArrivalProcess, DispatchPolicy, EpochPromotion, HostCacheSpec, PrefetchSpec, QueryShape,
-    ServingConfig, ServingMode, ShardedDispatch, TieredDispatch,
+    run, ArrivalProcess, DispatchPolicy, EpochPromotion, HostCacheSpec, PrefetchSpec, QueryShape,
+    ServingConfig, ServingMode, ServingRun, ShardedDispatch, TieredDispatch,
 };
 use recnmp_types::{ByteSize, Cycle, SimError};
 
@@ -46,15 +46,29 @@ fn fleet_shape() -> QueryShape {
     QueryShape::new(4, 2, 6).with_table_sampling(2)
 }
 
-fn fleet_cfg(qps: f64, queries: usize, dispatch: FleetDispatch, seed: u64) -> FleetConfig {
-    FleetConfig {
+fn fleet_cfg(qps: f64, queries: usize, dispatch: FleetDispatch, seed: u64) -> ServingConfig {
+    ServingConfig {
         process: ArrivalProcess::Poisson,
         qps,
         queries,
         shape: fleet_shape(),
-        dispatch,
+        mode: ServingMode::Fleet(dispatch),
         seed,
     }
+}
+
+/// `cfg` on a fresh host, fault-free.
+fn on_host(cfg: &ServingConfig) -> Result<ServingRun, SimError> {
+    run(&mut [&mut host()], cfg, &ResilienceConfig::zero())
+}
+
+/// `cfg` on a fresh reference fleet of `nodes` nodes under `res`.
+fn on_fleet(
+    nodes: usize,
+    cfg: &ServingConfig,
+    res: &ResilienceConfig,
+) -> Result<ServingRun, SimError> {
+    run(&mut Fleet::reference(nodes).nodes_mut(), cfg, res)
 }
 
 fn is_config_error<T>(result: &Result<T, SimError>) -> bool {
@@ -65,12 +79,11 @@ fn is_config_error<T>(result: &Result<T, SimError>) -> bool {
 fn a_bad_offered_rate_is_a_config_error() {
     for qps in BAD_RATES {
         let cfg = ServingConfig::poisson(qps, 4, QueryShape::new(2, 2, 8), 1);
-        assert!(is_config_error(&serve(&mut host(), &cfg)), "serve at {qps}");
+        assert!(is_config_error(&on_host(&cfg)), "host at {qps}");
 
         let fleet_cfg = fleet_cfg(qps, 4, FleetDispatch::sharded(), 1);
-        let res = ResilienceConfig::zero();
-        let served = serve_fleet_resilient(&mut Fleet::reference(2), &fleet_cfg, &res);
-        assert!(is_config_error(&served), "serve_fleet_resilient at {qps}");
+        let served = on_fleet(2, &fleet_cfg, &ResilienceConfig::zero());
+        assert!(is_config_error(&served), "fleet at {qps}");
 
         let spec = ResilienceSpec {
             process: ArrivalProcess::Poisson,
@@ -119,18 +132,14 @@ fn a_bad_query_shape_is_a_config_error() {
     }
     for shape in bad {
         let cfg = ServingConfig::poisson(60_000.0, 4, shape, 1);
-        assert!(
-            is_config_error(&serve(&mut host(), &cfg)),
-            "serve {shape:?}"
-        );
+        assert!(is_config_error(&on_host(&cfg)), "host {shape:?}");
 
-        let fleet_cfg = FleetConfig {
+        let fleet_cfg = ServingConfig {
             shape,
             ..fleet_cfg(60_000.0, 4, FleetDispatch::sharded(), 1)
         };
-        let res = ResilienceConfig::zero();
-        let served = serve_fleet_resilient(&mut Fleet::reference(2), &fleet_cfg, &res);
-        assert!(is_config_error(&served), "serve_fleet_resilient {shape:?}");
+        let served = on_fleet(2, &fleet_cfg, &ResilienceConfig::zero());
+        assert!(is_config_error(&served), "fleet {shape:?}");
     }
 }
 
@@ -140,7 +149,7 @@ fn hedging_needs_a_window_and_a_quantile_in_the_unit_interval() {
     let run = |hedge: HedgePolicy| {
         let res = ResilienceConfig::new(FaultPlan::none().with_degrade(0, 0, 0, u64::MAX, 6))
             .with_hedge(hedge);
-        serve_fleet_resilient(&mut Fleet::reference(2), &cfg, &res)
+        on_fleet(2, &cfg, &res)
     };
     // No warm-up: the first node job has no observed latency to anchor
     // a delay at, so hedging starts from the second.
@@ -181,7 +190,7 @@ fn hedging_needs_a_window_and_a_quantile_in_the_unit_interval() {
 fn a_fault_plan_outside_the_fleet_is_a_config_error() {
     // Two reference nodes of four channels each.
     let cfg = fleet_cfg(60_000.0, 8, FleetDispatch::replicated(4), 3);
-    let run = |res: &ResilienceConfig| serve_fleet_resilient(&mut Fleet::reference(2), &cfg, res);
+    let run = |res: &ResilienceConfig| on_fleet(2, &cfg, res);
     let none = FaultPlan::none;
     let degrade = |multiplier| none().with_degrade(1, 3, 0, u64::MAX, multiplier);
     // The last in-range entry of each kind, and a 1x degrade, serve.
@@ -229,7 +238,7 @@ fn accepted(res: &ResilienceConfig, nodes: usize) -> bool {
 /// Every query has exactly one outcome, the report's counters and
 /// failure list agree with the outcomes, and no query completes before it
 /// arrived.
-fn assert_consistent(report: &FleetReport, queries: usize) {
+fn assert_consistent(report: &ServingRun, queries: usize) {
     let count = |o: QueryOutcome| report.outcomes.iter().filter(|&&x| x == o).count() as u64;
     assert_eq!(report.outcomes.len(), queries);
     assert_eq!(report.completions.len(), queries);
@@ -255,12 +264,8 @@ fn a_channel_slowed_past_the_end_of_the_clock_fails_its_queries() {
     // instead of overflowing (or wrapping to a fast completion).
     let cfg = fleet_cfg(60_000.0, 6, FleetDispatch::sharded(), 3);
     let stuck = FaultPlan::none().with_degrade(0, 0, 0, u64::MAX, u64::MAX);
-    let report = serve_fleet_resilient(
-        &mut Fleet::reference(2),
-        &cfg,
-        &ResilienceConfig::new(stuck),
-    )
-    .expect("a stuck channel fails queries, not the run");
+    let report = on_fleet(2, &cfg, &ResilienceConfig::new(stuck))
+        .expect("a stuck channel fails queries, not the run");
     assert!(report.report.queries_failed > 0, "{:?}", report.outcomes);
     assert!(report
         .failures
@@ -487,12 +492,12 @@ proptest! {
             mode,
             seed,
         };
-        let result = serve(&mut host(), &cfg);
+        let result = on_host(&cfg);
         if !(qps > 0.0 && qps.is_finite()) {
             prop_assert!(is_config_error(&result), "{cfg:?}");
         } else if let Ok(report) = result {
             prop_assert_eq!(report.completions.len(), queries);
-            prop_assert!(report.rejected.len() <= queries);
+            prop_assert_eq!(report.completed(), queries);
         }
     }
 }
@@ -526,7 +531,7 @@ proptest! {
             ..FleetDispatch::replicated(replicate * 2)
         };
         let cfg = fleet_cfg(80_000.0, queries, dispatch, seed);
-        let result = serve_fleet_resilient(&mut Fleet::reference(2), &cfg, &res);
+        let result = on_fleet(2, &cfg, &res);
         if accepted(&res, 2) {
             let report = result.expect("valid policies serve every query to an outcome");
             prop_assert_eq!(report.outcomes.len(), queries);
@@ -570,7 +575,7 @@ proptest! {
             });
         }
         let cfg = fleet_cfg(40_000.0 * nodes as f64, queries, FleetDispatch::replicated(replicate), seed);
-        let result = serve_fleet_resilient(&mut fleet, &cfg, &res);
+        let result = run(&mut fleet.nodes_mut(), &cfg, &res);
         if accepted(&res, nodes) {
             let report = result.expect("a valid configuration serves every query to an outcome");
             assert_consistent(&report, queries);

@@ -1,14 +1,20 @@
 #!/usr/bin/env bash
-# Prints the non-test line count of every crate: for each `crates/*/src`,
-# the lines of its `.rs` files that come before each file's first
+# Prints non-test line counts: for each directory, the lines of its `.rs`
+# files (searched recursively) that come before each file's first
 # `#[cfg(test)]` (a whole file when it has none), then the total. This is
-# the net line count a change reports. Run from anywhere in the repo:
+# the net line count a change reports. With no arguments it counts every
+# `crates/*/src`; directories given as arguments are taken relative to the
+# repo root. Run from anywhere in the repo:
 #
-#   scripts/nontest_lines.sh
+#   scripts/nontest_lines.sh                          # every crate
+#   scripts/nontest_lines.sh crates/sim/src/serving   # one directory
 set -euo pipefail
 cd "$(dirname "$0")/.."
+if [ "$#" -eq 0 ]; then
+    set -- crates/*/src
+fi
 total=0
-for src in crates/*/src; do
+for src in "$@"; do
     n=$(find "$src" -name '*.rs' -print0 | sort -z |
         xargs -0 awk 'FNR == 1 { on = 1 } /^#\[cfg\(test\)\]/ { on = 0 } on { n++ } END { print n + 0 }' |
         awk '{ s += $1 } END { print s + 0 }')

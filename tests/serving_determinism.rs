@@ -11,8 +11,14 @@ use recnmp::{RecNmpCluster, RecNmpClusterConfig};
 use recnmp_backend::SlsBackend;
 use recnmp_baselines::{DimmLevelNmp, DramConfig, HostBaseline};
 use recnmp_sim::serving::{
-    saturation_qps, serve, ArrivalProcess, DispatchPolicy, QueryShape, ServingConfig, ServingMode,
+    run, saturation_qps, ArrivalProcess, DispatchPolicy, QueryShape, ResilienceConfig,
+    ServingConfig, ServingMode, ServingRun,
 };
+
+/// Serves `c` on `backend` alone, fault-free.
+fn serve_on(backend: &mut dyn SlsBackend, c: &ServingConfig) -> ServingRun {
+    run(&mut [backend], c, &ResilienceConfig::zero()).unwrap()
+}
 
 fn cluster4() -> RecNmpCluster {
     let config = RecNmpClusterConfig::builder()
@@ -48,8 +54,8 @@ fn same_seed_is_byte_identical_across_runs_and_policies_rerun() {
     for policy in DispatchPolicy::ALL {
         let c = cfg(policy);
         for (a, b) in backends().iter_mut().zip(backends().iter_mut()) {
-            let ra = serve(a.as_mut(), &c).unwrap();
-            let rb = serve(b.as_mut(), &c).unwrap();
+            let ra = serve_on(a.as_mut(), &c);
+            let rb = serve_on(b.as_mut(), &c);
             // Full per-query vectors, not just summaries: arrival
             // schedule, completion timestamps and latencies all match
             // bit-for-bit, so the percentiles do too.
@@ -69,7 +75,7 @@ fn same_seed_is_byte_identical_across_runs_and_policies_rerun() {
 fn serving_conserves_lookups_on_every_backend() {
     let c = cfg(DispatchPolicy::FifoSingleQueue);
     for backend in backends().iter_mut() {
-        let r = serve(backend.as_mut(), &c).unwrap();
+        let r = serve_on(backend.as_mut(), &c);
         assert_eq!(
             r.report.insts,
             c.shape.lookups_per_query() * c.queries as u64,
@@ -77,8 +83,8 @@ fn serving_conserves_lookups_on_every_backend() {
             r.system
         );
         assert_eq!(r.latencies.len(), c.queries);
-        // Every query dispatches on its own.
-        assert_eq!(r.jobs, c.queries);
+        // Every query completes.
+        assert_eq!(r.completed(), c.queries);
         // Completion never precedes arrival.
         assert!(r
             .completions
@@ -107,7 +113,7 @@ fn below_saturation_throughput_tracks_offered_rate() {
             mode: fifo,
             seed: 3,
         };
-        let r = serve(factory().as_mut(), &c).unwrap();
+        let r = serve_on(factory().as_mut(), &c);
         let achieved = r.achieved_qps();
         assert!(
             achieved >= 0.85 * c.qps,
@@ -136,8 +142,8 @@ fn sharded_serving_is_byte_identical_and_lookup_conserving() {
         let c = sharded_cfg(placement);
         let mut a = cluster4();
         let mut b = cluster4();
-        let ra = serve(&mut a, &c).unwrap();
-        let rb = serve(&mut b, &c).unwrap();
+        let ra = serve_on(&mut a, &c);
+        let rb = serve_on(&mut b, &c);
         // Byte-identical reruns for a fixed seed: the arrival schedule,
         // every per-query completion timestamp, and every latency.
         assert_eq!(ra.arrivals, rb.arrivals, "{placement} arrivals");
@@ -217,8 +223,8 @@ fn tiered_serving_is_byte_identical_and_lookup_conserving() {
         let c = tiered_cfg(mode);
         let mut a = reference_tiered(tiers);
         let mut b = reference_tiered(tiers);
-        let ra = serve(a.as_mut(), &c).unwrap();
-        let rb = serve(b.as_mut(), &c).unwrap();
+        let ra = serve_on(a.as_mut(), &c);
+        let rb = serve_on(b.as_mut(), &c);
         // Byte-identical reruns for a fixed seed, epoch rebalances and
         // migration stalls included.
         assert_eq!(ra.arrivals, rb.arrivals, "{} arrivals", mode.name());
@@ -296,7 +302,7 @@ fn pinned_latency_percentiles_for_fixed_seed() {
         seed: 42,
     };
     let mut host = HostBaseline::new(1, 2).unwrap();
-    let r = serve(&mut host, &c).unwrap();
+    let r = serve_on(&mut host, &c);
     let s = r.summary();
     let pinned = (s.p50, s.p95, s.p99, s.max);
     let expect = (357u64, 455u64, 455u64, 455u64);

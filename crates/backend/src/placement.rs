@@ -422,29 +422,20 @@ impl PlacementPlan {
     /// Degenerate-plan convention: a plan with zero total accesses and a
     /// single-channel plan are both perfectly even *by construction* —
     /// there is nothing to spread, or nowhere else to spread it — so both
-    /// report exactly 1.0 rather than 0 or NaN. Tiered plans rely on this
-    /// when reporting the metric per tier: an idle or one-unit tier reads
-    /// as "even", comparable against loaded tiers.
+    /// report exactly 1.0 rather than 0 or NaN.
     pub fn load_imbalance(&self) -> f64 {
-        imbalance(&self.load)
+        let total: f64 = self.load.iter().sum();
+        if total == 0.0 || self.load.len() == 1 {
+            return 1.0;
+        }
+        let max = self.load.iter().copied().fold(0.0f64, f64::max);
+        max * self.load.len() as f64 / total
     }
 
     /// Iterates `(table, replica channels)` in table-id order.
     pub fn assignments(&self) -> impl Iterator<Item = (TableId, &[usize])> {
         self.entries.iter().map(|(t, r)| (*t, r.as_slice()))
     }
-}
-
-/// Max-over-mean imbalance of a load vector under the degenerate-plan
-/// convention documented on [`PlacementPlan::load_imbalance`]. Shared with
-/// the [`tiered`] layer so per-tier imbalance follows the same rules.
-pub(crate) fn imbalance(loads: &[f64]) -> f64 {
-    let total: f64 = loads.iter().sum();
-    if total == 0.0 || loads.len() == 1 {
-        return 1.0;
-    }
-    let max = loads.iter().copied().fold(0.0f64, f64::max);
-    max * loads.len() as f64 / total
 }
 
 #[cfg(test)]

@@ -180,13 +180,6 @@ impl FleetPlacementPlan {
             .filter(|(_, reps)| reps.len() > 1)
             .count()
     }
-
-    /// Access-load imbalance across nodes (1.0 = perfectly even), under
-    /// the same degenerate-plan convention as
-    /// [`PlacementPlan::load_imbalance`].
-    pub fn node_load_imbalance(&self) -> f64 {
-        self.node_plan.load_imbalance()
-    }
 }
 
 #[cfg(test)]
@@ -246,7 +239,7 @@ mod tests {
         // Replication beats pure sharding on node-level imbalance here:
         // without it the 900-access table pins one node.
         let sharded = FleetPlacementPlan::build(2, 2, None, &u, FREQ0, FREQ0).unwrap();
-        assert!(plan.node_load_imbalance() <= sharded.node_load_imbalance());
+        assert!(plan.node_plan.load_imbalance() <= sharded.node_plan.load_imbalance());
     }
 
     #[test]

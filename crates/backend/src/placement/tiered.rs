@@ -60,7 +60,7 @@ use recnmp_types::units::KIB;
 use recnmp_types::{ByteSize, ConfigError, Cycle, TableId};
 use serde::{Deserialize, Serialize};
 
-use super::{imbalance, PlacementPlan, PlacementPolicy, TableUsage};
+use super::{PlacementPlan, PlacementPolicy, TableUsage};
 
 /// The two storage tiers of the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -408,14 +408,6 @@ impl TieredPlacementPlan {
         }
     }
 
-    /// Access-load imbalance *within* `tier`, under the same convention
-    /// as [`PlacementPlan::load_imbalance`] (idle and one-unit tiers read
-    /// exactly 1.0).
-    pub fn tier_load_imbalance(&self, tier: StorageTier) -> f64 {
-        let r = self.spec.unit_range(tier);
-        imbalance(&self.flat.load[r])
-    }
-
     /// One epoch of the promotion/demotion loop: rebuilds a
     /// frequency-tiered plan from `observed` usage — with resident DRAM
     /// tables' access counts inflated by the hysteresis bonus so
@@ -621,7 +613,6 @@ mod tests {
             let plan = TieredPlacementPlan::build(spec, &u, policy).unwrap();
             assert_eq!(plan.tables_in(StorageTier::Ssd), 0, "{policy}");
             assert_eq!(plan.load_share(StorageTier::Dram), 1.0, "{policy}");
-            assert_eq!(plan.tier_load_imbalance(StorageTier::Ssd), 1.0, "{policy}");
         }
     }
 

@@ -112,15 +112,6 @@ impl RunReport {
         }
     }
 
-    /// Mean packet latency in cycles (zero for non-packetized systems).
-    pub fn mean_packet_latency(&self) -> f64 {
-        if self.packet_latencies.is_empty() {
-            0.0
-        } else {
-            self.packet_latencies.iter().sum::<Cycle>() as f64 / self.packet_latencies.len() as f64
-        }
-    }
-
     /// Mean slowest-unit fraction (load imbalance).
     pub fn mean_imbalance(&self) -> f64 {
         if self.slowest_rank_fraction.is_empty() {
@@ -269,7 +260,6 @@ mod tests {
     fn empty_report_is_zero() {
         let r = RunReport::default();
         assert_eq!(r.cycles_per_lookup(), 0.0);
-        assert_eq!(r.mean_packet_latency(), 0.0);
         assert_eq!(r.mean_imbalance(), 0.0);
     }
 

@@ -9,8 +9,8 @@
 //!   hot-entry profiling. Unhinted accesses bypass the cache, which avoids
 //!   polluting the small structure with single-use vectors.
 //!
-//! Access latency and energy come from Table I: 1 cycle and 50 pJ per
-//! access.
+//! Access energy comes from Table I: 50 pJ per access. The access
+//! latency is the rank-NMP model's, which scales it with capacity.
 //!
 //! It is also the one cache in the crate that counts cold misses: its
 //! compulsory limit is what Figure 12 reports beside the hit rate.
@@ -22,8 +22,6 @@ use crate::config::CacheConfig;
 use crate::set_assoc::SetAssocCache;
 use crate::stats::CacheStats;
 
-/// RankCache access latency in DRAM cycles (Table I).
-pub const RANK_CACHE_LATENCY_CYCLES: u64 = 1;
 /// RankCache access energy in picojoules (Table I).
 pub const RANK_CACHE_ACCESS_PJ: f64 = 50.0;
 
@@ -36,13 +34,6 @@ pub enum RankCacheOutcome {
     MissFill,
     /// The hint said "low locality": went straight to DRAM, no allocation.
     Bypass,
-}
-
-impl RankCacheOutcome {
-    /// True when the access must read DRAM.
-    pub fn needs_dram(self) -> bool {
-        !matches!(self, Self::Hit)
-    }
 }
 
 /// Memory-side cache of one rank-NMP module.
@@ -149,11 +140,6 @@ impl RankCache {
         self.bypasses = 0;
         self.prefetch_fills = 0;
     }
-
-    /// Energy consumed by cache lookups so far, in nanojoules.
-    pub fn access_energy_nj(&self) -> f64 {
-        (self.stats().lookups() as f64) * RANK_CACHE_ACCESS_PJ / 1000.0
-    }
 }
 
 #[cfg(test)]
@@ -169,8 +155,6 @@ mod tests {
         let mut c = rc();
         assert_eq!(c.access(0, true), RankCacheOutcome::MissFill);
         assert_eq!(c.access(0, true), RankCacheOutcome::Hit);
-        assert!(!RankCacheOutcome::Hit.needs_dram());
-        assert!(RankCacheOutcome::MissFill.needs_dram());
     }
 
     #[test]
@@ -199,15 +183,6 @@ mod tests {
         let s = c.stats();
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
         assert!((s.effective_hit_rate() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn energy_counts_lookups_only() {
-        let mut c = rc();
-        c.access(0, true);
-        c.access(0, true);
-        c.access(64, false);
-        assert!((c.access_energy_nj() - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -274,11 +274,6 @@ impl RecNmpCluster {
         Ok(())
     }
 
-    /// Removes the placement plan, restoring stateless sharding.
-    pub fn clear_placement(&mut self) {
-        self.placement = None;
-    }
-
     /// Builds and installs a plan for `usage` under `policy`, bounded by
     /// each channel's DRAM capacity
     /// ([`channel_capacity_bytes`](Self::channel_capacity_bytes)).
@@ -563,10 +558,6 @@ mod tests {
         // A plan for the wrong geometry is rejected.
         let mut two = cluster(2);
         assert!(two.set_placement(plan).is_err());
-        // Clearing restores stateless sharding.
-        c.clear_placement();
-        assert!(c.placement().is_none());
-        assert_eq!(c.run(&trace).insts, trace.total_lookups());
     }
 
     #[test]

@@ -114,12 +114,6 @@ impl DdrCmdFlags {
             pre: v & 4 != 0,
         }
     }
-
-    /// Number of DDR commands this instruction expands to (per burst
-    /// sequence: PRE? + ACT? + one RD per burst is counted elsewhere).
-    pub fn command_count(self) -> u32 {
-        self.act as u32 + self.rd as u32 + self.pre as u32
-    }
 }
 
 /// Error decoding a packed NMP instruction.
@@ -314,13 +308,6 @@ mod tests {
     fn unpack_rejects_bad_opcode() {
         // Opcode 0xF is undefined.
         assert_eq!(NmpInst::unpack(0xf), Err(DecodeInstError::BadOpcode(0xf)));
-    }
-
-    #[test]
-    fn ddr_cmd_flag_presets() {
-        assert_eq!(DdrCmdFlags::row_hit().command_count(), 1);
-        assert_eq!(DdrCmdFlags::row_closed().command_count(), 2);
-        assert_eq!(DdrCmdFlags::row_conflict().command_count(), 3);
     }
 
     #[test]

@@ -28,12 +28,8 @@
 //!   [`ShardingPolicy`];
 //! * [`sched`] / [`optimizer`] — table-aware packet scheduling and
 //!   hot-entry profiling (Section III-D);
-//! * [`datapath`] — the functional datapath equivalence layer: executes a
-//!   packet's arithmetic exactly as the rank-NMP pipeline would, for
-//!   verification against the reference operators;
 //! * [`energy`] / [`physical`] — memory energy accounting and the
-//!   area/power roll-up behind Table II;
-//! * [`ca`] — command/address bandwidth-expansion analysis (Figure 9).
+//!   area/power roll-up behind Table II.
 //!
 //! [`RankCache`]: recnmp_cache::RankCache
 //!
@@ -103,10 +99,8 @@
 //! # }
 //! ```
 
-pub mod ca;
 pub mod cluster;
 pub mod config;
-pub mod datapath;
 pub mod dimm_nmp;
 pub mod energy;
 pub mod inst;

@@ -14,20 +14,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::inst::{DdrCmdFlags, NmpInst, NmpOpcode, MAX_POOLINGS_PER_PACKET};
 
-/// Provenance of one instruction: which logical row it fetches.
-///
-/// Not part of the wire format; kept alongside packets so the functional
-/// datapath can verify arithmetic and experiments can attribute traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InstOrigin {
-    /// Source embedding table.
-    pub table: TableId,
-    /// Row index within the table (a valid table has at most 2^32 rows).
-    pub row: u32,
-}
-
 /// One NMP packet: a counter-controlled group of instructions whose
 /// partial sums the PU accumulates and returns.
+///
+/// Beyond the issuing model and target table, a packet holds only what
+/// the wire carries: the instructions, each naming its DRAM coordinates
+/// and pooling (`psum_tag`), and the header's per-pooling counters. The
+/// logical row behind each lookup is not kept; the timing model needs
+/// only its DRAM address.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NmpPacket {
     /// Model instance that issued the kernel (for co-location accounting).
@@ -36,8 +30,6 @@ pub struct NmpPacket {
     pub table: TableId,
     /// The instructions, in issue order.
     pub insts: Vec<NmpInst>,
-    /// Per-instruction provenance, aligned with `insts`.
-    pub origins: Vec<InstOrigin>,
     /// Pooling sizes, indexed by PsumTag (the header's counter values).
     pub pooling_sizes: Vec<usize>,
 }
@@ -156,9 +148,7 @@ impl PacketBuilder {
         let banks_per_rank = self.geo.banks_per_rank();
         last_row.clear();
         last_row.resize(self.geo.ranks as usize * banks_per_rank, u32::MAX);
-        let lookups = chunk.rows().len();
-        let mut insts = Vec::with_capacity(lookups);
-        let mut origins = Vec::with_capacity(lookups);
+        let mut insts = Vec::with_capacity(chunk.rows().len());
         let mut pooling_sizes = Vec::with_capacity(chunk.batch_size());
         for (tag, pooling) in chunk.poolings().enumerate() {
             pooling_sizes.push(pooling.rows().len());
@@ -188,15 +178,12 @@ impl PacketBuilder {
                     locality,
                     psum_tag: tag as u8,
                 });
-                let table = chunk.table();
-                origins.push(InstOrigin { table, row });
             }
         }
         NmpPacket {
             model,
             table: chunk.table(),
             insts,
-            origins,
             pooling_sizes,
         }
     }
@@ -260,17 +247,6 @@ mod tests {
         assert_eq!(tags[0..5], [0; 5]);
         assert_eq!(tags[5..10], [1; 5]);
         assert_eq!(tags[10..15], [2; 5]);
-    }
-
-    #[test]
-    fn origins_align_with_insts() {
-        let b = batch(2, 3);
-        let packets = builder(16).build(ModelId::new(7), flat(&b).batch(0), None);
-        let p = &packets[0];
-        assert_eq!(p.origins.len(), p.insts.len());
-        assert!(p.origins.iter().all(|o| o.table == TableId::new(3)));
-        assert_eq!(p.origins[0].row, 0);
-        assert_eq!(p.origins[4].row, 4);
     }
 
     #[test]

@@ -60,7 +60,6 @@ mod tests {
             model: ModelId::new(model),
             table: TableId::new(table),
             insts: Vec::new(),
-            origins: Vec::new(),
             pooling_sizes: vec![marker],
         }
     }

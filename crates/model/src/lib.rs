@@ -1,4 +1,4 @@
-//! DLRM workload models, operators and the CPU performance model.
+//! DLRM workload models and the CPU performance model.
 //!
 //! This crate is the workload side of the RecNMP reproduction:
 //!
@@ -6,9 +6,6 @@
 //!   evaluates (RM1-small/large, RM2-small/large, Figure 2(b)), with
 //!   concrete FC layer shapes chosen to match the published operator
 //!   breakdown and cache-residency behavior,
-//! * [`table`] / [`ops`] — functional embedding tables and the
-//!   SLS operator family (sum, mean, weighted, 8-bit row-wise quantized),
-//!   the reference semantics the NMP datapath must match,
 //! * [`perf`] — the calibrated analytic CPU model standing in for the
 //!   paper's 18-core Skylake measurements (operator latency breakdown,
 //!   Figure 4; co-location FC contention, Figure 17),
@@ -19,14 +16,10 @@
 pub mod bandwidth;
 pub mod config;
 pub mod footprint;
-pub mod ops;
 pub mod perf;
 pub mod roofline;
-pub mod table;
 
 pub use bandwidth::BandwidthModel;
 pub use config::{ModelConfig, RecModelKind};
-pub use ops::SlsOp;
 pub use perf::{CpuPerfModel, CpuSpec, OperatorBreakdown};
 pub use roofline::{Roofline, RooflinePoint};
-pub use table::{EmbeddingTable, QuantizedTable};

@@ -240,7 +240,6 @@ pub(super) fn fig_cache_serving(scale: Scale) -> ExperimentResult {
     let qps = 0.8 * curves[0].saturation_qps;
     for (label, mode) in &arms {
         let mut backend = reference_cluster4_optimized();
-        backend.reset_caches();
         let cfg = ServingConfig {
             process: spec.process,
             qps,

@@ -36,7 +36,6 @@ fn run_with_workers(workers: usize, mode: ServingMode) -> ServingRun {
     let pool = ExecPool::new(workers).expect("positive worker count");
     with_pool(&pool, || {
         let mut backend = reference_cluster4_optimized();
-        backend.reset_caches();
         let zero = ResilienceConfig::zero();
         run(&mut [backend.as_mut()], &cfg(mode), &zero).expect("cached serving run")
     })
@@ -53,8 +52,8 @@ fn cached_serving_is_byte_identical_across_worker_counts() {
                 "{label}: workers=1 vs workers={workers} diverged"
             );
         }
-        // Rerun at a fixed count: neither the pool nor the caches may
-        // leak state between runs (reset_caches must fully rewind).
+        // Rerun at a fixed count on a freshly built backend: the pool
+        // and the process must leak no state between runs.
         assert_eq!(one, run_with_workers(1, mode), "{label}: rerun diverged");
     }
 }

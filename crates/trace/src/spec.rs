@@ -18,8 +18,7 @@ use serde::{Deserialize, Serialize};
 pub struct EmbeddingTableSpec {
     /// Number of rows (embedding vectors).
     pub rows: u64,
-    /// Bytes per embedding vector. Production sizes are 64–256 B; the
-    /// paper's C/A analysis uses 64 B as the worst case.
+    /// Bytes per embedding vector. Production sizes are 64–256 B.
     pub vector_bytes: u64,
 }
 
@@ -35,17 +34,9 @@ impl EmbeddingTableSpec {
 
     /// The configuration used throughout the paper's DLRM evaluation:
     /// 1,000,000 rows (Figure 2(b)) of 128-byte vectors — the 32-dim FP32
-    /// embeddings of the open-source DLRM RM1/RM2 configurations. (The
-    /// 64-byte case is the paper's *worst-case* C/A analysis; production
-    /// vectors are 64–256 B.)
+    /// embeddings of the open-source DLRM RM1/RM2 configurations.
     pub const fn dlrm_default() -> Self {
         Self::new(1_000_000, 128)
-    }
-
-    /// The paper's worst-case 64-byte vector (one DRAM burst per lookup),
-    /// used by the C/A bandwidth-expansion analysis.
-    pub const fn worst_case_64b() -> Self {
-        Self::new(1_000_000, 64)
     }
 
     /// Total table footprint in bytes.
@@ -56,16 +47,6 @@ impl EmbeddingTableSpec {
     /// Number of 64-byte DRAM bursts needed to read one vector.
     pub const fn bursts_per_vector(&self) -> u64 {
         self.vector_bytes.div_ceil(64)
-    }
-
-    /// Byte offset of `row` within the table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn row_offset(&self, row: u64) -> u64 {
-        assert!(row < self.rows, "row {row} out of range");
-        row * self.vector_bytes
     }
 
     /// Validates the spec.
@@ -123,7 +104,6 @@ mod tests {
         assert_eq!(s.dims(), 32);
         assert_eq!(s.bursts_per_vector(), 2);
         assert!(s.validate().is_ok());
-        assert_eq!(EmbeddingTableSpec::worst_case_64b().bursts_per_vector(), 1);
     }
 
     #[test]
@@ -131,18 +111,6 @@ mod tests {
         assert_eq!(EmbeddingTableSpec::new(10, 64).bursts_per_vector(), 1);
         assert_eq!(EmbeddingTableSpec::new(10, 128).bursts_per_vector(), 2);
         assert_eq!(EmbeddingTableSpec::new(10, 100).bursts_per_vector(), 2);
-    }
-
-    #[test]
-    fn row_offset_scales() {
-        let s = EmbeddingTableSpec::new(10, 128);
-        assert_eq!(s.row_offset(3), 384);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn row_offset_checks_bounds() {
-        EmbeddingTableSpec::new(10, 64).row_offset(10);
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl DetRng {
         }
     }
 
-    /// Derives an independent child generator, e.g. one per embedding table.
-    pub fn fork(&mut self, stream: u64) -> Self {
-        let base = self.next_u64();
-        Self::seed(base ^ stream.wrapping_mul(0xa076_1d64_78bd_642f))
-    }
-
     /// Returns a uniformly distributed value in `[0, bound)`.
     ///
     /// Uses Lemire's multiply-shift rejection method; unbiased.
@@ -171,14 +165,6 @@ mod tests {
             let x = r.unit_f64();
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut root = DetRng::seed(9);
-        let mut a = root.fork(0);
-        let mut b = root.fork(1);
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -33,11 +33,6 @@ pub const DDR4_2400_CLOCK_HZ: f64 = 1.2e9;
 /// Seconds per DDR4-2400 clock cycle.
 pub const DDR4_2400_CYCLE_SECS: f64 = 1.0 / DDR4_2400_CLOCK_HZ;
 
-/// Converts a cycle count at the DDR4-2400 clock into nanoseconds.
-pub fn cycles_to_ns(cycles: u64) -> f64 {
-    cycles as f64 * DDR4_2400_CYCLE_SECS * 1e9
-}
-
 /// Converts a cycle count at the DDR4-2400 clock into microseconds — the
 /// unit query-serving latency distributions are reported in.
 pub fn cycles_to_us(cycles: u64) -> f64 {
@@ -158,13 +153,6 @@ mod tests {
     fn constants_are_consistent() {
         assert_eq!(MIB, 1024 * 1024);
         assert_eq!(GIB, 1024 * 1024 * 1024);
-    }
-
-    #[test]
-    fn cycles_to_ns_matches_clock() {
-        // 1200 cycles at 1.2 GHz is exactly 1 microsecond.
-        let ns = cycles_to_ns(1200);
-        assert!((ns - 1000.0).abs() < 1e-9, "{ns}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! regenerates the paper's tables and figures, `golden_check` diffs them
 //! against `goldens/`, `serve_sweep` and `sim_throughput` write and check
 //! the `BENCH_*.json` reports, and `cargo bench -p recnmp-bench` runs
-//! three layer micro-benchmarks through [`bench()`]. Every bin does JSON
+//! four layer micro-benchmarks through [`bench()`]. Every bin does JSON
 //! through [`json`].
 //!
 //! Each artifact's traffic is defined once, in

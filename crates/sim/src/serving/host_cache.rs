@@ -10,7 +10,7 @@
 //! vectors most likely to recur — the candidate source for
 //! [`SlsBackend::prefetch_on`](recnmp_backend::SlsBackend::prefetch_on).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use recnmp_backend::{PlacementPlan, SlsBackend, SlsTrace, TableUsage};
 use recnmp_cache::{CacheConfig, SetAssocCache};
@@ -24,12 +24,12 @@ use super::policy::HostCacheSpec;
 #[derive(Debug, Clone)]
 pub(super) struct HostCache {
     cache: SetAssocCache,
-    admitted: BTreeSet<TableId>,
+    /// The admitted tables, ascending, each with the lookups it absorbed.
+    admitted: Vec<(TableId, u64)>,
     hit_cycles: Cycle,
     hits: u64,
     misses: u64,
     absorbed_bytes: u64,
-    per_table_hits: BTreeMap<TableId, u64>,
 }
 
 impl HostCache {
@@ -49,11 +49,12 @@ impl HostCache {
     ) -> Result<Self, ConfigError> {
         let mut by_heat: Vec<&TableUsage> = usage.iter().collect();
         by_heat.sort_by_key(|u| (std::cmp::Reverse(u.accesses), u.table));
-        let admitted = by_heat
+        let mut admitted: Vec<(TableId, u64)> = by_heat
             .into_iter()
             .take(spec.hot_tables)
-            .map(|u| u.table)
+            .map(|u| (u.table, 0))
             .collect();
+        admitted.sort_unstable();
         let cache = SetAssocCache::new(CacheConfig::new(
             spec.capacity.get(),
             vector_bytes.max(1),
@@ -66,7 +67,6 @@ impl HostCache {
             hits: 0,
             misses: 0,
             absorbed_bytes: 0,
-            per_table_hits: BTreeMap::new(),
         })
     }
 
@@ -87,11 +87,14 @@ impl HostCache {
     pub fn filter(&mut self, trace: &mut SlsTrace) -> u64 {
         let mut job_hits = 0u64;
         trace.retain_lookups(|table, spec, addr| {
+            let Ok(slot) = self.admitted.binary_search_by_key(&table, |&(t, _)| t) else {
+                return true;
+            };
             // A hit is absorbed: its bytes no longer move on a channel.
-            let hit = self.admitted.contains(&table) && self.cache.access(addr.get()).is_hit();
+            let hit = self.cache.access(addr.get()).is_hit();
             if hit {
                 self.absorbed_bytes += spec.vector_bytes;
-                *self.per_table_hits.entry(table).or_insert(0) += 1;
+                self.admitted[slot].1 += 1;
             }
             job_hits += u64::from(hit);
             !hit
@@ -110,7 +113,7 @@ impl HostCache {
     /// expected-absorption profile
     /// [`apply_absorption`](recnmp_backend::apply_absorption) consumes.
     pub fn absorbed_profile(&self) -> Vec<(TableId, u64)> {
-        self.per_table_hits.iter().map(|(&t, &n)| (t, n)).collect()
+        self.admitted.iter().filter(|e| e.1 > 0).copied().collect()
     }
 }
 
@@ -253,11 +256,15 @@ mod tests {
     /// Filters `queries` the slow way, per lookup and in order, with a
     /// copy of `hc`'s admission set and cache: admitted lookups probe,
     /// hits leave, and emptied poolings and batches leave too. Returns
-    /// each query's residual and hit count.
-    fn probe_reference(hc: &HostCache, queries: &[SlsTrace]) -> (Vec<Residual>, Vec<u64>) {
+    /// each query's residual and hit count, and the hits per table.
+    fn probe_reference(
+        hc: &HostCache,
+        queries: &[SlsTrace],
+    ) -> (Vec<Residual>, Vec<u64>, BTreeMap<TableId, u64>) {
         let mut cache = hc.cache.clone();
         let mut residuals = Vec::new();
         let mut hits = Vec::new();
+        let mut per_table = BTreeMap::new();
         for q in queries {
             let (mut residual, mut n) = (Residual::new(), 0);
             for b in q.batches() {
@@ -265,8 +272,10 @@ mod tests {
                 for p in b.poolings() {
                     let mut kept = Lookups::new();
                     for (&row, &addr) in p.rows().iter().zip(p.addrs()) {
-                        if hc.admitted.contains(&b.table()) && cache.access(addr.get()).is_hit() {
+                        let admitted = hc.admitted.iter().any(|&(t, _)| t == b.table());
+                        if admitted && cache.access(addr.get()).is_hit() {
                             n += 1;
+                            *per_table.entry(b.table()).or_insert(0) += 1;
                         } else {
                             kept.push((row, addr));
                         }
@@ -282,7 +291,7 @@ mod tests {
             residuals.push(residual);
             hits.push(n);
         }
-        (residuals, hits)
+        (residuals, hits, per_table)
     }
 
     /// Asserts that `filter`ing `queries` in order through a fresh
@@ -290,7 +299,7 @@ mod tests {
     /// counts, conserving lookups. Returns the total hits.
     fn assert_filtering_matches_reference(spec: HostCacheSpec, queries: &[SlsTrace]) -> u64 {
         let mut hc = HostCache::build(spec, &TableUsage::from_traces(queries), 128).unwrap();
-        let (want, want_hits) = probe_reference(&hc, queries);
+        let (want, want_hits, want_per_table) = probe_reference(&hc, queries);
         let mut filtered = queries.to_vec();
         let hits: Vec<u64> = filtered.iter_mut().map(|q| hc.filter(q)).collect();
         assert_eq!(hits, want_hits);
@@ -314,6 +323,9 @@ mod tests {
         assert_eq!(hits, want_hits.iter().sum::<u64>());
         assert_eq!(hits + misses, offered, "conservation");
         assert_eq!(bytes, hits * 128);
+        // Ascending by table, tables without hits left out.
+        let want_profile: Vec<(TableId, u64)> = want_per_table.into_iter().collect();
+        assert_eq!(hc.absorbed_profile(), want_profile);
         hits
     }
 

@@ -1,12 +1,12 @@
 //! Index-stream generators.
 
-use rand_distr::{Distribution, Zipf};
 use recnmp_types::rng::DetRng;
 use recnmp_types::TableId;
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{Pooling, SlsBatch};
 use crate::spec::EmbeddingTableSpec;
+use crate::zipf::Zipf;
 
 /// Popularity distribution of embedding rows.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -157,10 +157,7 @@ impl TraceGenerator {
         }
         let rank = match &self.zipf {
             None => self.rng.below(self.spec.rows),
-            Some(z) => {
-                let sample = z.sample(&mut self.rng) as u64;
-                sample.clamp(1, self.spec.rows) - 1
-            }
+            Some(z) => z.sample(&mut self.rng) - 1,
         };
         let row = self.rank_to_row(rank);
         if self.history_cap > 0 {
@@ -240,6 +237,38 @@ mod tests {
             [
                 354959, 394735, 373604, 0, 0, 230177, 0, 818560, 235149, 135969, 356202, 903306,
                 451653, 488442, 613224, 0
+            ]
+        );
+    }
+
+    #[test]
+    fn index_arithmetic_prefixes_are_pinned() {
+        // The first draws of the paths the two skews above miss: the
+        // uniform stream, the skew whose integral is a plain `ln`, and a
+        // row count `PERM_PRIME` divides (so the permutation multiplies
+        // by `PERM_PRIME_ALT`).
+        let prefix = |spec, dist| TraceGenerator::new(TableId::new(3), spec, dist, 42).flat(16);
+        let dlrm = EmbeddingTableSpec::dlrm_default();
+        assert_eq!(
+            prefix(dlrm, IndexDistribution::Uniform),
+            [
+                814662, 64971, 417875, 700197, 726027, 308446, 396321, 489031, 198333, 518583,
+                456540, 150443, 613403, 882877, 228531, 8873
+            ]
+        );
+        assert_eq!(
+            prefix(dlrm, IndexDistribution::Zipf { s: 1.0 }),
+            [
+                35546, 350849, 838638, 258265, 903306, 45046, 451653, 23153, 399320, 613560,
+                604041, 421079, 871489, 648827, 628140, 903306
+            ]
+        );
+        let alt = EmbeddingTableSpec::new(2 * PERM_PRIME, 64);
+        assert_eq!(
+            prefix(alt, IndexDistribution::Zipf { s: 1.2 }),
+            [
+                70193416, 782886758, 1951709859, 0, 0, 1053413582, 0, 757779438, 405405339,
+                1229409464, 1807224291, 35096708, 1000000007, 228897115, 175483540, 0
             ]
         );
     }

@@ -37,6 +37,7 @@ pub mod paging;
 pub mod production;
 pub mod profile;
 pub mod spec;
+mod zipf;
 
 pub use batch::{Pooling, SlsBatch};
 pub use comb::{CombTrace, Lookup};

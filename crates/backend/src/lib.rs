@@ -202,11 +202,9 @@ pub trait SlsBackend: Send {
         0
     }
 
-    /// Drops all warm memory-side cache state (contents and counters),
-    /// returning every server's caches to cold. Sweep drivers call this
-    /// when a backend must start a load point cold so points stay
-    /// independent and byte-identical at any worker count. The default is
-    /// a no-op for cache-less backends.
+    /// A no-op no library backend overrides: every sweep point builds a
+    /// fresh backend instead of returning a warm one to cold. Kept for an
+    /// outside harness that forwards it.
     fn reset_caches(&mut self) {}
 }
 

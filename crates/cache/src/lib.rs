@@ -1,10 +1,13 @@
 //! Cache simulators for the RecNMP reproduction.
 //!
-//! Three consumers drive this crate:
+//! Four consumers drive this crate:
 //!
 //! * the **locality characterization** of Section II-F (Figure 7), which
 //!   sweeps capacity (8–64 MiB) and line size (64–512 B) of a 4-way (and
 //!   fully-associative) LRU cache over production-like embedding traces,
+//! * the **SSD backend's device-DRAM page buffer** (`recnmp-storage`),
+//!   the same [`fa::FullyAssocLru`] over page numbers, so the repo has
+//!   one fully associative replacement policy,
 //! * the **RankCache** of Section III (Figures 12 and 15), the small
 //!   memory-side cache inside each rank-NMP module, which adds a software
 //!   *cacheability hint* (the `LocalityBit` of the NMP instruction): hinted

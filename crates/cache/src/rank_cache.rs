@@ -55,9 +55,8 @@ pub enum RankCacheOutcome {
 #[derive(Debug, Clone)]
 pub struct RankCache {
     inner: SetAssocCache,
-    /// Every line id a hinted demand access has missed on since the last
-    /// reset; its size is the compulsory-miss count. Prefetch fills do not
-    /// enter it.
+    /// Every line id a hinted demand access has missed on; its size is
+    /// the compulsory-miss count. Prefetch fills do not enter it.
     demand_missed: U64Set,
     bypasses: u64,
     prefetch_fills: u64,
@@ -111,16 +110,14 @@ impl RankCache {
         fresh
     }
 
-    /// Lines newly installed by [`prefetch_fill`](Self::prefetch_fill)
-    /// since the last [`reset`](Self::reset).
+    /// Lines newly installed by [`prefetch_fill`](Self::prefetch_fill).
     pub fn prefetch_fills(&self) -> u64 {
         self.prefetch_fills
     }
 
     /// Statistics, with bypasses and compulsory misses folded in. A
-    /// compulsory miss is the first demand miss on a line since the last
-    /// [`reset`](Self::reset); a line that was prefetched and then hit
-    /// never counts.
+    /// compulsory miss is the first demand miss on a line; a line that
+    /// was prefetched and then hit never counts.
     pub fn stats(&self) -> CacheStats {
         let mut s = *self.inner.stats();
         s.bypasses = self.bypasses;
@@ -131,14 +128,6 @@ impl RankCache {
     /// Returns the configuration.
     pub fn config(&self) -> &CacheConfig {
         self.inner.config()
-    }
-
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-        self.demand_missed.clear();
-        self.bypasses = 0;
-        self.prefetch_fills = 0;
     }
 }
 
@@ -186,14 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_bypasses() {
-        let mut c = rc();
-        c.access(0, false);
-        c.reset();
-        assert_eq!(c.stats().bypasses, 0);
-    }
-
-    #[test]
     fn prefetch_fill_turns_demand_miss_into_hit() {
         let mut c = rc();
         assert!(c.prefetch_fill(0x80));
@@ -206,14 +187,5 @@ mod tests {
         // Unhinted accesses still bypass: prefetch only helps lines the
         // locality profiler marked cacheable.
         assert_eq!(c.access(0x80, false), RankCacheOutcome::Bypass);
-    }
-
-    #[test]
-    fn reset_clears_prefetch_fills() {
-        let mut c = rc();
-        c.prefetch_fill(0);
-        c.reset();
-        assert_eq!(c.prefetch_fills(), 0);
-        assert_eq!(c.access(0, true), RankCacheOutcome::MissFill);
     }
 }

@@ -120,13 +120,6 @@ impl SetAssocCache {
         &self.stats
     }
 
-    /// Resets contents and statistics, keeping the configuration.
-    pub fn reset(&mut self) {
-        self.lines.fill(Line::EMPTY);
-        self.clock = 0;
-        self.stats = CacheStats::new();
-    }
-
     /// The id of the line holding `addr` (`addr / line_bytes`).
     pub(crate) fn line_id(&self, addr: u64) -> u64 {
         addr >> self.line_shift
@@ -272,16 +265,6 @@ mod tests {
         assert_eq!(out, AccessOutcome::Miss { evicted: Some(128) });
         assert_eq!(c.stats().misses, 3);
         assert_eq!(c.stats().compulsory_misses, 0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut c = tiny();
-        c.access(0);
-        c.reset();
-        assert_eq!(c.occupancy(), 0);
-        assert_eq!(c.stats().lookups(), 0);
-        assert!(!c.contains(0));
     }
 
     #[test]

@@ -79,14 +79,13 @@ fn streaming_distinct_lines_allocates_nothing_after_construction() {
         "cache holds {bytes_per_line:.1} bytes per line, expected at most 16"
     );
 
-    // Ten times the capacity in distinct lines, then a reset and a fill
-    // pass: every miss evicts, and nothing may grow.
+    // Ten times the capacity in distinct lines, then a fill pass over
+    // the same lines: every miss evicts, and nothing may grow.
     let n = 10 * config.num_lines() as u64;
     let ((), (bytes, allocations)) = counted(|| {
         for line in 0..n {
             cache.access(line * 64);
         }
-        cache.reset();
         for line in 0..n {
             cache.fill(line * 64);
         }
@@ -96,6 +95,6 @@ fn streaming_distinct_lines_allocates_nothing_after_construction() {
         (0, 0),
         "streaming {n} distinct lines grew the heap"
     );
-    assert_eq!(cache.stats().misses, 0, "reset cleared the access pass");
+    assert_eq!(cache.stats().misses, n, "fills count no lookups");
     assert_eq!(cache.occupancy(), config.num_lines());
 }

@@ -3,14 +3,16 @@
 //! The key oracles: a naive reference LRU model must agree with the
 //! set-associative implementation configured fully-associatively, a naive
 //! per-set LRU model must agree with it call for call under any geometry,
-//! the LRU *stack property* (inclusion: a bigger fully-associative LRU
-//! cache hits on a superset of accesses) must hold,
-//! and the RankCache's cold-miss count must equal the distinct lines the
-//! per-set model says missed on demand.
+//! the linked-list [`FullyAssocLru`] must agree access for access with
+//! that one-set `SetAssocCache`, the LRU *stack property* (inclusion: a
+//! bigger fully-associative LRU cache hits on a superset of accesses)
+//! must hold, and the RankCache's cold-miss count must equal the distinct
+//! lines the per-set model says missed on demand.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
+use recnmp_cache::fa::FullyAssocLru;
 use recnmp_cache::{
     AccessOutcome, CacheConfig, CacheStats, RankCache, RankCacheOutcome, SetAssocCache,
 };
@@ -113,11 +115,6 @@ impl RefSets {
     fn fill(&mut self, addr: u64) -> bool {
         !self.touch(addr).is_hit()
     }
-
-    fn reset(&mut self) {
-        self.sets.iter_mut().for_each(Vec::clear);
-        self.stats = CacheStats::new();
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -125,17 +122,15 @@ enum Op {
     Access(u64),
     Fill(u64),
     Contains(u64),
-    Reset,
 }
 
-/// Mostly accesses, then fills and probes, and a rare reset. Addresses
-/// are raw; each test folds them onto a span a few times its capacity.
+/// Mostly accesses, then fills and probes. Addresses are raw; each test
+/// folds them onto a span a few times its capacity.
 fn op() -> impl Strategy<Value = Op> {
     (0u8..80, 0u64..1 << 20).prop_map(|(kind, addr)| match kind {
         0..=47 => Op::Access(addr),
         48..=63 => Op::Fill(addr),
-        64..=78 => Op::Contains(addr),
-        _ => Op::Reset,
+        _ => Op::Contains(addr),
     })
 }
 
@@ -196,10 +191,6 @@ proptest! {
                     let a = a % span;
                     prop_assert_eq!(sut.contains(a), oracle.contains(a), "op {}", i)
                 }
-                Op::Reset => {
-                    sut.reset();
-                    oracle.reset();
-                }
             }
         }
         prop_assert_eq!(*sut.stats(), oracle.stats);
@@ -222,6 +213,26 @@ proptest! {
         }
         prop_assert_eq!(sut.stats().hits, oracle.hits);
         prop_assert_eq!(sut.stats().misses, oracle.misses);
+    }
+
+    #[test]
+    fn linked_lru_matches_one_set_cache(
+        raw in prop::collection::vec(0u64..1 << 20, 1..400),
+        line_shift in 1u32..10,
+        lines in 1u64..65,
+    ) {
+        let line = 1u64 << line_shift;
+        let mut sut = FullyAssocLru::new(lines * line, line).unwrap();
+        let mut oracle =
+            SetAssocCache::new(CacheConfig::fully_associative(lines * line, line)).unwrap();
+        // Three times the capacity: hits, evictions and re-references of
+        // evicted lines all occur.
+        let span = 3 * lines * line;
+        for (i, &a) in raw.iter().enumerate() {
+            let a = a % span;
+            prop_assert_eq!(sut.access(a), oracle.access(a).is_hit(), "access {}", i);
+        }
+        prop_assert_eq!(sut.stats(), oracle.stats());
     }
 
     #[test]
@@ -310,16 +321,4 @@ fn prefetched_evicted_then_missed_line_counts_once() {
     // Lines 1..9 once each, line 0 once despite missing twice.
     assert_eq!(rc.stats().compulsory_misses, 9);
     assert_eq!(rc.stats().misses, 10);
-}
-
-#[test]
-fn reset_clears_the_cold_miss_count() {
-    let mut rc = tiny_rank_cache();
-    rc.access(0, true);
-    assert_eq!(rc.stats().compulsory_misses, 1);
-    rc.reset();
-    assert_eq!(rc.stats().compulsory_misses, 0);
-    // The line is cold again after the reset.
-    rc.access(0, true);
-    assert_eq!(rc.stats().compulsory_misses, 1);
 }

@@ -52,8 +52,7 @@
 //! ```
 
 use recnmp_backend::{
-    check_server, shard_slots, PlacementPlan, PlacementPolicy, RunReport, ShardingPolicy,
-    SlsBackend, SlsTrace, TableUsage,
+    check_server, shard_slots, PlacementPlan, RunReport, ShardingPolicy, SlsBackend, SlsTrace,
 };
 use recnmp_types::{ConfigError, SimError};
 use serde::{Deserialize, Serialize};
@@ -207,7 +206,6 @@ impl ClusterConfigBuilder {
 pub struct RecNmpCluster {
     name: String,
     sharding: ShardingPolicy,
-    placement: Option<PlacementPlan>,
     channels: Vec<RecNmpSystem>,
 }
 
@@ -225,7 +223,6 @@ impl RecNmpCluster {
         Ok(Self {
             name: format!("recnmp-cluster[{}]", config.channels),
             sharding: config.sharding,
-            placement: None,
             channels,
         })
     }
@@ -240,61 +237,10 @@ impl RecNmpCluster {
         self.sharding
     }
 
-    /// The active placement plan, when one has been installed.
+    /// Always `None`: placement lives in the serving layer, which shards
+    /// each query itself. Kept for an outside harness that still asks.
     pub fn placement(&self) -> Option<&PlacementPlan> {
-        self.placement.as_ref()
-    }
-
-    /// Per-channel DRAM capacity in bytes — the capacity model table
-    /// placement packs against.
-    pub fn channel_capacity_bytes(&self) -> u64 {
-        self.channels[0].geometry().capacity_bytes()
-    }
-
-    /// Installs a placement plan; subsequent [`try_run`](SlsBackend::try_run)
-    /// calls shard through it instead of the stateless
-    /// [`ShardingPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] when the plan was built for a different
-    /// channel count.
-    pub fn set_placement(&mut self, plan: PlacementPlan) -> Result<(), ConfigError> {
-        if plan.channels() != self.channels.len() {
-            return Err(ConfigError::new(
-                "placement",
-                format!(
-                    "plan places onto {} channel(s) but the cluster has {}",
-                    plan.channels(),
-                    self.channels.len()
-                ),
-            ));
-        }
-        self.placement = Some(plan);
-        Ok(())
-    }
-
-    /// Builds and installs a plan for `usage` under `policy`, bounded by
-    /// each channel's DRAM capacity
-    /// ([`channel_capacity_bytes`](Self::channel_capacity_bytes)).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] when a table does not fit under the
-    /// capacity bound.
-    pub fn place_tables(
-        &mut self,
-        usage: &[TableUsage],
-        policy: PlacementPolicy,
-    ) -> Result<&PlacementPlan, ConfigError> {
-        let plan = PlacementPlan::build(
-            self.channels.len(),
-            Some(self.channel_capacity_bytes()),
-            usage,
-            policy,
-        )?;
-        self.placement = Some(plan);
-        Ok(self.placement.as_ref().expect("just installed"))
+        None
     }
 
     /// Access to one channel (for per-channel inspection in experiments).
@@ -318,9 +264,8 @@ impl SlsBackend for RecNmpCluster {
         &self.name
     }
 
-    /// Shards `trace` across the channels — through the installed
-    /// [`PlacementPlan`] when one is set, else under the stateless
-    /// [`ShardingPolicy`] — runs every shard as **one task on the
+    /// Shards `trace` across the channels under the stateless
+    /// [`ShardingPolicy`], runs every shard as **one task on the
     /// deterministic worker pool** (the channels are independent
     /// hardware running in parallel, but thread usage is bounded by the
     /// pool's worker count, not the channel count) and merges the
@@ -331,23 +276,8 @@ impl SlsBackend for RecNmpCluster {
     /// The merge order is the fixed channel order regardless of task
     /// completion order, so reports are deterministic and identical to a
     /// serial channel-by-channel run at any worker count.
-    ///
-    /// Returns [`SimError::Config`] naming the table when the installed
-    /// plan does not place one of the trace's tables.
     fn try_run(&mut self, trace: &SlsTrace) -> Result<RunReport, SimError> {
-        let shards = match &self.placement {
-            Some(plan) => {
-                let mut tables = trace.batches().map(|b| b.table());
-                if let Some(table) = tables.find(|&t| plan.replicas(t).is_empty()) {
-                    return Err(SimError::Config(ConfigError::new(
-                        "placement",
-                        format!("table {table} is missing from the placement plan"),
-                    )));
-                }
-                trace.shard_with_plan(plan)
-            }
-            None => trace.shard(self.channels.len(), self.sharding),
-        };
+        let shards = trace.shard(self.channels.len(), self.sharding);
         let tasks: Vec<_> = self
             .channels
             .iter_mut()
@@ -424,13 +354,6 @@ impl SlsBackend for RecNmpCluster {
             self.channels.len()
         );
         self.channels[server].prefetch_on(0, addrs, vector_bytes, budget_cycles)
-    }
-
-    /// Returns every channel's RankCaches to cold.
-    fn reset_caches(&mut self) {
-        for channel in &mut self.channels {
-            channel.reset_caches();
-        }
     }
 }
 
@@ -538,45 +461,6 @@ mod tests {
         assert!(report.rank_insts.iter().all(|&n| n > 0));
     }
 
-    #[test]
-    fn placement_plan_drives_sharding() {
-        let trace = workload(8, 4);
-        let usage = TableUsage::from_trace(&trace);
-        let mut c = cluster(4);
-        // A capacity-bounded frequency plan built from the trace profile.
-        let plan = c
-            .place_tables(&usage, PlacementPolicy::FrequencyBalanced { replicate: 1 })
-            .unwrap()
-            .clone();
-        assert_eq!(plan.channels(), 4);
-        assert!(usage.iter().all(|u| !plan.replicas(u.table).is_empty()));
-        assert!(plan.bytes_on(0) <= c.channel_capacity_bytes());
-        let report = c.run(&trace);
-        // Placement-driven sharding conserves every lookup.
-        assert_eq!(report.insts, trace.total_lookups());
-        assert_eq!(report.gathered_bytes, trace.total_lookups() * 128);
-        // A plan for the wrong geometry is rejected.
-        let mut two = cluster(2);
-        assert!(two.set_placement(plan).is_err());
-    }
-
-    #[test]
-    fn a_plan_missing_a_table_is_a_config_error() {
-        let trace = workload(4, 2);
-        let mut c = cluster(2);
-        // Place only the first three of the trace's four tables.
-        let usage = TableUsage::from_trace(&trace);
-        c.place_tables(&usage[..3], PlacementPolicy::Hash).unwrap();
-        let missing = usage[3].table;
-        match c.try_run(&trace) {
-            Err(SimError::Config(e)) => {
-                assert_eq!(e.field(), "placement");
-                assert!(e.reason().contains(&format!("table {missing}")), "{e}");
-            }
-            other => panic!("expected a config error, got {other:?}"),
-        }
-    }
-
     /// The config error `try_run_shards` returns for `shards`.
     fn shards_error(shards: &[(usize, SlsTrace)]) -> ConfigError {
         match cluster(2).try_run_shards(shards) {
@@ -625,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_and_reset_forward_per_channel() {
+    fn prefetch_forwards_per_channel() {
         let config = RecNmpClusterConfig::builder()
             .channels(2)
             .dimms(1)
@@ -641,11 +525,8 @@ mod tests {
         assert!(staged > 0, "optimized channels have RankCaches to fill");
         // Channel 0's caches were untouched by the channel-1 prefetch.
         assert!(c.prefetch_on(0, &addrs, 128, recnmp_types::Cycle::MAX) > 0);
-        // Re-staging on a warm channel finds everything resident...
+        // Re-staging on a warm channel finds everything resident.
         assert_eq!(c.prefetch_on(1, &addrs, 128, recnmp_types::Cycle::MAX), 0);
-        // ...until reset returns every channel to cold.
-        c.reset_caches();
-        assert!(c.prefetch_on(1, &addrs, 128, recnmp_types::Cycle::MAX) > 0);
     }
 
     #[test]

@@ -21,11 +21,9 @@
 //!   the [`SlsBackend`] implementation every experiment runs through;
 //! * [`cluster`] — [`RecNmpCluster`]: N independent channels behind one
 //!   dispatch API, the first scaling axis beyond the paper's
-//!   single-channel model. Sharding goes through an installed
-//!   [`PlacementPlan`] (built via
-//!   [`RecNmpCluster::place_tables`] against each channel's DRAM
-//!   capacity) or, without one, the stateless hash-by-table/round-robin
-//!   [`ShardingPolicy`];
+//!   single-channel model. [`SlsBackend::try_run`] shards a trace under
+//!   the stateless hash-by-table/round-robin [`ShardingPolicy`]; the
+//!   serving layer places tables itself and dispatches per channel;
 //! * [`sched`] / [`optimizer`] — table-aware packet scheduling and
 //!   hot-entry profiling (Section III-D);
 //! * [`energy`] / [`physical`] — memory energy accounting and the

@@ -206,14 +206,6 @@ impl RankNmp {
         fresh
     }
 
-    /// Drops the RankCache's contents and counters (no-op without a
-    /// cache) — how a sweep driver returns this rank to cold state.
-    pub fn reset_cache(&mut self) {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.reset();
-        }
-    }
-
     fn count_datapath_ops(&mut self, inst: &NmpInst) {
         // 16 FP32 elements per 64-byte burst.
         let elems = inst.vsize as u64 * 16;
@@ -385,11 +377,6 @@ mod tests {
         assert_eq!(done, 1000 + 1 + 4);
         assert_eq!(r.cache_stats().hits, 1);
         assert_eq!(r.cache_stats().misses, 0);
-        r.reset_cache();
-        assert_eq!(r.cache_stats().hits, 0);
-        // Cold again: the same instruction now reads DRAM.
-        r.process(2000, &[(2000, i)]).unwrap();
-        assert_eq!(r.stats().dram_bursts, 1);
     }
 
     #[test]
@@ -398,7 +385,6 @@ mod tests {
         let i = inst(1, 0, 0);
         assert!(!r.has_cache());
         assert!(!r.prefetch_vector(&i.daddr, i.vsize));
-        r.reset_cache(); // no-op, must not panic
     }
 
     #[test]

@@ -522,14 +522,6 @@ impl SlsBackend for RecNmpSystem {
         }
         staged
     }
-
-    fn reset_caches(&mut self) {
-        for dimm in &mut self.dimms {
-            for rank in dimm.ranks_mut() {
-                rank.reset_cache();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -645,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_stages_hot_vectors_and_reset_restores_cold() {
+    fn prefetch_stages_hot_vectors() {
         let mk = || {
             let mut cfg = quiet(RecNmpConfig::optimized(1, 2));
             cfg.scheduling = crate::config::SchedulingPolicy::Fcfs;
@@ -692,12 +684,6 @@ mod tests {
         // Budget of zero (or below one vector's fill cost) stages nothing.
         let mut broke = mk();
         assert_eq!(broke.prefetch_on(0, &addrs, 128, 7), 0);
-
-        // reset_caches returns the warm system to cold behaviour.
-        warm.reset_caches();
-        let re = warm.try_run(&trace).unwrap();
-        assert_eq!(re.cache.hits, cold_report.cache.hits);
-        assert_eq!(re.dram_bursts, cold_report.dram_bursts);
     }
 
     #[test]
@@ -705,7 +691,6 @@ mod tests {
         let mut sys = RecNmpSystem::new(quiet(RecNmpConfig::with_ranks(1, 2))).unwrap();
         let addrs = [recnmp_types::PhysAddr::new(0)];
         assert_eq!(sys.prefetch_on(0, &addrs, 128, Cycle::MAX), 0);
-        sys.reset_caches(); // no-op, must not panic
     }
 
     #[test]

@@ -222,10 +222,8 @@ pub fn fig07_locality(scale: Scale) -> ExperimentResult {
     for (name, mult) in &combs {
         let gens = production_tables(0x000f_1607);
         let per_table = total_lookups / (8 * mult);
-        let comb = CombTrace::interleave(&gens, *mult, per_table, 7);
         let mut mapper = PageMapper::new(1 << 24, 77); // 64 GiB of frames
-        let phys: Vec<u64> = comb
-            .logical_addrs()
+        let phys: Vec<u64> = CombTrace::interleave(&gens, *mult, per_table, 7)
             .map(|l| mapper.translate(l).get())
             .collect();
         let mut row = vec![name.clone()];
@@ -244,10 +242,8 @@ pub fn fig07_locality(scale: Scale) -> ExperimentResult {
         &["line", "4-way LRU", "fully associative"],
     );
     let gens = production_tables(0x000f_1607);
-    let comb = CombTrace::interleave(&gens, 1, total_lookups / 8, 7);
     let mut mapper = PageMapper::new(1 << 24, 77);
-    let phys: Vec<u64> = comb
-        .logical_addrs()
+    let phys: Vec<u64> = CombTrace::interleave(&gens, 1, total_lookups / 8, 7)
         .map(|l| mapper.translate(l).get())
         .collect();
     for line in [64u64, 128, 256, 512] {

@@ -17,7 +17,7 @@
 //! 3. a miss occupies the die for the array read ([`read_latency`], tR)
 //!    and then the die's flash-channel bus for the page transfer
 //!    ([`channel_bus_cycles_per_page`]), landing the page in the buffer
-//!    (deterministic LRU eviction);
+//!    (a [`FullyAssocLru`] over page numbers);
 //! 4. the pooling's vectors stream through the shared reduction unit
 //!    ([`reduce_bytes_per_cycle`]); only the pooled sum crosses the host
 //!    link ([`link_bytes_per_cycle`], after one [`link_latency`] command
@@ -30,10 +30,9 @@
 //! [`link_bytes_per_cycle`]: SsdNmpConfig::link_bytes_per_cycle
 //! [`link_latency`]: SsdNmpConfig::link_latency
 
-use std::collections::BTreeMap;
-
+use recnmp_backend::report::cache_delta;
 use recnmp_backend::{RunReport, SlsBackend, SlsTrace};
-use recnmp_cache::CacheStats;
+use recnmp_cache::fa::FullyAssocLru;
 use recnmp_types::{ByteSize, ConfigError, Cycle, SimError};
 use serde::{Deserialize, Serialize};
 
@@ -152,12 +151,10 @@ pub struct SsdNmpBackend {
     reduce_free: Cycle,
     /// Host-link occupancy.
     link_free: Cycle,
-    /// Buffer residency: page -> last-use tick.
-    resident: BTreeMap<u64, u64>,
-    /// Recency order: last-use tick -> page (LRU = smallest tick).
-    recency: BTreeMap<u64, u64>,
-    /// Monotonic access tick driving the LRU order.
-    tick: u64,
+    /// The device-DRAM page buffer: an LRU over page numbers, one
+    /// "byte" per page. Its counters are cumulative; each run reports
+    /// their delta.
+    buffer: FullyAssocLru,
 }
 
 impl SsdNmpBackend {
@@ -175,9 +172,7 @@ impl SsdNmpBackend {
             chan_free: vec![0; cfg.channels],
             reduce_free: 0,
             link_free: 0,
-            resident: BTreeMap::new(),
-            recency: BTreeMap::new(),
-            tick: 0,
+            buffer: FullyAssocLru::new(cfg.buffer_pages as u64, 1)?,
             cfg,
         })
     }
@@ -197,22 +192,12 @@ impl SsdNmpBackend {
         &self.cfg
     }
 
-    /// Pages currently resident in the device-DRAM buffer.
-    pub fn buffered_pages(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// Reads the page holding `addr`, returning when its data is in the
-    /// device-DRAM buffer, and counts the hit/miss/eviction in `stats`.
-    fn access_page(&mut self, page: u64, at: Cycle, stats: &mut CacheStats) -> Cycle {
-        self.tick += 1;
-        if let Some(old) = self.resident.insert(page, self.tick) {
-            self.recency.remove(&old);
-            self.recency.insert(self.tick, page);
-            stats.hits += 1;
+    /// Reads `page`, returning when its data is in the device-DRAM
+    /// buffer.
+    fn access_page(&mut self, page: u64, at: Cycle) -> Cycle {
+        if self.buffer.access(page) {
             return at + self.cfg.buffer_read_cycles;
         }
-        stats.misses += 1;
         let die = (page % self.cfg.dies() as u64) as usize;
         let chan = die % self.cfg.channels;
         let array_start = at.max(self.die_free[die]);
@@ -221,15 +206,6 @@ impl SsdNmpBackend {
         let bus_start = array_done.max(self.chan_free[chan]);
         let done = bus_start + self.cfg.channel_bus_cycles_per_page;
         self.chan_free[chan] = done;
-        // Install under LRU: evict the least-recently-used page first
-        // (the resident map already holds the new page).
-        if self.resident.len() > self.cfg.buffer_pages {
-            let (&t, &victim) = self.recency.iter().next().expect("buffer is non-empty");
-            self.recency.remove(&t);
-            self.resident.remove(&victim);
-            stats.evictions += 1;
-        }
-        self.recency.insert(self.tick, page);
         done
     }
 }
@@ -246,7 +222,7 @@ impl SlsBackend for SsdNmpBackend {
     fn try_run(&mut self, trace: &SlsTrace) -> Result<RunReport, SimError> {
         let start = self.now;
         let submit = start + self.cfg.link_latency;
-        let mut stats = CacheStats::new();
+        let before = *self.buffer.stats();
         let mut last_done = submit;
         let mut insts = 0u64;
         let mut alu_adds = 0u64;
@@ -260,7 +236,7 @@ impl SlsBackend for SsdNmpBackend {
                 let mut gathered = submit;
                 for addr in pooling {
                     let page = addr.get() / self.cfg.page_bytes.get();
-                    gathered = gathered.max(self.access_page(page, submit, &mut stats));
+                    gathered = gathered.max(self.access_page(page, submit));
                 }
                 let reduce_cycles =
                     (pooling.len() as u64 * vb).div_ceil(self.cfg.reduce_bytes_per_cycle);
@@ -279,6 +255,7 @@ impl SlsBackend for SsdNmpBackend {
             }
         }
         self.now = last_done;
+        let stats = cache_delta(self.buffer.stats(), &before);
         // Flash reads move whole pages into the buffer.
         let gathered_bytes = stats.misses * self.cfg.page_bytes.get();
         Ok(RunReport {
@@ -380,16 +357,46 @@ mod tests {
     }
 
     #[test]
-    fn eviction_keeps_buffer_bounded() {
+    fn page_buffer_results_are_pinned_across_calls() {
+        // A 16-page buffer behind three calls over a skewed 4,096-page
+        // table: hits, misses and evictions all occur, the buffer stays
+        // warm between calls, and each call's counters and cycles are
+        // pinned exactly.
         let cfg = SsdNmpConfig {
             buffer_pages: 16,
             ..Default::default()
         };
         let mut ssd = SsdNmpBackend::new(cfg).unwrap();
-        let t = trace(2, 8, 16, 5);
-        let r = ssd.run(&t);
-        assert!(ssd.buffered_pages() <= 16);
-        assert!(r.cache.evictions > 0);
+        let spec = EmbeddingTableSpec::new(1 << 19, 128);
+        let runs: Vec<(u64, u64, u64, Cycle)> = (0..3u64)
+            .map(|call| {
+                let batch = TraceGenerator::new(
+                    TableId::new(0),
+                    spec,
+                    IndexDistribution::Zipf { s: 1.1 },
+                    40 + call,
+                )
+                .batch(8, 16);
+                let t = SlsTrace::from_batches(std::slice::from_ref(&batch), &mut |_, row| {
+                    PhysAddr::new(row * 128)
+                });
+                let r = ssd.run(&t);
+                (
+                    r.cache.hits,
+                    r.cache.misses,
+                    r.cache.evictions,
+                    r.total_cycles,
+                )
+            })
+            .collect();
+        assert_eq!(
+            runs,
+            vec![
+                (21, 107, 91, 426_864),
+                (34, 94, 94, 410_480),
+                (37, 91, 91, 389_360),
+            ]
+        );
     }
 
     #[test]

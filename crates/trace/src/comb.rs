@@ -7,27 +7,24 @@
 
 use recnmp_types::rng::DetRng;
 use recnmp_types::TableId;
-use serde::{Deserialize, Serialize};
 
 use crate::gen::TraceGenerator;
 
-/// One lookup in a combined trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Lookup {
-    /// Which co-located table instance issued the lookup.
-    pub table: TableId,
-    /// Row index within that table.
-    pub index: u64,
-    /// Logical byte address of the row (tables laid out contiguously).
-    pub logical_addr: u64,
-}
-
-/// A combined, interleaved trace over several co-located tables.
+/// A combined, interleaved trace over several co-located tables: an
+/// iterator over the lookups' logical byte addresses.
+///
+/// Nothing is stored per lookup. Each address is drawn from its table's
+/// generator as it is consumed, round-robin over the tables, so the
+/// stream is the same whether it is collected or replayed on the fly.
 #[derive(Debug, Clone)]
 pub struct CombTrace {
-    lookups: Vec<Lookup>,
-    table_bases: Vec<u64>,
+    /// Each co-located table instance with its logical base address.
+    tables: Vec<(u64, TraceGenerator)>,
     footprint: u64,
+    /// Lookups still to draw.
+    remaining: usize,
+    /// The table that draws the next lookup.
+    next_table: usize,
 }
 
 impl CombTrace {
@@ -48,73 +45,61 @@ impl CombTrace {
         let mut rng = DetRng::seed(seed);
 
         // Build the co-located table instances with contiguous bases.
-        let mut instances: Vec<TraceGenerator> = Vec::new();
+        let mut tables: Vec<(u64, TraceGenerator)> = Vec::new();
+        let mut base = 0u64;
         for m in 0..multiplier {
             for g in generators {
                 let mut inst = g.clone();
                 if m > 0 {
                     // Reseed clones so the repeated tables are independent.
                     inst = TraceGenerator::new(
-                        TableId::new((instances.len()) as u32),
+                        TableId::new(tables.len() as u32),
                         *g.spec(),
                         g.distribution(),
                         rng.next_stream(),
                     );
                 }
-                instances.push(inst);
-            }
-        }
-        let mut table_bases = Vec::with_capacity(instances.len());
-        let mut base = 0u64;
-        for inst in &instances {
-            table_bases.push(base);
-            base += inst.spec().bytes();
-        }
-        let footprint = base;
-
-        let mut lookups = Vec::with_capacity(per_table * instances.len());
-        for _round in 0..per_table {
-            for (t, inst) in instances.iter_mut().enumerate() {
-                let index = inst.next_index();
-                lookups.push(Lookup {
-                    table: TableId::new(t as u32),
-                    index,
-                    logical_addr: table_bases[t] + index * inst.spec().vector_bytes,
-                });
+                let bytes = inst.spec().bytes();
+                tables.push((base, inst));
+                base += bytes;
             }
         }
         Self {
-            lookups,
-            table_bases,
-            footprint,
+            remaining: per_table * tables.len(),
+            tables,
+            footprint: base,
+            next_table: 0,
         }
-    }
-
-    /// The interleaved lookups.
-    pub fn lookups(&self) -> &[Lookup] {
-        &self.lookups
     }
 
     /// Number of co-located table instances.
     pub fn num_tables(&self) -> usize {
-        self.table_bases.len()
-    }
-
-    /// Logical base address of table `t`.
-    pub fn table_base(&self, t: usize) -> u64 {
-        self.table_bases[t]
+        self.tables.len()
     }
 
     /// Total logical footprint in bytes.
     pub fn footprint(&self) -> u64 {
         self.footprint
     }
+}
 
-    /// Iterates over the logical addresses only.
-    pub fn logical_addrs(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lookups.iter().map(|l| l.logical_addr)
+impl Iterator for CombTrace {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        let t = self.next_table;
+        self.next_table = if t + 1 == self.tables.len() { 0 } else { t + 1 };
+        let (base, inst) = &mut self.tables[t];
+        Some(*base + inst.next_index() * inst.spec().vector_bytes)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
     }
 }
+
+impl ExactSizeIterator for CombTrace {}
 
 /// Extension: draw a fresh derived seed from a [`DetRng`].
 trait NextStream {
@@ -134,6 +119,9 @@ mod tests {
     use crate::gen::IndexDistribution;
     use crate::spec::EmbeddingTableSpec;
 
+    /// Bytes of one test table: 10,000 rows of 64 bytes.
+    const TABLE_BYTES: u64 = 10_000 * 64;
+
     fn gens(n: u32) -> Vec<TraceGenerator> {
         (0..n)
             .map(|t| {
@@ -151,51 +139,55 @@ mod tests {
     fn interleave_round_robins_tables() {
         let c = CombTrace::interleave(&gens(4), 1, 10, 1);
         assert_eq!(c.num_tables(), 4);
-        assert_eq!(c.lookups().len(), 40);
-        for (i, l) in c.lookups().iter().enumerate() {
-            assert_eq!(l.table.index(), i % 4);
+        assert_eq!(c.len(), 40);
+        let addrs: Vec<u64> = c.collect();
+        assert_eq!(addrs.len(), 40);
+        // Lookup i belongs to table i mod 4, laid out contiguously.
+        for (i, &a) in addrs.iter().enumerate() {
+            assert_eq!(a / TABLE_BYTES, (i % 4) as u64, "lookup {i}");
+            assert_eq!(a % 64, 0);
         }
+    }
+
+    #[test]
+    fn stream_is_the_generators_draws_in_turn() {
+        let mut reference = gens(3);
+        let expect: Vec<u64> = (0..100)
+            .flat_map(|_| {
+                reference
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(t, g)| t as u64 * TABLE_BYTES + g.next_index() * 64)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let got: Vec<u64> = CombTrace::interleave(&gens(3), 1, 100, 3).collect();
+        assert_eq!(got, expect);
     }
 
     #[test]
     fn multiplier_clones_tables() {
-        let c = CombTrace::interleave(&gens(8), 4, 5, 2);
+        let mut c = CombTrace::interleave(&gens(8), 4, 5, 2);
         assert_eq!(c.num_tables(), 32);
-        assert_eq!(c.footprint(), 32 * 10_000 * 64);
-    }
-
-    #[test]
-    fn logical_addresses_fall_in_table_ranges() {
-        let c = CombTrace::interleave(&gens(3), 1, 100, 3);
-        for l in c.lookups() {
-            let base = c.table_base(l.table.index());
-            assert!(l.logical_addr >= base);
-            assert!(l.logical_addr < base + 10_000 * 64);
-            assert_eq!(l.logical_addr, base + l.index * 64);
-        }
+        assert_eq!(c.footprint(), 32 * TABLE_BYTES);
+        assert!(c.all(|a| a < 32 * TABLE_BYTES));
     }
 
     #[test]
     fn deterministic_for_same_seed() {
-        let a = CombTrace::interleave(&gens(2), 2, 20, 9);
-        let b = CombTrace::interleave(&gens(2), 2, 20, 9);
-        assert_eq!(a.lookups(), b.lookups());
+        let a: Vec<u64> = CombTrace::interleave(&gens(2), 2, 20, 9).collect();
+        let b: Vec<u64> = CombTrace::interleave(&gens(2), 2, 20, 9).collect();
+        assert_eq!(a, b);
     }
 
     #[test]
     fn clones_are_not_identical_streams() {
-        let c = CombTrace::interleave(&gens(1), 2, 50, 4);
-        let t0: Vec<u64> = c
-            .lookups()
+        let addrs: Vec<u64> = CombTrace::interleave(&gens(1), 2, 50, 4).collect();
+        let t0: Vec<u64> = addrs.iter().step_by(2).map(|a| a / 64).collect();
+        let t1: Vec<u64> = addrs[1..]
             .iter()
-            .filter(|l| l.table.index() == 0)
-            .map(|l| l.index)
-            .collect();
-        let t1: Vec<u64> = c
-            .lookups()
-            .iter()
-            .filter(|l| l.table.index() == 1)
-            .map(|l| l.index)
+            .step_by(2)
+            .map(|a| (a - TABLE_BYTES) / 64)
             .collect();
         assert_ne!(t0, t1);
     }

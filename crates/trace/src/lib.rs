@@ -23,7 +23,8 @@
 //!
 //! * [`SlsBatch`] / [`Pooling`] — the workload unit consumed by the SLS
 //!   operators and the NMP packet builder,
-//! * [`comb::CombTrace`] — co-located multi-table interleaving,
+//! * [`comb::CombTrace`] — co-located multi-table interleaving, streamed
+//!   as logical addresses drawn on demand,
 //! * [`paging::PageMapper`] — the simplified OS page mapping of the
 //!   paper's methodology (random free physical page per logical page) plus
 //!   the page-coloring variant used in Figure 14(a), and
@@ -40,7 +41,7 @@ pub mod spec;
 mod zipf;
 
 pub use batch::{Pooling, SlsBatch};
-pub use comb::{CombTrace, Lookup};
+pub use comb::CombTrace;
 pub use gen::{IndexDistribution, TraceGenerator};
 pub use paging::PageMapper;
 pub use production::{production_table, production_tables, ProductionTable};

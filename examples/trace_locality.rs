@@ -14,17 +14,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // logical addresses through the OS page mapper.
     let gens = production_tables(7);
     let comb = CombTrace::interleave(&gens, 1, 40_000, 3);
-    let mut mapper = PageMapper::new(1 << 24, 11);
-    let phys: Vec<u64> = comb
-        .logical_addrs()
-        .map(|l| mapper.translate(l).get())
-        .collect();
     println!(
         "trace: {} lookups over {} tables ({} logical footprint)",
-        phys.len(),
+        comb.len(),
         comb.num_tables(),
         recnmp_types::units::human_bytes(comb.footprint())
     );
+    let mut mapper = PageMapper::new(1 << 24, 11);
+    let phys: Vec<u64> = comb.map(|l| mapper.translate(l).get()).collect();
 
     println!("\ntemporal locality: hit rate vs capacity (64 B lines, 4-way LRU)");
     for mib in [8u64, 16, 32, 64] {

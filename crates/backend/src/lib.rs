@@ -9,9 +9,9 @@
 //! * [`SlsTrace`] — one physical SLS workload: batches of poolings with
 //!   their translated physical addresses, the single source of truth every
 //!   backend serves ([`trace`]). It is stored flat, like the paper's SLS
-//!   operator input: one column each of `u32` rows, addresses and (when
-//!   any pooling is weighted) weights, plus pooling offsets and per-batch
-//!   `(table, spec, pooling range)` records. Rows fit `u32` because a
+//!   operator input: one column each of `u32` rows and addresses, plus
+//!   pooling offsets and per-batch `(table, spec, pooling range)`
+//!   records. Rows fit `u32` because a
 //!   valid table has at most 2^32 rows; a wider row panics on entry
 //!   rather than being truncated. Readers borrow
 //!   [`BatchView`]s; shards copy contiguous column ranges, and a host

@@ -612,7 +612,7 @@ mod tests {
         let batch = |t: u32, lookups: u64| SlsBatch {
             table: TableId::new(t),
             spec: EmbeddingTableSpec::new(1000, 128),
-            poolings: vec![Pooling::unweighted((0..lookups).collect())],
+            poolings: vec![Pooling::new((0..lookups).collect())],
         };
         let mk = |batches: &[SlsBatch]| {
             SlsTrace::from_batches(batches, &mut |_, row| PhysAddr::new(row * 128))

@@ -53,7 +53,8 @@ pub struct RunReport {
     /// FP32 additions performed near memory (zero when pooling happens on
     /// the host CPU).
     pub alu_adds: u64,
-    /// FP32 multiplications performed near memory.
+    /// FP32 multiplications performed near memory: 0 on every backend,
+    /// since every kernel is a plain sum.
     pub alu_mults: u64,
     /// Absolute simulated completion timestamp of each query, in arrival
     /// order, when this report aggregates a query-serving run. Empty for

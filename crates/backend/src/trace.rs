@@ -2,8 +2,8 @@
 //!
 //! A trace is stored flat, like the paper's SLS operator input (one
 //! index vector plus per-pooling lengths): one column each of rows,
-//! translated addresses and — only when some pooling is weighted —
-//! weights, the pooling offsets into them, and one record per batch
+//! translated addresses, the pooling offsets into them, and one record
+//! per batch
 //! naming its table, spec and pooling range. Readers borrow
 //! [`BatchView`]s; sub-traces copy contiguous column ranges.
 //!
@@ -75,8 +75,6 @@ pub struct SlsTrace {
     /// Each row's physical address (the page-mapping step applied once,
     /// so all backends see the same addresses).
     addrs: Vec<PhysAddr>,
-    /// Each lookup's weight; empty when no pooling is weighted.
-    weights: Vec<f32>,
     /// Pooling `p` covers lookups `offsets[p]..offsets[p + 1]`; empty
     /// exactly when there are no batches.
     offsets: Vec<u32>,
@@ -107,25 +105,23 @@ impl SlsTrace {
     ) -> Self {
         let poolings = batches.iter().map(SlsBatch::batch_size).sum();
         let lookups = batches.iter().map(SlsBatch::total_lookups).sum();
-        let weighted = (batches.iter().flat_map(|b| &b.poolings)).any(|p| !p.weights.is_empty());
-        let mut trace = Self::with_capacity(batches.len(), poolings, lookups, weighted);
+        let mut trace = Self::with_capacity(batches.len(), poolings, lookups);
         for b in batches {
             trace.push_batch(b.table, b.spec);
             for p in &b.poolings {
                 let rows = p.indices.iter().copied();
-                trace.push_pooling(rows, &p.weights, |r| translate(b.table.index(), r));
+                trace.push_pooling(rows, |r| translate(b.table.index(), r));
             }
         }
         trace
     }
 
     /// An empty trace with room for exactly `batches` batches, `poolings`
-    /// poolings and `lookups` lookups (and their weights if `weighted`).
-    pub fn with_capacity(batches: usize, poolings: usize, lookups: usize, weighted: bool) -> Self {
+    /// poolings and `lookups` lookups.
+    pub fn with_capacity(batches: usize, poolings: usize, lookups: usize) -> Self {
         Self {
             rows: Vec::with_capacity(lookups),
             addrs: Vec::with_capacity(lookups),
-            weights: Vec::with_capacity(if weighted { lookups } else { 0 }),
             offsets: Vec::with_capacity(if batches > 0 { poolings + 1 } else { 0 }),
             batches: Vec::with_capacity(batches),
             bursts: 0,
@@ -155,18 +151,15 @@ impl SlsTrace {
     }
 
     /// Appends a pooling of `rows` to the open batch, translating each
-    /// row in order; `weights` is empty (all ones) or has one weight per
-    /// row.
+    /// row in order.
     ///
     /// # Panics
     ///
-    /// Panics when no batch is open, when `weights` is neither empty nor
-    /// one per row, and when a row is 2^32 or more: rows are stored as
-    /// `u32`, and none is silently truncated.
+    /// Panics when no batch is open, and when a row is 2^32 or more: rows
+    /// are stored as `u32`, and none is silently truncated.
     pub fn push_pooling(
         &mut self,
         rows: impl IntoIterator<Item = u64>,
-        weights: &[f32],
         mut translate: impl FnMut(u64) -> PhysAddr,
     ) {
         let batch = self.batches.last_mut().expect("push_batch opens a batch");
@@ -174,17 +167,6 @@ impl SlsTrace {
         self.rows.extend(rows.into_iter().map(narrow));
         let added = &self.rows[start..];
         (self.addrs).extend(added.iter().map(|&row| translate(u64::from(row))));
-        if !weights.is_empty() {
-            assert_eq!(
-                weights.len(),
-                self.rows.len() - start,
-                "one weight per lookup"
-            );
-            self.weights.resize(start, 1.0);
-            self.weights.extend_from_slice(weights);
-        } else if !self.weights.is_empty() {
-            self.weights.resize(self.rows.len(), 1.0);
-        }
         self.offsets.push(offset(self.rows.len()));
         batch.end += 1;
     }
@@ -208,7 +190,6 @@ impl SlsTrace {
             bursts: self.bursts,
             rows: &self.rows,
             addrs: &self.addrs,
-            weights: &self.weights,
             offsets: &self.offsets,
         };
         view.sub(b.first as usize, b.end as usize)
@@ -253,7 +234,7 @@ impl SlsTrace {
         let picked = || (0..self.len()).filter(|&i| pick(i)).map(|i| self.batch(i));
         let (n, poolings) = picked().fold((0, 0), |(n, p), b| (n + 1, p + b.batch_size()));
         let lookups = picked().map(|b| b.rows.len()).sum();
-        let mut out = Self::with_capacity(n, poolings, lookups, !self.weights.is_empty());
+        let mut out = Self::with_capacity(n, poolings, lookups);
         for b in picked() {
             out.push_batch(b.table, b.spec);
             let (start, shift) = (b.offsets[0], offset(out.rows.len()));
@@ -262,7 +243,6 @@ impl SlsTrace {
             out.batches.last_mut().expect("just pushed").end += offset(b.batch_size());
             out.rows.extend_from_slice(b.rows);
             out.addrs.extend_from_slice(b.addrs);
-            out.weights.extend_from_slice(b.weights);
         }
         out
     }
@@ -287,9 +267,6 @@ impl SlsTrace {
                     if keep(b.table, &b.spec, self.addrs[i]) {
                         self.rows[kept] = self.rows[i];
                         self.addrs[kept] = self.addrs[i];
-                        if let Some(&w) = self.weights.get(i) {
-                            self.weights[kept] = w;
-                        }
                         kept += 1;
                     }
                 }
@@ -311,7 +288,6 @@ impl SlsTrace {
         }
         self.rows.truncate(kept);
         self.addrs.truncate(kept);
-        self.weights.truncate(kept);
         self.offsets.truncate(poolings + 1);
         self.batches.truncate(batches);
     }
@@ -322,7 +298,6 @@ impl SlsTrace {
     pub fn shrink_to_fit(&mut self) {
         self.rows.shrink_to_fit();
         self.addrs.shrink_to_fit();
-        self.weights.shrink_to_fit();
         self.offsets.shrink_to_fit();
         self.batches.shrink_to_fit();
     }
@@ -385,7 +360,6 @@ pub struct BatchView<'a> {
     bursts: u8,
     rows: &'a [u32],
     addrs: &'a [PhysAddr],
-    weights: &'a [f32],
     /// The trace's offsets of these poolings, plus the end of the last;
     /// `offsets[0]` is where `rows` starts in the trace.
     offsets: &'a [u32],
@@ -417,11 +391,6 @@ impl<'a> BatchView<'a> {
         self.addrs
     }
 
-    /// Weight of lookup `i` (1.0 when unweighted).
-    pub fn weight(&self, i: usize) -> f32 {
-        self.weights.get(i).copied().unwrap_or(1.0)
-    }
-
     /// Lookups in this batch.
     pub fn lookups(&self) -> u64 {
         self.rows.len() as u64
@@ -443,8 +412,7 @@ impl<'a> BatchView<'a> {
         let range = (self.offsets[p0] - base) as usize..(self.offsets[p1] - base) as usize;
         Self {
             rows: &self.rows[range.clone()],
-            addrs: &self.addrs[range.clone()],
-            weights: self.weights.get(range).unwrap_or_default(),
+            addrs: &self.addrs[range],
             offsets: &self.offsets[p0..=p1],
             ..self
         }
@@ -472,7 +440,7 @@ mod tests {
             table: TableId::new(table),
             spec: EmbeddingTableSpec::dlrm_default(),
             poolings: (0..poolings)
-                .map(|p| Pooling::unweighted((0..len as u64).map(|i| i + p as u64).collect()))
+                .map(|p| Pooling::new((0..len as u64).map(|i| i + p as u64).collect()))
                 .collect(),
         }
     }
@@ -538,12 +506,12 @@ mod tests {
             SlsBatch {
                 table: TableId::new(0),
                 spec: EmbeddingTableSpec::new(100, 64),
-                poolings: vec![Pooling::unweighted(vec![1, 2])],
+                poolings: vec![Pooling::new(vec![1, 2])],
             },
             SlsBatch {
                 table: TableId::new(1),
                 spec: EmbeddingTableSpec::new(100, 256),
-                poolings: vec![Pooling::unweighted(vec![3])],
+                poolings: vec![Pooling::new(vec![3])],
             },
         ];
         SlsTrace::from_batches(&batches, &mut |_, row| PhysAddr::new(row * 64));
@@ -556,7 +524,7 @@ mod tests {
         let batches = vec![SlsBatch {
             table: TableId::new(0),
             spec: EmbeddingTableSpec::new(100, 16_384),
-            poolings: vec![Pooling::unweighted(vec![1])],
+            poolings: vec![Pooling::new(vec![1])],
         }];
         SlsTrace::from_batches(&batches, &mut |_, row| PhysAddr::new(row * 64));
     }
@@ -567,7 +535,7 @@ mod tests {
         let batches = vec![SlsBatch {
             table: TableId::new(0),
             spec: EmbeddingTableSpec::new(1 << 33, 64),
-            poolings: vec![Pooling::unweighted(vec![1, 1 << 32])],
+            poolings: vec![Pooling::new(vec![1, 1 << 32])],
         }];
         SlsTrace::from_batches(&batches, &mut |_, row| PhysAddr::new(row * 64));
     }
@@ -577,7 +545,7 @@ mod tests {
     fn rows_past_u32_are_rejected_by_push_pooling() {
         let mut tr = SlsTrace::default();
         tr.push_batch(TableId::new(0), EmbeddingTableSpec::new(1 << 33, 64));
-        tr.push_pooling([1 << 32], &[], |row| PhysAddr::new(row * 64));
+        tr.push_pooling([1 << 32], |row| PhysAddr::new(row * 64));
     }
 
     #[test]
@@ -586,7 +554,7 @@ mod tests {
         let mut tr = SlsTrace::default();
         tr.push_batch(TableId::new(0), EmbeddingTableSpec::new(1 << 32, 64));
         let mut seen = Vec::new();
-        tr.push_pooling([0, max], &[], |row| {
+        tr.push_pooling([0, max], |row| {
             seen.push(row);
             PhysAddr::new(row * 64)
         });

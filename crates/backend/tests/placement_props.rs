@@ -40,7 +40,7 @@ fn trace_for(poolings: &[usize]) -> SlsTrace {
         .map(|(t, &len)| SlsBatch {
             table: TableId::new(t as u32),
             spec,
-            poolings: vec![Pooling::unweighted(
+            poolings: vec![Pooling::new(
                 (0..len as u64)
                     .map(|i| (i * 37 + t as u64) % 10_000)
                     .collect(),

@@ -1,9 +1,8 @@
 //! Flat-trace equivalence: an [`SlsTrace`] stored as columns must read
 //! back exactly like the nested batches it was built from.
 //!
-//! Random nested batches (mixed pooling lengths, empty poolings, weighted
-//! and unweighted poolings, repeated tables) are kept in the test as a
-//! nested reference. The trace's batch and pooling views, `flat_addrs`,
+//! Random nested batches (mixed pooling lengths, empty poolings, repeated
+//! tables) are kept in the test as a nested reference. The trace's batch and pooling views, `flat_addrs`,
 //! `total_lookups`, `tables`, both sharding policies, plan sharding,
 //! packet chunking and in-place lookup filtering must all match what the
 //! reference computes from its own nesting.
@@ -17,9 +16,9 @@ use recnmp_types::{PhysAddr, TableId};
 
 const SPEC: EmbeddingTableSpec = EmbeddingTableSpec::new(1 << 20, 128);
 
-/// One reference pooling: rows (as the trace stores them), their
-/// addresses and effective weights.
-type RefPooling = (Vec<u32>, Vec<PhysAddr>, Vec<f32>);
+/// One reference pooling: rows (as the trace stores them) and their
+/// addresses.
+type RefPooling = (Vec<u32>, Vec<PhysAddr>);
 
 /// One reference batch: its table and its poolings.
 type RefBatch = (TableId, Vec<RefPooling>);
@@ -29,17 +28,9 @@ fn translate(t: usize, row: u64) -> PhysAddr {
 }
 
 /// Random nested batches: up to 8 batches over 5 tables (so tables
-/// repeat), each of up to 5 poolings of 0–9 rows, a third of them
-/// weighted.
+/// repeat), each of up to 5 poolings of 0–9 rows.
 fn batches_strategy() -> impl Strategy<Value = Vec<SlsBatch>> {
-    let pooling = (prop::collection::vec(0u64..(1 << 20), 0..10), 0u8..3).prop_map(|(rows, w)| {
-        if w == 0 {
-            let weights = rows.iter().map(|&r| (r % 7) as f32 * 0.5).collect();
-            Pooling::weighted(rows, weights)
-        } else {
-            Pooling::unweighted(rows)
-        }
-    });
+    let pooling = prop::collection::vec(0u64..(1 << 20), 0..10).prop_map(Pooling::new);
     let batch =
         (0u32..5, prop::collection::vec(pooling, 0..5)).prop_map(|(t, poolings)| SlsBatch {
             table: TableId::new(t),
@@ -55,9 +46,8 @@ fn reference(batches: &[SlsBatch]) -> Vec<RefBatch> {
         .map(|b| {
             let poolings = b.poolings.iter().map(|p| {
                 let addrs = p.indices.iter().map(|&r| translate(b.table.index(), r));
-                let weights = (0..p.len()).map(|i| p.weight(i));
                 let rows = p.indices.iter().map(|&r| u32::try_from(r).unwrap());
-                (rows.collect(), addrs.collect(), weights.collect())
+                (rows.collect(), addrs.collect())
             });
             (b.table, poolings.collect())
         })
@@ -93,11 +83,9 @@ fn assert_reads_back(trace: &SlsTrace, want: &[RefBatch]) {
         prop_assert_eq!(view.rows(), &rows[..]);
         prop_assert_eq!(view.lookups(), rows.len() as u64);
         prop_assert_eq!(view.poolings().len(), poolings.len());
-        for (p, (rows, addrs, weights)) in view.poolings().zip(poolings) {
+        for (p, (rows, addrs)) in view.poolings().zip(poolings) {
             prop_assert_eq!(p.rows(), &rows[..]);
             prop_assert_eq!(p.addrs(), &addrs[..]);
-            let got: Vec<f32> = (0..rows.len()).map(|i| p.weight(i)).collect();
-            prop_assert_eq!(&got, weights);
         }
         // Packet chunks partition the poolings in order.
         for n in 1..4 {
@@ -148,17 +136,7 @@ proptest! {
 
     #[test]
     fn views_read_back_the_nested_batches(batches in batches_strategy()) {
-        let trace = build(&batches);
-        assert_reads_back(&trace, &reference(&batches));
-        // No weighted pooling means no weight column to carry.
-        let unweighted: Vec<SlsBatch> = batches
-            .iter()
-            .map(|b| SlsBatch {
-                poolings: b.poolings.iter().map(|p| Pooling::unweighted(p.indices.clone())).collect(),
-                ..b.clone()
-            })
-            .collect();
-        assert_reads_back(&build(&unweighted), &reference(&unweighted));
+        assert_reads_back(&build(&batches), &reference(&batches));
     }
 
     #[test]
@@ -212,9 +190,9 @@ proptest! {
             .filter_map(|(table, poolings)| {
                 let kept: Vec<RefPooling> = poolings
                     .into_iter()
-                    .filter_map(|(rows, addrs, weights)| {
+                    .filter_map(|(rows, addrs)| {
                         let i: Vec<usize> = (0..rows.len()).filter(|&i| keep(addrs[i])).collect();
-                        (!i.is_empty()).then(|| (pick(&rows, &i), pick(&addrs, &i), pick(&weights, &i)))
+                        (!i.is_empty()).then(|| (pick(&rows, &i), pick(&addrs, &i)))
                     })
                     .collect();
                 (!kept.is_empty()).then_some((table, kept))

@@ -78,9 +78,9 @@ mod tests {
     /// 64-byte bursts at each of `addrs`, in order.
     pub(crate) fn trace_of(addrs: &[PhysAddr], bursts: u8) -> SlsTrace {
         let spec = EmbeddingTableSpec::new(addrs.len() as u64, 64 * bursts as u64);
-        let mut trace = SlsTrace::with_capacity(1, 1, addrs.len(), false);
+        let mut trace = SlsTrace::with_capacity(1, 1, addrs.len());
         trace.push_batch(TableId::new(0), spec);
-        trace.push_pooling(0..addrs.len() as u64, &[], |row| addrs[row as usize]);
+        trace.push_pooling(0..addrs.len() as u64, |row| addrs[row as usize]);
         trace
     }
 }

@@ -84,9 +84,9 @@ fn vectors(n: usize, seed: u64) -> SlsTrace {
     let addrs: Vec<PhysAddr> = (0..n)
         .map(|_| PhysAddr::new(rng.below(8 << 30) & !127))
         .collect();
-    let mut trace = SlsTrace::with_capacity(1, 1, n, false);
+    let mut trace = SlsTrace::with_capacity(1, 1, n);
     trace.push_batch(TableId::new(0), EmbeddingTableSpec::new(n as u64, 128));
-    trace.push_pooling(0..n as u64, &[], |row| addrs[row as usize]);
+    trace.push_pooling(0..n as u64, |row| addrs[row as usize]);
     trace
 }
 

@@ -97,17 +97,17 @@ mod tests {
     }
 
     fn inst(rank: u8, row: u32) -> NmpInst {
-        NmpInst::sum(
-            DramAddr {
+        NmpInst {
+            daddr: DramAddr {
                 rank,
                 bank_group: 0,
                 bank: 0,
                 row,
                 column: 0,
             },
-            1,
-            0,
-        )
+            vsize: 1,
+            locality: true,
+        }
     }
 
     #[test]

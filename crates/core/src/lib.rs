@@ -5,14 +5,15 @@
 //! processing unit that lives in a DIMM's buffer chip and executes the
 //! SparseLengths (SLS) operator family against locally fetched DRAM data:
 //!
-//! * [`inst`] — the compressed 79-bit **NMP instruction** (Figure 8(d)):
-//!   opcode, embedded DDR command flags, packed DRAM coordinates, vector
-//!   size, FP32 weight, `LocalityBit` cacheability hint and `PsumTag`;
+//! * [`inst`] — the **NMP instruction** (Figure 8(d)) as the rank PU
+//!   reads it: DRAM coordinates, vector size and the `LocalityBit`
+//!   cacheability hint;
 //! * [`packet`] — **NMP packets** grouping up to 16 poolings (4-bit
-//!   PsumTag) for counter-controlled execution;
+//!   PsumTag) for counter-controlled execution, and their C/A-bus byte
+//!   cost;
 //! * [`rank_nmp`] — the per-rank module: local command decoding into a
 //!   single-rank DDR4 simulator, the memory-side [`RankCache`], and the
-//!   pipelined weighted-sum datapath with its PSum register file;
+//!   pipelined sum datapath with its PSum register file;
 //! * [`dimm_nmp`] — rank dispatch and the PSum adder tree;
 //! * [`system`] — the full channel ([`RecNmpSystem`]): the NMP-extended
 //!   memory-controller front end that streams two NMP-Insts per DRAM cycle
@@ -33,13 +34,12 @@
 //!
 //! # Examples
 //!
-//! Offload one SLS batch through the unified [`SlsBackend`] API (the
-//! [`RecNmpSystem::offload`] convenience wires the page mapping
-//! internally):
+//! Offload one SLS batch through the unified [`SlsBackend`] API, each row
+//! page-mapped into the channel:
 //!
 //! ```
-//! use recnmp::{RecNmpConfig, RecNmpSystem};
-//! use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, TraceGenerator};
+//! use recnmp::{RecNmpConfig, RecNmpSystem, SlsBackend, SlsTrace};
+//! use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, PageMapper, TraceGenerator};
 //! use recnmp_types::TableId;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,7 +51,11 @@
 //! let batch = gen.batch(8, 80);
 //!
 //! let mut sys = RecNmpSystem::new(RecNmpConfig::with_ranks(1, 2))?;
-//! let report = sys.offload(&[batch])?;
+//! let mut mapper = PageMapper::new(sys.geometry().capacity_bytes() / 4096, 7);
+//! let trace = SlsTrace::from_batches(&[batch], &mut |_, row| {
+//!     mapper.translate(row * spec.vector_bytes)
+//! });
+//! let report = sys.try_run(&trace)?;
 //! assert!(report.total_cycles > 0);
 //! assert_eq!(report.insts, 8 * 80);
 //! # Ok(())
@@ -111,7 +115,7 @@ pub mod system;
 
 pub use cluster::{ClusterConfigBuilder, RecNmpCluster, RecNmpClusterConfig};
 pub use config::{ExecutionMode, RecNmpConfig, SchedulingPolicy};
-pub use inst::{NmpInst, NmpOpcode};
+pub use inst::NmpInst;
 pub use optimizer::LocalityAwareOptimizer;
 pub use packet::{NmpPacket, PacketBuilder};
 // Re-exported so downstream crates name the unified API through `recnmp`.

@@ -58,7 +58,7 @@ mod tests {
         SlsBatch {
             table: TableId::new(0),
             spec: EmbeddingTableSpec::new(1000, 64),
-            poolings: vec![Pooling::unweighted(vec![1, 1, 1, 2, 3, 4])],
+            poolings: vec![Pooling::new(vec![1, 1, 1, 2, 3, 4])],
         }
     }
 

@@ -4,9 +4,8 @@
 //! three functions the paper describes: translating NMP instructions into
 //! low-level DDR command sequences (here: driving a single-rank cycle-level
 //! DRAM simulator through its local command decoder), managing the
-//! memory-side RankCache, and executing the SLS datapath (weight multiply,
-//! partial-sum accumulate) in a pipeline that hides behind the memory
-//! reads.
+//! memory-side RankCache, and executing the SLS datapath (partial-sum
+//! accumulate) in a pipeline that hides behind the memory reads.
 
 use recnmp_cache::{CacheStats, RankCache, RankCacheOutcome};
 use recnmp_dram::{DramAddr, MemorySystem};
@@ -14,7 +13,7 @@ use recnmp_types::{ConfigError, Cycle, RankId, SimError};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{RecNmpConfig, PIPELINE_DEPTH};
-use crate::inst::{NmpInst, NmpOpcode};
+use crate::inst::NmpInst;
 
 /// Counters kept by one rank-NMP module.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -23,8 +22,6 @@ pub struct RankNmpStats {
     pub insts: u64,
     /// 64-byte bursts read from the DRAM devices.
     pub dram_bursts: u64,
-    /// FP32 multiplies performed (weighted/quantized ops).
-    pub mults: u64,
     /// FP32 adds performed.
     pub adds: u64,
     /// Cycles this rank spent busy across all packets.
@@ -135,7 +132,8 @@ impl RankNmp {
                 "instruction routed to wrong rank"
             );
             self.stats.insts += 1;
-            self.count_datapath_ops(inst);
+            // 16 FP32 elements per 64-byte burst.
+            self.stats.adds += inst.vsize as u64 * 16;
             let line_addr = rank_local_bytes(&inst.daddr);
             let outcome = match self.cache.as_mut() {
                 Some(cache) => {
@@ -205,22 +203,6 @@ impl RankNmp {
         }
         fresh
     }
-
-    fn count_datapath_ops(&mut self, inst: &NmpInst) {
-        // 16 FP32 elements per 64-byte burst.
-        let elems = inst.vsize as u64 * 16;
-        self.stats.adds += elems;
-        match inst.opcode {
-            NmpOpcode::Sum | NmpOpcode::Mean => {}
-            NmpOpcode::WeightedSum | NmpOpcode::WeightedMean => {
-                self.stats.mults += elems;
-            }
-            NmpOpcode::WeightedSum8 | NmpOpcode::WeightedMean8 => {
-                // Dequantize (scale multiply) + weight multiply.
-                self.stats.mults += 2 * elems;
-            }
-        }
-    }
 }
 
 /// Rank-local byte address of a burst coordinate, used as the RankCache
@@ -257,18 +239,18 @@ mod tests {
         cfg
     }
 
-    fn inst(row: u32, col: u32, tag: u8) -> NmpInst {
-        NmpInst::sum(
-            DramAddr {
+    fn inst(row: u32, col: u32) -> NmpInst {
+        NmpInst {
+            daddr: DramAddr {
                 rank: 0,
                 bank_group: (row % 4) as u8,
                 bank: (row % 16 / 4) as u8,
                 row,
                 column: col,
             },
-            1,
-            tag,
-        )
+            vsize: 1,
+            locality: true,
+        }
     }
 
     #[test]
@@ -281,7 +263,7 @@ mod tests {
     #[test]
     fn single_read_latency_includes_pipeline() {
         let mut r = RankNmp::new(RankId::new(0), &config(false)).unwrap();
-        let done = r.process(0, &[(0, inst(1, 0, 0))]).unwrap();
+        let done = r.process(0, &[(0, inst(1, 0))]).unwrap();
         // ACT + RD + data + pipeline drain.
         assert!(done >= 16 + 16 + 4 + 4);
         assert_eq!(r.stats().dram_bursts, 1);
@@ -291,7 +273,7 @@ mod tests {
     #[test]
     fn cache_hit_skips_dram() {
         let mut r = RankNmp::new(RankId::new(0), &config(true)).unwrap();
-        let i = inst(1, 0, 0);
+        let i = inst(1, 0);
         r.process(0, &[(0, i)]).unwrap();
         let bursts_before = r.stats().dram_bursts;
         let done = r.process(1000, &[(1000, i)]).unwrap();
@@ -304,7 +286,7 @@ mod tests {
     #[test]
     fn low_locality_bypasses_cache() {
         let mut r = RankNmp::new(RankId::new(0), &config(true)).unwrap();
-        let mut i = inst(1, 0, 0);
+        let mut i = inst(1, 0);
         i.locality = false;
         r.process(0, &[(0, i)]).unwrap();
         r.process(1000, &[(1000, i)]).unwrap();
@@ -315,25 +297,12 @@ mod tests {
     #[test]
     fn multi_burst_vector_reads_all_bursts() {
         let mut r = RankNmp::new(RankId::new(0), &config(false)).unwrap();
-        let mut i = inst(2, 4, 0);
+        let mut i = inst(2, 4);
         i.vsize = 4; // 256-byte vector
         let done = r.process(0, &[(0, i)]).unwrap();
         assert_eq!(r.stats().dram_bursts, 4);
         // Row hit streaming: 4 bursts at tCCD_L spacing after the ACT.
         assert!(done < 70, "{done}");
-    }
-
-    #[test]
-    fn weighted_ops_count_multiplies() {
-        let mut r = RankNmp::new(RankId::new(0), &config(false)).unwrap();
-        let mut i = inst(1, 0, 0);
-        i.opcode = NmpOpcode::WeightedSum;
-        r.process(0, &[(0, i)]).unwrap();
-        assert_eq!(r.stats().mults, 16);
-        let mut q = inst(1, 1, 0);
-        q.opcode = NmpOpcode::WeightedSum8;
-        r.process(500, &[(500, q)]).unwrap();
-        assert_eq!(r.stats().mults, 16 + 32);
     }
 
     #[test]
@@ -344,17 +313,17 @@ mod tests {
             .map(|b| {
                 (
                     0,
-                    NmpInst::sum(
-                        DramAddr {
+                    NmpInst {
+                        daddr: DramAddr {
                             rank: 0,
                             bank_group: (b % 4) as u8,
                             bank: (b / 4) as u8,
                             row: 7,
                             column: 0,
                         },
-                        1,
-                        0,
-                    ),
+                        vsize: 1,
+                        locality: true,
+                    },
                 )
             })
             .collect();
@@ -367,7 +336,7 @@ mod tests {
     #[test]
     fn prefetched_vector_hits_on_demand() {
         let mut r = RankNmp::new(RankId::new(0), &config(true)).unwrap();
-        let i = inst(1, 0, 0);
+        let i = inst(1, 0);
         assert!(r.has_cache());
         assert!(r.prefetch_vector(&i.daddr, i.vsize));
         assert!(!r.prefetch_vector(&i.daddr, i.vsize)); // already staged
@@ -382,7 +351,7 @@ mod tests {
     #[test]
     fn prefetch_without_cache_is_inert() {
         let mut r = RankNmp::new(RankId::new(0), &config(false)).unwrap();
-        let i = inst(1, 0, 0);
+        let i = inst(1, 0);
         assert!(!r.has_cache());
         assert!(!r.prefetch_vector(&i.daddr, i.vsize));
     }

@@ -3,13 +3,14 @@
 //! Production servers run many SLS threads whose packets interleave at the
 //! memory controller, destroying intra-table temporal locality before it
 //! reaches the RankCache. The table-aware scheduler reorders the packet
-//! queue so packets from the same (model, table) batch issue
-//! consecutively, the same idea as thread-level memory schedulers.
+//! queue so packets for the same table issue consecutively, the same idea
+//! as thread-level memory schedulers. A trace names its batches by table
+//! only, so the table is the grouping key.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use recnmp_types::{ModelId, TableId};
+use recnmp_types::TableId;
 
 use crate::config::SchedulingPolicy;
 use crate::packet::NmpPacket;
@@ -17,7 +18,7 @@ use crate::packet::NmpPacket;
 /// Orders a packet queue according to `policy`.
 ///
 /// * [`SchedulingPolicy::Fcfs`] returns the queue unchanged.
-/// * [`SchedulingPolicy::TableAware`] groups packets by (model, table),
+/// * [`SchedulingPolicy::TableAware`] groups packets by table,
 ///   groups ordered by first appearance, preserving order within groups
 ///   (a stable grouping, so no packet starves).
 ///
@@ -30,10 +31,10 @@ pub fn schedule(packets: Vec<NmpPacket>, policy: SchedulingPolicy) -> Vec<NmpPac
         SchedulingPolicy::Fcfs => packets,
         SchedulingPolicy::TableAware => {
             let total = packets.len();
-            let mut order: Vec<(ModelId, TableId)> = Vec::new();
-            let mut groups: HashMap<(ModelId, TableId), Vec<NmpPacket>> = HashMap::new();
+            let mut order: Vec<TableId> = Vec::new();
+            let mut groups: HashMap<TableId, Vec<NmpPacket>> = HashMap::new();
             for p in packets {
-                let key = (p.model, p.table);
+                let key = p.table;
                 match groups.entry(key) {
                     Entry::Vacant(slot) => {
                         order.push(key);
@@ -55,9 +56,8 @@ pub fn schedule(packets: Vec<NmpPacket>, policy: SchedulingPolicy) -> Vec<NmpPac
 mod tests {
     use super::*;
 
-    fn packet(model: u32, table: u32, marker: usize) -> NmpPacket {
+    fn packet(table: u32, marker: usize) -> NmpPacket {
         NmpPacket {
-            model: ModelId::new(model),
             table: TableId::new(table),
             insts: Vec::new(),
             pooling_sizes: vec![marker],
@@ -66,7 +66,7 @@ mod tests {
 
     #[test]
     fn fcfs_is_identity() {
-        let q = vec![packet(0, 1, 0), packet(0, 2, 1), packet(0, 1, 2)];
+        let q = vec![packet(1, 0), packet(2, 1), packet(1, 2)];
         let out = schedule(q.clone(), SchedulingPolicy::Fcfs);
         assert_eq!(out, q);
     }
@@ -74,12 +74,7 @@ mod tests {
     #[test]
     fn table_aware_groups_by_table() {
         // Interleaved arrival: T1, T2, T1, T2.
-        let q = vec![
-            packet(0, 1, 0),
-            packet(0, 2, 1),
-            packet(0, 1, 2),
-            packet(0, 2, 3),
-        ];
+        let q = vec![packet(1, 0), packet(2, 1), packet(1, 2), packet(2, 3)];
         let out = schedule(q, SchedulingPolicy::TableAware);
         let keys: Vec<(u32, usize)> = out
             .iter()
@@ -89,25 +84,8 @@ mod tests {
     }
 
     #[test]
-    fn table_aware_distinguishes_models() {
-        // Same table id in two co-located models must not merge.
-        let q = vec![
-            packet(0, 1, 0),
-            packet(1, 1, 1),
-            packet(0, 1, 2),
-            packet(1, 1, 3),
-        ];
-        let out = schedule(q, SchedulingPolicy::TableAware);
-        let keys: Vec<(u32, usize)> = out
-            .iter()
-            .map(|p| (u32::from(p.model), p.pooling_sizes[0]))
-            .collect();
-        assert_eq!(keys, vec![(0, 0), (0, 2), (1, 1), (1, 3)]);
-    }
-
-    #[test]
     fn grouping_preserves_within_group_order() {
-        let q = vec![packet(0, 5, 10), packet(0, 5, 11), packet(0, 5, 12)];
+        let q = vec![packet(5, 10), packet(5, 11), packet(5, 12)];
         let out = schedule(q.clone(), SchedulingPolicy::TableAware);
         assert_eq!(out, q);
     }

@@ -5,12 +5,11 @@ use recnmp_backend::{RunReport, SlsBackend, SlsTrace};
 use recnmp_cache::CacheStats;
 use recnmp_dram::address::{AddressMapping, Geometry};
 use recnmp_dram::DramStats;
-use recnmp_trace::{PageMapper, SlsBatch};
-use recnmp_types::{ConfigError, Cycle, ModelId, PhysAddr, SimError};
+use recnmp_types::{ConfigError, Cycle, PhysAddr, SimError};
 
 use crate::config::{ExecutionMode, RecNmpConfig, INSTS_PER_CYCLE};
 use crate::dimm_nmp::DimmNmp;
-use crate::inst::{NmpInst, NmpOpcode};
+use crate::inst::NmpInst;
 use crate::optimizer::LocalityAwareOptimizer;
 use crate::packet::{NmpPacket, PacketBuilder};
 
@@ -49,7 +48,6 @@ struct RunMark {
     dram: DramStats,
     dram_bursts: u64,
     alu_adds: u64,
-    alu_mults: u64,
 }
 
 /// One RecNMP-equipped memory channel: the NMP-extended controller front
@@ -157,7 +155,6 @@ impl RecNmpSystem {
             dram: agg.dram,
             dram_bursts: agg.dram_bursts,
             alu_adds: agg.alu_adds,
-            alu_mults: agg.alu_mults,
         }
     }
 
@@ -186,7 +183,8 @@ impl RecNmpSystem {
             gathered_bytes: self.session.gathered_bytes - mark.gathered_bytes,
             io_bytes: self.session.io_bytes - mark.io_bytes,
             alu_adds: agg.alu_adds - mark.alu_adds,
-            alu_mults: agg.alu_mults - mark.alu_mults,
+            // Every kernel is a plain sum: the datapath only adds.
+            alu_mults: 0,
             query_completions: Vec::new(),
             // Host-cache and prefetch accounting live in the serving
             // scheduler, which owns the host cache and the prefetch
@@ -230,7 +228,6 @@ impl RecNmpSystem {
                 add_dram(&mut agg.dram, rank.dram_stats());
                 agg.dram_bursts += rank.stats().dram_bursts;
                 agg.alu_adds += rank.stats().adds;
-                agg.alu_mults += rank.stats().mults;
             }
         }
         agg
@@ -378,41 +375,6 @@ impl RecNmpSystem {
         self.count_scratch = rank_counts;
         Ok(self.report_since(&mark))
     }
-
-    /// Convenience entry point: compiles, optimizes and runs a set of SLS
-    /// batches using an internally managed page mapping (each table gets
-    /// contiguous logical space mapped to random physical pages).
-    ///
-    /// Experiments that need a *shared* mapping with other backends should
-    /// build an [`SlsTrace`] and use the [`SlsBackend`] entry point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] if a batch's table spec is
-    /// inconsistent or the batches mix vector sizes, or
-    /// [`SimError::Stalled`] if the channel livelocks.
-    pub fn offload(&mut self, batches: &[SlsBatch]) -> Result<RunReport, SimError> {
-        let geo = self.geometry();
-        let mut mapper = PageMapper::new(geo.capacity_bytes() / 4096, 0x5eed);
-        let mut trace = SlsTrace::default();
-        let mut base = 0u64;
-        for batch in batches {
-            batch.spec.validate()?;
-            let vector_bytes = batch.spec.vector_bytes;
-            if !trace.is_empty() && trace.vector_bytes() != vector_bytes {
-                let msg = "batches of one offload must share a vector size";
-                return Err(SimError::Config(ConfigError::new("vector_bytes", msg)));
-            }
-            trace.push_batch(batch.table, batch.spec);
-            for p in &batch.poolings {
-                trace.push_pooling(p.indices.iter().copied(), &p.weights, |row| {
-                    mapper.translate(base + row * vector_bytes)
-                });
-            }
-            base += batch.spec.bytes();
-        }
-        SlsBackend::try_run(self, &trace)
-    }
 }
 
 /// Aggregated cumulative hardware counters across all ranks.
@@ -422,7 +384,6 @@ struct RankAggregates {
     dram: DramStats,
     dram_bursts: u64,
     alu_adds: u64,
-    alu_mults: u64,
 }
 
 /// Compiles a shared [`SlsTrace`] into this channel's scheduled packet
@@ -435,7 +396,7 @@ pub fn compile_trace(
     mapping: AddressMapping,
     trace: &SlsTrace,
 ) -> Vec<NmpPacket> {
-    let builder = PacketBuilder::new(NmpOpcode::Sum, config.poolings_per_packet, mapping, geo);
+    let builder = PacketBuilder::new(config.poolings_per_packet, mapping, geo);
     let optimizer = LocalityAwareOptimizer::from_config(config);
     // Round-robin across batches, one packet per batch per round: each
     // batch's packet chunks are compiled as their turn comes.
@@ -449,12 +410,10 @@ pub fn compile_trace(
         .collect();
     let total = streams.iter().map(|(chunks, _)| chunks.len()).sum();
     let mut interleaved = Vec::with_capacity(total);
-    let mut last_row = Vec::new();
     while interleaved.len() < total {
         for (chunks, profile) in &mut streams {
             if let Some(chunk) = chunks.next() {
-                let model = ModelId::new(0);
-                interleaved.push(builder.packet(model, chunk, profile.as_ref(), &mut last_row));
+                interleaved.push(builder.packet(chunk, profile.as_ref()));
             }
         }
     }
@@ -527,7 +486,9 @@ impl SlsBackend for RecNmpSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, TraceGenerator};
+    use recnmp_trace::{
+        EmbeddingTableSpec, IndexDistribution, PageMapper, SlsBatch, TraceGenerator,
+    };
     use recnmp_types::TableId;
 
     fn batches(n_tables: u32, batch: usize) -> Vec<SlsBatch> {
@@ -549,24 +510,21 @@ mod tests {
         cfg
     }
 
-    #[test]
-    fn offload_rejects_vectors_past_the_vsize_field() {
-        // 16,384 bytes is 256 bursts, which the instruction's u8 `vsize`
-        // would wrap to 0.
-        let mut sys = RecNmpSystem::new(quiet(RecNmpConfig::with_ranks(1, 2))).unwrap();
-        let mut wide = batches(1, 1);
-        wide[0].spec = EmbeddingTableSpec::new(1_000_000, 16_384);
-        assert!(matches!(sys.offload(&wide), Err(SimError::Config(_))));
-        // Mixed vector sizes are a config error too, not a panic.
-        let mut mixed = batches(2, 1);
-        mixed[1].spec = EmbeddingTableSpec::new(1_000_000, 64);
-        assert!(matches!(sys.offload(&mixed), Err(SimError::Config(_))));
+    /// Runs `batches` on `sys`, each table in its own contiguous logical
+    /// range, mapped to seeded random pages of the channel.
+    fn run(sys: &mut RecNmpSystem, batches: &[SlsBatch]) -> RunReport {
+        let mut mapper = PageMapper::new(sys.geometry().capacity_bytes() / 4096, 0x5eed);
+        let spec = EmbeddingTableSpec::dlrm_default();
+        let trace = SlsTrace::from_batches(batches, &mut |t, row| {
+            mapper.translate(t as u64 * spec.bytes() + row * spec.vector_bytes)
+        });
+        sys.try_run(&trace).unwrap()
     }
 
     #[test]
-    fn offload_runs_all_instructions() {
+    fn a_run_executes_all_instructions() {
         let mut sys = RecNmpSystem::new(quiet(RecNmpConfig::with_ranks(1, 2))).unwrap();
-        let report = sys.offload(&batches(1, 8)).unwrap();
+        let report = run(&mut sys, &batches(1, 8));
         assert_eq!(report.insts, 8 * 80);
         assert_eq!(report.packets, 1);
         assert!(report.total_cycles > 0);
@@ -577,7 +535,7 @@ mod tests {
     fn more_ranks_run_faster() {
         let run = |dimms, ranks| {
             let mut sys = RecNmpSystem::new(quiet(RecNmpConfig::with_ranks(dimms, ranks))).unwrap();
-            sys.offload(&batches(2, 16)).unwrap().total_cycles
+            run(&mut sys, &batches(2, 16)).total_cycles
         };
         let two = run(1, 2);
         let eight = run(4, 2);
@@ -595,8 +553,8 @@ mod tests {
         let w = batches(1, 32);
         let mut base = RecNmpSystem::new(base_cfg).unwrap();
         let mut cached = RecNmpSystem::new(cached_cfg).unwrap();
-        let rb = base.offload(&w).unwrap();
-        let rc = cached.offload(&w).unwrap();
+        let rb = run(&mut base, &w);
+        let rc = run(&mut cached, &w);
         assert_eq!(rb.insts, rc.insts);
         assert!(
             rc.dram_bursts < rb.dram_bursts,
@@ -614,7 +572,7 @@ mod tests {
             let mut cfg = quiet(RecNmpConfig::with_ranks(4, 2));
             cfg.poolings_per_packet = ppp;
             let mut sys = RecNmpSystem::new(cfg).unwrap();
-            sys.offload(&batches(1, 16)).unwrap().total_cycles
+            run(&mut sys, &batches(1, 16)).total_cycles
         };
         let one = run(1);
         let eight = run(8);
@@ -627,7 +585,7 @@ mod tests {
             let mut cfg = quiet(RecNmpConfig::with_ranks(4, 2));
             cfg.poolings_per_packet = ppp;
             let mut sys = RecNmpSystem::new(cfg).unwrap();
-            sys.offload(&batches(1, 16)).unwrap().mean_imbalance()
+            run(&mut sys, &batches(1, 16)).mean_imbalance()
         };
         let small = imb(1);
         let large = imb(8);
@@ -696,7 +654,7 @@ mod tests {
     #[test]
     fn report_accounting_consistent() {
         let mut sys = RecNmpSystem::new(quiet(RecNmpConfig::with_ranks(2, 2))).unwrap();
-        let report = sys.offload(&batches(2, 8)).unwrap();
+        let report = run(&mut sys, &batches(2, 8));
         assert_eq!(report.packet_latencies.len(), report.packets);
         assert_eq!(report.slowest_rank_fraction.len(), report.packets);
         assert_eq!(report.gathered_bytes, report.insts * 128);
@@ -705,9 +663,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_offload_is_zero() {
+    fn empty_trace_is_zero() {
         let mut sys = RecNmpSystem::new(quiet(RecNmpConfig::with_ranks(1, 2))).unwrap();
-        let report = sys.offload(&[]).unwrap();
+        let report = run(&mut sys, &[]);
         assert_eq!(report.total_cycles, 0);
         assert_eq!(report.packets, 0);
     }
@@ -719,8 +677,8 @@ mod tests {
         // forever. Every field must now cover one run only.
         let mut sys = RecNmpSystem::new(quiet(RecNmpConfig::with_ranks(1, 2))).unwrap();
         let w = batches(2, 8);
-        let first = sys.offload(&w).unwrap();
-        let second = sys.offload(&w).unwrap();
+        let first = run(&mut sys, &w);
+        let second = run(&mut sys, &w);
         assert_eq!(first.packets, second.packets);
         assert_eq!(first.insts, second.insts);
         assert_eq!(first.packet_latencies.len(), second.packet_latencies.len());

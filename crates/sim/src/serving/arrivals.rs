@@ -366,13 +366,13 @@ impl QueryStream {
         };
         // Draw straight into columns sized exactly for the query.
         let lookups = tables.iter().map(|&(_, pooling)| batch * pooling).sum();
-        let mut trace = SlsTrace::with_capacity(tables.len(), tables.len() * batch, lookups, false);
+        let mut trace = SlsTrace::with_capacity(tables.len(), tables.len() * batch, lookups);
         for (t, pooling) in tables {
             let g = &mut self.gens[t];
             trace.push_batch(g.table(), *g.spec());
             for _ in 0..batch {
                 let rows = (0..pooling).map(|_| g.next_index());
-                trace.push_pooling(rows, &[], |row| {
+                trace.push_pooling(rows, |row| {
                     PhysAddr::new(((t as u64) << 31) ^ (row * 131 * 128))
                 });
             }

@@ -3,14 +3,10 @@
 //! Fair comparisons require every system to serve the *same* physical
 //! address trace. [`TableLayout`] owns the logical layout (tables
 //! contiguous in logical space) and one OS page mapper; [`SlsWorkload`]
-//! generates the batches and derives, from a single source of truth, both
-//! the flat vector trace (host baseline, TensorDIMM, Chameleon) and the
-//! NMP packet stream (RecNMP).
+//! generates the batches and translates them into the one [`SlsTrace`]
+//! every system serves.
 
-use recnmp::packet::NmpPacket;
-use recnmp::RecNmpConfig;
 use recnmp_backend::SlsTrace;
-use recnmp_dram::address::{AddressMapping, Geometry};
 use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, PageMapper, SlsBatch, TraceGenerator};
 use recnmp_types::{PhysAddr, TableId};
 
@@ -171,18 +167,6 @@ impl SlsWorkload {
     pub fn trace(&self, translate: &mut dyn FnMut(usize, u64) -> PhysAddr) -> SlsTrace {
         SlsTrace::from_batches(&self.batches, translate)
     }
-
-    /// Compiles the workload into scheduled NMP packets for `config`,
-    /// applying the configured profiling and scheduling.
-    pub fn packets(
-        &self,
-        config: &RecNmpConfig,
-        geo: Geometry,
-        mapping: AddressMapping,
-        translate: &mut dyn FnMut(usize, u64) -> PhysAddr,
-    ) -> Vec<NmpPacket> {
-        recnmp::compile_trace(config, geo, mapping, &self.trace(translate))
-    }
 }
 
 #[cfg(test)]
@@ -214,19 +198,6 @@ mod tests {
             w1.trace(&mut |t, r| l1.translate(t, r)),
             w2.trace(&mut |t, r| l2.translate(t, r))
         );
-    }
-
-    #[test]
-    fn packets_cover_all_lookups() {
-        let w = SlsWorkload::build(TraceKind::Random, 2, 2, 8, 20, 5);
-        let cfg = RecNmpConfig::with_ranks(1, 2);
-        let mut layout = TableLayout::random(&w.specs, 16 << 30, 5);
-        let geo = Geometry::ddr4_8gb_x8(2);
-        let packets = w.packets(&cfg, geo, AddressMapping::SkylakeXor, &mut |t, r| {
-            layout.translate(t, r)
-        });
-        let insts: usize = packets.iter().map(NmpPacket::len).sum();
-        assert_eq!(insts, w.total_lookups());
     }
 
     #[test]

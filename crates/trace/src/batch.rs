@@ -6,34 +6,16 @@ use serde::{Deserialize, Serialize};
 use crate::spec::EmbeddingTableSpec;
 
 /// One pooling: the set of rows reduced into a single output vector.
-///
-/// Weighted SLS variants carry one weight per index; the unweighted
-/// variants leave `weights` empty (implicitly all ones).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Pooling {
     /// Row indices gathered by this pooling.
     pub indices: Vec<u64>,
-    /// Optional per-index weights (same length as `indices` when present).
-    pub weights: Vec<f32>,
 }
 
 impl Pooling {
-    /// Creates an unweighted pooling.
-    pub fn unweighted(indices: Vec<u64>) -> Self {
-        Self {
-            indices,
-            weights: Vec::new(),
-        }
-    }
-
-    /// Creates a weighted pooling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn weighted(indices: Vec<u64>, weights: Vec<f32>) -> Self {
-        assert_eq!(indices.len(), weights.len(), "one weight per index");
-        Self { indices, weights }
+    /// Creates a pooling of `indices`.
+    pub fn new(indices: Vec<u64>) -> Self {
+        Self { indices }
     }
 
     /// Lookup count.
@@ -44,11 +26,6 @@ impl Pooling {
     /// True when the pooling gathers nothing.
     pub fn is_empty(&self) -> bool {
         self.indices.is_empty()
-    }
-
-    /// Weight of lookup `i` (1.0 when unweighted).
-    pub fn weight(&self, i: usize) -> f32 {
-        self.weights.get(i).copied().unwrap_or(1.0)
     }
 }
 
@@ -96,10 +73,7 @@ mod tests {
         SlsBatch {
             table: TableId::new(0),
             spec: EmbeddingTableSpec::new(100, 64),
-            poolings: vec![
-                Pooling::unweighted(vec![1, 2, 3]),
-                Pooling::weighted(vec![4, 5], vec![0.5, 2.0]),
-            ],
+            poolings: vec![Pooling::new(vec![1, 2, 3]), Pooling::new(vec![4, 5])],
         }
     }
 
@@ -112,22 +86,8 @@ mod tests {
     }
 
     #[test]
-    fn weights_default_to_one() {
-        let p = Pooling::unweighted(vec![7]);
-        assert_eq!(p.weight(0), 1.0);
-        let w = Pooling::weighted(vec![7], vec![0.25]);
-        assert_eq!(w.weight(0), 0.25);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per index")]
-    fn weighted_checks_lengths() {
-        Pooling::weighted(vec![1, 2], vec![1.0]);
-    }
-
-    #[test]
     fn empty_pooling() {
-        let p = Pooling::unweighted(vec![]);
+        let p = Pooling::new(vec![]);
         assert!(p.is_empty());
         assert_eq!(p.len(), 0);
     }

@@ -175,7 +175,7 @@ impl TraceGenerator {
             table: self.table,
             spec: self.spec,
             poolings: (0..batch_size)
-                .map(|_| Pooling::unweighted(self.flat(pooling_factor)))
+                .map(|_| Pooling::new(self.flat(pooling_factor)))
                 .collect(),
         }
     }

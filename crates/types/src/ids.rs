@@ -55,11 +55,6 @@ id_type!(
     "T"
 );
 id_type!(
-    /// Identifies one co-located model instance on a machine.
-    ModelId,
-    "M"
-);
-id_type!(
     /// Identifies a DRAM rank within a memory channel (DIMM-major order).
     RankId,
     "rank"
@@ -84,7 +79,6 @@ mod tests {
     fn display_uses_prefix() {
         assert_eq!(TableId::new(3).to_string(), "T3");
         assert_eq!(RankId::new(0).to_string(), "rank0");
-        assert_eq!(ModelId::new(7).to_string(), "M7");
         assert_eq!(DimmId::new(1).to_string(), "dimm1");
         assert_eq!(NodeId::new(2).to_string(), "node2");
     }

@@ -32,7 +32,7 @@ pub mod units;
 
 pub use addr::PhysAddr;
 pub use error::{ConfigError, SimError};
-pub use ids::{DimmId, ModelId, NodeId, RankId, TableId};
+pub use ids::{DimmId, NodeId, RankId, TableId};
 pub use units::ByteSize;
 
 /// A simulator clock cycle count.

@@ -1,11 +1,9 @@
 //! Integration: the full pipeline from trace generation through packets,
 //! the RecNMP system and the baselines, spanning every crate.
 
-use recnmp::{RecNmpConfig, RecNmpSystem};
+use recnmp::RecNmpConfig;
 use recnmp_sim::speedup::SpeedupEngine;
 use recnmp_sim::workload::{SlsWorkload, TraceKind};
-use recnmp_trace::{EmbeddingTableSpec, IndexDistribution, TraceGenerator};
-use recnmp_types::TableId;
 
 fn quiet(mut cfg: RecNmpConfig) -> RecNmpConfig {
     cfg.refresh = false;
@@ -75,29 +73,6 @@ fn rank_scaling_is_monotonic() {
         );
         prev = cpl;
     }
-}
-
-#[test]
-fn offload_convenience_path_matches_manual_path_shape() {
-    // RecNmpSystem::offload wires builder + optimizer + mapper internally;
-    // it must execute every lookup of every batch.
-    let spec = EmbeddingTableSpec::dlrm_default();
-    let batches: Vec<_> = (0..3u32)
-        .map(|t| {
-            TraceGenerator::new(
-                TableId::new(t),
-                spec,
-                IndexDistribution::Zipf { s: 0.9 },
-                5 + t as u64,
-            )
-            .batch(8, 40)
-        })
-        .collect();
-    let mut sys = RecNmpSystem::new(quiet(RecNmpConfig::optimized(1, 2))).expect("system");
-    let report = sys.offload(&batches).expect("offload");
-    assert_eq!(report.insts, 3 * 8 * 40);
-    assert_eq!(report.packets, 3); // 8 poolings per packet
-    assert!(report.total_cycles > 0);
 }
 
 #[test]

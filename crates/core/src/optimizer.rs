@@ -35,11 +35,17 @@ impl LocalityAwareOptimizer {
     /// into `LocalityBit` hints, when profiling is enabled. The threshold
     /// is swept 0..=max and the value with the best predicted hit rate
     /// wins, as in the paper.
+    ///
+    /// Returns `None`, which marks every lookup cacheable, when profiling
+    /// is off and whenever the sweep would mark every row of the batch hot
+    /// anyway: a batch with no more lookups than the RankCache has lines
+    /// (not even counted) or one whose best threshold is 0 (see
+    /// [`HotEntryProfiler::hints`]).
     pub fn profile_batch(&self, rows: &[u32]) -> Option<HotEntryProfile> {
-        if !self.profiling || self.cache_lines == 0 {
+        if !self.profiling {
             return None;
         }
-        Some(HotEntryProfiler::new().sweep(rows, self.cache_lines, self.max_threshold))
+        HotEntryProfiler::new().hints(rows, self.cache_lines, self.max_threshold)
     }
 
     /// Orders the packet queue.
@@ -78,12 +84,21 @@ mod tests {
 
     #[test]
     fn optimized_config_profiles() {
-        let opt = LocalityAwareOptimizer::from_config(&RecNmpConfig::optimized(1, 2));
+        let mut opt = LocalityAwareOptimizer::from_config(&RecNmpConfig::optimized(1, 2));
         assert!(opt.profiling);
         assert_eq!(opt.cache_lines, 2048);
-        let profile = opt.profile_batch(&rows()).expect("profiling enabled");
-        // Row 1 repeats; with any positive threshold it is the hot one.
-        assert!(profile.is_hot(1) || profile.threshold == 0);
+        // Six lookups fit 2,048 lines: every row is hot, no profile needed.
+        assert!(opt.profile_batch(&rows()).is_none());
+        // Row 1 recurs between pairs of single-use rows that thrash two
+        // lines unless they are filtered.
+        opt.cache_lines = 2;
+        let thrashing: Vec<u32> = (0..40)
+            .flat_map(|i| [1, 100 + 2 * i, 101 + 2 * i])
+            .collect();
+        let profile = opt.profile_batch(&thrashing).expect("cold rows filtered");
+        assert!(profile.threshold > 0);
+        assert!(profile.is_hot(1));
+        assert!(!profile.is_hot(100));
     }
 
     #[test]

@@ -102,7 +102,8 @@ impl PacketBuilder {
     /// row and translated address from the trace. `profile`, when
     /// present, supplies the hot-entry `LocalityBit` hints; without it
     /// every instruction is marked cacheable (the unprofiled
-    /// RecNMP-cache configuration).
+    /// RecNMP-cache configuration, and the bits of any profile that marks
+    /// every row of the batch hot).
     pub fn build(&self, batch: BatchView<'_>, profile: Option<&HotEntryProfile>) -> Vec<NmpPacket> {
         (batch.chunks(self.poolings_per_packet))
             .map(|chunk| self.packet(chunk, profile))

@@ -319,15 +319,10 @@ impl QueryStream {
         } else {
             IndexDistribution::Zipf { s: shape.row_skew }
         };
+        // Every table shares table 0's sampler: one head table per stream.
+        let first = TraceGenerator::new(TableId::new(0), spec, dist, seed);
         let gens = (0..shape.tables)
-            .map(|t| {
-                TraceGenerator::new(
-                    TableId::new(t as u32),
-                    spec,
-                    dist,
-                    seed.wrapping_add(131 * t as u64),
-                )
-            })
+            .map(|t| first.for_table(TableId::new(t as u32), seed.wrapping_add(131 * t as u64)))
             .collect();
         let sampler = (shape.sample_tables > 0).then(|| {
             (

@@ -1,5 +1,7 @@
 //! Index-stream generators.
 
+use std::sync::Arc;
+
 use recnmp_types::rng::DetRng;
 use recnmp_types::TableId;
 use serde::{Deserialize, Serialize};
@@ -46,8 +48,9 @@ pub struct TraceGenerator {
     spec: EmbeddingTableSpec,
     dist: IndexDistribution,
     /// The Zipf sampler of `dist`, built once: its constants depend only
-    /// on the row count and the skew.
-    zipf: Option<Zipf>,
+    /// on the row count and the skew, so generators made with
+    /// [`for_table`](Self::for_table) share it.
+    zipf: Option<Arc<Zipf>>,
     rng: DetRng,
     /// Multiplier of the rank→row permutation (a prime not dividing
     /// `rows`, so coprime with it).
@@ -88,16 +91,16 @@ impl TraceGenerator {
         }
         let zipf = match dist {
             IndexDistribution::Uniform => None,
-            IndexDistribution::Zipf { s } => {
-                Some(Zipf::new(spec.rows, s).expect("valid Zipf parameters"))
-            }
+            IndexDistribution::Zipf { s } => Some(Arc::new(
+                Zipf::new(spec.rows, s).expect("valid Zipf parameters"),
+            )),
         };
         Self {
             table,
             spec,
             dist,
             zipf,
-            rng: DetRng::seed(seed ^ (u32::from(table) as u64) << 32),
+            rng: Self::rng(table, seed),
             perm_mult: if spec.rows.is_multiple_of(PERM_PRIME) {
                 PERM_PRIME_ALT
             } else {
@@ -107,6 +110,27 @@ impl TraceGenerator {
             history: std::collections::VecDeque::new(),
             history_cap: 0,
         }
+    }
+
+    /// A generator for `table` with this generator's spec and
+    /// distribution, sharing its Zipf sampler instead of building another.
+    /// It draws exactly what [`new`](Self::new) with the same spec,
+    /// distribution and `seed` would, without burst reuse.
+    pub fn for_table(&self, table: TableId, seed: u64) -> Self {
+        Self {
+            table,
+            zipf: self.zipf.clone(),
+            rng: Self::rng(table, seed),
+            reuse_p: 0.0,
+            history: std::collections::VecDeque::new(),
+            history_cap: 0,
+            ..*self
+        }
+    }
+
+    /// The draw stream of `table` under `seed`.
+    fn rng(table: TableId, seed: u64) -> DetRng {
+        DetRng::seed(seed ^ (u32::from(table) as u64) << 32)
     }
 
     /// Enables bursty temporal reuse: each lookup re-references one of the
@@ -239,6 +263,24 @@ mod tests {
                 451653, 488442, 613224, 0
             ]
         );
+    }
+
+    #[test]
+    fn for_table_shares_the_sampler_and_draws_as_new() {
+        for dist in [
+            IndexDistribution::Zipf { s: 1.2 },
+            IndexDistribution::Uniform,
+        ] {
+            let first =
+                TraceGenerator::new(TableId::new(0), spec(), dist, 7).with_burst_reuse(0.5, 4);
+            let mut shared = first.for_table(TableId::new(5), 9);
+            let mut own = TraceGenerator::new(TableId::new(5), spec(), dist, 9);
+            assert_eq!(shared.flat(200), own.flat(200));
+            match (&first.zipf, &shared.zipf) {
+                (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, b)),
+                (a, b) => assert!(a.is_none() && b.is_none()),
+            }
+        }
     }
 
     #[test]

@@ -35,21 +35,35 @@
 //! Thresholds at or above the largest count have an empty hot set and no
 //! hits, so they can never beat a lower one: `T` is clamped to
 //! `min(max_threshold, largest count) + 1`.
+//!
+//! # Levels whose hot rows fit the cache
+//!
+//! Let `D_t` be the number of rows accessed more than `t` times: the hot
+//! set at threshold `t`. When `D_t ≤ cache_lines`, the cache (which holds
+//! only hot rows) never fills past its capacity, so no hot row is ever
+//! evicted: a hot row's first access misses and every later one hits, and
+//! `hits(t) = Σ_{c > t} (c − 1)` over the rows' access counts `c`, with no
+//! pass over the accesses. The stack-distance pass runs only for the
+//! levels with `D_t > cache_lines`, and those lead, because `D_t` never
+//! rises with `t`. The closed form never rises with `t` either, so the
+//! first fitting level scores at least as many hits as every later one,
+//! and under the lowest-wins tie rule the later ones are not scored.
+//!
+//! When level 0 fits, in particular when the batch has no more accesses
+//! than the cache has lines, threshold 0 wins and every row of the batch
+//! is hot: the bits a batch without a profile gets anyway.
+//! [`HotEntryProfiler::hints`] returns `None` then, and for a batch that
+//! short it runs no counting pass either.
 
-use std::collections::HashSet;
-
-use recnmp_types::hash::U64Map;
-use serde::{Deserialize, Serialize};
+use recnmp_types::hash::{U64Map, U64Set};
 
 /// Result of profiling one batch of indices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HotEntryProfile {
     /// Threshold used: entries with `count > threshold` are hot.
     pub threshold: u64,
     /// The hot row indices.
-    pub hot: HashSet<u64>,
-    /// Fraction of *accesses* (not rows) that target hot rows.
-    pub hot_access_fraction: f64,
+    pub hot: U64Set,
 }
 
 impl HotEntryProfile {
@@ -82,8 +96,9 @@ impl HotEntryProfiler {
     /// maximizes the hit rate of an LRU cache with `cache_lines` lines when
     /// only hot entries are cached (the paper's selection procedure).
     ///
-    /// All thresholds are scored in one stack-distance pass (see the module
-    /// docs); the first threshold with the strictly largest hit count wins.
+    /// All thresholds are scored in one stack-distance pass, and levels
+    /// whose hot rows fit the cache in closed form (see the module docs);
+    /// the first threshold with the strictly largest hit count wins.
     pub fn sweep(
         &self,
         indices: &[u32],
@@ -91,17 +106,29 @@ impl HotEntryProfiler {
         max_threshold: u64,
     ) -> HotEntryProfile {
         let counts = RowCounts::of(indices);
-        // The clamped threshold is at most the largest count, itself at most
-        // `indices.len()`, so neither the cast nor the `+ 1` can overflow.
-        let levels = max_threshold.min(counts.max_count() as u64) as usize + 1;
-        let hits = counts.hint_hits(cache_lines, levels);
-        let mut best = 0;
-        for (t, &h) in hits.iter().enumerate() {
-            if h > hits[best] {
-                best = t;
-            }
+        counts.profile(counts.best_threshold(cache_lines, max_threshold))
+    }
+
+    /// The [`sweep`](Self::sweep) profile when it leaves some row cold.
+    ///
+    /// Returns `None` when the sweep would mark every row of the batch hot,
+    /// which is what a batch without a profile gets anyway: without a
+    /// counting pass when `indices` has at most `cache_lines` accesses,
+    /// and otherwise whenever the sweep picks threshold 0.
+    pub fn hints(
+        &self,
+        indices: &[u32],
+        cache_lines: usize,
+        max_threshold: u64,
+    ) -> Option<HotEntryProfile> {
+        if indices.len() <= cache_lines {
+            return None;
         }
-        counts.profile(best as u64)
+        let counts = RowCounts::of(indices);
+        match counts.best_threshold(cache_lines, max_threshold) {
+            0 => None,
+            t => Some(counts.profile(t)),
+        }
     }
 }
 
@@ -140,24 +167,44 @@ impl RowCounts {
 
     /// The rows accessed more than `threshold` times.
     fn profile(&self, threshold: u64) -> HotEntryProfile {
-        let mut hot = HashSet::new();
-        let mut hot_accesses = 0;
-        for (&row, &c) in self.rows.iter().zip(&self.counts) {
-            if c as u64 > threshold {
-                hot.insert(u64::from(row));
-                hot_accesses += c;
+        let hot = (self.rows.iter().zip(&self.counts))
+            .filter(|&(_, &c)| c as u64 > threshold)
+            .map(|(&row, _)| u64::from(row))
+            .collect();
+        HotEntryProfile { threshold, hot }
+    }
+
+    /// The threshold in `0..=max_threshold` whose hot-only LRU cache of
+    /// `cache_lines` lines hits most often, the lowest on a tie.
+    fn best_threshold(&self, cache_lines: usize, max_threshold: u64) -> u64 {
+        // The clamped threshold is at most the largest count, itself at most
+        // the batch length, so neither the cast nor the `+ 1` can overflow.
+        let levels = max_threshold.min(self.max_count() as u64) as usize + 1;
+        // `hot_rows[t]` is D_t, the rows accessed more than `t` times.
+        let mut hot_rows = vec![0; levels];
+        for &c in &self.counts {
+            hot_rows[..levels.min(c)].iter_mut().for_each(|d| *d += 1);
+        }
+        let overflowing = (hot_rows.iter()).take_while(|&&d| d > cache_lines).count();
+        if overflowing == 0 {
+            // Every level fits, and the closed form peaks at level 0.
+            return 0;
+        }
+        let mut hits = self.hint_hits(cache_lines, overflowing);
+        if overflowing < levels {
+            // The first level that fits; no later one can beat it.
+            let fitting = (self.counts.iter())
+                .filter(|&&c| c > overflowing)
+                .map(|&c| c as u64 - 1);
+            hits.push(fitting.sum());
+        }
+        let mut best = 0;
+        for (t, &h) in hits.iter().enumerate() {
+            if h > hits[best] {
+                best = t;
             }
         }
-        let hot_access_fraction = if self.ids.is_empty() {
-            0.0
-        } else {
-            hot_accesses as f64 / self.ids.len() as f64
-        };
-        HotEntryProfile {
-            threshold,
-            hot,
-            hot_access_fraction,
-        }
+        best as u64
     }
 
     /// Hits of the hot-only LRU cache under each threshold `0..levels`.
@@ -247,12 +294,12 @@ mod tests {
     use crate::{EmbeddingTableSpec, IndexDistribution, TraceGenerator};
     use proptest::prelude::*;
     use recnmp_types::TableId;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     /// Simulates a small fully-associative LRU cache in which only hinted
     /// rows allocate; returns the hit rate over all accesses. The reference
     /// the stack-distance pass is checked against.
-    fn simulate_hint_hit_rate(indices: &[u32], hot: &HashSet<u64>, cache_lines: usize) -> f64 {
+    fn simulate_hint_hit_rate(indices: &[u32], hot: &U64Set, cache_lines: usize) -> f64 {
         if indices.is_empty() || cache_lines == 0 {
             return 0.0;
         }
@@ -282,24 +329,13 @@ mod tests {
     ) -> HotEntryProfile {
         let mut best: Option<(f64, HotEntryProfile)> = None;
         for t in 0..=max_threshold {
-            let hot: HashSet<u64> = indices
+            let hot: U64Set = indices
                 .iter()
                 .copied()
                 .filter(|&i| indices.iter().filter(|&&x| x == i).count() as u64 > t)
                 .map(u64::from)
                 .collect();
-            let hot_accesses = (indices.iter())
-                .filter(|&&i| hot.contains(&u64::from(i)))
-                .count();
-            let profile = HotEntryProfile {
-                threshold: t,
-                hot_access_fraction: if indices.is_empty() {
-                    0.0
-                } else {
-                    hot_accesses as f64 / indices.len() as f64
-                },
-                hot,
-            };
+            let profile = HotEntryProfile { threshold: t, hot };
             let rate = simulate_hint_hit_rate(indices, &profile.hot, cache_lines);
             let better = match &best {
                 None => true,
@@ -335,7 +371,7 @@ mod tests {
         assert!(prof.is_hot(1));
         assert!(prof.is_hot(2));
         assert!(!prof.is_hot(3));
-        assert!((prof.hot_access_fraction - 5.0 / 6.0).abs() < 1e-12);
+        assert_eq!(prof.hot.len(), 2);
     }
 
     #[test]
@@ -343,15 +379,15 @@ mod tests {
         let p = HotEntryProfiler::new();
         let prof = p.profile(&[5, 6, 7], 0);
         assert_eq!(prof.hot.len(), 3);
-        assert_eq!(prof.hot_access_fraction, 1.0);
+        assert!([5, 6, 7].iter().all(|&r| prof.is_hot(r)));
     }
 
     #[test]
     fn empty_batch_is_harmless() {
         let p = HotEntryProfiler::new();
         let prof = p.profile(&[], 1);
+        assert_eq!(prof.threshold, 1);
         assert!(prof.hot.is_empty());
-        assert_eq!(prof.hot_access_fraction, 0.0);
     }
 
     #[test]
@@ -375,7 +411,7 @@ mod tests {
 
     #[test]
     fn hint_simulation_counts_resident_hits_only() {
-        let hot: HashSet<u64> = [1].into_iter().collect();
+        let hot: U64Set = [1].into_iter().collect();
         // 1 allocates, 2 never allocates.
         let rate = simulate_hint_hit_rate(&[1, 2, 1, 2, 1], &hot, 4);
         assert!((rate - 2.0 / 5.0).abs() < 1e-12);
@@ -403,6 +439,28 @@ mod tests {
                 brute_force_sweep(&indices, 2048, 4)
             );
         }
+    }
+
+    #[test]
+    fn batches_that_fit_the_cache_get_no_hints() {
+        let p = HotEntryProfiler::new();
+        // No more accesses than lines: every row is hot, uncounted.
+        let same = vec![9; 300];
+        assert_eq!(p.hints(&same, 300, 4), None);
+        assert_eq!(p.sweep(&same, 300, 4).threshold, 0);
+        // More accesses than lines, but every distinct row fits.
+        let indices = zipf_batch(7);
+        let distinct = indices.iter().collect::<HashSet<_>>().len();
+        assert!(
+            (1025..=2048).contains(&distinct),
+            "{distinct} distinct rows"
+        );
+        assert_eq!(p.hints(&indices, 2048, 4), None);
+        assert_eq!(p.sweep(&indices, 2048, 4).threshold, 0);
+        // Thrashing a small cache filters the single-use rows.
+        let hints = p.hints(&indices, 64, 4).expect("a threshold above 0");
+        assert!(hints.threshold > 0);
+        assert_eq!(Some(hints), Some(p.sweep(&indices, 64, 4)));
     }
 
     #[test]
@@ -443,6 +501,28 @@ mod tests {
             let fast = HotEntryProfiler::new().sweep(&indices, cache_lines, max_threshold);
             let slow = brute_force_sweep(&indices, cache_lines, max_threshold);
             prop_assert_eq!(fast, slow, "indices {:?}", indices);
+        }
+
+        #[test]
+        fn hints_are_the_sweep_unless_every_row_is_hot(
+            raw in prop::collection::vec(0u32..1024, 0..160),
+            alphabet in 1u32..24,
+            cache_lines in prop_oneof![
+                Just(0usize), Just(1), Just(2), Just(3), Just(5), Just(8), Just(1000)
+            ],
+            max_threshold in 0u64..7,
+        ) {
+            let indices: Vec<u32> = raw.iter().map(|i| i % alphabet).collect();
+            let p = HotEntryProfiler::new();
+            let sweep = p.sweep(&indices, cache_lines, max_threshold);
+            let hints = p.hints(&indices, cache_lines, max_threshold);
+            if sweep.threshold == 0 {
+                prop_assert!(hints.is_none());
+                prop_assert!(indices.iter().all(|&i| sweep.is_hot(u64::from(i))));
+            } else {
+                prop_assert!(indices.len() > cache_lines);
+                prop_assert_eq!(hints, Some(sweep));
+            }
         }
     }
 }
